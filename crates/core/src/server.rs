@@ -541,63 +541,91 @@ enum ConnVerdict {
 /// Line-framing state shared by the blocking reader ([`Server::pump`])
 /// and the reactor: the partial-line buffer plus the oversized-discard
 /// flag, so both transports get identical reader-defense behavior.
+///
+/// Framing is linear in the bytes received: `scanned` remembers how
+/// much of `pending` is already known to hold no newline, so a long
+/// line arriving in many reads is searched once, and complete lines are
+/// handed out as slices of the buffer, which is compacted once per
+/// [`Framer::ingest`].
 struct Framer {
     pending: Vec<u8>,
+    scanned: usize,
     discarding: bool,
+}
+
+/// What [`Framer::ingest`] found in the byte stream.
+#[derive(Debug, PartialEq)]
+enum Frame<'a> {
+    /// A complete, non-blank line, whitespace-trimmed.
+    Line(&'a str),
+    /// A complete line that is not valid UTF-8.
+    BadUtf8,
+    /// A partial line grew past the cap; it is dropped through its
+    /// newline.
+    Oversized,
 }
 
 impl Framer {
     fn new() -> Framer {
-        Framer { pending: Vec::new(), discarding: false }
+        Framer {
+            pending: Vec::new(),
+            scanned: 0,
+            discarding: false,
+        }
     }
 
-    /// Ingests freshly-read bytes, routing every complete line. Returns
-    /// true when the connection should stop reading (`shutdown` was
-    /// handled).
-    fn ingest(&mut self, server: &Arc<Server>, conn: &Arc<Conn>, bytes: &[u8]) -> bool {
+    /// Ingests freshly-read bytes, passing every frame to `sink` in
+    /// stream order. A line longer than `max_line_bytes` (0: no cap)
+    /// is reported once as [`Frame::Oversized`] when still incomplete
+    /// at the end of a read. Returns true, leaving the rest unread, as
+    /// soon as `sink` does (a `shutdown` was handled).
+    fn ingest(
+        &mut self,
+        bytes: &[u8],
+        max_line_bytes: usize,
+        mut sink: impl FnMut(Frame<'_>) -> bool,
+    ) -> bool {
         self.pending.extend_from_slice(bytes);
-        loop {
-            if let Some(eol) = self.pending.iter().position(|b| *b == b'\n') {
-                let line: Vec<u8> = self.pending.drain(..=eol).collect();
-                if self.discarding {
-                    // The tail of a line already rejected as oversized.
-                    self.discarding = false;
-                    continue;
-                }
-                match std::str::from_utf8(&line[..eol]) {
-                    Ok(text) if text.trim().is_empty() => {}
-                    Ok(text) => {
-                        if server.route(conn, text.trim()) {
-                            return true;
-                        }
-                    }
-                    Err(_) => {
-                        server.stats.bad_utf8.fetch_add(1, Ordering::Relaxed);
-                        server.respond_err(conn, "null", "input", "request line is not valid UTF-8");
-                    }
-                }
-            } else {
-                if !self.discarding
-                    && server.cfg.max_line_bytes > 0
-                    && self.pending.len() > server.cfg.max_line_bytes
-                {
-                    server.stats.oversized.fetch_add(1, Ordering::Relaxed);
-                    server.respond_err(
-                        conn,
-                        "null",
-                        "input",
-                        &format!(
-                            "request line exceeds {} bytes; discarding \
-                             through the next newline",
-                            server.cfg.max_line_bytes
-                        ),
-                    );
-                    self.pending.clear();
-                    self.discarding = true;
-                }
-                return false;
+        // `start` is the first byte of the line not yet framed.
+        let mut start = 0;
+        let mut stopped = false;
+        while let Some(off) = self.pending[self.scanned..]
+            .iter()
+            .position(|b| *b == b'\n')
+        {
+            let eol = self.scanned + off;
+            let line = &self.pending[start..eol];
+            start = eol + 1;
+            self.scanned = start;
+            if self.discarding {
+                // The tail of a line already rejected as oversized.
+                self.discarding = false;
+                continue;
+            }
+            let frame = match std::str::from_utf8(line) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => Frame::Line(text.trim()),
+                Err(_) => Frame::BadUtf8,
+            };
+            if sink(frame) {
+                stopped = true;
+                break;
             }
         }
+        if !stopped {
+            self.scanned = self.pending.len();
+            if self.discarding {
+                // Nothing of a discarded line is ever framed.
+                start = self.pending.len();
+            } else if max_line_bytes > 0 && self.pending.len() - start > max_line_bytes {
+                sink(Frame::Oversized);
+                start = self.pending.len();
+                self.discarding = true;
+            }
+        }
+        self.pending.drain(..start);
+        self.scanned -= start;
+        stopped
     }
 }
 
@@ -620,6 +648,10 @@ pub struct Server {
     /// every flight key: a prove after a (re)definition never coalesces
     /// with one from before it.
     define_epoch: AtomicU64,
+    /// Serializes every reload's read-build-swap (the `reload` method
+    /// and the `--watch-libs` poller alike), so a reload that read the
+    /// libraries earlier can never swap over a later, acknowledged one.
+    reload_lock: Mutex<()>,
     cfg: ServeConfig,
 }
 
@@ -650,6 +682,7 @@ impl Server {
             netfault,
             flights: Mutex::new(HashMap::new()),
             define_epoch: AtomicU64::new(0),
+            reload_lock: Mutex::new(()),
             cfg,
         })
     }
@@ -995,7 +1028,7 @@ impl Server {
                 Ok(0) => return ConnVerdict::Closed,
                 Ok(n) => {
                     state.last_activity = Instant::now();
-                    if state.framer.ingest(self, &state.conn, &chunk[..n]) {
+                    if self.ingest(&mut state.framer, &state.conn, &chunk[..n]) {
                         return ConnVerdict::Stopping;
                     }
                 }
@@ -1038,7 +1071,7 @@ impl Server {
                 Ok(0) => return PumpOutcome::Disconnected,
                 Ok(n) => {
                     last_activity = Instant::now();
-                    if framer.ingest(self, conn, &chunk[..n]) {
+                    if self.ingest(&mut framer, conn, &chunk[..n]) {
                         return PumpOutcome::Stopping;
                     }
                 }
@@ -1062,6 +1095,35 @@ impl Server {
                 Err(_) => return PumpOutcome::Disconnected,
             }
         }
+    }
+
+    /// Frames freshly-read bytes and routes every complete line straight
+    /// out of the framer's buffer; oversized and non-UTF-8 lines get
+    /// their structured `input` rejection. Returns true when the
+    /// connection should stop reading (`shutdown` was handled).
+    fn ingest(self: &Arc<Server>, framer: &mut Framer, conn: &Arc<Conn>, bytes: &[u8]) -> bool {
+        framer.ingest(bytes, self.cfg.max_line_bytes, |frame| match frame {
+            Frame::Line(text) => self.route(conn, text),
+            Frame::BadUtf8 => {
+                self.stats.bad_utf8.fetch_add(1, Ordering::Relaxed);
+                self.respond_err(conn, "null", "input", "request line is not valid UTF-8");
+                false
+            }
+            Frame::Oversized => {
+                self.stats.oversized.fetch_add(1, Ordering::Relaxed);
+                self.respond_err(
+                    conn,
+                    "null",
+                    "input",
+                    &format!(
+                        "request line exceeds {} bytes; discarding \
+                         through the next newline",
+                        self.cfg.max_line_bytes
+                    ),
+                );
+                false
+            }
+        })
     }
 
     /// Parses and dispatches one request line on the reader thread.
@@ -1098,6 +1160,10 @@ impl Server {
                 }
             },
         };
+        // Cloned, not moved out of `doc`: the copy costs microseconds
+        // even for a megabyte `source`, while handing the parser's own
+        // allocation to a worker thread raised the daemon's peak RSS by
+        // about 1 MiB under mixed traffic (glibc per-thread arenas).
         let params = match doc.get("params") {
             None | Some(Json::Null) => Json::Obj(Vec::new()),
             Some(obj @ Json::Obj(_)) => obj.clone(),
@@ -1531,10 +1597,16 @@ impl Server {
     /// resident registry is untouched, `reload_failures` ticks, and the
     /// client gets a structured `input` error.
     ///
+    /// Reloads are serialized end to end by `reload_lock`: each reads
+    /// the files, builds, and swaps before the next one starts, so
+    /// concurrent reloads apply in the order they take the lock and the
+    /// registry always ends on the newest files any of them read.
+    ///
     /// Note the rebuild starts from builtins + the configured files:
     /// qualifiers added dynamically via `define_qualifiers` since
     /// startup are dropped by a reload (they are not in any library).
     fn do_reload(&self) -> Result<String, ServeError> {
+        let _serial = self.reload_lock.lock().unwrap_or_else(|e| e.into_inner());
         let built = (|| -> Result<(Session, Vec<String>), String> {
             let mut next = Session::with_builtins();
             let mut files = Vec::new();
@@ -2177,6 +2249,73 @@ mod tests {
     }
 
     #[test]
+    fn racing_reloads_end_on_the_last_written_library() {
+        let dir = lib_dir("race");
+        let lib = dir.join("quals.stq");
+        let qualifier = |name: &str| {
+            format!(
+                "\nvalue qualifier {name}(int Expr E) \
+                 case E of decl int Const C: C, where C > 0 invariant value(E) > 0"
+            )
+        };
+        // Odd versions are padded so they take far longer to build than
+        // even ones: a reload that read an odd version would finish (and,
+        // unserialized, swap) after one that read the next even version.
+        let version = |v: usize| {
+            let mut lib = GOOD_LIB.to_owned() + &qualifier(&format!("gen{v}"));
+            if v % 2 == 1 {
+                for i in 0..200 {
+                    lib += &qualifier(&format!("pad{i}"));
+                }
+            }
+            lib
+        };
+        // Each version lands atomically, so a reload never reads a torn
+        // file and every failure here is an ordering failure.
+        let publish = |v: usize| {
+            let tmp = dir.join("quals.tmp");
+            std::fs::write(&tmp, version(v)).unwrap();
+            std::fs::rename(&tmp, &lib).unwrap();
+        };
+        publish(0);
+        let (server, _cancel) = spawn_server(ServeConfig {
+            qual_files: vec![lib.clone()],
+            ..ServeConfig::default()
+        });
+        let has = |server: &Server, name: &str| {
+            let session = server.session.read().unwrap_or_else(|e| e.into_inner());
+            session.registry().names().contains(&name)
+        };
+        for v in 1..=20 {
+            // Racers start while version v-1 is still on disk; the
+            // acknowledged reload below reads version v. The pause only
+            // gives racers a head start so an unserialized reload would
+            // lose the race; the assertions hold for any interleaving.
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    let server = Arc::clone(&server);
+                    std::thread::spawn(move || {
+                        server.do_reload().expect("a reload of a good library");
+                    })
+                })
+                .collect();
+            std::thread::sleep(Duration::from_millis(5));
+            publish(v);
+            server.do_reload().expect("acknowledged reload");
+            // Once a reload that read version v is acknowledged, no
+            // racer may swap an older version back in.
+            let latest = format!("gen{v}");
+            assert!(has(&server, &latest), "round {v}: {latest} was overwritten");
+            for racer in racers {
+                racer.join().expect("racing reload thread");
+            }
+            assert!(has(&server, &latest), "round {v}: {latest} was overwritten late");
+        }
+        assert!(!has(&server, "gen19") && !has(&server, "pad0"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn zero_deadline_interrupts_without_poisoning_the_cache() {
         let (server, _cancel) = spawn_server(ServeConfig::default());
         let (mut client, handle) = connect(&server);
@@ -2381,6 +2520,123 @@ mod tests {
         drop(reader);
         drop(client);
         handle.join().expect("connection thread");
+    }
+
+    /// An owned copy of a [`Frame`], for recording what a framer saw.
+    #[derive(Debug, PartialEq)]
+    enum Framed {
+        Line(String),
+        BadUtf8,
+        Oversized,
+    }
+
+    /// Feeds `stream` to a [`Framer`] in `chunk`-byte reads; the line
+    /// `shutdown` stops reading, as a routed `shutdown` request does.
+    fn frame_all(stream: &[u8], chunk: usize, max_line_bytes: usize) -> Vec<Framed> {
+        let mut framer = Framer::new();
+        let mut out = Vec::new();
+        for piece in stream.chunks(chunk) {
+            let stopped = framer.ingest(piece, max_line_bytes, |frame| {
+                let stop = frame == Frame::Line("shutdown");
+                out.push(match frame {
+                    Frame::Line(text) => Framed::Line(text.to_owned()),
+                    Frame::BadUtf8 => Framed::BadUtf8,
+                    Frame::Oversized => Framed::Oversized,
+                });
+                stop
+            });
+            if stopped {
+                break;
+            }
+        }
+        out
+    }
+
+    /// The framing contract written the plain quadratic way (rescan the
+    /// whole buffer from byte 0 on every read, copy each line out), as
+    /// the oracle [`Framer`] must agree with.
+    fn reference_frames(stream: &[u8], chunk: usize, max_line_bytes: usize) -> Vec<Framed> {
+        let (mut pending, mut discarding, mut out) = (Vec::new(), false, Vec::new());
+        'read: for piece in stream.chunks(chunk) {
+            pending.extend_from_slice(piece);
+            while let Some(eol) = pending.iter().position(|b| *b == b'\n') {
+                let line: Vec<u8> = pending.drain(..=eol).collect();
+                if discarding {
+                    discarding = false;
+                    continue;
+                }
+                match std::str::from_utf8(&line[..eol]) {
+                    Ok(text) if text.trim().is_empty() => {}
+                    Ok(text) => {
+                        out.push(Framed::Line(text.trim().to_owned()));
+                        if text.trim() == "shutdown" {
+                            break 'read;
+                        }
+                    }
+                    Err(_) => out.push(Framed::BadUtf8),
+                }
+            }
+            if !discarding && max_line_bytes > 0 && pending.len() > max_line_bytes {
+                out.push(Framed::Oversized);
+                pending.clear();
+                discarding = true;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn framer_routes_the_same_lines_in_the_same_order_for_any_chunking() {
+        let request = r#"{"id":1,"method":"stats"}"#;
+        let one = format!("{request}\n");
+        for chunk in [1, 2, 3] {
+            assert_eq!(
+                frame_all(one.as_bytes(), chunk, 0),
+                [Framed::Line(request.into())]
+            );
+        }
+
+        let pipelined = b"{\"id\":1}\n\n   \r\n{\"id\":2}\r\n{\"id\":3,\xFF}\n {\"id\":4} \n";
+        assert_eq!(
+            frame_all(pipelined, pipelined.len(), 0),
+            [
+                Framed::Line(r#"{"id":1}"#.into()),
+                Framed::Line(r#"{"id":2}"#.into()),
+                Framed::BadUtf8,
+                Framed::Line(r#"{"id":4}"#.into()),
+            ]
+        );
+
+        let oversized = format!("{{\"id\":1,\"pad\":\"{}\"}}\n{request}\n", "x".repeat(200));
+        for chunk in [1, 16, 64, 65] {
+            assert_eq!(
+                frame_all(oversized.as_bytes(), chunk, 64),
+                [Framed::Oversized, Framed::Line(request.into())],
+                "chunk {chunk}"
+            );
+        }
+
+        // Everything together, against the reference framing, for every
+        // chunking and with and without a cap: a line arriving whole in
+        // one read is never judged oversized, and nothing after a
+        // `shutdown` is framed.
+        let stream = [
+            one.as_bytes(),
+            pipelined,
+            oversized.as_bytes(),
+            &[b'y'; 300],
+            b"\n{\"id\":9}\nshutdown\n{\"id\":10}\n",
+        ]
+        .concat();
+        for max in [0, 64, 299, 300] {
+            for chunk in [1, 2, 3, 5, 63, 64, 65, 257, 4096, stream.len()] {
+                assert_eq!(
+                    frame_all(&stream, chunk, max),
+                    reference_frames(&stream, chunk, max),
+                    "chunk {chunk}, max {max}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -305,10 +305,27 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parses a string literal in time linear in its length: each
+    /// maximal run of plain bytes (anything but `"`, `\` and control
+    /// bytes) is validated and copied in one step, so only escapes and
+    /// delimiters take the byte-at-a-time path.
     fn string(&mut self) -> Result<String, JsonError> {
         self.eat(b'"', "`\"`")?;
         let mut out = String::new();
         loop {
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            if run > 0 {
+                // The run is delimited by ASCII bytes, so it starts and
+                // ends on character boundaries of the `&str` input.
+                let plain =
+                    std::str::from_utf8(&rest[..run]).map_err(|_| self.err("invalid UTF-8"))?;
+                out.push_str(plain);
+                self.pos += run;
+            }
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -362,16 +379,9 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are trustworthy).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("peek saw a byte");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                // The plain run above stopped here, so this is a
+                // control byte.
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -487,6 +497,72 @@ mod tests {
     fn deep_nesting_is_rejected_not_a_stack_overflow() {
         let deep = "[".repeat(10_000) + &"]".repeat(10_000);
         assert!(Json::parse(&deep).is_err());
+    }
+
+    #[test]
+    fn long_mixed_strings_decode_and_round_trip() {
+        // (JSON source, decoded text) pieces: plain runs of several
+        // lengths, every escape, an escaped surrogate pair, and raw
+        // multibyte characters on both sides of each.
+        let pieces: [(&str, &str); 17] = [
+            ("plain ascii run ", "plain ascii run "),
+            (r#"\""#, "\""),
+            (r"\\", "\\"),
+            (r"\/", "/"),
+            (r"\b", "\u{8}"),
+            (r"\f", "\u{c}"),
+            (r"\n", "\n"),
+            (r"\r", "\r"),
+            (r"\t", "\t"),
+            ("\\u0041\\u00e9\\u4e16", "Aé世"),
+            ("\\ud83d\\ude00", "😀"),
+            (r"😀", "😀"),
+            ("héllo → 世界 😀", "héllo → 世界 😀"),
+            ("x", "x"),
+            ("", ""),
+            ("int pos f(int pos x) { return x; }", "int pos f(int pos x) { return x; }"),
+            (r"\u001f", "\u{1f}"),
+        ];
+        let (mut source, mut expected) = (String::from("\""), String::new());
+        for i in 0..2_000 {
+            let (json, text) = pieces[i % pieces.len()];
+            source.push_str(&json.repeat(1 + i % 7));
+            expected.push_str(&text.repeat(1 + i % 7));
+        }
+        source.push('"');
+        let v = Json::parse(&source).unwrap();
+        assert_eq!(v.as_str(), Some(expected.as_str()));
+        assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+        let doc = Json::Obj(vec![("source".into(), v)]);
+        assert_eq!(Json::parse(&doc.to_string()).unwrap(), doc);
+    }
+
+    #[test]
+    fn raw_control_character_in_a_long_run_errors_at_its_byte() {
+        // Multibyte characters first, so a character offset would differ
+        // from the byte offset.
+        let prefix = "é世".repeat(1_000) + &"a".repeat(5_000);
+        let doc = format!("\"{prefix}\u{1}tail\"");
+        let err = Json::parse(&doc).unwrap_err();
+        assert_eq!(err.offset, 1 + prefix.len());
+        assert_eq!(err.message, "raw control character in string");
+        let unterminated = format!("\"{prefix}");
+        assert_eq!(Json::parse(&unterminated).unwrap_err().offset, unterminated.len());
+    }
+
+    #[test]
+    fn eight_mib_string_parses_in_linear_time() {
+        // A byte-at-a-time parser that revalidates the rest of the input
+        // per character would take hours here.
+        let chunk = "int pos x = (int pos) 1; /* é → 世 */\\n";
+        let body = chunk.repeat((8 << 20) / chunk.len());
+        let doc = format!("{{\"id\":1,\"method\":\"check\",\"params\":{{\"source\":\"{body}\"}}}}");
+        let start = std::time::Instant::now();
+        let v = Json::parse(&doc).unwrap();
+        let elapsed = start.elapsed();
+        let source = v.get("params").and_then(|p| p.get("source")).and_then(Json::as_str);
+        assert_eq!(source.map(str::len), Some(body.len() - body.matches("\\n").count()));
+        assert!(elapsed < std::time::Duration::from_secs(1), "8 MiB parse took {elapsed:?}");
     }
 
     #[test]

@@ -11,6 +11,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> stqbench unit tests and known-answer oracle"
+cargo test -q --manifest-path stqbench/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -925,6 +925,48 @@ fn idle_daemon_blocks_in_poll_instead_of_spinning() {
     daemon.shutdown();
 }
 
+#[test]
+fn a_large_request_line_does_not_stall_other_connections() {
+    // A `check` line just under the default 1 MiB --max-line-bytes is
+    // framed and decoded on the reactor thread; that must take so little
+    // time that a `stats` on another connection still answers promptly.
+    let daemon = Daemon::spawn("large-line", &["--jobs", "1"]);
+    let prefix =
+        r#"{"id":1,"method":"check","params":{"source":"int pos one() { return (int pos) 1; }\n/*"#;
+    let suffix = r#"*/\n"}}"#;
+    let filler = r#"padding with \"quotes\", \\ backslashes,\ttabs and newlines\n"#;
+    let room = (1 << 20) - prefix.len() - suffix.len();
+    let line = format!("{prefix}{}{suffix}", filler.repeat(room / filler.len()));
+    assert!(line.len() > (1 << 20) - filler.len() && line.len() <= 1 << 20);
+
+    let mut big = daemon.connect();
+    let mut observer = daemon.connect();
+    let warm = observer.roundtrip("{\"id\":1,\"method\":\"stats\"}");
+    assert_eq!(warm.get("ok").and_then(Json::as_bool), Some(true));
+
+    big.send(&line);
+    let start = Instant::now();
+    let stats = observer.roundtrip("{\"id\":2,\"method\":\"stats\"}");
+    let waited = start.elapsed();
+    assert_eq!(stats.get("id").and_then(Json::as_u64), Some(2), "{stats}");
+    assert!(
+        waited < Duration::from_millis(500),
+        "stats waited {waited:?} behind a {}-byte request line",
+        line.len()
+    );
+
+    let checked = big.recv();
+    assert_eq!(checked.get("id").and_then(Json::as_u64), Some(1));
+    assert_eq!(
+        checked.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{checked}"
+    );
+    drop(big);
+    drop(observer);
+    daemon.shutdown();
+}
+
 // ----- high availability: failover, shared journal, hot reload -----
 
 /// Scratch directory for one HA test, removed on success.

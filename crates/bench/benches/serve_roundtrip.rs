@@ -1,9 +1,10 @@
 //! Per-request overhead of the `stqc serve` protocol, measured
-//! in-process over a socketpair — no accept loop, no process spawn, so
-//! the numbers isolate framing + routing + scheduling from transport
-//! setup. Three rungs:
+//! in-process against the production reactor ([`Server::run_unix`] on
+//! a temp socket) over one connection dialed once — no process spawn,
+//! no per-request connect, so the numbers isolate framing + routing +
+//! scheduling from transport setup. Three rungs:
 //!
-//! * `stats` — answered inline on the reader thread: the floor, pure
+//! * `stats` — answered inline on the reactor thread: the floor, pure
 //!   parse/route/render round-trip;
 //! * `check` — a small program through the queue and worker pool;
 //! * `prove_warm` — the steady-state serving claim: a repeated prove
@@ -21,23 +22,30 @@ mod unix_bench {
     use super::*;
     use std::io::{BufRead, BufReader, Write};
     use std::os::unix::net::UnixStream;
+    use std::path::Path;
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
     use stq_core::{ServeConfig, Server, Session};
     use stq_util::json::Json;
     use stq_util::CancelToken;
 
-    /// A live in-process connection: the daemon side runs on its own
-    /// thread exactly like an accepted socket connection.
+    /// A live connection to an in-process daemon serving `socket`.
     struct Wire {
         client: UnixStream,
         reader: BufReader<UnixStream>,
     }
 
     impl Wire {
-        fn connect(server: &Arc<Server>) -> Wire {
-            let (client, daemon_side) = UnixStream::pair().expect("socketpair");
-            let srv = Arc::clone(server);
-            std::thread::spawn(move || srv.serve_stream(daemon_side));
+        /// Dials `socket` until the daemon's run thread has bound it.
+        fn connect(socket: &Path) -> Wire {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let client = loop {
+                match UnixStream::connect(socket) {
+                    Ok(client) => break client,
+                    Err(e) => assert!(Instant::now() < deadline, "daemon never bound: {e}"),
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            };
             let reader = BufReader::new(client.try_clone().expect("stream clones"));
             Wire { client, reader }
         }
@@ -61,13 +69,6 @@ mod unix_bench {
         }
     }
 
-    fn server() -> Arc<Server> {
-        Arc::new(
-            Server::new(Session::with_builtins(), ServeConfig::default(), CancelToken::new())
-                .expect("in-memory server"),
-        )
-    }
-
     fn cache_misses(doc: &Json) -> u64 {
         doc.get("result")
             .and_then(|r| r.get("cache"))
@@ -77,8 +78,26 @@ mod unix_bench {
     }
 
     pub fn bench_roundtrips(c: &mut Criterion) {
-        let server = server();
-        let mut wire = Wire::connect(&server);
+        let socket = std::env::temp_dir().join(format!(
+            "stq-bench-serve-roundtrip-{}.sock",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&socket);
+        let cancel = CancelToken::new();
+        let server = Arc::new(
+            Server::new(
+                Session::with_builtins(),
+                ServeConfig::default(),
+                cancel.clone(),
+            )
+            .expect("in-memory server"),
+        );
+        let run = {
+            let server = Arc::clone(&server);
+            let socket = socket.clone();
+            std::thread::spawn(move || server.run_unix(&socket))
+        };
+        let mut wire = Wire::connect(&socket);
         let mut group = c.benchmark_group("serve_roundtrip");
 
         let stats_req = "{\"id\":1,\"method\":\"stats\"}";
@@ -108,6 +127,9 @@ mod unix_bench {
             "the measured warm loop must never miss the resident cache"
         );
         group.finish();
+        cancel.cancel();
+        run.join().expect("daemon thread").expect("daemon run");
+        let _ = std::fs::remove_file(socket.with_extension("sock.lock"));
     }
 }
 

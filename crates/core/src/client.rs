@@ -45,13 +45,16 @@
 //!   after the request may have reached the server, the call returns
 //!   [`CallError::Ambiguous`] instead of blindly replaying a mutation.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use stq_util::json::{escape, Json};
+use stq_util::json::Json;
+use stq_util::splitmix64;
+
+use crate::stream::Stream;
 
 /// One place a daemon might be listening: a Unix socket path or a TCP
 /// `HOST:PORT` address. Both carry the identical wire protocol.
@@ -225,66 +228,9 @@ pub fn method_is_idempotent(method: &str) -> bool {
     )
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A blocking stream to the daemon over either transport. Both carry
-/// the identical line-delimited JSON protocol; the client never needs
-/// to know which one it is holding.
-enum NetStream {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl NetStream {
-    fn try_clone(&self) -> std::io::Result<NetStream> {
-        match self {
-            NetStream::Unix(s) => s.try_clone().map(NetStream::Unix),
-            NetStream::Tcp(s) => s.try_clone().map(NetStream::Tcp),
-        }
-    }
-
-    fn set_read_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            NetStream::Unix(s) => s.set_read_timeout(dur),
-            NetStream::Tcp(s) => s.set_read_timeout(dur),
-        }
-    }
-}
-
-impl Read for NetStream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            NetStream::Unix(s) => s.read(buf),
-            NetStream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for NetStream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            NetStream::Unix(s) => s.write(buf),
-            NetStream::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            NetStream::Unix(s) => s.flush(),
-            NetStream::Tcp(s) => s.flush(),
-        }
-    }
-}
-
 struct Conn {
-    stream: NetStream,
-    reader: BufReader<NetStream>,
+    stream: Stream,
+    reader: BufReader<Stream>,
 }
 
 enum Recv {
@@ -382,12 +328,12 @@ impl Client {
                 let endpoint = self.cfg.endpoints[idx].clone();
                 self.mark_tried(idx);
                 let dialed = match &endpoint {
-                    Endpoint::Tcp(addr) => TcpStream::connect(addr.as_str()).map(NetStream::Tcp),
-                    Endpoint::Unix(path) => UnixStream::connect(path).map(NetStream::Unix),
+                    Endpoint::Tcp(addr) => TcpStream::connect(addr.as_str()).map(Stream::Tcp),
+                    Endpoint::Unix(path) => UnixStream::connect(path).map(Stream::Unix),
                 };
                 match dialed {
                     Ok(stream) => {
-                        if let NetStream::Tcp(s) = &stream {
+                        if let Stream::Tcp(s) = &stream {
                             // Request lines are tiny; trading batching
                             // for latency matches the Unix-socket
                             // behavior.
@@ -484,7 +430,7 @@ impl Client {
     /// response, or a [`CallError`] describing why no trustworthy
     /// answer could be obtained.
     ///
-    /// `params` is a pre-serialized JSON object; `deadline_ms` is the
+    /// `params` is the request's parameter object; `deadline_ms` is the
     /// *wire* per-request deadline forwarded to the server (distinct
     /// from the client-side [`ClientConfig::call_deadline`]).
     ///
@@ -495,7 +441,7 @@ impl Client {
     pub fn call(
         &mut self,
         method: &str,
-        params: Option<&str>,
+        params: Option<&Json>,
         deadline_ms: Option<u64>,
     ) -> Result<CallOutcome, CallError> {
         let overall = self.cfg.call_deadline.map(|d| Instant::now() + d);
@@ -530,14 +476,11 @@ impl Client {
             self.ensure_connected(overall)?;
             self.next_id += 1;
             let id = self.next_id;
-            let mut request = format!("{{\"id\":{id},\"method\":\"{}\"", escape(method));
-            if let Some(ms) = deadline_ms {
-                request.push_str(&format!(",\"deadline_ms\":{ms}"));
-            }
-            if let Some(p) = params {
-                request.push_str(&format!(",\"params\":{p}"));
-            }
-            request.push_str("}\n");
+            let mut fields = vec![("id", Json::from(id)), ("method", method.into())];
+            fields.extend(deadline_ms.map(|ms| ("deadline_ms", ms.into())));
+            fields.extend(params.map(|p| ("params", p.clone())));
+            let mut request = Json::obj(fields).to_string();
+            request.push('\n');
             let sent = {
                 let conn = self.conn.as_mut().expect("ensured above");
                 conn.stream
@@ -842,7 +785,11 @@ mod tests {
         let daemon = scripted_daemon(&socket, vec![vec![""]]);
         let mut client = Client::new(cfg(&socket));
         let err = client
-            .call("define_qualifiers", Some("{\"source\":\"x\"}"), None)
+            .call(
+                "define_qualifiers",
+                Some(&Json::obj([("source", "x".into())])),
+                None,
+            )
             .expect_err("must not silently replay");
         assert!(
             matches!(err, CallError::Ambiguous(_)),
@@ -864,7 +811,11 @@ mod tests {
         );
         let mut client = Client::new(cfg(&socket));
         let out = client
-            .call("define_qualifiers", Some("{\"source\":\"\"}"), None)
+            .call(
+                "define_qualifiers",
+                Some(&Json::obj([("source", "".into())])),
+                None,
+            )
             .expect("a provably-unexecuted define may re-send");
         assert_eq!(out.doc.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(client.stats().resends, 1);

@@ -50,6 +50,8 @@ pub mod client;
 pub mod reportjson;
 pub mod server;
 pub mod session;
+#[cfg(unix)]
+mod stream;
 
 #[cfg(unix)]
 pub use client::{CallError, CallOutcome, Client, ClientConfig, ClientStats, Endpoint};

@@ -35,8 +35,7 @@
 //!   `poll(2)` over every accepted socket — Unix-domain and TCP alike —
 //!   so an idle connection costs a buffer and a table entry, not a
 //!   thread, and the thread count is `1 + workers` regardless of how
-//!   many clients are attached. The old thread-per-client
-//!   [`Server::serve_stream`] survives for embedded transports.
+//!   many clients are attached. Only `--stdio` keeps a blocking reader.
 //! * **Single-flight dedup.** Identical concurrent `prove` requests
 //!   coalesce: the first becomes the *leader* and runs the solver; the
 //!   rest become *waiters* that consume no worker slot and receive a
@@ -66,12 +65,16 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use stq_soundness::{Budget, BudgetOverride, ProofCache, RetryPolicy, SoundnessReport};
-use stq_util::json::{escape, Json};
+#[cfg(unix)]
+use stq_util::flock::FileLock;
+use stq_util::json::Json;
 use stq_util::netfault::{ChaosWriter, NetFaultInjector, NetFaultPlan};
 use stq_util::serve::{Rejected, Scheduler};
 use stq_util::CancelToken;
 
-use crate::reportjson::{check_stats_json, qual_report_json};
+use crate::reportjson::{cache_json, check_json, millis, prove_json};
+#[cfg(unix)]
+use crate::stream::Stream;
 use crate::Session;
 
 /// How a server run ended; the CLI maps this onto its exit codes
@@ -178,7 +181,7 @@ pub struct ServeStats {
     /// one run and N−1 dedup hits).
     dedup_hits: AtomicU64,
     /// Currently-open connections (gauge, not a counter) — maintained by
-    /// the reactor and by the `--stdio`/embedded paths alike, so tests
+    /// the reactor and by the `--stdio` path alike, so tests
     /// can assert teardown releases resources promptly.
     open_connections: AtomicU64,
     /// Mirrors of the reactor's `poll(2)`-return / wake-pipe-drain
@@ -247,10 +250,12 @@ impl Conn {
     /// layer's write-op indices line up with response lines). A failed
     /// write means the client is gone; the connection is marked dead so
     /// later jobs skip.
-    fn write_line(&self, line: &str) {
+    fn send(&self, response: &Json) {
+        let mut line = response.to_string();
+        line.push('\n');
         let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
         let ok = w
-            .write_all(format!("{line}\n").as_bytes())
+            .write_all(line.as_bytes())
             .and_then(|()| w.flush())
             .is_ok();
         if !ok {
@@ -264,37 +269,35 @@ impl Conn {
 /// `overloaded`, `shutting-down`.
 type ServeError = (&'static str, String);
 
-fn ok_response(id: &str, result: &str) -> String {
-    format!("{{\"id\":{id},\"ok\":true,\"result\":{result}}}")
+/// The success envelope around a method's `result`.
+fn ok_response(id: &Json, result: Json) -> Json {
+    Json::obj([("id", id.clone()), ("ok", true.into()), ("result", result)])
 }
 
-fn err_response(id: &str, code: &str, message: &str) -> String {
-    // `retryable` tells clients which rejections are safe to re-send
-    // after a backoff: the request was provably never executed (see the
-    // retry-semantics table in docs/serving.md).
-    let retryable = matches!(code, "overloaded" | "shutting-down");
-    format!(
-        "{{\"id\":{id},\"ok\":false,\"error\":{{\"code\":\"{code}\",\"message\":\"{}\",\
-         \"retryable\":{retryable}}}}}",
-        escape(message)
-    )
+/// The error envelope. `retryable` tells clients which rejections are
+/// safe to re-send after a backoff: the request was provably never
+/// executed (see the retry-semantics table in docs/serving.md).
+fn err_response(id: &Json, code: &str, message: &str) -> Json {
+    let error = Json::obj([
+        ("code", code.into()),
+        ("message", message.into()),
+        (
+            "retryable",
+            matches!(code, "overloaded" | "shutting-down").into(),
+        ),
+    ]);
+    Json::obj([("id", id.clone()), ("ok", false.into()), ("error", error)])
 }
 
-enum PumpOutcome {
-    /// The peer closed its end (EOF or a read error).
-    Disconnected,
-    /// The server began stopping (shutdown request or cancel).
-    Stopping,
-}
-
-/// An advisory `flock(2)` lock file guarding the socket-path lifecycle.
+/// The advisory lock file guarding the socket-path lifecycle:
+/// `<socket>.lock`.
 ///
 /// Stale-socket reclaim used to be a TOCTOU race: two daemons started at
 /// the same moment could both connect-probe the stale path, both
 /// `remove_file` it, and one would silently steal the socket the other
 /// had just bound. The whole probe → unlink → bind sequence now runs
-/// while holding `<socket>.lock` exclusively (same idiom as the proof
-/// cache's journal lock in `stq-soundness::cache`), and the winning
+/// while holding this file's `flock(2)` lock exclusively (the proof
+/// cache's journal lock is the same [`FileLock`]), and the winning
 /// daemon keeps holding it for its lifetime, so a concurrent starter
 /// fails fast with `AddrInUse` instead of racing.
 ///
@@ -303,67 +306,28 @@ enum PumpOutcome {
 /// starter locks a fresh file at the same path). A leftover empty
 /// `.lock` file is harmless.
 #[cfg(unix)]
-mod socklock {
-    use std::fs::{File, OpenOptions};
-    use std::io;
-    use std::os::unix::io::AsRawFd;
-    use std::path::{Path, PathBuf};
+fn socket_lock_path(socket: &std::path::Path) -> PathBuf {
+    let mut os = socket.as_os_str().to_owned();
+    os.push(".lock");
+    PathBuf::from(os)
+}
 
-    extern "C" {
-        fn flock(fd: i32, operation: i32) -> i32;
-    }
-    const LOCK_EX: i32 = 2;
-    const LOCK_NB: i32 = 4;
-    const LOCK_UN: i32 = 8;
-
-    pub struct SocketLock {
-        file: File,
-    }
-
-    pub fn lock_path(socket: &Path) -> PathBuf {
-        let mut os = socket.as_os_str().to_owned();
-        os.push(".lock");
-        PathBuf::from(os)
-    }
-
-    impl SocketLock {
-        /// Acquires `<socket>.lock` exclusively without blocking; a held
-        /// lock means another daemon is starting or serving on this path.
-        pub fn acquire(socket: &Path) -> io::Result<SocketLock> {
-            let path = lock_path(socket);
-            // The file's (empty) contents are shared lock state —
-            // truncating a rival's already-open lock file would be rude
-            // and is never needed.
-            let file = OpenOptions::new()
-                .create(true)
-                .truncate(false)
-                .read(true)
-                .write(true)
-                .open(&path)?;
-            let rc = unsafe { flock(file.as_raw_fd(), LOCK_EX | LOCK_NB) };
-            if rc != 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::AddrInUse,
-                    format!(
-                        "another daemon is starting or serving on this path \
-                         (socket lock {} is held)",
-                        path.display()
-                    ),
-                ));
-            }
-            Ok(SocketLock { file })
-        }
-    }
-
-    impl Drop for SocketLock {
-        fn drop(&mut self) {
-            // Closing the fd would release the lock anyway; the explicit
-            // unlock documents intent and survives fd-leak refactors.
-            unsafe {
-                flock(self.file.as_raw_fd(), LOCK_UN);
-            }
-        }
-    }
+/// Takes the socket-path lock without waiting; a held lock means
+/// another daemon is starting or serving on this path.
+#[cfg(unix)]
+fn lock_socket(socket: &std::path::Path) -> io::Result<FileLock> {
+    let path = socket_lock_path(socket);
+    FileLock::try_exclusive(&path).map_err(|e| match e.kind() {
+        io::ErrorKind::WouldBlock => io::Error::new(
+            io::ErrorKind::AddrInUse,
+            format!(
+                "another daemon is starting or serving on this path \
+                 (socket lock {} is held)",
+                path.display()
+            ),
+        ),
+        _ => e,
+    })
 }
 
 /// One registered requester in a single-flight [`Flight`]: who to answer
@@ -371,7 +335,7 @@ mod socklock {
 /// this waiter is ever promoted to leader).
 struct Waiter {
     conn: Arc<Conn>,
-    id: String,
+    id: Json,
     deadline_ms: Option<u64>,
 }
 
@@ -399,12 +363,12 @@ fn fnv128(bytes: &[u8]) -> u128 {
     hash
 }
 
-/// A `prove` handler result: the rendered payload plus whether the run
+/// A `prove` handler result: the result document plus whether the run
 /// was interrupted (deadline/cancel). The flag drives single-flight
 /// leader handoff — interrupted partials are leader-specific and never
 /// fanned out to waiters.
 struct ProveOutput {
-    json: String,
+    result: Json,
     interrupted: bool,
 }
 
@@ -414,82 +378,13 @@ struct ProveOutput {
 #[cfg(unix)]
 const WRITE_STALL: Duration = Duration::from_secs(10);
 
-/// One accepted reactor transport: both kinds speak the identical
-/// line-delimited JSON protocol, so everything above the fd is shared.
-#[cfg(unix)]
-enum RawStream {
-    Unix(std::os::unix::net::UnixStream),
-    Tcp(std::net::TcpStream),
-}
-
-#[cfg(unix)]
-impl RawStream {
-    fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            RawStream::Unix(s) => s.set_nonblocking(nb),
-            RawStream::Tcp(s) => s.set_nonblocking(nb),
-        }
-    }
-
-    fn try_clone(&self) -> io::Result<RawStream> {
-        Ok(match self {
-            RawStream::Unix(s) => RawStream::Unix(s.try_clone()?),
-            RawStream::Tcp(s) => RawStream::Tcp(s.try_clone()?),
-        })
-    }
-
-    fn shutdown_both(&self) {
-        let _ = match self {
-            RawStream::Unix(s) => s.shutdown(std::net::Shutdown::Both),
-            RawStream::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
-        };
-    }
-}
-
-#[cfg(unix)]
-impl std::os::unix::io::AsRawFd for RawStream {
-    fn as_raw_fd(&self) -> std::os::unix::io::RawFd {
-        match self {
-            RawStream::Unix(s) => s.as_raw_fd(),
-            RawStream::Tcp(s) => s.as_raw_fd(),
-        }
-    }
-}
-
-#[cfg(unix)]
-impl Read for RawStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            RawStream::Unix(s) => s.read(buf),
-            RawStream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-#[cfg(unix)]
-impl Write for RawStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            RawStream::Unix(s) => s.write(buf),
-            RawStream::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            RawStream::Unix(s) => s.flush(),
-            RawStream::Tcp(s) => s.flush(),
-        }
-    }
-}
-
 /// Write half of a reactor connection. The fd is nonblocking (it is the
 /// same socket the reactor polls for reads), so a worker writing a large
 /// response parks in `poll(POLLOUT)` on `WouldBlock` — bounded by
 /// [`WRITE_STALL`] — rather than spinning or blocking the reactor.
 #[cfg(unix)]
 struct PollWriter {
-    inner: RawStream,
+    inner: Stream,
     stall: Duration,
 }
 
@@ -523,7 +418,7 @@ impl Write for PollWriter {
 #[cfg(unix)]
 struct ConnState {
     conn: Arc<Conn>,
-    stream: RawStream,
+    stream: Stream,
     framer: Framer,
     last_activity: Instant,
 }
@@ -538,9 +433,10 @@ enum ConnVerdict {
     Stopping,
 }
 
-/// Line-framing state shared by the blocking reader ([`Server::pump`])
-/// and the reactor: the partial-line buffer plus the oversized-discard
-/// flag, so both transports get identical reader-defense behavior.
+/// Line-framing state shared by the blocking `--stdio` reader
+/// ([`Server::run_stdio`]) and the reactor: the partial-line buffer plus
+/// the oversized-discard flag, so both get identical reader-defense
+/// behavior.
 ///
 /// Framing is linear in the bytes received: `scanned` remembers how
 /// much of `pending` is already known to hold no newline, so a long
@@ -630,8 +526,8 @@ impl Framer {
 }
 
 /// The resident checking server. Construct once, share behind an
-/// [`Arc`], and drive with [`Server::run_unix`] or [`Server::run_stdio`]
-/// (or [`Server::serve_stream`] for an embedded transport).
+/// [`Arc`], and drive with [`Server::run_unix`], [`Server::run_tcp`] or
+/// [`Server::run_stdio`].
 pub struct Server {
     session: RwLock<Session>,
     cache: ProofCache,
@@ -725,66 +621,39 @@ impl Server {
     /// testing mode. End-of-input is *batch* semantics, not a
     /// disconnect: every request read before EOF is still answered
     /// (so `printf '...requests...' | stqc serve --stdio` works), then
-    /// the drain runs and the daemon exits.
+    /// the drain runs and the daemon exits. The blocking read frames
+    /// lines like the reactor does.
     pub fn run_stdio(self: &Arc<Server>) -> ShutdownKind {
         self.stats.connections.fetch_add(1, Ordering::Relaxed);
         self.stats.open_connections.fetch_add(1, Ordering::AcqRel);
         let writer = self.chaos_writer(Box::new(io::stdout()) as Box<dyn Write + Send>, None);
         let conn = Arc::new(Conn::new(self.cancel.child(), writer));
         let mut stdin = io::stdin();
-        let _ = self.pump(&conn, &mut stdin);
+        let mut framer = Framer::new();
+        let mut chunk = [0u8; 4096];
+        while !self.stopping() {
+            match stdin.read(&mut chunk) {
+                Ok(0) => break,
+                Ok(n) => {
+                    if self.ingest(&mut framer, &conn, &chunk[..n]) {
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => break,
+            }
+        }
         let kind = self.finish();
         self.stats.open_connections.fetch_sub(1, Ordering::AcqRel);
         kind
     }
 
-    /// Serves one accepted Unix-socket connection until the peer hangs
-    /// up or the server stops. Public so embedded transports (benches,
-    /// tests) can drive a connection over `UnixStream::pair`.
-    #[cfg(unix)]
-    pub fn serve_stream(self: &Arc<Server>, stream: std::os::unix::net::UnixStream) {
-        self.stats.connections.fetch_add(1, Ordering::Relaxed);
-        // The read timeout is what lets the reader notice server
-        // shutdown while idle; see `pump`.
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-        let writer = match stream.try_clone() {
-            Ok(w) => Box::new(w) as Box<dyn Write + Send>,
-            Err(_) => return,
-        };
-        let severer: Option<Box<dyn Fn() + Send>> = match self.netfault {
-            Some(_) => match stream.try_clone() {
-                Ok(s) => Some(Box::new(move || {
-                    let _ = s.shutdown(std::net::Shutdown::Both);
-                })),
-                Err(_) => return,
-            },
-            None => None,
-        };
-        let writer = self.chaos_writer(writer, severer);
-        self.stats.open_connections.fetch_add(1, Ordering::AcqRel);
-        let conn = Arc::new(Conn::new(self.cancel.child(), writer));
-        let mut reader = stream;
-        if let PumpOutcome::Disconnected = self.pump(&conn, &mut reader) {
-            // A socket hangup *is* a disconnect: cancel this client's
-            // subtree so queued and in-flight work winds down instead
-            // of burning the pool for nobody.
-            conn.alive.store(false, Ordering::Release);
-            conn.token.cancel();
-            self.stats.disconnects.fetch_add(1, Ordering::Relaxed);
-        }
-        // Whichever way the pump ended, this connection's resources are
-        // released now — the gauge is what regression tests watch to
-        // prove teardown is prompt (the old accept loop leaked a
-        // JoinHandle per connection until shutdown).
-        self.stats.open_connections.fetch_sub(1, Ordering::AcqRel);
-    }
-
     /// Binds `socket_path` and serves until shutdown. Returns how the
     /// run ended; the socket file is removed on the way out. A stale
-    /// socket file left by a dead daemon is reclaimed — under an
-    /// exclusive [`socklock`] lock, so two daemons racing for the same
-    /// path cannot both reclaim it — and a *live* daemon on the same
-    /// path is an `AddrInUse` error.
+    /// socket file left by a dead daemon is reclaimed — under the
+    /// exclusive `lock_socket` lock, so two daemons racing for the
+    /// same path cannot both reclaim it — and a *live* daemon on the
+    /// same path is an `AddrInUse` error.
     #[cfg(unix)]
     pub fn run_unix(self: &Arc<Server>, socket_path: &std::path::Path) -> io::Result<ShutdownKind> {
         self.run_multi(Some(socket_path), None)
@@ -822,7 +691,7 @@ impl Server {
         let mut _socket_guard = None;
         let unix_listener = match socket_path {
             Some(path) => {
-                let guard = socklock::SocketLock::acquire(path)?;
+                let guard = lock_socket(path)?;
                 let listener = match UnixListener::bind(path) {
                     Ok(l) => l,
                     Err(e) if e.kind() == io::ErrorKind::AddrInUse => {
@@ -900,7 +769,7 @@ impl Server {
                             loop {
                                 match l.accept() {
                                     Ok((stream, _)) => self.admit(
-                                        RawStream::Unix(stream),
+                                        Stream::Unix(stream),
                                         &mut reactor,
                                         &mut conns,
                                         &mut next_token,
@@ -916,7 +785,7 @@ impl Server {
                             loop {
                                 match l.accept() {
                                     Ok((stream, _)) => self.admit(
-                                        RawStream::Tcp(stream),
+                                        Stream::Tcp(stream),
                                         &mut reactor,
                                         &mut conns,
                                         &mut next_token,
@@ -987,7 +856,7 @@ impl Server {
     #[cfg(unix)]
     fn admit(
         self: &Arc<Server>,
-        stream: RawStream,
+        stream: Stream,
         reactor: &mut stq_util::reactor::Reactor,
         conns: &mut HashMap<usize, ConnState>,
         next_token: &mut usize,
@@ -1048,72 +917,31 @@ impl Server {
         self.stats.open_connections.fetch_sub(1, Ordering::AcqRel);
     }
 
-    /// Reads the connection's byte stream, frames it into lines, and
-    /// routes each line. Partial lines survive read timeouts (the
-    /// buffer is owned here, not by a `BufReader`), which is how a
-    /// blocked reader still notices `stopping` promptly.
-    ///
-    /// The reader defends itself: a line longer than
-    /// [`ServeConfig::max_line_bytes`] is answered with one structured
-    /// `input` error and discarded up to its newline instead of being
-    /// buffered without bound, invalid UTF-8 gets the same structured
-    /// rejection, and (when [`ServeConfig::idle_timeout`] is set) a
-    /// connection with nothing in flight and nothing to say is closed.
-    fn pump(self: &Arc<Server>, conn: &Arc<Conn>, reader: &mut dyn Read) -> PumpOutcome {
-        let mut framer = Framer::new();
-        let mut chunk = [0u8; 4096];
-        let mut last_activity = Instant::now();
-        loop {
-            if self.stopping() {
-                return PumpOutcome::Stopping;
-            }
-            match reader.read(&mut chunk) {
-                Ok(0) => return PumpOutcome::Disconnected,
-                Ok(n) => {
-                    last_activity = Instant::now();
-                    if self.ingest(&mut framer, conn, &chunk[..n]) {
-                        return PumpOutcome::Stopping;
-                    }
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock
-                            | io::ErrorKind::TimedOut
-                            | io::ErrorKind::Interrupted
-                    ) =>
-                {
-                    if let Some(idle) = self.cfg.idle_timeout {
-                        if conn.inflight.load(Ordering::Acquire) == 0
-                            && last_activity.elapsed() >= idle
-                        {
-                            self.stats.idle_closed.fetch_add(1, Ordering::Relaxed);
-                            return PumpOutcome::Disconnected;
-                        }
-                    }
-                }
-                Err(_) => return PumpOutcome::Disconnected,
-            }
-        }
-    }
-
     /// Frames freshly-read bytes and routes every complete line straight
-    /// out of the framer's buffer; oversized and non-UTF-8 lines get
-    /// their structured `input` rejection. Returns true when the
-    /// connection should stop reading (`shutdown` was handled).
+    /// out of the framer's buffer. The reader defends itself: a line
+    /// longer than [`ServeConfig::max_line_bytes`] is answered with one
+    /// structured `input` error and discarded up to its newline instead
+    /// of being buffered without bound, and invalid UTF-8 gets the same
+    /// structured rejection. Returns true when the connection should
+    /// stop reading (`shutdown` was handled).
     fn ingest(self: &Arc<Server>, framer: &mut Framer, conn: &Arc<Conn>, bytes: &[u8]) -> bool {
         framer.ingest(bytes, self.cfg.max_line_bytes, |frame| match frame {
             Frame::Line(text) => self.route(conn, text),
             Frame::BadUtf8 => {
                 self.stats.bad_utf8.fetch_add(1, Ordering::Relaxed);
-                self.respond_err(conn, "null", "input", "request line is not valid UTF-8");
+                self.respond_err(
+                    conn,
+                    &Json::Null,
+                    "input",
+                    "request line is not valid UTF-8",
+                );
                 false
             }
             Frame::Oversized => {
                 self.stats.oversized.fetch_add(1, Ordering::Relaxed);
                 self.respond_err(
                     conn,
-                    "null",
+                    &Json::Null,
                     "input",
                     &format!(
                         "request line exceeds {} bytes; discarding \
@@ -1133,16 +961,21 @@ impl Server {
         let doc = match Json::parse(line) {
             Ok(doc) => doc,
             Err(e) => {
-                self.respond_err(conn, "null", "parse", &e.to_string());
+                self.respond_err(conn, &Json::Null, "parse", &e.to_string());
                 return false;
             }
         };
         // The id is echoed verbatim; it must exist and be a string or
         // number so responses are always attributable.
         let id = match doc.get("id") {
-            Some(v @ (Json::Num(_) | Json::Str(_))) => v.to_string(),
+            Some(v @ (Json::Num(_) | Json::Str(_))) => v.clone(),
             _ => {
-                self.respond_err(conn, "null", "invalid", "request needs an `id` (string or number)");
+                self.respond_err(
+                    conn,
+                    &Json::Null,
+                    "invalid",
+                    "request needs an `id` (string or number)",
+                );
                 return false;
             }
         };
@@ -1175,7 +1008,7 @@ impl Server {
         match method {
             "shutdown" => {
                 self.stats.shutdown.fetch_add(1, Ordering::Relaxed);
-                conn.write_line(&ok_response(&id, "{\"stopping\":true}"));
+                conn.send(&ok_response(&id, Json::obj([("stopping", true.into())])));
                 self.stopping.store(true, Ordering::Release);
                 true
             }
@@ -1183,8 +1016,7 @@ impl Server {
             // responsive for monitoring even when every worker is busy.
             "stats" => {
                 self.stats.stats.fetch_add(1, Ordering::Relaxed);
-                let result = self.stats_result();
-                conn.write_line(&ok_response(&id, &result));
+                conn.send(&ok_response(&id, self.stats_result()));
                 false
             }
             // `health` is the supervisor/load-balancer probe: a small,
@@ -1192,8 +1024,7 @@ impl Server {
             // `stats` so it works even under full saturation.
             "health" => {
                 self.stats.health.fetch_add(1, Ordering::Relaxed);
-                let result = self.health_result();
-                conn.write_line(&ok_response(&id, &result));
+                conn.send(&ok_response(&id, self.health_result()));
                 false
             }
             "define_qualifiers" | "check" => {
@@ -1233,7 +1064,7 @@ impl Server {
     fn enqueue(
         self: &Arc<Server>,
         conn: &Arc<Conn>,
-        id: String,
+        id: Json,
         method: String,
         params: Json,
         deadline_ms: Option<u64>,
@@ -1332,7 +1163,7 @@ impl Server {
     fn enqueue_prove(
         self: &Arc<Server>,
         conn: &Arc<Conn>,
-        id: String,
+        id: Json,
         params: Json,
         deadline_ms: Option<u64>,
     ) {
@@ -1460,7 +1291,7 @@ impl Server {
                     // and promote the next surviving member, which
                     // re-runs the solve under its own token.
                     if conn.alive() {
-                        conn.write_line(&ok_response(&id, &partial.json));
+                        conn.send(&ok_response(&id, partial.result));
                     } else {
                         self.stats.cancelled.fetch_add(1, Ordering::Relaxed);
                     }
@@ -1491,7 +1322,7 @@ impl Server {
                     for (idx, w) in members.iter().enumerate() {
                         if w.conn.alive() {
                             match &conclusive {
-                                Ok(out) => w.conn.write_line(&ok_response(&w.id, &out.json)),
+                                Ok(out) => w.conn.send(&ok_response(&w.id, out.result.clone())),
                                 Err((code, message)) => {
                                     self.respond_err(&w.conn, &w.id, code, message);
                                 }
@@ -1520,7 +1351,7 @@ impl Server {
     fn execute(
         self: &Arc<Server>,
         conn: &Arc<Conn>,
-        id: &str,
+        id: &Json,
         method: &str,
         params: &Json,
         deadline_ms: Option<u64>,
@@ -1541,18 +1372,18 @@ impl Server {
             "reload" => self.do_reload(),
             // Only reachable for proves that failed key resolution (the
             // deduplicated path is `run_flight`).
-            "prove" => self.do_prove(params, &token).map(|p| p.json),
+            "prove" => self.do_prove(params, &token).map(|p| p.result),
             _ => Err(("invalid", format!("method `{method}` is not a worker method"))),
         };
         match outcome {
-            Ok(result) => conn.write_line(&ok_response(id, &result)),
+            Ok(result) => conn.send(&ok_response(id, result)),
             Err((code, message)) => self.respond_err(conn, id, code, &message),
         }
     }
 
-    fn respond_err(&self, conn: &Conn, id: &str, code: &str, message: &str) {
+    fn respond_err(&self, conn: &Conn, id: &Json, code: &str, message: &str) {
         self.stats.errors.fetch_add(1, Ordering::Relaxed);
-        conn.write_line(&err_response(id, code, message));
+        conn.send(&err_response(id, code, message));
     }
 
     // ----- method handlers -----
@@ -1560,7 +1391,7 @@ impl Server {
     /// `define_qualifiers {source}`: transactional — the new
     /// definitions land all-or-nothing, so a bad batch cannot leave the
     /// resident registry half-updated for other requests.
-    fn do_define(&self, params: &Json) -> Result<String, ServeError> {
+    fn do_define(&self, params: &Json) -> Result<Json, ServeError> {
         let Some(source) = params.get("source").and_then(Json::as_str) else {
             return Err(("invalid", "define_qualifiers needs a string `source`".into()));
         };
@@ -1578,11 +1409,10 @@ impl Server {
         // Invalidate every single-flight key: proves after this
         // definition must not coalesce with proves from before it.
         self.define_epoch.fetch_add(1, Ordering::AcqRel);
-        let defined: Vec<String> = names
-            .iter()
-            .map(|n| format!("\"{}\"", escape(&n.to_string())))
-            .collect();
-        Ok(format!("{{\"defined\":[{}]}}", defined.join(",")))
+        Ok(Json::obj([(
+            "defined",
+            names.iter().map(ToString::to_string).collect(),
+        )]))
     }
 
     /// `reload {}`: re-parse the qualifier libraries this server was
@@ -1605,7 +1435,7 @@ impl Server {
     /// Note the rebuild starts from builtins + the configured files:
     /// qualifiers added dynamically via `define_qualifiers` since
     /// startup are dropped by a reload (they are not in any library).
-    fn do_reload(&self) -> Result<String, ServeError> {
+    fn do_reload(&self) -> Result<Json, ServeError> {
         let _serial = self.reload_lock.lock().unwrap_or_else(|e| e.into_inner());
         let built = (|| -> Result<(Session, Vec<String>), String> {
             let mut next = Session::with_builtins();
@@ -1632,14 +1462,12 @@ impl Server {
                 }
                 self.define_epoch.fetch_add(1, Ordering::AcqRel);
                 self.stats.reloads.fetch_add(1, Ordering::Relaxed);
-                let listed: Vec<String> =
-                    files.iter().map(|f| format!("\"{}\"", escape(f))).collect();
-                Ok(format!(
-                    "{{\"reloaded\":true,\"files\":[{}],\"qualifiers\":{qualifiers},\
-                     \"epoch\":{}}}",
-                    listed.join(","),
-                    self.define_epoch.load(Ordering::Acquire),
-                ))
+                Ok(Json::obj([
+                    ("reloaded", true.into()),
+                    ("files", files.into_iter().collect()),
+                    ("qualifiers", qualifiers.into()),
+                    ("epoch", self.define_epoch.load(Ordering::Acquire).into()),
+                ]))
             }
             Err(message) => {
                 self.stats.reload_failures.fetch_add(1, Ordering::Relaxed);
@@ -1688,7 +1516,7 @@ impl Server {
     /// `check {source, flow_sensitive?}`: parse (error-resilient, so a
     /// typo still yields diagnostics for later declarations) and
     /// typecheck against the resident registry.
-    fn do_check(&self, params: &Json) -> Result<String, ServeError> {
+    fn do_check(&self, params: &Json) -> Result<Json, ServeError> {
         let Some(source) = params.get("source").and_then(Json::as_str) else {
             return Err(("invalid", "check needs a string `source`".into()));
         };
@@ -1705,22 +1533,7 @@ impl Server {
             &program,
             crate::CheckOptions { flow_sensitive },
         );
-        let syntax: Vec<String> = syntax_errors
-            .iter()
-            .map(|e| format!("\"{}\"", escape(&e.to_string())))
-            .collect();
-        let diags: Vec<String> = result
-            .diags
-            .iter()
-            .map(|d| format!("\"{}\"", escape(&d.render(source))))
-            .collect();
-        Ok(format!(
-            "{{\"clean\":{},\"syntax_errors\":[{}],\"diagnostics\":[{}],\"stats\":{}}}",
-            result.is_clean() && syntax_errors.is_empty(),
-            syntax.join(","),
-            diags.join(","),
-            check_stats_json(&result.stats),
-        ))
+        Ok(check_json(&result, &syntax_errors, source))
     }
 
     /// `prove {names?, budget?, retry?, jobs?, cache?}` under the
@@ -1785,35 +1598,16 @@ impl Server {
         if self.cfg.cache_dir.is_some() {
             let _ = self.cache.persist();
         }
-        let quals: Vec<String> = report.reports.iter().map(qual_report_json).collect();
-        let json = format!(
-            "{{\"all_sound\":{},\"interrupted\":{},\"skipped\":{},\
-             \"qualifiers\":[{}],\"totals\":{},\"cache\":{}}}",
-            report.all_sound(),
-            report.interrupted(),
-            report.skipped_count(),
-            quals.join(","),
-            crate::reportjson::prover_stats_json(&report.totals),
-            self.cache_json(),
-        );
-        Ok(ProveOutput { json, interrupted: report.interrupted() })
+        let result = prove_json(&report, cache_json(&self.cache));
+        Ok(ProveOutput {
+            result,
+            interrupted: report.interrupted(),
+        })
     }
 
-    fn cache_json(&self) -> String {
-        format!(
-            "{{\"entries\":{},\"hits\":{},\"misses\":{},\"follow_hits\":{},\
-             \"invalidations\":{},\"persist_skips\":{}}}",
-            self.cache.len(),
-            self.cache.hits(),
-            self.cache.misses(),
-            self.cache.follow_hits(),
-            self.cache.invalidations(),
-            self.cache.persist_skips(),
-        )
-    }
-
-    fn stats_result(&self) -> String {
+    fn stats_result(&self) -> Json {
         let s = &self.stats;
+        let count = |c: &AtomicU64| Json::from(c.load(Ordering::Relaxed));
         let qualifiers = self
             .session
             .read()
@@ -1821,82 +1615,76 @@ impl Server {
             .registry()
             .iter()
             .count();
-        let total = s.define.load(Ordering::Relaxed)
-            + s.check.load(Ordering::Relaxed)
-            + s.prove.load(Ordering::Relaxed)
-            + s.reload.load(Ordering::Relaxed)
-            + s.stats.load(Ordering::Relaxed)
-            + s.health.load(Ordering::Relaxed)
-            + s.shutdown.load(Ordering::Relaxed);
-        let netfault = match &self.netfault {
-            Some(inj) => format!(
-                "{{\"planned\":{},\"injected\":{},\"ops\":{}}}",
-                inj.planned(),
-                inj.injected(),
-                inj.ops(),
+        let methods = [
+            ("define_qualifiers", &s.define),
+            ("check", &s.check),
+            ("prove", &s.prove),
+            ("reload", &s.reload),
+            ("stats", &s.stats),
+            ("health", &s.health),
+            ("shutdown", &s.shutdown),
+        ];
+        let total: u64 = methods.iter().map(|(_, c)| c.load(Ordering::Relaxed)).sum();
+        let requests = std::iter::once(("total", total.into()))
+            .chain(methods.iter().map(|(name, c)| (*name, count(c))));
+        let netfault = self.netfault.as_ref().map(|inj| {
+            Json::obj([
+                ("planned", inj.planned().into()),
+                ("injected", inj.injected().into()),
+                ("ops", inj.ops().into()),
+            ])
+        });
+        Json::obj([
+            ("uptime_ms", millis(s.started.elapsed())),
+            ("jobs", self.cfg.jobs.into()),
+            ("qualifiers", qualifiers.into()),
+            ("connections", count(&s.connections)),
+            ("disconnects", count(&s.disconnects)),
+            ("open_connections", count(&s.open_connections)),
+            ("requests", Json::obj(requests)),
+            ("reloads", count(&s.reloads)),
+            ("reload_failures", count(&s.reload_failures)),
+            ("epoch", self.define_epoch.load(Ordering::Acquire).into()),
+            ("inflight", count(&s.inflight)),
+            ("queued", self.sched.queued().into()),
+            ("shed", count(&s.shed)),
+            ("cancelled", count(&s.cancelled)),
+            ("interrupted", count(&s.interrupted)),
+            ("errors", count(&s.errors)),
+            ("panics", self.sched.panics().into()),
+            ("oversized", count(&s.oversized)),
+            ("bad_utf8", count(&s.bad_utf8)),
+            ("idle_closed", count(&s.idle_closed)),
+            ("dedup_hits", count(&s.dedup_hits)),
+            (
+                "reactor",
+                Json::obj([
+                    ("polls", count(&s.reactor_polls)),
+                    ("wakeups", count(&s.reactor_wakeups)),
+                ]),
             ),
-            None => "null".to_owned(),
-        };
-        format!(
-            "{{\"uptime_ms\":{},\"jobs\":{},\"qualifiers\":{qualifiers},\
-             \"connections\":{},\"disconnects\":{},\"open_connections\":{},\
-             \"requests\":{{\"total\":{total},\"define_qualifiers\":{},\"check\":{},\
-             \"prove\":{},\"reload\":{},\"stats\":{},\"health\":{},\"shutdown\":{}}},\
-             \"reloads\":{},\"reload_failures\":{},\"epoch\":{},\
-             \"inflight\":{},\"queued\":{},\"shed\":{},\"cancelled\":{},\
-             \"interrupted\":{},\"errors\":{},\"panics\":{},\
-             \"oversized\":{},\"bad_utf8\":{},\"idle_closed\":{},\
-             \"dedup_hits\":{},\
-             \"reactor\":{{\"polls\":{},\"wakeups\":{}}},\
-             \"netfault\":{netfault},\"cache\":{}}}",
-            crate::reportjson::json_ms(s.started.elapsed()),
-            self.cfg.jobs,
-            s.connections.load(Ordering::Relaxed),
-            s.disconnects.load(Ordering::Relaxed),
-            s.open_connections.load(Ordering::Relaxed),
-            s.define.load(Ordering::Relaxed),
-            s.check.load(Ordering::Relaxed),
-            s.prove.load(Ordering::Relaxed),
-            s.reload.load(Ordering::Relaxed),
-            s.stats.load(Ordering::Relaxed),
-            s.health.load(Ordering::Relaxed),
-            s.shutdown.load(Ordering::Relaxed),
-            s.reloads.load(Ordering::Relaxed),
-            s.reload_failures.load(Ordering::Relaxed),
-            self.define_epoch.load(Ordering::Acquire),
-            s.inflight.load(Ordering::Relaxed),
-            self.sched.queued(),
-            s.shed.load(Ordering::Relaxed),
-            s.cancelled.load(Ordering::Relaxed),
-            s.interrupted.load(Ordering::Relaxed),
-            s.errors.load(Ordering::Relaxed),
-            self.sched.panics(),
-            s.oversized.load(Ordering::Relaxed),
-            s.bad_utf8.load(Ordering::Relaxed),
-            s.idle_closed.load(Ordering::Relaxed),
-            s.dedup_hits.load(Ordering::Relaxed),
-            s.reactor_polls.load(Ordering::Relaxed),
-            s.reactor_wakeups.load(Ordering::Relaxed),
-            self.cache_json(),
-        )
+            ("netfault", netfault.into()),
+            ("cache", cache_json(&self.cache)),
+        ])
     }
 
     /// The `health` response: a small fixed-shape liveness summary for
     /// supervisors and probes. Deliberately cheaper and more stable
     /// than `stats` — no per-method counters, no qualifier registry
-    /// walk beyond what `cache_json` already does.
-    fn health_result(&self) -> String {
-        let s = &self.stats;
-        format!(
-            "{{\"status\":\"ok\",\"uptime_ms\":{},\"workers\":{},\
-             \"queued\":{},\"inflight\":{},\"stopping\":{},\"cache\":{}}}",
-            crate::reportjson::json_ms(s.started.elapsed()),
-            self.cfg.jobs,
-            self.sched.queued(),
-            s.inflight.load(Ordering::Relaxed),
-            self.stopping(),
-            self.cache_json(),
-        )
+    /// walk.
+    fn health_result(&self) -> Json {
+        Json::obj([
+            ("status", "ok".into()),
+            ("uptime_ms", millis(self.stats.started.elapsed())),
+            ("workers", self.cfg.jobs.into()),
+            ("queued", self.sched.queued().into()),
+            (
+                "inflight",
+                self.stats.inflight.load(Ordering::Relaxed).into(),
+            ),
+            ("stopping", self.stopping().into()),
+            ("cache", cache_json(&self.cache)),
+        ])
     }
 }
 
@@ -1942,13 +1730,75 @@ mod tests {
         (server, cancel)
     }
 
-    /// Connects a client to `server` over a socketpair; the server side
-    /// runs on its own thread like a real accepted connection.
-    fn connect(server: &Arc<Server>) -> (UnixStream, std::thread::JoinHandle<()>) {
-        let (client, daemon_side) = UnixStream::pair().expect("socketpair");
-        let srv = Arc::clone(server);
-        let handle = std::thread::spawn(move || srv.serve_stream(daemon_side));
-        (client, handle)
+    /// A server running the production reactor ([`Server::run_unix`])
+    /// on a fresh temp socket.
+    struct Daemon {
+        server: Arc<Server>,
+        cancel: CancelToken,
+        socket: PathBuf,
+        run: std::thread::JoinHandle<io::Result<ShutdownKind>>,
+    }
+
+    impl Daemon {
+        fn start(cfg: ServeConfig) -> Daemon {
+            static NEXT: AtomicU64 = AtomicU64::new(0);
+            let socket = std::env::temp_dir().join(format!(
+                "stqc-server-test-{}-{}.sock",
+                std::process::id(),
+                NEXT.fetch_add(1, Ordering::Relaxed)
+            ));
+            let _ = std::fs::remove_file(&socket);
+            let (server, cancel) = spawn_server(cfg);
+            let run = {
+                let server = Arc::clone(&server);
+                let socket = socket.clone();
+                std::thread::spawn(move || server.run_unix(&socket))
+            };
+            Daemon {
+                server,
+                cancel,
+                socket,
+                run,
+            }
+        }
+
+        /// A client connection plus a line reader over it, dialed until
+        /// the run thread has bound the socket (a probe connection would
+        /// show up in the counters the tests assert on).
+        fn connect(&self) -> (UnixStream, BufReader<UnixStream>) {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let client = loop {
+                match UnixStream::connect(&self.socket) {
+                    Ok(client) => break client,
+                    Err(e) => assert!(Instant::now() < deadline, "server never bound: {e}"),
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            };
+            let reader = BufReader::new(client.try_clone().expect("clone"));
+            (client, reader)
+        }
+
+        /// Waits, bounded, until `done` holds of the server.
+        fn await_until(&self, what: &str, done: impl Fn(&Server) -> bool) {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !done(&self.server) {
+                assert!(Instant::now() < deadline, "timed out waiting until {what}");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+
+        /// Waits for the run to end on its own (a `shutdown` request).
+        fn join(self) -> ShutdownKind {
+            let kind = self.run.join().expect("run thread").expect("run result");
+            let _ = std::fs::remove_file(socket_lock_path(&self.socket));
+            kind
+        }
+
+        /// Cancels the server and waits for its run to end.
+        fn stop(self) {
+            self.cancel.cancel();
+            self.join();
+        }
     }
 
     fn roundtrip(client: &mut UnixStream, reader: &mut impl BufRead, line: &str) -> Json {
@@ -1962,12 +1812,12 @@ mod tests {
 
     #[test]
     fn prove_round_trip_hits_cache_on_repeat() {
-        let (server, _cancel) = spawn_server(ServeConfig {
+        let daemon = Daemon::start(ServeConfig {
             jobs: 2,
             ..ServeConfig::default()
         });
-        let (mut client, handle) = connect(&server);
-        let mut reader = BufReader::new(client.try_clone().expect("clone"));
+        let server = Arc::clone(&daemon.server);
+        let (mut client, mut reader) = daemon.connect();
 
         let first = roundtrip(
             &mut client,
@@ -1991,16 +1841,14 @@ mod tests {
         assert_eq!(server.cache.misses(), misses_before, "warm repeat missed");
         assert!(server.cache.hits() > 0, "warm repeat never hit the cache");
 
-        drop(reader);
-        drop(client);
-        handle.join().expect("connection thread");
+        daemon.stop();
     }
 
     #[test]
     fn malformed_and_invalid_requests_get_structured_errors() {
-        let (server, _cancel) = spawn_server(ServeConfig::default());
-        let (mut client, handle) = connect(&server);
-        let mut reader = BufReader::new(client.try_clone().expect("clone"));
+        let daemon = Daemon::start(ServeConfig::default());
+        let server = Arc::clone(&daemon.server);
+        let (mut client, mut reader) = daemon.connect();
 
         let parse = roundtrip(&mut client, &mut reader, "{not json");
         assert_eq!(parse.get("ok").and_then(Json::as_bool), Some(false));
@@ -2027,19 +1875,16 @@ mod tests {
         assert_eq!(stats.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(server.stats.errors.load(Ordering::Relaxed), 3);
 
-        drop(reader);
-        drop(client);
-        handle.join().expect("connection thread");
+        daemon.stop();
     }
 
     #[test]
     fn define_is_transactional_under_bad_input() {
-        let (server, _cancel) = spawn_server(ServeConfig::default());
-        let (mut client, handle) = connect(&server);
-        let mut reader = BufReader::new(client.try_clone().expect("clone"));
+        let daemon = Daemon::start(ServeConfig::default());
+        let server = Arc::clone(&daemon.server);
+        let (mut client, mut reader) = daemon.connect();
 
-        let quals_before = server.stats_result();
-        let before = Json::parse(&quals_before).unwrap().get("qualifiers").unwrap().as_u64();
+        let before = server.stats_result().get("qualifiers").unwrap().as_u64();
 
         let bad = roundtrip(
             &mut client,
@@ -2052,11 +1897,7 @@ mod tests {
             Some("input")
         );
 
-        let after = Json::parse(&server.stats_result())
-            .unwrap()
-            .get("qualifiers")
-            .unwrap()
-            .as_u64();
+        let after = server.stats_result().get("qualifiers").unwrap().as_u64();
         assert_eq!(before, after, "a failed define mutated the registry");
 
         let good = roundtrip(
@@ -2072,9 +1913,7 @@ mod tests {
             "defined list: {defined:?}"
         );
 
-        drop(reader);
-        drop(client);
-        handle.join().expect("connection thread");
+        daemon.stop();
     }
 
     const GOOD_LIB: &str = "value qualifier nonneg(int Expr E)\n\
@@ -2095,16 +1934,16 @@ mod tests {
         let dir = lib_dir("swap");
         let lib = dir.join("quals.stq");
         std::fs::write(&lib, GOOD_LIB).unwrap();
-        let (server, _cancel) = spawn_server(ServeConfig {
+        let daemon = Daemon::start(ServeConfig {
             qual_files: vec![lib.clone()],
             ..ServeConfig::default()
         });
-        let (mut client, handle) = connect(&server);
-        let mut reader = BufReader::new(client.try_clone().expect("clone"));
+        let server = Arc::clone(&daemon.server);
+        let (mut client, mut reader) = daemon.connect();
 
         let quals = |server: &Arc<Server>| {
-            Json::parse(&server.stats_result())
-                .unwrap()
+            server
+                .stats_result()
                 .get("qualifiers")
                 .unwrap()
                 .as_u64()
@@ -2139,13 +1978,11 @@ mod tests {
         );
         assert_eq!(quals(&server), baseline + 2);
 
-        let stats = Json::parse(&server.stats_result()).unwrap();
+        let stats = server.stats_result();
         assert_eq!(stats.get("reloads").and_then(Json::as_u64), Some(2));
         assert_eq!(stats.get("reload_failures").and_then(Json::as_u64), Some(0));
 
-        drop(reader);
-        drop(client);
-        handle.join().expect("connection thread");
+        daemon.stop();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2154,20 +1991,16 @@ mod tests {
         let dir = lib_dir("rollback");
         let lib = dir.join("quals.stq");
         std::fs::write(&lib, GOOD_LIB).unwrap();
-        let (server, _cancel) = spawn_server(ServeConfig {
+        let daemon = Daemon::start(ServeConfig {
             qual_files: vec![lib.clone()],
             ..ServeConfig::default()
         });
-        let (mut client, handle) = connect(&server);
-        let mut reader = BufReader::new(client.try_clone().expect("clone"));
+        let server = Arc::clone(&daemon.server);
+        let (mut client, mut reader) = daemon.connect();
 
         let good = roundtrip(&mut client, &mut reader, r#"{"id":1,"method":"reload"}"#);
         assert_eq!(good.get("ok").and_then(Json::as_bool), Some(true));
-        let registry_before = Json::parse(&server.stats_result())
-            .unwrap()
-            .get("qualifiers")
-            .unwrap()
-            .as_u64();
+        let registry_before = server.stats_result().get("qualifiers").unwrap().as_u64();
 
         // The library breaks on disk; the reload must answer a
         // structured `input` error and leave the registry (and epoch)
@@ -2186,7 +2019,7 @@ mod tests {
             .unwrap_or("");
         assert!(message.contains("rolled back"), "{message}");
 
-        let stats = Json::parse(&server.stats_result()).unwrap();
+        let stats = server.stats_result();
         assert_eq!(stats.get("qualifiers").unwrap().as_u64(), registry_before);
         assert_eq!(stats.get("epoch").and_then(Json::as_u64), Some(1));
         assert_eq!(stats.get("reloads").and_then(Json::as_u64), Some(1));
@@ -2201,9 +2034,7 @@ mod tests {
         );
         assert_eq!(prove.get("ok").and_then(Json::as_bool), Some(true));
 
-        drop(reader);
-        drop(client);
-        handle.join().expect("connection thread");
+        daemon.stop();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2231,7 +2062,7 @@ mod tests {
         .unwrap();
         let deadline = Instant::now() + Duration::from_secs(20);
         loop {
-            let stats = Json::parse(&server.stats_result()).unwrap();
+            let stats = server.stats_result();
             if stats.get("reloads").and_then(Json::as_u64).unwrap_or(0) >= 1 {
                 assert_eq!(
                     stats.get("requests").and_then(|r| r.get("reload")).and_then(Json::as_u64),
@@ -2317,9 +2148,9 @@ mod tests {
 
     #[test]
     fn zero_deadline_interrupts_without_poisoning_the_cache() {
-        let (server, _cancel) = spawn_server(ServeConfig::default());
-        let (mut client, handle) = connect(&server);
-        let mut reader = BufReader::new(client.try_clone().expect("clone"));
+        let daemon = Daemon::start(ServeConfig::default());
+        let server = Arc::clone(&daemon.server);
+        let (mut client, mut reader) = daemon.connect();
 
         let rushed = roundtrip(
             &mut client,
@@ -2346,22 +2177,20 @@ mod tests {
         assert_eq!(result.get("interrupted").and_then(Json::as_bool), Some(false));
         assert_eq!(server.stats.interrupted.load(Ordering::Relaxed), 1);
 
-        drop(reader);
-        drop(client);
-        handle.join().expect("connection thread");
+        daemon.stop();
     }
 
     #[test]
     fn per_connection_inflight_cap_sheds_excess_requests() {
         // One worker and a cap of 1 in-flight request per connection:
         // submitting two slow proves back-to-back must shed the second.
-        let (server, _cancel) = spawn_server(ServeConfig {
+        let daemon = Daemon::start(ServeConfig {
             jobs: 1,
             max_inflight: 1,
             ..ServeConfig::default()
         });
-        let (mut client, handle) = connect(&server);
-        let mut reader = BufReader::new(client.try_clone().expect("clone"));
+        let server = Arc::clone(&daemon.server);
+        let (mut client, mut reader) = daemon.connect();
 
         // `cache:false` keeps the first prove slow enough to still be
         // running (or queued) when the second arrives.
@@ -2392,20 +2221,19 @@ mod tests {
         assert_eq!(completed, 1);
         assert_eq!(server.stats.shed.load(Ordering::Relaxed), 1);
 
-        drop(reader);
-        drop(client);
-        handle.join().expect("connection thread");
+        daemon.stop();
     }
 
     #[test]
     fn disconnect_cancels_queued_work() {
         // A single worker pinned by a slow request, plus queued work
         // from a client that vanishes: the queued jobs are skipped.
-        let (server, _cancel) = spawn_server(ServeConfig {
+        let daemon = Daemon::start(ServeConfig {
             jobs: 1,
             ..ServeConfig::default()
         });
-        let (mut client, handle) = connect(&server);
+        let server = Arc::clone(&daemon.server);
+        let mut client = daemon.connect().0;
         client
             .write_all(
                 b"{\"id\":1,\"method\":\"prove\",\"params\":{\"cache\":false}}\n\
@@ -2415,36 +2243,37 @@ mod tests {
             .expect("requests written");
         // Hang up without reading a single response.
         drop(client);
-        handle.join().expect("connection thread");
+        daemon.await_until("the hangup is seen", |s| {
+            s.stats.disconnects.load(Ordering::Relaxed) == 1
+        });
         server.sched.close_and_drain();
         assert!(
             server.stats.cancelled.load(Ordering::Relaxed) > 0,
             "no queued job noticed the disconnect"
         );
         assert_eq!(server.stats.disconnects.load(Ordering::Relaxed), 1);
+        daemon.stop();
     }
 
     #[test]
     fn shutdown_request_stops_the_connection() {
-        let (server, _cancel) = spawn_server(ServeConfig::default());
-        let (mut client, handle) = connect(&server);
-        let mut reader = BufReader::new(client.try_clone().expect("clone"));
+        let daemon = Daemon::start(ServeConfig::default());
+        let server = Arc::clone(&daemon.server);
+        let (mut client, mut reader) = daemon.connect();
         let bye = roundtrip(&mut client, &mut reader, r#"{"id":9,"method":"shutdown"}"#);
         assert_eq!(bye.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(
             bye.get("result").and_then(|r| r.get("stopping")).and_then(Json::as_bool),
             Some(true)
         );
-        handle.join().expect("connection thread ended");
+        assert_eq!(daemon.join(), ShutdownKind::Requested);
         assert!(server.stopping());
-        assert_eq!(server.finish(), ShutdownKind::Requested);
     }
 
     #[test]
     fn health_answers_inline_with_a_fixed_shape() {
-        let (server, _cancel) = spawn_server(ServeConfig::default());
-        let (mut client, handle) = connect(&server);
-        let mut reader = BufReader::new(client.try_clone().expect("clone"));
+        let daemon = Daemon::start(ServeConfig::default());
+        let (mut client, mut reader) = daemon.connect();
         let health = roundtrip(&mut client, &mut reader, r#"{"id":1,"method":"health"}"#);
         assert_eq!(health.get("ok").and_then(Json::as_bool), Some(true));
         let result = health.get("result").expect("result");
@@ -2461,19 +2290,16 @@ mod tests {
         let stats = roundtrip(&mut client, &mut reader, r#"{"id":2,"method":"stats"}"#);
         let requests = stats.get("result").and_then(|r| r.get("requests")).expect("requests");
         assert_eq!(requests.get("health").and_then(Json::as_u64), Some(1));
-        drop(reader);
-        drop(client);
-        handle.join().expect("connection thread");
+        daemon.stop();
     }
 
     #[test]
     fn oversized_line_is_rejected_and_the_connection_survives() {
-        let (server, _cancel) = spawn_server(ServeConfig {
+        let daemon = Daemon::start(ServeConfig {
             max_line_bytes: 64,
             ..ServeConfig::default()
         });
-        let (mut client, handle) = connect(&server);
-        let mut reader = BufReader::new(client.try_clone().expect("clone"));
+        let (mut client, mut reader) = daemon.connect();
         // One giant line, well past the cap, then a legitimate request.
         let huge = format!("{{\"id\":1,\"method\":\"{}\"}}", "x".repeat(4096));
         let err = roundtrip(&mut client, &mut reader, &huge);
@@ -2490,16 +2316,13 @@ mod tests {
             after.get("result").and_then(|r| r.get("oversized")).and_then(Json::as_u64),
             Some(1)
         );
-        drop(reader);
-        drop(client);
-        handle.join().expect("connection thread");
+        daemon.stop();
     }
 
     #[test]
     fn invalid_utf8_line_is_rejected_and_the_connection_survives() {
-        let (server, _cancel) = spawn_server(ServeConfig::default());
-        let (mut client, handle) = connect(&server);
-        let mut reader = BufReader::new(client.try_clone().expect("clone"));
+        let daemon = Daemon::start(ServeConfig::default());
+        let (mut client, mut reader) = daemon.connect();
         client
             .write_all(b"{\"id\":1,\"method\":\"stats\xFF\xFE\"}\n")
             .expect("bytes written");
@@ -2517,9 +2340,7 @@ mod tests {
             after.get("result").and_then(|r| r.get("bad_utf8")).and_then(Json::as_u64),
             Some(1)
         );
-        drop(reader);
-        drop(client);
-        handle.join().expect("connection thread");
+        daemon.stop();
     }
 
     /// An owned copy of a [`Frame`], for recording what a framer saw.
@@ -2641,20 +2462,20 @@ mod tests {
 
     #[test]
     fn idle_connections_are_closed_once_quiet() {
-        let (server, _cancel) = spawn_server(ServeConfig {
+        let daemon = Daemon::start(ServeConfig {
             idle_timeout: Some(Duration::from_millis(50)),
             ..ServeConfig::default()
         });
-        let (mut client, handle) = connect(&server);
-        let mut reader = BufReader::new(client.try_clone().expect("clone"));
+        let server = Arc::clone(&daemon.server);
+        let (mut client, mut reader) = daemon.connect();
         let first = roundtrip(&mut client, &mut reader, r#"{"id":1,"method":"stats"}"#);
         assert_eq!(first.get("ok").and_then(Json::as_bool), Some(true));
         // Stay silent past the idle window: the daemon hangs up.
         let mut line = String::new();
         let n = reader.read_line(&mut line).expect("clean EOF");
         assert_eq!(n, 0, "the daemon closes an idle connection");
-        handle.join().expect("connection thread");
         assert_eq!(server.stats.idle_closed.load(Ordering::Relaxed), 1);
+        daemon.stop();
     }
 
     #[test]
@@ -2664,33 +2485,12 @@ mod tests {
         // below is the resilient one from `crate::client`.
         let plan = NetFaultPlan::seeded(42, 6, 12);
         assert!(!plan.is_empty());
-        let cancel = CancelToken::new();
-        let server = Arc::new(
-            Server::new(
-                Session::with_builtins(),
-                ServeConfig {
-                    netfault: Some(plan),
-                    ..ServeConfig::default()
-                },
-                cancel.clone(),
-            )
-            .expect("server"),
-        );
-        let socket = std::env::temp_dir()
-            .join(format!("stqc-netfault-test-{}.sock", std::process::id()));
-        let _ = std::fs::remove_file(&socket);
-        let run = {
-            let server = Arc::clone(&server);
-            let socket = socket.clone();
-            std::thread::spawn(move || server.run_unix(&socket))
-        };
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while std::os::unix::net::UnixStream::connect(&socket).is_err() {
-            assert!(std::time::Instant::now() < deadline, "server never bound");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        let daemon = Daemon::start(ServeConfig {
+            netfault: Some(plan),
+            ..ServeConfig::default()
+        });
         let mut client = crate::client::Client::new(crate::client::ClientConfig {
-            endpoints: vec![crate::client::Endpoint::Unix(socket.clone())],
+            endpoints: vec![crate::client::Endpoint::Unix(daemon.socket.clone())],
             connect_timeout: Duration::from_secs(5),
             call_deadline: Some(Duration::from_secs(30)),
             max_retries: 32,
@@ -2704,14 +2504,13 @@ mod tests {
                 .unwrap_or_else(|e| panic!("request {i} not healed: {e}"));
             assert_eq!(out.doc.get("ok").and_then(Json::as_bool), Some(true));
         }
-        let injector = server.netfault.as_ref().expect("injector armed");
+        let injector = daemon.server.netfault.as_ref().expect("injector armed");
         assert!(
             injector.injected() > 0,
             "ten faulted round-trips must actually draw faults"
         );
         client.call("shutdown", None, None).expect("shutdown");
-        run.join().expect("run thread").expect("run result");
-        let _ = std::fs::remove_file(&socket);
+        daemon.join();
     }
 
     /// Waits until something is listening on `socket`.
@@ -2728,7 +2527,7 @@ mod tests {
         let socket = std::env::temp_dir()
             .join(format!("stqc-socklock-test-{}.sock", std::process::id()));
         let _ = std::fs::remove_file(&socket);
-        let _ = std::fs::remove_file(socklock::lock_path(&socket));
+        let _ = std::fs::remove_file(socket_lock_path(&socket));
         let (server, cancel) = spawn_server(ServeConfig::default());
         let run = {
             let server = Arc::clone(&server);
@@ -2740,7 +2539,7 @@ mod tests {
         // While the daemon serves, the lock is held: a rival cannot take
         // it, so the probe → unlink → rebind reclaim sequence can never
         // start against a live socket.
-        let contended = socklock::SocketLock::acquire(&socket);
+        let contended = lock_socket(&socket);
         assert!(
             contended.is_err(),
             "a serving daemon must hold its socket lock exclusively"
@@ -2755,10 +2554,10 @@ mod tests {
         cancel.cancel();
         run.join().expect("run thread").expect("clean shutdown");
         // The lock is released with the daemon; the path is reusable.
-        let reacquired = socklock::SocketLock::acquire(&socket);
+        let reacquired = lock_socket(&socket);
         assert!(reacquired.is_ok(), "lock must be free after shutdown");
         drop(reacquired);
-        let _ = std::fs::remove_file(socklock::lock_path(&socket));
+        let _ = std::fs::remove_file(socket_lock_path(&socket));
     }
 
     #[test]
@@ -2788,8 +2587,8 @@ mod tests {
         assert!(!socket.exists(), "socket file is removed on the way out");
         // The lock file deliberately outlives the daemon (unlinking it
         // would reopen the reclaim race one level up).
-        assert!(socklock::lock_path(&socket).exists());
-        let _ = std::fs::remove_file(socklock::lock_path(&socket));
+        assert!(socket_lock_path(&socket).exists());
+        let _ = std::fs::remove_file(socket_lock_path(&socket));
     }
 }
 

@@ -40,6 +40,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use stq_util::splitmix64;
+
 /// The kind of synthetic fault to inject at a solver entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
@@ -112,14 +114,6 @@ impl FaultPlan {
     pub fn fault_at(&self, at: u64) -> Option<FaultKind> {
         self.faults.get(&at).copied()
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// One installation of a [`FaultPlan`]: the plan plus its entry counter.

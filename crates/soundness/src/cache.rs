@@ -88,6 +88,7 @@ use std::sync::{Mutex, RwLock};
 use stq_logic::fault::{self, IoFaultKind};
 use stq_logic::solver::Outcome;
 use stq_logic::{Fingerprint, PROVER_VERSION};
+use stq_util::flock::FileLock;
 
 /// The on-disk file name inside a `--cache-dir`.
 pub const CACHE_FILE: &str = "proofs.stqcache";
@@ -228,7 +229,7 @@ impl ProofCache {
         };
         let file = dir.join(CACHE_FILE);
         if file.exists() {
-            let _lock = filelock::lock_exclusive(&dir.join(LOCK_FILE))?;
+            let _lock = FileLock::exclusive(&dir.join(LOCK_FILE))?;
             let text = fs::read_to_string(&file)?;
             let meta = fs::metadata(&file)?;
             let state = cache.load_store(&text);
@@ -335,7 +336,7 @@ impl ProofCache {
         if file_id(&meta) == pos.ino && meta.len() == pos.offset {
             return false;
         }
-        let Ok(_lock) = filelock::lock_exclusive(&dir.join(LOCK_FILE)) else {
+        let Ok(_lock) = FileLock::exclusive(&dir.join(LOCK_FILE)) else {
             return false;
         };
         // Re-read under the lock: the probe may have raced a compaction
@@ -471,7 +472,7 @@ impl ProofCache {
             return Ok(PersistOutcome::Skipped);
         }
         let mut pos = self.pos.lock().expect("pos lock");
-        let _lock = filelock::lock_exclusive(&dir.join(LOCK_FILE))?;
+        let _lock = FileLock::exclusive(&dir.join(LOCK_FILE))?;
         let outcome = if must_compact {
             self.compact_locked(dir, &mut pos)?
         } else {
@@ -521,7 +522,7 @@ impl ProofCache {
         let mut dirty = self.dirty.lock().expect("dirty lock");
         let mut state = self.state.lock().expect("state lock");
         let mut pos = self.pos.lock().expect("pos lock");
-        let _lock = filelock::lock_exclusive(&dir.join(LOCK_FILE))?;
+        let _lock = FileLock::exclusive(&dir.join(LOCK_FILE))?;
         let outcome = self.compact_locked(dir, &mut pos)?;
         dirty.clear();
         *state = DiskState::Clean;
@@ -776,71 +777,6 @@ fn unescape(s: &str) -> String {
         }
     }
     out
-}
-
-/// Advisory file locking. On Unix this is `flock(2)` on a dedicated lock
-/// file — per open file description, so it serializes both distinct
-/// processes and distinct `ProofCache` instances inside one process, and
-/// it survives the journal itself being renamed by compaction. The lock
-/// is released when the guard drops (and by the OS if the process dies).
-#[cfg(unix)]
-mod filelock {
-    use std::fs::File;
-    use std::io;
-    use std::os::unix::io::AsRawFd;
-    use std::path::Path;
-
-    // Declared by hand (the registry is unreachable, so no `libc`);
-    // flock(2) has had this exact signature and these constants on every
-    // Unix Rust targets support.
-    extern "C" {
-        fn flock(fd: i32, operation: i32) -> i32;
-    }
-    const LOCK_EX: i32 = 2;
-    const LOCK_UN: i32 = 8;
-
-    /// Holds the lock until dropped.
-    pub struct LockGuard {
-        file: File,
-    }
-
-    /// Blocks until the exclusive lock on `path` is acquired.
-    pub fn lock_exclusive(path: &Path) -> io::Result<LockGuard> {
-        let file = File::options().create(true).append(true).open(path)?;
-        loop {
-            if unsafe { flock(file.as_raw_fd(), LOCK_EX) } == 0 {
-                return Ok(LockGuard { file });
-            }
-            let err = io::Error::last_os_error();
-            if err.kind() != io::ErrorKind::Interrupted {
-                return Err(err);
-            }
-        }
-    }
-
-    impl Drop for LockGuard {
-        fn drop(&mut self) {
-            unsafe {
-                let _ = flock(self.file.as_raw_fd(), LOCK_UN);
-            }
-        }
-    }
-}
-
-/// Non-Unix fallback: no advisory locking. Single-process use stays
-/// correct (the in-process mutexes serialize persists); concurrent
-/// processes fall back to append-only + CRC recovery, which degrades to
-/// re-proving, never to wrong verdicts.
-#[cfg(not(unix))]
-mod filelock {
-    use std::io;
-    use std::path::Path;
-
-    pub struct LockGuard;
-
-    pub fn lock_exclusive(_path: &Path) -> io::Result<LockGuard> {
-        Ok(LockGuard)
-    }
 }
 
 #[cfg(test)]

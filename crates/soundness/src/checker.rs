@@ -410,6 +410,34 @@ pub struct SoundnessReport {
 }
 
 impl SoundnessReport {
+    /// Assembles a run's report from its per-qualifier reports: `totals`
+    /// folds every qualifier's totals, plus the load-time invalidations
+    /// of the `cache` the run consulted.
+    pub fn new(
+        reports: Vec<QualReport>,
+        budget: Budget,
+        retry: RetryPolicy,
+        jobs: usize,
+        cache: Option<&ProofCache>,
+        duration: Duration,
+    ) -> SoundnessReport {
+        let mut totals = ProverStats::default();
+        for r in &reports {
+            totals.absorb(&r.totals());
+        }
+        if let Some(cache) = cache {
+            totals.cache_invalidations += cache.invalidations();
+        }
+        SoundnessReport {
+            reports,
+            budget,
+            retry,
+            totals,
+            duration,
+            jobs,
+        }
+    }
+
     /// True if no qualifier was found unsound or ran out of budget.
     pub fn all_sound(&self) -> bool {
         self.reports
@@ -458,6 +486,14 @@ impl SoundnessReport {
     /// Obligations the cancelled run never started.
     pub fn skipped_count(&self) -> usize {
         self.obligation_results().filter(|o| o.skipped).count()
+    }
+
+    /// Obligations an external cancellation stopped mid-search
+    /// ([`Resource::Cancelled`]).
+    pub fn cancelled_count(&self) -> usize {
+        self.obligation_results()
+            .filter(|o| o.resource == Some(Resource::Cancelled))
+            .count()
     }
 
     /// Obligations that exhausted their *wall-clock* budget
@@ -525,18 +561,7 @@ pub fn check_all_retrying(
         .iter()
         .map(|def| check_qualifier_retrying(registry, def, budget, retry))
         .collect();
-    let mut totals = ProverStats::default();
-    for r in &reports {
-        totals.absorb(&r.totals());
-    }
-    SoundnessReport {
-        reports,
-        budget,
-        retry,
-        totals,
-        duration: start.elapsed(),
-        jobs: 1,
-    }
+    SoundnessReport::new(reports, budget, retry, 1, None, start.elapsed())
 }
 
 /// [`check_all_retrying`] over a work-stealing thread pool: the same
@@ -755,21 +780,7 @@ pub fn check_defs_pipeline_cancellable_tuned(
             }
         })
         .collect();
-    let mut totals = ProverStats::default();
-    for r in &reports {
-        totals.absorb(&r.totals());
-    }
-    if let Some(cache) = cache {
-        totals.cache_invalidations += cache.invalidations();
-    }
-    SoundnessReport {
-        reports,
-        budget,
-        retry,
-        totals,
-        duration: start.elapsed(),
-        jobs,
-    }
+    SoundnessReport::new(reports, budget, retry, jobs, cache, start.elapsed())
 }
 
 #[cfg(test)]

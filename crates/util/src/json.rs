@@ -10,7 +10,8 @@
 //!
 //! Numbers are kept as `f64` (the JSON data model); [`Json::as_u64`]
 //! checks integrality so protocol fields like `deadline_ms` reject
-//! `1.5` rather than silently truncating. Object member order is
+//! `1.5` rather than silently truncating. JSON has no infinities or NaN,
+//! so a non-finite number serializes as `null`. Object member order is
 //! preserved, so re-serializing an incoming value (e.g. echoing a
 //! request `id`) is byte-faithful for everything but number formatting
 //! and string escapes.
@@ -128,23 +129,88 @@ impl Json {
     pub fn is_null(&self) -> bool {
         matches!(self, Json::Null)
     }
+
+    /// An object with `members` in the given order — how report
+    /// documents are built, each schema one field list.
+    pub fn obj<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
 }
 
 /// Escapes `s` for inclusion in a JSON string literal (no quotes added).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    let _ = write_escaped(&mut out, s);
     out
+}
+
+/// Writes `s` escaped (no quotes) straight into `out`: plain runs are
+/// copied whole, and only `"`, `\` and control characters are rewritten.
+/// Every byte needing an escape is ASCII, so each run boundary is a
+/// character boundary.
+fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    let mut plain = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.write_str(&s[plain..i])?;
+        match b {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            _ => write!(out, "\\u{b:04x}")?,
+        }
+        plain = i + 1;
+    }
+    out.write_str(&s[plain..])
+}
+
+// Conversions for building report documents: `Json::from(3u64)`,
+// `"text".into()`, `None::<u64>.into()` (→ `null`), and `collect()` into
+// an array.
+impl From<u64> for Json {
+    fn from(n: u64) -> Json {
+        Json::Num(n as f64)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Json {
+        Json::Num(n as f64)
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_owned())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+impl<T: Into<Json>> FromIterator<T> for Json {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
 }
 
 impl fmt::Display for Json {
@@ -152,6 +218,9 @@ impl fmt::Display for Json {
         match self {
             Json::Null => f.write_str("null"),
             Json::Bool(b) => write!(f, "{b}"),
+            // JSON has no infinities or NaN; `null` keeps the document
+            // parseable.
+            Json::Num(n) if !n.is_finite() => f.write_str("null"),
             Json::Num(n) => {
                 // Integers print without a fractional part so ids echo
                 // back the way clients sent them.
@@ -161,7 +230,11 @@ impl fmt::Display for Json {
                     write!(f, "{n}")
                 }
             }
-            Json::Str(s) => write!(f, "\"{}\"", escape(s)),
+            Json::Str(s) => {
+                f.write_str("\"")?;
+                write_escaped(f, s)?;
+                f.write_str("\"")
+            }
             Json::Arr(items) => {
                 f.write_str("[")?;
                 for (i, v) in items.iter().enumerate() {
@@ -178,7 +251,9 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "\"{}\":{v}", escape(k))?;
+                    f.write_str("\"")?;
+                    write_escaped(f, k)?;
+                    write!(f, "\":{v}")?;
                 }
                 f.write_str("}")
             }
@@ -563,6 +638,42 @@ mod tests {
         let source = v.get("params").and_then(|p| p.get("source")).and_then(Json::as_str);
         assert_eq!(source.map(str::len), Some(body.len() - body.matches("\\n").count()));
         assert!(elapsed < std::time::Duration::from_secs(1), "8 MiB parse took {elapsed:?}");
+    }
+
+    #[test]
+    fn non_finite_numbers_serialize_as_null_and_round_trip() {
+        let doc = Json::obj([
+            ("inf", Json::Num(f64::INFINITY)),
+            ("ninf", Json::Num(f64::NEG_INFINITY)),
+            ("nan", Json::Num(f64::NAN)),
+            ("ms", Json::Num(12.3)),
+        ]);
+        let text = doc.to_string();
+        assert_eq!(text, r#"{"inf":null,"ninf":null,"nan":null,"ms":12.3}"#);
+        let back = Json::parse(&text).expect("serialized output parses");
+        assert_eq!(back.get("nan"), Some(&Json::Null));
+        assert_eq!(back.get("ms").and_then(Json::as_f64), Some(12.3));
+    }
+
+    #[test]
+    fn built_documents_escape_like_escape_and_round_trip() {
+        let text = "q\"b\\s\n\r\t\u{1}\u{1f} é 😀";
+        assert_eq!(escape(text), "q\\\"b\\\\s\\n\\r\\t\\u0001\\u001f é 😀");
+        let doc = Json::obj([
+            ("text", Json::from(text)),
+            ("list", ["a", "b"].into_iter().collect()),
+            ("none", None::<u64>.into()),
+            ("count", 7usize.into()),
+            ("flag", true.into()),
+        ]);
+        assert_eq!(
+            doc.to_string(),
+            format!(
+                r#"{{"text":"{}","list":["a","b"],"none":null,"count":7,"flag":true}}"#,
+                escape(text)
+            )
+        );
+        assert_eq!(Json::parse(&doc.to_string()).unwrap(), doc);
     }
 
     #[test]

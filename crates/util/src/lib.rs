@@ -19,6 +19,10 @@
 //!   connections from one thread (see `docs/serving.md`),
 //! * [`netfault`] — seeded, deterministic wire-fault injection for the
 //!   serve transport (the chaos harness; see `docs/robustness.md`),
+//! * [`flock`] — advisory `flock(2)` file locks (the proof-cache journal
+//!   and the daemon's socket path),
+//! * [`splitmix64`] — the seeded mixing step behind every reproducible
+//!   schedule (fault plans, client jitter, chaos campaigns),
 //! * [`Span`] / [`Loc`] — byte-offset source locations for error reporting,
 //! * [`Diagnostic`] / [`Diagnostics`] — structured warnings and errors, in the
 //!   spirit of the paper's typechecker which "provides type errors to the
@@ -41,6 +45,7 @@
 
 pub mod cancel;
 pub mod diag;
+pub mod flock;
 pub mod intern;
 pub mod json;
 pub mod netfault;
@@ -53,3 +58,13 @@ pub use cancel::{CancelReason, CancelToken};
 pub use diag::{Diagnostic, Diagnostics, Severity};
 pub use intern::Symbol;
 pub use span::{Loc, Span};
+
+/// One step of splitmix64: a fast, well-mixed 64-bit permutation, so a
+/// seed fed back through it yields the same sequence on every platform.
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

@@ -39,6 +39,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::splitmix64;
+
 /// The kind of synthetic wire fault to inject at a response write.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NetFaultKind {
@@ -126,14 +128,6 @@ impl NetFaultPlan {
     pub fn fault_at(&self, at: u64) -> Option<NetFaultKind> {
         self.faults.get(&at).copied()
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// One armed [`NetFaultPlan`]: the plan plus the shared write-op

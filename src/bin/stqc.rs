@@ -81,15 +81,16 @@
 
 use std::fs;
 use std::process::ExitCode;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use stq_core::reportjson::{
-    budget_json, check_stats_json, json_escape, json_ms, prover_stats_json, qual_report_json,
-    retry_json,
+    budget_json, cache_json, check_json, check_stats_json, decimals, millis, prove_json,
+    retry_json, with_lead,
 };
 use stq_core::{
     fault, Budget, CancelToken, CheckOptions, FaultKind, FaultPlan, PersistOutcome, ProofCache,
-    ProverStats, QualReport, Resource, RetryPolicy, Session, Value, Verdict,
+    QualReport, RetryPolicy, Session, SoundnessReport, Value, Verdict,
 };
+use stq_util::json::Json;
 
 const USAGE: &str =
     "usage: stqc <prove|check|run|infer|tables|show|fuzz|serve|call|bench-serve|chaos-serve> \
@@ -118,8 +119,9 @@ subcommands:
 
 qualifier and report flags (prove, check, run, infer, show, serve):
   --quals FILE              define qualifiers from FILE on top of the builtins
-  --stats                   print prover/checker telemetry
-  --json                    machine-readable report (schema: docs/telemetry.md)
+  --stats                   print prover/checker telemetry (prove, check, tables)
+  --json                    machine-readable report (prove, check, tables, fuzz;
+                            schema: docs/telemetry.md)
   --flow-sensitive          enable the flow-sensitive checking extension (check)
   --entry NAME              entry function for `run` (default main)
   --qual NAME               qualifier to infer annotations for (infer)
@@ -357,6 +359,9 @@ struct Cli {
     session: Session,
     rest: Vec<String>,
     flags: Vec<String>,
+    /// `--keep-going`: continue past crashed qualifiers (`prove`) and
+    /// syntax errors (`check`, and `--quals` files everywhere).
+    keep_going: bool,
     budget: Budget,
     retry: RetryPolicy,
     jobs: usize,
@@ -367,10 +372,20 @@ struct Cli {
     qual_files: Vec<std::path::PathBuf>,
 }
 
+/// A `--flag` the subcommand does not take: a usage error naming it, so
+/// a misspelled flag fails instead of being silently ignored.
+fn unknown_flag(flag: &str) -> CliError {
+    usage_err(format!(
+        "unknown flag `{flag}` (run `stqc --help` for the flag reference)"
+    ))
+}
+
 /// Builds a session from builtins plus any `--quals FILE` definitions
-/// and scans the common option set. Fault-injection flags install their
-/// [`FaultPlan`] for this thread as a side effect.
-fn session_from(args: &[String]) -> Result<Cli, CliError> {
+/// and scans the common option set; `bare` lists the subcommand's own
+/// value-less flags, and any other `--flag` is a usage error.
+/// Fault-injection flags install their [`FaultPlan`] for this thread as
+/// a side effect.
+fn session_from(args: &[String], bare: &[&str]) -> Result<Cli, CliError> {
     let keep_going = args.iter().any(|a| a == "--keep-going");
     let mut session = Session::with_builtins();
     let mut rest = Vec::new();
@@ -436,7 +451,11 @@ fn session_from(args: &[String]) -> Result<Cli, CliError> {
                 }
                 i += 2;
             }
+            "--keep-going" => i += 1,
             flag if flag.starts_with("--") => {
+                if !bare.contains(&flag) {
+                    return Err(unknown_flag(flag));
+                }
                 flags.push(flag.to_owned());
                 i += 1;
             }
@@ -468,6 +487,7 @@ fn session_from(args: &[String]) -> Result<Cli, CliError> {
         session,
         rest,
         flags,
+        keep_going,
         budget,
         retry,
         jobs,
@@ -499,17 +519,17 @@ fn prove(args: &[String]) -> ExitCode {
         session,
         rest,
         flags,
+        keep_going,
         budget,
         retry,
         jobs,
         cache_dir,
         deadline_ms,
         ..
-    } = match session_from(args) {
+    } = match session_from(args, &["--stats", "--json"]) {
         Ok(x) => x,
         Err(e) => return fail(e),
     };
-    let keep_going = has_flag(&flags, "--keep-going");
     let cancel = run_token(deadline_ms);
     let cache = match &cache_dir {
         Some(dir) => match ProofCache::at_dir(dir) {
@@ -518,6 +538,7 @@ fn prove(args: &[String]) -> ExitCode {
         },
         None => None,
     };
+    let started = Instant::now();
     let mut reports: Vec<QualReport> = Vec::new();
     match rest.first() {
         Some(name) => {
@@ -598,33 +619,20 @@ fn prove(args: &[String]) -> ExitCode {
             Err(e) => eprintln!("stqc: warning: could not persist the proof cache: {e}"),
         }
     }
-    let mut totals = ProverStats::default();
-    for r in &reports {
-        totals.absorb(&r.totals());
-    }
-    if let Some(cache) = &cache {
-        totals.cache_invalidations += cache.invalidations();
-    }
-    let all_results = || reports.iter().flat_map(|r| &r.obligations);
-    let skipped = all_results().filter(|o| o.skipped).count();
-    let cancelled_mid_search = all_results()
-        .filter(|o| o.resource == Some(Resource::Cancelled))
-        .count();
-    let interrupted = skipped > 0 || cancelled_mid_search > 0;
-    let timed_out = all_results()
-        .filter(|o| o.resource == Some(Resource::Time))
-        .count();
-    let step_out = all_results()
-        .filter(|o| {
-            matches!(
-                o.resource,
-                Some(r) if r != Resource::Time && r != Resource::Cancelled
-            )
-        })
-        .count();
+    // One report for all three ways of proving: its totals and counters
+    // cover exactly the qualifiers reported.
+    let report = SoundnessReport::new(
+        reports,
+        budget,
+        retry,
+        jobs,
+        cache.as_ref(),
+        started.elapsed(),
+    );
+    let interrupted = report.interrupted();
+    let skipped = report.skipped_count();
     if has_flag(&flags, "--json") {
-        let quals: Vec<String> = reports.iter().map(qual_report_json).collect();
-        let cache_json = match &cache {
+        let cache_doc = match &cache {
             Some(c) => {
                 let (persist, persisted_entries) = match persisted {
                     Some(PersistOutcome::Skipped) => ("skipped", 0),
@@ -632,33 +640,30 @@ fn prove(args: &[String]) -> ExitCode {
                     Some(PersistOutcome::Compacted(n)) => ("compacted", n),
                     None => ("failed", 0),
                 };
-                format!(
-                    "{{\"dir\":\"{}\",\"entries\":{},\"hits\":{},\"misses\":{},\
-                     \"invalidations\":{},\"persist\":\"{persist}\",\
-                     \"persisted_entries\":{persisted_entries},\"persist_skips\":{}}}",
-                    json_escape(&cache_dir.unwrap_or_default()),
-                    c.len(),
-                    c.hits(),
-                    c.misses(),
-                    c.invalidations(),
-                    c.persist_skips(),
+                with_lead(
+                    [
+                        ("dir", cache_dir.unwrap_or_default().into()),
+                        ("persist", persist.into()),
+                        ("persisted_entries", persisted_entries.into()),
+                    ],
+                    cache_json(c),
                 )
             }
-            None => "null".to_owned(),
+            None => Json::Null,
         };
-        println!(
-            "{{\"command\":\"prove\",\"budget\":{},\"retry\":{},\"jobs\":{jobs},\
-             \"deadline_ms\":{},\"interrupted\":{interrupted},\"skipped\":{skipped},\
-             \"timed_out\":{timed_out},\"step_out\":{step_out},\
-             \"cache\":{cache_json},\"qualifiers\":[{}],\"totals\":{}}}",
-            budget_json(&budget),
-            retry_json(retry),
-            deadline_ms.map_or("null".to_owned(), |ms| ms.to_string()),
-            quals.join(","),
-            prover_stats_json(&totals),
+        let doc = with_lead(
+            [
+                ("command", "prove".into()),
+                ("budget", budget_json(&budget)),
+                ("retry", retry_json(retry)),
+                ("jobs", jobs.into()),
+                ("deadline_ms", deadline_ms.into()),
+            ],
+            prove_json(&report, cache_doc),
         );
+        println!("{doc}");
     } else {
-        for r in &reports {
+        for r in &report.reports {
             print!("{r}");
             if has_flag(&flags, "--stats") {
                 println!("  stats: {}", r.totals());
@@ -667,7 +672,8 @@ fn prove(args: &[String]) -> ExitCode {
         if interrupted {
             eprintln!(
                 "stqc: run interrupted: partial report ({skipped} obligation(s) skipped, \
-                 {cancelled_mid_search} stopped mid-search){}",
+                 {} stopped mid-search){}",
+                report.cancelled_count(),
                 if cache.is_some() {
                     "; conclusive verdicts were persisted — re-run with the same \
                      --cache-dir to resume"
@@ -677,10 +683,11 @@ fn prove(args: &[String]) -> ExitCode {
             );
         }
         if has_flag(&flags, "--stats") {
-            println!("totals: {totals} (jobs={jobs})");
+            println!("totals: {} (jobs={jobs})", report.totals);
             println!(
-                "outcomes: {timed_out} timed out (wall clock), {step_out} out of steps, \
-                 {skipped} skipped"
+                "outcomes: {} timed out (wall clock), {} out of steps, {skipped} skipped",
+                report.timed_out_count(),
+                report.step_out_count(),
             );
             if let Some(c) = &cache {
                 println!(
@@ -698,14 +705,12 @@ fn prove(args: &[String]) -> ExitCode {
     // Precedence: a definite refutation always wins; an interruption
     // outranks crash/resource-out because those may simply be artifacts
     // of the truncated run.
-    if reports.iter().any(|r| r.verdict == Verdict::Unsound) {
+    let verdict = |v: Verdict| report.reports.iter().any(|r| r.verdict == v);
+    if verdict(Verdict::Unsound) {
         ExitCode::from(EXIT_UNSOUND)
     } else if interrupted {
         ExitCode::from(EXIT_INTERRUPTED)
-    } else if reports
-        .iter()
-        .any(|r| matches!(r.verdict, Verdict::Crashed | Verdict::ResourceOut))
-    {
+    } else if verdict(Verdict::Crashed) || verdict(Verdict::ResourceOut) {
         ExitCode::from(EXIT_CRASH)
     } else {
         ExitCode::SUCCESS
@@ -717,8 +722,9 @@ fn check(args: &[String]) -> ExitCode {
         session,
         rest,
         flags,
+        keep_going,
         ..
-    } = match session_from(args) {
+    } = match session_from(args, &["--stats", "--json", "--flow-sensitive"]) {
         Ok(x) => x,
         Err(e) => return fail(e),
     };
@@ -729,11 +735,8 @@ fn check(args: &[String]) -> ExitCode {
         Ok(s) => s,
         Err(e) => return fail(input_err(format!("cannot read {path}: {e}"))),
     };
-    let keep_going = has_flag(&flags, "--keep-going");
     let (program, syntax_errors) = if keep_going {
-        let (program, errors) = session.parse_resilient(&source);
-        let rendered: Vec<String> = errors.iter().map(|e| e.to_string()).collect();
-        (program, rendered)
+        session.parse_resilient(&source)
     } else {
         match session.parse(&source) {
             Ok(p) => (p, Vec::new()),
@@ -748,24 +751,11 @@ fn check(args: &[String]) -> ExitCode {
     };
     let result = session.check_with(&program, options);
     if has_flag(&flags, "--json") {
-        let diags: Vec<String> = result
-            .diags
-            .iter()
-            .map(|d| format!("\"{}\"", json_escape(&d.render(&source))))
-            .collect();
-        let syntax: Vec<String> = syntax_errors
-            .iter()
-            .map(|e| format!("\"{}\"", json_escape(e)))
-            .collect();
-        println!(
-            "{{\"command\":\"check\",\"file\":\"{}\",\"clean\":{},\"syntax_errors\":[{}],\
-             \"diagnostics\":[{}],\"stats\":{}}}",
-            json_escape(path),
-            result.is_clean() && syntax_errors.is_empty(),
-            syntax.join(","),
-            diags.join(","),
-            check_stats_json(&result.stats),
+        let doc = with_lead(
+            [("command", "check".into()), ("file", path.as_str().into())],
+            check_json(&result, &syntax_errors, &source),
         );
+        println!("{doc}");
     } else {
         for d in result.diags.iter() {
             eprintln!("{path}:{}", d.render(&source));
@@ -803,7 +793,7 @@ fn check(args: &[String]) -> ExitCode {
 fn run(args: &[String]) -> ExitCode {
     let Cli {
         session, mut rest, ..
-    } = match session_from(args) {
+    } = match session_from(args, &["--entry"]) {
         Ok(x) => x,
         Err(e) => return fail(e),
     };
@@ -849,7 +839,7 @@ fn run(args: &[String]) -> ExitCode {
 }
 
 fn infer(args: &[String]) -> ExitCode {
-    let Cli { session, rest, .. } = match session_from(args) {
+    let Cli { session, rest, .. } = match session_from(args, &["--qual"]) {
         Ok(x) => x,
         Err(e) => return fail(e),
     };
@@ -894,7 +884,7 @@ fn infer(args: &[String]) -> ExitCode {
 }
 
 fn show(args: &[String]) -> ExitCode {
-    let Cli { session, rest, .. } = match session_from(args) {
+    let Cli { session, rest, .. } = match session_from(args, &[]) {
         Ok(x) => x,
         Err(e) => return fail(e),
     };
@@ -984,49 +974,36 @@ fn fuzz(args: &[String]) -> ExitCode {
     let report = run_fuzz_cancellable(&config, &cancel);
     let mut panicked = false;
     if json {
-        let failures: Vec<String> = report
-            .failures
-            .iter()
-            .map(|f| {
-                let (kind, detail, source) = match &f.outcome {
-                    Outcome::Diverged(d) => {
-                        (format!("{}", d.oracle), d.detail.clone(), d.source.clone())
-                    }
-                    Outcome::Panicked { message, source } => {
-                        ("panic".to_owned(), message.clone(), source.clone())
-                    }
-                    Outcome::Pass => unreachable!("passes are not failures"),
-                };
-                let mutations: Vec<String> = f
-                    .mutations
-                    .iter()
-                    .map(|m| format!("\"{}\"", json_escape(m)))
-                    .collect();
-                format!(
-                    "{{\"index\":{},\"kind\":\"{}\",\"detail\":\"{}\",\
-                     \"mutations\":[{}],\"source\":\"{}\"}}",
-                    f.index,
-                    json_escape(&kind),
-                    json_escape(&detail),
-                    mutations.join(","),
-                    json_escape(&source),
-                )
-            })
-            .collect();
-        println!(
-            "{{\"command\":\"fuzz\",\"seed\":{},\"count\":{},\"executed\":{},\
-             \"passes\":{},\"clean\":{},\"mutated\":{},\"skipped\":{},\
-             \"interrupted\":{},\"failures\":[{}]}}",
-            config.seed,
-            config.count,
-            report.executed,
-            report.passes,
-            report.clean,
-            report.mutated,
-            report.skipped,
-            report.interrupted,
-            failures.join(","),
-        );
+        let failures = report.failures.iter().map(|f| {
+            let (kind, detail, source) = match &f.outcome {
+                Outcome::Diverged(d) => (d.oracle.to_string(), &d.detail, &d.source),
+                Outcome::Panicked { message, source } => ("panic".to_owned(), message, source),
+                Outcome::Pass => unreachable!("passes are not failures"),
+            };
+            Json::obj([
+                ("index", f.index.into()),
+                ("kind", kind.into()),
+                ("detail", detail.as_str().into()),
+                (
+                    "mutations",
+                    f.mutations.iter().map(String::as_str).collect(),
+                ),
+                ("source", source.as_str().into()),
+            ])
+        });
+        let doc = Json::obj([
+            ("command", "fuzz".into()),
+            ("seed", config.seed.into()),
+            ("count", config.count.into()),
+            ("executed", report.executed.into()),
+            ("passes", report.passes.into()),
+            ("clean", report.clean.into()),
+            ("mutated", report.mutated.into()),
+            ("skipped", report.skipped.into()),
+            ("interrupted", report.interrupted.into()),
+            ("failures", failures.collect()),
+        ]);
+        println!("{doc}");
     } else {
         println!(
             "fuzz: seed {}, {} case(s): {} pass(es), {} clean, {} mutated, {} failure(s)",
@@ -1125,28 +1102,29 @@ fn fuzz_replay(dir: &str, json: bool, cancel: &CancelToken) -> ExitCode {
             }
         };
         if json {
-            rows.push(format!(
-                "{{\"file\":\"{}\",\"verdict\":\"{}\",\"clean\":{},\"casts\":{}}}",
-                json_escape(&name),
-                json_escape(&verdict),
-                result.clean,
-                result.casts,
-            ));
+            rows.push(Json::obj([
+                ("file", name.into()),
+                ("verdict", verdict.into()),
+                ("clean", result.clean.into()),
+                ("casts", result.casts.into()),
+            ]));
         } else {
             println!("{name}: {verdict}");
         }
     }
     let skipped = files.len() - replayed;
     if json {
-        println!(
-            "{{\"command\":\"fuzz-replay\",\"dir\":\"{}\",\"cases\":{},\
-             \"divergences\":{diverged},\"panics\":{panicked},\"skipped\":{skipped},\
-             \"interrupted\":{},\"results\":[{}]}}",
-            json_escape(dir),
-            replayed,
-            skipped > 0,
-            rows.join(","),
-        );
+        let doc = Json::obj([
+            ("command", "fuzz-replay".into()),
+            ("dir", dir.into()),
+            ("cases", replayed.into()),
+            ("divergences", diverged.into()),
+            ("panics", panicked.into()),
+            ("skipped", skipped.into()),
+            ("interrupted", (skipped > 0).into()),
+            ("results", Json::Arr(rows)),
+        ]);
+        println!("{doc}");
     } else {
         println!(
             "replay: {replayed} case(s), {diverged} divergence(s), {panicked} panic(s)"
@@ -1169,14 +1147,13 @@ fn fuzz_replay(dir: &str, json: bool, cancel: &CancelToken) -> ExitCode {
     }
 }
 
-fn row_json(row: &stq_corpus::tables::Row) -> String {
-    format!(
-        "{{\"program\":\"{}\",\"lines\":{},\"check_time_ms\":{},\"stats\":{}}}",
-        json_escape(&row.program),
-        row.lines,
-        json_ms(row.check_time),
-        check_stats_json(&row.stats),
-    )
+fn row_json(row: &stq_corpus::tables::Row) -> Json {
+    Json::obj([
+        ("program", row.program.as_str().into()),
+        ("lines", row.lines.into()),
+        ("check_time_ms", millis(row.check_time)),
+        ("stats", check_stats_json(&row.stats)),
+    ])
 }
 
 fn tables(args: &[String]) -> ExitCode {
@@ -1185,15 +1162,21 @@ fn tables(args: &[String]) -> ExitCode {
         .filter(|a| a.starts_with("--"))
         .cloned()
         .collect();
+    if let Some(flag) = flags
+        .iter()
+        .find(|f| !matches!(f.as_str(), "--json" | "--stats"))
+    {
+        return fail(unknown_flag(flag));
+    }
     let row = stq_corpus::tables::table1();
     let rows = stq_corpus::tables::table2();
     if has_flag(&flags, "--json") {
-        let t2: Vec<String> = rows.iter().map(row_json).collect();
-        println!(
-            "{{\"command\":\"tables\",\"table1\":{},\"table2\":[{}]}}",
-            row_json(&row),
-            t2.join(","),
-        );
+        let doc = Json::obj([
+            ("command", "tables".into()),
+            ("table1", row_json(&row)),
+            ("table2", rows.iter().map(row_json).collect()),
+        ]);
+        println!("{doc}");
         return ExitCode::SUCCESS;
     }
     println!("{}", stq_corpus::tables::render_table1(&row));
@@ -1376,7 +1359,7 @@ fn serve(args: &[String]) -> ExitCode {
         deadline_ms,
         qual_files,
         ..
-    } = match session_from(&serve_args.rest) {
+    } = match session_from(&serve_args.rest, &[]) {
         Ok(x) => x,
         Err(e) => return fail(e),
     };
@@ -1582,8 +1565,6 @@ fn supervise(args: &[String], serve_args: &ServeArgs) -> ExitCode {
 /// exhausted budget with no attributed answer) exits 6.
 #[cfg(unix)]
 fn call(args: &[String]) -> ExitCode {
-    use stq_util::json::Json;
-
     let mut endpoints: Vec<stq_core::Endpoint> = Vec::new();
     let mut deadline_ms: Option<u64> = None;
     let mut connect_timeout_ms = 0u64;
@@ -1637,6 +1618,7 @@ fn call(args: &[String]) -> ExitCode {
                 }
                 i += 2;
             }
+            flag if flag.starts_with("--") => return fail(unknown_flag(flag)),
             other => {
                 positional.push(other.to_owned());
                 i += 1;
@@ -1661,7 +1643,7 @@ fn call(args: &[String]) -> ExitCode {
     };
     let params = match positional.get(1) {
         Some(raw) => match Json::parse(raw) {
-            Ok(p @ Json::Obj(_)) => Some(p.to_string()),
+            Ok(p @ Json::Obj(_)) => Some(p),
             Ok(_) => return fail(usage_err("PARAMS must be a JSON object")),
             Err(e) => return fail(usage_err(format!("PARAMS is not valid JSON: {e}"))),
         },
@@ -1677,24 +1659,22 @@ fn call(args: &[String]) -> ExitCode {
     let emit = |outcome: &stq_core::CallOutcome, client: &stq_core::Client| {
         if json_out {
             let s = client.stats();
-            println!(
-                "{{\"response\":{},\"client\":{{\"retries\":{},\"reconnects\":{},\
-                 \"resends\":{},\"failovers\":{},\"endpoints_tried\":{},\
-                 \"alien_dropped\":{},\"corrupt_lines\":{}}}}}",
-                outcome.raw,
-                s.retries,
-                s.reconnects,
-                s.resends,
-                s.failovers,
-                s.endpoints_tried,
-                s.alien_dropped,
-                s.corrupt_lines
-            );
+            let counters = Json::obj([
+                ("retries", s.retries.into()),
+                ("reconnects", s.reconnects.into()),
+                ("resends", s.resends.into()),
+                ("failovers", s.failovers.into()),
+                ("endpoints_tried", s.endpoints_tried.into()),
+                ("alien_dropped", s.alien_dropped.into()),
+                ("corrupt_lines", s.corrupt_lines.into()),
+            ]);
+            let doc = Json::obj([("response", outcome.doc.clone()), ("client", counters)]);
+            println!("{doc}");
         } else {
             println!("{}", outcome.raw);
         }
     };
-    let outcome = match client.call(method, params.as_deref(), deadline_ms) {
+    let outcome = match client.call(method, params.as_ref(), deadline_ms) {
         Ok(outcome) => outcome,
         Err(e @ stq_core::CallError::Ambiguous(_)) => {
             eprintln!("stqc: call: {e}");
@@ -1757,8 +1737,6 @@ fn bench_serve(args: &[String]) -> ExitCode {
     use std::io::{BufRead, BufReader, Write};
     use std::os::unix::net::UnixStream;
     use std::sync::Arc;
-    use std::time::Instant;
-    use stq_util::json::Json;
 
     let mut clients = 8usize;
     let mut requests = 20usize;
@@ -1823,56 +1801,26 @@ fn bench_serve(args: &[String]) -> ExitCode {
         let socket = socket.clone();
         std::thread::spawn(move || server.run_multi(Some(&socket), Some(tcp_listener)))
     };
-    // Wait for the daemon to bind.
-    let bound_by = Instant::now() + Duration::from_secs(10);
-    loop {
-        if UnixStream::connect(&socket).is_ok() {
-            break;
+    // The unmeasured requests share one control connection, whose
+    // connect budget also waits out the daemon's bind.
+    let mut control = stq_core::Client::new(stq_core::ClientConfig {
+        connect_timeout: Duration::from_secs(10),
+        ..stq_core::ClientConfig::unix(&socket)
+    });
+    let mut request = |method: &str| -> Result<Json, CliError> {
+        let outcome = control
+            .call(method, None, None)
+            .map_err(|e| input_err(format!("bench {method} failed: {e}")))?;
+        if outcome.doc.get("ok").and_then(Json::as_bool) != Some(true) {
+            return Err(input_err(format!("bench {method} failed: {}", outcome.raw)));
         }
-        if Instant::now() > bound_by {
-            return fail(input_err("bench server never bound its socket"));
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-
-    let prove_line = "{\"id\":1,\"method\":\"prove\"}\n";
-    let roundtrip = |stream: &mut UnixStream, reader: &mut BufReader<UnixStream>| -> Result<Json, CliError> {
-        stream
-            .write_all(prove_line.as_bytes())
-            .map_err(|e| input_err(format!("bench request failed: {e}")))?;
-        let mut line = String::new();
-        reader
-            .read_line(&mut line)
-            .map_err(|e| input_err(format!("bench response failed: {e}")))?;
-        Json::parse(line.trim()).map_err(|e| input_err(format!("bench response unparseable: {e}")))
+        Ok(outcome.doc)
     };
-    let cache_misses = |doc: &Json| -> u64 {
-        doc.get("result")
-            .and_then(|r| r.get("cache"))
-            .and_then(|c| c.get("misses"))
-            .and_then(Json::as_u64)
-            .unwrap_or(u64::MAX)
-    };
-
     // Warm the resident cache with one full prove, and note the miss
     // count: the measured phase below must add zero.
-    let warm_misses = {
-        let mut stream = match UnixStream::connect(&socket) {
-            Ok(s) => s,
-            Err(e) => return fail(input_err(format!("cannot connect: {e}"))),
-        };
-        let mut reader = BufReader::new(match stream.try_clone() {
-            Ok(s) => s,
-            Err(e) => return fail(input_err(format!("cannot clone: {e}"))),
-        });
-        let doc = match roundtrip(&mut stream, &mut reader) {
-            Ok(d) => d,
-            Err(e) => return fail(e),
-        };
-        if doc.get("ok").and_then(Json::as_bool) != Some(true) {
-            return fail(input_err(format!("warmup prove failed: {doc}")));
-        }
-        cache_misses(&doc)
+    let warm_misses = match request("prove") {
+        Ok(doc) => stats_counter(&doc, &["cache", "misses"], u64::MAX),
+        Err(e) => return fail(e),
     };
 
     // Idle-connection dimension: `idle_conns` connections (half Unix,
@@ -1940,14 +1888,9 @@ fn bench_serve(args: &[String]) -> ExitCode {
                             )));
                         }
                     }
-                    let doc = stq_util::json::Json::parse(line.trim())
+                    let doc = Json::parse(line.trim())
                         .map_err(|e| input_err(format!("bench response unparseable: {e}")))?;
-                    let last_misses = doc
-                        .get("result")
-                        .and_then(|r| r.get("cache"))
-                        .and_then(|c| c.get("misses"))
-                        .and_then(stq_util::json::Json::as_u64)
-                        .unwrap_or(u64::MAX);
+                    let last_misses = stats_counter(&doc, &["cache", "misses"], u64::MAX);
                     Ok((latencies, last_misses, line.trim().to_owned()))
                 })
             })
@@ -2008,31 +1951,8 @@ fn bench_serve(args: &[String]) -> ExitCode {
     // Telemetry snapshot while every idle connection is still held
     // open, then the concurrent-duplicate workload: pipelined identical
     // uncached proves that must coalesce into one solver run.
-    let stats_doc = |sock: &std::path::Path| -> Result<Json, CliError> {
-        let mut stream =
-            UnixStream::connect(sock).map_err(|e| input_err(format!("cannot connect: {e}")))?;
-        let mut reader = BufReader::new(
-            stream
-                .try_clone()
-                .map_err(|e| input_err(format!("cannot clone: {e}")))?,
-        );
-        stream
-            .write_all(b"{\"id\":7,\"method\":\"stats\"}\n")
-            .map_err(|e| input_err(format!("stats request failed: {e}")))?;
-        let mut line = String::new();
-        reader
-            .read_line(&mut line)
-            .map_err(|e| input_err(format!("stats response failed: {e}")))?;
-        Json::parse(line.trim()).map_err(|e| input_err(format!("stats unparseable: {e}")))
-    };
-    let stat_field = |doc: &Json, path: &[&str]| -> u64 {
-        let mut cur = doc.get("result");
-        for key in path {
-            cur = cur.and_then(|v| v.get(key));
-        }
-        cur.and_then(Json::as_u64).unwrap_or(0)
-    };
-    let before = match stats_doc(&socket) {
+    let stat_field = |doc: &Json, path: &[&str]| stats_counter(doc, path, 0);
+    let before = match request("stats") {
         Ok(d) => d,
         Err(e) => return fail(e),
     };
@@ -2051,9 +1971,14 @@ fn bench_serve(args: &[String]) -> ExitCode {
         });
         let mut req = String::new();
         for id in 0..burst {
-            req.push_str(&format!(
-                "{{\"id\":{id},\"method\":\"prove\",\"params\":{{\"cache\":false}}}}\n"
-            ));
+            let params = Json::obj([("cache", false.into())]);
+            let line = Json::obj([
+                ("id", id.into()),
+                ("method", "prove".into()),
+                ("params", params),
+            ]);
+            req += &line.to_string();
+            req.push('\n');
         }
         if let Err(e) = stream.write_all(req.as_bytes()) {
             return fail(input_err(format!("burst request failed: {e}")));
@@ -2074,7 +1999,7 @@ fn bench_serve(args: &[String]) -> ExitCode {
         }
         bodies.windows(2).all(|w| w[0] == w[1])
     };
-    let after = match stats_doc(&socket) {
+    let after = match request("stats") {
         Ok(d) => d,
         Err(e) => return fail(e),
     };
@@ -2086,14 +2011,8 @@ fn bench_serve(args: &[String]) -> ExitCode {
 
     // Shut the daemon down cleanly before the one-shot baseline so it
     // is not competing for cores.
-    {
-        if let Ok(mut stream) = UnixStream::connect(&socket) {
-            let _ = stream.write_all(b"{\"id\":99,\"method\":\"shutdown\"}\n");
-            let mut line = String::new();
-            let _ = BufReader::new(stream).read_line(&mut line);
-        }
-        let _ = server_thread.join();
-    }
+    let _ = request("shutdown");
+    let _ = server_thread.join();
 
     // One-shot baseline: the same prove, paying full process startup
     // every time, with the same concurrency available.
@@ -2197,33 +2116,69 @@ fn bench_serve(args: &[String]) -> ExitCode {
     }
     latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
     tcp_latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let report = format!(
-        "{{\"bench\":\"serve\",\"clients\":{clients},\"requests_per_client\":{requests},\
-         \"total_requests\":{total_requests},\"idle_connections\":{idle_conns},\
-         \"open_connections\":{open_connections},\"elapsed_ms\":{},\
-         \"requests_per_sec\":{served_rps:.2},\
-         \"latency_ms\":{{\"p50\":{:.3},\"p90\":{:.3},\"p99\":{:.3},\"max\":{:.3}}},\
-         \"warm_cache_miss_delta\":{warm_miss_delta},\
-         \"warm_cache_hit_rate\":{},\
-         \"tcp\":{{\"total_requests\":{total_requests},\"elapsed_ms\":{},\
-         \"requests_per_sec\":{tcp_rps:.2},\"latency_ms\":{{\"p50\":{:.3}}}}},\
-         \"dedup\":{{\"burst\":{burst},\"dedup_hits\":{dedup_hits},\
-         \"byte_identical\":{dedup_identical}}},\
-         \"reactor\":{{\"polls\":{reactor_polls},\"wakeups\":{reactor_wakeups}}},\
-         \"verdicts_identical\":{verdicts_identical},\
-         \"oneshot\":{{\"runs\":{oneshot},\"elapsed_ms\":{},\"requests_per_sec\":{oneshot_rps:.2}}},\
-         \"speedup\":{speedup:.2}}}",
-        json_ms(served_elapsed),
-        pct(&latencies, 0.50),
-        pct(&latencies, 0.90),
-        pct(&latencies, 0.99),
-        latencies.last().copied().unwrap_or(0.0),
-        if warm_miss_delta == 0 { "1.0" } else { "0.0" },
-        json_ms(tcp_elapsed),
-        pct(&tcp_latencies, 0.50),
-        json_ms(oneshot_elapsed),
-    );
-    if fs::write(&out, format!("{report}\n")).is_err() {
+    let ms = |x: f64| decimals(x, 3);
+    let report = Json::obj([
+        ("bench", "serve".into()),
+        ("clients", clients.into()),
+        ("requests_per_client", requests.into()),
+        ("total_requests", total_requests.into()),
+        ("idle_connections", idle_conns.into()),
+        ("open_connections", open_connections.into()),
+        ("elapsed_ms", millis(served_elapsed)),
+        ("requests_per_sec", decimals(served_rps, 2)),
+        (
+            "latency_ms",
+            Json::obj([
+                ("p50", ms(pct(&latencies, 0.50))),
+                ("p90", ms(pct(&latencies, 0.90))),
+                ("p99", ms(pct(&latencies, 0.99))),
+                ("max", ms(latencies.last().copied().unwrap_or(0.0))),
+            ]),
+        ),
+        ("warm_cache_miss_delta", warm_miss_delta.into()),
+        (
+            "warm_cache_hit_rate",
+            Json::Num(if warm_miss_delta == 0 { 1.0 } else { 0.0 }),
+        ),
+        (
+            "tcp",
+            Json::obj([
+                ("total_requests", total_requests.into()),
+                ("elapsed_ms", millis(tcp_elapsed)),
+                ("requests_per_sec", decimals(tcp_rps, 2)),
+                (
+                    "latency_ms",
+                    Json::obj([("p50", ms(pct(&tcp_latencies, 0.50)))]),
+                ),
+            ]),
+        ),
+        (
+            "dedup",
+            Json::obj([
+                ("burst", burst.into()),
+                ("dedup_hits", dedup_hits.into()),
+                ("byte_identical", dedup_identical.into()),
+            ]),
+        ),
+        (
+            "reactor",
+            Json::obj([
+                ("polls", reactor_polls.into()),
+                ("wakeups", reactor_wakeups.into()),
+            ]),
+        ),
+        ("verdicts_identical", verdicts_identical.into()),
+        (
+            "oneshot",
+            Json::obj([
+                ("runs", oneshot.into()),
+                ("elapsed_ms", millis(oneshot_elapsed)),
+                ("requests_per_sec", decimals(oneshot_rps, 2)),
+            ]),
+        ),
+        ("speedup", decimals(speedup, 2)),
+    ]);
+    if fs::write(&out, report.to_string() + "\n").is_err() {
         return fail(input_err(format!("cannot write {out}")));
     }
     println!("{report}");
@@ -2264,7 +2219,7 @@ fn bench_serve(_args: &[String]) -> ExitCode {
 #[cfg(unix)]
 struct ChaosRequest {
     method: &'static str,
-    params: Option<String>,
+    params: Option<Json>,
 }
 
 /// Generates the seeded request schedule: full and named proves, clean
@@ -2274,53 +2229,33 @@ struct ChaosRequest {
 /// against a sequential fault-free baseline.
 #[cfg(unix)]
 fn chaos_schedule(seed: u64, count: usize) -> Vec<ChaosRequest> {
-    fn splitmix64(mut x: u64) -> u64 {
-        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
     const NAMES: [&str; 8] = [
         "pos", "neg", "nonzero", "nonnull", "untainted", "tainted", "unique", "unaliased",
     ];
     const CLEAN: &str = "int pos f() { return 7; }";
     const UNCLEAN: &str = "int pos f(int a) { return a; }";
     const BROKEN: &str = "int f( {";
+    let prove = |names: &[&str]| ChaosRequest {
+        method: "prove",
+        params: Some(Json::obj([("names", names.iter().copied().collect())])),
+    };
+    let check = |source: &str| ChaosRequest {
+        method: "check",
+        params: Some(Json::obj([("source", source.into())])),
+    };
     let mut state = seed ^ 0xC4A0_5057;
     (0..count)
         .map(|_| {
-            state = splitmix64(state);
+            state = stq_util::splitmix64(state);
             let r = state;
+            let name = |shift: u64| NAMES[(r >> shift) as usize % NAMES.len()];
             match r % 8 {
                 0 | 1 => ChaosRequest { method: "prove", params: None },
-                2 => ChaosRequest {
-                    method: "prove",
-                    params: Some(format!(
-                        "{{\"names\":[\"{}\"]}}",
-                        NAMES[(r >> 8) as usize % NAMES.len()]
-                    )),
-                },
-                3 => ChaosRequest {
-                    method: "prove",
-                    params: Some(format!(
-                        "{{\"names\":[\"{}\",\"{}\"]}}",
-                        NAMES[(r >> 8) as usize % NAMES.len()],
-                        NAMES[(r >> 16) as usize % NAMES.len()]
-                    )),
-                },
-                4 => ChaosRequest {
-                    method: "check",
-                    params: Some(format!("{{\"source\":\"{}\"}}", json_escape(CLEAN))),
-                },
-                5 => ChaosRequest {
-                    method: "check",
-                    params: Some(format!("{{\"source\":\"{}\"}}", json_escape(UNCLEAN))),
-                },
-                6 => ChaosRequest {
-                    method: "check",
-                    params: Some(format!("{{\"source\":\"{}\"}}", json_escape(BROKEN))),
-                },
+                2 => prove(&[name(8)]),
+                3 => prove(&[name(8), name(16)]),
+                4 => check(CLEAN),
+                5 => check(UNCLEAN),
+                6 => check(BROKEN),
                 _ => ChaosRequest {
                     method: if (r >> 8) & 1 == 0 { "stats" } else { "health" },
                     params: None,
@@ -2335,8 +2270,7 @@ fn chaos_schedule(seed: u64, count: usize) -> Vec<ChaosRequest> {
 /// timings, counters, or cache telemetry, which legitimately differ
 /// between the baseline and the chaos phase.
 #[cfg(unix)]
-fn chaos_canon(method: &str, doc: &stq_util::json::Json) -> String {
-    use stq_util::json::Json;
+fn chaos_canon(method: &str, doc: &Json) -> String {
     if doc.get("ok").and_then(Json::as_bool) != Some(true) {
         let code = doc
             .get("error")
@@ -2381,6 +2315,249 @@ fn chaos_canon(method: &str, doc: &stq_util::json::Json) -> String {
     }
 }
 
+/// The self-healing client every chaos phase uses: generous connect and
+/// call budgets, many retries, and fast backoff whose jitter is seeded
+/// by `seed ^ salt`.
+#[cfg(unix)]
+fn chaos_client(seed: u64, salt: u64, endpoints: Vec<stq_core::Endpoint>) -> stq_core::Client {
+    stq_core::Client::new(stq_core::ClientConfig {
+        endpoints,
+        connect_timeout: Duration::from_secs(20),
+        call_deadline: Some(Duration::from_secs(300)),
+        max_retries: 64,
+        backoff_base: Duration::from_millis(2),
+        backoff_max: Duration::from_millis(50),
+        seed: seed ^ salt,
+    })
+}
+
+#[cfg(unix)]
+fn unix_endpoint(socket: &std::path::Path) -> Vec<stq_core::Endpoint> {
+    vec![stq_core::Endpoint::Unix(socket.to_path_buf())]
+}
+
+/// A mid-campaign assassination: runs once half the schedule has
+/// resolved and returns the restarts it observed.
+#[cfg(unix)]
+type Kill = Box<dyn FnOnce() -> Result<u64, String> + Send>;
+
+/// What one concurrent chaos campaign produced.
+#[cfg(unix)]
+struct Campaign {
+    /// Canonical answer per schedule index; `None` if never resolved.
+    answers: Vec<Option<String>>,
+    /// Every campaign client's recovery counters, summed.
+    client: stq_core::ClientStats,
+    elapsed: Duration,
+    /// What the [`Kill`], if any, returned.
+    restarts: u64,
+}
+
+/// Runs `schedule` through `clients` concurrent self-healing clients:
+/// client `c` owns indices c, c+N, c+2N, … and dials `endpoints(c)`.
+/// Once half the requests have resolved, `kill` runs on its own thread.
+#[cfg(unix)]
+fn chaos_campaign(
+    seed: u64,
+    schedule: &std::sync::Arc<Vec<ChaosRequest>>,
+    clients: usize,
+    endpoints: impl Fn(usize) -> Vec<stq_core::Endpoint>,
+    kill: Option<Kill>,
+) -> Result<Campaign, String> {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    let resolved = Arc::new(AtomicU64::new(0));
+    let started = Instant::now();
+    type ClientRun = Result<(Vec<(usize, String)>, stq_core::ClientStats), String>;
+    let workers: Vec<std::thread::JoinHandle<ClientRun>> = (0..clients)
+        .map(|c| {
+            let schedule = Arc::clone(schedule);
+            let resolved = Arc::clone(&resolved);
+            let mut client = chaos_client(seed, 0xC0_0000 + c as u64, endpoints(c));
+            std::thread::spawn(move || {
+                let mut answers = Vec::new();
+                for idx in (c..schedule.len()).step_by(clients) {
+                    let req = &schedule[idx];
+                    let outcome = client
+                        .call(req.method, req.params.as_ref(), None)
+                        .map_err(|e| format!("request #{idx} ({}): {e}", req.method))?;
+                    answers.push((idx, chaos_canon(req.method, &outcome.doc)));
+                    resolved.fetch_add(1, Ordering::Relaxed);
+                }
+                Ok((answers, client.stats()))
+            })
+        })
+        .collect();
+    let killer = kill.map(|kill| {
+        let resolved = Arc::clone(&resolved);
+        let half = (schedule.len() / 2).max(1) as u64;
+        std::thread::spawn(move || {
+            while resolved.load(Ordering::Relaxed) < half {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            kill()
+        })
+    });
+
+    let mut campaign = Campaign {
+        answers: vec![None; schedule.len()],
+        client: stq_core::ClientStats::default(),
+        elapsed: Duration::ZERO,
+        restarts: 0,
+    };
+    let mut failure: Option<String> = None;
+    for handle in workers {
+        match handle.join() {
+            Ok(Ok((answers, s))) => {
+                for (idx, canon) in answers {
+                    campaign.answers[idx] = Some(canon);
+                }
+                let sum = &mut campaign.client;
+                sum.retries += s.retries;
+                sum.reconnects += s.reconnects;
+                sum.resends += s.resends;
+                sum.failovers += s.failovers;
+                sum.endpoints_tried += s.endpoints_tried;
+                sum.alien_dropped += s.alien_dropped;
+                sum.corrupt_lines += s.corrupt_lines;
+            }
+            Ok(Err(e)) => failure = Some(e),
+            Err(_) => failure = Some("a chaos client panicked".to_owned()),
+        }
+    }
+    campaign.elapsed = started.elapsed();
+    match killer.map(std::thread::JoinHandle::join) {
+        None => {}
+        Some(Ok(Ok(restarts))) => campaign.restarts = restarts,
+        Some(Ok(Err(e))) => {
+            failure.get_or_insert(e);
+        }
+        Some(Err(_)) => {
+            failure.get_or_insert("the killer thread panicked".to_owned());
+        }
+    }
+    match failure {
+        Some(e) => Err(e),
+        None => Ok(campaign),
+    }
+}
+
+/// One chaos drill's results: everything `BENCH_chaos.json` records
+/// beyond the campaign itself.
+#[cfg(unix)]
+struct ChaosReport {
+    seed: u64,
+    clients: usize,
+    daemons: usize,
+    daemon_killed: bool,
+    /// Wire faults the daemon's plan held, and how many fired.
+    net_faults: (u64, u64),
+    warm_cache_miss_delta: u64,
+    follow_hits: u64,
+    reloads: u64,
+    worker_killed: bool,
+    worker_restarts: u64,
+    clean_shutdown: bool,
+}
+
+#[cfg(unix)]
+impl ChaosReport {
+    /// Writes the `BENCH_chaos.json` document to `out` and stdout, then
+    /// judges the oracle: every answer matches the fault-free `baseline`
+    /// (else exit 1), every request resolved, and each of the drill's
+    /// own `checks` — a failure condition with its message — holds
+    /// (else exit 4). `summary` goes to stderr once the report is out.
+    fn finish(
+        &self,
+        campaign: &Campaign,
+        baseline: &[String],
+        out: &str,
+        summary: &str,
+        checks: &[(bool, String)],
+    ) -> ExitCode {
+        let count = baseline.len();
+        let resolved = campaign.answers.iter().filter(|a| a.is_some()).count();
+        let mismatches: Vec<usize> = (0..count)
+            .filter(|&i| campaign.answers[i].as_deref() != Some(baseline[i].as_str()))
+            .collect();
+        for &i in mismatches.iter().take(5) {
+            eprintln!(
+                "chaos-serve: request #{i} diverged:\n  baseline: {}\n  chaos:    {}",
+                baseline[i],
+                campaign.answers[i].as_deref().unwrap_or("<unresolved>"),
+            );
+        }
+        let c = &campaign.client;
+        let report = Json::obj([
+            ("bench", "chaos-serve".into()),
+            ("seed", self.seed.into()),
+            ("count", count.into()),
+            ("clients", self.clients.into()),
+            ("daemons", self.daemons.into()),
+            ("daemon_killed", self.daemon_killed.into()),
+            (
+                "net_faults",
+                Json::obj([
+                    ("planned", self.net_faults.0.into()),
+                    ("injected", self.net_faults.1.into()),
+                ]),
+            ),
+            ("requests_resolved", resolved.into()),
+            ("verdict_mismatches", mismatches.len().into()),
+            (
+                "client",
+                Json::obj([
+                    ("retries", c.retries.into()),
+                    ("reconnects", c.reconnects.into()),
+                    ("resends", c.resends.into()),
+                    ("failovers", c.failovers.into()),
+                    ("endpoints_tried", c.endpoints_tried.into()),
+                    ("alien_lines_dropped", c.alien_dropped.into()),
+                    ("corrupt_lines", c.corrupt_lines.into()),
+                ]),
+            ),
+            ("warm_cache_miss_delta", self.warm_cache_miss_delta.into()),
+            ("follow_hits", self.follow_hits.into()),
+            ("reloads", self.reloads.into()),
+            ("worker_killed", self.worker_killed.into()),
+            ("worker_restarts", self.worker_restarts.into()),
+            ("clean_shutdown", self.clean_shutdown.into()),
+            ("elapsed_ms", millis(campaign.elapsed)),
+            (
+                "requests_per_sec",
+                decimals(count as f64 / campaign.elapsed.as_secs_f64(), 2),
+            ),
+        ]);
+        if fs::write(out, report.to_string() + "\n").is_err() {
+            return fail(input_err(format!("cannot write {out}")));
+        }
+        println!("{report}");
+        eprintln!(
+            "chaos-serve: {resolved}/{count} resolved, {} mismatch(es){summary}",
+            mismatches.len()
+        );
+        if !mismatches.is_empty() {
+            eprintln!("stqc: chaos-serve: answers diverged from the fault-free baseline");
+            return ExitCode::from(EXIT_UNSOUND);
+        }
+        let not_resolved = (
+            resolved != count,
+            "not every request resolved to an attributed answer".to_owned(),
+        );
+        match std::iter::once(&not_resolved)
+            .chain(checks)
+            .find(|(failed, _)| *failed)
+        {
+            Some((_, message)) => {
+                eprintln!("stqc: chaos-serve: {message}");
+                ExitCode::from(EXIT_CRASH)
+            }
+            None => ExitCode::SUCCESS,
+        }
+    }
+}
+
 /// `stqc chaos-serve`: the chaos soak oracle (see `docs/robustness.md`).
 ///
 /// Phase 1 computes a fault-free baseline: a seeded request schedule is
@@ -2399,10 +2576,7 @@ fn chaos_canon(method: &str, doc: &stq_util::json::Json) -> String {
 /// [`chaos_serve_multi`].
 #[cfg(unix)]
 fn chaos_serve(args: &[String]) -> ExitCode {
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
-    use std::time::Instant;
-    use stq_util::json::Json;
 
     let mut seed = 7u64;
     let mut count = 200usize;
@@ -2461,17 +2635,6 @@ fn chaos_serve(args: &[String]) -> ExitCode {
     if let Err(e) = fs::create_dir_all(&scratch) {
         return fail(input_err(format!("cannot create {}: {e}", scratch.display())));
     }
-    let client_cfg = |endpoints: Vec<stq_core::Endpoint>, salt: u64| stq_core::ClientConfig {
-        endpoints,
-        connect_timeout: Duration::from_secs(20),
-        call_deadline: Some(Duration::from_secs(300)),
-        max_retries: 64,
-        backoff_base: Duration::from_millis(2),
-        backoff_max: Duration::from_millis(50),
-        seed: seed ^ salt,
-    };
-    let unix_ep =
-        |socket: &std::path::Path| vec![stq_core::Endpoint::Unix(socket.to_path_buf())];
 
     // ----- phase 1: the fault-free baseline -----
     eprintln!("chaos-serve: baseline over {count} request(s)...");
@@ -2492,9 +2655,9 @@ fn chaos_serve(args: &[String]) -> ExitCode {
     };
     let mut baseline: Vec<String> = Vec::with_capacity(count);
     {
-        let mut client = stq_core::Client::new(client_cfg(unix_ep(&base_socket), 0xBA5E));
+        let mut client = chaos_client(seed, 0xBA5E, unix_endpoint(&base_socket));
         for req in schedule.iter() {
-            match client.call(req.method, req.params.as_deref(), None) {
+            match client.call(req.method, req.params.as_ref(), None) {
                 Ok(outcome) => baseline.push(chaos_canon(req.method, &outcome.doc)),
                 Err(e) => return fail(input_err(format!("baseline request failed: {e}"))),
             }
@@ -2504,15 +2667,48 @@ fn chaos_serve(args: &[String]) -> ExitCode {
         }
     }
     let _ = base_thread.join();
-    let baseline = Arc::new(baseline);
 
-    if daemons >= 2 {
-        return chaos_serve_multi(
-            seed, count, clients, daemons, kill_daemon, &out, schedule, baseline, &scratch,
-        );
-    }
+    let code = if daemons >= 2 {
+        chaos_serve_multi(
+            seed,
+            clients,
+            daemons,
+            kill_daemon,
+            &out,
+            &schedule,
+            &baseline,
+            &scratch,
+        )
+    } else {
+        chaos_serve_single(
+            seed,
+            clients,
+            kill_worker,
+            &out,
+            &schedule,
+            &baseline,
+            &scratch,
+        )
+    };
+    let _ = fs::remove_dir_all(&scratch);
+    code
+}
 
-    // ----- phase 2: the supervised, faulted daemon -----
+/// The single-daemon leg of `stqc chaos-serve`: a supervised daemon with
+/// wire faults armed, optionally SIGKILLing its worker mid-campaign
+/// (`--kill-worker`) and requiring a warm recovery.
+#[cfg(unix)]
+#[allow(clippy::too_many_arguments)]
+fn chaos_serve_single(
+    seed: u64,
+    clients: usize,
+    kill_worker: bool,
+    out: &str,
+    schedule: &std::sync::Arc<Vec<ChaosRequest>>,
+    baseline: &[String],
+    scratch: &std::path::Path,
+) -> ExitCode {
+    let count = schedule.len();
     let socket = scratch.join("chaos.sock");
     let pid_file = scratch.join("worker.pid");
     let cache_dir = scratch.join("cache");
@@ -2555,71 +2751,30 @@ fn chaos_serve(args: &[String]) -> ExitCode {
     // Warm the worker's cache with one full prove; every conclusive
     // verdict is persisted eagerly, so from this point the journal on
     // disk is complete and a SIGKILL can never lose warm state.
-    let mut warm_client = stq_core::Client::new(client_cfg(unix_ep(&socket), 0x3A4));
+    let mut warm_client = chaos_client(seed, 0x3A4, unix_endpoint(&socket));
     if let Err(e) = warm_client.call("prove", None, None) {
         return give_up(&mut daemon, input_err(format!("warmup prove failed: {e}")));
     }
-    let cache_misses = |doc: &Json| -> u64 {
-        doc.get("result")
-            .and_then(|r| r.get("cache"))
-            .and_then(|c| c.get("misses"))
-            .and_then(Json::as_u64)
-            .unwrap_or(u64::MAX)
-    };
     let warm_misses = match warm_client.call("stats", None, None) {
-        Ok(outcome) => cache_misses(&outcome.doc),
+        Ok(outcome) => stats_counter(&outcome.doc, &["cache", "misses"], u64::MAX),
         Err(e) => return give_up(&mut daemon, input_err(format!("warmup stats failed: {e}"))),
     };
 
-    // The concurrent campaign: client `c` owns indices c, c+N, c+2N, …
-    let resolved = Arc::new(AtomicU64::new(0));
-    let started = Instant::now();
-    type CampaignOutcome = Result<(Vec<(usize, String)>, stq_core::ClientStats), String>;
-    let workers: Vec<std::thread::JoinHandle<CampaignOutcome>> = (0..clients)
-        .map(|c| {
-            let schedule = Arc::clone(&schedule);
-            let socket = socket.clone();
-            let resolved = Arc::clone(&resolved);
-            let cfg = client_cfg(unix_ep(&socket), 0xC0_0000 + c as u64);
-            std::thread::spawn(move || {
-                let mut client = stq_core::Client::new(cfg);
-                let mut answers = Vec::new();
-                let mut idx = c;
-                while idx < schedule.len() {
-                    let req = &schedule[idx];
-                    match client.call(req.method, req.params.as_deref(), None) {
-                        Ok(outcome) => {
-                            answers.push((idx, chaos_canon(req.method, &outcome.doc)));
-                            resolved.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(e) => return Err(format!("request #{idx} ({}): {e}", req.method)),
-                    }
-                    idx += clients;
-                }
-                Ok((answers, client.stats()))
-            })
-        })
-        .collect();
-
-    // Mid-campaign worker assassination: once half the requests have
-    // resolved, SIGKILL the current worker and wait for the supervisor
-    // to install a successor (observed as a pid-file change).
-    let killer: Option<std::thread::JoinHandle<Result<u64, String>>> = kill_worker.then(|| {
-        let resolved = Arc::clone(&resolved);
+    // Mid-campaign worker assassination: SIGKILL the current worker and
+    // wait for the supervisor to install a successor (observed as a
+    // pid-file change).
+    let kill: Option<Kill> = kill_worker.then(|| {
         let pid_file = pid_file.clone();
-        let half = (count / 2).max(1) as u64;
-        std::thread::spawn(move || {
-            while resolved.load(Ordering::Relaxed) < half {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+        Box::new(move || -> Result<u64, String> {
+            let err = |e: String| format!("kill-worker: {e}");
             let old = fs::read_to_string(&pid_file)
-                .map_err(|e| format!("cannot read {}: {e}", pid_file.display()))?;
+                .map_err(|e| err(format!("cannot read {}: {e}", pid_file.display())))?;
             let pid: u32 = old
                 .trim()
                 .parse()
-                .map_err(|_| format!("{} does not hold a pid", pid_file.display()))?;
+                .map_err(|_| err(format!("{} does not hold a pid", pid_file.display())))?;
             if !sig::send(pid, sig::SIGKILL) {
-                return Err(format!("cannot SIGKILL worker {pid}"));
+                return Err(err(format!("cannot SIGKILL worker {pid}")));
             }
             let respawned_by = Instant::now() + Duration::from_secs(30);
             loop {
@@ -2629,74 +2784,34 @@ fn chaos_serve(args: &[String]) -> ExitCode {
                     }
                 }
                 if Instant::now() > respawned_by {
-                    return Err("the supervisor never restarted the killed worker".to_owned());
+                    return Err(err(
+                        "the supervisor never restarted the killed worker".to_owned()
+                    ));
                 }
                 std::thread::sleep(Duration::from_millis(10));
             }
-        })
+        }) as Kill
     });
-
-    let mut answers: Vec<Option<String>> = vec![None; count];
-    let mut client_stats = stq_core::ClientStats::default();
-    let mut campaign_err: Option<String> = None;
-    for handle in workers {
-        match handle.join() {
-            Ok(Ok((per_client, stats))) => {
-                for (idx, canon) in per_client {
-                    answers[idx] = Some(canon);
-                }
-                client_stats.retries += stats.retries;
-                client_stats.reconnects += stats.reconnects;
-                client_stats.resends += stats.resends;
-                client_stats.failovers += stats.failovers;
-                client_stats.endpoints_tried += stats.endpoints_tried;
-                client_stats.alien_dropped += stats.alien_dropped;
-                client_stats.corrupt_lines += stats.corrupt_lines;
-            }
-            Ok(Err(e)) => campaign_err = Some(e),
-            Err(_) => campaign_err = Some("a chaos client panicked".to_owned()),
-        }
-    }
-    let elapsed = started.elapsed();
-    let worker_restarts = match killer.map(std::thread::JoinHandle::join) {
-        None => 0u64,
-        Some(Ok(Ok(n))) => n,
-        Some(Ok(Err(e))) => {
-            campaign_err.get_or_insert(format!("kill-worker: {e}"));
-            0
-        }
-        Some(Err(_)) => {
-            campaign_err.get_or_insert("the killer thread panicked".to_owned());
-            0
+    let campaign = match chaos_campaign(seed, schedule, clients, |_| unix_endpoint(&socket), kill) {
+        Ok(c) => c,
+        Err(e) => {
+            return give_up(
+                &mut daemon,
+                input_err(format!("chaos campaign failed: {e}")),
+            )
         }
     };
-    if let Some(e) = campaign_err {
-        return give_up(&mut daemon, input_err(format!("chaos campaign failed: {e}")));
-    }
 
     // Post-campaign ledger: cache misses and fault counters from the
     // (possibly restarted) worker, then a clean shutdown through the
     // supervisor.
-    let mut final_client = stq_core::Client::new(client_cfg(unix_ep(&socket), 0xF1A7));
-    let (final_misses, injected, follow_hits, reloads) =
-        match final_client.call("stats", None, None) {
-            Ok(outcome) => {
-                let injected = outcome
-                    .doc
-                    .get("result")
-                    .and_then(|r| r.get("netfault"))
-                    .and_then(|n| n.get("injected"))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0);
-                (
-                    cache_misses(&outcome.doc),
-                    injected,
-                    stats_counter(&outcome.doc, &["cache", "follow_hits"], 0),
-                    stats_counter(&outcome.doc, &["reloads"], 0),
-                )
-            }
-            Err(e) => return give_up(&mut daemon, input_err(format!("final stats failed: {e}"))),
-        };
+    let mut final_client = chaos_client(seed, 0xF1A7, unix_endpoint(&socket));
+    let stats = match final_client.call("stats", None, None) {
+        Ok(outcome) => outcome.doc,
+        Err(e) => return give_up(&mut daemon, input_err(format!("final stats failed: {e}"))),
+    };
+    let final_misses = stats_counter(&stats, &["cache", "misses"], u64::MAX);
+    let injected = stats_counter(&stats, &["netfault", "injected"], 0);
     // The shutdown *response* can itself be eaten by an armed wire
     // fault after the worker has already committed to exiting — so the
     // ack is best-effort; the daemon's own clean exit is the contract.
@@ -2718,106 +2833,76 @@ fn chaos_serve(args: &[String]) -> ExitCode {
         }
     };
 
-    // The oracle. A restarted worker starts a fresh miss counter over
-    // the persisted journal, so the warm rule is "zero misses since
-    // restart"; an unkilled worker must add zero over its warm sample.
-    let requests_resolved = answers.iter().filter(|a| a.is_some()).count();
-    let verdict_mismatches: Vec<usize> = (0..count)
-        .filter(|&i| answers[i].as_deref() != Some(baseline[i].as_str()))
-        .collect();
+    // A restarted worker starts a fresh miss counter over the persisted
+    // journal, so the warm rule is "zero misses since restart"; an
+    // unkilled worker must add zero over its warm sample.
+    let worker_restarts = campaign.restarts;
     let warm_cache_miss_delta = if worker_restarts > 0 {
         final_misses
     } else {
         final_misses.saturating_sub(warm_misses)
     };
-    for &i in verdict_mismatches.iter().take(5) {
-        eprintln!(
-            "chaos-serve: request #{i} diverged:\n  baseline: {}\n  chaos:    {}",
-            baseline[i],
-            answers[i].as_deref().unwrap_or("<unresolved>"),
-        );
-    }
-
-    let report = format!(
-        "{{\"bench\":\"chaos-serve\",\"seed\":{seed},\"count\":{count},\"clients\":{clients},\
-         \"daemons\":1,\"daemon_killed\":false,\
-         \"net_faults\":{{\"planned\":{nf_count},\"injected\":{injected}}},\
-         \"requests_resolved\":{requests_resolved},\
-         \"verdict_mismatches\":{},\
-         \"client\":{{\"retries\":{},\"reconnects\":{},\"resends\":{},\
-         \"failovers\":{},\"endpoints_tried\":{},\
-         \"alien_lines_dropped\":{},\"corrupt_lines\":{}}},\
-         \"warm_cache_miss_delta\":{warm_cache_miss_delta},\
-         \"follow_hits\":{follow_hits},\"reloads\":{reloads},\
-         \"worker_killed\":{kill_worker},\"worker_restarts\":{worker_restarts},\
-         \"clean_shutdown\":{clean_exit},\
-         \"elapsed_ms\":{},\"requests_per_sec\":{:.2}}}",
-        verdict_mismatches.len(),
-        client_stats.retries,
-        client_stats.reconnects,
-        client_stats.resends,
-        client_stats.failovers,
-        client_stats.endpoints_tried,
-        client_stats.alien_dropped,
-        client_stats.corrupt_lines,
-        json_ms(elapsed),
-        count as f64 / elapsed.as_secs_f64(),
-    );
-    if fs::write(&out, format!("{report}\n")).is_err() {
-        return fail(input_err(format!("cannot write {out}")));
-    }
-    println!("{report}");
-    let _ = fs::remove_dir_all(&scratch);
-    eprintln!(
-        "chaos-serve: {requests_resolved}/{count} resolved, {} mismatch(es), \
-         {injected} fault(s) injected, {} retry(ies), {} reconnect(s), \
+    let report = ChaosReport {
+        seed,
+        clients,
+        daemons: 1,
+        daemon_killed: false,
+        net_faults: (nf_count as u64, injected),
+        warm_cache_miss_delta,
+        follow_hits: stats_counter(&stats, &["cache", "follow_hits"], 0),
+        reloads: stats_counter(&stats, &["reloads"], 0),
+        worker_killed: kill_worker,
+        worker_restarts,
+        clean_shutdown: clean_exit,
+    };
+    let c = &campaign.client;
+    let summary = format!(
+        ", {injected} fault(s) injected, {} retry(ies), {} reconnect(s), \
          warm misses +{warm_cache_miss_delta}{}",
-        verdict_mismatches.len(),
-        client_stats.retries,
-        client_stats.reconnects,
+        c.retries,
+        c.reconnects,
         if kill_worker {
             format!(", worker killed and restarted {worker_restarts} time(s)")
         } else {
             String::new()
         },
     );
-    if !verdict_mismatches.is_empty() {
-        eprintln!("stqc: chaos-serve: answers diverged from the fault-free baseline");
-        return ExitCode::from(EXIT_UNSOUND);
-    }
-    if requests_resolved != count {
-        eprintln!("stqc: chaos-serve: not every request resolved to an attributed answer");
-        return ExitCode::from(EXIT_CRASH);
-    }
-    if warm_cache_miss_delta > 0 {
-        eprintln!("stqc: chaos-serve: the warm proof cache missed {warm_cache_miss_delta} time(s)");
-        return ExitCode::from(EXIT_CRASH);
-    }
-    if worker_restarts == 0 && injected == 0 {
-        eprintln!("stqc: chaos-serve: no faults were injected; the soak proved nothing");
-        return ExitCode::from(EXIT_CRASH);
-    }
-    if kill_worker && worker_restarts == 0 {
-        eprintln!("stqc: chaos-serve: the worker was never restarted");
-        return ExitCode::from(EXIT_CRASH);
-    }
-    if !clean_exit {
-        eprintln!("stqc: chaos-serve: the supervised daemon did not exit cleanly");
-        return ExitCode::from(EXIT_CRASH);
-    }
-    ExitCode::SUCCESS
+    report.finish(
+        &campaign,
+        baseline,
+        out,
+        &summary,
+        &[
+            (
+                warm_cache_miss_delta > 0,
+                format!("the warm proof cache missed {warm_cache_miss_delta} time(s)"),
+            ),
+            (
+                worker_restarts == 0 && injected == 0,
+                "no faults were injected; the soak proved nothing".to_owned(),
+            ),
+            (
+                kill_worker && worker_restarts == 0,
+                "the worker was never restarted".to_owned(),
+            ),
+            (
+                !clean_exit,
+                "the supervised daemon did not exit cleanly".to_owned(),
+            ),
+        ],
+    )
 }
 
 /// Pulls one `u64` counter out of a `stats` response document, walking
 /// `result.<path...>`. `missing` is returned when the field is absent —
 /// pick it so an absent counter fails the oracle rather than passing it.
 #[cfg(unix)]
-fn stats_counter(doc: &stq_util::json::Json, path: &[&str], missing: u64) -> u64 {
+fn stats_counter(doc: &Json, path: &[&str], missing: u64) -> u64 {
     let mut cur = doc.get("result");
     for key in path {
         cur = cur.and_then(|j| j.get(key));
     }
-    cur.and_then(stq_util::json::Json::as_u64).unwrap_or(missing)
+    cur.and_then(Json::as_u64).unwrap_or(missing)
 }
 
 /// The multi-daemon leg of `stqc chaos-serve` (`--daemons N`): a fleet
@@ -2832,34 +2917,17 @@ fn stats_counter(doc: &stq_util::json::Json, path: &[&str], missing: u64) -> u64
 /// `follow_hits > 0`), a hot `reload` succeeds on the survivor, and
 /// every surviving daemon shuts down cleanly.
 #[cfg(unix)]
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+#[allow(clippy::too_many_arguments)]
 fn chaos_serve_multi(
     seed: u64,
-    count: usize,
     clients: usize,
     daemons: usize,
     kill_daemon: bool,
     out: &str,
-    schedule: std::sync::Arc<Vec<ChaosRequest>>,
-    baseline: std::sync::Arc<Vec<String>>,
+    schedule: &std::sync::Arc<Vec<ChaosRequest>>,
+    baseline: &[String],
     scratch: &std::path::Path,
 ) -> ExitCode {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    let client_cfg = |endpoints: Vec<stq_core::Endpoint>, salt: u64| stq_core::ClientConfig {
-        endpoints,
-        connect_timeout: Duration::from_secs(20),
-        call_deadline: Some(Duration::from_secs(300)),
-        max_retries: 64,
-        backoff_base: Duration::from_millis(2),
-        backoff_max: Duration::from_millis(50),
-        seed: seed ^ salt,
-    };
-    let unix_ep =
-        |socket: &std::path::Path| vec![stq_core::Endpoint::Unix(socket.to_path_buf())];
-
     let exe = match std::env::current_exe() {
         Ok(p) => p,
         Err(e) => return fail(input_err(format!("cannot locate stqc: {e}"))),
@@ -2871,6 +2939,13 @@ fn chaos_serve_multi(
     );
     let mut sockets: Vec<std::path::PathBuf> = Vec::with_capacity(daemons);
     let mut fleet: Vec<std::process::Child> = Vec::with_capacity(daemons);
+    let give_up = |fleet: &mut Vec<std::process::Child>, err: CliError| -> ExitCode {
+        for child in fleet.iter_mut() {
+            sig::send(child.id(), sig::SIGINT);
+            let _ = child.wait();
+        }
+        fail(err)
+    };
     for d in 0..daemons {
         let socket = scratch.join(format!("d{d}.sock"));
         let _ = fs::remove_file(&socket);
@@ -2889,124 +2964,51 @@ fn chaos_serve_multi(
                 fleet.push(child);
             }
             Err(e) => {
-                for mut child in fleet {
-                    sig::send(child.id(), sig::SIGINT);
-                    let _ = child.wait();
-                }
-                return fail(input_err(format!("cannot spawn daemon #{d}: {e}")));
+                return give_up(
+                    &mut fleet,
+                    input_err(format!("cannot spawn daemon #{d}: {e}")),
+                );
             }
         }
     }
-    let give_up = |fleet: &mut Vec<std::process::Child>, err: CliError| -> ExitCode {
-        for child in fleet.iter_mut() {
-            sig::send(child.id(), sig::SIGINT);
-            let _ = child.wait();
-        }
-        fail(err)
-    };
 
     // Warm daemon #0 — and only daemon #0 — with one full prove. Every
     // conclusive verdict persists eagerly, so once this call returns the
     // shared journal on disk is complete; the other daemons were never
     // proved at and can only answer warm by *following* that journal.
-    let mut warm_client = stq_core::Client::new(client_cfg(unix_ep(&sockets[0]), 0x3A4));
+    let mut warm_client = chaos_client(seed, 0x3A4, unix_endpoint(&sockets[0]));
     if let Err(e) = warm_client.call("prove", None, None) {
         return give_up(&mut fleet, input_err(format!("warmup prove failed: {e}")));
     }
 
-    // The concurrent campaign: client `c` owns indices c, c+N, c+2N, …
-    // and carries the whole fleet in its endpoint list, rotated so the
-    // primaries differ across clients.
-    let resolved = Arc::new(AtomicU64::new(0));
-    let started = Instant::now();
-    type CampaignOutcome = Result<(Vec<(usize, String)>, stq_core::ClientStats), String>;
-    let workers: Vec<std::thread::JoinHandle<CampaignOutcome>> = (0..clients)
-        .map(|c| {
-            let schedule = Arc::clone(&schedule);
-            let resolved = Arc::clone(&resolved);
-            let endpoints: Vec<stq_core::Endpoint> = (0..daemons)
-                .map(|k| stq_core::Endpoint::Unix(sockets[(c + k) % daemons].clone()))
-                .collect();
-            let cfg = client_cfg(endpoints, 0xC0_0000 + c as u64);
-            std::thread::spawn(move || {
-                let mut client = stq_core::Client::new(cfg);
-                let mut answers = Vec::new();
-                let mut idx = c;
-                while idx < schedule.len() {
-                    let req = &schedule[idx];
-                    match client.call(req.method, req.params.as_deref(), None) {
-                        Ok(outcome) => {
-                            answers.push((idx, chaos_canon(req.method, &outcome.doc)));
-                            resolved.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(e) => return Err(format!("request #{idx} ({}): {e}", req.method)),
-                    }
-                    idx += clients;
-                }
-                Ok((answers, client.stats()))
-            })
-        })
-        .collect();
-
-    // Mid-campaign daemon assassination: once half the requests have
-    // resolved, SIGKILL daemon #0 — the daemon that computed every proof.
+    // Every client carries the whole fleet in its endpoint list, rotated
+    // so the primaries differ across clients; the kill SIGKILLs daemon
+    // #0 — the daemon that computed every proof.
     let victim_pid = fleet[0].id();
-    let killer: Option<std::thread::JoinHandle<Result<(), String>>> = kill_daemon.then(|| {
-        let resolved = Arc::clone(&resolved);
-        let half = (count / 2).max(1) as u64;
-        std::thread::spawn(move || {
-            while resolved.load(Ordering::Relaxed) < half {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+    let kill: Option<Kill> = kill_daemon.then(|| {
+        Box::new(move || -> Result<u64, String> {
             if sig::send(victim_pid, sig::SIGKILL) {
-                Ok(())
+                Ok(0)
             } else {
-                Err(format!("cannot SIGKILL daemon {victim_pid}"))
+                Err(format!("kill-daemon: cannot SIGKILL daemon {victim_pid}"))
             }
-        })
+        }) as Kill
     });
-
-    let mut answers: Vec<Option<String>> = vec![None; count];
-    let mut client_stats = stq_core::ClientStats::default();
-    let mut campaign_err: Option<String> = None;
-    for handle in workers {
-        match handle.join() {
-            Ok(Ok((per_client, stats))) => {
-                for (idx, canon) in per_client {
-                    answers[idx] = Some(canon);
-                }
-                client_stats.retries += stats.retries;
-                client_stats.reconnects += stats.reconnects;
-                client_stats.resends += stats.resends;
-                client_stats.failovers += stats.failovers;
-                client_stats.endpoints_tried += stats.endpoints_tried;
-                client_stats.alien_dropped += stats.alien_dropped;
-                client_stats.corrupt_lines += stats.corrupt_lines;
-            }
-            Ok(Err(e)) => campaign_err = Some(e),
-            Err(_) => campaign_err = Some("a chaos client panicked".to_owned()),
-        }
-    }
-    let elapsed = started.elapsed();
-    match killer.map(std::thread::JoinHandle::join) {
-        None | Some(Ok(Ok(()))) => {}
-        Some(Ok(Err(e))) => {
-            campaign_err.get_or_insert(format!("kill-daemon: {e}"));
-        }
-        Some(Err(_)) => {
-            campaign_err.get_or_insert("the killer thread panicked".to_owned());
-        }
-    }
-    if let Some(e) = campaign_err {
-        return give_up(&mut fleet, input_err(format!("chaos campaign failed: {e}")));
-    }
+    let endpoints = |c: usize| {
+        (0..daemons)
+            .map(|k| stq_core::Endpoint::Unix(sockets[(c + k) % daemons].clone()))
+            .collect()
+    };
+    let campaign = match chaos_campaign(seed, schedule, clients, endpoints, kill) {
+        Ok(c) => c,
+        Err(e) => return give_up(&mut fleet, input_err(format!("chaos campaign failed: {e}"))),
+    };
 
     // The survivor's ledger: its cache counters first (so a reload that
     // re-validates libraries cannot perturb the miss count under test),
     // then a hot reload — the fleet must serve across qualifier-library
     // swaps, not just crashes — then the reload counter.
-    let survivor = &sockets[1];
-    let mut final_client = stq_core::Client::new(client_cfg(unix_ep(survivor), 0xF1A7));
+    let mut final_client = chaos_client(seed, 0xF1A7, unix_endpoint(&sockets[1]));
     let (survivor_misses, follow_hits) = match final_client.call("stats", None, None) {
         Ok(outcome) => (
             stats_counter(&outcome.doc, &["cache", "misses"], u64::MAX),
@@ -3030,8 +3032,7 @@ fn chaos_serve_multi(
             let _ = child.wait();
             continue;
         }
-        let mut client =
-            stq_core::Client::new(client_cfg(unix_ep(&sockets[d]), 0x0FF0 + d as u64));
+        let mut client = chaos_client(seed, 0x0FF0 + d as u64, unix_endpoint(&sockets[d]));
         if client.call("shutdown", None, None).is_err() {
             clean_shutdowns = false;
         }
@@ -3040,88 +3041,56 @@ fn chaos_serve_multi(
         }
     }
 
-    // The oracle.
-    let requests_resolved = answers.iter().filter(|a| a.is_some()).count();
-    let verdict_mismatches: Vec<usize> = (0..count)
-        .filter(|&i| answers[i].as_deref() != Some(baseline[i].as_str()))
-        .collect();
-    for &i in verdict_mismatches.iter().take(5) {
-        eprintln!(
-            "chaos-serve: request #{i} diverged:\n  baseline: {}\n  chaos:    {}",
-            baseline[i],
-            answers[i].as_deref().unwrap_or("<unresolved>"),
-        );
-    }
-
-    let report = format!(
-        "{{\"bench\":\"chaos-serve\",\"seed\":{seed},\"count\":{count},\"clients\":{clients},\
-         \"daemons\":{daemons},\"daemon_killed\":{kill_daemon},\
-         \"net_faults\":{{\"planned\":0,\"injected\":0}},\
-         \"requests_resolved\":{requests_resolved},\
-         \"verdict_mismatches\":{},\
-         \"client\":{{\"retries\":{},\"reconnects\":{},\"resends\":{},\
-         \"failovers\":{},\"endpoints_tried\":{},\
-         \"alien_lines_dropped\":{},\"corrupt_lines\":{}}},\
-         \"warm_cache_miss_delta\":{survivor_misses},\
-         \"follow_hits\":{follow_hits},\"reloads\":{reloads},\
-         \"worker_killed\":false,\"worker_restarts\":0,\
-         \"clean_shutdown\":{clean_shutdowns},\
-         \"elapsed_ms\":{},\"requests_per_sec\":{:.2}}}",
-        verdict_mismatches.len(),
-        client_stats.retries,
-        client_stats.reconnects,
-        client_stats.resends,
-        client_stats.failovers,
-        client_stats.endpoints_tried,
-        client_stats.alien_dropped,
-        client_stats.corrupt_lines,
-        json_ms(elapsed),
-        count as f64 / elapsed.as_secs_f64(),
-    );
-    if fs::write(out, format!("{report}\n")).is_err() {
-        return fail(input_err(format!("cannot write {out}")));
-    }
-    println!("{report}");
-    let _ = fs::remove_dir_all(scratch);
-    eprintln!(
-        "chaos-serve: {requests_resolved}/{count} resolved across {daemons} daemon(s), \
-         {} mismatch(es), {} failover(s), {follow_hits} follow hit(s), {reloads} reload(s){}",
-        verdict_mismatches.len(),
-        client_stats.failovers,
+    let report = ChaosReport {
+        seed,
+        clients,
+        daemons,
+        daemon_killed: kill_daemon,
+        net_faults: (0, 0),
+        warm_cache_miss_delta: survivor_misses,
+        follow_hits,
+        reloads,
+        worker_killed: false,
+        worker_restarts: 0,
+        clean_shutdown: clean_shutdowns,
+    };
+    let failovers = campaign.client.failovers;
+    let summary = format!(
+        " across {daemons} daemon(s), {failovers} failover(s), {follow_hits} follow hit(s), \
+         {reloads} reload(s){}",
         if kill_daemon { ", daemon #0 killed" } else { "" },
     );
-    if !verdict_mismatches.is_empty() {
-        eprintln!("stqc: chaos-serve: answers diverged from the fault-free baseline");
-        return ExitCode::from(EXIT_UNSOUND);
-    }
-    if requests_resolved != count {
-        eprintln!("stqc: chaos-serve: not every request resolved to an attributed answer");
-        return ExitCode::from(EXIT_CRASH);
-    }
-    if survivor_misses != 0 {
-        eprintln!(
-            "stqc: chaos-serve: the surviving daemon missed {survivor_misses} time(s); \
-             the shared journal did not keep it warm"
-        );
-        return ExitCode::from(EXIT_CRASH);
-    }
-    if follow_hits == 0 {
-        eprintln!("stqc: chaos-serve: the survivor never adopted a peer journal entry");
-        return ExitCode::from(EXIT_CRASH);
-    }
-    if reloads == 0 {
-        eprintln!("stqc: chaos-serve: the survivor never completed a hot reload");
-        return ExitCode::from(EXIT_CRASH);
-    }
-    if kill_daemon && client_stats.failovers == 0 {
-        eprintln!("stqc: chaos-serve: the daemon died but no client ever failed over");
-        return ExitCode::from(EXIT_CRASH);
-    }
-    if !clean_shutdowns {
-        eprintln!("stqc: chaos-serve: a surviving daemon did not exit cleanly");
-        return ExitCode::from(EXIT_CRASH);
-    }
-    ExitCode::SUCCESS
+    report.finish(
+        &campaign,
+        baseline,
+        out,
+        &summary,
+        &[
+            (
+                survivor_misses != 0,
+                format!(
+                    "the surviving daemon missed {survivor_misses} time(s); \
+                     the shared journal did not keep it warm"
+                ),
+            ),
+            (
+                follow_hits == 0,
+                "the survivor never adopted a peer journal entry".to_owned(),
+            ),
+            (
+                reloads == 0,
+                "the survivor never completed a hot reload".to_owned(),
+            ),
+            (
+                kill_daemon && failovers == 0,
+                "the daemon died but no client ever failed over".to_owned(),
+            ),
+            (
+                !clean_shutdowns,
+                "a surviving daemon did not exit cleanly".to_owned(),
+            ),
+        ],
+    )
 }
 
 #[cfg(not(unix))]

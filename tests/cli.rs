@@ -734,3 +734,33 @@ fn fuzz_text_mode_reports_case_boundary_interruption() {
     assert_eq!(code, Some(5), "{stdout}\n{stderr}");
     assert!(stderr.contains("case boundary"), "{stderr}");
 }
+
+#[test]
+fn misspelled_flags_are_usage_errors_naming_the_flag() {
+    let src = temp_file("typo.c", "int pos f(int pos x) { return x; }\n");
+    let path = src.to_str().unwrap();
+    for (args, flag) in [
+        (vec!["check", "--josn", path], "--josn"),
+        (vec!["prove", "--jsno", "pos"], "--jsno"),
+        (vec!["tables", "--jsn"], "--jsn"),
+        (vec!["show", "--bogus"], "--bogus"),
+    ] {
+        let (stdout, stderr, code) = stqc_code(&args);
+        assert_eq!(
+            code,
+            Some(2),
+            "{args:?} must be a usage error: {stdout}{stderr}"
+        );
+        assert!(
+            stderr.contains(flag),
+            "{args:?}: stderr must name {flag}: {stderr}"
+        );
+        assert!(
+            stdout.is_empty(),
+            "{args:?} printed a report anyway: {stdout}"
+        );
+    }
+    // The flags each subcommand does take still work.
+    let (_, _, code) = stqc_code(&["check", "--json", "--stats", "--keep-going", path]);
+    assert_eq!(code, Some(0));
+}

@@ -775,10 +775,17 @@ fn tcp_chaos_soak_heals_through_wire_faults() {
     let mut verdicts: Vec<String> = Vec::new();
     for i in 0..20 {
         let out = match i % 3 {
-            0 => client.call("prove", Some("{\"names\":[\"pos\"]}"), None),
+            0 => client.call(
+                "prove",
+                Some(&Json::parse(r#"{"names":["pos"]}"#).unwrap()),
+                None,
+            ),
             1 => client.call("stats", None, None),
-            _ => client
-                .call("check", Some("{\"source\":\"int pos x = 3;\"}"), None),
+            _ => client.call(
+                "check",
+                Some(&Json::parse(r#"{"source":"int pos x = 3;"}"#).unwrap()),
+                None,
+            ),
         }
         .unwrap_or_else(|e| panic!("soak call {i} failed: {e}"));
         assert_eq!(
@@ -1322,4 +1329,100 @@ fn socket_call_subcommand_round_trips() {
         Some(true)
     );
     daemon.shutdown();
+}
+
+/// `v` without its `*_ms` members, at any depth: the only fields two
+/// runs of the same work may disagree on.
+fn without_timings(v: &Json) -> Json {
+    match v {
+        Json::Obj(members) => Json::Obj(
+            members
+                .iter()
+                .filter(|(k, _)| !k.ends_with("_ms"))
+                .map(|(k, v)| (k.clone(), without_timings(v)))
+                .collect(),
+        ),
+        Json::Arr(items) => Json::Arr(items.iter().map(without_timings).collect()),
+        other => other.clone(),
+    }
+}
+
+/// The members of `doc` other than `drop`.
+fn without(doc: &Json, drop: &[&str]) -> Json {
+    let Json::Obj(members) = doc else {
+        panic!("not an object: {doc}")
+    };
+    Json::Obj(
+        members
+            .iter()
+            .filter(|(k, _)| !drop.contains(&k.as_str()))
+            .cloned()
+            .collect(),
+    )
+}
+
+fn stqc_json(args: &[&str]) -> Json {
+    let out = Command::new(env!("CARGO_BIN_EXE_stqc"))
+        .args(args)
+        .output()
+        .expect("stqc runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    Json::parse(stdout.trim()).unwrap_or_else(|e| panic!("{args:?}: {e}: {stdout}"))
+}
+
+#[test]
+fn check_json_is_the_daemon_check_result_plus_command_and_file() {
+    let source = "int pos f(int a) { int pos y = (int pos)(a * 2); return a; }\nint g(int *p) { return *p; }\n";
+    let path = std::env::temp_dir().join(format!("stqc-schema-{}.c", std::process::id()));
+    std::fs::write(&path, source).expect("source written");
+    let cli = stqc_json(&["check", "--json", path.to_str().unwrap()]);
+    let request = Json::obj([
+        ("id", Json::from(1u64)),
+        ("method", "check".into()),
+        ("params", Json::obj([("source", source.into())])),
+    ]);
+    let (responses, _) = serve_stdio(&[], &format!("{request}\n"));
+    let daemon = response_with_id(&responses, 1)
+        .get("result")
+        .expect("check result");
+    assert_eq!(cli.get("command").and_then(Json::as_str), Some("check"));
+    assert_eq!(cli.get("file").and_then(Json::as_str), path.to_str());
+    assert!(cli
+        .get("diagnostics")
+        .and_then(Json::as_array)
+        .is_some_and(|d| !d.is_empty()));
+    assert_eq!(&without(&cli, &["command", "file"]), daemon);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn prove_json_qualifiers_match_an_uncached_daemon_prove() {
+    for name in ["pos", "tainted", "unique"] {
+        let cli = stqc_json(&["prove", "--json", name]);
+        let params = Json::obj([("names", [name].into_iter().collect()), ("cache", false.into())]);
+        let request = Json::obj([
+            ("id", Json::from(1u64)),
+            ("method", "prove".into()),
+            ("params", params),
+        ]);
+        let (responses, _) = serve_stdio(&[], &format!("{request}\n"));
+        let daemon = response_with_id(&responses, 1)
+            .get("result")
+            .expect("prove result");
+        assert_eq!(
+            without_timings(cli.get("qualifiers").expect("cli qualifiers")),
+            without_timings(daemon.get("qualifiers").expect("daemon qualifiers")),
+            "{name}"
+        );
+        // One prove body: the command line adds only its invocation
+        // fields, and the daemon's uncached run totals the same work.
+        // (`cache` differs by design: null without `--cache-dir`, the
+        // daemon's resident counters otherwise.)
+        let lead = ["command", "budget", "retry", "jobs", "deadline_ms", "cache"];
+        assert_eq!(
+            without_timings(&without(&cli, &lead)),
+            without_timings(&without(daemon, &["cache"])),
+            "{name}"
+        );
+    }
 }

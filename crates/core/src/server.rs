@@ -7,8 +7,9 @@
 //! interner (process-global), the qualifier [`Session`], and a warm
 //! [`ProofCache`], and multiplexes many concurrent requests onto a
 //! bounded worker pool (`stq_util::serve::Scheduler`). The wire
-//! protocol — line-delimited JSON over a Unix socket, or stdin/stdout
-//! in `--stdio` mode — is documented end-to-end in `docs/serving.md`.
+//! protocol — line-delimited JSON over a Unix socket, TCP, or
+//! stdin/stdout in `--stdio` mode — is documented end-to-end in
+//! `docs/serving.md`.
 //!
 //! The concurrency/robustness contract, in brief:
 //!
@@ -36,19 +37,14 @@
 //!   so an idle connection costs a buffer and a table entry, not a
 //!   thread, and the thread count is `1 + workers` regardless of how
 //!   many clients are attached. Only `--stdio` keeps a blocking reader.
-//! * **Single-flight dedup.** Identical concurrent `prove` requests
-//!   coalesce: the first becomes the *leader* and runs the solver; the
-//!   rest become *waiters* that consume no worker slot and receive a
-//!   byte-identical copy of the leader's answer under their own request
-//!   id (`dedup_hits` in `stats` counts the answers fanned out without a
-//!   solver run). A leader that disconnects or is interrupted hands the
-//!   flight to the first surviving waiter, which re-runs.
 //! * **Hot reload.** The `reload` method (and the `--watch-libs`
 //!   poller) re-parses the qualifier libraries the daemon was started
-//!   with through the same transactional clone-validate-swap as
+//!   with through the same transactional build-validate-swap as
 //!   `define_qualifiers`: in-flight requests answer under the old
 //!   registry, the define epoch bumps on swap, and a broken library
-//!   rolls back without touching the resident session.
+//!   rolls back without touching the resident session. The session is
+//!   an `Arc` swapped under a lock held only for the swap, so a pending
+//!   swap never stalls the reactor's inline `stats`.
 //! * **Shared warm cache.** Several daemons may point at one
 //!   `--cache-dir`: journal appends are flock-serialized, and each
 //!   daemon *follows* the journal tail on a cache miss, adopting proofs
@@ -57,7 +53,6 @@
 //!   `docs/robustness.md`.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -104,10 +99,6 @@ pub struct ServeConfig {
     pub budget: Budget,
     /// Base retry ladder for `ResourceOut` obligations.
     pub retry: RetryPolicy,
-    /// Default obligation-level parallelism *within* one prove request
-    /// (requests multiplex across workers already, so this defaults to
-    /// sequential; a lone heavy request can raise it per call).
-    pub prove_jobs: usize,
     /// Close a connection whose reader has been idle this long with no
     /// requests in flight; `None` keeps connections open forever.
     pub idle_timeout: Option<Duration>,
@@ -137,7 +128,6 @@ impl Default for ServeConfig {
             cache_dir: None,
             budget: Budget::default(),
             retry: RetryPolicy::none(),
-            prove_jobs: 1,
             idle_timeout: None,
             max_line_bytes: 1 << 20,
             netfault: None,
@@ -176,10 +166,6 @@ pub struct ServeStats {
     oversized: AtomicU64,
     bad_utf8: AtomicU64,
     idle_closed: AtomicU64,
-    /// Answers fanned out from a single-flight leader's solver run to
-    /// coalesced duplicate requests (N identical concurrent proves cost
-    /// one run and N−1 dedup hits).
-    dedup_hits: AtomicU64,
     /// Currently-open connections (gauge, not a counter) — maintained by
     /// the reactor and by the `--stdio` path alike, so tests
     /// can assert teardown releases resources promptly.
@@ -213,7 +199,6 @@ impl ServeStats {
             oversized: AtomicU64::new(0),
             bad_utf8: AtomicU64::new(0),
             idle_closed: AtomicU64::new(0),
-            dedup_hits: AtomicU64::new(0),
             open_connections: AtomicU64::new(0),
             reactor_polls: AtomicU64::new(0),
             reactor_wakeups: AtomicU64::new(0),
@@ -328,48 +313,6 @@ fn lock_socket(socket: &std::path::Path) -> io::Result<FileLock> {
         ),
         _ => e,
     })
-}
-
-/// One registered requester in a single-flight [`Flight`]: who to answer
-/// (`conn` + echoed `id`) and the deadline it asked for (applied only if
-/// this waiter is ever promoted to leader).
-struct Waiter {
-    conn: Arc<Conn>,
-    id: Json,
-    deadline_ms: Option<u64>,
-}
-
-/// One in-flight deduplicated `prove`: the parameters (identical for
-/// every member, by key construction) and the ordered member list —
-/// `waiters[0]` is the current leader. Pushes happen only while holding
-/// the server's flight-table lock, so removing a flight from the table
-/// is a linearization point after which no new member can join.
-struct Flight {
-    params: Json,
-    waiters: Mutex<Vec<Waiter>>,
-}
-
-/// 128-bit FNV-1a — the same construction `stq-logic`'s obligation
-/// fingerprints use; the digest is wrapped in [`stq_logic::Fingerprint`]
-/// to key the flight table.
-fn fnv128(bytes: &[u8]) -> u128 {
-    const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-    let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= u128::from(b);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
-}
-
-/// A `prove` handler result: the result document plus whether the run
-/// was interrupted (deadline/cancel). The flag drives single-flight
-/// leader handoff — interrupted partials are leader-specific and never
-/// fanned out to waiters.
-struct ProveOutput {
-    result: Json,
-    interrupted: bool,
 }
 
 /// How long a worker will wait for a stalled peer to drain its socket
@@ -526,28 +469,29 @@ impl Framer {
 }
 
 /// The resident checking server. Construct once, share behind an
-/// [`Arc`], and drive with [`Server::run_unix`], [`Server::run_tcp`] or
-/// [`Server::run_stdio`].
+/// [`Arc`], and drive with [`Server::run_unix`], [`Server::run_multi`]
+/// or [`Server::run_stdio`].
 pub struct Server {
-    session: RwLock<Session>,
+    /// The resident registry. Readers clone the `Arc` and release the
+    /// lock at once; writers build a new session on the side and hold
+    /// the write lock only to swap it in. No lock holder ever waits on
+    /// a running request, so neither does the reactor's inline `stats`.
+    session: RwLock<Arc<Session>>,
     cache: ProofCache,
     sched: Scheduler,
     stats: ServeStats,
     cancel: CancelToken,
     stopping: AtomicBool,
     netfault: Option<Arc<NetFaultInjector>>,
-    /// Single-flight table: fingerprint of a resolved `prove` request →
-    /// the flight currently running it. All member pushes happen under
-    /// this lock (see [`Flight`]).
-    flights: Mutex<HashMap<stq_logic::Fingerprint, Arc<Flight>>>,
-    /// Bumped on every successful `define_qualifiers`, and mixed into
-    /// every flight key: a prove after a (re)definition never coalesces
-    /// with one from before it.
+    /// Bumped on every registry swap (`define_qualifiers` or a reload),
+    /// so clients can tell which registry answered.
     define_epoch: AtomicU64,
-    /// Serializes every reload's read-build-swap (the `reload` method
-    /// and the `--watch-libs` poller alike), so a reload that read the
-    /// libraries earlier can never swap over a later, acknowledged one.
-    reload_lock: Mutex<()>,
+    /// Serializes every registry writer's read-build-swap
+    /// (`define_qualifiers`, the `reload` method and the `--watch-libs`
+    /// poller alike): a define never drops a concurrent one's
+    /// qualifiers, and a reload that read the libraries earlier can
+    /// never swap over a later, acknowledged one.
+    swap_lock: Mutex<()>,
     cfg: ServeConfig,
 }
 
@@ -569,16 +513,15 @@ impl Server {
             .filter(|plan| !plan.is_empty())
             .map(|plan| Arc::new(NetFaultInjector::new(plan)));
         Ok(Server {
-            session: RwLock::new(session),
+            session: RwLock::new(Arc::new(session)),
             cache,
             sched: Scheduler::new(cfg.jobs, cfg.max_queue),
             stats: ServeStats::new(),
             cancel,
             stopping: AtomicBool::new(false),
             netfault,
-            flights: Mutex::new(HashMap::new()),
             define_epoch: AtomicU64::new(0),
-            reload_lock: Mutex::new(()),
+            swap_lock: Mutex::new(()),
             cfg,
         })
     }
@@ -595,6 +538,18 @@ impl Server {
             Some(injector) => Box::new(ChaosWriter::new(writer, Arc::clone(injector), severer)),
             None => writer,
         }
+    }
+
+    /// The current registry, for the duration of one request.
+    fn session(&self) -> Arc<Session> {
+        Arc::clone(&self.session.read().unwrap_or_else(|e| e.into_inner()))
+    }
+
+    /// Installs `next` as the registry and bumps the epoch, returning
+    /// the new epoch. Callers hold `swap_lock`.
+    fn swap_session(&self, next: Session) -> u64 {
+        *self.session.write().unwrap_or_else(|e| e.into_inner()) = Arc::new(next);
+        self.define_epoch.fetch_add(1, Ordering::AcqRel) + 1
     }
 
     /// True once a shutdown request or an external cancel arrived.
@@ -659,17 +614,10 @@ impl Server {
         self.run_multi(Some(socket_path), None)
     }
 
-    /// Serves the same wire protocol over TCP. The caller binds the
-    /// listener (so it can learn the kernel-assigned port when binding
-    /// `:0`) and hands it over.
-    #[cfg(unix)]
-    pub fn run_tcp(self: &Arc<Server>, listener: std::net::TcpListener) -> io::Result<ShutdownKind> {
-        self.run_multi(None, Some(listener))
-    }
-
-    /// The reactor-driven serving loop behind [`run_unix`](Self::run_unix)
-    /// and [`run_tcp`](Self::run_tcp): one thread multiplexes *both*
-    /// listeners and every accepted connection through `poll(2)`
+    /// The reactor-driven serving loop behind [`run_unix`](Self::run_unix):
+    /// one thread multiplexes a Unix socket, a TCP listener (bound by the
+    /// caller, so it can learn the kernel-assigned port of `:0`), or
+    /// both, and every accepted connection through `poll(2)`
     /// (`stq_util::reactor`), handing parsed requests to the worker
     /// pool. Thread count is `1 + cfg.jobs`, independent of client
     /// count; an idle daemon blocks in the kernel with no timer churn
@@ -1027,7 +975,7 @@ impl Server {
                 conn.send(&ok_response(&id, self.health_result()));
                 false
             }
-            "define_qualifiers" | "check" => {
+            "define_qualifiers" | "check" | "prove" => {
                 self.enqueue(conn, id, method.to_owned(), params, deadline_ms);
                 false
             }
@@ -1037,12 +985,6 @@ impl Server {
             "reload" => {
                 self.stats.reload.fetch_add(1, Ordering::Relaxed);
                 self.enqueue(conn, id, method.to_owned(), params, deadline_ms);
-                false
-            }
-            // `prove` goes through the single-flight table so identical
-            // concurrent requests run the solver once.
-            "prove" => {
-                self.enqueue_prove(conn, id, params, deadline_ms);
                 false
             }
             other => {
@@ -1113,240 +1055,6 @@ impl Server {
         }
     }
 
-    /// The fingerprint under which a `prove` request deduplicates:
-    /// FNV-1a over its *resolved* parameters (names in order, budget and
-    /// retry overrides, jobs, cache flag, requested deadline) plus the
-    /// define epoch. `None` when any parameter fails validation — such
-    /// requests take the plain queue and get their structured error
-    /// from the worker.
-    fn prove_key(&self, params: &Json, deadline_ms: Option<u64>) -> Option<stq_logic::Fingerprint> {
-        let mut canon = String::new();
-        match params.get("names") {
-            None | Some(Json::Null) => canon.push_str("names=all;"),
-            Some(Json::Arr(items)) => {
-                canon.push_str("names=");
-                for item in items {
-                    canon.push_str(item.as_str()?);
-                    canon.push('\x1f');
-                }
-                canon.push(';');
-            }
-            Some(_) => return None,
-        }
-        let over = budget_override(params.get("budget")).ok()?;
-        let _ = write!(
-            canon,
-            "budget={:?},{:?},{:?},{:?},{:?};",
-            over.max_rounds, over.max_instantiations, over.max_clauses, over.max_decisions,
-            over.timeout,
-        );
-        let retry = retry_override(self.cfg.retry, params.get("retry")).ok()?;
-        let _ = write!(canon, "retry={},{};", retry.max_attempts, retry.factor);
-        let jobs = match params.get("jobs") {
-            None | Some(Json::Null) => self.cfg.prove_jobs,
-            Some(v) => v.as_u64().filter(|n| *n >= 1)?.min(256) as usize,
-        };
-        let use_cache = match params.get("cache") {
-            None | Some(Json::Null) => true,
-            Some(v) => v.as_bool()?,
-        };
-        let _ = write!(
-            canon,
-            "jobs={jobs};cache={use_cache};deadline={deadline_ms:?};epoch={};",
-            self.define_epoch.load(Ordering::Acquire),
-        );
-        Some(stq_logic::Fingerprint(fnv128(canon.as_bytes())))
-    }
-
-    /// Single-flight admission for `prove`: join an identical in-flight
-    /// request as a waiter (no worker slot), or lead a fresh flight.
-    fn enqueue_prove(
-        self: &Arc<Server>,
-        conn: &Arc<Conn>,
-        id: Json,
-        params: Json,
-        deadline_ms: Option<u64>,
-    ) {
-        let Some(key) = self.prove_key(&params, deadline_ms) else {
-            // Unparseable parameters never coalesce; the plain queue's
-            // worker renders the structured error.
-            self.enqueue(conn, id, "prove".to_owned(), params, deadline_ms);
-            return;
-        };
-        if self.stopping() {
-            self.respond_err(conn, &id, "shutting-down", "the server is draining");
-            return;
-        }
-        // The fairness gate counts waiters too: a waiter is a
-        // submitted-but-unfinished request even though it occupies no
-        // worker slot.
-        if self.cfg.max_inflight > 0
-            && conn.inflight.load(Ordering::Acquire) >= self.cfg.max_inflight as u64
-        {
-            self.stats.shed.fetch_add(1, Ordering::Relaxed);
-            self.respond_err(
-                conn,
-                &id,
-                "overloaded",
-                &format!(
-                    "this connection already has {} request(s) in flight (limit {})",
-                    conn.inflight.load(Ordering::Relaxed),
-                    self.cfg.max_inflight
-                ),
-            );
-            return;
-        }
-        let leads = {
-            let mut flights = self.flights.lock().unwrap_or_else(|e| e.into_inner());
-            conn.inflight.fetch_add(1, Ordering::AcqRel);
-            self.stats.inflight.fetch_add(1, Ordering::AcqRel);
-            match flights.get(&key) {
-                Some(flight) => {
-                    // Joining is only legal under the table lock — see
-                    // `Flight` for the linearization argument.
-                    let mut waiters = flight.waiters.lock().unwrap_or_else(|e| e.into_inner());
-                    waiters.push(Waiter { conn: Arc::clone(conn), id, deadline_ms });
-                    false
-                }
-                None => {
-                    let waiter = Waiter { conn: Arc::clone(conn), id: id.clone(), deadline_ms };
-                    flights
-                        .insert(key, Arc::new(Flight { params, waiters: Mutex::new(vec![waiter]) }));
-                    true
-                }
-            }
-        };
-        if !leads {
-            return;
-        }
-        let server = Arc::clone(self);
-        if let Err(rejected) = self.sched.submit(Box::new(move || server.run_flight(key))) {
-            // Could not place the leader: dissolve the flight and shed
-            // every member that managed to join in the meantime.
-            let flight = {
-                let mut flights = self.flights.lock().unwrap_or_else(|e| e.into_inner());
-                flights.remove(&key)
-            };
-            let (code, message) = match rejected {
-                Rejected::Overloaded => {
-                    self.stats.shed.fetch_add(1, Ordering::Relaxed);
-                    ("overloaded", "the server's request queue is full")
-                }
-                Rejected::Closed => ("shutting-down", "the server is draining"),
-            };
-            if let Some(flight) = flight {
-                let members: Vec<Waiter> = {
-                    let mut waiters = flight.waiters.lock().unwrap_or_else(|e| e.into_inner());
-                    waiters.drain(..).collect()
-                };
-                for w in members {
-                    self.respond_err(&w.conn, &w.id, code, message);
-                    self.finish_member(&w.conn);
-                }
-            }
-        }
-    }
-
-    /// Worker-side single-flight driver: run the solve as the current
-    /// leader, fan a conclusive answer out to every member, and hand off
-    /// (re-running) when a leader is interrupted or gone.
-    fn run_flight(self: &Arc<Server>, key: stq_logic::Fingerprint) {
-        loop {
-            let flight = {
-                let flights = self.flights.lock().unwrap_or_else(|e| e.into_inner());
-                match flights.get(&key) {
-                    Some(f) => Arc::clone(f),
-                    None => return,
-                }
-            };
-            // Current leader = first member whose client still exists;
-            // members that vanished while queued are retired here.
-            let leader = {
-                let mut waiters = flight.waiters.lock().unwrap_or_else(|e| e.into_inner());
-                waiters.retain(|w| {
-                    if w.conn.alive() {
-                        true
-                    } else {
-                        self.stats.cancelled.fetch_add(1, Ordering::Relaxed);
-                        self.finish_member(&w.conn);
-                        false
-                    }
-                });
-                waiters.first().map(|w| (Arc::clone(&w.conn), w.id.clone(), w.deadline_ms))
-            };
-            let Some((conn, id, deadline_ms)) = leader else {
-                let mut flights = self.flights.lock().unwrap_or_else(|e| e.into_inner());
-                flights.remove(&key);
-                return;
-            };
-            let token = match deadline_ms {
-                Some(ms) => conn.token.child_with_deadline_in(Duration::from_millis(ms)),
-                None => conn.token.child(),
-            };
-            let outcome = self.do_prove(&flight.params, &token);
-            match outcome {
-                Ok(partial) if partial.interrupted => {
-                    // An interrupted partial is an artifact of *this
-                    // leader's* deadline or disconnect — answer it alone
-                    // and promote the next surviving member, which
-                    // re-runs the solve under its own token.
-                    if conn.alive() {
-                        conn.send(&ok_response(&id, partial.result));
-                    } else {
-                        self.stats.cancelled.fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.finish_member(&conn);
-                    let mut waiters = flight.waiters.lock().unwrap_or_else(|e| e.into_inner());
-                    if !waiters.is_empty() {
-                        waiters.remove(0);
-                    }
-                }
-                conclusive => {
-                    // Conclusive verdict or deterministic error: remove
-                    // the flight first (after this no new member can
-                    // join — joins require the table entry), then fan
-                    // the byte-identical payload out under each
-                    // member's own id.
-                    let flight = {
-                        let mut flights = self.flights.lock().unwrap_or_else(|e| e.into_inner());
-                        flights.remove(&key)
-                    };
-                    let members: Vec<Waiter> = match &flight {
-                        Some(f) => {
-                            let mut waiters =
-                                f.waiters.lock().unwrap_or_else(|e| e.into_inner());
-                            waiters.drain(..).collect()
-                        }
-                        None => Vec::new(),
-                    };
-                    for (idx, w) in members.iter().enumerate() {
-                        if w.conn.alive() {
-                            match &conclusive {
-                                Ok(out) => w.conn.send(&ok_response(&w.id, out.result.clone())),
-                                Err((code, message)) => {
-                                    self.respond_err(&w.conn, &w.id, code, message);
-                                }
-                            }
-                            if idx > 0 {
-                                self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                            }
-                        } else {
-                            self.stats.cancelled.fetch_add(1, Ordering::Relaxed);
-                        }
-                        self.finish_member(&w.conn);
-                    }
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Releases one flight member's in-flight accounting.
-    fn finish_member(&self, conn: &Conn) {
-        conn.inflight.fetch_sub(1, Ordering::AcqRel);
-        self.stats.inflight.fetch_sub(1, Ordering::AcqRel);
-    }
-
     /// Runs one request on a worker thread.
     fn execute(
         self: &Arc<Server>,
@@ -1370,9 +1078,7 @@ impl Server {
             "define_qualifiers" => self.do_define(params),
             "check" => self.do_check(params),
             "reload" => self.do_reload(),
-            // Only reachable for proves that failed key resolution (the
-            // deduplicated path is `run_flight`).
-            "prove" => self.do_prove(params, &token).map(|p| p.result),
+            "prove" => self.do_prove(params, &token),
             _ => Err(("invalid", format!("method `{method}` is not a worker method"))),
         };
         match outcome {
@@ -1389,15 +1095,16 @@ impl Server {
     // ----- method handlers -----
 
     /// `define_qualifiers {source}`: transactional — the new
-    /// definitions land all-or-nothing, so a bad batch cannot leave the
+    /// definitions are added to a copy of the registry, checked, and
+    /// swapped in all-or-nothing, so a bad batch cannot leave the
     /// resident registry half-updated for other requests.
     fn do_define(&self, params: &Json) -> Result<Json, ServeError> {
         let Some(source) = params.get("source").and_then(Json::as_str) else {
             return Err(("invalid", "define_qualifiers needs a string `source`".into()));
         };
         self.stats.define.fetch_add(1, Ordering::Relaxed);
-        let mut guard = self.session.write().unwrap_or_else(|e| e.into_inner());
-        let mut next = guard.clone();
+        let _serial = self.swap_lock.lock().unwrap_or_else(|e| e.into_inner());
+        let mut next = Session::clone(&self.session());
         let names = next
             .define_qualifiers(source)
             .map_err(|e| ("input", e.to_string()))?;
@@ -1405,10 +1112,7 @@ impl Server {
         if wf.has_errors() {
             return Err(("input", format!("ill-formed qualifier definitions:\n{wf}")));
         }
-        *guard = next;
-        // Invalidate every single-flight key: proves after this
-        // definition must not coalesce with proves from before it.
-        self.define_epoch.fetch_add(1, Ordering::AcqRel);
+        self.swap_session(next);
         Ok(Json::obj([(
             "defined",
             names.iter().map(ToString::to_string).collect(),
@@ -1419,15 +1123,14 @@ impl Server {
     /// started with (`--quals`, [`ServeConfig::qual_files`]) through the
     /// same transactional discipline as `define_qualifiers`. The fresh
     /// session — builtins plus every library, in load order — is built
-    /// and validated *without* the session write lock, so in-flight
-    /// requests keep answering under the old registry; the swap itself
-    /// is a brief exclusive section, followed by a define-epoch bump so
-    /// no prove coalesces across the swap. Any failure (unreadable
-    /// file, parse error, ill-formed definitions) rolls back: the
-    /// resident registry is untouched, `reload_failures` ticks, and the
-    /// client gets a structured `input` error.
+    /// and validated on the side, so in-flight requests keep answering
+    /// under the old registry; the swap bumps the define epoch. Any
+    /// failure (unreadable file, parse error, ill-formed definitions)
+    /// rolls back: the resident registry is untouched,
+    /// `reload_failures` ticks, and the client gets a structured
+    /// `input` error.
     ///
-    /// Reloads are serialized end to end by `reload_lock`: each reads
+    /// Reloads are serialized end to end by `swap_lock`: each reads
     /// the files, builds, and swaps before the next one starts, so
     /// concurrent reloads apply in the order they take the lock and the
     /// registry always ends on the newest files any of them read.
@@ -1436,7 +1139,7 @@ impl Server {
     /// qualifiers added dynamically via `define_qualifiers` since
     /// startup are dropped by a reload (they are not in any library).
     fn do_reload(&self) -> Result<Json, ServeError> {
-        let _serial = self.reload_lock.lock().unwrap_or_else(|e| e.into_inner());
+        let _serial = self.swap_lock.lock().unwrap_or_else(|e| e.into_inner());
         let built = (|| -> Result<(Session, Vec<String>), String> {
             let mut next = Session::with_builtins();
             let mut files = Vec::new();
@@ -1456,17 +1159,13 @@ impl Server {
         match built {
             Ok((next, files)) => {
                 let qualifiers = next.registry().iter().count();
-                {
-                    let mut guard = self.session.write().unwrap_or_else(|e| e.into_inner());
-                    *guard = next;
-                }
-                self.define_epoch.fetch_add(1, Ordering::AcqRel);
+                let epoch = self.swap_session(next);
                 self.stats.reloads.fetch_add(1, Ordering::Relaxed);
                 Ok(Json::obj([
                     ("reloaded", true.into()),
                     ("files", files.into_iter().collect()),
                     ("qualifiers", qualifiers.into()),
-                    ("epoch", self.define_epoch.load(Ordering::Acquire).into()),
+                    ("epoch", epoch.into()),
                 ]))
             }
             Err(message) => {
@@ -1527,7 +1226,7 @@ impl Server {
                 .ok_or(("invalid", "`flow_sensitive` must be a boolean".to_owned()))?,
         };
         self.stats.check.fetch_add(1, Ordering::Relaxed);
-        let session = self.session.read().unwrap_or_else(|e| e.into_inner());
+        let session = self.session();
         let (program, syntax_errors) = session.parse_resilient(source);
         let result = session.check_with(
             &program,
@@ -1539,10 +1238,10 @@ impl Server {
     /// `prove {names?, budget?, retry?, jobs?, cache?}` under the
     /// request token. Interrupted runs (deadline, disconnect, SIGINT)
     /// return a *partial* report with `"interrupted":true`; conclusive
-    /// verdicts reached before the stop are kept and cached. The
-    /// returned [`ProveOutput`] carries the interrupted flag alongside
-    /// the payload so single-flight leaders know whether to fan out.
-    fn do_prove(&self, params: &Json, token: &CancelToken) -> Result<ProveOutput, ServeError> {
+    /// verdicts reached before the stop are kept and cached. `jobs`
+    /// (obligation-level parallelism within the request) defaults to 1:
+    /// requests already multiplex across the workers.
+    fn do_prove(&self, params: &Json, token: &CancelToken) -> Result<Json, ServeError> {
         let names: Option<Vec<&str>> = match params.get("names") {
             None | Some(Json::Null) => None,
             Some(Json::Arr(items)) => {
@@ -1565,7 +1264,7 @@ impl Server {
         let budget = self.cfg.budget.overridden(budget_override(params.get("budget"))?);
         let retry = retry_override(self.cfg.retry, params.get("retry"))?;
         let jobs = match params.get("jobs") {
-            None | Some(Json::Null) => self.cfg.prove_jobs,
+            None | Some(Json::Null) => 1,
             Some(v) => v
                 .as_u64()
                 .filter(|n| *n >= 1)
@@ -1580,14 +1279,13 @@ impl Server {
         };
         self.stats.prove.fetch_add(1, Ordering::Relaxed);
         let cache = use_cache.then_some(&self.cache);
-        let session = self.session.read().unwrap_or_else(|e| e.into_inner());
+        let session = self.session();
         let report: SoundnessReport = match &names {
             Some(ns) => session
                 .prove_named_cancellable(ns, budget, retry, jobs, cache, token)
                 .map_err(|e| ("input", e))?,
             None => session.prove_all_sound_cancellable(budget, retry, jobs, cache, token),
         };
-        drop(session);
         if report.interrupted() {
             self.stats.interrupted.fetch_add(1, Ordering::Relaxed);
         }
@@ -1598,23 +1296,13 @@ impl Server {
         if self.cfg.cache_dir.is_some() {
             let _ = self.cache.persist();
         }
-        let result = prove_json(&report, cache_json(&self.cache));
-        Ok(ProveOutput {
-            result,
-            interrupted: report.interrupted(),
-        })
+        Ok(prove_json(&report, cache_json(&self.cache)))
     }
 
     fn stats_result(&self) -> Json {
         let s = &self.stats;
         let count = |c: &AtomicU64| Json::from(c.load(Ordering::Relaxed));
-        let qualifiers = self
-            .session
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .registry()
-            .iter()
-            .count();
+        let qualifiers = self.session().registry().iter().count();
         let methods = [
             ("define_qualifiers", &s.define),
             ("check", &s.check),
@@ -1655,7 +1343,6 @@ impl Server {
             ("oversized", count(&s.oversized)),
             ("bad_utf8", count(&s.bad_utf8)),
             ("idle_closed", count(&s.idle_closed)),
-            ("dedup_hits", count(&s.dedup_hits)),
             (
                 "reactor",
                 Json::obj([
@@ -1914,6 +1601,36 @@ mod tests {
         );
 
         daemon.stop();
+    }
+
+    #[test]
+    fn concurrent_defines_all_land() {
+        // Each define extends a copy of the registry and swaps it in;
+        // the swap lock keeps one define from swapping over a copy
+        // that another took before it.
+        let (server, _cancel) = spawn_server(ServeConfig::default());
+        let defines: Vec<_> = (0..8)
+            .map(|i| {
+                let server = Arc::clone(&server);
+                std::thread::spawn(move || {
+                    let source = format!(
+                        "value qualifier gt{i}(int Expr E) case E of decl int Const C: C, \
+                         where C > {i} invariant value(E) > {i}"
+                    );
+                    let params = Json::obj([("source", source.into())]);
+                    server.do_define(&params).expect("a good definition");
+                })
+            })
+            .collect();
+        for define in defines {
+            define.join().expect("define thread");
+        }
+        let session = server.session();
+        for i in 0..8 {
+            let name = format!("gt{i}");
+            assert!(session.registry().names().contains(&name.as_str()), "{name} was lost");
+        }
+        assert_eq!(server.define_epoch.load(Ordering::Acquire), 8);
     }
 
     const GOOD_LIB: &str = "value qualifier nonneg(int Expr E)\n\

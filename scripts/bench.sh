@@ -7,20 +7,14 @@
 # deadline armed — asserted <5% by the bench itself; the cold-path
 # speedup is asserted ≥3x. Also emits BENCH_prover_ablation.json: the
 # cold run timed under each combination of the two SolverTuning axes
-# (shared theory preprocessing, hash-consed leaf checks). Also emits BENCH_serve.json: the warm
-# `stqc serve` daemon's requests/sec and latency percentiles over BOTH
-# transports (Unix socket and TCP, one dual-listener daemon) against
-# the one-shot process baseline, asserted ≥5x (and zero warm cache
-# misses) by `stqc bench-serve` itself — with 64 held-open idle
-# connections throughout, a concurrent-duplicate burst that must
-# coalesce (dedup_hits > 0, byte-identical fan-out), and daemon
-# verdicts asserted identical to one-shot runs. Also emits BENCH_chaos.json:
-# the high-availability drill — two daemon processes sharing one
-# proof-cache journal, one SIGKILLed mid-campaign — asserted by
-# `stqc chaos-serve` itself to keep the exactly-once / baseline-identical
-# invariants with the survivor serving the dead daemon's proofs warm via
-# journal follow (plus a hot reload). The single-daemon wire-fault +
-# worker-SIGKILL soak still runs first as a gate. See
+# (shared theory preprocessing, hash-consed leaf checks). Also emits
+# BENCH_chaos.json: the high-availability drill — two daemon processes
+# sharing one proof-cache journal, one SIGKILLed mid-campaign — asserted
+# by `stqc chaos-serve` itself to keep the exactly-once /
+# baseline-identical invariants with the survivor serving the dead
+# daemon's proofs warm via journal follow (plus a hot reload). The
+# single-daemon wire-fault + worker-SIGKILL soak still runs first as a
+# gate. See
 # docs/performance.md, docs/robustness.md, and docs/telemetry.md for the
 # numbers and schemas.
 set -euo pipefail
@@ -50,16 +44,8 @@ fi
 echo "==> BENCH_prover_ablation.json"
 cat BENCH_prover_ablation.json
 
-echo "==> stqc bench-serve (warm daemon, Unix + TCP, vs one-shot baseline)"
+echo "==> cargo build --release"
 cargo build --release
-./target/release/stqc bench-serve --out BENCH_serve.json
-
-if [[ ! -f BENCH_serve.json ]]; then
-    echo "bench.sh: BENCH_serve.json was not produced" >&2
-    exit 1
-fi
-echo "==> BENCH_serve.json"
-cat BENCH_serve.json
 
 echo "==> stqc chaos-serve (seeded soak + worker SIGKILL drill, gate only)"
 worker_drill="$(mktemp /tmp/stqc-bench-chaos-worker-XXXXXX.json)"

@@ -95,36 +95,6 @@ tcp_addr="$(cat "$addr_file")"
 ./target/release/stqc call --tcp "$tcp_addr" check \
     '{"source":"int pos x = 3;"}' >/dev/null
 
-echo "==> stqc dedup smoke (identical concurrent proves coalesce into one flight)"
-# A pipelined burst on one raw TCP connection: a filler prove occupies
-# the single worker, then three identical cache-off proves must join
-# one single-flight run (dedup_hits:2 in stats afterwards). The burst
-# must leave in ONE write(2) — bash printf flushes line by line, and a
-# straggler segment can arrive after the first duplicate's flight
-# already completed — so it goes through a file and a single cat.
-burst_file="/tmp/stqc-smoke-burst-$$.jsonl"
-trap 'rm -f "$smoke_src" "$serve_sock" "$addr_file" "$burst_file"; rm -rf "$cache_dir"; kill "$serve_pid" "$tcp_pid" 2>/dev/null || true' EXIT
-cat > "$burst_file" << 'EOF'
-{"id":0,"method":"prove","params":{"names":["pos"],"cache":false}}
-{"id":1,"method":"prove","params":{"cache":false}}
-{"id":2,"method":"prove","params":{"cache":false}}
-{"id":3,"method":"prove","params":{"cache":false}}
-EOF
-tcp_host="${tcp_addr%:*}"
-tcp_port="${tcp_addr##*:}"
-exec 3<>"/dev/tcp/${tcp_host}/${tcp_port}"
-cat "$burst_file" >&3
-for _ in 1 2 3 4; do
-    read -r _ <&3
-done
-exec 3<&- 3>&-
-dedup_stats="$(./target/release/stqc call --tcp "$tcp_addr" stats)"
-if ! grep -q '"dedup_hits":2' <<< "$dedup_stats"; then
-    echo "expected a 3-burst of identical proves to record dedup_hits:2:" >&2
-    echo "$dedup_stats" >&2
-    exit 1
-fi
-
 ./target/release/stqc call --tcp "$tcp_addr" shutdown >/dev/null
 tcp_rc=0
 wait "$tcp_pid" || tcp_rc=$?

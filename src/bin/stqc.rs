@@ -22,9 +22,6 @@
 //!           [--deadline-ms N] [--connect-timeout-ms N]
 //!           [--call-deadline-ms N] [--retries N] [--json] METHOD [PARAMS]
 //!                                        one request to a serve daemon
-//! stqc bench-serve [--clients N] [--requests N] [--oneshot N]
-//!           [--idle-conns N] [--jobs N] [--out FILE]
-//!                                        daemon vs one-shot benchmark
 //! stqc chaos-serve [--seed N] [--count N] [--clients N] [--kill-worker]
 //!           [--daemons N] [--kill-daemon]
 //!           [--out FILE]                 chaos soak against a faulted daemon
@@ -93,7 +90,7 @@ use stq_core::{
 use stq_util::json::Json;
 
 const USAGE: &str =
-    "usage: stqc <prove|check|run|infer|tables|show|fuzz|serve|call|bench-serve|chaos-serve> \
+    "usage: stqc <prove|check|run|infer|tables|show|fuzz|serve|call|chaos-serve> \
      [options]\n\
      run `stqc --help` for the full command and flag reference";
 
@@ -114,7 +111,6 @@ subcommands:
   stqc fuzz                 differential fuzzing across three oracles
   stqc serve                long-running checking daemon (socket or stdio)
   stqc call METHOD [PARAMS] send one request to a running serve daemon
-  stqc bench-serve          benchmark warm daemon vs one-shot processes
   stqc chaos-serve          chaos soak: faulted daemon vs fault-free baseline
 
 qualifier and report flags (prove, check, run, infer, show, serve):
@@ -154,7 +150,7 @@ fuzzing flags (fuzz; see docs/testing.md):
   --max-depth N             expression depth bound for generated programs
   --replay DIR              replay every .c witness under DIR
 
-serving flags (serve, call, bench-serve; see docs/serving.md):
+serving flags (serve, call; see docs/serving.md):
   --socket PATH             Unix socket to serve on / connect to
   --tcp HOST:PORT           TCP address to serve on / connect to (serve may
                             combine --socket and --tcp; port 0 picks a free
@@ -182,13 +178,8 @@ serving flags (serve, call, bench-serve; see docs/serving.md):
   --call-deadline-ms N      client-side budget for the whole call, covering
                             every retry (call; omitted = wait indefinitely)
   --retries N               re-attempts after retryable failures (call)
-  --clients N               concurrent clients (bench-serve, chaos-serve)
-  --requests N              requests per bench client (bench-serve)
-  --oneshot N               one-shot baseline process count (bench-serve)
-  --idle-conns N            open, silent connections held through the
-                            measured phase (bench-serve; default 64)
-  --out FILE                benchmark report path (default BENCH_serve.json;
-                            chaos-serve: BENCH_chaos.json)
+  --clients N               concurrent clients (chaos-serve)
+  --out FILE                report path (chaos-serve; default BENCH_chaos.json)
 
 wire-fault flags (serve, chaos-serve; see docs/robustness.md):
   --net-fault-seed N        arm deterministic response-path wire faults
@@ -223,7 +214,6 @@ fn main() -> ExitCode {
         Some("fuzz") => fuzz(&args[1..]),
         Some("serve") => serve(&args[1..]),
         Some("call") => call(&args[1..]),
-        Some("bench-serve") => bench_serve(&args[1..]),
         Some("chaos-serve") => chaos_serve(&args[1..]),
         Some("--help") | Some("-h") => {
             println!("{HELP}");
@@ -1385,7 +1375,6 @@ fn serve(args: &[String]) -> ExitCode {
         cache_dir: cache_dir.map(std::path::PathBuf::from),
         budget,
         retry,
-        prove_jobs: 1,
         idle_timeout: match serve_args.idle_timeout_ms {
             0 => None,
             ms => Some(Duration::from_millis(ms)),
@@ -1725,494 +1714,6 @@ fn call(args: &[String]) -> ExitCode {
 #[cfg(not(unix))]
 fn call(_args: &[String]) -> ExitCode {
     fail(usage_err("call requires unix sockets"))
-}
-
-/// `stqc bench-serve`: measures warm-daemon throughput against the
-/// one-shot process baseline and records both in `BENCH_serve.json`
-/// (schema in `docs/telemetry.md`). Fails (exit 4) if the daemon does
-/// not clear a 5x requests/sec advantage — that margin is the point of
-/// serving (see `docs/performance.md`).
-#[cfg(unix)]
-fn bench_serve(args: &[String]) -> ExitCode {
-    use std::io::{BufRead, BufReader, Write};
-    use std::os::unix::net::UnixStream;
-    use std::sync::Arc;
-
-    let mut clients = 8usize;
-    let mut requests = 20usize;
-    let mut oneshot = 4usize;
-    let mut idle_conns = 64usize;
-    let mut jobs = stq_util::pool::default_jobs();
-    let mut out = "BENCH_serve.json".to_owned();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                let Some(path) = args.get(i + 1) else {
-                    return fail(usage_err("--out needs a path"));
-                };
-                out = path.clone();
-                i += 2;
-            }
-            flag @ ("--clients" | "--requests" | "--oneshot" | "--idle-conns" | "--jobs") => {
-                let Some(value) = args.get(i + 1) else {
-                    return fail(usage_err(format!("{flag} needs a number")));
-                };
-                let Ok(n) = value.parse::<usize>() else {
-                    return fail(usage_err(format!("{flag}: `{value}` is not a number")));
-                };
-                match flag {
-                    "--clients" => clients = n.clamp(1, 64),
-                    "--requests" => requests = n.clamp(1, 10_000),
-                    "--oneshot" => oneshot = n.clamp(1, 64),
-                    "--idle-conns" => idle_conns = n.min(1024),
-                    _ => jobs = if n == 0 { stq_util::pool::default_jobs() } else { n.min(256) },
-                }
-                i += 2;
-            }
-            other => {
-                return fail(usage_err(format!("bench-serve: unknown argument `{other}`")));
-            }
-        }
-    }
-
-    let socket = std::env::temp_dir().join(format!("stqc-bench-{}.sock", std::process::id()));
-    let _ = fs::remove_file(&socket);
-    let cfg = stq_core::ServeConfig {
-        jobs,
-        ..stq_core::ServeConfig::default()
-    };
-    let server = match stq_core::Server::new(Session::with_builtins(), cfg, CancelToken::new()) {
-        Ok(s) => Arc::new(s),
-        Err(e) => return fail(input_err(format!("cannot start server: {e}"))),
-    };
-    // One daemon, both transports: the reactor multiplexes the Unix
-    // socket and a loopback TCP listener in the same event loop.
-    let tcp_listener = match std::net::TcpListener::bind("127.0.0.1:0") {
-        Ok(l) => l,
-        Err(e) => return fail(input_err(format!("cannot bind loopback tcp: {e}"))),
-    };
-    let tcp_addr = match tcp_listener.local_addr() {
-        Ok(a) => a.to_string(),
-        Err(e) => return fail(input_err(format!("tcp addr: {e}"))),
-    };
-    let server_thread = {
-        let server = Arc::clone(&server);
-        let socket = socket.clone();
-        std::thread::spawn(move || server.run_multi(Some(&socket), Some(tcp_listener)))
-    };
-    // The unmeasured requests share one control connection, whose
-    // connect budget also waits out the daemon's bind.
-    let mut control = stq_core::Client::new(stq_core::ClientConfig {
-        connect_timeout: Duration::from_secs(10),
-        ..stq_core::ClientConfig::unix(&socket)
-    });
-    let mut request = |method: &str| -> Result<Json, CliError> {
-        let outcome = control
-            .call(method, None, None)
-            .map_err(|e| input_err(format!("bench {method} failed: {e}")))?;
-        if outcome.doc.get("ok").and_then(Json::as_bool) != Some(true) {
-            return Err(input_err(format!("bench {method} failed: {}", outcome.raw)));
-        }
-        Ok(outcome.doc)
-    };
-    // Warm the resident cache with one full prove, and note the miss
-    // count: the measured phase below must add zero.
-    let warm_misses = match request("prove") {
-        Ok(doc) => stats_counter(&doc, &["cache", "misses"], u64::MAX),
-        Err(e) => return fail(e),
-    };
-
-    // Idle-connection dimension: `idle_conns` connections (half Unix,
-    // half TCP) held open — but silent — through the measured phases.
-    // Under the old thread-per-client accept loop each of these cost a
-    // parked thread; under the reactor they cost a registered buffer.
-    let mut idle_unix: Vec<UnixStream> = Vec::new();
-    let mut idle_tcp: Vec<std::net::TcpStream> = Vec::new();
-    for i in 0..idle_conns {
-        if i % 2 == 0 {
-            match UnixStream::connect(&socket) {
-                Ok(s) => idle_unix.push(s),
-                Err(e) => return fail(input_err(format!("idle connect: {e}"))),
-            }
-        } else {
-            match std::net::TcpStream::connect(tcp_addr.as_str()) {
-                Ok(s) => idle_tcp.push(s),
-                Err(e) => return fail(input_err(format!("idle tcp connect: {e}"))),
-            }
-        }
-    }
-
-    // Measured phase, generic over the transport: `clients` concurrent
-    // connections, each running `requests` sequential prove round-trips
-    // against the warm daemon.
-    type PhaseOutcome = Result<(Vec<f64>, u64, String), CliError>;
-    fn measured_phase<S, C>(
-        connect: C,
-        clients: usize,
-        requests: usize,
-    ) -> Result<(Vec<f64>, u64, String, Duration), CliError>
-    where
-        S: std::io::Read + std::io::Write + Send + 'static,
-        C: Fn() -> std::io::Result<(S, S)> + Send + Sync + Clone + 'static,
-    {
-        let started = std::time::Instant::now();
-        let workers: Vec<std::thread::JoinHandle<PhaseOutcome>> = (0..clients)
-            .map(|_| {
-                let connect = connect.clone();
-                std::thread::spawn(move || {
-                    let (mut stream, read_half) =
-                        connect().map_err(|e| input_err(format!("cannot connect: {e}")))?;
-                    let mut reader = std::io::BufReader::new(read_half);
-                    let mut latencies = Vec::with_capacity(requests);
-                    let mut line = String::new();
-                    // The measured loop must not burn the benched
-                    // machine's CPU on client-side work: a cheap
-                    // substring check per response, with the full JSON
-                    // parse (for the cache ledger) only on each
-                    // client's final response.
-                    for _ in 0..requests {
-                        let sent = std::time::Instant::now();
-                        stream
-                            .write_all("{\"id\":1,\"method\":\"prove\"}\n".as_bytes())
-                            .map_err(|e| input_err(format!("bench request failed: {e}")))?;
-                        line.clear();
-                        reader
-                            .read_line(&mut line)
-                            .map_err(|e| input_err(format!("bench response failed: {e}")))?;
-                        latencies.push(sent.elapsed().as_secs_f64() * 1000.0);
-                        if !line.contains("\"ok\":true") {
-                            return Err(input_err(format!(
-                                "bench prove failed: {}",
-                                line.trim()
-                            )));
-                        }
-                    }
-                    let doc = Json::parse(line.trim())
-                        .map_err(|e| input_err(format!("bench response unparseable: {e}")))?;
-                    let last_misses = stats_counter(&doc, &["cache", "misses"], u64::MAX);
-                    Ok((latencies, last_misses, line.trim().to_owned()))
-                })
-            })
-            .collect();
-        let mut latencies: Vec<f64> = Vec::with_capacity(clients * requests);
-        let mut final_misses = 0u64;
-        let mut sample = String::new();
-        for handle in workers {
-            match handle.join() {
-                Ok(Ok((ls, misses, line))) => {
-                    latencies.extend(ls);
-                    final_misses = final_misses.max(misses);
-                    sample = line;
-                }
-                Ok(Err(e)) => return Err(e),
-                Err(_) => return Err(input_err("a bench client panicked")),
-            }
-        }
-        Ok((latencies, final_misses, sample, started.elapsed()))
-    }
-
-    let unix_connect = {
-        let socket = socket.clone();
-        move || {
-            let s = UnixStream::connect(&socket)?;
-            let r = s.try_clone()?;
-            Ok((s, r))
-        }
-    };
-    let (mut latencies, unix_final_misses, unix_sample, served_elapsed) =
-        match measured_phase(unix_connect, clients, requests) {
-            Ok(x) => x,
-            Err(e) => return fail(e),
-        };
-    let total_requests = clients * requests;
-    let served_rps = total_requests as f64 / served_elapsed.as_secs_f64();
-
-    // The same workload over TCP, against the same (still warm) daemon.
-    let tcp_connect = {
-        let addr = tcp_addr.clone();
-        move || {
-            let s = std::net::TcpStream::connect(addr.as_str())?;
-            s.set_nodelay(true)?;
-            let r = s.try_clone()?;
-            Ok((s, r))
-        }
-    };
-    let (mut tcp_latencies, tcp_final_misses, tcp_sample, tcp_elapsed) =
-        match measured_phase(tcp_connect, clients, requests) {
-            Ok(x) => x,
-            Err(e) => return fail(e),
-        };
-    let tcp_rps = total_requests as f64 / tcp_elapsed.as_secs_f64();
-    let warm_miss_delta = unix_final_misses
-        .max(tcp_final_misses)
-        .saturating_sub(warm_misses);
-
-    // Telemetry snapshot while every idle connection is still held
-    // open, then the concurrent-duplicate workload: pipelined identical
-    // uncached proves that must coalesce into one solver run.
-    let stat_field = |doc: &Json, path: &[&str]| stats_counter(doc, path, 0);
-    let before = match request("stats") {
-        Ok(d) => d,
-        Err(e) => return fail(e),
-    };
-    let open_connections = stat_field(&before, &["open_connections"]);
-    let dedup_before = stat_field(&before, &["dedup_hits"]);
-
-    let burst = 4usize;
-    let dedup_identical = {
-        let mut stream = match UnixStream::connect(&socket) {
-            Ok(s) => s,
-            Err(e) => return fail(input_err(format!("cannot connect: {e}"))),
-        };
-        let mut reader = BufReader::new(match stream.try_clone() {
-            Ok(s) => s,
-            Err(e) => return fail(input_err(format!("cannot clone: {e}"))),
-        });
-        let mut req = String::new();
-        for id in 0..burst {
-            let params = Json::obj([("cache", false.into())]);
-            let line = Json::obj([
-                ("id", id.into()),
-                ("method", "prove".into()),
-                ("params", params),
-            ]);
-            req += &line.to_string();
-            req.push('\n');
-        }
-        if let Err(e) = stream.write_all(req.as_bytes()) {
-            return fail(input_err(format!("burst request failed: {e}")));
-        }
-        let mut bodies: Vec<String> = Vec::new();
-        for _ in 0..burst {
-            let mut line = String::new();
-            if let Err(e) = reader.read_line(&mut line) {
-                return fail(input_err(format!("burst response failed: {e}")));
-            }
-            if !line.contains("\"ok\":true") {
-                return fail(input_err(format!("burst prove failed: {}", line.trim())));
-            }
-            // Strip the per-requester id: everything after the first
-            // comma must be byte-identical across the fan-out.
-            let trimmed = line.trim();
-            bodies.push(trimmed[trimmed.find(',').unwrap_or(0)..].to_owned());
-        }
-        bodies.windows(2).all(|w| w[0] == w[1])
-    };
-    let after = match request("stats") {
-        Ok(d) => d,
-        Err(e) => return fail(e),
-    };
-    let dedup_hits = stat_field(&after, &["dedup_hits"]).saturating_sub(dedup_before);
-    let reactor_polls = stat_field(&after, &["reactor", "polls"]);
-    let reactor_wakeups = stat_field(&after, &["reactor", "wakeups"]);
-    drop(idle_unix);
-    drop(idle_tcp);
-
-    // Shut the daemon down cleanly before the one-shot baseline so it
-    // is not competing for cores.
-    let _ = request("shutdown");
-    let _ = server_thread.join();
-
-    // One-shot baseline: the same prove, paying full process startup
-    // every time, with the same concurrency available.
-    let exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => return fail(input_err(format!("cannot locate stqc: {e}"))),
-    };
-    let oneshot_started = Instant::now();
-    let spawns: Vec<std::thread::JoinHandle<bool>> = (0..oneshot)
-        .map(|_| {
-            let exe = exe.clone();
-            std::thread::spawn(move || {
-                std::process::Command::new(exe)
-                    .arg("prove")
-                    .stdout(std::process::Stdio::null())
-                    .stderr(std::process::Stdio::null())
-                    .status()
-                    .is_ok_and(|s| s.success())
-            })
-        })
-        .collect();
-    let mut oneshot_ok = true;
-    for handle in spawns {
-        oneshot_ok &= handle.join().unwrap_or(false);
-    }
-    let oneshot_elapsed = oneshot_started.elapsed();
-    if !oneshot_ok {
-        return fail(input_err("a one-shot baseline `stqc prove` failed"));
-    }
-    let oneshot_rps = oneshot as f64 / oneshot_elapsed.as_secs_f64();
-    let speedup = served_rps / oneshot_rps;
-
-    // Verdict byte-identity: the daemon's per-qualifier verdict array
-    // over both transports must match a one-shot `stqc prove --json`
-    // run (same `qual_report_json` rendering on both paths).
-    let oneshot_verdicts = match std::process::Command::new(&exe)
-        .args(["prove", "--json"])
-        .stderr(std::process::Stdio::null())
-        .output()
-    {
-        Ok(o) if o.status.success() => String::from_utf8_lossy(&o.stdout).into_owned(),
-        Ok(o) => {
-            return fail(input_err(format!(
-                "one-shot `stqc prove --json` failed: {}",
-                o.status
-            )))
-        }
-        Err(e) => return fail(input_err(format!("cannot run one-shot prove: {e}"))),
-    };
-    // Canonical verdict digest: names, verdicts, and per-obligation
-    // proved/skipped flags — never timings or counters, which
-    // legitimately differ run to run (chaos-serve draws the same line).
-    let verdict_digest = |raw: &str, nested: bool| -> String {
-        let Ok(doc) = Json::parse(raw.trim()) else {
-            return String::new();
-        };
-        let base = if nested { doc.get("result").cloned() } else { Some(doc) };
-        let Some(Json::Arr(quals)) = base.and_then(|r| r.get("qualifiers").cloned()) else {
-            return String::new();
-        };
-        quals
-            .iter()
-            .map(|q| {
-                let obls = match q.get("obligations") {
-                    Some(Json::Arr(items)) => items
-                        .iter()
-                        .map(|o| {
-                            let proved =
-                                o.get("proved").and_then(Json::as_bool) == Some(true);
-                            let skipped =
-                                o.get("skipped").and_then(Json::as_bool) == Some(true);
-                            match (proved, skipped) {
-                                (true, _) => '+',
-                                (false, true) => 's',
-                                (false, false) => '-',
-                            }
-                        })
-                        .collect::<String>(),
-                    _ => String::new(),
-                };
-                format!(
-                    "{}={}:{obls}",
-                    q.get("name").and_then(Json::as_str).unwrap_or("?"),
-                    q.get("verdict").and_then(Json::as_str).unwrap_or("?"),
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(";")
-    };
-    let oneshot_quals = verdict_digest(&oneshot_verdicts, false);
-    let verdicts_identical = !oneshot_quals.is_empty()
-        && verdict_digest(&unix_sample, true) == oneshot_quals
-        && verdict_digest(&tcp_sample, true) == oneshot_quals;
-
-    fn pct(sorted: &[f64], p: f64) -> f64 {
-        if sorted.is_empty() {
-            return 0.0;
-        }
-        let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-        sorted[idx]
-    }
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    tcp_latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let ms = |x: f64| decimals(x, 3);
-    let report = Json::obj([
-        ("bench", "serve".into()),
-        ("clients", clients.into()),
-        ("requests_per_client", requests.into()),
-        ("total_requests", total_requests.into()),
-        ("idle_connections", idle_conns.into()),
-        ("open_connections", open_connections.into()),
-        ("elapsed_ms", millis(served_elapsed)),
-        ("requests_per_sec", decimals(served_rps, 2)),
-        (
-            "latency_ms",
-            Json::obj([
-                ("p50", ms(pct(&latencies, 0.50))),
-                ("p90", ms(pct(&latencies, 0.90))),
-                ("p99", ms(pct(&latencies, 0.99))),
-                ("max", ms(latencies.last().copied().unwrap_or(0.0))),
-            ]),
-        ),
-        ("warm_cache_miss_delta", warm_miss_delta.into()),
-        (
-            "warm_cache_hit_rate",
-            Json::Num(if warm_miss_delta == 0 { 1.0 } else { 0.0 }),
-        ),
-        (
-            "tcp",
-            Json::obj([
-                ("total_requests", total_requests.into()),
-                ("elapsed_ms", millis(tcp_elapsed)),
-                ("requests_per_sec", decimals(tcp_rps, 2)),
-                (
-                    "latency_ms",
-                    Json::obj([("p50", ms(pct(&tcp_latencies, 0.50)))]),
-                ),
-            ]),
-        ),
-        (
-            "dedup",
-            Json::obj([
-                ("burst", burst.into()),
-                ("dedup_hits", dedup_hits.into()),
-                ("byte_identical", dedup_identical.into()),
-            ]),
-        ),
-        (
-            "reactor",
-            Json::obj([
-                ("polls", reactor_polls.into()),
-                ("wakeups", reactor_wakeups.into()),
-            ]),
-        ),
-        ("verdicts_identical", verdicts_identical.into()),
-        (
-            "oneshot",
-            Json::obj([
-                ("runs", oneshot.into()),
-                ("elapsed_ms", millis(oneshot_elapsed)),
-                ("requests_per_sec", decimals(oneshot_rps, 2)),
-            ]),
-        ),
-        ("speedup", decimals(speedup, 2)),
-    ]);
-    if fs::write(&out, report.to_string() + "\n").is_err() {
-        return fail(input_err(format!("cannot write {out}")));
-    }
-    println!("{report}");
-    eprintln!(
-        "bench-serve: {served_rps:.0} req/s warm unix, {tcp_rps:.0} req/s warm tcp vs \
-         {oneshot_rps:.2} req/s one-shot ({speedup:.1}x), p50 {:.2}ms, warm misses \
-         +{warm_miss_delta}, {open_connections} conns open, dedup +{dedup_hits}",
-        pct(&latencies, 0.50)
-    );
-    if warm_miss_delta > 0 {
-        eprintln!("stqc: bench-serve: the warm phase missed the cache {warm_miss_delta} time(s)");
-        return ExitCode::from(EXIT_CRASH);
-    }
-    if speedup < 5.0 {
-        eprintln!("stqc: bench-serve: speedup {speedup:.2}x is below the required 5x");
-        return ExitCode::from(EXIT_CRASH);
-    }
-    if dedup_hits == 0 {
-        eprintln!("stqc: bench-serve: the duplicate burst produced no dedup_hits");
-        return ExitCode::from(EXIT_CRASH);
-    }
-    if !dedup_identical || !verdicts_identical {
-        eprintln!(
-            "stqc: bench-serve: verdict identity violated \
-             (dedup_identical={dedup_identical}, verdicts_identical={verdicts_identical})"
-        );
-        return ExitCode::from(EXIT_CRASH);
-    }
-    ExitCode::SUCCESS
-}
-
-#[cfg(not(unix))]
-fn bench_serve(_args: &[String]) -> ExitCode {
-    fail(usage_err("bench-serve requires unix sockets"))
 }
 
 /// One entry of the chaos campaign's deterministic request schedule.

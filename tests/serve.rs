@@ -246,10 +246,10 @@ impl Daemon {
         (daemon, addr)
     }
 
-    fn connect_tcp(addr: &str) -> TcpClient {
+    fn connect_tcp(addr: &str) -> Client<std::net::TcpStream> {
         let stream = std::net::TcpStream::connect(addr).expect("tcp daemon reachable");
         let reader = BufReader::new(stream.try_clone().expect("stream clones"));
-        TcpClient { stream, reader }
+        Client { stream, reader }
     }
 
     fn pid(&self) -> u32 {
@@ -267,48 +267,14 @@ impl Daemon {
     }
 }
 
-struct Client {
-    stream: std::os::unix::net::UnixStream,
-    reader: BufReader<std::os::unix::net::UnixStream>,
+/// A line-delimited client over a Unix socket or TCP — the wire
+/// protocol is transport-agnostic, and so is this harness.
+struct Client<S: Read + Write = std::os::unix::net::UnixStream> {
+    stream: S,
+    reader: BufReader<S>,
 }
 
-impl Client {
-    fn send(&mut self, line: &str) {
-        self.stream
-            .write_all(format!("{line}\n").as_bytes())
-            .expect("request written");
-    }
-
-    fn recv(&mut self) -> Json {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("response read");
-        Json::parse(line.trim()).unwrap_or_else(|e| panic!("bad response `{line}`: {e}"))
-    }
-
-    /// Like [`Client::recv`], but returns the raw wire line too (for
-    /// byte-identity assertions).
-    fn recv_raw(&mut self) -> (String, Json) {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("response read");
-        let doc =
-            Json::parse(line.trim()).unwrap_or_else(|e| panic!("bad response `{line}`: {e}"));
-        (line.trim().to_owned(), doc)
-    }
-
-    fn roundtrip(&mut self, line: &str) -> Json {
-        self.send(line);
-        self.recv()
-    }
-}
-
-/// The same line-delimited client over TCP — the wire protocol is
-/// transport-agnostic, and so is this harness.
-struct TcpClient {
-    stream: std::net::TcpStream,
-    reader: BufReader<std::net::TcpStream>,
-}
-
-impl TcpClient {
+impl<S: Read + Write> Client<S> {
     fn send(&mut self, line: &str) {
         self.stream
             .write_all(format!("{line}\n").as_bytes())
@@ -360,15 +326,19 @@ fn socket_client_disconnect_cancels_its_pending_work() {
     // One worker; a client floods it with slow (cache-off) proves and
     // vanishes without reading anything. The daemon must cancel that
     // client's backlog instead of proving into the void — observable in
-    // `stats` as a disconnect plus cancelled jobs.
+    // `stats` as a disconnect plus cancelled jobs — while another
+    // client's identical prove, queued behind the flood, still gets a
+    // conclusive answer of its own.
     let daemon = Daemon::spawn("disconnect", &["--jobs", "1"]);
+    let prove =
+        |i: u64| format!("{{\"id\":{i},\"method\":\"prove\",\"params\":{{\"cache\":false}}}}");
+    let mut survivor = daemon.connect();
     {
         let mut doomed = daemon.connect();
         for i in 0..4 {
-            doomed.send(&format!(
-                "{{\"id\":{i},\"method\":\"prove\",\"params\":{{\"cache\":false}}}}"
-            ));
+            doomed.send(&prove(i));
         }
+        survivor.send(&prove(200));
         // Dropped here: both the reader and writer halves close.
     }
     let mut observer = daemon.connect();
@@ -387,6 +357,16 @@ fn socket_client_disconnect_cancels_its_pending_work() {
         );
         std::thread::sleep(Duration::from_millis(50));
     }
+    let answer = survivor.recv();
+    assert_eq!(answer.get("id").and_then(Json::as_u64), Some(200));
+    let result = answer.get("result").expect("prove result");
+    assert_eq!(
+        result.get("interrupted").and_then(Json::as_bool),
+        Some(false),
+        "another client's disconnect must not interrupt this one: {answer}"
+    );
+    assert_eq!(result.get("all_sound").and_then(Json::as_bool), Some(true), "{answer}");
+    drop(survivor);
     drop(observer);
     daemon.shutdown();
 }
@@ -461,8 +441,6 @@ fn max_queue_shedding_is_retryable_and_the_daemon_stays_responsive() {
     // thread, must keep working throughout.
     let daemon = Daemon::spawn("shed", &["--jobs", "1", "--max-queue", "1"]);
     let mut flood = daemon.connect();
-    // Distinct qualifier lists per request: identical proves would
-    // coalesce into one single-flight run and never overflow the queue.
     let names = ["pos", "neg", "nonzero", "nonnull", "untainted", "tainted"];
     for (i, name) in names.iter().enumerate() {
         flood.send(&format!(
@@ -592,114 +570,90 @@ fn supervised_worker_survives_sigkill_with_its_warm_cache() {
     let _ = std::fs::remove_dir_all(&scratch);
 }
 
-// ----- single-flight dedup -----
-
-#[test]
-fn dedup_coalesces_identical_proves_into_one_solver_run() {
-    // One worker; a filler prove occupies it so the three identical
-    // uncached proves behind it all join one flight before any of them
-    // can run. The answer must come back once per requester id,
-    // byte-identical after the id, with dedup_hits counting the two
-    // coalesced waiters — and the proof-cache ledger untouched (these
-    // are cache-off requests; coalescing must not fake hits or misses).
-    let daemon = Daemon::spawn("dedup", &["--jobs", "1"]);
-    let mut c = daemon.connect();
-    let warm = c.roundtrip("{\"id\":1,\"method\":\"prove\"}");
-    assert_eq!(warm.get("ok").and_then(Json::as_bool), Some(true), "{warm}");
-    let cache_misses = |stats: &Json| -> u64 {
-        stats
-            .get("result")
-            .and_then(|r| r.get("cache"))
-            .and_then(|c| c.get("misses"))
-            .and_then(Json::as_u64)
-            .unwrap_or_else(|| panic!("cache misses missing: {stats}"))
-    };
-    let mut observer = daemon.connect();
-    let before = observer.roundtrip("{\"id\":2,\"method\":\"stats\"}");
-    let misses_before = cache_misses(&before);
-    let dedup_before = stat_u64(&before, "dedup_hits");
-
-    // One write, four pipelined lines: filler + three identical proves.
-    c.send(
-        "{\"id\":10,\"method\":\"prove\",\"params\":{\"names\":[\"pos\"],\"cache\":false}}\n\
-         {\"id\":11,\"method\":\"prove\",\"params\":{\"cache\":false}}\n\
-         {\"id\":12,\"method\":\"prove\",\"params\":{\"cache\":false}}\n\
-         {\"id\":13,\"method\":\"prove\",\"params\":{\"cache\":false}}",
-    );
-    let mut bodies: Vec<String> = Vec::new();
-    for _ in 0..4 {
-        let (raw, doc) = c.recv_raw();
-        assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true), "{doc}");
-        let id = doc.get("id").and_then(Json::as_u64).expect("response id");
-        if id >= 11 {
-            // Everything after the requester id must be byte-identical
-            // across the fan-out.
-            let split = raw.find(',').expect("id field ends with a comma");
-            bodies.push(raw[split..].to_owned());
-        }
-    }
-    assert_eq!(bodies.len(), 3, "all three duplicate requesters are answered");
-    assert!(
-        bodies.windows(2).all(|w| w[0] == w[1]),
-        "coalesced answers must be byte-identical modulo id: {bodies:?}"
-    );
-
-    let after = observer.roundtrip("{\"id\":3,\"method\":\"stats\"}");
-    assert_eq!(
-        stat_u64(&after, "dedup_hits") - dedup_before,
-        2,
-        "three identical proves = one run + two dedup hits: {after}"
-    );
-    assert_eq!(
-        cache_misses(&after),
-        misses_before,
-        "cache-off coalesced proves must not move the cache ledger: {after}"
-    );
-    drop(c);
-    drop(observer);
-    daemon.shutdown();
-}
-
-#[test]
-fn dedup_leader_disconnect_hands_off_to_the_surviving_waiter() {
-    // A and B join the same flight while the single worker is busy with
-    // fillers; A (the leader) vanishes before — or while — the flight
-    // runs. B must still receive a conclusive, non-interrupted answer:
-    // either the flight skips the dead leader, or an interrupted
-    // leader-run is discarded and B re-runs under its own token.
-    let daemon = Daemon::spawn("handoff", &["--jobs", "1"]);
-    let mut filler = daemon.connect();
-    filler.send(
-        "{\"id\":1,\"method\":\"prove\",\"params\":{\"names\":[\"pos\"],\"cache\":false}}\n\
-         {\"id\":2,\"method\":\"prove\",\"params\":{\"names\":[\"nonnull\"],\"cache\":false}}",
-    );
-    let mut a = daemon.connect();
-    a.send("{\"id\":100,\"method\":\"prove\",\"params\":{\"cache\":false}}");
-    let mut b = daemon.connect();
-    b.send("{\"id\":200,\"method\":\"prove\",\"params\":{\"cache\":false}}");
-    std::thread::sleep(Duration::from_millis(50));
-    drop(a);
-    let rb = b.recv();
-    assert_eq!(rb.get("id").and_then(Json::as_u64), Some(200));
-    assert_eq!(rb.get("ok").and_then(Json::as_bool), Some(true), "{rb}");
-    let result = rb.get("result").expect("prove result");
-    assert_eq!(
-        result.get("interrupted").and_then(Json::as_bool),
-        Some(false),
-        "the survivor must get a conclusive answer, not the dead leader's partial: {rb}"
-    );
-    assert_eq!(result.get("all_sound").and_then(Json::as_bool), Some(true), "{rb}");
-    // The fillers still complete for their own client.
-    for _ in 0..2 {
-        let rf = filler.recv();
-        assert_eq!(rf.get("ok").and_then(Json::as_bool), Some(true), "{rf}");
-    }
-    drop(filler);
-    drop(b);
-    daemon.shutdown();
-}
-
 // ----- TCP transport -----
+
+/// The resident cache's cumulative miss count in a `prove` or `stats`
+/// response.
+fn cache_misses(response: &Json) -> u64 {
+    response
+        .get("result")
+        .and_then(|r| r.get("cache"))
+        .and_then(|c| c.get("misses"))
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("cache misses missing: {response}"))
+}
+
+/// What a prove body decides, without how it got there: each
+/// qualifier's name and verdict, and each obligation's description and
+/// proved/skipped flags. A warm replay shares these with a cold run;
+/// timings and solver counters it need not.
+fn verdicts(prove: &Json) -> Vec<String> {
+    let field = |v: &Json, name: &str| v.get(name).map(ToString::to_string).unwrap_or_default();
+    let qualifiers = prove.get("qualifiers").and_then(Json::as_array);
+    qualifiers
+        .unwrap_or_else(|| panic!("no qualifiers: {prove}"))
+        .iter()
+        .flat_map(|q| {
+            let head = format!("{} {}", field(q, "name"), field(q, "verdict"));
+            let obligations = q.get("obligations").and_then(Json::as_array).unwrap_or(&[]);
+            std::iter::once(head).chain(obligations.iter().map(|o| {
+                let flags = [field(o, "description"), field(o, "proved"), field(o, "skipped")];
+                flags.join(" ")
+            }))
+        })
+        .collect()
+}
+
+/// Pipelines `rounds` full proves on `client` and returns the last
+/// answer, having checked that each one succeeded. Only the last answer
+/// is parsed, so the client spends little of the CPU the daemon is
+/// being timed on.
+fn prove_rounds<S: Read + Write>(mut client: Client<S>, rounds: usize) -> Json {
+    let batch: String = (0..rounds)
+        .map(|i| format!("{{\"id\":{i},\"method\":\"prove\"}}\n"))
+        .collect();
+    client.stream.write_all(batch.as_bytes()).expect("requests written");
+    let mut line = String::new();
+    for _ in 0..rounds {
+        line.clear();
+        client.reader.read_line(&mut line).expect("response read");
+        assert!(line.contains("\"ok\":true"), "{line}");
+    }
+    Json::parse(line.trim()).unwrap_or_else(|e| panic!("bad response `{line}`: {e}"))
+}
+
+/// CPU clock ticks from a `/proc/<pid>/stat` line: `utime + stime`,
+/// the process's own time, or with `children`, `cutime + cstime`, the
+/// time of the children it has reaped.
+#[cfg(target_os = "linux")]
+fn cpu_ticks(stat: &str, children: bool) -> u64 {
+    // Field 2, the command name, is parenthesised and may hold spaces;
+    // the fields after it are numbered from 3.
+    let rest = &stat[stat.rfind(')').expect("stat has a command name") + 2..];
+    let fields: Vec<&str> = rest.split(' ').collect();
+    let first = if children { 16 } else { 14 };
+    let tick = |n: usize| fields[n - 3].parse::<u64>().expect("numeric stat field");
+    tick(first) + tick(first + 1)
+}
+
+/// The CPU ticks that `processes` parallel one-shot `stqc prove` runs
+/// use, read as their parent shell's children's time once it has
+/// reaped them all.
+#[cfg(target_os = "linux")]
+fn oneshot_ticks(processes: u64) -> u64 {
+    let script = format!(
+        "pids=; i=0; while [ $i -lt {processes} ]; do \
+           \"$0\" prove >/dev/null & pids=\"$pids $!\"; i=$((i + 1)); \
+         done; \
+         for p in $pids; do wait $p || exit 1; done; cat /proc/$$/stat"
+    );
+    let out = Command::new("sh")
+        .args(["-c", &script, env!("CARGO_BIN_EXE_stqc")])
+        .output()
+        .expect("sh runs");
+    assert!(out.status.success(), "a one-shot stqc prove failed: {out:?}");
+    cpu_ticks(&String::from_utf8_lossy(&out.stdout), true)
+}
 
 #[test]
 fn tcp_and_unix_clients_are_served_concurrently_by_one_daemon() {
@@ -724,6 +678,61 @@ fn tcp_and_unix_clients_are_served_concurrently_by_one_daemon() {
             assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r}");
         }
     }
+
+    // Warm the cache with one full prove. Then two clients on each
+    // transport replay it concurrently: no new cache misses, the
+    // verdicts of a one-shot `stqc prove --json`, and at least five
+    // times the requests per second of parallel one-shot `stqc prove`
+    // processes. Both sides keep every core busy, so that rate ratio is
+    // their ratio of CPU time per prove, which is what is compared:
+    // unlike wall time, it does not depend on what neighbouring tests
+    // run meanwhile.
+    let warm = unix.roundtrip("{\"id\":102,\"method\":\"prove\"}");
+    let warm_misses = cache_misses(&warm);
+    // Pipelined, within the default per-connection in-flight cap.
+    let (clients, rounds) = (4, 25);
+    #[cfg(target_os = "linux")]
+    let daemon_ticks = || {
+        let stat = std::fs::read_to_string(format!("/proc/{}/stat", daemon.pid()));
+        cpu_ticks(&stat.expect("daemon stat readable"), false)
+    };
+    #[cfg(target_os = "linux")]
+    let ticks_before = daemon_ticks();
+    let replays: Vec<_> = (0..clients)
+        .map(|i| {
+            if i % 2 == 0 {
+                let client = daemon.connect();
+                ("unix", std::thread::spawn(move || prove_rounds(client, rounds)))
+            } else {
+                let client = Daemon::connect_tcp(&addr);
+                ("tcp", std::thread::spawn(move || prove_rounds(client, rounds)))
+            }
+        })
+        .collect();
+    let answers: Vec<_> = replays
+        .into_iter()
+        .map(|(transport, replay)| (transport, replay.join().expect("replay client")))
+        .collect();
+    #[cfg(target_os = "linux")]
+    {
+        let served = daemon_ticks() - ticks_before;
+        let processes = 16;
+        let oneshot = oneshot_ticks(processes);
+        let proves = (clients * rounds) as u64;
+        assert!(
+            oneshot * proves >= 5 * processes * served,
+            "a warm daemon must serve at least 5x the one-shot request rate: \
+             {served} CPU ticks for {proves} proves vs {oneshot} for {processes} processes"
+        );
+    }
+    let stats = unix.roundtrip("{\"id\":103,\"method\":\"stats\"}");
+    assert_eq!(cache_misses(&stats), warm_misses, "the warm replay missed: {stats}");
+    let oneshot = verdicts(&stqc_json(&["prove", "--json"]));
+    for (transport, answer) in &answers {
+        let result = answer.get("result").expect("prove result");
+        assert_eq!(verdicts(result), oneshot, "{transport} verdicts differ from one-shot");
+    }
+
     // Shutdown over TCP works exactly like over the socket, and still
     // removes the Unix socket file on the way out.
     let bye = tcp.roundtrip("{\"id\":9,\"method\":\"shutdown\"}");
@@ -972,6 +981,72 @@ fn a_large_request_line_does_not_stall_other_connections() {
     drop(big);
     drop(observer);
     daemon.shutdown();
+}
+
+/// `n` reference qualifiers, each sound and each with its own
+/// invariant, so no two share a cached proof: a registry whose
+/// cache-off prove runs for a while.
+fn heavy_quals(n: usize) -> String {
+    (0..n)
+        .map(|i| {
+            format!(
+                "ref qualifier uniq{i}(T* LValue L)
+                     assign L NULL | new
+                     disallow L
+                     invariant (value(L) == NULL ||
+                         (isHeapLoc(value(L)) &&
+                          forall T** P: *P == value(L) => P == location(L))) && {i} < {}\n",
+                i + 1
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn stats_and_health_answer_while_a_define_waits_behind_a_running_prove() {
+    // `stats` and `health` are answered on the reactor thread. A
+    // `define_qualifiers` sent while a long prove runs must not make
+    // them wait for that prove: the registry swap it queues for may
+    // not block the reactor's own read of the registry. Both must
+    // answer promptly, and well before the prove does.
+    let lib = std::env::temp_dir().join(format!("stqc-heavy-{}.stq", std::process::id()));
+    std::fs::write(&lib, heavy_quals(200)).expect("library written");
+    let daemon =
+        Daemon::spawn("swap-stall", &["--jobs", "2", "--quals", lib.to_str().expect("utf8 path")]);
+    let mut prover = daemon.connect();
+    prover.send("{\"id\":1,\"method\":\"prove\",\"params\":{\"cache\":false}}");
+    let proved = std::thread::spawn(move || {
+        let answer = prover.recv();
+        (Instant::now(), answer)
+    });
+    std::thread::sleep(Duration::from_millis(100));
+    let mut definer = daemon.connect();
+    definer.send(
+        "{\"id\":2,\"method\":\"define_qualifiers\",\"params\":{\"source\":\"value qualifier \
+         gtzero(int Expr E) case E of decl int Const C: C, where C > 0 \
+         invariant value(E) > 0\"}}",
+    );
+    std::thread::sleep(Duration::from_millis(50));
+    let probe = |method: &str| {
+        let sent = Instant::now();
+        let answer = daemon.connect().roundtrip(&format!("{{\"id\":3,\"method\":\"{method}\"}}"));
+        assert_eq!(answer.get("ok").and_then(Json::as_bool), Some(true), "{answer}");
+        let waited = sent.elapsed();
+        assert!(waited < Duration::from_millis(500), "{method} waited {waited:?}");
+        Instant::now()
+    };
+    let stats_at = probe("stats");
+    std::thread::sleep(Duration::from_millis(20));
+    let health_at = probe("health");
+    let (proved_at, proof) = proved.join().expect("prove reader");
+    assert_eq!(proof.get("ok").and_then(Json::as_bool), Some(true), "{proof}");
+    assert!(stats_at < proved_at, "stats answered after the prove");
+    assert!(health_at < proved_at, "health answered after the prove");
+    let defined = definer.recv();
+    assert_eq!(defined.get("ok").and_then(Json::as_bool), Some(true), "{defined}");
+    drop(definer);
+    daemon.shutdown();
+    let _ = std::fs::remove_file(&lib);
 }
 
 // ----- high availability: failover, shared journal, hot reload -----
@@ -1424,5 +1499,10 @@ fn prove_json_qualifiers_match_an_uncached_daemon_prove() {
             without_timings(&without(daemon, &["cache"])),
             "{name}"
         );
+        // A cache-off prove leaves the resident cache ledger untouched.
+        let cache = daemon.get("cache").expect("daemon cache ledger");
+        for counter in ["entries", "hits", "misses"] {
+            assert_eq!(cache.get(counter).and_then(Json::as_u64), Some(0), "{name}: {cache}");
+        }
     }
 }

@@ -1,12 +1,5 @@
 //! Ablation benchmarks for the design choices DESIGN.md calls out.
 //!
-//! * **Cold-path solver tuning** — the two [`SolverTuning`] axes of the
-//!   optimized cold path (shared preprocessed theory, hash-consed leaf
-//!   checks), toggled independently over a full cold run of the builtin
-//!   registry. Emits `BENCH_prover_ablation.json` at the repo root
-//!   (override with `STQ_ABLATION_OUT`) so `scripts/bench.sh` can record
-//!   how much each axis contributes to the headline
-//!   `speedup_parallel_cold_vs_sequential` gate.
 //! * **E-matching round budget** — the reference-qualifier preservation
 //!   proofs need multiple instantiation rounds (store axioms expose new
 //!   `select` terms that the freshness and invariant quantifiers then
@@ -18,127 +11,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
-use std::time::{Duration, Instant};
 use stq_cir::ast::{BinOp, Expr};
 use stq_cir::parse::parse_program;
 use stq_qualspec::Registry;
-use stq_soundness::{
-    check_all_pipeline_tuned, obligations_for, Budget, RetryPolicy, SolverTuning,
-};
+use stq_soundness::obligations_for;
 use stq_typecheck::{Inference, TypeEnv};
 use stq_util::Symbol;
-
-/// The four combinations of the two cold-path tuning axes, from the seed
-/// prover's behavior (both off) to the optimized default (both on).
-const TUNING_COMBOS: [(&str, SolverTuning); 4] = [
-    (
-        "legacy",
-        SolverTuning {
-            share_theory: false,
-            hash_cons: false,
-        },
-    ),
-    (
-        "shared_theory",
-        SolverTuning {
-            share_theory: true,
-            hash_cons: false,
-        },
-    ),
-    (
-        "hash_cons",
-        SolverTuning {
-            share_theory: false,
-            hash_cons: true,
-        },
-    ),
-    (
-        "full",
-        SolverTuning {
-            share_theory: true,
-            hash_cons: true,
-        },
-    ),
-];
-
-fn bench_cold_tuning(c: &mut Criterion) {
-    let registry = Registry::builtins();
-    let budget = Budget::default();
-    let retry = RetryPolicy::attempts(2);
-    let run = |tuning: SolverTuning| {
-        let report = check_all_pipeline_tuned(&registry, budget, retry, 1, None, tuning);
-        assert!(report.all_sound(), "{report}");
-        report
-    };
-
-    // Untimed measured pass: best-of-3 wall per combo (after one warmup
-    // each), plus the theory-prep and interning ledgers that explain the
-    // deltas; written to the ablation JSON.
-    let obligations = run(SolverTuning::default()).obligation_count();
-    let mut rows = Vec::new();
-    for (label, tuning) in TUNING_COMBOS {
-        run(tuning);
-        let mut best = Duration::MAX;
-        let mut report = None;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            let r = run(tuning);
-            let wall = t0.elapsed();
-            if wall < best {
-                best = wall;
-                report = Some(r);
-            }
-        }
-        let report = report.expect("three timed runs");
-        let totals = &report.totals;
-        println!(
-            "cold_tuning/{label}: {:.3} ms best-of-3, theory_prep={}fresh/{}reused, \
-             interned={}+{}hit",
-            best.as_secs_f64() * 1000.0,
-            totals.theory_preps,
-            totals.theory_reuses,
-            totals.interned_terms,
-            totals.intern_hits,
-        );
-        rows.push(format!(
-            "\"{label}\":{{\"share_theory\":{},\"hash_cons\":{},\"best_ms\":{:.3},\
-             \"obligations_per_sec\":{:.1},\"theory_preps\":{},\"theory_reuses\":{},\
-             \"interned_terms\":{},\"intern_hits\":{}}}",
-            tuning.share_theory,
-            tuning.hash_cons,
-            best.as_secs_f64() * 1000.0,
-            obligations as f64 / best.as_secs_f64().max(1e-9),
-            totals.theory_preps,
-            totals.theory_reuses,
-            totals.interned_terms,
-            totals.intern_hits,
-        ));
-    }
-    let out = std::env::var("STQ_ABLATION_OUT").map_or_else(
-        |_| {
-            std::path::PathBuf::from(concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../BENCH_prover_ablation.json"
-            ))
-        },
-        std::path::PathBuf::from,
-    );
-    let json = format!(
-        "{{\"bench\":\"prover_ablation\",\"obligations\":{obligations},\"jobs\":1,{}}}\n",
-        rows.join(",")
-    );
-    std::fs::write(&out, &json).expect("write BENCH_prover_ablation.json");
-    println!("cold_tuning: wrote {}", out.display());
-
-    let mut group = c.benchmark_group("cold_tuning");
-    group.sample_size(10);
-    for (label, tuning) in TUNING_COMBOS {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &tuning, |b, &t| {
-            b.iter(|| run(black_box(t)))
-        });
-    }
-    group.finish();
-}
 
 fn bench_round_budget(c: &mut Criterion) {
     let registry = Registry::builtins();
@@ -247,7 +125,6 @@ fn bench_mutual_recursion(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_cold_tuning,
     bench_round_budget,
     bench_inference_depth,
     bench_mutual_recursion

@@ -1,10 +1,8 @@
 //! The parallel + incremental soundness pipeline benchmark
-//! (`docs/performance.md`): legacy sequential proving
-//! ([`SolverTuning::legacy`]: per-obligation theory preprocessing, no
-//! hash-consing — the seed prover's cold path) vs the optimized cold
-//! pipeline vs the warm fingerprinted proof cache, over the builtin
-//! qualifier library plus the shipped `examples/qualifiers/extra.q`
-//! corpus.
+//! (`docs/performance.md`): sequential cold proving (`jobs = 1`) vs the
+//! parallel cold pipeline vs the warm fingerprinted proof cache, over
+//! the builtin qualifier library plus the shipped
+//! `examples/qualifiers/extra.q` corpus.
 //!
 //! Unlike the other benches this one emits a machine-readable
 //! `BENCH_soundness.json` at the repository root (override the path with
@@ -14,18 +12,20 @@
 //! on-disk cache*, exactly what a second `stqc prove --jobs 4
 //! --cache-dir` run does; `parallel_cold` isolates the cache-less cold
 //! path (shared theory + hash-consed leaf checks + worker reuse + the
-//! pool), gated at ≥3x over the legacy baseline; and
-//! `parallel_warm_deadline` re-runs the warm mode with a (never-firing)
-//! per-obligation timeout and whole-run deadline armed, asserting that
-//! deadline enforcement costs <5% (`deadline_overhead` in the JSON).
+//! pool); and `parallel_warm_deadline` re-runs the warm mode with a
+//! (never-firing) per-obligation timeout and whole-run deadline armed,
+//! asserting that deadline enforcement costs <5% (`deadline_overhead`
+//! in the JSON). The cold path's work is gated exactly instead of by a
+//! speed ratio: the sequential run starts every attempt from the
+//! prepared theory, and its interning ledgers equal the parallel run's.
 
 use std::fs;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use stq_qualspec::Registry;
 use stq_soundness::{
-    check_all_pipeline, check_all_pipeline_cancellable, check_all_pipeline_tuned, Budget,
-    CancelToken, ProofCache, RetryPolicy, SolverTuning, SoundnessReport,
+    check_all_pipeline, check_all_pipeline_cancellable, Budget, CancelToken, ProofCache,
+    RetryPolicy, SoundnessReport,
 };
 
 const JOBS: usize = 4;
@@ -75,23 +75,37 @@ fn main() {
     let budget = Budget::default();
     let retry = RetryPolicy::attempts(2);
 
-    // Mode 1: sequential, no cache, legacy solver tuning — the
-    // pre-optimization cold baseline (per-obligation theory
-    // preprocessing, no hash-consed matching, no worker reuse).
+    // Mode 1: sequential, no cache — one worker proving everything cold
+    // on the calling thread.
     let (seq_runs, seq_elapsed, seq_report) = measure(2, 50, || {
-        check_all_pipeline_tuned(&registry, budget, retry, 1, None, SolverTuning::legacy())
+        check_all_pipeline(&registry, budget, retry, 1, None)
     });
     assert!(seq_report.all_sound(), "{seq_report}");
     let obligations = seq_report.obligation_count();
 
-    // Mode 2: the optimized cold path (jobs = 4, default tuning), still
-    // proving everything — shared prepared theory, hash-consed leaf
-    // template, per-worker solver reuse.
+    // Mode 2: the parallel cold path (jobs = 4), still proving
+    // everything — shared prepared theory, hash-consed leaf template,
+    // per-worker solver reuse.
     let (cold_runs, cold_elapsed, cold_report) = measure(2, 50, || {
-        check_all_pipeline_tuned(&registry, budget, retry, JOBS, None, SolverTuning::default())
+        check_all_pipeline(&registry, budget, retry, JOBS, None)
     });
     assert!(cold_report.all_sound(), "{cold_report}");
     assert_eq!(cold_report.obligation_count(), obligations);
+
+    // Gated work ledgers: every sequential attempt starts from the
+    // prepared shared theory instead of re-clausifying the background
+    // axioms, and hash-consing interns exactly the same terms whether
+    // one worker or four prove the registry.
+    let (seq, cold) = (&seq_report.totals, &cold_report.totals);
+    assert_eq!(
+        seq.theory_reuses, obligations as u64,
+        "every sequential attempt must reuse the prepared theory"
+    );
+    assert_eq!(
+        (seq.interned_terms, seq.intern_hits),
+        (cold.interned_terms, cold.intern_hits),
+        "interning ledgers (terms, hits) must not depend on the job count"
+    );
 
     // Mode 3: the full pipeline — jobs = 4 with an on-disk proof cache
     // (the same ProofCache::at_dir path `stqc --cache-dir` uses), warmed
@@ -159,15 +173,8 @@ fn main() {
     let cold_ops = obl_per_sec(obligations, cold_runs, cold_elapsed);
     let warm_ops = obl_per_sec(obligations, warm_runs, warm_elapsed);
     let timed_ops = obl_per_sec(obligations, timed_runs, timed_elapsed);
-    // Gated metric: the optimized cold path must beat the legacy
-    // sequential baseline by ≥3x even on a single-core box, because most
-    // of the win is work elimination (shared theory preprocessing +
-    // hash-consed leaf checks), not core count.
+    // Reported, not gated: how much the pool alone buys on this box.
     let cold_speedup = cold_ops / seq_ops.max(1e-9);
-    assert!(
-        cold_speedup >= 3.0,
-        "cold-path speedup {cold_speedup:.2}x is below the 3.0x floor"
-    );
     // Positive = the armed timeout/deadline run is slower.
     let deadline_overhead = warm_ops / timed_ops.max(1e-9) - 1.0;
     assert!(
@@ -183,6 +190,10 @@ fn main() {
     );
     println!("  sequential:     {seq_ops:>10.1} obligations/sec ({seq_runs} run(s))");
     println!("  parallel cold:  {cold_ops:>10.1} obligations/sec ({cold_runs} run(s))");
+    println!(
+        "  cold ledgers:   {} theory reuse(s), {} interned term(s) + {} hit(s) at jobs 1 and {JOBS}",
+        seq.theory_reuses, seq.interned_terms, seq.intern_hits
+    );
     println!("  parallel warm:  {warm_ops:>10.1} obligations/sec ({warm_runs} run(s))");
     println!(
         "  warm + timeout: {timed_ops:>10.1} obligations/sec ({timed_runs} run(s), \

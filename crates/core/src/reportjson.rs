@@ -121,7 +121,6 @@ pub fn prover_stats_json(s: &ProverStats) -> Json {
         ("cache_hits", s.cache_hits.into()),
         ("cache_misses", s.cache_misses.into()),
         ("cache_invalidations", s.cache_invalidations.into()),
-        ("theory_preps", s.theory_preps.into()),
         ("theory_reuses", s.theory_reuses.into()),
         ("interned_terms", s.interned_terms.into()),
         ("intern_hits", s.intern_hits.into()),

@@ -9,8 +9,7 @@ use stq_qualspec::parse::SpecError;
 use stq_qualspec::Registry;
 use stq_soundness::{
     check_all, check_all_pipeline, check_all_pipeline_cancellable, check_all_retrying,
-    check_all_with, check_defs_pipeline, check_defs_pipeline_cancellable, check_qualifier,
-    check_qualifier_retrying, check_qualifier_with, Budget, CancelToken, ProofCache, QualReport,
+    check_defs_pipeline_cancellable, check_qualifier, Budget, CancelToken, ProofCache, QualReport,
     RetryPolicy, SoundnessReport,
 };
 use stq_typecheck::{
@@ -113,46 +112,19 @@ impl Session {
             .map(|def| check_qualifier(&self.registry, def))
     }
 
-    /// As [`Session::prove_sound`], with an explicit prover [`Budget`].
-    /// The returned report carries per-obligation [`stq_soundness::ProverStats`]
-    /// telemetry; exhausted budgets yield `Verdict::ResourceOut`, never a
-    /// false `Unsound`.
-    pub fn prove_sound_with(&self, name: &str, budget: Budget) -> Option<QualReport> {
-        self.registry
-            .get_by_name(name)
-            .map(|def| check_qualifier_with(&self.registry, def, budget))
-    }
-
-    /// As [`Session::prove_sound_with`], with a budget-escalation
-    /// [`RetryPolicy`] for `ResourceOut` obligations. Proof attempts are
-    /// panic-isolated: a crashing obligation yields
-    /// [`stq_soundness::Verdict::Crashed`] for this qualifier while the
-    /// rest of its obligations (and any later calls) still run.
-    pub fn prove_sound_retrying(
-        &self,
-        name: &str,
-        budget: Budget,
-        retry: RetryPolicy,
-    ) -> Option<QualReport> {
-        self.registry
-            .get_by_name(name)
-            .map(|def| check_qualifier_retrying(&self.registry, def, budget, retry))
-    }
-
     /// Proves (or refutes) the soundness of every registered qualifier.
     pub fn prove_all_sound(&self) -> Vec<QualReport> {
         check_all(&self.registry)
     }
 
     /// As [`Session::prove_all_sound`], with an explicit prover
-    /// [`Budget`], returning the aggregate [`SoundnessReport`] (per-
-    /// qualifier reports plus registry-wide telemetry totals).
-    pub fn prove_all_sound_with(&self, budget: Budget) -> SoundnessReport {
-        check_all_with(&self.registry, budget)
-    }
-
-    /// As [`Session::prove_all_sound_with`], with a budget-escalation
-    /// [`RetryPolicy`]; see [`Session::prove_sound_retrying`].
+    /// [`Budget`] and a budget-escalation [`RetryPolicy`] for
+    /// `ResourceOut` obligations, returning the aggregate
+    /// [`SoundnessReport`] (per-qualifier reports plus registry-wide
+    /// telemetry totals). Exhausted budgets yield `Verdict::ResourceOut`,
+    /// never a false `Unsound`, and proof attempts are panic-isolated: a
+    /// crashing obligation yields [`stq_soundness::Verdict::Crashed`] for
+    /// its qualifier while every other obligation still runs.
     pub fn prove_all_sound_retrying(&self, budget: Budget, retry: RetryPolicy) -> SoundnessReport {
         check_all_retrying(&self.registry, budget, retry)
     }
@@ -205,21 +177,7 @@ impl Session {
         jobs: usize,
         cache: Option<&ProofCache>,
     ) -> Result<SoundnessReport, String> {
-        let mut defs = Vec::with_capacity(names.len());
-        for name in names {
-            match self.registry.get_by_name(name) {
-                Some(def) => defs.push(def),
-                None => return Err(format!("unknown qualifier `{name}`")),
-            }
-        }
-        Ok(check_defs_pipeline(
-            &self.registry,
-            &defs,
-            budget,
-            retry,
-            jobs,
-            cache,
-        ))
+        self.prove_named_cancellable(names, budget, retry, jobs, cache, &CancelToken::default())
     }
 
     /// As [`Session::prove_named_pipeline`], under a [`CancelToken`];
@@ -441,7 +399,7 @@ mod tests {
     #[test]
     fn budgeted_proving_reports_telemetry() {
         let s = Session::with_builtins();
-        let report = s.prove_all_sound_with(Budget::default());
+        let report = s.prove_all_sound_retrying(Budget::default(), RetryPolicy::none());
         assert!(report.all_sound(), "{report}");
         assert!(report.totals.decisions > 0);
         assert!(report.totals.instantiations > 0);
@@ -456,31 +414,29 @@ mod tests {
             max_instantiations: 1,
             ..Budget::default()
         };
-        let report = s.prove_sound_with("unique", budget).unwrap();
-        assert_eq!(report.verdict, Verdict::ResourceOut, "{report}");
+        let report = s
+            .prove_named_pipeline(&["unique"], budget, RetryPolicy::none(), 1, None)
+            .unwrap();
+        assert_eq!(report.reports[0].verdict, Verdict::ResourceOut, "{report}");
     }
 
     #[test]
     fn retrying_rescues_a_starved_budget() {
-        use stq_soundness::RetryPolicy;
         let s = Session::with_builtins();
         let budget = Budget {
             max_rounds: 1,
             max_instantiations: 1,
             ..Budget::default()
         };
+        let retry = RetryPolicy {
+            max_attempts: 8,
+            factor: 4,
+        };
         let report = s
-            .prove_sound_retrying(
-                "unique",
-                budget,
-                RetryPolicy {
-                    max_attempts: 8,
-                    factor: 4,
-                },
-            )
+            .prove_named_pipeline(&["unique"], budget, retry, 1, None)
             .unwrap();
-        assert_eq!(report.verdict, Verdict::Sound, "{report}");
-        assert!(report.obligations.iter().any(|o| o.attempts > 1));
+        assert_eq!(report.reports[0].verdict, Verdict::Sound, "{report}");
+        assert!(report.attempt_count() > report.obligation_count() as u64);
     }
 
     #[test]
@@ -488,7 +444,7 @@ mod tests {
         use stq_soundness::fault::{self, FaultKind, FaultPlan};
         let s = Session::with_builtins();
         fault::install(FaultPlan::new().inject(0, FaultKind::Panic));
-        let report = s.prove_all_sound_with(Budget::default());
+        let report = s.prove_all_sound_retrying(Budget::default(), RetryPolicy::none());
         fault::clear();
         // Every qualifier still has a report; exactly one crashed.
         assert_eq!(report.reports.len(), 8);

@@ -93,9 +93,8 @@ pub struct Egraph {
     /// [`Egraph::rollback`]. Only populated once recording is on.
     trail: Vec<UnionRecord>,
     /// Whether unions are recorded on the trail. Off by default so
-    /// throwaway e-graphs (legacy leaf checks, per-round E-matching) pay
-    /// nothing; the first [`Egraph::checkpoint`] switches it on for the
-    /// graph's lifetime.
+    /// e-graphs that never roll back pay nothing; the first
+    /// [`Egraph::checkpoint`] switches it on for the graph's lifetime.
     recording: bool,
     /// Number of class unions performed (telemetry; see
     /// [`crate::stats::ProverStats::merges`]). Cumulative: rollback does

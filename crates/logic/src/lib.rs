@@ -75,7 +75,7 @@ pub mod theory;
 
 pub use fault::{FaultKind, FaultPlan, IoFaultKind, IoFaultPlan};
 pub use fingerprint::{Fingerprint, PROVER_VERSION};
-pub use solver::{Outcome, Problem, SolverTuning, SolverWorker};
-pub use stats::{Budget, BudgetOverride, ProverConfig, ProverStats, Resource, RetryPolicy};
+pub use solver::{Outcome, Problem, SolverWorker};
+pub use stats::{Budget, BudgetOverride, ProverStats, Resource, RetryPolicy};
 pub use term::{Formula, Sort, Term};
 pub use theory::Theory;

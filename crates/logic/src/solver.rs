@@ -17,24 +17,24 @@
 //! # Cold-path performance
 //!
 //! Three mechanisms make cold (cache-miss) proving cheap, all of them
-//! observable in [`ProverStats`] and individually disengageable through
-//! [`SolverTuning`] for ablation:
+//! observable in [`ProverStats`]:
 //!
 //! * **Shared axiomatization** ([`crate::theory`]): a [`Theory`] attached
 //!   via [`Problem::set_theory`] is clausified once; each attempt starts
 //!   from the prepared core instead of re-running the front end on every
-//!   background axiom (`theory_reuses` vs `theory_preps`).
+//!   background axiom (`theory_reuses`).
 //! * **Hash-consed terms** ([`crate::arena`]): ground atom sides are
 //!   interned into a per-attempt arena, so the EUF leaf checks and
 //!   E-matching rounds intern by id lookup instead of recursive tree
-//!   walks (`interned_terms` / `intern_hits`).
+//!   walks (`interned_terms` / `intern_hits`). The leaf checks share one
+//!   template e-graph per round and E-matching one e-graph per attempt,
+//!   each extended as atoms arrive and rolled back after use.
 //! * **Per-worker solver reuse** ([`SolverWorker`]): a worker keeps one
 //!   theory-loaded core alive across obligations, rolling it back to the
 //!   shared-theory watermark between attempts instead of rebuilding it.
 //!
-//! Tuning never changes verdicts: the optimized and legacy paths follow
-//! the same decision, instantiation, and theory-check sequence, which the
-//! cross-tuning determinism tests pin down counter-for-counter.
+//! None of them changes a verdict or the search trace; the golden traces
+//! in `stq-soundness`'s determinism tests pin both counter-for-counter.
 
 use crate::arena::{Head, TermArena, TermId};
 use crate::arith::{entails_eq0_counted, feasible_counted, Constraint, LinExpr};
@@ -51,8 +51,6 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 use stq_util::{CancelToken, Symbol};
-
-pub use crate::stats::{ProverConfig, Stats};
 
 /// The result of a proof attempt: proved, refuted, out of budget, or
 /// (under [`Problem::prove_isolated`]) a contained crash.
@@ -158,41 +156,6 @@ impl Outcome {
     }
 }
 
-/// Performance tuning knobs for the solver's cold path. Both default to
-/// **on**; the ablation bench flips them off to measure each mechanism's
-/// contribution. Tuning is deliberately excluded from obligation
-/// fingerprints: it must never change a verdict, only the work profile.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct SolverTuning {
-    /// Start attempts from the prepared [`Theory`] core instead of
-    /// re-clausifying the background axioms per attempt.
-    pub share_theory: bool,
-    /// Hash-cons ground terms in a per-attempt arena and run the EUF /
-    /// E-matching hot loops over interned ids. Off, every search leaf
-    /// re-interns `Box`ed term trees the way the seed prover did.
-    pub hash_cons: bool,
-}
-
-impl Default for SolverTuning {
-    fn default() -> SolverTuning {
-        SolverTuning {
-            share_theory: true,
-            hash_cons: true,
-        }
-    }
-}
-
-impl SolverTuning {
-    /// Every optimization disengaged — the seed prover's work profile,
-    /// kept alive as the ablation baseline.
-    pub fn legacy() -> SolverTuning {
-        SolverTuning {
-            share_theory: false,
-            hash_cons: false,
-        }
-    }
-}
-
 /// A proof obligation: background axioms, hypotheses, and a goal.
 ///
 /// See the crate-level documentation for a complete example.
@@ -206,8 +169,6 @@ pub struct Problem {
     theory: Option<Arc<Theory>>,
     /// Resource limits; adjust before calling [`Problem::prove`].
     pub config: Budget,
-    /// Cold-path performance knobs; see [`SolverTuning`].
-    pub tuning: SolverTuning,
     /// Cooperative cancellation handle, polled at round starts, every
     /// [`DEADLINE_CHECK_INTERVAL`] DPLL decisions, and between
     /// E-matching quantifiers. An external [`CancelToken::cancel`]
@@ -252,11 +213,11 @@ impl Problem {
     }
 
     /// Attaches a shared preprocessed background theory. Its axioms are
-    /// asserted before this problem's own [`Problem::axiom`]s, and (with
-    /// [`SolverTuning::share_theory`] on) the expensive clausification
-    /// front end for them is skipped by starting from the theory's
-    /// prepared core. The theory's axioms are part of the obligation
-    /// fingerprint exactly as inline axioms would be.
+    /// asserted before this problem's own [`Problem::axiom`]s, and the
+    /// expensive clausification front end for them is skipped by
+    /// starting from the theory's prepared core. The theory's axioms are
+    /// part of the obligation fingerprint exactly as inline axioms would
+    /// be.
     pub fn set_theory(&mut self, theory: Arc<Theory>) -> &mut Problem {
         self.theory = Some(theory);
         self
@@ -274,8 +235,7 @@ impl Problem {
     /// versioned by [`crate::fingerprint::PROVER_VERSION`]; see
     /// [`crate::fingerprint`]. Theory axioms hash exactly as inline
     /// axioms do, so moving axioms into a shared [`Theory`] preserves
-    /// the key; [`SolverTuning`] is excluded because it cannot change
-    /// outcomes.
+    /// the key.
     pub fn fingerprint(&self, retry: crate::stats::RetryPolicy) -> crate::fingerprint::Fingerprint {
         crate::fingerprint::fingerprint_obligation(
             self.theory.as_ref().map_or(&[][..], |t| t.axioms()),
@@ -366,47 +326,33 @@ impl Problem {
 
     /// One proof attempt over either a caller-provided reusable core
     /// (reset to its theory watermark first) or a core built here —
-    /// cloned from the prepared theory when sharing is on, rebuilt from
-    /// scratch otherwise.
+    /// cloned from the prepared theory, or empty without one.
     fn solve_once(
         &self,
         reuse: Option<&mut SolveCore>,
         deadline: Option<Instant>,
         theory_fault: Option<u64>,
     ) -> Outcome {
-        if let Some(core) = reuse {
+        let mut owned;
+        let core = match reuse {
             // Reset up front rather than on completion: a panicking
             // attempt leaves the core dirty, and the rollback here heals
             // it before the next obligation runs.
-            core.reset();
-            let mut outcome = self.prove_with_core(core, deadline, theory_fault);
-            outcome.stats_mut().theory_reuses = 1;
-            return outcome;
-        }
-        if self.tuning.share_theory {
-            if let Some(theory) = &self.theory {
-                let mut core = theory.prepared_core();
-                let mut outcome = self.prove_with_core(&mut core, deadline, theory_fault);
-                outcome.stats_mut().theory_reuses = 1;
-                return outcome;
+            Some(core) => {
+                core.reset();
+                core
             }
-        }
-        let mut core = self.fresh_core();
-        let mut outcome = self.prove_with_core(&mut core, deadline, theory_fault);
-        outcome.stats_mut().theory_preps = 1;
+            None => {
+                owned = self
+                    .theory
+                    .as_ref()
+                    .map_or_else(SolveCore::empty, |t| t.prepared_core());
+                &mut owned
+            }
+        };
+        let mut outcome = self.prove_with_core(core, deadline, theory_fault);
+        outcome.stats_mut().theory_reuses = u64::from(self.theory.is_some());
         outcome
-    }
-
-    /// Builds a core from scratch, re-asserting the theory axioms (the
-    /// legacy per-attempt preprocessing path).
-    fn fresh_core(&self) -> SolveCore {
-        let mut core = SolveCore::empty();
-        if let Some(theory) = &self.theory {
-            for ax in theory.axioms() {
-                core.assert_formula(&ground_free_vars(ax));
-            }
-        }
-        core
     }
 
     fn prove_with_core(
@@ -440,18 +386,18 @@ impl Problem {
         // Trigger display names, rendered once per (quantifier, trigger)
         // instead of once per instantiation.
         let mut trigger_names: HashMap<(usize, usize), String> = HashMap::new();
-        // Legacy-mode interning telemetry, summed from the short-lived
-        // per-leaf and per-round arenas.
-        let mut legacy_interned: u64 = 0;
-        let mut legacy_hits: u64 = 0;
-        // Hash-consing mode shares one leaf template across rounds: the
-        // atom table only grows, so each round extends the template with
-        // the new atoms instead of rebuilding it from scratch.
-        let mut leaf_ctx: Option<LeafCtx> = None;
-        // ... and the same for the per-round E-matching e-graph: one
-        // persistent graph, extended as atoms arrive, with the model's
-        // equality merges rolled back after each round's matching.
-        let mut ematch_ctx: Option<EmatchCtx> = None;
+        // One leaf template shared across rounds: the atom table only
+        // grows, so each round extends the template with the new atoms
+        // instead of rebuilding it from scratch.
+        let mut leaf_ctx = LeafCtx::empty();
+        // ... and the same for the E-matching e-graph: one persistent
+        // graph, extended as atoms arrive, with the model's equality
+        // merges rolled back after each round's matching. Operands are
+        // interned in atom-table order, so refs, and with them the
+        // instantiation order, depend on the atom table alone.
+        let mut ematch_eg = Egraph::new();
+        // Atoms `0..ematch_atoms` are already interned in `ematch_eg`.
+        let mut ematch_atoms = 0;
 
         let mut outcome = 'solve: {
             for round in 0..self.config.max_rounds {
@@ -470,31 +416,25 @@ impl Problem {
                 stats.rounds = round + 1;
                 stats.clauses = core.clauses.len();
                 stats.max_clauses = stats.max_clauses.max(core.clauses.len());
-                if self.tuning.hash_cons {
-                    core.extend_atom_tids();
-                }
-                let cached = self.tuning.hash_cons.then(|| CachedView {
+                core.extend_atom_tids();
+                let view = CachedView {
                     arena: &core.arena,
                     atom_tids: &core.atom_tids,
                     tid_zero: core.tid_zero,
                     tid_one: core.tid_one,
-                });
-                if let Some(view) = cached {
-                    leaf_ctx.get_or_insert_with(LeafCtx::empty).extend(view);
-                }
+                };
+                leaf_ctx.extend(view);
                 let mut search = Search {
                     cl: &core.cl,
                     clauses: &core.clauses,
-                    cached,
-                    leaf: leaf_ctx.take(),
+                    view,
+                    leaf: &mut leaf_ctx,
                     decisions: 0,
                     propagations: 0,
                     conflicts: 0,
                     theory_checks: 0,
                     merges: 0,
                     fm_eliminations: 0,
-                    interned_terms: 0,
-                    intern_hits: 0,
                     // The decision budget spans the whole attempt, not one round.
                     max_decisions: self.config.max_decisions.saturating_sub(stats.decisions),
                     deadline,
@@ -513,9 +453,6 @@ impl Problem {
                 stats.theory_checks += search.theory_checks;
                 stats.merges += search.merges;
                 stats.fm_eliminations += search.fm_eliminations;
-                legacy_interned += search.interned_terms;
-                legacy_hits += search.intern_hits;
-                leaf_ctx = search.leaf.take();
                 if search.exhausted {
                     break 'solve Outcome::ResourceOut {
                         resource: if search.cancelled {
@@ -532,51 +469,36 @@ impl Problem {
                     break 'solve Outcome::Proved { stats };
                 };
 
-                // Instantiate quantifiers asserted true in the model.
-                // The round e-graph holds every ground atom side; in
-                // hash-consing mode one persistent graph is extended with
-                // the atoms each round adds and the model's equalities
-                // are rolled back after matching, otherwise a throwaway
-                // round arena is rebuilt exactly as the seed prover did.
-                let mut round_arena = TermArena::new();
-                let mut legacy_eg = Egraph::new();
-                let merges_before;
-                let (eg, ematch_arena): (&mut Egraph, &TermArena) = if self.tuning.hash_cons {
-                    let ctx = ematch_ctx.get_or_insert_with(EmatchCtx::empty);
-                    for ca in &core.atom_tids[ctx.next_atom..] {
-                        if let Some(id) = ca.fst {
-                            ctx.eg.intern_id(&core.arena, id);
-                        }
-                        if let Some(id) = ca.snd {
-                            ctx.eg.intern_id(&core.arena, id);
-                        }
+                // Instantiate quantifiers asserted true in the model,
+                // matching against every ground atom side with the
+                // model's equalities merged on top.
+                for ca in &core.atom_tids[ematch_atoms..] {
+                    if let Some(id) = ca.fst {
+                        ematch_eg.intern_id(&core.arena, id);
                     }
-                    ctx.next_atom = core.atom_tids.len();
-                    merges_before = ctx.eg.merges();
-                    ctx.rewind = Some(ctx.eg.checkpoint());
-                    for (i, v) in model.iter().enumerate() {
-                        if *v == Some(true) {
-                            if let Atom::Eq(..) = core.cl.atom(i) {
-                                let ca = core.atom_tids[i];
-                                if let (Some(a), Some(b)) = (ca.fst, ca.snd) {
-                                    let ra = ctx.eg.intern_id(&core.arena, a);
-                                    let rb = ctx.eg.intern_id(&core.arena, b);
-                                    // The model passed the theory check, so
-                                    // this merge cannot conflict; ignore the
-                                    // result defensively.
-                                    let _ = ctx.eg.merge(ra, rb);
-                                }
+                    if let Some(id) = ca.snd {
+                        ematch_eg.intern_id(&core.arena, id);
+                    }
+                }
+                ematch_atoms = core.atom_tids.len();
+                let merges_before = ematch_eg.merges();
+                let rewind = ematch_eg.checkpoint();
+                for (i, v) in model.iter().enumerate() {
+                    if *v == Some(true) {
+                        if let Atom::Eq(..) = core.cl.atom(i) {
+                            let ca = core.atom_tids[i];
+                            if let (Some(a), Some(b)) = (ca.fst, ca.snd) {
+                                let ra = ematch_eg.intern_id(&core.arena, a);
+                                let rb = ematch_eg.intern_id(&core.arena, b);
+                                // The model passed the theory check, so
+                                // this merge cannot conflict; ignore the
+                                // result defensively.
+                                let _ = ematch_eg.merge(ra, rb);
                             }
                         }
                     }
-                    (&mut ctx.eg, &core.arena)
-                } else {
-                    intern_all_atoms(&core.cl, &mut round_arena, &mut legacy_eg);
-                    assert_model_equalities(&core.cl, &model, &mut round_arena, &mut legacy_eg);
-                    merges_before = 0;
-                    (&mut legacy_eg, &round_arena)
-                };
-                stats.merges += eg.merges() - merges_before;
+                }
+                stats.merges += ematch_eg.merges() - merges_before;
 
                 let active: Vec<usize> = model
                     .iter()
@@ -607,7 +529,7 @@ impl Problem {
                     let closure = core.cl.quants[q].clone();
                     let proxy_atom = core.cl.quant_atom(q);
                     for (ti, trigger) in closure.triggers.iter().enumerate() {
-                        let (bindings, candidates) = match_trigger_counted(eg, trigger);
+                        let (bindings, candidates) = match_trigger_counted(&ematch_eg, trigger);
                         stats.ematch_candidates += candidates;
                         for binding in bindings {
                             if stats.instantiations >= self.config.max_instantiations {
@@ -633,7 +555,7 @@ impl Problem {
                             *stats.instantiations_by_trigger.entry(name).or_insert(0) += 1;
                             let subst: Vec<(Symbol, Term)> = binding
                                 .iter()
-                                .map(|&(x, id)| (x, ematch_arena.term(id).clone()))
+                                .map(|&(x, id)| (x, core.arena.term(id).clone()))
                                 .collect();
                             let inst = closure.body.subst(&subst);
                             let mut inst_clauses = core.cl.clausify(&inst);
@@ -650,15 +572,7 @@ impl Problem {
                         }
                     }
                 }
-                if let Some(ctx) = ematch_ctx.as_mut() {
-                    if let Some(cp) = ctx.rewind.take() {
-                        ctx.eg.rollback(cp);
-                    }
-                }
-                if !self.tuning.hash_cons {
-                    legacy_interned += round_arena.created();
-                    legacy_hits += round_arena.hits();
-                }
+                ematch_eg.rollback(rewind);
                 let added = core.add_clauses(fresh);
                 stats.clauses = core.clauses.len();
                 stats.max_clauses = stats.max_clauses.max(core.clauses.len());
@@ -692,16 +606,10 @@ impl Problem {
             }
         };
 
-        // Interning telemetry, stamped once at the single exit: arena
-        // deltas when hash-consing, per-leaf/per-round sums otherwise.
+        // Interning telemetry, stamped once at the single exit.
         let s = outcome.stats_mut();
-        if self.tuning.hash_cons {
-            s.interned_terms = core.arena.created() - arena_created0;
-            s.intern_hits = core.arena.hits() - arena_hits0;
-        } else {
-            s.interned_terms = legacy_interned;
-            s.intern_hits = legacy_hits;
-        }
+        s.interned_terms = core.arena.created() - arena_created0;
+        s.intern_hits = core.arena.hits() - arena_hits0;
         outcome
     }
 }
@@ -728,15 +636,13 @@ impl SolverWorker {
     }
 
     /// Proves one obligation, reusing this worker's resident core when
-    /// the problem carries the same shared theory (and theory sharing is
-    /// tuned on); otherwise falls back to [`Problem::prove`] semantics.
-    /// Outcomes and stats are identical either way — reuse only skips
-    /// redundant preprocessing.
+    /// the problem carries the same shared theory; otherwise falls back
+    /// to [`Problem::prove`] semantics. Outcomes and stats are identical
+    /// either way — reuse only skips redundant preprocessing.
     pub fn prove(&mut self, problem: &Problem) -> Outcome {
-        let reusable = problem.tuning.share_theory
-            && problem
-                .theory()
-                .is_some_and(|t| Arc::ptr_eq(t, &self.theory));
+        let reusable = problem
+            .theory()
+            .is_some_and(|t| Arc::ptr_eq(t, &self.theory));
         problem.timed_attempt(|deadline, theory_fault| {
             let reuse = reusable.then_some(&mut self.core);
             problem.solve_once(reuse, deadline, theory_fault)
@@ -801,50 +707,6 @@ fn render_model(cl: &Clausifier, model: &[Option<bool>]) -> Vec<String> {
         .collect()
 }
 
-/// Legacy (non-hash-consing) round setup: intern every ground atom side
-/// into a throwaway arena + e-graph, exactly as the seed prover did.
-fn intern_all_atoms(cl: &Clausifier, arena: &mut TermArena, eg: &mut Egraph) {
-    for atom in cl.atoms() {
-        match atom {
-            Atom::Eq(a, b) | Atom::Le(a, b) | Atom::Lt(a, b) => {
-                if a.is_ground() {
-                    eg.intern(arena, a);
-                }
-                if b.is_ground() {
-                    eg.intern(arena, b);
-                }
-            }
-            Atom::Pred(p, args) => {
-                if args.iter().all(Term::is_ground) {
-                    eg.intern(arena, &Term::App(*p, args.clone()));
-                }
-            }
-            Atom::Quant(_) => {}
-        }
-    }
-}
-
-fn assert_model_equalities(
-    cl: &Clausifier,
-    model: &[Option<bool>],
-    arena: &mut TermArena,
-    eg: &mut Egraph,
-) {
-    for (i, v) in model.iter().enumerate() {
-        if *v == Some(true) {
-            if let Atom::Eq(a, b) = cl.atom(i) {
-                if a.is_ground() && b.is_ground() {
-                    let ra = eg.intern(arena, a);
-                    let rb = eg.intern(arena, b);
-                    // The model passed the theory check, so this merge
-                    // cannot conflict; ignore the result defensively.
-                    let _ = eg.merge(ra, rb);
-                }
-            }
-        }
-    }
-}
-
 /// Hash-consed hot-path view over the attempt core: the shared arena,
 /// the per-atom cached term ids, and the pinned `0`/`1` literals.
 #[derive(Clone, Copy)]
@@ -881,32 +743,6 @@ struct LeafCtx {
     ref_one: euf::TermRef,
 }
 
-/// One attempt's persistent E-matching e-graph (hash-consing mode).
-/// The term universe only grows (atom tables are append-only), so each
-/// round interns just the new atoms' operands; the round's model
-/// equalities are merged on top of a checkpoint and rolled back after
-/// matching. Intern order equals the per-round rebuild order, so refs,
-/// class structure, and therefore instantiation order are identical to
-/// rebuilding from scratch.
-struct EmatchCtx {
-    eg: Egraph,
-    /// Atoms `0..next_atom` are already interned.
-    next_atom: usize,
-    /// The checkpoint taken before this round's model merges, consumed
-    /// by the end-of-round rollback.
-    rewind: Option<euf::Checkpoint>,
-}
-
-impl EmatchCtx {
-    fn empty() -> EmatchCtx {
-        EmatchCtx {
-            eg: Egraph::new(),
-            next_atom: 0,
-            rewind: None,
-        }
-    }
-}
-
 impl LeafCtx {
     fn empty() -> LeafCtx {
         LeafCtx {
@@ -938,21 +774,16 @@ impl LeafCtx {
 struct Search<'a> {
     cl: &'a Clausifier,
     clauses: &'a [Clause],
-    /// `Some` when hash-consing is tuned on: leaves intern by id lookup
-    /// through this view. `None` falls back to per-leaf tree interning.
-    cached: Option<CachedView<'a>>,
-    /// The round's template e-graph; `Some` exactly when `cached` is.
-    leaf: Option<LeafCtx>,
+    /// Leaves intern by id lookup through this view.
+    view: CachedView<'a>,
+    /// The round's template e-graph.
+    leaf: &'a mut LeafCtx,
     decisions: u64,
     propagations: u64,
     conflicts: u64,
     theory_checks: u64,
     merges: u64,
     fm_eliminations: u64,
-    /// Legacy-mode telemetry: nodes created in per-leaf arenas.
-    interned_terms: u64,
-    /// Legacy-mode telemetry: hash-consing hits in per-leaf arenas.
-    intern_hits: u64,
     max_decisions: u64,
     deadline: Option<Instant>,
     cancel: &'a CancelToken,
@@ -1120,46 +951,27 @@ impl Search<'_> {
             panic!("injected theory-solver failure at solver entry {entry}");
         }
         self.theory_checks += 1;
-        match self.leaf.take() {
-            Some(mut ctx) => {
-                let view = self.cached.expect("leaf template implies a cached view");
-                let before = ctx.eg.merges();
-                let cp = ctx.eg.checkpoint();
-                let ok = self.consistent_cached(assign, view, &mut ctx);
-                ctx.eg.rollback(cp);
-                self.merges += ctx.eg.merges() - before;
-                self.leaf = Some(ctx);
-                ok
-            }
-            None => {
-                let mut leaf_arena = TermArena::new();
-                let mut eg = Egraph::new();
-                let ok = self.consistent_legacy(assign, &mut leaf_arena, &mut eg);
-                self.interned_terms += leaf_arena.created();
-                self.intern_hits += leaf_arena.hits();
-                self.merges += eg.merges();
-                ok
-            }
-        }
+        let before = self.leaf.eg.merges();
+        let cp = self.leaf.eg.checkpoint();
+        let ok = self.leaf_consistent(assign);
+        self.leaf.eg.rollback(cp);
+        self.merges += self.leaf.eg.merges() - before;
+        ok
     }
 
-    /// Hash-consed leaf check on the round's template e-graph: every
-    /// assigned atom's operand refs are precomputed, so the EUF phase is
-    /// a handful of class unions with zero interning traffic (the caller
-    /// rewinds them afterwards). Verdicts match the legacy per-leaf
-    /// rebuild exactly: congruence closure restricted to the assigned
-    /// atoms' subterm-closed universe is unchanged by the template's
-    /// extra terms, which can join classes but never equate two assigned
-    /// terms (or inject an integer value) that the smaller universe
-    /// wouldn't.
-    fn consistent_cached(
-        &mut self,
-        assign: &[Option<bool>],
-        view: CachedView<'_>,
-        ctx: &mut LeafCtx,
-    ) -> bool {
+    /// Leaf check on the round's template e-graph: every assigned atom's
+    /// operand refs are precomputed, so the EUF phase is a handful of
+    /// class unions with zero interning traffic (the caller rewinds them
+    /// afterwards). Verdicts match a per-leaf e-graph over just the
+    /// assigned atoms: congruence closure restricted to their
+    /// subterm-closed universe is unchanged by the template's extra
+    /// terms, which can join classes but never equate two assigned terms
+    /// (or inject an integer value) that the smaller universe wouldn't.
+    fn leaf_consistent(&mut self, assign: &[Option<bool>]) -> bool {
         let mut diseqs: Vec<(TermId, TermId)> = Vec::new();
         let mut arith: Vec<(TermId, TermId, ArithKind, bool)> = Vec::new();
+        let view = self.view;
+        let ctx = &mut *self.leaf;
         let eg = &mut ctx.eg;
 
         // Phase 1: EUF assertions.
@@ -1208,71 +1020,11 @@ impl Search<'_> {
 
         arith_phases(eg, view.arena, &arith, &diseqs, &mut self.fm_eliminations)
     }
-
-    /// Legacy leaf check: a throwaway arena per leaf, re-interning every
-    /// assigned atom's term trees — the seed prover's work profile, kept
-    /// for the ablation baseline. Interning terms before ids preserves
-    /// the e-graph's ref numbering, so arithmetic atom keys (and thus the
-    /// whole search trace) match the cached path exactly.
-    fn consistent_legacy(
-        &mut self,
-        assign: &[Option<bool>],
-        arena: &mut TermArena,
-        eg: &mut Egraph,
-    ) -> bool {
-        let true_term = Term::int(1);
-        let false_term = Term::int(0);
-
-        let mut diseqs: Vec<(TermId, TermId)> = Vec::new();
-        let mut arith: Vec<(TermId, TermId, ArithKind, bool)> = Vec::new();
-
-        // Phase 1: EUF assertions.
-        for (i, v) in assign.iter().enumerate() {
-            let Some(value) = *v else { continue };
-            match self.cl.atom(i) {
-                Atom::Eq(a, b) => {
-                    let ra = eg.intern(arena, a);
-                    let rb = eg.intern(arena, b);
-                    if value {
-                        if eg.merge(ra, rb).is_err() {
-                            return false;
-                        }
-                        arith.push((eg.tid(ra), eg.tid(rb), ArithKind::Eq, true));
-                    } else {
-                        if eg.assert_diseq(ra, rb).is_err() {
-                            return false;
-                        }
-                        diseqs.push((eg.tid(ra), eg.tid(rb)));
-                    }
-                }
-                Atom::Pred(p, args) => {
-                    let t = eg.intern(arena, &Term::App(*p, args.clone()));
-                    let marker = eg.intern(arena, if value { &true_term } else { &false_term });
-                    if eg.merge(t, marker).is_err() {
-                        return false;
-                    }
-                }
-                Atom::Le(a, b) => {
-                    let ra = eg.intern(arena, a);
-                    let rb = eg.intern(arena, b);
-                    arith.push((eg.tid(ra), eg.tid(rb), ArithKind::Le, value));
-                }
-                Atom::Lt(a, b) => {
-                    let ra = eg.intern(arena, a);
-                    let rb = eg.intern(arena, b);
-                    arith.push((eg.tid(ra), eg.tid(rb), ArithKind::Lt, value));
-                }
-                Atom::Quant(_) => {}
-            }
-        }
-
-        arith_phases(eg, arena, &arith, &diseqs, &mut self.fm_eliminations)
-    }
 }
 
-/// Phases 2 and 3 of the leaf check, shared by both interning modes:
-/// Fourier–Motzkin feasibility over the linearized arithmetic literals,
-/// then exact integer-disequality entailment.
+/// Phases 2 and 3 of the leaf check: Fourier–Motzkin feasibility over
+/// the linearized arithmetic literals, then exact integer-disequality
+/// entailment.
 fn arith_phases(
     eg: &mut Egraph,
     arena: &TermArena,
@@ -1877,7 +1629,7 @@ mod tests {
         assert!(p.prove_isolated().is_proved());
     }
 
-    // ---- shared theory / tuning / worker-reuse determinism ----
+    // ---- shared theory / worker-reuse determinism ----
 
     fn sign_lemma() -> Formula {
         let a = Term::var("a", Sort::Int);
@@ -1918,25 +1670,16 @@ mod tests {
         (theory, problems)
     }
 
-    /// The seed counters that must be identical across tuning modes,
-    /// workers, and job counts (everything except wall time and the
-    /// mode-specific prep/interning telemetry).
-    /// Zeroes the counters that legitimately differ between tuning
-    /// modes, leaving the search-trace counters (decisions, conflicts,
-    /// propagations, rounds, instantiations, theory checks, clauses)
-    /// that every tuning must reproduce exactly. `merges` and
-    /// `fm_eliminations` measure *how* a leaf verdict was computed — the
-    /// template e-graph reaches the same verdicts with different union
-    /// and elimination schedules — and the theory-prep/interning
-    /// counters measure the preprocessing the tunings exist to vary.
+    /// Zeroes the counters that measure preprocessing rather than search
+    /// (theory reuse and interning: a shared theory is interned before
+    /// the attempt, inline axioms during it), leaving the search-trace
+    /// counters that shared and inline axioms, and a reused worker core,
+    /// must reproduce exactly.
     fn seed_counters(stats: &ProverStats) -> ProverStats {
         ProverStats {
-            theory_preps: 0,
             theory_reuses: 0,
             interned_terms: 0,
             intern_hits: 0,
-            merges: 0,
-            fm_eliminations: 0,
             ..stats.without_wall()
         }
     }
@@ -1970,43 +1713,7 @@ mod tests {
         // The shared path reuses the prepared core; the inline path
         // preprocessed its axioms itself.
         assert_eq!(a.stats().theory_reuses, 1);
-        assert_eq!(a.stats().theory_preps, 0);
-        assert_eq!(b.stats().theory_preps, 1);
-    }
-
-    #[test]
-    fn tuning_never_changes_verdicts_or_seed_counters() {
-        let (_theory, problems) = theory_batch();
-        let combos = [
-            SolverTuning::default(),
-            SolverTuning {
-                share_theory: true,
-                hash_cons: false,
-            },
-            SolverTuning {
-                share_theory: false,
-                hash_cons: true,
-            },
-            SolverTuning::legacy(),
-        ];
-        for template in &problems {
-            let baseline = template.prove();
-            for tuning in combos {
-                let mut p = template.clone();
-                p.tuning = tuning;
-                let outcome = p.prove();
-                assert_eq!(
-                    verdict(&outcome),
-                    verdict(&baseline),
-                    "verdict drifted under {tuning:?}"
-                );
-                assert_eq!(
-                    seed_counters(outcome.stats()),
-                    seed_counters(baseline.stats()),
-                    "work counters drifted under {tuning:?}"
-                );
-            }
-        }
+        assert_eq!(b.stats().theory_reuses, 0);
     }
 
     #[test]
@@ -2022,7 +1729,6 @@ mod tests {
                 seed_counters(standalone.stats())
             );
             assert_eq!(reused.stats().theory_reuses, 1);
-            assert_eq!(reused.stats().theory_preps, 0);
         }
     }
 
@@ -2067,27 +1773,6 @@ mod tests {
     }
 
     #[test]
-    fn interning_telemetry_is_populated_in_both_modes() {
-        let (_theory, problems) = theory_batch();
-        let mut optimized = problems[0].clone();
-        optimized.tuning = SolverTuning::default();
-        let mut legacy = problems[0].clone();
-        legacy.tuning = SolverTuning::legacy();
-        let opt_stats = optimized.prove().stats().clone();
-        let leg_stats = legacy.prove().stats().clone();
-        assert!(opt_stats.interned_terms > 0);
-        assert!(leg_stats.interned_terms > 0);
-        // Hash-consing makes interning per-attempt instead of per-leaf:
-        // far fewer nodes are ever created.
-        assert!(
-            opt_stats.interned_terms < leg_stats.interned_terms,
-            "expected arena sharing to reduce interning: {} vs {}",
-            opt_stats.interned_terms,
-            leg_stats.interned_terms
-        );
-    }
-
-    #[test]
     fn theory_fingerprint_matches_inline_axioms() {
         use crate::stats::RetryPolicy;
         let theory = Arc::new(Theory::new(vec![sign_lemma()]));
@@ -2103,13 +1788,6 @@ mod tests {
             shared.fingerprint(RetryPolicy::none()),
             inline.fingerprint(RetryPolicy::none()),
             "splitting axioms into a shared theory must not change cache keys"
-        );
-        // Tuning is excluded from the key.
-        let mut tuned = shared.clone();
-        tuned.tuning = SolverTuning::legacy();
-        assert_eq!(
-            shared.fingerprint(RetryPolicy::none()),
-            tuned.fingerprint(RetryPolicy::none())
         );
     }
 }

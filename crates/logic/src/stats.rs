@@ -34,9 +34,6 @@ pub struct Budget {
     pub timeout: Option<Duration>,
 }
 
-/// Former name of [`Budget`], kept for compatibility.
-pub type ProverConfig = Budget;
-
 impl Default for Budget {
     fn default() -> Budget {
         Budget {
@@ -232,21 +229,16 @@ pub struct ProverStats {
     pub merges: u64,
     /// Fourier–Motzkin variable eliminations, across all checks.
     pub fm_eliminations: u64,
-    /// Attempts that re-ran the clausification front end on the
-    /// background axioms (the legacy cold path; see
-    /// [`crate::theory::Theory`]).
-    pub theory_preps: u64,
     /// Attempts that started from a prepared shared-theory core — either
     /// cloned from a [`crate::theory::Theory`] or reused in place by a
     /// [`crate::solver::SolverWorker`] — skipping axiom preprocessing.
     pub theory_reuses: u64,
     /// Distinct term nodes created by hash-consing interning over the
-    /// attempt (with [`crate::solver::SolverTuning::hash_cons`] off, the
-    /// sum over the throwaway per-leaf/per-round arenas instead).
+    /// attempt.
     pub interned_terms: u64,
     /// Interning requests answered by an existing hash-consed node. A
-    /// high hit/created ratio is what makes the optimized leaf checks
-    /// O(1) per atom.
+    /// high hit/created ratio is what makes the leaf checks O(1) per
+    /// atom.
     pub intern_hits: u64,
     /// Final clause count.
     pub clauses: usize,
@@ -284,7 +276,6 @@ impl ProverStats {
         self.theory_checks += other.theory_checks;
         self.merges += other.merges;
         self.fm_eliminations += other.fm_eliminations;
-        self.theory_preps += other.theory_preps;
         self.theory_reuses += other.theory_reuses;
         self.interned_terms += other.interned_terms;
         self.intern_hits += other.intern_hits;
@@ -308,9 +299,6 @@ impl ProverStats {
     }
 }
 
-/// Former name of [`ProverStats`], kept for compatibility.
-pub type Stats = ProverStats;
-
 impl fmt::Display for ProverStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -329,13 +317,6 @@ impl fmt::Display for ProverStats {
             self.max_clauses,
             self.wall,
         )?;
-        if self.theory_preps > 0 || self.theory_reuses > 0 {
-            write!(
-                f,
-                " theory_prep={}fresh/{}reused",
-                self.theory_preps, self.theory_reuses
-            )?;
-        }
         if self.interned_terms > 0 || self.intern_hits > 0 {
             write!(
                 f,

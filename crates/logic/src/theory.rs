@@ -1,10 +1,10 @@
 //! Shared preprocessed background axiomatization.
 //!
 //! The soundness checker discharges dozens of obligations against the
-//! *same* ~20 background axioms. The seed prover re-ran NNF,
-//! clausification, quantifier interning, and trigger inference on all of
-//! them for every single obligation — the dominant cost of a cold
-//! attempt. A [`Theory`] does that preprocessing exactly once and holds
+//! *same* ~20 background axioms. Re-running NNF, clausification,
+//! quantifier interning, and trigger inference on all of them for every
+//! single obligation would dominate a cold attempt. A [`Theory`] does
+//! that preprocessing exactly once and holds
 //! the result as a reusable [`SolveCore`]: per-obligation solving either
 //! clones the prepared core (cheap — table copies, no re-parsing) or,
 //! with a [`crate::solver::SolverWorker`], reuses one long-lived core
@@ -55,7 +55,7 @@ impl Theory {
 
 /// Ground atom sides hash-consed into a core's arena, aligned with the
 /// clausifier's atom table. `None` marks a non-ground side (or a
-/// quantifier proxy), which the solver skips exactly as the seed did.
+/// quantifier proxy), which the solver skips.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct CachedAtom {
     pub fst: Option<TermId>,

@@ -8,7 +8,7 @@ use crate::obligations::{build_obligation, obligation_specs, obligations_for, Ob
 use crate::cache::{CachedProof, ProofCache};
 use std::fmt;
 use std::time::{Duration, Instant};
-use stq_logic::solver::{Outcome, SolverTuning, SolverWorker};
+use stq_logic::solver::{Outcome, SolverWorker};
 use stq_logic::{fault, Budget, ProverStats, Resource, RetryPolicy};
 use stq_qualspec::{QualifierDef, Registry};
 use stq_util::{CancelToken, Symbol};
@@ -175,46 +175,33 @@ impl fmt::Display for QualReport {
 /// assert_eq!(report.verdict, Verdict::Sound);
 /// ```
 pub fn check_qualifier(registry: &Registry, def: &QualifierDef) -> QualReport {
-    check_qualifier_with(registry, def, Budget::default())
+    check_qualifier_cached(registry, def, Budget::default(), RetryPolicy::none(), None)
 }
 
-/// [`check_qualifier`] under an explicit prover [`Budget`], applied to
-/// every proof obligation. An obligation that exhausts the budget is
-/// recorded with its tripped [`Resource`]; if any obligation does (and
-/// none is positively refuted) the verdict is [`Verdict::ResourceOut`].
-pub fn check_qualifier_with(registry: &Registry, def: &QualifierDef, budget: Budget) -> QualReport {
-    check_qualifier_retrying(registry, def, budget, RetryPolicy::none())
-}
-
-/// The fault-isolated heart of the checker: [`check_qualifier_with`]
-/// plus a budget-escalation [`RetryPolicy`].
+/// The fault-isolated heart of the checker: [`check_qualifier`] under an
+/// explicit prover [`Budget`], a budget-escalation [`RetryPolicy`], and
+/// an optional [`ProofCache`].
 ///
 /// Every obligation is discharged through
-/// [`stq_logic::Problem::prove_isolated`], so a panicking proof attempt —
-/// a prover bug or an injected fault — degrades to a `CRASHED` obligation
-/// and a [`Verdict::Crashed`] report instead of unwinding through the
-/// batch: the remaining obligations (and qualifiers) still get verdicts.
+/// [`stq_logic::SolverWorker::prove_isolated`], so a panicking proof
+/// attempt — a prover bug or an injected fault — degrades to a `CRASHED`
+/// obligation and a [`Verdict::Crashed`] report instead of unwinding
+/// through the batch: the remaining obligations (and qualifiers) still
+/// get verdicts. An obligation that exhausts the budget is recorded with
+/// its tripped [`Resource`]; if any obligation does (and none is
+/// positively refuted) the verdict is [`Verdict::ResourceOut`].
 ///
 /// An obligation that comes back `ResourceOut` is re-run under budgets
 /// escalated by `retry.factor` per attempt, up to `retry.max_attempts`
 /// total attempts; [`ObligationResult::attempts`] records how many ran,
 /// and the stats and duration accumulate across attempts. Refutations and
 /// crashes are never retried.
-pub fn check_qualifier_retrying(
-    registry: &Registry,
-    def: &QualifierDef,
-    budget: Budget,
-    retry: RetryPolicy,
-) -> QualReport {
-    check_qualifier_cached(registry, def, budget, retry, None)
-}
-
-/// [`check_qualifier_retrying`] with an optional [`ProofCache`]: each
-/// obligation is fingerprinted and looked up before any proof search
-/// runs. A hit replays the cached conclusive outcome with zero attempts
-/// ([`ObligationResult::attempts`] is 0 and `stats.cache_hits` is 1); a
-/// miss proves as usual, records the conclusive outcome, and marks
-/// `stats.cache_misses`.
+///
+/// With a cache, each obligation is fingerprinted and looked up before
+/// any proof search runs. A hit replays the cached conclusive outcome
+/// with zero attempts ([`ObligationResult::attempts`] is 0 and
+/// `stats.cache_hits` is 1); a miss proves as usual, records the
+/// conclusive outcome, and marks `stats.cache_misses`.
 pub fn check_qualifier_cached(
     registry: &Registry,
     def: &QualifierDef,
@@ -543,14 +530,10 @@ impl fmt::Display for SoundnessReport {
     }
 }
 
-/// [`check_all`] under an explicit [`Budget`], aggregated into a
-/// [`SoundnessReport`].
-pub fn check_all_with(registry: &Registry, budget: Budget) -> SoundnessReport {
-    check_all_retrying(registry, budget, RetryPolicy::none())
-}
-
-/// [`check_all_with`] with a budget-escalation [`RetryPolicy`]; see
-/// [`check_qualifier_retrying`] for the per-obligation semantics.
+/// [`check_all`] under an explicit [`Budget`] and budget-escalation
+/// [`RetryPolicy`], aggregated into a [`SoundnessReport`]: the plain
+/// sequential driver, one qualifier after another on the calling thread.
+/// See [`check_qualifier_cached`] for the per-obligation semantics.
 pub fn check_all_retrying(
     registry: &Registry,
     budget: Budget,
@@ -559,37 +542,27 @@ pub fn check_all_retrying(
     let start = Instant::now();
     let reports: Vec<QualReport> = registry
         .iter()
-        .map(|def| check_qualifier_retrying(registry, def, budget, retry))
+        .map(|def| check_qualifier_cached(registry, def, budget, retry, None))
         .collect();
     SoundnessReport::new(reports, budget, retry, 1, None, start.elapsed())
 }
 
-/// [`check_all_retrying`] over a work-stealing thread pool: the same
-/// obligations, discharged by up to `jobs` workers, reassembled into the
-/// same deterministic registry-ordered report. With `jobs <= 1` the run
-/// is exactly sequential (no pool, no worker threads).
+/// The full pipeline: every obligation of the registry discharged by up
+/// to `jobs` workers over a work-stealing thread pool, with an optional
+/// [`ProofCache`] consulted per obligation (see
+/// [`check_qualifier_cached`] for the per-obligation semantics). With
+/// `jobs <= 1` the run is exactly sequential (no pool, no worker
+/// threads). The cache's load-time invalidation count is folded into
+/// [`SoundnessReport::totals`].
 ///
 /// Determinism: obligation-level results are index-addressed, so
 /// verdicts, obligation order, countermodels, attempts, and work
-/// counters are identical to the sequential run — only wall-clock fields
-/// (and, under fault injection, *which* solver entry draws a scheduled
-/// index) depend on scheduling. An installed [`fault`] plan is shared
-/// with the workers via [`fault::handle`]/[`fault::adopt`], so entry
-/// numbering stays global and an injected fault fires exactly once.
-pub fn check_all_parallel(
-    registry: &Registry,
-    budget: Budget,
-    retry: RetryPolicy,
-    jobs: usize,
-) -> SoundnessReport {
-    check_all_pipeline(registry, budget, retry, jobs, None)
-}
-
-/// The full pipeline: [`check_all_parallel`] plus an optional
-/// [`ProofCache`] consulted per obligation (see
-/// [`check_qualifier_cached`] for hit/miss semantics). The cache's
-/// load-time invalidation count is folded into
-/// [`SoundnessReport::totals`].
+/// counters are identical to [`check_all_retrying`] — only wall-clock
+/// fields (and, under fault injection, *which* solver entry draws a
+/// scheduled index) depend on scheduling. An installed [`fault`] plan is
+/// shared with the workers via [`fault::handle`]/[`fault::adopt`], so
+/// entry numbering stays global and an injected fault fires exactly
+/// once.
 pub fn check_all_pipeline(
     registry: &Registry,
     budget: Budget,
@@ -645,7 +618,6 @@ pub fn check_defs_pipeline(
 /// [`SoundnessReport::interrupted`]. Conclusive outcomes reached before
 /// the cancellation are still recorded in the cache as usual, so an
 /// interrupted run resumes from where it stopped.
-#[allow(clippy::too_many_arguments)]
 pub fn check_defs_pipeline_cancellable(
     registry: &Registry,
     defs: &[&QualifierDef],
@@ -654,58 +626,6 @@ pub fn check_defs_pipeline_cancellable(
     jobs: usize,
     cache: Option<&ProofCache>,
     cancel: &CancelToken,
-) -> SoundnessReport {
-    check_defs_pipeline_cancellable_tuned(
-        registry,
-        defs,
-        budget,
-        retry,
-        jobs,
-        cache,
-        cancel,
-        SolverTuning::default(),
-    )
-}
-
-/// [`check_all_pipeline`] with an explicit [`SolverTuning`], for ablation
-/// benchmarks: `SolverTuning::legacy()` reproduces the pre-optimization
-/// cold path (per-obligation theory preprocessing, tree-walk matching).
-pub fn check_all_pipeline_tuned(
-    registry: &Registry,
-    budget: Budget,
-    retry: RetryPolicy,
-    jobs: usize,
-    cache: Option<&ProofCache>,
-    tuning: SolverTuning,
-) -> SoundnessReport {
-    let defs: Vec<&QualifierDef> = registry.iter().collect();
-    check_defs_pipeline_cancellable_tuned(
-        registry,
-        &defs,
-        budget,
-        retry,
-        jobs,
-        cache,
-        &CancelToken::default(),
-        tuning,
-    )
-}
-
-/// [`check_defs_pipeline_cancellable`] with an explicit [`SolverTuning`]
-/// applied to every obligation. Tuning never changes verdicts, search
-/// traces, or cache fingerprints — only how much preprocessing and
-/// interning work the prover repeats — so every tuning produces the same
-/// report modulo wall-clock and the theory-prep/interning telemetry.
-#[allow(clippy::too_many_arguments)]
-pub fn check_defs_pipeline_cancellable_tuned(
-    registry: &Registry,
-    defs: &[&QualifierDef],
-    budget: Budget,
-    retry: RetryPolicy,
-    jobs: usize,
-    cache: Option<&ProofCache>,
-    cancel: &CancelToken,
-    tuning: SolverTuning,
 ) -> SoundnessReport {
     let start = Instant::now();
     let jobs = jobs.max(1);
@@ -743,8 +663,7 @@ pub fn check_defs_pipeline_cancellable_tuned(
             SolverWorker::new(background_theory())
         },
         |worker, _, (qi, spec)| {
-            let mut ob = build_obligation(registry, defs[qi], &spec);
-            ob.problem.tuning = tuning;
+            let ob = build_obligation(registry, defs[qi], &spec);
             discharge(worker, ob, budget, retry, cache, cancel)
         },
     );
@@ -1019,15 +938,17 @@ mod tests {
         // the budget.
         let registry = Registry::builtins();
         let def = registry.get_by_name("unique").unwrap();
-        let small = check_qualifier_with(
+        let small = check_qualifier_cached(
             &registry,
             def,
             Budget {
                 max_rounds: 2,
                 ..Budget::default()
             },
+            RetryPolicy::none(),
+            None,
         );
-        let full = check_qualifier_with(&registry, def, Budget::default());
+        let full = check_qualifier(&registry, def);
         assert_eq!(full.verdict, Verdict::Sound);
         let (s, f) = (small.totals(), full.totals());
         assert!(s.instantiations <= f.instantiations);
@@ -1039,7 +960,7 @@ mod tests {
     fn starved_budget_reports_resource_out_not_unsound() {
         let registry = Registry::builtins();
         let def = registry.get_by_name("unique").unwrap();
-        let report = check_qualifier_with(
+        let report = check_qualifier_cached(
             &registry,
             def,
             Budget {
@@ -1047,6 +968,8 @@ mod tests {
                 max_instantiations: 1,
                 ..Budget::default()
             },
+            RetryPolicy::none(),
+            None,
         );
         assert_eq!(report.verdict, Verdict::ResourceOut, "{report}");
         let out: Vec<_> = report
@@ -1060,9 +983,9 @@ mod tests {
     }
 
     #[test]
-    fn check_all_with_aggregates_the_registry() {
+    fn check_all_retrying_aggregates_the_registry() {
         let registry = Registry::builtins();
-        let report = check_all_with(&registry, Budget::default());
+        let report = check_all_retrying(&registry, Budget::default(), RetryPolicy::none());
         assert_eq!(report.reports.len(), 8);
         assert!(report.all_sound(), "{report}");
         assert!(report.obligation_count() >= 19);
@@ -1140,11 +1063,12 @@ mod tests {
         // Force the first attempt of obligation 0 out of budget; the
         // escalated second attempt runs clean.
         fault::install(FaultPlan::new().inject(0, FaultKind::ResourceOut));
-        let report = check_qualifier_retrying(
+        let report = check_qualifier_cached(
             &registry,
             def,
             Budget::default(),
             RetryPolicy::attempts(3),
+            None,
         );
         fault::clear();
         assert_eq!(report.verdict, Verdict::Sound, "{report}");
@@ -1177,9 +1101,9 @@ mod tests {
             max_instantiations: 1,
             ..Budget::default()
         };
-        let no_retry = check_qualifier_with(&registry, def, starved);
+        let no_retry = check_qualifier_cached(&registry, def, starved, RetryPolicy::none(), None);
         assert_eq!(no_retry.verdict, Verdict::ResourceOut);
-        let retried = check_qualifier_retrying(
+        let retried = check_qualifier_cached(
             &registry,
             def,
             starved,
@@ -1187,6 +1111,7 @@ mod tests {
                 max_attempts: 8,
                 factor: 4,
             },
+            None,
         );
         assert_eq!(retried.verdict, Verdict::Sound, "{retried}");
         assert!(retried.obligations.iter().any(|o| o.attempts > 1));
@@ -1391,11 +1316,12 @@ mod tests {
         let registry = Registry::builtins();
         let def = registry.get_by_name("nonnull").unwrap();
         fault::install(FaultPlan::new().inject(0, FaultKind::Panic));
-        let report = check_qualifier_retrying(
+        let report = check_qualifier_cached(
             &registry,
             def,
             Budget::default(),
             RetryPolicy::attempts(3),
+            None,
         );
         fault::clear();
         assert_eq!(report.verdict, Verdict::Crashed);

@@ -45,11 +45,9 @@ pub mod paper_encoding;
 pub use axioms::background_theory;
 pub use cache::{CachedProof, PersistOutcome, ProofCache};
 pub use checker::{
-    check_all, check_all_parallel, check_all_pipeline, check_all_pipeline_cancellable,
-    check_all_pipeline_tuned, check_all_retrying, check_all_with, check_defs_pipeline,
-    check_defs_pipeline_cancellable, check_defs_pipeline_cancellable_tuned, check_qualifier,
-    check_qualifier_cached, check_qualifier_retrying, check_qualifier_with, ObligationResult,
-    QualReport, SoundnessReport, Verdict,
+    check_all, check_all_pipeline, check_all_pipeline_cancellable, check_all_retrying,
+    check_defs_pipeline, check_defs_pipeline_cancellable, check_qualifier, check_qualifier_cached,
+    ObligationResult, QualReport, SoundnessReport, Verdict,
 };
 pub use obligations::{
     build_obligation, obligation_specs, obligations_for, Obligation, ObligationKind,
@@ -57,6 +55,6 @@ pub use obligations::{
 };
 pub use stq_logic::{
     fault, Budget, BudgetOverride, FaultKind, FaultPlan, Fingerprint, IoFaultKind, IoFaultPlan,
-    ProverStats, Resource, RetryPolicy, SolverTuning, SolverWorker, PROVER_VERSION,
+    ProverStats, Resource, RetryPolicy, SolverWorker, PROVER_VERSION,
 };
 pub use stq_util::{CancelReason, CancelToken};

@@ -1,27 +1,110 @@
-//! The cold-path determinism suite: the optimized pipeline (shared
-//! theory, hash-consed leaf checks, per-worker solver reuse) must be a
-//! pure performance change. Verdicts, countermodels, and the `--stats`
-//! counter totals have to be byte-identical across `--jobs 1/4/8`, with
-//! and without fault injection (`--fault-*-at`) armed; and the legacy
-//! tuning ([`SolverTuning::legacy`]) must agree with the optimized
-//! default on every verdict and every *search-trace* counter.
+//! The cold-path determinism suite. Verdicts, countermodels, and the
+//! `--stats` counter totals have to be byte-identical across `--jobs
+//! 1/4/8`, with and without fault injection (`--fault-*-at`) armed.
 //!
-//! The only counters allowed to differ between tuning modes are
-//! `merges`/`fm_eliminations` (class-representative numbering and union
-//! scheduling differ between the per-leaf e-graphs and the shared leaf
-//! template) and the preprocessing/interning ledgers
-//! (`theory_preps`/`theory_reuses`, `interned_terms`/`intern_hits`),
-//! which measure *how* the work was done — never *what* was concluded.
+//! Two exact tables pin *what* the prover does, not just what it
+//! concludes:
+//!
+//! * `golden_traces.txt` holds one line per obligation of the builtin
+//!   registry and the paper's two mutants: verdict, countermodel, and
+//!   every search-trace counter (rounds, instantiations per trigger,
+//!   E-matching candidates, DPLL decisions, propagations, conflicts,
+//!   theory checks, clause counts). A mismatch prints the actual line;
+//!   re-capture a row only when a search change is meant to alter it.
+//!   Equality atoms are oriented by symbol interning order, which a
+//!   process fixes on its first proving run; every test here starts at
+//!   `--jobs 1`, so the table is the sequential interning order's.
+//! * The builtin work ledgers: every attempt starts from the prepared
+//!   shared theory (`theory_reuses`), and hash-consing interns a fixed
+//!   number of terms (`interned_terms`/`intern_hits`). A change that
+//!   silently re-clausifies the background axioms or rebuilds the
+//!   e-graphs per leaf moves these numbers.
 
 use stq_qualspec::Registry;
 use stq_soundness::{
-    check_all_pipeline_tuned, fault, Budget, FaultKind, FaultPlan, RetryPolicy, SolverTuning,
+    check_all_pipeline, fault, Budget, FaultKind, FaultPlan, ObligationResult, RetryPolicy,
     SoundnessReport, Verdict,
 };
 
-fn run(jobs: usize, retry: RetryPolicy, tuning: SolverTuning) -> SoundnessReport {
-    let registry = Registry::builtins();
-    check_all_pipeline_tuned(&registry, Budget::default(), retry, jobs, None, tuning)
+/// The expected search trace of every golden-registry obligation, in
+/// report order.
+const GOLDEN_TRACES: &str = include_str!("golden_traces.txt");
+
+/// §2.1.3's erroneous `pos`: `E1 - E2` where Figure 1 has `E1 * E2`.
+const POS_SUB: &str = "
+value qualifier pos_sub(int Expr E)
+    case E of
+        decl int Const C:
+            C, where C > 0
+      | decl int Expr E1, E2:
+            E1 - E2, where pos_sub(E1) && pos_sub(E2)
+      | decl int Expr E1:
+            -E1, where neg(E1)
+    invariant value(E) > 0
+";
+
+/// §2.2.3's erroneous `unique`: Figure 5 without `disallow L`.
+const UNIQUE_LEAK: &str = "
+ref qualifier unique_leak(T* LValue L)
+    assign L NULL | new
+    invariant value(L) == NULL ||
+        (isHeapLoc(value(L)) &&
+         forall T** P: *P == value(L) => P == location(L))
+";
+
+fn run(registry: &Registry, jobs: usize, retry: RetryPolicy) -> SoundnessReport {
+    check_all_pipeline(registry, Budget::default(), retry, jobs, None)
+}
+
+/// The builtins plus the paper's two mutants, whose refuted
+/// obligations put countermodels into the golden table.
+fn golden_registry() -> Registry {
+    let mut registry = Registry::builtins();
+    registry.add_source(POS_SUB).expect("pos_sub parses");
+    registry
+        .add_source(UNIQUE_LEAK)
+        .expect("unique_leak parses");
+    registry
+}
+
+fn obligation_verdict(o: &ObligationResult) -> String {
+    match (&o.crashed, o.resource) {
+        _ if o.proved => "proved".into(),
+        _ if o.skipped => "skipped".into(),
+        (Some(_), _) => "crashed".into(),
+        (None, Some(resource)) => format!("out:{resource:?}"),
+        (None, None) => "refuted".into(),
+    }
+}
+
+/// One golden line per obligation, in report order.
+fn trace_lines(report: &SoundnessReport) -> Vec<String> {
+    let mut lines = Vec::new();
+    for r in &report.reports {
+        for o in &r.obligations {
+            let s = &o.stats;
+            lines.push(format!(
+                "{} | {} | {} | model={:?} | rounds={} insts={} by_trigger={:?} \
+                 candidates={} decisions={} props={} conflicts={} theory_checks={} \
+                 clauses={} max_clauses={}",
+                r.qualifier,
+                o.description,
+                obligation_verdict(o),
+                o.countermodel,
+                s.rounds,
+                s.instantiations,
+                s.instantiations_by_trigger,
+                s.ematch_candidates,
+                s.decisions,
+                s.propagations,
+                s.conflicts,
+                s.theory_checks,
+                s.clauses,
+                s.max_clauses,
+            ));
+        }
+    }
+    lines
 }
 
 /// Asserts two reports are identical modulo wall-clock fields.
@@ -54,56 +137,64 @@ fn assert_reports_identical(a: &SoundnessReport, b: &SoundnessReport, what: &str
 
 #[test]
 fn optimized_pipeline_results_are_identical_across_job_counts() {
+    let registry = Registry::builtins();
     let retry = RetryPolicy::attempts(2);
-    let baseline = run(1, retry, SolverTuning::default());
+    let baseline = run(&registry, 1, retry);
     assert!(baseline.all_sound(), "{baseline}");
     for jobs in [4, 8] {
-        let parallel = run(jobs, retry, SolverTuning::default());
+        let parallel = run(&registry, jobs, retry);
         assert_reports_identical(&baseline, &parallel, &format!("jobs={jobs}"));
     }
 }
 
 #[test]
-fn legacy_and_optimized_tunings_agree_on_verdicts_and_search_counters() {
-    let retry = RetryPolicy::attempts(2);
-    let legacy = run(1, retry, SolverTuning::legacy());
-    let optimized = run(1, retry, SolverTuning::default());
-    assert!(legacy.all_sound(), "{legacy}");
-    assert_eq!(legacy.reports.len(), optimized.reports.len());
-    for (rl, ro) in legacy.reports.iter().zip(&optimized.reports) {
-        assert_eq!(rl.qualifier, ro.qualifier);
-        assert_eq!(rl.verdict, ro.verdict, "verdict for {}", rl.qualifier);
-        for (ol, oo) in rl.obligations.iter().zip(&ro.obligations) {
-            assert_eq!(ol.description, oo.description);
-            assert_eq!(ol.proved, oo.proved, "{}", ol.description);
-            assert_eq!(ol.countermodel, oo.countermodel, "{}", ol.description);
-            assert_eq!(ol.attempts, oo.attempts, "{}", ol.description);
-            // The entire DPLL + E-matching search trace must be
-            // reproduced step for step by the optimized representation.
-            let (sl, so) = (&ol.stats, &oo.stats);
-            assert_eq!(sl.rounds, so.rounds, "{}", ol.description);
-            assert_eq!(sl.instantiations, so.instantiations, "{}", ol.description);
-            assert_eq!(
-                sl.instantiations_by_trigger, so.instantiations_by_trigger,
-                "{}",
-                ol.description
-            );
-            assert_eq!(sl.ematch_candidates, so.ematch_candidates, "{}", ol.description);
-            assert_eq!(sl.decisions, so.decisions, "{}", ol.description);
-            assert_eq!(sl.propagations, so.propagations, "{}", ol.description);
-            assert_eq!(sl.conflicts, so.conflicts, "{}", ol.description);
-            assert_eq!(sl.theory_checks, so.theory_checks, "{}", ol.description);
-            assert_eq!(sl.clauses, so.clauses, "{}", ol.description);
-            assert_eq!(sl.max_clauses, so.max_clauses, "{}", ol.description);
-        }
+fn search_traces_match_the_golden_table_at_every_job_count() {
+    let want: Vec<&str> = GOLDEN_TRACES
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect();
+    let registry = golden_registry();
+    for jobs in [1, 4, 8] {
+        let got = trace_lines(&run(&registry, jobs, RetryPolicy::attempts(2)));
+        let actual: Vec<&String> = if got.len() == want.len() {
+            got.iter()
+                .zip(&want)
+                .filter(|(g, w)| g != w)
+                .map(|(g, _)| g)
+                .collect()
+        } else {
+            got.iter().collect()
+        };
+        assert!(
+            actual.is_empty(),
+            "jobs={jobs}: {} line(s) of {} differ from golden_traces.txt \
+             ({} expected); actual:\n{}",
+            actual.len(),
+            got.len(),
+            want.len(),
+            actual
+                .iter()
+                .map(|l| l.as_str())
+                .collect::<Vec<_>>()
+                .join("\n")
+        );
     }
-    // The preprocessing ledgers must show the modes really differed:
-    // legacy re-clausifies the axioms per attempt, the optimized path
-    // never does (one worker, theory prepared before the run).
-    assert!(legacy.totals.theory_preps > 0, "{:?}", legacy.totals);
-    assert_eq!(legacy.totals.theory_reuses, 0, "{:?}", legacy.totals);
-    assert_eq!(optimized.totals.theory_preps, 0, "{:?}", optimized.totals);
-    assert!(optimized.totals.theory_reuses > 0, "{:?}", optimized.totals);
+}
+
+#[test]
+fn cold_path_work_ledgers_are_exact_at_every_job_count() {
+    let registry = Registry::builtins();
+    for jobs in [1, 4, 8] {
+        let report = run(&registry, jobs, RetryPolicy::attempts(2));
+        let totals = &report.totals;
+        assert_eq!(report.obligation_count(), 22, "jobs={jobs}");
+        assert_eq!(
+            totals.theory_reuses, 22,
+            "jobs={jobs}: every attempt must start from the prepared theory"
+        );
+        assert_eq!(totals.interned_terms, 198, "jobs={jobs}: interned terms");
+        assert_eq!(totals.intern_hits, 962, "jobs={jobs}: intern hits");
+    }
 }
 
 #[test]
@@ -114,6 +205,7 @@ fn injected_resource_faults_keep_results_identical_across_job_counts() {
     // attempt contributes a fixed (empty) stats record and the re-proof
     // reproduces the base search trace, so the *totals* are independent
     // of which obligations drew the faults.
+    let registry = Registry::builtins();
     let retry = RetryPolicy::attempts(3);
     let plan = FaultPlan::new()
         .inject(2, FaultKind::ResourceOut)
@@ -121,7 +213,7 @@ fn injected_resource_faults_keep_results_identical_across_job_counts() {
     let mut baseline: Option<SoundnessReport> = None;
     for jobs in [1usize, 4, 8] {
         fault::install(plan.clone());
-        let report = run(jobs, retry, SolverTuning::default());
+        let report = run(&registry, jobs, retry);
         fault::clear();
         assert!(report.all_sound(), "jobs={jobs}: {report}");
         let attempts: u32 = report
@@ -159,12 +251,13 @@ fn injected_crashes_are_contained_identically_at_every_job_count() {
     // scheduling-dependent under the pool (documented in `fault`), but
     // the containment shape is not — exactly two obligations crash,
     // everything else is proved, at every job count.
+    let registry = Registry::builtins();
     let plan = FaultPlan::new()
         .inject(3, FaultKind::Panic)
         .inject(7, FaultKind::TheoryError);
     for jobs in [1usize, 4, 8] {
         fault::install(plan.clone());
-        let report = run(jobs, RetryPolicy::none(), SolverTuning::default());
+        let report = run(&registry, jobs, RetryPolicy::none());
         fault::clear();
         let crashed = report
             .reports

@@ -8,8 +8,8 @@ use std::path::PathBuf;
 use stq_qualspec::Registry;
 use stq_soundness::cache::{CACHE_FILE, FORMAT_VERSION};
 use stq_soundness::{
-    check_all_parallel, check_all_pipeline, check_all_retrying, check_qualifier_cached, fault,
-    Budget, FaultKind, FaultPlan, ProofCache, RetryPolicy, SoundnessReport, Verdict,
+    check_all_pipeline, check_all_retrying, check_qualifier_cached, fault, Budget, FaultKind,
+    FaultPlan, ProofCache, RetryPolicy, SoundnessReport, Verdict,
 };
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -60,7 +60,7 @@ fn parallel_reports_are_identical_to_sequential_for_every_job_count() {
     let sequential = check_all_retrying(&registry, budget, retry);
     assert!(sequential.all_sound(), "{sequential}");
     for jobs in [1, 4, 8] {
-        let parallel = check_all_parallel(&registry, budget, retry, jobs);
+        let parallel = check_all_pipeline(&registry, budget, retry, jobs, None);
         assert_eq!(parallel.jobs, jobs);
         assert_reports_equivalent(&sequential, &parallel, &format!("jobs={jobs}"));
     }
@@ -237,7 +237,7 @@ fn stale_on_disk_cache_from_another_prover_version_is_ignored() {
 fn fault_panic_under_parallel_jobs_crashes_exactly_one_obligation() {
     let registry = Registry::builtins();
     fault::install(FaultPlan::new().inject(3, FaultKind::Panic));
-    let report = check_all_parallel(&registry, Budget::default(), RetryPolicy::none(), 4);
+    let report = check_all_pipeline(&registry, Budget::default(), RetryPolicy::none(), 4, None);
     fault::clear();
     let crashed: Vec<_> = report
         .reports

@@ -8,17 +8,14 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
 
 echo "==> stqbench unit tests and known-answer oracle"
 cargo test -q --manifest-path stqbench/Cargo.toml
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
-
-echo "==> cold-parallel scaling smoke (optimized cold path beats legacy sequential)"
-cargo test -q --release -p stq-soundness --test perf_smoke -- --ignored --nocapture
 
 echo "==> stqc single-threaded smoke (--jobs 1)"
 smoke_src="$(mktemp /tmp/stqc-smoke-XXXXXX.c)"

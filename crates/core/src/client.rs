@@ -1,22 +1,21 @@
 //! A self-healing client for the serve daemon.
 //!
 //! `stqc call` began as a thin one-request wrapper: connect, write one
-//! line, read one line. That is exactly the client the chaos harness
-//! (`stq_util::netfault`, `stqc chaos-serve`) breaks: responses arrive
-//! torn, corrupted, interleaved with stray lines, or not at all because
-//! the connection was reset or the worker was killed and restarted
-//! under its supervisor. This module is the client that survives all of
-//! it — and the reusable plumbing `stqc call` now sits on. It takes an
-//! **ordered list of endpoints** ([`ClientConfig::endpoints`]), each a
-//! Unix socket or a TCP address, and speaks the identical healing
-//! contract over both transports (`docs/serving.md` has the transport
-//! matrix and the HA topology).
+//! line, read one line. That is exactly the client the chaos drills
+//! (`tests/chaos/`) break: responses arrive torn, corrupted, interleaved
+//! with stray lines, or not at all because the connection was reset or
+//! the daemon was killed and restarted. This module is the client that
+//! survives all of it — and the reusable plumbing `stqc call` now sits
+//! on. It takes an **ordered list of endpoints**
+//! ([`ClientConfig::endpoints`]), each a Unix socket or a TCP address,
+//! and speaks the identical healing contract over both transports
+//! (`docs/serving.md` has the transport matrix and the HA topology).
 //!
 //! The healing contract (`docs/serving.md` has the retry-semantics
 //! table):
 //!
-//! * **Reconnect.** Connection loss (reset, EOF, refused while the
-//!   supervisor restarts a worker) re-establishes the connection,
+//! * **Reconnect.** Connection loss (reset, EOF, refused while a
+//!   crashed daemon is restarted) re-establishes the connection,
 //!   retrying `connect` within [`ClientConfig::connect_timeout`].
 //! * **Failover.** With more than one endpoint configured, a connect
 //!   failure, a mid-call severance, or a `shutting-down` rejection
@@ -101,8 +100,8 @@ pub struct ClientConfig {
     /// severance, or a `shutting-down` rejection.
     pub endpoints: Vec<Endpoint>,
     /// Total budget for establishing a connection, including retries
-    /// while every endpoint is refused/absent (a supervisor restarting
-    /// its worker). Zero means a single pass over the ring.
+    /// while every endpoint is refused/absent (a daemon being
+    /// restarted). Zero means a single pass over the ring.
     pub connect_timeout: Duration,
     /// Overall wall-clock budget for one `call`, covering every retry;
     /// `None` waits indefinitely (the pre-chaos behavior).
@@ -682,7 +681,7 @@ mod tests {
         let daemon = scripted_daemon(
             &socket,
             vec![vec![
-                "{\"id\":\"net-fault-alien\",\"ok\":true,\"result\":{}}\n\
+                "{\"id\":\"stray-alien\",\"ok\":true,\"result\":{}}\n\
                  {\"id\":$ID,\"ok\":true,\"result\":{\"real\":true}}\n",
             ]],
         );

@@ -63,7 +63,6 @@ use stq_soundness::{Budget, BudgetOverride, ProofCache, RetryPolicy, SoundnessRe
 #[cfg(unix)]
 use stq_util::flock::FileLock;
 use stq_util::json::Json;
-use stq_util::netfault::{ChaosWriter, NetFaultInjector, NetFaultPlan};
 use stq_util::serve::{Rejected, Scheduler};
 use stq_util::CancelToken;
 
@@ -107,10 +106,6 @@ pub struct ServeConfig {
     /// (`0` disables the guard). Without this, one newline-less client
     /// could buffer the reader thread into the ground.
     pub max_line_bytes: usize,
-    /// Wire-fault plan for the chaos harness: when set, every response
-    /// write may be corrupted, severed, or stalled per the plan
-    /// (see `stq_util::netfault` and `docs/robustness.md`).
-    pub netfault: Option<NetFaultPlan>,
     /// The qualifier-library files (`--quals`) this server was started
     /// with, in load order — what the `reload` method re-parses.
     pub qual_files: Vec<PathBuf>,
@@ -130,7 +125,6 @@ impl Default for ServeConfig {
             retry: RetryPolicy::none(),
             idle_timeout: None,
             max_line_bytes: 1 << 20,
-            netfault: None,
             qual_files: Vec::new(),
             watch_libs: false,
         }
@@ -231,10 +225,8 @@ impl Conn {
         self.alive.load(Ordering::Acquire)
     }
 
-    /// Writes one response line (a single `write_all`, so the chaos
-    /// layer's write-op indices line up with response lines). A failed
-    /// write means the client is gone; the connection is marked dead so
-    /// later jobs skip.
+    /// Writes one response line. A failed write means the client is
+    /// gone; the connection is marked dead so later jobs skip.
     fn send(&self, response: &Json) {
         let mut line = response.to_string();
         line.push('\n');
@@ -313,6 +305,81 @@ fn lock_socket(socket: &std::path::Path) -> io::Result<FileLock> {
         ),
         _ => e,
     })
+}
+
+/// A daemon's bound endpoints: a Unix socket held under its path lock,
+/// a TCP listener, or both. Binding is separate from serving
+/// ([`Server::run_multi`]) so `stqc serve` publishes `--pid-file` and
+/// `--addr-file` only once it owns every endpoint. Dropping the
+/// listeners removes the socket file, then releases the lock.
+#[cfg(unix)]
+pub struct Listeners {
+    unix: Option<(std::os::unix::net::UnixListener, PathBuf, FileLock)>,
+    tcp: Option<std::net::TcpListener>,
+}
+
+#[cfg(unix)]
+impl Listeners {
+    /// Binds `tcp` (`HOST:PORT`; port 0 picks a free port), then
+    /// `socket`. A stale socket file left by a dead daemon is reclaimed —
+    /// the probe → unlink → rebind sequence runs under the exclusive
+    /// `lock_socket` lock, so two daemons racing for one path cannot both
+    /// reclaim it — and a *live* daemon on the path is an `AddrInUse`
+    /// error.
+    ///
+    /// # Errors
+    ///
+    /// A listener could not be bound.
+    pub fn bind(socket: Option<&std::path::Path>, tcp: Option<&str>) -> io::Result<Listeners> {
+        use std::os::unix::net::{UnixListener, UnixStream};
+
+        let tcp = match tcp {
+            Some(addr) => {
+                let listener = std::net::TcpListener::bind(addr)
+                    .map_err(|e| io::Error::new(e.kind(), format!("cannot bind {addr}: {e}")))?;
+                listener.set_nonblocking(true)?;
+                Some(listener)
+            }
+            None => None,
+        };
+        let unix = match socket {
+            Some(path) => {
+                let guard = lock_socket(path)?;
+                let listener = match UnixListener::bind(path) {
+                    Ok(l) => l,
+                    Err(e) if e.kind() == io::ErrorKind::AddrInUse => {
+                        if UnixStream::connect(path).is_ok() {
+                            return Err(io::Error::new(
+                                io::ErrorKind::AddrInUse,
+                                format!("a daemon is already serving {}", path.display()),
+                            ));
+                        }
+                        std::fs::remove_file(path)?;
+                        UnixListener::bind(path)?
+                    }
+                    Err(e) => return Err(e),
+                };
+                listener.set_nonblocking(true)?;
+                Some((listener, path.to_path_buf(), guard))
+            }
+            None => None,
+        };
+        Ok(Listeners { unix, tcp })
+    }
+
+    /// The bound TCP address (the kernel's choice for port 0).
+    pub fn tcp_addr(&self) -> Option<std::net::SocketAddr> {
+        self.tcp.as_ref().and_then(|l| l.local_addr().ok())
+    }
+}
+
+#[cfg(unix)]
+impl Drop for Listeners {
+    fn drop(&mut self) {
+        if let Some((_, path, _)) = &self.unix {
+            let _ = std::fs::remove_file(path);
+        }
+    }
 }
 
 /// How long a worker will wait for a stalled peer to drain its socket
@@ -470,7 +537,7 @@ impl Framer {
 
 /// The resident checking server. Construct once, share behind an
 /// [`Arc`], and drive with [`Server::run_unix`], [`Server::run_multi`]
-/// or [`Server::run_stdio`].
+/// over [`Listeners`], or [`Server::run_stdio`].
 pub struct Server {
     /// The resident registry. Readers clone the `Arc` and release the
     /// lock at once; writers build a new session on the side and hold
@@ -482,7 +549,6 @@ pub struct Server {
     stats: ServeStats,
     cancel: CancelToken,
     stopping: AtomicBool,
-    netfault: Option<Arc<NetFaultInjector>>,
     /// Bumped on every registry swap (`define_qualifiers` or a reload),
     /// so clients can tell which registry answered.
     define_epoch: AtomicU64,
@@ -507,11 +573,6 @@ impl Server {
             Some(dir) => ProofCache::at_dir(dir)?,
             None => ProofCache::in_memory(),
         };
-        let netfault = cfg
-            .netfault
-            .clone()
-            .filter(|plan| !plan.is_empty())
-            .map(|plan| Arc::new(NetFaultInjector::new(plan)));
         Ok(Server {
             session: RwLock::new(Arc::new(session)),
             cache,
@@ -519,25 +580,10 @@ impl Server {
             stats: ServeStats::new(),
             cancel,
             stopping: AtomicBool::new(false),
-            netfault,
             define_epoch: AtomicU64::new(0),
             swap_lock: Mutex::new(()),
             cfg,
         })
-    }
-
-    /// Wraps a connection's write half in the chaos layer when a
-    /// net-fault plan is armed; `severer` hard-closes the underlying
-    /// transport so the peer observes injected connection drops.
-    fn chaos_writer(
-        &self,
-        writer: Box<dyn Write + Send>,
-        severer: Option<Box<dyn Fn() + Send>>,
-    ) -> Box<dyn Write + Send> {
-        match &self.netfault {
-            Some(injector) => Box::new(ChaosWriter::new(writer, Arc::clone(injector), severer)),
-            None => writer,
-        }
     }
 
     /// The current registry, for the duration of one request.
@@ -581,8 +627,7 @@ impl Server {
     pub fn run_stdio(self: &Arc<Server>) -> ShutdownKind {
         self.stats.connections.fetch_add(1, Ordering::Relaxed);
         self.stats.open_connections.fetch_add(1, Ordering::AcqRel);
-        let writer = self.chaos_writer(Box::new(io::stdout()) as Box<dyn Write + Send>, None);
-        let conn = Arc::new(Conn::new(self.cancel.child(), writer));
+        let conn = Arc::new(Conn::new(self.cancel.child(), Box::new(io::stdout())));
         let mut stdin = io::stdin();
         let mut framer = Framer::new();
         let mut chunk = [0u8; 4096];
@@ -603,66 +648,28 @@ impl Server {
         kind
     }
 
-    /// Binds `socket_path` and serves until shutdown. Returns how the
-    /// run ended; the socket file is removed on the way out. A stale
-    /// socket file left by a dead daemon is reclaimed — under the
-    /// exclusive `lock_socket` lock, so two daemons racing for the
-    /// same path cannot both reclaim it — and a *live* daemon on the
-    /// same path is an `AddrInUse` error.
+    /// Binds `socket_path` and serves until shutdown; see
+    /// [`Listeners::bind`] and [`run_multi`](Self::run_multi).
     #[cfg(unix)]
     pub fn run_unix(self: &Arc<Server>, socket_path: &std::path::Path) -> io::Result<ShutdownKind> {
-        self.run_multi(Some(socket_path), None)
+        self.run_multi(Listeners::bind(Some(socket_path), None)?)
     }
 
-    /// The reactor-driven serving loop behind [`run_unix`](Self::run_unix):
-    /// one thread multiplexes a Unix socket, a TCP listener (bound by the
-    /// caller, so it can learn the kernel-assigned port of `:0`), or
-    /// both, and every accepted connection through `poll(2)`
-    /// (`stq_util::reactor`), handing parsed requests to the worker
-    /// pool. Thread count is `1 + cfg.jobs`, independent of client
-    /// count; an idle daemon blocks in the kernel with no timer churn
-    /// (the poll timeout exists only when the root deadline or an idle
-    /// sweep needs it).
+    /// The reactor-driven serving loop: one thread multiplexes the bound
+    /// [`Listeners`] — a Unix socket, a TCP listener, or both — and every
+    /// accepted connection through `poll(2)` (`stq_util::reactor`),
+    /// handing parsed requests to the worker pool. Thread count is
+    /// `1 + cfg.jobs`, independent of client count; an idle daemon
+    /// blocks in the kernel with no timer churn (the poll timeout exists
+    /// only when the root deadline or an idle sweep needs it). Returns
+    /// how the run ended; the socket file goes with the listeners.
     #[cfg(unix)]
-    pub fn run_multi(
-        self: &Arc<Server>,
-        socket_path: Option<&std::path::Path>,
-        tcp: Option<std::net::TcpListener>,
-    ) -> io::Result<ShutdownKind> {
+    pub fn run_multi(self: &Arc<Server>, listeners: Listeners) -> io::Result<ShutdownKind> {
         use std::os::unix::io::AsRawFd;
-        use std::os::unix::net::{UnixListener, UnixStream};
         use stq_util::reactor::{Interest, Reactor};
 
-        // The whole probe → unlink → rebind sequence runs under the
-        // exclusive socket lock, and the winner holds the lock for its
-        // lifetime (dropped on the way out of this function).
-        let mut _socket_guard = None;
-        let unix_listener = match socket_path {
-            Some(path) => {
-                let guard = lock_socket(path)?;
-                let listener = match UnixListener::bind(path) {
-                    Ok(l) => l,
-                    Err(e) if e.kind() == io::ErrorKind::AddrInUse => {
-                        if UnixStream::connect(path).is_ok() {
-                            return Err(io::Error::new(
-                                io::ErrorKind::AddrInUse,
-                                format!("a daemon is already serving {}", path.display()),
-                            ));
-                        }
-                        std::fs::remove_file(path)?;
-                        UnixListener::bind(path)?
-                    }
-                    Err(e) => return Err(e),
-                };
-                listener.set_nonblocking(true)?;
-                _socket_guard = Some(guard);
-                Some(listener)
-            }
-            None => None,
-        };
-        if let Some(l) = &tcp {
-            l.set_nonblocking(true)?;
-        }
+        let unix_listener = listeners.unix.as_ref().map(|(l, _, _)| l);
+        let tcp = listeners.tcp.as_ref();
 
         const UNIX_LISTENER_TOKEN: usize = 0;
         const TCP_LISTENER_TOKEN: usize = 1;
@@ -673,10 +680,10 @@ impl Server {
         // interrupt a poll(2) blocked with no timeout: `cancel()` rings
         // the reactor's wake pipe (async-signal-safely).
         self.cancel.set_wake_fd(reactor.waker().raw_fd());
-        if let Some(l) = &unix_listener {
+        if let Some(l) = unix_listener {
             reactor.register(l.as_raw_fd(), UNIX_LISTENER_TOKEN, Interest::READABLE);
         }
-        if let Some(l) = &tcp {
+        if let Some(l) = tcp {
             reactor.register(l.as_raw_fd(), TCP_LISTENER_TOKEN, Interest::READABLE);
         }
 
@@ -713,7 +720,7 @@ impl Server {
             for event in &events {
                 match event.token {
                     UNIX_LISTENER_TOKEN => {
-                        if let Some(l) = &unix_listener {
+                        if let Some(l) = unix_listener {
                             loop {
                                 match l.accept() {
                                     Ok((stream, _)) => self.admit(
@@ -729,7 +736,7 @@ impl Server {
                         }
                     }
                     TCP_LISTENER_TOKEN => {
-                        if let Some(l) = &tcp {
+                        if let Some(l) = tcp {
                             loop {
                                 match l.accept() {
                                     Ok((stream, _)) => self.admit(
@@ -778,12 +785,7 @@ impl Server {
             }
         };
         self.cancel.set_wake_fd(-1);
-        if let Err(e) = result {
-            if let Some(path) = socket_path {
-                let _ = std::fs::remove_file(path);
-            }
-            return Err(e);
-        }
+        result?;
         // Drain before teardown: queued and in-flight requests still
         // write their responses through the live connections.
         let kind = self.finish();
@@ -792,15 +794,12 @@ impl Server {
             self.stats.open_connections.fetch_sub(1, Ordering::AcqRel);
             drop(state);
         }
-        if let Some(path) = socket_path {
-            let _ = std::fs::remove_file(path);
-        }
         Ok(kind)
     }
 
     /// Sets up one accepted connection on the reactor: nonblocking
-    /// stream, write half behind a [`PollWriter`] (plus the chaos layer
-    /// when armed), a child cancel token, and a read registration.
+    /// stream, write half behind a [`PollWriter`], a child cancel token,
+    /// and a read registration.
     #[cfg(unix)]
     fn admit(
         self: &Arc<Server>,
@@ -815,16 +814,7 @@ impl Server {
             return;
         }
         let Ok(write_half) = stream.try_clone() else { return };
-        let writer =
-            Box::new(PollWriter { inner: write_half, stall: WRITE_STALL }) as Box<dyn Write + Send>;
-        let severer: Option<Box<dyn Fn() + Send>> = match self.netfault {
-            Some(_) => match stream.try_clone() {
-                Ok(s) => Some(Box::new(move || s.shutdown_both())),
-                Err(_) => return,
-            },
-            None => None,
-        };
-        let writer = self.chaos_writer(writer, severer);
+        let writer = Box::new(PollWriter { inner: write_half, stall: WRITE_STALL });
         let conn = Arc::new(Conn::new(self.cancel.child(), writer));
         self.stats.connections.fetch_add(1, Ordering::Relaxed);
         self.stats.open_connections.fetch_add(1, Ordering::AcqRel);
@@ -1290,9 +1280,9 @@ impl Server {
             self.stats.interrupted.fetch_add(1, Ordering::Relaxed);
         }
         // Persist conclusive verdicts eagerly, not just at shutdown: a
-        // crashed (or SIGKILLed) worker's successor then reloads a warm
-        // journal, which is what lets a supervised restart keep the
-        // cache. `persist_skips` makes the nothing-dirty case cheap.
+        // crashed (or SIGKILLed) daemon restarted on the same cache dir
+        // then reloads a warm journal, as does a fleet peer following
+        // it. `persist_skips` makes the nothing-dirty case cheap.
         if self.cfg.cache_dir.is_some() {
             let _ = self.cache.persist();
         }
@@ -1315,13 +1305,6 @@ impl Server {
         let total: u64 = methods.iter().map(|(_, c)| c.load(Ordering::Relaxed)).sum();
         let requests = std::iter::once(("total", total.into()))
             .chain(methods.iter().map(|(name, c)| (*name, count(c))));
-        let netfault = self.netfault.as_ref().map(|inj| {
-            Json::obj([
-                ("planned", inj.planned().into()),
-                ("injected", inj.injected().into()),
-                ("ops", inj.ops().into()),
-            ])
-        });
         Json::obj([
             ("uptime_ms", millis(s.started.elapsed())),
             ("jobs", self.cfg.jobs.into()),
@@ -1350,7 +1333,6 @@ impl Server {
                     ("wakeups", count(&s.reactor_wakeups)),
                 ]),
             ),
-            ("netfault", netfault.into()),
             ("cache", cache_json(&self.cache)),
         ])
     }
@@ -2193,41 +2175,6 @@ mod tests {
         assert_eq!(n, 0, "the daemon closes an idle connection");
         assert_eq!(server.stats.idle_closed.load(Ordering::Relaxed), 1);
         daemon.stop();
-    }
-
-    #[test]
-    fn armed_netfault_still_yields_attributed_answers_via_retries() {
-        use stq_util::netfault::NetFaultPlan;
-        // Faults on every early response write; the in-process client
-        // below is the resilient one from `crate::client`.
-        let plan = NetFaultPlan::seeded(42, 6, 12);
-        assert!(!plan.is_empty());
-        let daemon = Daemon::start(ServeConfig {
-            netfault: Some(plan),
-            ..ServeConfig::default()
-        });
-        let mut client = crate::client::Client::new(crate::client::ClientConfig {
-            endpoints: vec![crate::client::Endpoint::Unix(daemon.socket.clone())],
-            connect_timeout: Duration::from_secs(5),
-            call_deadline: Some(Duration::from_secs(30)),
-            max_retries: 32,
-            backoff_base: Duration::from_millis(1),
-            backoff_max: Duration::from_millis(10),
-            seed: 3,
-        });
-        for i in 0..10 {
-            let out = client
-                .call("stats", None, None)
-                .unwrap_or_else(|e| panic!("request {i} not healed: {e}"));
-            assert_eq!(out.doc.get("ok").and_then(Json::as_bool), Some(true));
-        }
-        let injector = daemon.server.netfault.as_ref().expect("injector armed");
-        assert!(
-            injector.injected() > 0,
-            "ten faulted round-trips must actually draw faults"
-        );
-        client.call("shutdown", None, None).expect("shutdown");
-        daemon.join();
     }
 
     /// Waits until something is listening on `socket`.

@@ -4,7 +4,7 @@
 //! they have.
 
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::TcpStream;
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
@@ -34,13 +34,6 @@ impl Stream {
             Stream::Unix(s) => s.set_read_timeout(dur),
             Stream::Tcp(s) => s.set_read_timeout(dur),
         }
-    }
-
-    pub(crate) fn shutdown_both(&self) {
-        let _ = match self {
-            Stream::Unix(s) => s.shutdown(Shutdown::Both),
-            Stream::Tcp(s) => s.shutdown(Shutdown::Both),
-        };
     }
 }
 

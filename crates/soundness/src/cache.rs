@@ -300,7 +300,11 @@ impl ProofCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Some(proof);
         }
-        if self.dir.is_some() && self.follow() {
+        if self.dir.is_some() {
+            // Look again even when this pass adopted nothing: a
+            // concurrent lookup's pass may have adopted `fp` while this
+            // one waited for the journal cursor.
+            self.follow();
             let found = self.mem.read().expect("cache lock").get(&fp).cloned();
             if let Some(proof) = found {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -1186,6 +1190,35 @@ mod tests {
         // nothing adopted).
         assert_eq!(b.lookup(fp(102)), None);
         assert_eq!(b.misses(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_misses_hit_what_another_lookup_followed() {
+        let dir = tmpdir("follow-concurrent");
+        let a = ProofCache::at_dir(&dir).unwrap();
+        let b = ProofCache::at_dir(&dir).unwrap();
+        for n in 0..64 {
+            a.record(fp(200 + n), &proved());
+        }
+        a.persist().unwrap();
+
+        // Eight threads miss in memory at once; one follow pass adopts
+        // the whole tail while the others wait for the cursor, and those
+        // must still find their entries rather than re-prove them.
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for t in 0..8 {
+                let (b, start) = (&b, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for n in 0..8 {
+                        assert_eq!(b.lookup(fp(200 + t * 8 + n)), Some(CachedProof::Proved));
+                    }
+                });
+            }
+        });
+        assert_eq!((b.hits(), b.misses()), (64, 0));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -17,12 +17,10 @@
 //! * [`reactor`] — `poll(2)` readiness multiplexing over nonblocking
 //!   sockets (self-pipe waker included) so the daemon serves many idle
 //!   connections from one thread (see `docs/serving.md`),
-//! * [`netfault`] — seeded, deterministic wire-fault injection for the
-//!   serve transport (the chaos harness; see `docs/robustness.md`),
 //! * [`flock`] — advisory `flock(2)` file locks (the proof-cache journal
 //!   and the daemon's socket path),
 //! * [`splitmix64`] — the seeded mixing step behind every reproducible
-//!   schedule (fault plans, client jitter, chaos campaigns),
+//!   schedule (solver fault plans, client jitter, the chaos drills),
 //! * [`Span`] / [`Loc`] — byte-offset source locations for error reporting,
 //! * [`Diagnostic`] / [`Diagnostics`] — structured warnings and errors, in the
 //!   spirit of the paper's typechecker which "provides type errors to the
@@ -48,7 +46,6 @@ pub mod diag;
 pub mod flock;
 pub mod intern;
 pub mod json;
-pub mod netfault;
 pub mod pool;
 pub mod reactor;
 pub mod serve;

@@ -15,16 +15,13 @@
 //! stqc serve (--socket PATH | --tcp HOST:PORT | --stdio) [--jobs N]
 //!           [--cache-dir DIR] [--addr-file PATH]
 //!           [--quals FILE] [--watch-libs] [--max-inflight N] [--max-queue N]
-//!           [--supervise] [--pid-file PATH] [--idle-timeout-ms N]
-//!           [--max-line-bytes N] [--net-fault-seed N] [BUDGET..]
+//!           [--pid-file PATH] [--idle-timeout-ms N]
+//!           [--max-line-bytes N] [BUDGET..]
 //!                                        checking-as-a-service daemon
 //! stqc call (--socket PATH | --tcp HOST:PORT | --endpoint SPEC)..
 //!           [--deadline-ms N] [--connect-timeout-ms N]
 //!           [--call-deadline-ms N] [--retries N] [--json] METHOD [PARAMS]
 //!                                        one request to a serve daemon
-//! stqc chaos-serve [--seed N] [--count N] [--clients N] [--kill-worker]
-//!           [--daemons N] [--kill-daemon]
-//!           [--out FILE]                 chaos soak against a faulted daemon
 //! ```
 //!
 //! Budget flags (`prove` only) bound the prover so a pathological
@@ -80,8 +77,8 @@ use std::fs;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use stq_core::reportjson::{
-    budget_json, cache_json, check_json, check_stats_json, decimals, millis, prove_json,
-    retry_json, with_lead,
+    budget_json, cache_json, check_json, check_stats_json, millis, prove_json, retry_json,
+    with_lead,
 };
 use stq_core::{
     fault, Budget, CancelToken, CheckOptions, FaultKind, FaultPlan, PersistOutcome, ProofCache,
@@ -89,9 +86,7 @@ use stq_core::{
 };
 use stq_util::json::Json;
 
-const USAGE: &str =
-    "usage: stqc <prove|check|run|infer|tables|show|fuzz|serve|call|chaos-serve> \
-     [options]\n\
+const USAGE: &str = "usage: stqc <prove|check|run|infer|tables|show|fuzz|serve|call> [options]\n\
      run `stqc --help` for the full command and flag reference";
 
 /// The complete CLI surface. `tests/docs.rs` cross-checks every
@@ -111,7 +106,6 @@ subcommands:
   stqc fuzz                 differential fuzzing across three oracles
   stqc serve                long-running checking daemon (socket or stdio)
   stqc call METHOD [PARAMS] send one request to a running serve daemon
-  stqc chaos-serve          chaos soak: faulted daemon vs fault-free baseline
 
 qualifier and report flags (prove, check, run, infer, show, serve):
   --quals FILE              define qualifiers from FILE on top of the builtins
@@ -167,9 +161,8 @@ serving flags (serve, call; see docs/serving.md):
   --stdio                   serve one session over stdin/stdout (testing)
   --max-inflight N          per-connection in-flight request cap (serve)
   --max-queue N             global request queue bound before shedding (serve)
-  --supervise               run the worker as a supervised child; restart it
-                            on crashes, with restart-rate limiting (serve)
-  --pid-file PATH           record the current worker pid in PATH (serve)
+  --pid-file PATH           record the daemon's pid in PATH once listening
+                            (serve; atomic temp+rename)
   --idle-timeout-ms N       close connections idle for N ms with no in-flight
                             work (serve; 0 or omitted = never)
   --max-line-bytes N        reject request lines longer than N bytes with a
@@ -178,22 +171,6 @@ serving flags (serve, call; see docs/serving.md):
   --call-deadline-ms N      client-side budget for the whole call, covering
                             every retry (call; omitted = wait indefinitely)
   --retries N               re-attempts after retryable failures (call)
-  --clients N               concurrent clients (chaos-serve)
-  --out FILE                report path (chaos-serve; default BENCH_chaos.json)
-
-wire-fault flags (serve, chaos-serve; see docs/robustness.md):
-  --net-fault-seed N        arm deterministic response-path wire faults
-                            seeded with N (drops, torn/interleaved lines,
-                            garbage bytes, short writes, stalls)
-  --net-fault-count N       how many faults the plan schedules (default 32)
-  --net-fault-span N        spread faults over the first N writes (default 256)
-  --kill-worker             SIGKILL the supervised worker mid-campaign and
-                            require a warm recovery (chaos-serve)
-  --daemons N               spawn N daemons sharing one proof-cache journal;
-                            clients fail over between them (chaos-serve)
-  --kill-daemon             SIGKILL a whole daemon mid-campaign; survivors
-                            must answer its proofs warm via journal follow
-                            (chaos-serve; needs --daemons >= 2)
 
 exit codes: 0 success/sound, 1 unsound or qualifier errors, 2 usage,
 3 input errors, 4 crash or resource-out, 5 interrupted (partial report),
@@ -214,7 +191,6 @@ fn main() -> ExitCode {
         Some("fuzz") => fuzz(&args[1..]),
         Some("serve") => serve(&args[1..]),
         Some("call") => call(&args[1..]),
-        Some("chaos-serve") => chaos_serve(&args[1..]),
         Some("--help") | Some("-h") => {
             println!("{HELP}");
             ExitCode::SUCCESS
@@ -297,24 +273,6 @@ mod interrupt {
 
     /// No signal wiring off unix; `--deadline-ms` still works.
     pub fn install(_token: &CancelToken) {}
-}
-
-/// Raw signal sending for the supervisor (forwarding SIGINT to the
-/// worker) and the chaos harness (SIGKILLing it mid-campaign). Same
-/// no-libc-crate idiom as [`interrupt`].
-#[cfg(unix)]
-mod sig {
-    pub const SIGINT: i32 = 2;
-    pub const SIGKILL: i32 = 9;
-
-    extern "C" {
-        fn kill(pid: i32, sig: i32) -> i32;
-    }
-
-    /// Sends `signum` to `pid`; false if the process is gone.
-    pub fn send(pid: u32, signum: i32) -> bool {
-        pid <= i32::MAX as u32 && unsafe { kill(pid as i32, signum) } == 0
-    }
 }
 
 /// A diagnosed failure paired with the exit code class it belongs to.
@@ -1192,8 +1150,8 @@ fn tables(args: &[String]) -> ExitCode {
 
 /// Strips serve-specific flags (`--socket PATH`, `--tcp HOST:PORT`,
 /// `--addr-file PATH`, `--stdio`, `--max-inflight N`, `--max-queue N`,
-/// the supervision and wire-fault flags) out of `args` so the
-/// remainder can go through the common [`session_from`] scan.
+/// `--pid-file PATH`, …) out of `args` so the remainder can go through
+/// the common [`session_from`] scan.
 struct ServeArgs {
     socket: Option<String>,
     tcp: Option<String>,
@@ -1201,14 +1159,10 @@ struct ServeArgs {
     stdio: bool,
     max_inflight: usize,
     max_queue: usize,
-    supervise: bool,
     pid_file: Option<String>,
     watch_libs: bool,
     idle_timeout_ms: u64,
     max_line_bytes: usize,
-    net_fault_seed: Option<u64>,
-    net_fault_count: u64,
-    net_fault_span: u64,
     rest: Vec<String>,
 }
 
@@ -1220,14 +1174,10 @@ fn split_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
         stdio: false,
         max_inflight: 32,
         max_queue: 1024,
-        supervise: false,
         pid_file: None,
         watch_libs: false,
         idle_timeout_ms: 0,
         max_line_bytes: 1 << 20,
-        net_fault_seed: None,
-        net_fault_count: 32,
-        net_fault_span: 256,
         rest: Vec::new(),
     };
     let mut i = 0;
@@ -1258,10 +1208,6 @@ fn split_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
                 out.stdio = true;
                 i += 1;
             }
-            "--supervise" => {
-                out.supervise = true;
-                i += 1;
-            }
             "--watch-libs" => {
                 out.watch_libs = true;
                 i += 1;
@@ -1274,8 +1220,7 @@ fn split_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
                 i += 2;
             }
             flag @ ("--max-inflight" | "--max-queue" | "--idle-timeout-ms"
-            | "--max-line-bytes" | "--net-fault-seed" | "--net-fault-count"
-            | "--net-fault-span") => {
+            | "--max-line-bytes") => {
                 let value = args
                     .get(i + 1)
                     .ok_or_else(|| usage_err(format!("{flag} needs a number")))?;
@@ -1286,10 +1231,7 @@ fn split_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
                     "--max-inflight" => out.max_inflight = n as usize,
                     "--max-queue" => out.max_queue = n as usize,
                     "--idle-timeout-ms" => out.idle_timeout_ms = n,
-                    "--max-line-bytes" => out.max_line_bytes = n as usize,
-                    "--net-fault-seed" => out.net_fault_seed = Some(n),
-                    "--net-fault-count" => out.net_fault_count = n,
-                    _ => out.net_fault_span = n,
+                    _ => out.max_line_bytes = n as usize,
                 }
                 i += 2;
             }
@@ -1329,16 +1271,6 @@ fn serve(args: &[String]) -> ExitCode {
         Ok(x) => x,
         Err(e) => return fail(e),
     };
-    if serve_args.supervise {
-        #[cfg(unix)]
-        {
-            return supervise(args, &serve_args);
-        }
-        #[cfg(not(unix))]
-        {
-            return fail(usage_err("--supervise requires unix"));
-        }
-    }
     let Cli {
         session,
         rest,
@@ -1362,11 +1294,6 @@ fn serve(args: &[String]) -> ExitCode {
     if serve_args.stdio && (serve_args.socket.is_some() || serve_args.tcp.is_some()) {
         return fail(usage_err("--stdio excludes --socket and --tcp"));
     }
-    if let Some(pid_file) = &serve_args.pid_file {
-        if let Err(e) = write_atomic(pid_file, &format!("{}\n", std::process::id())) {
-            return fail(input_err(format!("cannot write {pid_file}: {e}")));
-        }
-    }
     let cancel = run_token(deadline_ms);
     let cfg = stq_core::ServeConfig {
         jobs,
@@ -1380,13 +1307,6 @@ fn serve(args: &[String]) -> ExitCode {
             ms => Some(Duration::from_millis(ms)),
         },
         max_line_bytes: serve_args.max_line_bytes,
-        netfault: serve_args.net_fault_seed.map(|seed| {
-            stq_util::netfault::NetFaultPlan::seeded(
-                seed,
-                serve_args.net_fault_count as usize,
-                serve_args.net_fault_span,
-            )
-        }),
         qual_files,
         watch_libs: serve_args.watch_libs,
     };
@@ -1395,37 +1315,36 @@ fn serve(args: &[String]) -> ExitCode {
         Err(e) => return fail(input_err(format!("cannot start server: {e}"))),
     };
     let _watcher = server.spawn_lib_watcher();
-    let kind = if serve_args.stdio {
-        server.run_stdio()
+    // Bind every listener before publishing anything, so a daemon that
+    // cannot start never overwrites a running daemon's `--pid-file`.
+    // `--tcp 127.0.0.1:0` learns its kernel-assigned port here; it goes
+    // to stderr and, for scripts, to `--addr-file`.
+    #[cfg(unix)]
+    let listeners = if serve_args.stdio {
+        None
     } else {
-        #[cfg(unix)]
-        {
-            // Bind TCP here (not in the server) so `--tcp 127.0.0.1:0`
-            // can report the kernel-assigned port before serving; the
-            // bound address goes to stderr and, for scripts, to
-            // `--addr-file`.
-            let tcp_listener = match &serve_args.tcp {
-                Some(addr) => match std::net::TcpListener::bind(addr.as_str()) {
-                    Ok(l) => Some(l),
-                    Err(e) => return fail(input_err(format!("serve: cannot bind {addr}: {e}"))),
-                },
-                None => None,
-            };
-            let mut endpoints: Vec<String> = Vec::new();
-            if let Some(path) = &serve_args.socket {
-                endpoints.push(path.clone());
-            }
-            if let Some(listener) = &tcp_listener {
-                match listener.local_addr() {
-                    Ok(addr) => endpoints.push(format!("tcp:{addr}")),
-                    Err(e) => return fail(input_err(format!("serve: tcp addr: {e}"))),
-                }
-            }
-            eprintln!("stqc: serving on {}", endpoints.join(" and "));
+        let socket = serve_args.socket.as_deref().map(std::path::Path::new);
+        match stq_core::server::Listeners::bind(socket, serve_args.tcp.as_deref()) {
+            Ok(l) => Some(l),
+            Err(e) => return fail(input_err(format!("serve: {e}"))),
+        }
+    };
+    #[cfg(not(unix))]
+    if !serve_args.stdio {
+        return fail(usage_err("--socket/--tcp require unix; use --stdio"));
+    }
+    if let Some(pid_file) = &serve_args.pid_file {
+        if let Err(e) = write_atomic(pid_file, &format!("{}\n", std::process::id())) {
+            return fail(input_err(format!("cannot write {pid_file}: {e}")));
+        }
+    }
+    #[cfg(unix)]
+    let kind = match listeners {
+        None => server.run_stdio(),
+        Some(listeners) => {
+            let tcp = listeners.tcp_addr();
             if let Some(addr_file) = &serve_args.addr_file {
-                let bound = tcp_listener
-                    .as_ref()
-                    .and_then(|l| l.local_addr().ok())
+                let bound = tcp
                     .map(|a| a.to_string())
                     .or_else(|| serve_args.socket.clone())
                     .unwrap_or_default();
@@ -1433,114 +1352,24 @@ fn serve(args: &[String]) -> ExitCode {
                     return fail(input_err(format!("cannot write {addr_file}: {e}")));
                 }
             }
-            let socket_path = serve_args.socket.as_ref().map(std::path::Path::new);
-            match server.run_multi(socket_path, tcp_listener) {
+            let endpoints: Vec<String> = serve_args
+                .socket
+                .iter()
+                .cloned()
+                .chain(tcp.map(|a| format!("tcp:{a}")))
+                .collect();
+            eprintln!("stqc: serving on {}", endpoints.join(" and "));
+            match server.run_multi(listeners) {
                 Ok(kind) => kind,
                 Err(e) => return fail(input_err(format!("serve: {e}"))),
             }
         }
-        #[cfg(not(unix))]
-        {
-            return fail(usage_err("--socket/--tcp require unix; use --stdio"));
-        }
     };
+    #[cfg(not(unix))]
+    let kind = server.run_stdio();
     match kind {
         stq_core::ShutdownKind::Requested => ExitCode::SUCCESS,
         stq_core::ShutdownKind::Interrupted => ExitCode::from(EXIT_INTERRUPTED),
-    }
-}
-
-/// `stqc serve --supervise`: runs the worker daemon as a child process
-/// and restarts it when it dies abnormally (crash, SIGKILL, panic).
-/// Deliberate exits — requested shutdown (0), interrupted (5), usage or
-/// input errors (2, 3) — propagate instead of restarting. Restarts are
-/// rate-limited: each quick death (under 5s) doubles a backoff capped
-/// at 2s, and five consecutive quick deaths give up with exit 4.
-///
-/// A `--cache-dir` worker persists every conclusive verdict eagerly, so
-/// the restarted worker reloads a warm cache (see `docs/robustness.md`).
-#[cfg(unix)]
-fn supervise(args: &[String], serve_args: &ServeArgs) -> ExitCode {
-    use std::time::Instant;
-
-    if serve_args.stdio {
-        return fail(usage_err("--supervise needs --socket, not --stdio"));
-    }
-    if serve_args.socket.is_none() {
-        return fail(usage_err("--supervise needs --socket PATH"));
-    }
-    let exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => return fail(input_err(format!("cannot locate stqc: {e}"))),
-    };
-    let worker_args: Vec<&String> = args.iter().filter(|a| *a != "--supervise").collect();
-    let cancel = CancelToken::new();
-    interrupt::install(&cancel);
-    let mut quick_deaths = 0u32;
-    let mut restarts = 0u64;
-    loop {
-        let mut child = match std::process::Command::new(&exe)
-            .arg("serve")
-            .args(&worker_args)
-            .spawn()
-        {
-            Ok(c) => c,
-            Err(e) => return fail(input_err(format!("cannot spawn worker: {e}"))),
-        };
-        if let Some(pid_file) = &serve_args.pid_file {
-            if let Err(e) = write_atomic(pid_file, &format!("{}\n", child.id())) {
-                eprintln!("stqc: supervisor: cannot write {pid_file}: {e}");
-            }
-        }
-        let born = Instant::now();
-        let mut forwarded = false;
-        // Poll rather than block so SIGINT can be forwarded promptly.
-        let status = loop {
-            if cancel.is_cancelled() && !forwarded {
-                forwarded = true;
-                sig::send(child.id(), sig::SIGINT);
-            }
-            match child.try_wait() {
-                Ok(Some(status)) => break status,
-                Ok(None) => std::thread::sleep(Duration::from_millis(20)),
-                Err(e) => return fail(input_err(format!("supervisor wait failed: {e}"))),
-            }
-        };
-        match status.code() {
-            Some(0) => return ExitCode::SUCCESS,
-            Some(code @ (2 | 3)) => {
-                eprintln!("stqc: supervisor: worker config error (exit {code}); not restarting");
-                return ExitCode::from(code as u8);
-            }
-            Some(5) => return ExitCode::from(EXIT_INTERRUPTED),
-            _ if forwarded => return ExitCode::from(EXIT_INTERRUPTED),
-            abnormal => {
-                restarts += 1;
-                if born.elapsed() < Duration::from_secs(5) {
-                    quick_deaths += 1;
-                } else {
-                    quick_deaths = 0;
-                }
-                if quick_deaths >= 5 {
-                    eprintln!(
-                        "stqc: supervisor: worker died {quick_deaths} times in quick \
-                         succession; giving up"
-                    );
-                    return ExitCode::from(EXIT_CRASH);
-                }
-                let how = match abnormal {
-                    Some(code) => format!("exit {code}"),
-                    None => "killed by a signal".to_owned(),
-                };
-                let backoff =
-                    Duration::from_millis(100 * (1 << quick_deaths.min(4))).min(Duration::from_secs(2));
-                eprintln!(
-                    "stqc: supervisor: worker died ({how}); restart #{restarts} in {}ms",
-                    backoff.as_millis()
-                );
-                std::thread::sleep(backoff);
-            }
-        }
     }
 }
 
@@ -1714,887 +1543,4 @@ fn call(args: &[String]) -> ExitCode {
 #[cfg(not(unix))]
 fn call(_args: &[String]) -> ExitCode {
     fail(usage_err("call requires unix sockets"))
-}
-
-/// One entry of the chaos campaign's deterministic request schedule.
-#[cfg(unix)]
-struct ChaosRequest {
-    method: &'static str,
-    params: Option<Json>,
-}
-
-/// Generates the seeded request schedule: full and named proves, clean
-/// and faulty checks, stats/health probes. Every method is idempotent
-/// and read-only, so the canonical answers are independent of request
-/// interleaving — which is what lets N concurrent clients be compared
-/// against a sequential fault-free baseline.
-#[cfg(unix)]
-fn chaos_schedule(seed: u64, count: usize) -> Vec<ChaosRequest> {
-    const NAMES: [&str; 8] = [
-        "pos", "neg", "nonzero", "nonnull", "untainted", "tainted", "unique", "unaliased",
-    ];
-    const CLEAN: &str = "int pos f() { return 7; }";
-    const UNCLEAN: &str = "int pos f(int a) { return a; }";
-    const BROKEN: &str = "int f( {";
-    let prove = |names: &[&str]| ChaosRequest {
-        method: "prove",
-        params: Some(Json::obj([("names", names.iter().copied().collect())])),
-    };
-    let check = |source: &str| ChaosRequest {
-        method: "check",
-        params: Some(Json::obj([("source", source.into())])),
-    };
-    let mut state = seed ^ 0xC4A0_5057;
-    (0..count)
-        .map(|_| {
-            state = stq_util::splitmix64(state);
-            let r = state;
-            let name = |shift: u64| NAMES[(r >> shift) as usize % NAMES.len()];
-            match r % 8 {
-                0 | 1 => ChaosRequest { method: "prove", params: None },
-                2 => prove(&[name(8)]),
-                3 => prove(&[name(8), name(16)]),
-                4 => check(CLEAN),
-                5 => check(UNCLEAN),
-                6 => check(BROKEN),
-                _ => ChaosRequest {
-                    method: if (r >> 8) & 1 == 0 { "stats" } else { "health" },
-                    params: None,
-                },
-            }
-        })
-        .collect()
-}
-
-/// Canonicalizes one response for baseline comparison: only the
-/// semantic payload (verdicts, cleanliness, error class) — never
-/// timings, counters, or cache telemetry, which legitimately differ
-/// between the baseline and the chaos phase.
-#[cfg(unix)]
-fn chaos_canon(method: &str, doc: &Json) -> String {
-    if doc.get("ok").and_then(Json::as_bool) != Some(true) {
-        let code = doc
-            .get("error")
-            .and_then(|e| e.get("code"))
-            .and_then(Json::as_str)
-            .unwrap_or("?");
-        return format!("error:{code}");
-    }
-    let result = doc.get("result");
-    let arr_len = |name: &str| -> usize {
-        match result.and_then(|r| r.get(name)) {
-            Some(Json::Arr(items)) => items.len(),
-            _ => 0,
-        }
-    };
-    match method {
-        "prove" => {
-            let all_sound = result.and_then(|r| r.get("all_sound")).and_then(Json::as_bool);
-            let quals = match result.and_then(|r| r.get("qualifiers")) {
-                Some(Json::Arr(items)) => items
-                    .iter()
-                    .map(|q| {
-                        format!(
-                            "{}={}",
-                            q.get("name").and_then(Json::as_str).unwrap_or("?"),
-                            q.get("verdict").and_then(Json::as_str).unwrap_or("?"),
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(","),
-                _ => String::new(),
-            };
-            format!("prove:all_sound={all_sound:?};{quals}")
-        }
-        "check" => format!(
-            "check:clean={:?};syntax={};diags={}",
-            result.and_then(|r| r.get("clean")).and_then(Json::as_bool),
-            arr_len("syntax_errors"),
-            arr_len("diagnostics"),
-        ),
-        _ => "ok".to_owned(),
-    }
-}
-
-/// The self-healing client every chaos phase uses: generous connect and
-/// call budgets, many retries, and fast backoff whose jitter is seeded
-/// by `seed ^ salt`.
-#[cfg(unix)]
-fn chaos_client(seed: u64, salt: u64, endpoints: Vec<stq_core::Endpoint>) -> stq_core::Client {
-    stq_core::Client::new(stq_core::ClientConfig {
-        endpoints,
-        connect_timeout: Duration::from_secs(20),
-        call_deadline: Some(Duration::from_secs(300)),
-        max_retries: 64,
-        backoff_base: Duration::from_millis(2),
-        backoff_max: Duration::from_millis(50),
-        seed: seed ^ salt,
-    })
-}
-
-#[cfg(unix)]
-fn unix_endpoint(socket: &std::path::Path) -> Vec<stq_core::Endpoint> {
-    vec![stq_core::Endpoint::Unix(socket.to_path_buf())]
-}
-
-/// A mid-campaign assassination: runs once half the schedule has
-/// resolved and returns the restarts it observed.
-#[cfg(unix)]
-type Kill = Box<dyn FnOnce() -> Result<u64, String> + Send>;
-
-/// What one concurrent chaos campaign produced.
-#[cfg(unix)]
-struct Campaign {
-    /// Canonical answer per schedule index; `None` if never resolved.
-    answers: Vec<Option<String>>,
-    /// Every campaign client's recovery counters, summed.
-    client: stq_core::ClientStats,
-    elapsed: Duration,
-    /// What the [`Kill`], if any, returned.
-    restarts: u64,
-}
-
-/// Runs `schedule` through `clients` concurrent self-healing clients:
-/// client `c` owns indices c, c+N, c+2N, … and dials `endpoints(c)`.
-/// Once half the requests have resolved, `kill` runs on its own thread.
-#[cfg(unix)]
-fn chaos_campaign(
-    seed: u64,
-    schedule: &std::sync::Arc<Vec<ChaosRequest>>,
-    clients: usize,
-    endpoints: impl Fn(usize) -> Vec<stq_core::Endpoint>,
-    kill: Option<Kill>,
-) -> Result<Campaign, String> {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-
-    let resolved = Arc::new(AtomicU64::new(0));
-    let started = Instant::now();
-    type ClientRun = Result<(Vec<(usize, String)>, stq_core::ClientStats), String>;
-    let workers: Vec<std::thread::JoinHandle<ClientRun>> = (0..clients)
-        .map(|c| {
-            let schedule = Arc::clone(schedule);
-            let resolved = Arc::clone(&resolved);
-            let mut client = chaos_client(seed, 0xC0_0000 + c as u64, endpoints(c));
-            std::thread::spawn(move || {
-                let mut answers = Vec::new();
-                for idx in (c..schedule.len()).step_by(clients) {
-                    let req = &schedule[idx];
-                    let outcome = client
-                        .call(req.method, req.params.as_ref(), None)
-                        .map_err(|e| format!("request #{idx} ({}): {e}", req.method))?;
-                    answers.push((idx, chaos_canon(req.method, &outcome.doc)));
-                    resolved.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok((answers, client.stats()))
-            })
-        })
-        .collect();
-    let killer = kill.map(|kill| {
-        let resolved = Arc::clone(&resolved);
-        let half = (schedule.len() / 2).max(1) as u64;
-        std::thread::spawn(move || {
-            while resolved.load(Ordering::Relaxed) < half {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            kill()
-        })
-    });
-
-    let mut campaign = Campaign {
-        answers: vec![None; schedule.len()],
-        client: stq_core::ClientStats::default(),
-        elapsed: Duration::ZERO,
-        restarts: 0,
-    };
-    let mut failure: Option<String> = None;
-    for handle in workers {
-        match handle.join() {
-            Ok(Ok((answers, s))) => {
-                for (idx, canon) in answers {
-                    campaign.answers[idx] = Some(canon);
-                }
-                let sum = &mut campaign.client;
-                sum.retries += s.retries;
-                sum.reconnects += s.reconnects;
-                sum.resends += s.resends;
-                sum.failovers += s.failovers;
-                sum.endpoints_tried += s.endpoints_tried;
-                sum.alien_dropped += s.alien_dropped;
-                sum.corrupt_lines += s.corrupt_lines;
-            }
-            Ok(Err(e)) => failure = Some(e),
-            Err(_) => failure = Some("a chaos client panicked".to_owned()),
-        }
-    }
-    campaign.elapsed = started.elapsed();
-    match killer.map(std::thread::JoinHandle::join) {
-        None => {}
-        Some(Ok(Ok(restarts))) => campaign.restarts = restarts,
-        Some(Ok(Err(e))) => {
-            failure.get_or_insert(e);
-        }
-        Some(Err(_)) => {
-            failure.get_or_insert("the killer thread panicked".to_owned());
-        }
-    }
-    match failure {
-        Some(e) => Err(e),
-        None => Ok(campaign),
-    }
-}
-
-/// One chaos drill's results: everything `BENCH_chaos.json` records
-/// beyond the campaign itself.
-#[cfg(unix)]
-struct ChaosReport {
-    seed: u64,
-    clients: usize,
-    daemons: usize,
-    daemon_killed: bool,
-    /// Wire faults the daemon's plan held, and how many fired.
-    net_faults: (u64, u64),
-    warm_cache_miss_delta: u64,
-    follow_hits: u64,
-    reloads: u64,
-    worker_killed: bool,
-    worker_restarts: u64,
-    clean_shutdown: bool,
-}
-
-#[cfg(unix)]
-impl ChaosReport {
-    /// Writes the `BENCH_chaos.json` document to `out` and stdout, then
-    /// judges the oracle: every answer matches the fault-free `baseline`
-    /// (else exit 1), every request resolved, and each of the drill's
-    /// own `checks` — a failure condition with its message — holds
-    /// (else exit 4). `summary` goes to stderr once the report is out.
-    fn finish(
-        &self,
-        campaign: &Campaign,
-        baseline: &[String],
-        out: &str,
-        summary: &str,
-        checks: &[(bool, String)],
-    ) -> ExitCode {
-        let count = baseline.len();
-        let resolved = campaign.answers.iter().filter(|a| a.is_some()).count();
-        let mismatches: Vec<usize> = (0..count)
-            .filter(|&i| campaign.answers[i].as_deref() != Some(baseline[i].as_str()))
-            .collect();
-        for &i in mismatches.iter().take(5) {
-            eprintln!(
-                "chaos-serve: request #{i} diverged:\n  baseline: {}\n  chaos:    {}",
-                baseline[i],
-                campaign.answers[i].as_deref().unwrap_or("<unresolved>"),
-            );
-        }
-        let c = &campaign.client;
-        let report = Json::obj([
-            ("bench", "chaos-serve".into()),
-            ("seed", self.seed.into()),
-            ("count", count.into()),
-            ("clients", self.clients.into()),
-            ("daemons", self.daemons.into()),
-            ("daemon_killed", self.daemon_killed.into()),
-            (
-                "net_faults",
-                Json::obj([
-                    ("planned", self.net_faults.0.into()),
-                    ("injected", self.net_faults.1.into()),
-                ]),
-            ),
-            ("requests_resolved", resolved.into()),
-            ("verdict_mismatches", mismatches.len().into()),
-            (
-                "client",
-                Json::obj([
-                    ("retries", c.retries.into()),
-                    ("reconnects", c.reconnects.into()),
-                    ("resends", c.resends.into()),
-                    ("failovers", c.failovers.into()),
-                    ("endpoints_tried", c.endpoints_tried.into()),
-                    ("alien_lines_dropped", c.alien_dropped.into()),
-                    ("corrupt_lines", c.corrupt_lines.into()),
-                ]),
-            ),
-            ("warm_cache_miss_delta", self.warm_cache_miss_delta.into()),
-            ("follow_hits", self.follow_hits.into()),
-            ("reloads", self.reloads.into()),
-            ("worker_killed", self.worker_killed.into()),
-            ("worker_restarts", self.worker_restarts.into()),
-            ("clean_shutdown", self.clean_shutdown.into()),
-            ("elapsed_ms", millis(campaign.elapsed)),
-            (
-                "requests_per_sec",
-                decimals(count as f64 / campaign.elapsed.as_secs_f64(), 2),
-            ),
-        ]);
-        if fs::write(out, report.to_string() + "\n").is_err() {
-            return fail(input_err(format!("cannot write {out}")));
-        }
-        println!("{report}");
-        eprintln!(
-            "chaos-serve: {resolved}/{count} resolved, {} mismatch(es){summary}",
-            mismatches.len()
-        );
-        if !mismatches.is_empty() {
-            eprintln!("stqc: chaos-serve: answers diverged from the fault-free baseline");
-            return ExitCode::from(EXIT_UNSOUND);
-        }
-        let not_resolved = (
-            resolved != count,
-            "not every request resolved to an attributed answer".to_owned(),
-        );
-        match std::iter::once(&not_resolved)
-            .chain(checks)
-            .find(|(failed, _)| *failed)
-        {
-            Some((_, message)) => {
-                eprintln!("stqc: chaos-serve: {message}");
-                ExitCode::from(EXIT_CRASH)
-            }
-            None => ExitCode::SUCCESS,
-        }
-    }
-}
-
-/// `stqc chaos-serve`: the chaos soak oracle (see `docs/robustness.md`).
-///
-/// Phase 1 computes a fault-free baseline: a seeded request schedule is
-/// run sequentially against an in-process daemon, and every answer is
-/// canonicalized. Phase 2 spawns a *supervised* daemon with wire-fault
-/// injection armed and drives the same schedule through N self-healing
-/// clients concurrently (optionally SIGKILLing the worker mid-campaign
-/// with `--kill-worker`). The oracle holds iff every request resolves
-/// to exactly one attributed answer, every canonical answer matches the
-/// baseline, and the warm proof cache never misses — across faults,
-/// retries, and worker restarts. Results land in `BENCH_chaos.json`.
-///
-/// With `--daemons N` (N >= 2) the campaign instead runs against a
-/// fleet of daemon processes sharing one proof-cache journal, and
-/// `--kill-daemon` SIGKILLs a whole daemon mid-campaign — see
-/// [`chaos_serve_multi`].
-#[cfg(unix)]
-fn chaos_serve(args: &[String]) -> ExitCode {
-    use std::sync::Arc;
-
-    let mut seed = 7u64;
-    let mut count = 200usize;
-    let mut clients = 4usize;
-    let mut daemons = 1usize;
-    let mut kill_worker = false;
-    let mut kill_daemon = false;
-    let mut out = "BENCH_chaos.json".to_owned();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--kill-worker" => {
-                kill_worker = true;
-                i += 1;
-            }
-            "--kill-daemon" => {
-                kill_daemon = true;
-                i += 1;
-            }
-            "--out" => {
-                let Some(path) = args.get(i + 1) else {
-                    return fail(usage_err("--out needs a path"));
-                };
-                out = path.clone();
-                i += 2;
-            }
-            flag @ ("--seed" | "--count" | "--clients" | "--daemons") => {
-                let Some(value) = args.get(i + 1) else {
-                    return fail(usage_err(format!("{flag} needs a number")));
-                };
-                let Ok(n) = value.parse::<u64>() else {
-                    return fail(usage_err(format!("{flag}: `{value}` is not a number")));
-                };
-                match flag {
-                    "--seed" => seed = n,
-                    "--count" => count = (n as usize).clamp(1, 100_000),
-                    "--daemons" => daemons = (n as usize).clamp(1, 8),
-                    _ => clients = (n as usize).clamp(1, 64),
-                }
-                i += 2;
-            }
-            other => {
-                return fail(usage_err(format!("chaos-serve: unknown argument `{other}`")));
-            }
-        }
-    }
-    if kill_daemon && daemons < 2 {
-        return fail(usage_err("--kill-daemon needs --daemons 2 or more"));
-    }
-    if kill_worker && daemons >= 2 {
-        return fail(usage_err("--kill-worker applies to the single-daemon mode; use --kill-daemon"));
-    }
-
-    let schedule = Arc::new(chaos_schedule(seed, count));
-    let scratch = std::env::temp_dir().join(format!("stqc-chaos-{}", std::process::id()));
-    if let Err(e) = fs::create_dir_all(&scratch) {
-        return fail(input_err(format!("cannot create {}: {e}", scratch.display())));
-    }
-
-    // ----- phase 1: the fault-free baseline -----
-    eprintln!("chaos-serve: baseline over {count} request(s)...");
-    let base_socket = scratch.join("baseline.sock");
-    let _ = fs::remove_file(&base_socket);
-    let base_server = match stq_core::Server::new(
-        Session::with_builtins(),
-        stq_core::ServeConfig::default(),
-        CancelToken::new(),
-    ) {
-        Ok(s) => Arc::new(s),
-        Err(e) => return fail(input_err(format!("cannot start baseline server: {e}"))),
-    };
-    let base_thread = {
-        let server = Arc::clone(&base_server);
-        let socket = base_socket.clone();
-        std::thread::spawn(move || server.run_unix(&socket))
-    };
-    let mut baseline: Vec<String> = Vec::with_capacity(count);
-    {
-        let mut client = chaos_client(seed, 0xBA5E, unix_endpoint(&base_socket));
-        for req in schedule.iter() {
-            match client.call(req.method, req.params.as_ref(), None) {
-                Ok(outcome) => baseline.push(chaos_canon(req.method, &outcome.doc)),
-                Err(e) => return fail(input_err(format!("baseline request failed: {e}"))),
-            }
-        }
-        if client.call("shutdown", None, None).is_err() {
-            return fail(input_err("baseline shutdown failed"));
-        }
-    }
-    let _ = base_thread.join();
-
-    let code = if daemons >= 2 {
-        chaos_serve_multi(
-            seed,
-            clients,
-            daemons,
-            kill_daemon,
-            &out,
-            &schedule,
-            &baseline,
-            &scratch,
-        )
-    } else {
-        chaos_serve_single(
-            seed,
-            clients,
-            kill_worker,
-            &out,
-            &schedule,
-            &baseline,
-            &scratch,
-        )
-    };
-    let _ = fs::remove_dir_all(&scratch);
-    code
-}
-
-/// The single-daemon leg of `stqc chaos-serve`: a supervised daemon with
-/// wire faults armed, optionally SIGKILLing its worker mid-campaign
-/// (`--kill-worker`) and requiring a warm recovery.
-#[cfg(unix)]
-#[allow(clippy::too_many_arguments)]
-fn chaos_serve_single(
-    seed: u64,
-    clients: usize,
-    kill_worker: bool,
-    out: &str,
-    schedule: &std::sync::Arc<Vec<ChaosRequest>>,
-    baseline: &[String],
-    scratch: &std::path::Path,
-) -> ExitCode {
-    let count = schedule.len();
-    let socket = scratch.join("chaos.sock");
-    let pid_file = scratch.join("worker.pid");
-    let cache_dir = scratch.join("cache");
-    let _ = fs::remove_file(&socket);
-    let exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => return fail(input_err(format!("cannot locate stqc: {e}"))),
-    };
-    let nf_count = (count / 3).max(8);
-    let nf_span = (count as u64).max(64);
-    eprintln!(
-        "chaos-serve: supervised daemon with {nf_count} fault(s) planned over \
-         the first {nf_span} response write(s)..."
-    );
-    let mut daemon = match std::process::Command::new(&exe)
-        .args(["serve", "--supervise"])
-        .arg("--socket")
-        .arg(&socket)
-        .arg("--pid-file")
-        .arg(&pid_file)
-        .arg("--cache-dir")
-        .arg(&cache_dir)
-        .args(["--jobs", "2"])
-        .args(["--net-fault-seed", &seed.to_string()])
-        .args(["--net-fault-count", &nf_count.to_string()])
-        .args(["--net-fault-span", &nf_span.to_string()])
-        .stderr(std::process::Stdio::null())
-        .spawn()
-    {
-        Ok(c) => c,
-        Err(e) => return fail(input_err(format!("cannot spawn supervised daemon: {e}"))),
-    };
-    // Everything from here on must kill the daemon on the way out.
-    let give_up = |daemon: &mut std::process::Child, err: CliError| -> ExitCode {
-        sig::send(daemon.id(), sig::SIGINT);
-        let _ = daemon.wait();
-        fail(err)
-    };
-
-    // Warm the worker's cache with one full prove; every conclusive
-    // verdict is persisted eagerly, so from this point the journal on
-    // disk is complete and a SIGKILL can never lose warm state.
-    let mut warm_client = chaos_client(seed, 0x3A4, unix_endpoint(&socket));
-    if let Err(e) = warm_client.call("prove", None, None) {
-        return give_up(&mut daemon, input_err(format!("warmup prove failed: {e}")));
-    }
-    let warm_misses = match warm_client.call("stats", None, None) {
-        Ok(outcome) => stats_counter(&outcome.doc, &["cache", "misses"], u64::MAX),
-        Err(e) => return give_up(&mut daemon, input_err(format!("warmup stats failed: {e}"))),
-    };
-
-    // Mid-campaign worker assassination: SIGKILL the current worker and
-    // wait for the supervisor to install a successor (observed as a
-    // pid-file change).
-    let kill: Option<Kill> = kill_worker.then(|| {
-        let pid_file = pid_file.clone();
-        Box::new(move || -> Result<u64, String> {
-            let err = |e: String| format!("kill-worker: {e}");
-            let old = fs::read_to_string(&pid_file)
-                .map_err(|e| err(format!("cannot read {}: {e}", pid_file.display())))?;
-            let pid: u32 = old
-                .trim()
-                .parse()
-                .map_err(|_| err(format!("{} does not hold a pid", pid_file.display())))?;
-            if !sig::send(pid, sig::SIGKILL) {
-                return Err(err(format!("cannot SIGKILL worker {pid}")));
-            }
-            let respawned_by = Instant::now() + Duration::from_secs(30);
-            loop {
-                if let Ok(now) = fs::read_to_string(&pid_file) {
-                    if !now.trim().is_empty() && now.trim() != old.trim() {
-                        return Ok(1);
-                    }
-                }
-                if Instant::now() > respawned_by {
-                    return Err(err(
-                        "the supervisor never restarted the killed worker".to_owned()
-                    ));
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }) as Kill
-    });
-    let campaign = match chaos_campaign(seed, schedule, clients, |_| unix_endpoint(&socket), kill) {
-        Ok(c) => c,
-        Err(e) => {
-            return give_up(
-                &mut daemon,
-                input_err(format!("chaos campaign failed: {e}")),
-            )
-        }
-    };
-
-    // Post-campaign ledger: cache misses and fault counters from the
-    // (possibly restarted) worker, then a clean shutdown through the
-    // supervisor.
-    let mut final_client = chaos_client(seed, 0xF1A7, unix_endpoint(&socket));
-    let stats = match final_client.call("stats", None, None) {
-        Ok(outcome) => outcome.doc,
-        Err(e) => return give_up(&mut daemon, input_err(format!("final stats failed: {e}"))),
-    };
-    let final_misses = stats_counter(&stats, &["cache", "misses"], u64::MAX);
-    let injected = stats_counter(&stats, &["netfault", "injected"], 0);
-    // The shutdown *response* can itself be eaten by an armed wire
-    // fault after the worker has already committed to exiting — so the
-    // ack is best-effort; the daemon's own clean exit is the contract.
-    let _ = final_client.call("shutdown", None, None);
-    let clean_exit = {
-        let exit_by = Instant::now() + Duration::from_secs(60);
-        loop {
-            match daemon.try_wait() {
-                Ok(Some(status)) => break status.success(),
-                Ok(None) if Instant::now() < exit_by => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                _ => {
-                    sig::send(daemon.id(), sig::SIGINT);
-                    let _ = daemon.wait();
-                    break false;
-                }
-            }
-        }
-    };
-
-    // A restarted worker starts a fresh miss counter over the persisted
-    // journal, so the warm rule is "zero misses since restart"; an
-    // unkilled worker must add zero over its warm sample.
-    let worker_restarts = campaign.restarts;
-    let warm_cache_miss_delta = if worker_restarts > 0 {
-        final_misses
-    } else {
-        final_misses.saturating_sub(warm_misses)
-    };
-    let report = ChaosReport {
-        seed,
-        clients,
-        daemons: 1,
-        daemon_killed: false,
-        net_faults: (nf_count as u64, injected),
-        warm_cache_miss_delta,
-        follow_hits: stats_counter(&stats, &["cache", "follow_hits"], 0),
-        reloads: stats_counter(&stats, &["reloads"], 0),
-        worker_killed: kill_worker,
-        worker_restarts,
-        clean_shutdown: clean_exit,
-    };
-    let c = &campaign.client;
-    let summary = format!(
-        ", {injected} fault(s) injected, {} retry(ies), {} reconnect(s), \
-         warm misses +{warm_cache_miss_delta}{}",
-        c.retries,
-        c.reconnects,
-        if kill_worker {
-            format!(", worker killed and restarted {worker_restarts} time(s)")
-        } else {
-            String::new()
-        },
-    );
-    report.finish(
-        &campaign,
-        baseline,
-        out,
-        &summary,
-        &[
-            (
-                warm_cache_miss_delta > 0,
-                format!("the warm proof cache missed {warm_cache_miss_delta} time(s)"),
-            ),
-            (
-                worker_restarts == 0 && injected == 0,
-                "no faults were injected; the soak proved nothing".to_owned(),
-            ),
-            (
-                kill_worker && worker_restarts == 0,
-                "the worker was never restarted".to_owned(),
-            ),
-            (
-                !clean_exit,
-                "the supervised daemon did not exit cleanly".to_owned(),
-            ),
-        ],
-    )
-}
-
-/// Pulls one `u64` counter out of a `stats` response document, walking
-/// `result.<path...>`. `missing` is returned when the field is absent —
-/// pick it so an absent counter fails the oracle rather than passing it.
-#[cfg(unix)]
-fn stats_counter(doc: &Json, path: &[&str], missing: u64) -> u64 {
-    let mut cur = doc.get("result");
-    for key in path {
-        cur = cur.and_then(|j| j.get(key));
-    }
-    cur.and_then(Json::as_u64).unwrap_or(missing)
-}
-
-/// The multi-daemon leg of `stqc chaos-serve` (`--daemons N`): a fleet
-/// of independent daemon processes shares one proof-cache journal, every
-/// campaign client carries the whole fleet in its endpoint list (rotated
-/// so primaries spread across daemons), and `--kill-daemon` SIGKILLs
-/// daemon #0 outright mid-campaign — no supervisor, no restart; recovery
-/// is the *clients'* job. The oracle demands what high availability
-/// actually means: every request still resolves exactly once with
-/// baseline-identical answers, a survivor serves the dead daemon's
-/// proofs warm by following the shared journal (zero misses,
-/// `follow_hits > 0`), a hot `reload` succeeds on the survivor, and
-/// every surviving daemon shuts down cleanly.
-#[cfg(unix)]
-#[allow(clippy::too_many_arguments)]
-fn chaos_serve_multi(
-    seed: u64,
-    clients: usize,
-    daemons: usize,
-    kill_daemon: bool,
-    out: &str,
-    schedule: &std::sync::Arc<Vec<ChaosRequest>>,
-    baseline: &[String],
-    scratch: &std::path::Path,
-) -> ExitCode {
-    let exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => return fail(input_err(format!("cannot locate stqc: {e}"))),
-    };
-    let cache_dir = scratch.join("cache");
-    eprintln!(
-        "chaos-serve: {daemons} daemons sharing one journal{}...",
-        if kill_daemon { "; daemon #0 marked for assassination" } else { "" },
-    );
-    let mut sockets: Vec<std::path::PathBuf> = Vec::with_capacity(daemons);
-    let mut fleet: Vec<std::process::Child> = Vec::with_capacity(daemons);
-    let give_up = |fleet: &mut Vec<std::process::Child>, err: CliError| -> ExitCode {
-        for child in fleet.iter_mut() {
-            sig::send(child.id(), sig::SIGINT);
-            let _ = child.wait();
-        }
-        fail(err)
-    };
-    for d in 0..daemons {
-        let socket = scratch.join(format!("d{d}.sock"));
-        let _ = fs::remove_file(&socket);
-        let spawned = std::process::Command::new(&exe)
-            .arg("serve")
-            .arg("--socket")
-            .arg(&socket)
-            .arg("--cache-dir")
-            .arg(&cache_dir)
-            .args(["--jobs", "2"])
-            .stderr(std::process::Stdio::null())
-            .spawn();
-        match spawned {
-            Ok(child) => {
-                sockets.push(socket);
-                fleet.push(child);
-            }
-            Err(e) => {
-                return give_up(
-                    &mut fleet,
-                    input_err(format!("cannot spawn daemon #{d}: {e}")),
-                );
-            }
-        }
-    }
-
-    // Warm daemon #0 — and only daemon #0 — with one full prove. Every
-    // conclusive verdict persists eagerly, so once this call returns the
-    // shared journal on disk is complete; the other daemons were never
-    // proved at and can only answer warm by *following* that journal.
-    let mut warm_client = chaos_client(seed, 0x3A4, unix_endpoint(&sockets[0]));
-    if let Err(e) = warm_client.call("prove", None, None) {
-        return give_up(&mut fleet, input_err(format!("warmup prove failed: {e}")));
-    }
-
-    // Every client carries the whole fleet in its endpoint list, rotated
-    // so the primaries differ across clients; the kill SIGKILLs daemon
-    // #0 — the daemon that computed every proof.
-    let victim_pid = fleet[0].id();
-    let kill: Option<Kill> = kill_daemon.then(|| {
-        Box::new(move || -> Result<u64, String> {
-            if sig::send(victim_pid, sig::SIGKILL) {
-                Ok(0)
-            } else {
-                Err(format!("kill-daemon: cannot SIGKILL daemon {victim_pid}"))
-            }
-        }) as Kill
-    });
-    let endpoints = |c: usize| {
-        (0..daemons)
-            .map(|k| stq_core::Endpoint::Unix(sockets[(c + k) % daemons].clone()))
-            .collect()
-    };
-    let campaign = match chaos_campaign(seed, schedule, clients, endpoints, kill) {
-        Ok(c) => c,
-        Err(e) => return give_up(&mut fleet, input_err(format!("chaos campaign failed: {e}"))),
-    };
-
-    // The survivor's ledger: its cache counters first (so a reload that
-    // re-validates libraries cannot perturb the miss count under test),
-    // then a hot reload — the fleet must serve across qualifier-library
-    // swaps, not just crashes — then the reload counter.
-    let mut final_client = chaos_client(seed, 0xF1A7, unix_endpoint(&sockets[1]));
-    let (survivor_misses, follow_hits) = match final_client.call("stats", None, None) {
-        Ok(outcome) => (
-            stats_counter(&outcome.doc, &["cache", "misses"], u64::MAX),
-            stats_counter(&outcome.doc, &["cache", "follow_hits"], 0),
-        ),
-        Err(e) => return give_up(&mut fleet, input_err(format!("survivor stats failed: {e}"))),
-    };
-    if let Err(e) = final_client.call("reload", None, None) {
-        return give_up(&mut fleet, input_err(format!("survivor reload failed: {e}")));
-    }
-    let reloads = match final_client.call("stats", None, None) {
-        Ok(outcome) => stats_counter(&outcome.doc, &["reloads"], 0),
-        Err(e) => return give_up(&mut fleet, input_err(format!("survivor stats failed: {e}"))),
-    };
-
-    // Shut the survivors down through the protocol; the killed daemon's
-    // non-clean exit is the whole point, so only reap it.
-    let mut clean_shutdowns = true;
-    for (d, child) in fleet.iter_mut().enumerate() {
-        if kill_daemon && d == 0 {
-            let _ = child.wait();
-            continue;
-        }
-        let mut client = chaos_client(seed, 0x0FF0 + d as u64, unix_endpoint(&sockets[d]));
-        if client.call("shutdown", None, None).is_err() {
-            clean_shutdowns = false;
-        }
-        if !child.wait().ok().is_some_and(|s| s.success()) {
-            clean_shutdowns = false;
-        }
-    }
-
-    let report = ChaosReport {
-        seed,
-        clients,
-        daemons,
-        daemon_killed: kill_daemon,
-        net_faults: (0, 0),
-        warm_cache_miss_delta: survivor_misses,
-        follow_hits,
-        reloads,
-        worker_killed: false,
-        worker_restarts: 0,
-        clean_shutdown: clean_shutdowns,
-    };
-    let failovers = campaign.client.failovers;
-    let summary = format!(
-        " across {daemons} daemon(s), {failovers} failover(s), {follow_hits} follow hit(s), \
-         {reloads} reload(s){}",
-        if kill_daemon { ", daemon #0 killed" } else { "" },
-    );
-    report.finish(
-        &campaign,
-        baseline,
-        out,
-        &summary,
-        &[
-            (
-                survivor_misses != 0,
-                format!(
-                    "the surviving daemon missed {survivor_misses} time(s); \
-                     the shared journal did not keep it warm"
-                ),
-            ),
-            (
-                follow_hits == 0,
-                "the survivor never adopted a peer journal entry".to_owned(),
-            ),
-            (
-                reloads == 0,
-                "the survivor never completed a hot reload".to_owned(),
-            ),
-            (
-                kill_daemon && failovers == 0,
-                "the daemon died but no client ever failed over".to_owned(),
-            ),
-            (
-                !clean_shutdowns,
-                "a surviving daemon did not exit cleanly".to_owned(),
-            ),
-        ],
-    )
-}
-
-#[cfg(not(unix))]
-fn chaos_serve(_args: &[String]) -> ExitCode {
-    fail(usage_err("chaos-serve requires unix sockets"))
 }

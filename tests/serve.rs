@@ -484,92 +484,6 @@ fn max_queue_shedding_is_retryable_and_the_daemon_stays_responsive() {
     daemon.shutdown();
 }
 
-#[test]
-fn supervised_worker_survives_sigkill_with_its_warm_cache() {
-    // The acceptance drill from docs/robustness.md: SIGKILL the worker
-    // mid-service; the supervisor restarts it, and because every
-    // conclusive verdict was persisted eagerly, the successor's first
-    // prove over the same obligations misses the cache zero times.
-    let tag = format!("supervised-{}", std::process::id());
-    let scratch = std::env::temp_dir().join(&tag);
-    std::fs::create_dir_all(&scratch).expect("scratch dir");
-    let socket = scratch.join("sock");
-    let pid_file = scratch.join("pid");
-    let cache_dir = scratch.join("cache");
-    let _ = std::fs::remove_file(&socket);
-    let mut supervisor = Command::new(env!("CARGO_BIN_EXE_stqc"))
-        .arg("serve")
-        .arg("--supervise")
-        .arg("--socket")
-        .arg(&socket)
-        .arg("--pid-file")
-        .arg(&pid_file)
-        .arg("--cache-dir")
-        .arg(&cache_dir)
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("supervisor spawns");
-    let mut client = stq_core::Client::new(stq_core::ClientConfig {
-        endpoints: vec![stq_core::Endpoint::Unix(socket.clone())],
-        connect_timeout: Duration::from_secs(20),
-        call_deadline: Some(Duration::from_secs(120)),
-        max_retries: 32,
-        backoff_base: Duration::from_millis(5),
-        backoff_max: Duration::from_millis(100),
-        seed: 1,
-    });
-    // Warm the cache (and the on-disk journal) with a full prove.
-    let warm = client.call("prove", None, None).expect("warm prove");
-    assert_eq!(warm.doc.get("ok").and_then(Json::as_bool), Some(true), "{}", warm.raw);
-
-    // Assassinate the worker.
-    let old_pid = std::fs::read_to_string(&pid_file).expect("pid file written");
-    assert!(old_pid.trim().parse::<u32>().is_ok(), "pid file holds a pid: {old_pid}");
-    let killed = Command::new("kill")
-        .args(["-KILL", old_pid.trim()])
-        .status()
-        .expect("kill runs")
-        .success();
-    assert!(killed, "SIGKILL delivered to worker {old_pid}");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        if let Ok(now) = std::fs::read_to_string(&pid_file) {
-            if !now.trim().is_empty() && now.trim() != old_pid.trim() {
-                break;
-            }
-        }
-        assert!(Instant::now() < deadline, "supervisor never restarted the worker");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-
-    // The successor must answer the same prove entirely from the
-    // reloaded journal: zero misses on a fresh miss counter.
-    let healed = client.call("prove", None, None).expect("post-restart prove");
-    assert_eq!(healed.doc.get("ok").and_then(Json::as_bool), Some(true), "{}", healed.raw);
-    let misses = healed
-        .doc
-        .get("result")
-        .and_then(|r| r.get("cache"))
-        .and_then(|c| c.get("misses"))
-        .and_then(Json::as_u64);
-    assert_eq!(
-        misses,
-        Some(0),
-        "the restarted worker lost its warm cache: {}",
-        healed.raw
-    );
-    assert!(client.stats().reconnects >= 1, "the kill must have been felt");
-
-    // A requested shutdown propagates through the supervisor as exit 0.
-    let bye = client.call("shutdown", None, None).expect("shutdown");
-    assert_eq!(bye.doc.get("ok").and_then(Json::as_bool), Some(true));
-    let code = supervisor.wait().expect("supervisor exits").code();
-    assert_eq!(code, Some(0), "requested shutdown propagates as success");
-    let _ = std::fs::remove_dir_all(&scratch);
-}
-
 // ----- TCP transport -----
 
 /// The resident cache's cumulative miss count in a `prove` or `stats`
@@ -760,64 +674,6 @@ fn tcp_call_subcommand_round_trips() {
             .and_then(Json::as_bool),
         Some(true)
     );
-    daemon.shutdown();
-}
-
-#[test]
-fn tcp_chaos_soak_heals_through_wire_faults() {
-    // The PR 7 self-healing client, pointed at a TCP daemon whose
-    // response path is armed with deterministic wire faults. Every call
-    // must still come back attributed and correct.
-    let (daemon, addr) = Daemon::spawn_dual(
-        "tcp-chaos",
-        &["--net-fault-seed", "11", "--net-fault-count", "24", "--net-fault-span", "96"],
-    );
-    let mut client = stq_core::Client::new(stq_core::ClientConfig {
-        endpoints: vec![stq_core::Endpoint::Tcp(addr)],
-        connect_timeout: Duration::from_secs(20),
-        call_deadline: Some(Duration::from_secs(120)),
-        max_retries: 64,
-        backoff_base: Duration::from_millis(2),
-        backoff_max: Duration::from_millis(50),
-        seed: 5,
-    });
-    let mut verdicts: Vec<String> = Vec::new();
-    for i in 0..20 {
-        let out = match i % 3 {
-            0 => client.call(
-                "prove",
-                Some(&Json::parse(r#"{"names":["pos"]}"#).unwrap()),
-                None,
-            ),
-            1 => client.call("stats", None, None),
-            _ => client.call(
-                "check",
-                Some(&Json::parse(r#"{"source":"int pos x = 3;"}"#).unwrap()),
-                None,
-            ),
-        }
-        .unwrap_or_else(|e| panic!("soak call {i} failed: {e}"));
-        assert_eq!(
-            out.doc.get("ok").and_then(Json::as_bool),
-            Some(true),
-            "soak call {i}: {}",
-            out.raw
-        );
-        if i % 3 == 0 {
-            verdicts.push(
-                out.doc
-                    .get("result")
-                    .and_then(|r| r.get("all_sound"))
-                    .map(|v| v.to_string())
-                    .unwrap_or_default(),
-            );
-        }
-    }
-    assert!(
-        verdicts.iter().all(|v| v == "true"),
-        "verdicts must survive the faulted wire: {verdicts:?}"
-    );
-    drop(client);
     daemon.shutdown();
 }
 
@@ -1229,6 +1085,45 @@ fn addr_and_pid_files_appear_atomically_for_startup_pollers() {
     let bye = client.roundtrip("{\"id\":0,\"method\":\"shutdown\"}");
     assert_eq!(bye.get("ok").and_then(Json::as_bool), Some(true));
     assert_eq!(child.wait().expect("daemon exits").code(), Some(0));
+    let _ = std::fs::remove_dir_all(&scratch);
+}
+
+#[test]
+fn a_daemon_that_cannot_bind_publishes_neither_pid_nor_addr_file() {
+    // Binding comes before publishing. A second daemon on a served socket
+    // must not take over the first one's `--pid-file`, and a daemon that
+    // cannot bind at all must leave no coordination file behind.
+    let scratch = ha_scratch("failed-start");
+    let pid_file = scratch.join("pid");
+    let pid_arg = pid_file.to_str().expect("utf8 path");
+    let first = Daemon::spawn_at("failed-start", scratch.join("s.sock"), &["--pid-file", pid_arg]);
+    let published = || std::fs::read_to_string(&pid_file).unwrap_or_default();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while published().trim() != first.pid().to_string() {
+        assert!(Instant::now() < deadline, "the daemon never wrote its pid: {:?}", published());
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let serve = |socket: &std::path::Path, pid: &std::path::Path, addr: &[&std::path::Path]| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_stqc"));
+        cmd.arg("serve").arg("--socket").arg(socket).arg("--pid-file").arg(pid);
+        for addr_file in addr {
+            cmd.arg("--addr-file").arg(addr_file);
+        }
+        cmd.output().expect("stqc serve runs")
+    };
+    let second = serve(&first.socket, &pid_file, &[]);
+    assert_eq!(second.status.code(), Some(3), "{second:?}");
+    assert_eq!(published().trim(), first.pid().to_string(), "the running daemon's pid was replaced");
+
+    let (pid2, addr2) = (scratch.join("pid2"), scratch.join("addr2"));
+    let unbindable = serve(&scratch.join("no-such-dir").join("s.sock"), &pid2, &[&addr2]);
+    assert_eq!(unbindable.status.code(), Some(3), "{unbindable:?}");
+    assert!(!pid2.exists() && !addr2.exists(), "a daemon that never bound published files");
+    assert!(
+        !String::from_utf8_lossy(&unbindable.stderr).contains("serving on"),
+        "a daemon that never bound claimed to serve: {unbindable:?}"
+    );
+    first.shutdown();
     let _ = std::fs::remove_dir_all(&scratch);
 }
 

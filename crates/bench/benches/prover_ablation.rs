@@ -14,13 +14,18 @@ use std::hint::black_box;
 use stq_cir::ast::{BinOp, Expr};
 use stq_cir::parse::parse_program;
 use stq_qualspec::Registry;
-use stq_soundness::obligations_for;
+use stq_soundness::{build_obligation, obligation_specs};
 use stq_typecheck::{Inference, TypeEnv};
 use stq_util::Symbol;
 
 fn bench_round_budget(c: &mut Criterion) {
     let registry = Registry::builtins();
     let def = registry.get_by_name("unique").expect("builtin");
+    let obligations = || {
+        obligation_specs(def)
+            .into_iter()
+            .map(|spec| build_obligation(&registry, def, &spec))
+    };
     let mut group = c.benchmark_group("ematch_round_budget");
     group.sample_size(20);
     for rounds in [1usize, 2, 4, 8] {
@@ -30,7 +35,7 @@ fn bench_round_budget(c: &mut Criterion) {
         let mut instantiations = 0u64;
         let mut decisions = 0u64;
         let mut proved = 0usize;
-        for mut ob in obligations_for(&registry, def) {
+        for mut ob in obligations() {
             ob.problem.config.max_rounds = rounds;
             let outcome = ob.problem.prove();
             instantiations += outcome.stats().instantiations as u64;
@@ -48,7 +53,7 @@ fn bench_round_budget(c: &mut Criterion) {
             |b, &rounds| {
                 b.iter(|| {
                     let mut proved = 0;
-                    for mut ob in obligations_for(&registry, def) {
+                    for mut ob in obligations() {
                         ob.problem.config.max_rounds = rounds;
                         if ob.problem.prove().is_proved() {
                             proved += 1;
@@ -85,8 +90,8 @@ fn bench_inference_depth(c: &mut Criterion) {
         let mut inf = Inference::new(&env);
         assert!(inf.has_qual(&expr, Symbol::intern("pos")));
         println!(
-            "inference_depth/{depth}: {} match attempt(s), {} memo hit(s)/{} miss(es)",
-            inf.match_attempts, inf.memo_hits, inf.memo_misses
+            "inference_depth/{depth}: {} match attempt(s), {} quer(ies) computed",
+            inf.match_attempts, inf.memo_misses
         );
         group.bench_with_input(BenchmarkId::from_parameter(depth), &expr, |b, e| {
             b.iter(|| {

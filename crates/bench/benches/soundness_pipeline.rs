@@ -24,10 +24,9 @@
 use std::fs;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
-use stq_qualspec::Registry;
+use stq_qualspec::{QualifierDef, Registry};
 use stq_soundness::{
-    check_all_pipeline, check_all_pipeline_cancellable, Budget, CancelToken, ProofCache,
-    RetryPolicy, SoundnessReport,
+    check_defs_pipeline_cancellable, Budget, CancelToken, ProofCache, RetryPolicy, SoundnessReport,
 };
 
 const JOBS: usize = 4;
@@ -41,6 +40,19 @@ fn registry() -> Registry {
     let source = fs::read_to_string(extra).expect("extra.q is shipped with the repo");
     registry.add_source(&source).expect("extra.q parses");
     registry
+}
+
+/// One proving run of the whole registry through the checker's driver.
+fn prove(
+    registry: &Registry,
+    budget: Budget,
+    retry: RetryPolicy,
+    jobs: usize,
+    cache: Option<&ProofCache>,
+    cancel: &CancelToken,
+) -> SoundnessReport {
+    let defs: Vec<&QualifierDef> = registry.iter().collect();
+    check_defs_pipeline_cancellable(registry, &defs, budget, retry, jobs, cache, cancel)
 }
 
 /// Runs `f` repeatedly until ~0.5 s of wall clock (at least `min_runs`),
@@ -109,12 +121,12 @@ fn main() {
     let registry = registry();
     let budget = Budget::default();
     let retry = RetryPolicy::attempts(2);
+    let unfired = CancelToken::default();
 
     // Mode 1: sequential, no cache — one worker proving everything cold
     // on the calling thread.
-    let (seq_runs, seq_elapsed, seq_report) = measure(2, 50, || {
-        check_all_pipeline(&registry, budget, retry, 1, None)
-    });
+    let (seq_runs, seq_elapsed, seq_report) =
+        measure(2, 50, || prove(&registry, budget, retry, 1, None, &unfired));
     assert!(seq_report.all_sound(), "{seq_report}");
     let obligations = seq_report.obligation_count();
 
@@ -122,7 +134,7 @@ fn main() {
     // everything — shared prepared theory, hash-consed leaf template,
     // per-worker solver reuse.
     let (cold_runs, cold_elapsed, cold_report) = measure(2, 50, || {
-        check_all_pipeline(&registry, budget, retry, JOBS, None)
+        prove(&registry, budget, retry, JOBS, None, &unfired)
     });
     assert!(cold_report.all_sound(), "{cold_report}");
     assert_eq!(cold_report.obligation_count(), obligations);
@@ -148,7 +160,7 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("stq-bench-cache-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     let cache = ProofCache::at_dir(&dir).expect("temp cache dir");
-    let first = check_all_pipeline(&registry, budget, retry, JOBS, Some(&cache));
+    let first = prove(&registry, budget, retry, JOBS, Some(&cache), &unfired);
     assert!(first.all_sound(), "{first}");
     let cold_misses = first.totals.cache_misses;
     let cold_hits = first.totals.cache_hits;
@@ -181,8 +193,14 @@ fn main() {
         std::env::temp_dir().join(format!("stq-bench-cache-timed-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir_timed);
     let cache_timed = ProofCache::at_dir(&dir_timed).expect("temp timed cache dir");
-    let first_timed =
-        check_all_pipeline_cancellable(&registry, budget_timed, retry, JOBS, Some(&cache_timed), &token);
+    let first_timed = prove(
+        &registry,
+        budget_timed,
+        retry,
+        JOBS,
+        Some(&cache_timed),
+        &token,
+    );
     assert!(first_timed.all_sound(), "{first_timed}");
     cache_timed.persist().expect("persist timed cache");
 
@@ -193,9 +211,16 @@ fn main() {
         5,
         200,
         [
-            &mut || check_all_pipeline(&registry, budget, retry, JOBS, Some(&warm_cache)),
+            &mut || prove(&registry, budget, retry, JOBS, Some(&warm_cache), &unfired),
             &mut || {
-                check_all_pipeline_cancellable(&registry, budget_timed, retry, JOBS, Some(&warm_timed), &token)
+                prove(
+                    &registry,
+                    budget_timed,
+                    retry,
+                    JOBS,
+                    Some(&warm_timed),
+                    &token,
+                )
             },
         ],
     );

@@ -59,7 +59,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use stq_soundness::{Budget, BudgetOverride, ProofCache, RetryPolicy, SoundnessReport};
+use stq_soundness::{Budget, BudgetOverride, ProofCache, RetryPolicy};
 #[cfg(unix)]
 use stq_util::flock::FileLock;
 use stq_util::json::Json;
@@ -1234,22 +1234,11 @@ impl Server {
     fn do_prove(&self, params: &Json, token: &CancelToken) -> Result<Json, ServeError> {
         let names: Option<Vec<&str>> = match params.get("names") {
             None | Some(Json::Null) => None,
-            Some(Json::Arr(items)) => {
-                let mut out = Vec::with_capacity(items.len());
-                for item in items {
-                    match item.as_str() {
-                        Some(s) => out.push(s),
-                        None => {
-                            return Err((
-                                "invalid",
-                                "`names` must be an array of strings".to_owned(),
-                            ))
-                        }
-                    }
-                }
-                Some(out)
-            }
-            Some(_) => return Err(("invalid", "`names` must be an array of strings".to_owned())),
+            Some(v) => Some(
+                v.as_array()
+                    .and_then(|items| items.iter().map(Json::as_str).collect())
+                    .ok_or(("invalid", "`names` must be an array of strings".to_owned()))?,
+            ),
         };
         let budget = self.cfg.budget.overridden(budget_override(params.get("budget"))?);
         let retry = retry_override(self.cfg.retry, params.get("retry"))?;
@@ -1270,12 +1259,9 @@ impl Server {
         self.stats.prove.fetch_add(1, Ordering::Relaxed);
         let cache = use_cache.then_some(&self.cache);
         let session = self.session();
-        let report: SoundnessReport = match &names {
-            Some(ns) => session
-                .prove_named_cancellable(ns, budget, retry, jobs, cache, token)
-                .map_err(|e| ("input", e))?,
-            None => session.prove_all_sound_cancellable(budget, retry, jobs, cache, token),
-        };
+        let report = session
+            .prove(names.as_deref(), budget, retry, jobs, cache, token)
+            .map_err(|e| ("input", e))?;
         if report.interrupted() {
             self.stats.interrupted.fetch_add(1, Ordering::Relaxed);
         }

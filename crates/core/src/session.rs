@@ -8,9 +8,8 @@ use stq_cir::parse::{parse_program, parse_program_resilient, ParseError};
 use stq_qualspec::parse::SpecError;
 use stq_qualspec::Registry;
 use stq_soundness::{
-    check_all, check_all_pipeline, check_all_pipeline_cancellable, check_all_retrying,
-    check_defs_pipeline_cancellable, check_qualifier, Budget, CancelToken, ProofCache, QualReport,
-    RetryPolicy, SoundnessReport,
+    check_defs_pipeline_cancellable, Budget, CancelToken, ProofCache, QualReport, RetryPolicy,
+    SoundnessReport,
 };
 use stq_typecheck::{
     check_program, check_program_with, infer_annotations, instrument_program, AnnotationInference,
@@ -105,35 +104,61 @@ impl Session {
         self.registry.check_well_formed()
     }
 
-    /// Proves (or refutes) the soundness of one qualifier.
+    /// Proves (or refutes) the soundness of the named qualifiers, in the
+    /// given order, or of every registered one when `names` is `None`,
+    /// through [`check_defs_pipeline_cancellable`]: up to `jobs` worker
+    /// threads, `budget` per obligation escalated by the `retry` ladder,
+    /// and an optional [`ProofCache`]. A fired `cancel` token yields a
+    /// *partial* report ([`SoundnessReport::interrupted`]) whose
+    /// conclusive verdicts still land in the cache.
+    ///
+    /// # Errors
+    ///
+    /// The first unregistered qualifier name, before any proof runs.
+    pub fn prove(
+        &self,
+        names: Option<&[&str]>,
+        budget: Budget,
+        retry: RetryPolicy,
+        jobs: usize,
+        cache: Option<&ProofCache>,
+        cancel: &CancelToken,
+    ) -> Result<SoundnessReport, String> {
+        let defs = match names {
+            None => self.registry.iter().collect(),
+            Some(names) => names
+                .iter()
+                .map(|name| {
+                    self.registry
+                        .get_by_name(name)
+                        .ok_or_else(|| format!("unknown qualifier `{name}`"))
+                })
+                .collect::<Result<Vec<_>, _>>()?,
+        };
+        let registry = &self.registry;
+        Ok(check_defs_pipeline_cancellable(
+            registry, &defs, budget, retry, jobs, cache, cancel,
+        ))
+    }
+
+    /// Proves (or refutes) the soundness of one qualifier, with the
+    /// default budget, no retries, one job, and no cache; `None` if no
+    /// qualifier has that name.
     pub fn prove_sound(&self, name: &str) -> Option<QualReport> {
-        self.registry
-            .get_by_name(name)
-            .map(|def| check_qualifier(&self.registry, def))
+        let report =
+            self.prove_named_pipeline(&[name], Budget::default(), RetryPolicy::none(), 1, None);
+        report.ok()?.reports.pop()
     }
 
-    /// Proves (or refutes) the soundness of every registered qualifier.
+    /// Proves (or refutes) the soundness of every registered qualifier,
+    /// with the defaults of [`Session::prove_sound`].
     pub fn prove_all_sound(&self) -> Vec<QualReport> {
-        check_all(&self.registry)
+        self.prove_all_sound_pipeline(Budget::default(), RetryPolicy::none(), 1, None)
+            .reports
     }
 
-    /// As [`Session::prove_all_sound`], with an explicit prover
-    /// [`Budget`] and a budget-escalation [`RetryPolicy`] for
-    /// `ResourceOut` obligations, returning the aggregate
-    /// [`SoundnessReport`] (per-qualifier reports plus registry-wide
-    /// telemetry totals). Exhausted budgets yield `Verdict::ResourceOut`,
-    /// never a false `Unsound`, and proof attempts are panic-isolated: a
-    /// crashing obligation yields [`stq_soundness::Verdict::Crashed`] for
-    /// its qualifier while every other obligation still runs.
-    pub fn prove_all_sound_retrying(&self, budget: Budget, retry: RetryPolicy) -> SoundnessReport {
-        check_all_retrying(&self.registry, budget, retry)
-    }
-
-    /// The parallel + incremental pipeline: every qualifier's
-    /// obligations, discharged by up to `jobs` worker threads with an
-    /// optional [`ProofCache`] consulted per obligation. Verdicts and
-    /// report order are identical to [`Session::prove_all_sound_retrying`]
-    /// regardless of `jobs`; `jobs <= 1` runs sequentially with no pool.
+    /// [`Session::prove`] of every registered qualifier, never
+    /// cancelled.
     pub fn prove_all_sound_pipeline(
         &self,
         budget: Budget,
@@ -141,30 +166,11 @@ impl Session {
         jobs: usize,
         cache: Option<&ProofCache>,
     ) -> SoundnessReport {
-        check_all_pipeline(&self.registry, budget, retry, jobs, cache)
+        self.prove(None, budget, retry, jobs, cache, &CancelToken::default())
+            .expect("every registered qualifier resolves")
     }
 
-    /// As [`Session::prove_all_sound_pipeline`], under a [`CancelToken`]:
-    /// a fired token (Ctrl-C, or an attached run deadline) stops the run
-    /// at the next safepoint and yields a *partial*
-    /// [`SoundnessReport`] — obligations never reached are marked
-    /// skipped, conclusive outcomes already in hand keep their verdicts
-    /// and still land in the cache, and
-    /// [`SoundnessReport::interrupted`] is true.
-    pub fn prove_all_sound_cancellable(
-        &self,
-        budget: Budget,
-        retry: RetryPolicy,
-        jobs: usize,
-        cache: Option<&ProofCache>,
-        cancel: &CancelToken,
-    ) -> SoundnessReport {
-        check_all_pipeline_cancellable(&self.registry, budget, retry, jobs, cache, cancel)
-    }
-
-    /// As [`Session::prove_all_sound_pipeline`], restricted to the named
-    /// qualifiers (in the given order). Unknown names are reported in the
-    /// `Err` variant without running any proofs.
+    /// [`Session::prove`] of the named qualifiers, never cancelled.
     ///
     /// # Errors
     ///
@@ -177,41 +183,8 @@ impl Session {
         jobs: usize,
         cache: Option<&ProofCache>,
     ) -> Result<SoundnessReport, String> {
-        self.prove_named_cancellable(names, budget, retry, jobs, cache, &CancelToken::default())
-    }
-
-    /// As [`Session::prove_named_pipeline`], under a [`CancelToken`];
-    /// see [`Session::prove_all_sound_cancellable`] for the partial-
-    /// report semantics when the token fires.
-    ///
-    /// # Errors
-    ///
-    /// The first unregistered qualifier name.
-    pub fn prove_named_cancellable(
-        &self,
-        names: &[&str],
-        budget: Budget,
-        retry: RetryPolicy,
-        jobs: usize,
-        cache: Option<&ProofCache>,
-        cancel: &CancelToken,
-    ) -> Result<SoundnessReport, String> {
-        let mut defs = Vec::with_capacity(names.len());
-        for name in names {
-            match self.registry.get_by_name(name) {
-                Some(def) => defs.push(def),
-                None => return Err(format!("unknown qualifier `{name}`")),
-            }
-        }
-        Ok(check_defs_pipeline_cancellable(
-            &self.registry,
-            &defs,
-            budget,
-            retry,
-            jobs,
-            cache,
-            cancel,
-        ))
+        let unfired = CancelToken::default();
+        self.prove(Some(names), budget, retry, jobs, cache, &unfired)
     }
 
     /// Parses C-subset source with this session's qualifiers as
@@ -399,7 +372,7 @@ mod tests {
     #[test]
     fn budgeted_proving_reports_telemetry() {
         let s = Session::with_builtins();
-        let report = s.prove_all_sound_retrying(Budget::default(), RetryPolicy::none());
+        let report = s.prove_all_sound_pipeline(Budget::default(), RetryPolicy::none(), 1, None);
         assert!(report.all_sound(), "{report}");
         assert!(report.totals.decisions > 0);
         assert!(report.totals.instantiations > 0);
@@ -444,7 +417,7 @@ mod tests {
         use stq_soundness::fault::{self, FaultKind, FaultPlan};
         let s = Session::with_builtins();
         fault::install(FaultPlan::new().inject(0, FaultKind::Panic));
-        let report = s.prove_all_sound_retrying(Budget::default(), RetryPolicy::none());
+        let report = s.prove_all_sound_pipeline(Budget::default(), RetryPolicy::none(), 1, None);
         fault::clear();
         // Every qualifier still has a report; exactly one crashed.
         assert_eq!(report.reports.len(), 8);
@@ -460,7 +433,8 @@ mod tests {
     #[test]
     fn pipeline_proving_matches_sequential_and_caches() {
         let s = Session::with_builtins();
-        let sequential = s.prove_all_sound_retrying(Budget::default(), RetryPolicy::none());
+        let sequential =
+            s.prove_all_sound_pipeline(Budget::default(), RetryPolicy::none(), 1, None);
         let cache = ProofCache::in_memory();
         let cold =
             s.prove_all_sound_pipeline(Budget::default(), RetryPolicy::none(), 4, Some(&cache));
@@ -479,20 +453,22 @@ mod tests {
         let s = Session::with_builtins();
         let cancel = CancelToken::new();
         cancel.cancel();
-        let report = s.prove_all_sound_cancellable(
-            Budget::default(),
-            RetryPolicy::none(),
-            2,
-            None,
-            &cancel,
-        );
+        let report = s
+            .prove(
+                None,
+                Budget::default(),
+                RetryPolicy::none(),
+                2,
+                None,
+                &cancel,
+            )
+            .unwrap();
         assert!(report.interrupted());
         assert_eq!(report.skipped_count(), report.obligation_count());
         assert!(!report.all_sound(), "a partial report never claims soundness");
-        // An unfired token leaves the cancellable path identical to the
-        // plain pipeline.
-        let clean = s.prove_named_cancellable(
-            &["pos", "unique"],
+        // An unfired token proves everything asked for.
+        let clean = s.prove(
+            Some(&["pos", "unique"]),
             Budget::default(),
             RetryPolicy::none(),
             2,

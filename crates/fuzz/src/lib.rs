@@ -128,22 +128,22 @@ impl FuzzReport {
 /// Runs a fuzz campaign. Deterministic for a given `(seed, count)`
 /// whatever `jobs` is; each case runs in its own [`Session`] with panics
 /// contained, so one poisoned case cannot take down the campaign.
-pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
-    run_fuzz_cancellable(config, &CancelToken::default())
-}
-
-/// [`run_fuzz`] under a [`CancelToken`]: workers poll the token at case
-/// boundaries, so a fired token (Ctrl-C, or a run deadline) ends the
-/// campaign after the in-flight cases finish. Unreached cases are
-/// counted in [`FuzzReport::skipped`] and the report is marked
-/// [`FuzzReport::interrupted`]; executed cases keep their verdicts, so
-/// the partial summary is still trustworthy for what it covers.
+///
+/// Workers poll `cancel` at case boundaries, so a fired token (Ctrl-C,
+/// or a run deadline) ends the campaign after the in-flight cases
+/// finish. Unreached cases are counted in [`FuzzReport::skipped`] and
+/// the report is marked [`FuzzReport::interrupted`]; executed cases keep
+/// their verdicts, so the partial summary is still trustworthy for what
+/// it covers. Pass `&CancelToken::default()` to run every case.
 pub fn run_fuzz_cancellable(config: &FuzzConfig, cancel: &CancelToken) -> FuzzReport {
     let indices: Vec<usize> = (0..config.count).collect();
-    let reports =
-        pool::run_indexed_cancellable(config.jobs, indices, cancel, || {}, |_, i| {
-            run_one(config, i)
-        });
+    let reports = pool::run_indexed_stateful_cancellable(
+        config.jobs,
+        indices,
+        cancel,
+        || (),
+        |(), _, i| run_one(config, i),
+    );
     let mut summary = FuzzReport {
         executed: 0,
         passes: 0,
@@ -297,11 +297,14 @@ mod tests {
     fn verdicts_are_identical_across_job_counts() {
         let mut base: Option<String> = None;
         for jobs in [1, 4, 8] {
-            let report = run_fuzz(&FuzzConfig {
-                count: 24,
-                jobs,
-                ..FuzzConfig::default()
-            });
+            let report = run_fuzz_cancellable(
+                &FuzzConfig {
+                    count: 24,
+                    jobs,
+                    ..FuzzConfig::default()
+                },
+                &CancelToken::default(),
+            );
             let rendered = format!("{report:?}");
             match &base {
                 None => base = Some(rendered),
@@ -312,11 +315,14 @@ mod tests {
 
     #[test]
     fn a_bounded_campaign_finds_no_divergences() {
-        let report = run_fuzz(&FuzzConfig {
-            count: 60,
-            jobs: 4,
-            ..FuzzConfig::default()
-        });
+        let report = run_fuzz_cancellable(
+            &FuzzConfig {
+                count: 60,
+                jobs: 4,
+                ..FuzzConfig::default()
+            },
+            &CancelToken::default(),
+        );
         assert_eq!(report.executed, 60);
         assert!(
             report.is_clean_run(),
@@ -362,10 +368,13 @@ mod tests {
         assert!(!full.interrupted);
         assert_eq!(full.executed, 12);
         assert_eq!(full.skipped, 0);
-        let plain = run_fuzz(&FuzzConfig {
-            count: 12,
-            ..FuzzConfig::default()
-        });
+        let plain = run_fuzz_cancellable(
+            &FuzzConfig {
+                count: 12,
+                ..FuzzConfig::default()
+            },
+            &CancelToken::default(),
+        );
         assert_eq!(format!("{plain:?}"), format!("{full:?}"));
     }
 

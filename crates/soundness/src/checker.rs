@@ -1,11 +1,13 @@
-//! The soundness-checker driver: generate every obligation for a
-//! qualifier, discharge each with the prover under a [`Budget`], and
-//! report per-obligation telemetry ([`stq_logic::ProverStats`]) plus
-//! aggregate totals ([`SoundnessReport`]).
+//! The soundness-checker driver: generate every obligation of the
+//! qualifiers asked for, discharge each with the prover under a
+//! [`Budget`], and report per-obligation telemetry
+//! ([`stq_logic::ProverStats`]) plus aggregate totals
+//! ([`SoundnessReport`]). [`check_defs_pipeline_cancellable`] is the one
+//! driver; [`check_qualifier`] is its defaults for one definition.
 
 use crate::axioms::background_theory;
-use crate::obligations::{build_obligation, obligation_specs, obligations_for, Obligation, ObligationSpec};
 use crate::cache::{CachedProof, ProofCache};
+use crate::obligations::{build_obligation, obligation_specs, Obligation, ObligationSpec};
 use std::fmt;
 use std::time::{Duration, Instant};
 use stq_logic::solver::{Outcome, SolverWorker};
@@ -161,7 +163,8 @@ impl fmt::Display for QualReport {
 }
 
 /// Checks the soundness of one qualifier definition against its declared
-/// invariant, for all possible programs.
+/// invariant, for all possible programs: [`check_defs_pipeline_cancellable`]
+/// with the default [`Budget`], no retries, one job, and no cache.
 ///
 /// # Examples
 ///
@@ -175,64 +178,16 @@ impl fmt::Display for QualReport {
 /// assert_eq!(report.verdict, Verdict::Sound);
 /// ```
 pub fn check_qualifier(registry: &Registry, def: &QualifierDef) -> QualReport {
-    check_qualifier_cached(registry, def, Budget::default(), RetryPolicy::none(), None)
-}
-
-/// The fault-isolated heart of the checker: [`check_qualifier`] under an
-/// explicit prover [`Budget`], a budget-escalation [`RetryPolicy`], and
-/// an optional [`ProofCache`].
-///
-/// Every obligation is discharged through
-/// [`stq_logic::SolverWorker::prove_isolated`], so a panicking proof
-/// attempt — a prover bug or an injected fault — degrades to a `CRASHED`
-/// obligation and a [`Verdict::Crashed`] report instead of unwinding
-/// through the batch: the remaining obligations (and qualifiers) still
-/// get verdicts. An obligation that exhausts the budget is recorded with
-/// its tripped [`Resource`]; if any obligation does (and none is
-/// positively refuted) the verdict is [`Verdict::ResourceOut`].
-///
-/// An obligation that comes back `ResourceOut` is re-run under budgets
-/// escalated by `retry.factor` per attempt, up to `retry.max_attempts`
-/// total attempts; [`ObligationResult::attempts`] records how many ran,
-/// and the stats and duration accumulate across attempts. Refutations and
-/// crashes are never retried.
-///
-/// With a cache, each obligation is fingerprinted and looked up before
-/// any proof search runs. A hit replays the cached conclusive outcome
-/// with zero attempts ([`ObligationResult::attempts`] is 0 and
-/// `stats.cache_hits` is 1); a miss proves as usual, records the
-/// conclusive outcome, and marks `stats.cache_misses`.
-pub fn check_qualifier_cached(
-    registry: &Registry,
-    def: &QualifierDef,
-    budget: Budget,
-    retry: RetryPolicy,
-    cache: Option<&ProofCache>,
-) -> QualReport {
-    let start = Instant::now();
-    if def.invariant.is_none() {
-        return QualReport {
-            qualifier: def.name,
-            verdict: Verdict::NoInvariant,
-            obligations: Vec::new(),
-            duration: start.elapsed(),
-        };
-    }
-    // One resident solver worker serves the whole qualifier: the shared
-    // background theory is preprocessed once and reused per obligation.
-    let mut worker = SolverWorker::new(background_theory());
-    let results: Vec<ObligationResult> = obligations_for(registry, def)
-        .into_iter()
-        .map(|ob| {
-            discharge(&mut worker, ob, budget, retry, cache, &CancelToken::default())
-        })
-        .collect();
-    QualReport {
-        qualifier: def.name,
-        verdict: verdict_for(&results),
-        obligations: results,
-        duration: start.elapsed(),
-    }
+    let mut report = check_defs_pipeline_cancellable(
+        registry,
+        &[def],
+        Budget::default(),
+        RetryPolicy::none(),
+        1,
+        None,
+        &CancelToken::default(),
+    );
+    report.reports.remove(0)
 }
 
 /// The result recorded for an obligation the run never reached: zero
@@ -364,14 +319,6 @@ fn verdict_for(results: &[ObligationResult]) -> Verdict {
     } else {
         Verdict::Sound
     }
-}
-
-/// Checks every qualifier in the registry.
-pub fn check_all(registry: &Registry) -> Vec<QualReport> {
-    registry
-        .iter()
-        .map(|def| check_qualifier(registry, def))
-        .collect()
 }
 
 /// The full soundness run over a registry: per-qualifier reports plus
@@ -530,94 +477,52 @@ impl fmt::Display for SoundnessReport {
     }
 }
 
-/// [`check_all`] under an explicit [`Budget`] and budget-escalation
-/// [`RetryPolicy`], aggregated into a [`SoundnessReport`]: the plain
-/// sequential driver, one qualifier after another on the calling thread.
-/// See [`check_qualifier_cached`] for the per-obligation semantics.
-pub fn check_all_retrying(
-    registry: &Registry,
-    budget: Budget,
-    retry: RetryPolicy,
-) -> SoundnessReport {
-    let start = Instant::now();
-    let reports: Vec<QualReport> = registry
-        .iter()
-        .map(|def| check_qualifier_cached(registry, def, budget, retry, None))
-        .collect();
-    SoundnessReport::new(reports, budget, retry, 1, None, start.elapsed())
-}
-
-/// The full pipeline: every obligation of the registry discharged by up
-/// to `jobs` workers over a work-stealing thread pool, with an optional
-/// [`ProofCache`] consulted per obligation (see
-/// [`check_qualifier_cached`] for the per-obligation semantics). With
-/// `jobs <= 1` the run is exactly sequential (no pool, no worker
-/// threads). The cache's load-time invalidation count is folded into
+/// The soundness checker's one driver: every obligation of `defs` (in
+/// the given order) discharged by up to `jobs` workers over a
+/// work-stealing thread pool, under an explicit prover [`Budget`], a
+/// budget-escalation [`RetryPolicy`], an optional [`ProofCache`], and a
+/// [`CancelToken`]. With `jobs <= 1` the run is sequential on the
+/// calling thread.
+///
+/// Every obligation is discharged through
+/// [`stq_logic::SolverWorker::prove_isolated`], so a panicking proof
+/// attempt — a prover bug or an injected fault — degrades to a `CRASHED`
+/// obligation and a [`Verdict::Crashed`] report instead of unwinding
+/// through the batch: the remaining obligations (and qualifiers) still
+/// get verdicts. An obligation that exhausts the budget is recorded with
+/// its tripped [`Resource`]; if any obligation does (and none is
+/// positively refuted) the verdict is [`Verdict::ResourceOut`].
+///
+/// An obligation that comes back `ResourceOut` is re-run under budgets
+/// escalated by `retry.factor` per attempt, up to `retry.max_attempts`
+/// total attempts; [`ObligationResult::attempts`] records how many ran,
+/// and the stats and duration accumulate across attempts. Refutations and
+/// crashes are never retried.
+///
+/// With a cache, each obligation is fingerprinted and looked up before
+/// any proof search runs. A hit replays the cached conclusive outcome
+/// with zero attempts ([`ObligationResult::attempts`] is 0 and
+/// `stats.cache_hits` is 1); a miss proves as usual, records the
+/// conclusive outcome, and marks `stats.cache_misses`. The cache's
+/// load-time invalidation count is folded into
 /// [`SoundnessReport::totals`].
+///
+/// Workers poll the token before taking each obligation and the prover
+/// polls it at its decision points, so a fired token ends the run at the
+/// next safepoint. Obligations the pool never reached come back as
+/// skipped results (zero attempts, no stats), an obligation interrupted
+/// mid-search records [`Resource::Cancelled`], and any of either makes
+/// the report [`SoundnessReport::interrupted`]. Conclusive outcomes
+/// reached before the cancellation are still recorded in the cache, so
+/// an interrupted run resumes from where it stopped.
 ///
 /// Determinism: obligation-level results are index-addressed, so
 /// verdicts, obligation order, countermodels, attempts, and work
-/// counters are identical to [`check_all_retrying`] — only wall-clock
-/// fields (and, under fault injection, *which* solver entry draws a
-/// scheduled index) depend on scheduling. An installed [`fault`] plan is
-/// shared with the workers via [`fault::handle`]/[`fault::adopt`], so
-/// entry numbering stays global and an injected fault fires exactly
-/// once.
-pub fn check_all_pipeline(
-    registry: &Registry,
-    budget: Budget,
-    retry: RetryPolicy,
-    jobs: usize,
-    cache: Option<&ProofCache>,
-) -> SoundnessReport {
-    let defs: Vec<&QualifierDef> = registry.iter().collect();
-    check_defs_pipeline(registry, &defs, budget, retry, jobs, cache)
-}
-
-/// [`check_all_pipeline`] under a [`CancelToken`]: the whole-registry
-/// entry point for deadline-bounded and Ctrl-C-interruptible runs.
-pub fn check_all_pipeline_cancellable(
-    registry: &Registry,
-    budget: Budget,
-    retry: RetryPolicy,
-    jobs: usize,
-    cache: Option<&ProofCache>,
-    cancel: &CancelToken,
-) -> SoundnessReport {
-    let defs: Vec<&QualifierDef> = registry.iter().collect();
-    check_defs_pipeline_cancellable(registry, &defs, budget, retry, jobs, cache, cancel)
-}
-
-/// [`check_all_pipeline`] over an explicit subset of definitions (the
-/// CLI's `prove foo bar` path), in the given order.
-pub fn check_defs_pipeline(
-    registry: &Registry,
-    defs: &[&QualifierDef],
-    budget: Budget,
-    retry: RetryPolicy,
-    jobs: usize,
-    cache: Option<&ProofCache>,
-) -> SoundnessReport {
-    check_defs_pipeline_cancellable(
-        registry,
-        defs,
-        budget,
-        retry,
-        jobs,
-        cache,
-        &CancelToken::default(),
-    )
-}
-
-/// [`check_defs_pipeline`] under a [`CancelToken`]: workers poll the
-/// token before taking each obligation and the prover polls it at its
-/// decision points, so a fired token ends the run at the next safepoint.
-/// Obligations the pool never reached come back as skipped results
-/// (zero attempts, no stats), an obligation interrupted mid-search
-/// records [`Resource::Cancelled`], and any of either makes the report
-/// [`SoundnessReport::interrupted`]. Conclusive outcomes reached before
-/// the cancellation are still recorded in the cache as usual, so an
-/// interrupted run resumes from where it stopped.
+/// counters do not depend on `jobs` — only wall-clock fields (and, under
+/// fault injection, *which* solver entry draws a scheduled index) depend
+/// on scheduling. An installed [`fault`] plan is shared with the workers
+/// via [`fault::handle`]/[`fault::adopt`], so entry numbering stays
+/// global and an injected fault fires exactly once.
 pub fn check_defs_pipeline_cancellable(
     registry: &Registry,
     defs: &[&QualifierDef],
@@ -710,6 +615,38 @@ mod tests {
         let registry = Registry::builtins();
         let def = registry.get_by_name(name).expect("builtin exists");
         check_qualifier(&registry, def)
+    }
+
+    /// The driver over one definition, inline, with an unfired token.
+    fn check_one(
+        registry: &Registry,
+        def: &QualifierDef,
+        budget: Budget,
+        retry: RetryPolicy,
+        cache: Option<&ProofCache>,
+    ) -> QualReport {
+        let mut report = check_defs_pipeline_cancellable(
+            registry,
+            &[def],
+            budget,
+            retry,
+            1,
+            cache,
+            &CancelToken::default(),
+        );
+        report.reports.remove(0)
+    }
+
+    /// The driver over the whole registry.
+    fn check_registry(
+        registry: &Registry,
+        budget: Budget,
+        retry: RetryPolicy,
+        jobs: usize,
+        cancel: &CancelToken,
+    ) -> SoundnessReport {
+        let defs: Vec<&QualifierDef> = registry.iter().collect();
+        check_defs_pipeline_cancellable(registry, &defs, budget, retry, jobs, None, cancel)
     }
 
     #[test]
@@ -869,11 +806,17 @@ mod tests {
     }
 
     #[test]
-    fn check_all_builtins() {
+    fn the_registry_run_refutes_no_builtin() {
         let registry = Registry::builtins();
-        let reports = check_all(&registry);
-        assert_eq!(reports.len(), 8);
-        for r in &reports {
+        let report = check_registry(
+            &registry,
+            Budget::default(),
+            RetryPolicy::none(),
+            1,
+            &CancelToken::default(),
+        );
+        assert_eq!(report.reports.len(), 8);
+        for r in &report.reports {
             assert_ne!(r.verdict, Verdict::Unsound, "{r}");
         }
     }
@@ -938,7 +881,7 @@ mod tests {
         // the budget.
         let registry = Registry::builtins();
         let def = registry.get_by_name("unique").unwrap();
-        let small = check_qualifier_cached(
+        let small = check_one(
             &registry,
             def,
             Budget {
@@ -960,7 +903,7 @@ mod tests {
     fn starved_budget_reports_resource_out_not_unsound() {
         let registry = Registry::builtins();
         let def = registry.get_by_name("unique").unwrap();
-        let report = check_qualifier_cached(
+        let report = check_one(
             &registry,
             def,
             Budget {
@@ -983,9 +926,15 @@ mod tests {
     }
 
     #[test]
-    fn check_all_retrying_aggregates_the_registry() {
+    fn the_registry_run_aggregates_every_qualifier() {
         let registry = Registry::builtins();
-        let report = check_all_retrying(&registry, Budget::default(), RetryPolicy::none());
+        let report = check_registry(
+            &registry,
+            Budget::default(),
+            RetryPolicy::none(),
+            1,
+            &CancelToken::default(),
+        );
         assert_eq!(report.reports.len(), 8);
         assert!(report.all_sound(), "{report}");
         assert!(report.obligation_count() >= 19);
@@ -1063,7 +1012,7 @@ mod tests {
         // Force the first attempt of obligation 0 out of budget; the
         // escalated second attempt runs clean.
         fault::install(FaultPlan::new().inject(0, FaultKind::ResourceOut));
-        let report = check_qualifier_cached(
+        let report = check_one(
             &registry,
             def,
             Budget::default(),
@@ -1101,9 +1050,9 @@ mod tests {
             max_instantiations: 1,
             ..Budget::default()
         };
-        let no_retry = check_qualifier_cached(&registry, def, starved, RetryPolicy::none(), None);
+        let no_retry = check_one(&registry, def, starved, RetryPolicy::none(), None);
         assert_eq!(no_retry.verdict, Verdict::ResourceOut);
-        let retried = check_qualifier_cached(
+        let retried = check_one(
             &registry,
             def,
             starved,
@@ -1120,9 +1069,15 @@ mod tests {
     }
 
     #[test]
-    fn check_all_retrying_records_the_policy_and_attempts() {
+    fn the_registry_run_records_the_policy_and_attempts() {
         let registry = Registry::builtins();
-        let report = check_all_retrying(&registry, Budget::default(), RetryPolicy::attempts(3));
+        let report = check_registry(
+            &registry,
+            Budget::default(),
+            RetryPolicy::attempts(3),
+            1,
+            &CancelToken::default(),
+        );
         assert_eq!(report.retry.max_attempts, 3);
         assert!(report.all_sound(), "{report}");
         // Nothing ran out, so nothing retried.
@@ -1148,12 +1103,11 @@ mod tests {
         let registry = Registry::builtins();
         let cancel = CancelToken::new();
         cancel.cancel();
-        let report = check_all_pipeline_cancellable(
+        let report = check_registry(
             &registry,
             Budget::default(),
             RetryPolicy::none(),
             2,
-            None,
             &cancel,
         );
         assert!(report.interrupted());
@@ -1176,12 +1130,11 @@ mod tests {
     fn expired_token_deadline_interrupts_the_run() {
         let registry = Registry::builtins();
         let cancel = CancelToken::deadline_in(Duration::ZERO);
-        let report = check_all_pipeline_cancellable(
+        let report = check_registry(
             &registry,
             Budget::default(),
             RetryPolicy::none(),
             1,
-            None,
             &cancel,
         );
         assert!(report.interrupted());
@@ -1189,24 +1142,19 @@ mod tests {
     }
 
     #[test]
-    fn default_token_pipeline_matches_the_plain_pipeline() {
+    fn unfired_token_matches_the_default_token() {
         let registry = Registry::builtins();
-        let plain = check_all_pipeline(&registry, Budget::default(), RetryPolicy::none(), 2, None);
-        let cancellable = check_all_pipeline_cancellable(
-            &registry,
-            Budget::default(),
-            RetryPolicy::none(),
-            2,
-            None,
-            &CancelToken::default(),
-        );
-        assert!(!cancellable.interrupted());
-        assert_eq!(cancellable.skipped_count(), 0);
-        let verdicts = |r: &SoundnessReport| -> Vec<Verdict> {
-            r.reports.iter().map(|q| q.verdict).collect()
+        let run = |cancel: &CancelToken| {
+            check_registry(&registry, Budget::default(), RetryPolicy::none(), 2, cancel)
         };
-        assert_eq!(verdicts(&plain), verdicts(&cancellable));
-        assert_eq!(plain.obligation_count(), cancellable.obligation_count());
+        let plain = run(&CancelToken::default());
+        let armed = run(&CancelToken::new());
+        assert!(!armed.interrupted());
+        assert_eq!(armed.skipped_count(), 0);
+        let verdicts =
+            |r: &SoundnessReport| -> Vec<Verdict> { r.reports.iter().map(|q| q.verdict).collect() };
+        assert_eq!(verdicts(&plain), verdicts(&armed));
+        assert_eq!(plain.obligation_count(), armed.obligation_count());
     }
 
     #[test]
@@ -1247,8 +1195,15 @@ mod tests {
             max_instantiations: 1,
             ..Budget::default()
         };
-        let report =
-            check_defs_pipeline(&registry, &[def], starved, RetryPolicy::none(), 1, None);
+        let report = check_defs_pipeline_cancellable(
+            &registry,
+            &[def],
+            starved,
+            RetryPolicy::none(),
+            1,
+            None,
+            &CancelToken::default(),
+        );
         assert_eq!(report.timed_out_count(), 0);
         assert!(report.step_out_count() > 0);
         assert!(!report.interrupted());
@@ -1270,7 +1225,9 @@ mod tests {
         let cache = ProofCache::at_dir(&dir).unwrap();
         let cancel = CancelToken::new();
         let mut worker = SolverWorker::new(background_theory());
-        let mut obs = obligations_for(&registry, def).into_iter();
+        let mut obs = obligation_specs(def)
+            .into_iter()
+            .map(|spec| build_obligation(&registry, def, &spec));
         let first = discharge(
             &mut worker,
             obs.next().unwrap(),
@@ -1297,15 +1254,14 @@ mod tests {
         // A fresh full run over the same store replays the proved
         // obligation as a hit and finishes the rest.
         let warm = ProofCache::at_dir(&dir).unwrap();
-        let resumed = check_defs_pipeline(
+        let resumed = check_one(
             &registry,
-            &[def],
+            def,
             Budget::default(),
             RetryPolicy::none(),
-            1,
             Some(&warm),
         );
-        assert_eq!(resumed.reports[0].verdict, Verdict::Sound, "{resumed}");
+        assert_eq!(resumed.verdict, Verdict::Sound, "{resumed}");
         assert!(warm.hits() >= 1, "resumed run must hit the cache");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1316,7 +1272,7 @@ mod tests {
         let registry = Registry::builtins();
         let def = registry.get_by_name("nonnull").unwrap();
         fault::install(FaultPlan::new().inject(0, FaultKind::Panic));
-        let report = check_qualifier_cached(
+        let report = check_one(
             &registry,
             def,
             Budget::default(),

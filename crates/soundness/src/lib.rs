@@ -11,8 +11,9 @@
 //!   (`case` clauses for value qualifiers; `assign`/`ondecl`
 //!   establishment and per-RHS-form preservation for reference
 //!   qualifiers);
-//! * [`checker`] — the driver that discharges obligations with the
-//!   `stq-logic` prover and reports verdicts with countermodels.
+//! * [`checker`] — the driver ([`check_defs_pipeline_cancellable`]) that
+//!   discharges obligations with the `stq-logic` prover and reports
+//!   verdicts with countermodels.
 //!
 //! # Examples
 //!
@@ -45,13 +46,11 @@ pub mod paper_encoding;
 pub use axioms::background_theory;
 pub use cache::{CachedProof, PersistOutcome, ProofCache};
 pub use checker::{
-    check_all, check_all_pipeline, check_all_pipeline_cancellable, check_all_retrying,
-    check_defs_pipeline, check_defs_pipeline_cancellable, check_qualifier, check_qualifier_cached,
-    ObligationResult, QualReport, SoundnessReport, Verdict,
+    check_defs_pipeline_cancellable, check_qualifier, ObligationResult, QualReport,
+    SoundnessReport, Verdict,
 };
 pub use obligations::{
-    build_obligation, obligation_specs, obligations_for, Obligation, ObligationKind,
-    ObligationSpec,
+    build_obligation, obligation_specs, Obligation, ObligationKind, ObligationSpec,
 };
 pub use stq_logic::{
     fault, Budget, BudgetOverride, FaultKind, FaultPlan, Fingerprint, IoFaultKind, IoFaultPlan,

@@ -71,7 +71,7 @@ pub struct ObligationSpec {
 }
 
 /// Enumerates the proof obligations for `def` without building their
-/// prover problems, in the same order [`obligations_for`] produces them.
+/// prover problems; [`build_obligation`] materializes each one.
 ///
 /// Qualifiers without an `invariant` clause generate none: their
 /// soundness is the implicit value-qualifier subtyping ("for free",
@@ -153,16 +153,6 @@ pub fn build_obligation(
         description: spec.description.clone(),
         problem,
     }
-}
-
-/// Generates all proof obligations for `def` (spec enumeration plus
-/// materialization in one step — the convenience form; the pipeline uses
-/// the two halves separately).
-pub fn obligations_for(registry: &Registry, def: &QualifierDef) -> Vec<Obligation> {
-    obligation_specs(def)
-        .iter()
-        .map(|spec| build_obligation(registry, def, spec))
-        .collect()
 }
 
 fn new_problem() -> Problem {

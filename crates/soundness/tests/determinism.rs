@@ -20,10 +20,10 @@
 //!   silently re-clausifies the background axioms or rebuilds the
 //!   e-graphs per leaf moves these numbers.
 
-use stq_qualspec::Registry;
+use stq_qualspec::{QualifierDef, Registry};
 use stq_soundness::{
-    check_all_pipeline, fault, Budget, FaultKind, FaultPlan, ObligationResult, RetryPolicy,
-    SoundnessReport, Verdict,
+    check_defs_pipeline_cancellable, fault, Budget, CancelToken, FaultKind, FaultPlan,
+    ObligationResult, RetryPolicy, SoundnessReport, Verdict,
 };
 
 /// The expected search trace of every golden-registry obligation, in
@@ -53,7 +53,17 @@ ref qualifier unique_leak(T* LValue L)
 ";
 
 fn run(registry: &Registry, jobs: usize, retry: RetryPolicy) -> SoundnessReport {
-    check_all_pipeline(registry, Budget::default(), retry, jobs, None)
+    let defs: Vec<&QualifierDef> = registry.iter().collect();
+    let token = CancelToken::default();
+    check_defs_pipeline_cancellable(
+        registry,
+        &defs,
+        Budget::default(),
+        retry,
+        jobs,
+        None,
+        &token,
+    )
 }
 
 /// The builtins plus the paper's two mutants, whose refuted

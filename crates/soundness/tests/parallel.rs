@@ -5,12 +5,40 @@
 
 use std::fs;
 use std::path::PathBuf;
-use stq_qualspec::Registry;
+use stq_qualspec::{QualifierDef, Registry};
 use stq_soundness::cache::{CACHE_FILE, FORMAT_VERSION};
 use stq_soundness::{
-    check_all_pipeline, check_all_retrying, check_qualifier_cached, fault, Budget, FaultKind,
-    FaultPlan, ProofCache, RetryPolicy, SoundnessReport, Verdict,
+    check_defs_pipeline_cancellable, fault, Budget, CancelToken, FaultKind, FaultPlan, ProofCache,
+    QualReport, RetryPolicy, SoundnessReport, Verdict,
 };
+
+/// The driver over the whole registry, with an unfired token.
+fn check_registry(
+    registry: &Registry,
+    budget: Budget,
+    retry: RetryPolicy,
+    jobs: usize,
+    cache: Option<&ProofCache>,
+) -> SoundnessReport {
+    let defs: Vec<&QualifierDef> = registry.iter().collect();
+    let token = CancelToken::default();
+    check_defs_pipeline_cancellable(registry, &defs, budget, retry, jobs, cache, &token)
+}
+
+/// The driver over one definition, inline.
+fn check_one(
+    registry: &Registry,
+    def: &QualifierDef,
+    budget: Budget,
+    retry: RetryPolicy,
+    cache: Option<&ProofCache>,
+) -> QualReport {
+    let token = CancelToken::default();
+    let defs = [def];
+    let mut report =
+        check_defs_pipeline_cancellable(registry, &defs, budget, retry, 1, cache, &token);
+    report.reports.remove(0)
+}
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("stq-parallel-{tag}-{}", std::process::id()));
@@ -57,10 +85,11 @@ fn parallel_reports_are_identical_to_sequential_for_every_job_count() {
     let registry = Registry::builtins();
     let budget = Budget::default();
     let retry = RetryPolicy::attempts(2);
-    let sequential = check_all_retrying(&registry, budget, retry);
+    let sequential = check_registry(&registry, budget, retry, 1, None);
     assert!(sequential.all_sound(), "{sequential}");
-    for jobs in [1, 4, 8] {
-        let parallel = check_all_pipeline(&registry, budget, retry, jobs, None);
+    assert_eq!(sequential.jobs, 1);
+    for jobs in [4, 8] {
+        let parallel = check_registry(&registry, budget, retry, jobs, None);
         assert_eq!(parallel.jobs, jobs);
         assert_reports_equivalent(&sequential, &parallel, &format!("jobs={jobs}"));
     }
@@ -70,7 +99,7 @@ fn parallel_reports_are_identical_to_sequential_for_every_job_count() {
 fn warm_cache_run_reproves_zero_unchanged_obligations() {
     let registry = Registry::builtins();
     let cache = ProofCache::in_memory();
-    let cold = check_all_pipeline(
+    let cold = check_registry(
         &registry,
         Budget::default(),
         RetryPolicy::none(),
@@ -83,7 +112,7 @@ fn warm_cache_run_reproves_zero_unchanged_obligations() {
     assert_eq!(cold.totals.cache_misses, n as u64);
     assert_eq!(cold.totals.cache_hits, 0);
 
-    let warm = check_all_pipeline(
+    let warm = check_registry(
         &registry,
         Budget::default(),
         RetryPolicy::none(),
@@ -125,12 +154,12 @@ fn editing_a_rule_body_changes_the_fingerprint_and_forces_a_reprove() {
         )
         .unwrap();
     let def = original.get_by_name("nn").unwrap();
-    let first = check_qualifier_cached(&original, def, budget, retry, Some(&cache));
+    let first = check_one(&original, def, budget, retry, Some(&cache));
     assert_eq!(first.verdict, Verdict::Sound);
     assert!(first.obligations.iter().all(|o| o.stats.cache_misses == 1));
 
     // Unchanged qualifier: pure cache hit.
-    let again = check_qualifier_cached(&original, def, budget, retry, Some(&cache));
+    let again = check_one(&original, def, budget, retry, Some(&cache));
     assert!(again.obligations.iter().all(|o| o.stats.cache_hits == 1));
     assert!(again.obligations.iter().all(|o| o.attempts == 0));
 
@@ -146,7 +175,7 @@ fn editing_a_rule_body_changes_the_fingerprint_and_forces_a_reprove() {
         )
         .unwrap();
     let def = edited_rule.get_by_name("nn").unwrap();
-    let edited = check_qualifier_cached(&edited_rule, def, budget, retry, Some(&cache));
+    let edited = check_one(&edited_rule, def, budget, retry, Some(&cache));
     assert_eq!(edited.verdict, Verdict::Unsound, "{edited}");
     assert!(edited.obligations.iter().all(|o| o.stats.cache_misses == 1));
     assert!(edited.obligations.iter().all(|o| o.attempts >= 1));
@@ -162,7 +191,7 @@ fn editing_a_rule_body_changes_the_fingerprint_and_forces_a_reprove() {
         )
         .unwrap();
     let def = edited_inv.get_by_name("nn").unwrap();
-    let edited = check_qualifier_cached(&edited_inv, def, budget, retry, Some(&cache));
+    let edited = check_one(&edited_inv, def, budget, retry, Some(&cache));
     assert!(edited.obligations.iter().all(|o| o.stats.cache_misses == 1));
 }
 
@@ -172,17 +201,17 @@ fn a_different_budget_or_retry_ladder_is_a_different_cache_key() {
     let registry = Registry::builtins();
     let def = registry.get_by_name("pos").unwrap();
     let base = Budget::default();
-    let first = check_qualifier_cached(&registry, def, base, RetryPolicy::none(), Some(&cache));
+    let first = check_one(&registry, def, base, RetryPolicy::none(), Some(&cache));
     assert!(first.obligations.iter().all(|o| o.stats.cache_misses == 1));
     // Same budget, different retry ladder: miss.
-    let other = check_qualifier_cached(&registry, def, base, RetryPolicy::attempts(3), Some(&cache));
+    let other = check_one(&registry, def, base, RetryPolicy::attempts(3), Some(&cache));
     assert!(other.obligations.iter().all(|o| o.stats.cache_misses == 1));
     // Different budget: miss.
     let bigger = Budget {
         max_rounds: base.max_rounds + 1,
         ..base
     };
-    let other = check_qualifier_cached(&registry, def, bigger, RetryPolicy::none(), Some(&cache));
+    let other = check_one(&registry, def, bigger, RetryPolicy::none(), Some(&cache));
     assert!(other.obligations.iter().all(|o| o.stats.cache_misses == 1));
 }
 
@@ -202,7 +231,7 @@ fn stale_on_disk_cache_from_another_prover_version_is_ignored() {
     let cache = ProofCache::at_dir(&dir).unwrap();
     assert!(cache.is_empty(), "stale entries must not load");
     let registry = Registry::builtins();
-    let report = check_all_pipeline(
+    let report = check_registry(
         &registry,
         Budget::default(),
         RetryPolicy::none(),
@@ -222,7 +251,7 @@ fn stale_on_disk_cache_from_another_prover_version_is_ignored() {
     cache.persist().unwrap();
     let reloaded = ProofCache::at_dir(&dir).unwrap();
     assert_eq!(reloaded.invalidations(), 0);
-    let warm = check_all_pipeline(
+    let warm = check_registry(
         &registry,
         Budget::default(),
         RetryPolicy::none(),
@@ -237,7 +266,7 @@ fn stale_on_disk_cache_from_another_prover_version_is_ignored() {
 fn fault_panic_under_parallel_jobs_crashes_exactly_one_obligation() {
     let registry = Registry::builtins();
     fault::install(FaultPlan::new().inject(3, FaultKind::Panic));
-    let report = check_all_pipeline(&registry, Budget::default(), RetryPolicy::none(), 4, None);
+    let report = check_registry(&registry, Budget::default(), RetryPolicy::none(), 4, None);
     fault::clear();
     let crashed: Vec<_> = report
         .reports

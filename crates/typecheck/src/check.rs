@@ -47,9 +47,10 @@ pub struct CheckStats {
     pub exprs_visited: u64,
     /// Case clauses that fired (pattern matched, guard held).
     pub case_applications: u64,
-    /// Inference queries answered from the memo table.
+    /// Always 0: inference keeps no memo table. The counter stays so the
+    /// telemetry schema does not change.
     pub memo_hits: u64,
-    /// Inference queries computed from scratch.
+    /// Inference queries computed.
     pub memo_misses: u64,
     /// Cast sites that run-time instrumentation would check (casts to a
     /// value qualifier with a declared invariant, per qualifier).
@@ -235,7 +236,6 @@ impl<'a> Checker<'a> {
     fn absorb_inference(&mut self, inf: &Inference<'_>) {
         self.stats.match_attempts += inf.match_attempts;
         self.stats.case_applications += inf.case_applications;
-        self.stats.memo_hits += inf.memo_hits;
         self.stats.memo_misses += inf.memo_misses;
     }
 
@@ -817,14 +817,9 @@ impl<'a> Checker<'a> {
 
     /// Applies every registered `restrict` clause whose pattern matches.
     fn apply_restricts(&mut self, env: &mut TypeEnv<'a>, e: &Expr, span: Span) {
-        let defs: Vec<(Symbol, Vec<stq_qualspec::Clause>)> = self
-            .registry
-            .iter()
-            .filter(|d| !d.restricts.is_empty())
-            .map(|d| (d.name, d.restricts.clone()))
-            .collect();
-        for (qname, clauses) in defs {
-            for clause in &clauses {
+        let registry = self.registry;
+        for def in registry.iter() {
+            for clause in &def.restricts {
                 let mut inf = Inference::new(env);
                 if let Some(bindings) = inf.match_clause(clause, e) {
                     self.stats.restrict_checks += 1;
@@ -835,8 +830,9 @@ impl<'a> Checker<'a> {
                             span,
                             format!(
                                 "`{}` violates the restrict rule of qualifier \
-                                 `{qname}` (pattern `{}` requires `{}`)",
+                                 `{}` (pattern `{}` requires `{}`)",
                                 expr_to_string(e),
+                                def.name,
                                 clause.pattern,
                                 clause.guard
                             ),

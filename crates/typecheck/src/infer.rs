@@ -12,46 +12,47 @@
 //!
 //! Qualifier definitions may be mutually recursive (`pos`/`neg`), so
 //! inference computes a least fixed point: a cyclic re-query of the same
-//! (expression, qualifier) pair yields `false`. Completed queries are
-//! memoized: a `true` answer is a finished derivation and is cached
-//! unconditionally (the rules are monotone — guards have no negation —
-//! so it stays valid in any later context), while a `false` answer is
-//! cached only when computed as a root query, since a `false` reached
-//! *inside* a recursion may merely reflect the cycle cut-off.
+//! (expression node, qualifier) pair yields `false`. A query descends to
+//! a strictly smaller expression except through `Var` patterns, which
+//! re-query the node itself; pattern bindings borrow their fragments
+//! from the queried expression, so such a re-query sees the same node,
+//! and the cycle guard recognises it by identity. Nothing is memoized:
+//! every query is computed.
 
 use crate::env::{StaticTy, TypeEnv};
-use std::collections::{HashMap, HashSet};
 use stq_cir::ast::*;
 use stq_qualspec::{Classifier, Clause, CmpOp, PTerm, Pattern, Pred, TypePat};
 use stq_util::Symbol;
 
-/// A program fragment bound to a pattern variable.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Bound {
+/// A program fragment bound to a pattern variable, borrowed from the
+/// queried expression.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Bound<'e> {
     /// An expression fragment.
-    Expr(Expr),
+    Expr(&'e Expr),
     /// An l-value fragment (`&L` patterns).
-    Lval(Lvalue),
+    Lval(&'e Lvalue),
 }
 
 /// Pattern-variable bindings produced by a successful match.
-pub type Bindings = Vec<(Symbol, Bound)>;
+pub type Bindings<'e> = Vec<(Symbol, Bound<'e>)>;
 
 /// The qualifier-inference engine. Holds the cycle-detection state for
-/// one root query (or one checking pass — the in-progress set empties
+/// one root query (or one checking pass — the derivation stack empties
 /// itself between root queries).
 pub struct Inference<'a> {
     env: &'a TypeEnv<'a>,
-    in_progress: HashSet<(Expr, Symbol)>,
-    memo: HashMap<(Expr, Symbol), bool>,
+    /// The (expression node, qualifier) queries on the derivation stack.
+    /// A node is borrowed, so alive at a fixed address, while it is on
+    /// the stack; its address identifies it.
+    in_progress: Vec<(*const Expr, Symbol)>,
     /// Number of case-clause match attempts (for benchmarks).
     pub match_attempts: u64,
     /// Case clauses that actually fired (pattern matched and the
     /// `where` guard held).
     pub case_applications: u64,
-    /// Queries answered from the memo table.
-    pub memo_hits: u64,
-    /// Queries that had to be computed.
+    /// Queries computed: every query but a cycle cut-off (reported as
+    /// `CheckStats::memo_misses`).
     pub memo_misses: u64,
 }
 
@@ -60,40 +61,33 @@ impl<'a> Inference<'a> {
     pub fn new(env: &'a TypeEnv<'a>) -> Inference<'a> {
         Inference {
             env,
-            in_progress: HashSet::new(),
-            memo: HashMap::new(),
+            in_progress: Vec::new(),
             match_attempts: 0,
             case_applications: 0,
-            memo_hits: 0,
             memo_misses: 0,
         }
     }
 
     /// Whether `e` can be given qualifier `qual`.
     pub fn has_qual(&mut self, e: &Expr, qual: Symbol) -> bool {
-        let key = (e.clone(), qual);
-        if let Some(&cached) = self.memo.get(&key) {
-            self.memo_hits += 1;
-            return cached;
-        }
-        if !self.in_progress.insert(key.clone()) {
-            // Cyclic dependency: least fixed point says no. Not
-            // memoized — this is the cut-off, not an answer.
+        let key = (e as *const Expr, qual);
+        if self.in_progress.contains(&key) {
+            // Cyclic dependency: least fixed point says no.
             return false;
         }
+        self.in_progress.push(key);
         self.memo_misses += 1;
         let result = self.has_qual_inner(e, qual);
-        self.in_progress.remove(&key);
-        if result || self.in_progress.is_empty() {
-            self.memo.insert(key, result);
-        }
+        self.in_progress.pop();
         result
     }
 
     fn has_qual_inner(&mut self, e: &Expr, qual: Symbol) -> bool {
+        let env = self.env;
+        let ty = env.expr_type(e);
         // 1. The static type already carries the qualifier (declared
         //    variables and fields; cast assertions).
-        if let StaticTy::Known(t) = self.env.expr_type(e) {
+        if let StaticTy::Known(t) = &ty {
             if t.has_qual(qual) {
                 return true;
             }
@@ -104,16 +98,15 @@ impl<'a> Inference<'a> {
             return self.has_qual(inner, qual);
         }
         // 3. Case rules.
-        let Some(def) = self.env.registry.get(qual) else {
+        let Some(def) = env.registry.get(qual) else {
             return false;
         };
         // The subject's type pattern gates applicability (pos only
         // applies to int expressions, nonnull only to pointers).
-        if !self.type_pat_matches(&def.subject.ty, &self.env.expr_type(e)) {
+        if !type_pat_accepts(&def.subject.ty, &ty) {
             return false;
         }
-        let clauses = def.cases.clone();
-        for clause in &clauses {
+        for clause in &def.cases {
             if let Some(bindings) = self.match_clause(clause, e) {
                 if self.eval_guard(&clause.guard, &bindings) {
                     self.case_applications += 1;
@@ -126,7 +119,7 @@ impl<'a> Inference<'a> {
 
     /// Matches one clause's pattern against an expression; `Some` with
     /// bindings if the shape, classifiers, and type patterns all accept.
-    pub fn match_clause(&mut self, clause: &Clause, e: &Expr) -> Option<Bindings> {
+    pub fn match_clause<'e>(&mut self, clause: &Clause, e: &'e Expr) -> Option<Bindings<'e>> {
         self.match_attempts += 1;
         let mut bindings = Vec::new();
         match (&clause.pattern, &e.kind) {
@@ -156,12 +149,12 @@ impl<'a> Inference<'a> {
         Some(bindings)
     }
 
-    fn bind_expr(
-        &mut self,
+    fn bind_expr<'e>(
+        &self,
         clause: &Clause,
         var: Symbol,
-        e: &Expr,
-        bindings: &mut Bindings,
+        e: &'e Expr,
+        bindings: &mut Bindings<'e>,
     ) -> Option<()> {
         let decl = clause.decl(var)?;
         let stripped = e.strip_casts();
@@ -183,19 +176,19 @@ impl<'a> Inference<'a> {
                 _ => return None,
             },
         }
-        if !self.type_pat_matches(&decl.ty, &self.env.expr_type(e)) {
+        if !type_pat_accepts(&decl.ty, &self.env.expr_type(e)) {
             return None;
         }
-        bindings.push((var, Bound::Expr(e.clone())));
+        bindings.push((var, Bound::Expr(e)));
         Some(())
     }
 
-    fn bind_lval(
-        &mut self,
+    fn bind_lval<'e>(
+        &self,
         clause: &Clause,
         var: Symbol,
-        lv: &Lvalue,
-        bindings: &mut Bindings,
+        lv: &'e Lvalue,
+        bindings: &mut Bindings<'e>,
     ) -> Option<()> {
         let decl = clause.decl(var)?;
         match decl.classifier {
@@ -206,21 +199,15 @@ impl<'a> Inference<'a> {
             // Expression and constant classifiers never bind l-values.
             Classifier::Expr | Classifier::Const => return None,
         }
-        if !self.type_pat_matches(&decl.ty, &self.env.lval_decl_type(lv)) {
+        if !type_pat_accepts(&decl.ty, &self.env.lval_decl_type(lv)) {
             return None;
         }
-        bindings.push((var, Bound::Lval(lv.clone())));
+        bindings.push((var, Bound::Lval(lv)));
         Some(())
     }
 
-    /// Whether a type pattern accepts a static type; see
-    /// [`type_pat_accepts`].
-    pub fn type_pat_matches(&self, pat: &TypePat, ty: &StaticTy) -> bool {
-        type_pat_accepts(pat, ty)
-    }
-
     /// Evaluates a clause guard under bindings.
-    pub fn eval_guard(&mut self, guard: &Pred, bindings: &Bindings) -> bool {
+    pub fn eval_guard(&mut self, guard: &Pred, bindings: &Bindings<'_>) -> bool {
         match guard {
             Pred::True => true,
             Pred::And(a, b) => self.eval_guard(a, bindings) && self.eval_guard(b, bindings),
@@ -232,15 +219,13 @@ impl<'a> Inference<'a> {
                 };
                 compare(*op, va, vb)
             }
-            Pred::QualCheck(q, x) => {
-                let Some((_, bound)) = bindings.iter().find(|(v, _)| v == x) else {
-                    return false;
-                };
-                match bound.clone() {
-                    Bound::Expr(e) => self.has_qual(&e, *q),
-                    Bound::Lval(lv) => self.has_qual(&Expr::lval(lv), *q),
-                }
-            }
+            Pred::QualCheck(q, x) => match bindings.iter().find(|(v, _)| v == x) {
+                Some((_, Bound::Expr(e))) => self.has_qual(e, *q),
+                // An `&L` pattern's L is strictly smaller than the
+                // queried node, so its expression form is a fresh node.
+                Some((_, Bound::Lval(lv))) => self.has_qual(&Expr::lval((*lv).clone()), *q),
+                None => false,
+            },
         }
     }
 }
@@ -270,7 +255,7 @@ enum ConstVal {
     Str,
 }
 
-fn const_value(t: &PTerm, bindings: &Bindings) -> Option<ConstVal> {
+fn const_value(t: &PTerm, bindings: &Bindings<'_>) -> Option<ConstVal> {
     match t {
         PTerm::Int(v) => Some(ConstVal::Int(*v)),
         PTerm::Null => Some(ConstVal::Int(0)),
@@ -387,48 +372,6 @@ mod tests {
         let mut inf = Inference::new(&env);
         let e = Expr::unop(UnOp::Neg, Expr::unop(UnOp::Neg, Expr::var("x")));
         assert!(!inf.has_qual(&e, q("selfq")));
-    }
-
-    #[test]
-    fn repeated_queries_hit_the_memo() {
-        let (p, r) = setup("int pos a; int pos b;");
-        let env = TypeEnv::new(&p, &r);
-        let mut inf = Inference::new(&env);
-        let ab = Expr::binop(BinOp::Mul, Expr::var("a"), Expr::var("b"));
-        assert!(inf.has_qual(&ab, q("pos")));
-        let misses_after_first = inf.memo_misses;
-        assert!(misses_after_first >= 1);
-        assert!(inf.has_qual(&ab, q("pos")));
-        assert_eq!(inf.memo_misses, misses_after_first);
-        assert!(inf.memo_hits >= 1);
-        assert!(inf.case_applications >= 1);
-    }
-
-    #[test]
-    fn cycle_cutoff_is_not_memoized_as_an_answer() {
-        // Inside the selfq cycle, (−x, selfq) comes back false via the
-        // cut-off; only the *root* query's false may be cached. A later
-        // root query of the inner expression must recompute (miss).
-        let mut r = Registry::new();
-        r.add_source(
-            "value qualifier selfq(int Expr E)
-                case E of
-                    decl int Expr E1: -E1, where selfq(E1)",
-        )
-        .unwrap();
-        let p = parse_program("int x;", &r.names()).unwrap();
-        let env = TypeEnv::new(&p, &r);
-        let mut inf = Inference::new(&env);
-        let neg_x = Expr::unop(UnOp::Neg, Expr::var("x"));
-        let e = Expr::unop(UnOp::Neg, neg_x.clone());
-        assert!(!inf.has_qual(&e, q("selfq")));
-        let misses = inf.memo_misses;
-        assert!(!inf.has_qual(&neg_x, q("selfq")));
-        assert!(inf.memo_misses > misses, "inner false must not be cached");
-        // The root query's false *is* cached.
-        let misses = inf.memo_misses;
-        assert!(!inf.has_qual(&e, q("selfq")));
-        assert_eq!(inf.memo_misses, misses);
     }
 
     #[test]

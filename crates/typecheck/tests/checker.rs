@@ -660,3 +660,35 @@ fn cast_asserted_ref_qualifier_in_declarations() {
         1,
     );
 }
+
+// ----- cycles through `Var` patterns -----
+
+#[test]
+fn a_same_node_cycle_between_two_qualifiers_is_cut_off_as_false() {
+    // `qa` and `qb` re-query the same expression node through their `E1`
+    // patterns, so `qa(3)` asks `qb(3)`, which asks `qa(3)` again: the
+    // cycle guard must answer that re-query `false` instead of recursing
+    // until the stack overflows. `7` still gets both qualifiers through
+    // `qa`'s constant rule.
+    let mut registry = Registry::new();
+    registry
+        .add_source(
+            "value qualifier qa(int Expr E)
+                case E of
+                    decl int Const C: C, where C > 5
+                  | decl int Expr E1: E1, where qb(E1)
+             value qualifier qb(int Expr E)
+                case E of
+                    decl int Expr E1: E1, where qa(E1)",
+        )
+        .unwrap();
+    let check = |src: &str| {
+        let program = parse_program(src, &registry.names()).expect("parses");
+        check_program(&registry, &program)
+    };
+    let clean = check("int qa a = 7; int qb b = 7;");
+    assert!(clean.is_clean(), "{}", clean.diags);
+    let warned = check("int y; int qa c = 3; int qb d = y;");
+    assert_eq!(warned.stats.qualifier_errors, 2, "{}", warned.diags);
+    assert!(!warned.diags.has_errors(), "{}", warned.diags);
+}

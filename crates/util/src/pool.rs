@@ -18,13 +18,19 @@
 //! # Examples
 //!
 //! ```
-//! use stq_util::pool;
+//! use stq_util::{pool, CancelToken};
 //!
-//! let squares = pool::run_indexed(4, (0..100u64).collect(), || {}, |i, n| {
-//!     assert_eq!(i as u64, n);
-//!     n * n
-//! });
-//! assert_eq!(squares[7], 49);
+//! let squares = pool::run_indexed_stateful_cancellable(
+//!     4,
+//!     (0..100u64).collect(),
+//!     &CancelToken::default(),
+//!     || (),
+//!     |(), i, n| {
+//!         assert_eq!(i as u64, n);
+//!         n * n
+//!     },
+//! );
+//! assert_eq!(squares[7], Some(49));
 //! assert_eq!(squares.len(), 100);
 //! ```
 
@@ -39,14 +45,26 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-/// Runs `run(index, task)` over every task on `jobs` workers and returns
-/// the results **in input order**.
+/// Runs `run(state, index, task)` over every task on up to `jobs`
+/// workers and returns the results **in input order**.
 ///
-/// `init` runs once on each worker thread before it takes any task —
-/// the hook the checker uses to propagate per-run context (the fault
-/// plan's shared entry counter) onto pool threads. With `jobs <= 1` (or
-/// fewer than two tasks) everything runs inline on the caller's thread
-/// and `init` is not called: the caller's thread already has its context.
+/// Each worker owns a mutable state value built by `init` on the
+/// worker's own thread and threaded into every task it runs — the hook
+/// for per-worker context and resource reuse (the checker adopts the
+/// run's fault plan and keeps a theory-loaded `SolverWorker` alive here,
+/// so the background axiomatization is prepared once per worker, not
+/// once per obligation). The state never crosses threads (built, used,
+/// and dropped on one worker), so `S` needs no `Send`/`Sync`. With
+/// `jobs <= 1` (or fewer than two tasks) everything runs inline on the
+/// caller's thread, under one state from one `init` call.
+///
+/// Workers poll `cancel` before taking each task. Tasks that never start
+/// come back as `None`, in their input slots, so the caller can tell
+/// "skipped" apart from any real result — the soundness checker turns
+/// those slots into skipped obligations in its partial report. A task
+/// already running is never abandoned mid-flight (in-flight provers
+/// observe the same token at their own safepoints); with an unfired
+/// token every slot comes back `Some`.
 ///
 /// # Panics
 ///
@@ -54,103 +72,6 @@ pub fn default_jobs() -> usize {
 /// contain panics inside `run`, as the checker does via
 /// `prove_isolated`); it propagates out of the scope and poisons nothing
 /// because each task value is owned by the worker that took it.
-pub fn run_indexed<T, R, F, I>(jobs: usize, tasks: Vec<T>, init: I, run: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-    I: Fn() + Sync,
-{
-    run_indexed_cancellable(jobs, tasks, &CancelToken::default(), init, run)
-        .into_iter()
-        .map(|r| r.expect("default token never cancels, so every task ran"))
-        .collect()
-}
-
-/// Like [`run_indexed`], but workers poll `cancel` before taking each
-/// task. Tasks that never start come back as `None`, in their input
-/// slots, so the caller can tell "skipped" apart from any real result —
-/// the soundness checker turns those slots into `Skipped` obligations in
-/// its partial report.
-///
-/// Cancellation is checked only at task *boundaries*; a task already
-/// running is never abandoned mid-flight (in-flight provers observe the
-/// same token themselves at their own safepoints). With the default
-/// token this is exactly [`run_indexed`]: every slot comes back `Some`.
-pub fn run_indexed_cancellable<T, R, F, I>(
-    jobs: usize,
-    tasks: Vec<T>,
-    cancel: &CancelToken,
-    init: I,
-    run: F,
-) -> Vec<Option<R>>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-    I: Fn() + Sync,
-{
-    let n = tasks.len();
-    if jobs <= 1 || n <= 1 {
-        return tasks
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| {
-                if cancel.should_stop() {
-                    None
-                } else {
-                    Some(run(i, t))
-                }
-            })
-            .collect();
-    }
-    let workers = jobs.min(n);
-    // Task payloads live in index-addressed slots so any worker can take
-    // any index; the deques move only indices.
-    let slots: Vec<Mutex<Option<T>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let deques: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| Mutex::new((0..n).filter(|i| i % workers == w).collect()))
-        .collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let slots = &slots;
-            let deques = &deques;
-            let results = &results;
-            let run = &run;
-            let init = &init;
-            scope.spawn(move || {
-                init();
-                while !cancel.should_stop() {
-                    let Some(i) = next_task(deques, w) else { break };
-                    if let Some(task) = slots[i].lock().expect("slot lock").take() {
-                        let r = run(i, task);
-                        *results[i].lock().expect("result lock") = Some(r);
-                    }
-                }
-            });
-        }
-    });
-
-    results
-        .into_iter()
-        .map(|m| m.into_inner().expect("result lock"))
-        .collect()
-}
-
-/// Like [`run_indexed_cancellable`], but each worker owns a mutable
-/// state value built by `init` on the worker's own thread and threaded
-/// into every task it runs — the hook for per-worker resource reuse
-/// (the checker keeps a theory-loaded `SolverWorker` alive here, so the
-/// background axiomatization is prepared once per worker, not once per
-/// obligation).
-///
-/// The state never crosses threads (built, used, and dropped on one
-/// worker), so `S` needs no `Send`/`Sync`. Unlike the stateless
-/// functions, the inline path (`jobs <= 1` or fewer than two tasks)
-/// *does* call `init` — the state is a resource the tasks require, not
-/// ambient thread context the caller already has.
 pub fn run_indexed_stateful_cancellable<S, T, R, F, I>(
     jobs: usize,
     tasks: Vec<T>,
@@ -236,10 +157,28 @@ mod tests {
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Stateless tasks under an unfired token, every slot unwrapped.
+    fn run_all<T: Send, R: Send>(
+        jobs: usize,
+        tasks: Vec<T>,
+        run: impl Fn(usize, T) -> R + Sync,
+    ) -> Vec<R> {
+        run_indexed_stateful_cancellable(
+            jobs,
+            tasks,
+            &CancelToken::default(),
+            || (),
+            |(), i, t| run(i, t),
+        )
+        .into_iter()
+        .map(|r| r.expect("an unfired token runs every task"))
+        .collect()
+    }
+
     #[test]
     fn results_come_back_in_input_order() {
         for jobs in [1, 2, 4, 8] {
-            let out = run_indexed(jobs, (0..64usize).collect(), || {}, |i, t| {
+            let out = run_all(jobs, (0..64usize).collect(), |i, t| {
                 assert_eq!(i, t);
                 t * 2
             });
@@ -250,7 +189,7 @@ mod tests {
     #[test]
     fn every_task_runs_exactly_once() {
         let counter = AtomicUsize::new(0);
-        let out = run_indexed(4, (0..257usize).collect(), || {}, |_, t| {
+        let out = run_all(4, (0..257usize).collect(), |_, t| {
             counter.fetch_add(1, Ordering::Relaxed);
             t
         });
@@ -261,46 +200,28 @@ mod tests {
     #[test]
     fn init_runs_on_every_worker_thread() {
         let inits = AtomicUsize::new(0);
-        run_indexed(
+        run_indexed_stateful_cancellable(
             3,
             (0..30usize).collect(),
+            &CancelToken::default(),
             || {
                 inits.fetch_add(1, Ordering::Relaxed);
             },
-            |_, t| t,
+            |(), _, t| t,
         );
         assert_eq!(inits.load(Ordering::Relaxed), 3);
     }
 
     #[test]
-    fn single_job_runs_inline_without_init() {
-        let inits = AtomicUsize::new(0);
-        let main = std::thread::current().id();
-        let out = run_indexed(
-            1,
-            vec![1, 2, 3],
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-            },
-            |_, t| {
-                assert_eq!(std::thread::current().id(), main);
-                t * 10
-            },
-        );
-        assert_eq!(out, vec![10, 20, 30]);
-        assert_eq!(inits.load(Ordering::Relaxed), 0, "inline mode skips init");
-    }
-
-    #[test]
     fn empty_and_tiny_task_lists_work() {
-        let none: Vec<u8> = run_indexed(4, Vec::new(), || {}, |_, t| t);
+        let none: Vec<u8> = run_all(4, Vec::new(), |_, t| t);
         assert!(none.is_empty());
-        assert_eq!(run_indexed(4, vec![9], || {}, |_, t: u32| t + 1), vec![10]);
+        assert_eq!(run_all(4, vec![9], |_, t: u32| t + 1), vec![10]);
     }
 
     #[test]
     fn more_jobs_than_tasks_is_fine() {
-        let out = run_indexed(16, (0..3usize).collect(), || {}, |_, t| t + 1);
+        let out = run_all(16, (0..3usize).collect(), |_, t| t + 1);
         assert_eq!(out, vec![1, 2, 3]);
     }
 
@@ -310,10 +231,16 @@ mod tests {
             let cancel = CancelToken::new();
             cancel.cancel();
             let ran = AtomicUsize::new(0);
-            let out = run_indexed_cancellable(jobs, (0..16usize).collect(), &cancel, || {}, |_, t| {
-                ran.fetch_add(1, Ordering::Relaxed);
-                t
-            });
+            let out = run_indexed_stateful_cancellable(
+                jobs,
+                (0..16usize).collect(),
+                &cancel,
+                || (),
+                |(), _, t| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    t
+                },
+            );
             assert_eq!(out.len(), 16, "jobs={jobs}: slots preserved");
             assert!(out.iter().all(Option::is_none), "jobs={jobs}");
             assert_eq!(ran.load(Ordering::Relaxed), 0, "jobs={jobs}");
@@ -323,48 +250,21 @@ mod tests {
     #[test]
     fn cancelling_mid_run_stops_at_a_task_boundary() {
         let cancel = CancelToken::new();
-        let out = run_indexed_cancellable(1, (0..64usize).collect(), &cancel, || {}, |i, t| {
-            if i == 9 {
-                cancel.cancel();
-            }
-            t
-        });
+        let out = run_indexed_stateful_cancellable(
+            1,
+            (0..64usize).collect(),
+            &cancel,
+            || (),
+            |(), i, t| {
+                if i == 9 {
+                    cancel.cancel();
+                }
+                t
+            },
+        );
         assert_eq!(out.iter().filter(|r| r.is_some()).count(), 10);
         assert!(out[10..].iter().all(Option::is_none));
         assert_eq!(out[9], Some(9), "the cancelling task itself completes");
-    }
-
-    #[test]
-    fn default_token_matches_run_indexed_exactly() {
-        let cancellable = run_indexed_cancellable(
-            4,
-            (0..40usize).collect(),
-            &CancelToken::default(),
-            || {},
-            |_, t| t * 3,
-        );
-        assert!(cancellable.iter().all(Option::is_some));
-        let plain = run_indexed(4, (0..40usize).collect(), || {}, |_, t| t * 3);
-        assert_eq!(cancellable.into_iter().map(Option::unwrap).collect::<Vec<_>>(), plain);
-    }
-
-    #[test]
-    fn stateful_results_come_back_in_input_order() {
-        for jobs in [1, 2, 4] {
-            let out = run_indexed_stateful_cancellable(
-                jobs,
-                (0..64usize).collect(),
-                &CancelToken::default(),
-                || 0usize, // per-worker task counter
-                |count, i, t| {
-                    assert_eq!(i, t);
-                    *count += 1;
-                    t * 2
-                },
-            );
-            let got: Vec<usize> = out.into_iter().map(Option::unwrap).collect();
-            assert_eq!(got, (0..64).map(|t| t * 2).collect::<Vec<_>>(), "jobs={jobs}");
-        }
     }
 
     #[test]
@@ -406,27 +306,10 @@ mod tests {
     }
 
     #[test]
-    fn stateful_pre_cancelled_token_skips_every_task() {
-        for jobs in [1, 4] {
-            let cancel = CancelToken::new();
-            cancel.cancel();
-            let out = run_indexed_stateful_cancellable(
-                jobs,
-                (0..16usize).collect(),
-                &cancel,
-                || (),
-                |(), _, t| t,
-            );
-            assert_eq!(out.len(), 16, "jobs={jobs}");
-            assert!(out.iter().all(Option::is_none), "jobs={jobs}");
-        }
-    }
-
-    #[test]
     fn skewed_workloads_complete_via_stealing() {
         // One huge task up front; with round-robin distribution it lands
         // on worker 0, and the rest must be stolen or run by siblings.
-        let out = run_indexed(4, (0..32u64).collect(), || {}, |_, t| {
+        let out = run_all(4, (0..32u64).collect(), |_, t| {
             if t == 0 {
                 // Busy-spin a little to force the skew.
                 let mut acc = 0u64;

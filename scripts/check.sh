@@ -17,6 +17,13 @@ cargo test -q --manifest-path stqbench/Cargo.toml
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> every example runs to completion (cargo test only compiles them)"
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    echo "--> example $name"
+    cargo run -q --release --example "$name" >/dev/null
+done
+
 echo "==> stqc single-threaded smoke (--jobs 1)"
 smoke_src="$(mktemp /tmp/stqc-smoke-XXXXXX.c)"
 trap 'rm -f "$smoke_src"' EXIT

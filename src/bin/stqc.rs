@@ -1,7 +1,7 @@
 //! `stqc` — the semantic-type-qualifiers command-line tool.
 //!
 //! ```text
-//! stqc prove [--quals FILE] [--stats] [--json] [BUDGET..] [NAME]
+//! stqc prove [--quals FILE] [--stats] [--json] [BUDGET..] [NAME..]
 //!                                        prove qualifier soundness
 //! stqc check [--quals FILE] [--flow-sensitive] [--stats] [--json] FILE.c
 //!                                        qualifier-check a program
@@ -75,14 +75,14 @@
 
 use std::fs;
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use stq_core::reportjson::{
     budget_json, cache_json, check_json, check_stats_json, millis, prove_json, retry_json,
     with_lead,
 };
 use stq_core::{
     fault, Budget, CancelToken, CheckOptions, FaultKind, FaultPlan, PersistOutcome, ProofCache,
-    QualReport, RetryPolicy, Session, SoundnessReport, Value, Verdict,
+    RetryPolicy, Session, SoundnessReport, Value, Verdict,
 };
 use stq_util::json::Json;
 
@@ -96,7 +96,7 @@ const HELP: &str = "\
 stqc — semantic type qualifiers: checker, prover, and serving daemon
 
 subcommands:
-  stqc prove [NAME]         prove qualifier soundness (all, or one by NAME)
+  stqc prove [NAME..]       prove qualifier soundness (all, or each NAME)
   stqc check FILE.c         qualifier-check a C-subset program
   stqc run FILE.c [INT..]   instrument casts and execute under the interpreter
   stqc infer --qual NAME FILE.c
@@ -307,6 +307,9 @@ struct Cli {
     session: Session,
     rest: Vec<String>,
     flags: Vec<String>,
+    /// The NAME of the subcommand's `--entry` (`run`) or `--qual`
+    /// (`infer`) flag.
+    name: Option<String>,
     /// `--keep-going`: continue past crashed qualifiers (`prove`) and
     /// syntax errors (`check`, and `--quals` files everywhere).
     keep_going: bool,
@@ -329,15 +332,22 @@ fn unknown_flag(flag: &str) -> CliError {
 }
 
 /// Builds a session from builtins plus any `--quals FILE` definitions
-/// and scans the common option set; `bare` lists the subcommand's own
-/// value-less flags, and any other `--flag` is a usage error.
-/// Fault-injection flags install their [`FaultPlan`] for this thread as
-/// a side effect.
-fn session_from(args: &[String], bare: &[&str]) -> Result<Cli, CliError> {
+/// and scans the common option set; `own` lists the subcommand's own
+/// flags (value-less, except `--entry NAME` and `--qual NAME`), and any
+/// other `--flag` is a usage error, as is a positional argument past the
+/// first `max_args`. Fault-injection flags install their [`FaultPlan`]
+/// for this thread as a side effect.
+fn session_from(
+    cmd: &str,
+    args: &[String],
+    own: &[&str],
+    max_args: usize,
+) -> Result<Cli, CliError> {
     let keep_going = args.iter().any(|a| a == "--keep-going");
     let mut session = Session::with_builtins();
     let mut rest = Vec::new();
     let mut flags = Vec::new();
+    let mut name: Option<String> = None;
     let mut budget = Budget::default();
     let mut retry = RetryPolicy::none();
     let mut plan = FaultPlan::new();
@@ -400,10 +410,17 @@ fn session_from(args: &[String], bare: &[&str]) -> Result<Cli, CliError> {
                 i += 2;
             }
             "--keep-going" => i += 1,
+            flag if !own.contains(&flag) && flag.starts_with("--") => {
+                return Err(unknown_flag(flag));
+            }
+            flag @ ("--entry" | "--qual") => {
+                let value = args
+                    .get(i + 1)
+                    .ok_or_else(|| usage_err(format!("{flag} needs a name")))?;
+                name.get_or_insert_with(|| value.clone());
+                i += 2;
+            }
             flag if flag.starts_with("--") => {
-                if !bare.contains(&flag) {
-                    return Err(unknown_flag(flag));
-                }
                 flags.push(flag.to_owned());
                 i += 1;
             }
@@ -412,6 +429,9 @@ fn session_from(args: &[String], bare: &[&str]) -> Result<Cli, CliError> {
                 i += 1;
             }
         }
+    }
+    if let Some(extra) = rest.get(max_args) {
+        return Err(usage_err(format!("{cmd}: unexpected argument `{extra}`")));
     }
     let fault_injected = !plan.is_empty();
     if fault_injected {
@@ -435,6 +455,7 @@ fn session_from(args: &[String], bare: &[&str]) -> Result<Cli, CliError> {
         session,
         rest,
         flags,
+        name,
         keep_going,
         budget,
         retry,
@@ -474,7 +495,7 @@ fn prove(args: &[String]) -> ExitCode {
         cache_dir,
         deadline_ms,
         ..
-    } = match session_from(args, &["--stats", "--json"]) {
+    } = match session_from("prove", args, &["--stats", "--json"], usize::MAX) {
         Ok(x) => x,
         Err(e) => return fail(e),
     };
@@ -486,76 +507,29 @@ fn prove(args: &[String]) -> ExitCode {
         },
         None => None,
     };
-    let started = Instant::now();
-    let mut reports: Vec<QualReport> = Vec::new();
-    match rest.first() {
-        Some(name) => {
-            match session.prove_named_cancellable(
-                &[name.as_str()],
-                budget,
-                retry,
-                jobs,
-                cache.as_ref(),
-                &cancel,
-            ) {
-                Ok(report) => reports.extend(report.reports),
-                Err(e) => return fail(input_err(e)),
-            }
-        }
-        None if keep_going || jobs > 1 => {
-            // The pipeline proves everything; without --keep-going the
-            // report is truncated after the first crashed qualifier so
-            // the output contract matches the sequential early stop.
-            let report =
-                session.prove_all_sound_cancellable(budget, retry, jobs, cache.as_ref(), &cancel);
-            reports = report.reports;
-            if !keep_going {
-                if let Some(pos) = reports.iter().position(|r| r.verdict == Verdict::Crashed) {
-                    eprintln!(
-                        "stqc: qualifier `{}` crashed; stopping \
-                         (pass --keep-going to check the rest)",
-                        reports[pos].qualifier
-                    );
-                    reports.truncate(pos + 1);
-                }
-            }
-        }
-        None => {
-            // Sequential without --keep-going: stop at the first crash
-            // before spending budget on the remaining qualifiers. A
-            // fired token doesn't break the loop: the remaining
-            // qualifiers come back as skipped placeholders, so the
-            // partial report still names everything it didn't reach.
-            let names: Vec<String> = session
-                .registry()
-                .iter()
-                .map(|d| d.name.to_string())
-                .collect();
-            for name in &names {
-                let Ok(report) = session.prove_named_cancellable(
-                    &[name.as_str()],
-                    budget,
-                    retry,
-                    1,
-                    cache.as_ref(),
-                    &cancel,
-                ) else {
-                    continue;
-                };
-                let Some(r) = report.reports.into_iter().next() else {
-                    continue;
-                };
-                let crashed = r.verdict == Verdict::Crashed;
-                reports.push(r);
-                if crashed {
-                    eprintln!(
-                        "stqc: qualifier `{name}` crashed; stopping \
-                         (pass --keep-going to check the rest)"
-                    );
-                    break;
-                }
-            }
-        }
+    let names: Vec<&str> = rest.iter().map(String::as_str).collect();
+    let names = (!names.is_empty()).then_some(names.as_slice());
+    let mut report = match session.prove(names, budget, retry, jobs, cache.as_ref(), &cancel) {
+        Ok(report) => report,
+        Err(e) => return fail(input_err(e)),
+    };
+    // Without --keep-going the report stops at the first crashed
+    // qualifier; its totals then cover exactly the qualifiers reported.
+    let first_crash = report
+        .reports
+        .iter()
+        .position(|r| r.verdict == Verdict::Crashed)
+        .filter(|_| !keep_going);
+    if let Some(pos) = first_crash {
+        eprintln!(
+            "stqc: qualifier `{}` crashed; stopping (pass --keep-going to check the rest)",
+            report.reports[pos].qualifier
+        );
+        report.reports.truncate(pos + 1);
+        let SoundnessReport {
+            reports, duration, ..
+        } = report;
+        report = SoundnessReport::new(reports, budget, retry, jobs, cache.as_ref(), duration);
     }
     // Persist even (especially) on an interrupted run: conclusive
     // verdicts reached before the stop are what lets a re-run with the
@@ -567,16 +541,6 @@ fn prove(args: &[String]) -> ExitCode {
             Err(e) => eprintln!("stqc: warning: could not persist the proof cache: {e}"),
         }
     }
-    // One report for all three ways of proving: its totals and counters
-    // cover exactly the qualifiers reported.
-    let report = SoundnessReport::new(
-        reports,
-        budget,
-        retry,
-        jobs,
-        cache.as_ref(),
-        started.elapsed(),
-    );
     let interrupted = report.interrupted();
     let skipped = report.skipped_count();
     if has_flag(&flags, "--json") {
@@ -672,7 +636,7 @@ fn check(args: &[String]) -> ExitCode {
         flags,
         keep_going,
         ..
-    } = match session_from(args, &["--stats", "--json", "--flow-sensitive"]) {
+    } = match session_from("check", args, &["--stats", "--json", "--flow-sensitive"], 1) {
         Ok(x) => x,
         Err(e) => return fail(e),
     };
@@ -739,38 +703,30 @@ fn check(args: &[String]) -> ExitCode {
 }
 
 fn run(args: &[String]) -> ExitCode {
-    let Cli {
-        session, mut rest, ..
-    } = match session_from(args, &["--entry"]) {
+    let cli = match session_from("run", args, &["--entry"], usize::MAX) {
         Ok(x) => x,
         Err(e) => return fail(e),
     };
-    // `--entry NAME`: session_from left NAME in rest; pull it back out.
-    let mut entry_name = "main".to_owned();
-    if let Some(pos) = args.iter().position(|a| a == "--entry") {
-        if let Some(name) = args.get(pos + 1) {
-            entry_name = name.clone();
-            if let Some(i) = rest.iter().position(|r| r == name) {
-                rest.remove(i);
-            }
-        }
-    }
-    let Some(path) = rest.first().cloned() else {
+    let Some((path, ints)) = cli.rest.split_first() else {
         return fail(usage_err("run needs a source file"));
     };
-    let source = match fs::read_to_string(&path) {
+    let mut call_args = Vec::with_capacity(ints.len());
+    for arg in ints {
+        match arg.parse::<i64>() {
+            Ok(n) => call_args.push(Value::Int(n)),
+            Err(_) => return fail(usage_err(format!("run: unexpected argument `{arg}`"))),
+        }
+    }
+    let source = match fs::read_to_string(path) {
         Ok(s) => s,
         Err(e) => return fail(input_err(format!("cannot read {path}: {e}"))),
     };
-    let program = match session.parse(&source) {
+    let program = match cli.session.parse(&source) {
         Ok(p) => p,
         Err(e) => return fail(input_err(format!("{path}: {e}"))),
     };
-    let call_args: Vec<Value> = rest[1..]
-        .iter()
-        .filter_map(|a| a.parse::<i64>().ok().map(Value::Int))
-        .collect();
-    match session.run_instrumented(&program, &entry_name, &call_args) {
+    let entry = cli.name.as_deref().unwrap_or("main");
+    match cli.session.run_instrumented(&program, entry, &call_args) {
         Ok(out) => {
             print!("{}", out.stdout);
             if let Some(v) = out.ret {
@@ -787,33 +743,25 @@ fn run(args: &[String]) -> ExitCode {
 }
 
 fn infer(args: &[String]) -> ExitCode {
-    let Cli { session, rest, .. } = match session_from(args, &["--qual"]) {
+    let cli = match session_from("infer", args, &["--qual"], 1) {
         Ok(x) => x,
         Err(e) => return fail(e),
     };
-    // `infer --qual NAME FILE` — the qual name lands in rest after the
-    // flag-stripping; expect [NAME, FILE] with --qual marking NAME.
-    let (qual, path) = match args.iter().position(|a| a == "--qual") {
-        Some(pos) => {
-            let Some(name) = args.get(pos + 1) else {
-                return fail(usage_err("--qual needs a name"));
-            };
-            let Some(path) = rest.iter().find(|r| *r != name) else {
-                return fail(usage_err("infer needs a source file"));
-            };
-            (name.clone(), path.clone())
-        }
-        None => return fail(usage_err("infer needs --qual NAME")),
+    let Some(qual) = &cli.name else {
+        return fail(usage_err("infer needs --qual NAME"));
     };
-    let source = match fs::read_to_string(&path) {
+    let Some(path) = cli.rest.first() else {
+        return fail(usage_err("infer needs a source file"));
+    };
+    let source = match fs::read_to_string(path) {
         Ok(s) => s,
         Err(e) => return fail(input_err(format!("cannot read {path}: {e}"))),
     };
-    let program = match session.parse(&source) {
+    let program = match cli.session.parse(&source) {
         Ok(p) => p,
         Err(e) => return fail(input_err(format!("{path}: {e}"))),
     };
-    let result = match session.try_infer_annotations(&program, &qual) {
+    let result = match cli.session.try_infer_annotations(&program, qual) {
         Ok(r) => r,
         Err(e) => return fail(input_err(e)),
     };
@@ -832,7 +780,7 @@ fn infer(args: &[String]) -> ExitCode {
 }
 
 fn show(args: &[String]) -> ExitCode {
-    let Cli { session, rest, .. } = match session_from(args, &[]) {
+    let Cli { session, rest, .. } = match session_from("show", args, &[], 1) {
         Ok(x) => x,
         Err(e) => return fail(e),
     };
@@ -1116,6 +1064,9 @@ fn tables(args: &[String]) -> ExitCode {
     {
         return fail(unknown_flag(flag));
     }
+    if let Some(extra) = args.iter().find(|a| !a.starts_with("--")) {
+        return fail(usage_err(format!("tables: unexpected argument `{extra}`")));
+    }
     let row = stq_corpus::tables::table1();
     let rows = stq_corpus::tables::table2();
     if has_flag(&flags, "--json") {
@@ -1273,7 +1224,6 @@ fn serve(args: &[String]) -> ExitCode {
     };
     let Cli {
         session,
-        rest,
         budget,
         retry,
         jobs,
@@ -1281,13 +1231,10 @@ fn serve(args: &[String]) -> ExitCode {
         deadline_ms,
         qual_files,
         ..
-    } = match session_from(&serve_args.rest, &[]) {
+    } = match session_from("serve", &serve_args.rest, &[], 0) {
         Ok(x) => x,
         Err(e) => return fail(e),
     };
-    if let Some(stray) = rest.first() {
-        return fail(usage_err(format!("serve: unexpected argument `{stray}`")));
-    }
     if serve_args.socket.is_none() && serve_args.tcp.is_none() && !serve_args.stdio {
         return fail(usage_err("serve needs --socket PATH, --tcp HOST:PORT, or --stdio"));
     }

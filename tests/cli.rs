@@ -764,3 +764,59 @@ fn misspelled_flags_are_usage_errors_naming_the_flag() {
     let (_, _, code) = stqc_code(&["check", "--json", "--stats", "--keep-going", path]);
     assert_eq!(code, Some(0));
 }
+
+#[test]
+fn extra_positional_arguments_are_usage_errors_naming_them() {
+    let good = temp_file("extra-good.c", "int pos f(int pos x) { return x; }\n");
+    let bad = temp_file("extra-bad.c", "int pos x = 0;\n");
+    let main = temp_file("extra-main.c", "int main(int a) { return a; }\n");
+    let (good, bad, main) = (
+        good.to_str().unwrap(),
+        bad.to_str().unwrap(),
+        main.to_str().unwrap(),
+    );
+    for (args, extra) in [
+        (vec!["check", good, bad], bad),
+        (vec!["show", "pos", "neg"], "neg"),
+        (vec!["infer", "--qual", "pos", good, bad], bad),
+        (vec!["tables", "extra"], "extra"),
+        (vec!["run", main, "foo"], "foo"),
+        (vec!["run", "--entry", "main", main, "7", "foo"], "foo"),
+    ] {
+        let (stdout, stderr, code) = stqc_code(&args);
+        assert_eq!(
+            code,
+            Some(2),
+            "{args:?} must be a usage error: {stdout}{stderr}"
+        );
+        assert!(
+            stderr.contains(&format!("unexpected argument `{extra}`")),
+            "{args:?}: stderr must name {extra}: {stderr}"
+        );
+        assert!(
+            stdout.is_empty(),
+            "{args:?} printed a report anyway: {stdout}"
+        );
+    }
+    // The values of `--qual NAME` and `--entry NAME` are not positional.
+    let (stdout, _, code) = stqc_code(&["infer", "--qual", "pos", good]);
+    assert_eq!(code, Some(0), "{stdout}");
+    let (stdout, _, code) = stqc_code(&["run", "--entry", "main", main, "7"]);
+    assert_eq!(code, Some(0), "{stdout}");
+    assert!(stdout.contains("=> 7"), "{stdout}");
+}
+
+#[test]
+fn prove_json_reports_every_named_qualifier() {
+    let (stdout, stderr, code) = stqc_code(&["prove", "pos", "neg", "--json"]);
+    assert_eq!(code, Some(0), "{stdout}{stderr}");
+    let doc = stq_util::json::Json::parse(stdout.trim()).expect("one JSON document");
+    let names: Vec<&str> = doc
+        .get("qualifiers")
+        .and_then(|q| q.as_array())
+        .expect("qualifiers array")
+        .iter()
+        .map(|q| q.get("name").and_then(|n| n.as_str()).expect("name"))
+        .collect();
+    assert_eq!(names, ["pos", "neg"]);
+}

@@ -247,7 +247,7 @@ fn injected_crash_is_contained_to_one_qualifier() {
     let session = Session::with_builtins();
     // Crash the very first proof obligation the run attempts.
     fault::install(FaultPlan::new().inject(0, FaultKind::Panic));
-    let report = session.prove_all_sound_retrying(Budget::default(), RetryPolicy::none());
+    let report = session.prove_all_sound_pipeline(Budget::default(), RetryPolicy::none(), 1, None);
     fault::clear();
     let crashed: Vec<_> = report
         .reports
@@ -278,7 +278,8 @@ fn injected_crash_is_contained_to_one_qualifier() {
 fn injected_resource_out_recovers_via_the_retry_ladder() {
     let session = Session::with_builtins();
     fault::install(FaultPlan::new().inject(0, FaultKind::ResourceOut));
-    let report = session.prove_all_sound_retrying(Budget::default(), RetryPolicy::attempts(3));
+    let report =
+        session.prove_all_sound_pipeline(Budget::default(), RetryPolicy::attempts(3), 1, None);
     fault::clear();
     assert!(
         report.all_sound(),

@@ -33,16 +33,12 @@
 //!   clients spread out deterministically per seed.
 //! * **Budgets.** At most [`ClientConfig::max_retries`] re-attempts per
 //!   call, all inside [`ClientConfig::call_deadline`] when one is set.
-//! * **Safe re-send only when safe.** Every attempt uses a fresh
-//!   request id, and responses are attributed strictly by id: stray
-//!   lines with unknown ids are dropped, unparseable lines are treated
-//!   as transport corruption. Idempotent methods (`check`, `prove`,
-//!   `stats`, `health`, `shutdown`) are re-sent freely. A
-//!   `define_qualifiers` request is re-sent only when the server
-//!   provably never executed it (an id-`null` `parse` error, or an
-//!   `overloaded`/`shutting-down` rejection); if the connection dies
-//!   after the request may have reached the server, the call returns
-//!   [`CallError::Ambiguous`] instead of blindly replaying a mutation.
+//! * **Re-send under a fresh id.** Every protocol method is idempotent
+//!   (the daemon's only registry writer, `reload`, converges on the
+//!   files on disk), so a request whose answer was lost is simply sent
+//!   again. Every attempt uses a fresh request id, and responses are
+//!   attributed strictly by id: stray lines with unknown ids are
+//!   dropped, unparseable lines are treated as transport corruption.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -63,23 +59,6 @@ pub enum Endpoint {
     Unix(PathBuf),
     /// A TCP `HOST:PORT` address.
     Tcp(String),
-}
-
-impl Endpoint {
-    /// Parses the `stqc call --endpoint` syntax: an explicit `tcp:` or
-    /// `unix:` prefix wins; otherwise a value with a `:` and no `/` is
-    /// a TCP address, and anything else is a socket path.
-    pub fn parse(s: &str) -> Endpoint {
-        if let Some(addr) = s.strip_prefix("tcp:") {
-            Endpoint::Tcp(addr.to_owned())
-        } else if let Some(path) = s.strip_prefix("unix:") {
-            Endpoint::Unix(PathBuf::from(path))
-        } else if s.contains(':') && !s.contains('/') {
-            Endpoint::Tcp(s.to_owned())
-        } else {
-            Endpoint::Unix(PathBuf::from(s))
-        }
-    }
 }
 
 impl std::fmt::Display for Endpoint {
@@ -187,10 +166,6 @@ pub enum CallError {
     /// (an attributed retryable error on the final attempt is returned
     /// as the outcome instead).
     RetriesExhausted(String),
-    /// A non-idempotent request (`define_qualifiers`) may or may not
-    /// have executed; replaying it blindly could apply it twice, so the
-    /// ambiguity is surfaced instead.
-    Ambiguous(String),
 }
 
 impl std::fmt::Display for CallError {
@@ -199,7 +174,6 @@ impl std::fmt::Display for CallError {
             CallError::Unreachable(m) => write!(f, "daemon unreachable: {m}"),
             CallError::DeadlineExhausted(m) => write!(f, "call deadline exhausted: {m}"),
             CallError::RetriesExhausted(m) => write!(f, "retry budget exhausted: {m}"),
-            CallError::Ambiguous(m) => write!(f, "outcome ambiguous: {m}"),
         }
     }
 }
@@ -213,18 +187,6 @@ impl std::error::Error for CallError {}
 pub struct CallOutcome {
     pub raw: String,
     pub doc: Json,
-}
-
-/// True for methods the server may execute any number of times with
-/// the same observable result, making blind re-send safe.
-pub fn method_is_idempotent(method: &str) -> bool {
-    // `reload` re-reads the daemon's configured qualifier files from
-    // disk; replaying it converges to the same registry, so it is as
-    // safe to re-send as `shutdown`.
-    matches!(
-        method,
-        "check" | "prove" | "stats" | "health" | "shutdown" | "reload"
-    )
 }
 
 struct Conn {
@@ -435,8 +397,8 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// [`CallError`] — unreachable daemon, exhausted deadline/retry
-    /// budget, or an ambiguous non-idempotent outcome.
+    /// [`CallError`] — unreachable daemon or exhausted deadline/retry
+    /// budget.
     pub fn call(
         &mut self,
         method: &str,
@@ -444,19 +406,8 @@ impl Client {
         deadline_ms: Option<u64>,
     ) -> Result<CallOutcome, CallError> {
         let overall = self.cfg.call_deadline.map(|d| Instant::now() + d);
-        let idempotent = method_is_idempotent(method);
         let mut attempts_left = u64::from(self.cfg.max_retries) + 1;
         let mut backoff_step = 0u32;
-        // True once a non-idempotent request has plausibly reached the
-        // server; from then on only provably-not-executed rejections
-        // may re-send.
-        let mut maybe_executed = false;
-        let ambiguous = |what: &str| {
-            CallError::Ambiguous(format!(
-                "{what} after `{method}` was sent; it may or may not have \
-                 executed — re-sending could apply it twice"
-            ))
-        };
         loop {
             if attempts_left == 0 {
                 return Err(CallError::RetriesExhausted(format!(
@@ -490,14 +441,9 @@ impl Client {
             if !sent {
                 self.drop_conn();
                 self.advance_endpoint();
-                if !idempotent {
-                    // Even a failed write may have delivered the line.
-                    return Err(ambiguous("the connection broke"));
-                }
                 self.stats.resends += 1;
                 continue;
             }
-            maybe_executed = maybe_executed || !idempotent;
             // Read until a line attributed to `id` (or this attempt
             // dies and the outer loop re-sends under a fresh id).
             'read: loop {
@@ -510,31 +456,20 @@ impl Client {
                     Recv::Eof => {
                         self.drop_conn();
                         self.advance_endpoint();
-                        if maybe_executed {
-                            return Err(ambiguous("the connection closed"));
-                        }
                         self.stats.resends += 1;
                         break 'read;
                     }
                     Recv::Corrupt => {
                         // The corrupted line may have been our answer;
                         // nothing else may ever come. Re-send under a
-                        // fresh id (idempotent only).
+                        // fresh id.
                         self.stats.corrupt_lines += 1;
-                        if maybe_executed {
-                            self.drop_conn();
-                            return Err(ambiguous("a corrupted response arrived"));
-                        }
                         self.stats.resends += 1;
                         break 'read;
                     }
                     Recv::Line(raw) => {
                         let Ok(doc) = Json::parse(&raw) else {
                             self.stats.corrupt_lines += 1;
-                            if maybe_executed {
-                                self.drop_conn();
-                                return Err(ambiguous("a corrupted response arrived"));
-                            }
                             self.stats.resends += 1;
                             break 'read;
                         };
@@ -546,9 +481,8 @@ impl Client {
                                 .and_then(Json::as_str);
                             if line_id.is_null() && code == Some("parse") {
                                 // The server read garbage where our
-                                // request should have been: provably
-                                // never executed, safe for any method.
-                                maybe_executed = false;
+                                // request should have been: it never
+                                // ran, so send it again.
                                 self.stats.resends += 1;
                                 break 'read;
                             }
@@ -565,16 +499,15 @@ impl Client {
                             .and_then(Json::as_str);
                         match code {
                             Some("overloaded") => {
-                                // Rejected before execution: safe for
-                                // any method after a backoff. With no
-                                // attempts left the rejection itself is
-                                // the answer (the caller sees the raw
-                                // error document, as a retry-less
-                                // client always did).
+                                // Rejected before execution: re-send
+                                // after a backoff. With no attempts
+                                // left the rejection itself is the
+                                // answer (the caller sees the raw error
+                                // document, as a retry-less client
+                                // always did).
                                 if attempts_left == 0 {
                                     return Ok(CallOutcome { raw, doc });
                                 }
-                                maybe_executed = false;
                                 self.stats.retries += 1;
                                 self.backoff(backoff_step, overall);
                                 backoff_step += 1;
@@ -588,7 +521,6 @@ impl Client {
                                 if attempts_left == 0 {
                                     return Ok(CallOutcome { raw, doc });
                                 }
-                                maybe_executed = false;
                                 self.drop_conn();
                                 self.advance_endpoint();
                                 self.stats.retries += 1;
@@ -778,44 +710,19 @@ mod tests {
     }
 
     #[test]
-    fn define_after_possible_send_is_ambiguous_not_replayed() {
-        let socket = temp_socket("ambiguous");
-        // The daemon reads the define and hangs up without answering.
-        let daemon = scripted_daemon(&socket, vec![vec![""]]);
-        let mut client = Client::new(cfg(&socket));
-        let err = client
-            .call(
-                "define_qualifiers",
-                Some(&Json::obj([("source", "x".into())])),
-                None,
-            )
-            .expect_err("must not silently replay");
-        assert!(
-            matches!(err, CallError::Ambiguous(_)),
-            "expected Ambiguous, got {err:?}"
-        );
-        daemon.join().expect("daemon thread");
-        let _ = std::fs::remove_file(&socket);
-    }
-
-    #[test]
-    fn id_null_parse_error_is_safe_to_resend_even_for_define() {
+    fn id_null_parse_error_is_resent_under_a_fresh_id() {
         let socket = temp_socket("parse-null");
         let daemon = scripted_daemon(
             &socket,
             vec![vec![
                 "{\"id\":null,\"ok\":false,\"error\":{\"code\":\"parse\",\"message\":\"bad\"}}\n",
-                "{\"id\":$ID,\"ok\":true,\"result\":{\"defined\":[]}}\n",
+                "{\"id\":$ID,\"ok\":true,\"result\":{\"clean\":true}}\n",
             ]],
         );
         let mut client = Client::new(cfg(&socket));
         let out = client
-            .call(
-                "define_qualifiers",
-                Some(&Json::obj([("source", "".into())])),
-                None,
-            )
-            .expect("a provably-unexecuted define may re-send");
+            .call("check", Some(&Json::obj([("source", "".into())])), None)
+            .expect("a request the daemon never ran is re-sent");
         assert_eq!(out.doc.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(client.stats().resends, 1);
         daemon.join().expect("daemon thread");
@@ -887,27 +794,6 @@ mod tests {
         assert_eq!(client.stats().retries, 2, "two backoff-and-retry rounds");
         daemon.join().expect("daemon thread");
         let _ = std::fs::remove_file(&socket);
-    }
-
-    #[test]
-    fn endpoint_parse_distinguishes_unix_and_tcp() {
-        assert_eq!(
-            Endpoint::parse("/tmp/a.sock"),
-            Endpoint::Unix(PathBuf::from("/tmp/a.sock"))
-        );
-        assert_eq!(
-            Endpoint::parse("127.0.0.1:9137"),
-            Endpoint::Tcp("127.0.0.1:9137".to_owned())
-        );
-        assert_eq!(
-            Endpoint::parse("tcp:localhost:80"),
-            Endpoint::Tcp("localhost:80".to_owned())
-        );
-        assert_eq!(
-            Endpoint::parse("unix:weird:name.sock"),
-            Endpoint::Unix(PathBuf::from("weird:name.sock"))
-        );
-        assert_eq!(Endpoint::parse("tcp:1.2.3.4:80").to_string(), "tcp:1.2.3.4:80");
     }
 
     #[test]
@@ -1014,8 +900,17 @@ mod tests {
         let b = temp_socket("exhaust-b");
         let _ = std::fs::remove_file(&a);
         let _ = std::fs::remove_file(&b);
+        // A port that was just free: nothing listens there any more.
+        let tcp = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .expect("a free port")
+            .to_string();
         let mut client = Client::new(ClientConfig {
-            endpoints: vec![Endpoint::Unix(a.clone()), Endpoint::Unix(b.clone())],
+            endpoints: vec![
+                Endpoint::Unix(a.clone()),
+                Endpoint::Unix(b.clone()),
+                Endpoint::Tcp(tcp.clone()),
+            ],
             ..ClientConfig::default()
         });
         let err = client.call("stats", None, None).expect_err("all dead");
@@ -1024,6 +919,7 @@ mod tests {
         };
         assert!(msg.contains(a.to_str().unwrap()), "{msg}");
         assert!(msg.contains(b.to_str().unwrap()), "{msg}");
-        assert_eq!(client.stats().endpoints_tried, 2);
+        assert!(msg.contains(&format!("tcp:{tcp}: ")), "{msg}");
+        assert_eq!(client.stats().endpoints_tried, 3);
     }
 }

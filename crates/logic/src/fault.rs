@@ -40,8 +40,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use stq_util::splitmix64;
-
 /// The kind of synthetic fault to inject at a solver entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
@@ -77,27 +75,6 @@ impl FaultPlan {
     pub fn inject(mut self, at: u64, kind: FaultKind) -> FaultPlan {
         self.faults.insert(at, kind);
         self
-    }
-
-    /// A pseudo-random plan: `count` faults scattered over the first
-    /// `span` solver entries, fully determined by `seed` (splitmix64, so
-    /// the same seed reproduces the same schedule on every platform).
-    pub fn seeded(seed: u64, count: usize, span: u64) -> FaultPlan {
-        let mut plan = FaultPlan::new();
-        let mut s = seed;
-        let span = span.max(1);
-        for _ in 0..count {
-            s = splitmix64(s);
-            let at = s % span;
-            s = splitmix64(s);
-            let kind = match s % 3 {
-                0 => FaultKind::Panic,
-                1 => FaultKind::ResourceOut,
-                _ => FaultKind::TheoryError,
-            };
-            plan.faults.insert(at, kind);
-        }
-        plan
     }
 
     /// True if no fault is scheduled.
@@ -309,17 +286,6 @@ mod tests {
         assert_eq!(plan.fault_at(3), Some(FaultKind::Panic));
         assert_eq!(plan.fault_at(5), Some(FaultKind::ResourceOut));
         assert_eq!(plan.fault_at(4), None);
-    }
-
-    #[test]
-    fn seeded_plans_are_reproducible() {
-        let a = FaultPlan::seeded(42, 10, 100);
-        let b = FaultPlan::seeded(42, 10, 100);
-        assert_eq!(a, b);
-        assert!(!a.is_empty());
-        // A different seed gives a different schedule (with overwhelming
-        // probability for this seed pair; pinned here, so deterministic).
-        assert_ne!(a, FaultPlan::seeded(43, 10, 100));
     }
 
     #[test]

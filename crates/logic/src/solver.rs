@@ -170,7 +170,7 @@ pub struct Problem {
     /// Resource limits; adjust before calling [`Problem::prove`].
     pub config: Budget,
     /// Cooperative cancellation handle, polled at round starts, every
-    /// [`DEADLINE_CHECK_INTERVAL`] DPLL decisions, and between
+    /// `DEADLINE_CHECK_INTERVAL` DPLL decisions, and between
     /// E-matching quantifiers. An external [`CancelToken::cancel`]
     /// yields [`Resource::Cancelled`]; a token deadline folds into the
     /// attempt's effective deadline and yields [`Resource::Time`], same

@@ -5,7 +5,7 @@
 //! quantifier interning, and trigger inference on all of them for every
 //! single obligation would dominate a cold attempt. A [`Theory`] does
 //! that preprocessing exactly once and holds
-//! the result as a reusable [`SolveCore`]: per-obligation solving either
+//! the result as a reusable `SolveCore`: per-obligation solving either
 //! clones the prepared core (cheap — table copies, no re-parsing) or,
 //! with a [`crate::solver::SolverWorker`], reuses one long-lived core
 //! across obligations via watermark-based scoped resets.
@@ -21,9 +21,9 @@ use std::collections::HashSet;
 /// Construction runs the full clausification front end (NNF,
 /// skolemization, trigger inference, quantifier-proxy interning) and
 /// hash-conses every ground atom side, then freezes a watermark. Cores
-/// handed out by [`prepared_core`](Theory::prepared_core) start at that
+/// handed out by `prepared_core` start at that
 /// watermark; per-obligation additions land above it and can be rolled
-/// back with [`SolveCore::reset`].
+/// back with `SolveCore::reset`.
 #[derive(Clone, Debug)]
 pub struct Theory {
     axioms: Vec<Formula>,

@@ -17,6 +17,10 @@ cargo test -q --manifest-path stqbench/Cargo.toml
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc with warnings denied (broken intra-doc links fail)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps \
+    --exclude rand --exclude proptest --exclude criterion
+
 echo "==> every example runs to completion (cargo test only compiles them)"
 for example in examples/*.rs; do
     name="$(basename "$example" .rs)"
@@ -28,7 +32,7 @@ echo "==> stqc single-threaded smoke (--jobs 1)"
 smoke_src="$(mktemp /tmp/stqc-smoke-XXXXXX.c)"
 trap 'rm -f "$smoke_src"' EXIT
 printf 'int pos one() { return (int pos) 1; }\n' > "$smoke_src"
-./target/release/stqc check --jobs 1 "$smoke_src"
+./target/release/stqc check "$smoke_src"
 ./target/release/stqc prove --jobs 1 pos
 
 echo "==> stqc fuzz smoke (fixed seed, bounded)"

@@ -14,20 +14,20 @@
 //!                                        differential fuzzing
 //! stqc serve (--socket PATH | --tcp HOST:PORT | --stdio) [--jobs N]
 //!           [--cache-dir DIR] [--addr-file PATH]
-//!           [--quals FILE] [--watch-libs] [--max-inflight N] [--max-queue N]
-//!           [--pid-file PATH] [--idle-timeout-ms N]
-//!           [--max-line-bytes N] [BUDGET..]
+//!           [--quals FILE] [--max-inflight N] [--max-queue N]
+//!           [--pid-file PATH] [--max-line-bytes N] [BUDGET..]
 //!                                        checking-as-a-service daemon
-//! stqc call (--socket PATH | --tcp HOST:PORT | --endpoint SPEC)..
+//! stqc call (--socket PATH | --tcp HOST:PORT)..
 //!           [--deadline-ms N] [--connect-timeout-ms N]
 //!           [--call-deadline-ms N] [--retries N] [--json] METHOD [PARAMS]
 //!                                        one request to a serve daemon
 //! ```
 //!
-//! Budget flags (`prove` only) bound the prover so a pathological
-//! obligation terminates with a `ResourceOut` verdict instead of
-//! diverging: `--max-rounds N`, `--max-instantiations N`,
-//! `--max-decisions N`, `--max-clauses N`, `--timeout-ms N`.
+//! Budget flags (`prove` and `serve`) bound the prover so a
+//! pathological obligation terminates with a `ResourceOut` verdict
+//! instead of diverging: `--max-rounds N`, `--max-instantiations N`,
+//! `--max-decisions N`, `--max-clauses N`, `--timeout-ms N`. A flag the
+//! subcommand does not use is a usage error, never silently ignored.
 //!
 //! Performance flags (see `docs/performance.md`):
 //!
@@ -59,8 +59,9 @@
 //! * `--keep-going` continues past crashed qualifiers (`prove`) and
 //!   past syntax errors (`check`, via the error-resilient parser);
 //! * `--fault-panic-at N` / `--fault-resource-out-at N` /
-//!   `--fault-theory-at N` inject a deterministic fault at the `N`th
-//!   solver entry — testing hooks for the fault-injection harness.
+//!   `--fault-theory-at N` (`prove` only) inject a deterministic fault
+//!   at the `N`th solver entry — testing hooks for the fault-injection
+//!   harness.
 //!
 //! Exit codes are structured: 0 success, 1 unsound/refuted (or
 //! qualifier errors from `check`), 2 usage errors, 3 input errors
@@ -129,14 +130,14 @@ performance flags (prove, serve; see docs/performance.md):
   --cache-dir DIR           persistent fingerprinted proof cache in DIR
 
 robustness flags (see docs/robustness.md):
-  --retry N                 retry ResourceOut obligations up to N attempts
-  --retry-factor F          geometric budget escalation between attempts
+  --retry N                 retry ResourceOut up to N attempts (prove, serve)
+  --retry-factor F          geometric budget escalation (prove, serve)
   --deadline-ms N           whole-run deadline (prove, fuzz, serve lifetime;
                             for `call`: per-request deadline, not cache-keyed)
   --keep-going              continue past crashed qualifiers / syntax errors
-  --fault-panic-at N        inject a panic at the Nth solver entry
-  --fault-resource-out-at N inject ResourceOut at the Nth solver entry
-  --fault-theory-at N       inject a theory error at the Nth solver entry
+  --fault-panic-at N        inject a panic at solver entry N (prove)
+  --fault-resource-out-at N inject ResourceOut at solver entry N (prove)
+  --fault-theory-at N       inject a theory error at solver entry N (prove)
 
 fuzzing flags (fuzz; see docs/testing.md):
   --seed N                  campaign seed (deterministic per seed/count)
@@ -148,23 +149,17 @@ serving flags (serve, call; see docs/serving.md):
   --socket PATH             Unix socket to serve on / connect to
   --tcp HOST:PORT           TCP address to serve on / connect to (serve may
                             combine --socket and --tcp; port 0 picks a free
-                            port, reported on stderr and via --addr-file)
+                            port, reported on stderr and via --addr-file;
+                            call repeats both: endpoints tried in order)
   --addr-file PATH          write the bound TCP address (or socket path) to
                             PATH once listening (serve; atomic temp+rename)
-  --endpoint SPEC           extra endpoint to try, in order (call; repeatable;
-                            `unix:PATH`, `tcp:HOST:PORT`, or a bare path /
-                            HOST:PORT; --socket and --tcp also repeat)
   --json                    wrap the response with client-side retry and
                             failover counters (call)
-  --watch-libs              poll the --quals files and hot-reload qualifier
-                            libraries when they change (serve)
   --stdio                   serve one session over stdin/stdout (testing)
   --max-inflight N          per-connection in-flight request cap (serve)
   --max-queue N             global request queue bound before shedding (serve)
   --pid-file PATH           record the daemon's pid in PATH once listening
                             (serve; atomic temp+rename)
-  --idle-timeout-ms N       close connections idle for N ms with no in-flight
-                            work (serve; 0 or omitted = never)
   --max-line-bytes N        reject request lines longer than N bytes with a
                             structured `input` error (serve; default 1048576)
   --connect-timeout-ms N    keep redialing a refused socket for N ms (call)
@@ -331,12 +326,27 @@ fn unknown_flag(flag: &str) -> CliError {
     ))
 }
 
+/// The valued flags `prove` and `serve` share: the proof cache, the
+/// five budget flags, the run deadline, the retry ladder and workers.
+const PROVER_FLAGS: [&str; 10] = [
+    "--cache-dir",
+    "--max-rounds",
+    "--max-instantiations",
+    "--max-decisions",
+    "--max-clauses",
+    "--timeout-ms",
+    "--deadline-ms",
+    "--retry",
+    "--retry-factor",
+    "--jobs",
+];
+
 /// Builds a session from builtins plus any `--quals FILE` definitions
-/// and scans the common option set; `own` lists the subcommand's own
-/// flags (value-less, except `--entry NAME` and `--qual NAME`), and any
-/// other `--flag` is a usage error, as is a positional argument past the
-/// first `max_args`. Fault-injection flags install their [`FaultPlan`]
-/// for this thread as a side effect.
+/// and scans the common option set. `own` lists every other flag the
+/// subcommand takes: bare ones, the valued ones it uses, `--entry NAME`
+/// and `--qual NAME`. Any other `--flag` is a usage error, as is a
+/// positional argument past the first `max_args`. Fault-injection flags
+/// install their [`FaultPlan`] for this thread as a side effect.
 fn session_from(
     cmd: &str,
     args: &[String],
@@ -358,13 +368,6 @@ fn session_from(
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--cache-dir" => {
-                let path = args
-                    .get(i + 1)
-                    .ok_or_else(|| usage_err("--cache-dir needs a directory"))?;
-                cache_dir = Some(path.clone());
-                i += 2;
-            }
             "--quals" => {
                 let path = args
                     .get(i + 1)
@@ -382,6 +385,17 @@ fn session_from(
                         .define_qualifiers(&src)
                         .map_err(|e| input_err(format!("{path}: {e}")))?;
                 }
+                i += 2;
+            }
+            "--keep-going" => i += 1,
+            flag if !own.contains(&flag) && flag.starts_with("--") => {
+                return Err(unknown_flag(flag));
+            }
+            "--cache-dir" => {
+                let path = args
+                    .get(i + 1)
+                    .ok_or_else(|| usage_err("--cache-dir needs a directory"))?;
+                cache_dir = Some(path.clone());
                 i += 2;
             }
             flag @ ("--max-rounds" | "--max-instantiations" | "--max-decisions"
@@ -408,10 +422,6 @@ fn session_from(
                     _ => plan = plan.inject(n, FaultKind::TheoryError),
                 }
                 i += 2;
-            }
-            "--keep-going" => i += 1,
-            flag if !own.contains(&flag) && flag.starts_with("--") => {
-                return Err(unknown_flag(flag));
             }
             flag @ ("--entry" | "--qual") => {
                 let value = args
@@ -484,6 +494,12 @@ fn has_flag(flags: &[String], name: &str) -> bool {
 // ----- subcommands -----
 
 fn prove(args: &[String]) -> ExitCode {
+    let faults = [
+        "--fault-panic-at",
+        "--fault-resource-out-at",
+        "--fault-theory-at",
+    ];
+    let own = [&PROVER_FLAGS[..], &faults, &["--stats", "--json"]].concat();
     let Cli {
         session,
         rest,
@@ -495,7 +511,7 @@ fn prove(args: &[String]) -> ExitCode {
         cache_dir,
         deadline_ms,
         ..
-    } = match session_from("prove", args, &["--stats", "--json"], usize::MAX) {
+    } = match session_from("prove", args, &own, usize::MAX) {
         Ok(x) => x,
         Err(e) => return fail(e),
     };
@@ -1111,8 +1127,6 @@ struct ServeArgs {
     max_inflight: usize,
     max_queue: usize,
     pid_file: Option<String>,
-    watch_libs: bool,
-    idle_timeout_ms: u64,
     max_line_bytes: usize,
     rest: Vec<String>,
 }
@@ -1126,8 +1140,6 @@ fn split_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
         max_inflight: 32,
         max_queue: 1024,
         pid_file: None,
-        watch_libs: false,
-        idle_timeout_ms: 0,
         max_line_bytes: 1 << 20,
         rest: Vec::new(),
     };
@@ -1159,10 +1171,6 @@ fn split_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
                 out.stdio = true;
                 i += 1;
             }
-            "--watch-libs" => {
-                out.watch_libs = true;
-                i += 1;
-            }
             "--pid-file" => {
                 let path = args
                     .get(i + 1)
@@ -1170,8 +1178,7 @@ fn split_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
                 out.pid_file = Some(path.clone());
                 i += 2;
             }
-            flag @ ("--max-inflight" | "--max-queue" | "--idle-timeout-ms"
-            | "--max-line-bytes") => {
+            flag @ ("--max-inflight" | "--max-queue" | "--max-line-bytes") => {
                 let value = args
                     .get(i + 1)
                     .ok_or_else(|| usage_err(format!("{flag} needs a number")))?;
@@ -1181,7 +1188,6 @@ fn split_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
                 match flag {
                     "--max-inflight" => out.max_inflight = n as usize,
                     "--max-queue" => out.max_queue = n as usize,
-                    "--idle-timeout-ms" => out.idle_timeout_ms = n,
                     _ => out.max_line_bytes = n as usize,
                 }
                 i += 2;
@@ -1231,7 +1237,7 @@ fn serve(args: &[String]) -> ExitCode {
         deadline_ms,
         qual_files,
         ..
-    } = match session_from("serve", &serve_args.rest, &[], 0) {
+    } = match session_from("serve", &serve_args.rest, &PROVER_FLAGS, 0) {
         Ok(x) => x,
         Err(e) => return fail(e),
     };
@@ -1249,19 +1255,13 @@ fn serve(args: &[String]) -> ExitCode {
         cache_dir: cache_dir.map(std::path::PathBuf::from),
         budget,
         retry,
-        idle_timeout: match serve_args.idle_timeout_ms {
-            0 => None,
-            ms => Some(Duration::from_millis(ms)),
-        },
         max_line_bytes: serve_args.max_line_bytes,
         qual_files,
-        watch_libs: serve_args.watch_libs,
     };
     let server = match stq_core::Server::new(session, cfg, cancel) {
         Ok(s) => std::sync::Arc::new(s),
         Err(e) => return fail(input_err(format!("cannot start server: {e}"))),
     };
-    let _watcher = server.spawn_lib_watcher();
     // Bind every listener before publishing anything, so a daemon that
     // cannot start never overwrites a running daemon's `--pid-file`.
     // `--tcp 127.0.0.1:0` learns its kernel-assigned port here; it goes
@@ -1354,15 +1354,6 @@ fn call(args: &[String]) -> ExitCode {
                 endpoints.push(stq_core::Endpoint::Tcp(addr.clone()));
                 i += 2;
             }
-            "--endpoint" => {
-                let Some(spec) = args.get(i + 1) else {
-                    return fail(usage_err(
-                        "--endpoint needs a socket path or [tcp:]HOST:PORT",
-                    ));
-                };
-                endpoints.push(stq_core::Endpoint::parse(spec));
-                i += 2;
-            }
             "--json" => {
                 json_out = true;
                 i += 1;
@@ -1392,7 +1383,7 @@ fn call(args: &[String]) -> ExitCode {
     }
     if endpoints.is_empty() {
         return fail(usage_err(
-            "call needs at least one of --socket PATH, --tcp HOST:PORT, or --endpoint SPEC",
+            "call needs at least one of --socket PATH or --tcp HOST:PORT",
         ));
     }
     let tried = endpoints
@@ -1402,8 +1393,7 @@ fn call(args: &[String]) -> ExitCode {
         .join(", ");
     let Some(method) = positional.first() else {
         return fail(usage_err(
-            "call needs a METHOD (define_qualifiers, check, prove, reload, stats, health, \
-             shutdown)",
+            "call needs a METHOD (check, prove, reload, stats, health, shutdown)",
         ));
     };
     let params = match positional.get(1) {
@@ -1441,10 +1431,6 @@ fn call(args: &[String]) -> ExitCode {
     };
     let outcome = match client.call(method, params.as_ref(), deadline_ms) {
         Ok(outcome) => outcome,
-        Err(e @ stq_core::CallError::Ambiguous(_)) => {
-            eprintln!("stqc: call: {e}");
-            return ExitCode::from(EXIT_CRASH);
-        }
         Err(e) => {
             eprintln!("stqc: call: {e}");
             eprintln!(

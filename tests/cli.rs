@@ -737,14 +737,24 @@ fn fuzz_text_mode_reports_case_boundary_interruption() {
 
 #[test]
 fn misspelled_flags_are_usage_errors_naming_the_flag() {
-    let src = temp_file("typo.c", "int pos f(int pos x) { return x; }\n");
+    let src = temp_file("typo.c", "int pos one() { return (int pos) 1; }\n");
     let path = src.to_str().unwrap();
-    for (args, flag) in [
-        (vec!["check", "--josn", path], "--josn"),
-        (vec!["prove", "--jsno", "pos"], "--jsno"),
-        (vec!["tables", "--jsn"], "--jsn"),
-        (vec!["show", "--bogus"], "--bogus"),
+    // Each row's first flag is one the subcommand does not take: a
+    // misspelling, or a real flag of another subcommand, which must not
+    // be silently ignored.
+    for args in [
+        vec!["check", "--josn", path],
+        vec!["prove", "--jsno", "pos"],
+        vec!["tables", "--jsn"],
+        vec!["show", "--bogus"],
+        vec!["check", "--deadline-ms", "0", path],
+        vec!["check", "--fault-panic-at", "0", path],
+        vec!["show", "--cache-dir", "/nonexistent", "pos"],
+        vec!["run", "--timeout-ms", "1", "--entry", "one", path],
+        vec!["infer", "--retry", "9", "--qual", "pos", path],
+        vec!["serve", "--fault-panic-at", "0", "--stdio"],
     ] {
+        let flag = args[1];
         let (stdout, stderr, code) = stqc_code(&args);
         assert_eq!(
             code,

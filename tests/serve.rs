@@ -859,12 +859,12 @@ fn heavy_quals(n: usize) -> String {
 }
 
 #[test]
-fn stats_and_health_answer_while_a_define_waits_behind_a_running_prove() {
+fn stats_and_health_answer_while_a_reload_waits_behind_a_running_prove() {
     // `stats` and `health` are answered on the reactor thread. A
-    // `define_qualifiers` sent while a long prove runs must not make
-    // them wait for that prove: the registry swap it queues for may
-    // not block the reactor's own read of the registry. Both must
-    // answer promptly, and well before the prove does.
+    // `reload` sent while a long prove runs must not make them wait for
+    // that prove: the registry swap it queues for may not block the
+    // reactor's own read of the registry. Both must answer promptly,
+    // and well before the prove does.
     let lib = std::env::temp_dir().join(format!("stqc-heavy-{}.stq", std::process::id()));
     std::fs::write(&lib, heavy_quals(200)).expect("library written");
     let daemon =
@@ -876,12 +876,8 @@ fn stats_and_health_answer_while_a_define_waits_behind_a_running_prove() {
         (Instant::now(), answer)
     });
     std::thread::sleep(Duration::from_millis(100));
-    let mut definer = daemon.connect();
-    definer.send(
-        "{\"id\":2,\"method\":\"define_qualifiers\",\"params\":{\"source\":\"value qualifier \
-         gtzero(int Expr E) case E of decl int Const C: C, where C > 0 \
-         invariant value(E) > 0\"}}",
-    );
+    let mut reloader = daemon.connect();
+    reloader.send("{\"id\":2,\"method\":\"reload\"}");
     std::thread::sleep(Duration::from_millis(50));
     let probe = |method: &str| {
         let sent = Instant::now();
@@ -898,9 +894,9 @@ fn stats_and_health_answer_while_a_define_waits_behind_a_running_prove() {
     assert_eq!(proof.get("ok").and_then(Json::as_bool), Some(true), "{proof}");
     assert!(stats_at < proved_at, "stats answered after the prove");
     assert!(health_at < proved_at, "health answered after the prove");
-    let defined = definer.recv();
-    assert_eq!(defined.get("ok").and_then(Json::as_bool), Some(true), "{defined}");
-    drop(definer);
+    let reloaded = reloader.recv();
+    assert_eq!(reloaded.get("ok").and_then(Json::as_bool), Some(true), "{reloaded}");
+    drop(reloader);
     daemon.shutdown();
     let _ = std::fs::remove_file(&lib);
 }
@@ -1009,7 +1005,7 @@ fn call_exhausting_every_endpoint_exits_6_and_names_them_all() {
             "call",
             "--socket",
             dead_a.to_str().expect("utf8 path"),
-            "--endpoint",
+            "--socket",
             dead_b.to_str().expect("utf8 path"),
             "stats",
         ])

@@ -4,11 +4,10 @@
 //! the builtin qualifier library plus the shipped
 //! `examples/qualifiers/extra.q` corpus.
 //!
-//! Unlike the other benches this one emits a machine-readable
-//! `BENCH_soundness.json` at the repository root (override the path with
-//! `STQ_BENCH_OUT`), with obligations/sec for each mode and the cache
-//! hit/miss ledger of the cold and warm runs. The headline `parallel`
-//! figure is the pipeline's steady state — `jobs = 4` *with a warm
+//! It writes `BENCH_soundness.json` at the repository root, with
+//! obligations/sec for each mode and the cache hit/miss ledger of the
+//! cold and warm runs. The headline `parallel` figure is the
+//! pipeline's steady state — `jobs = 4` *with a warm
 //! on-disk cache*, exactly what a second `stqc prove --jobs 4
 //! --cache-dir` run does; `parallel_cold` isolates the cache-less cold
 //! path (shared theory + hash-consed leaf checks + worker reuse + the
@@ -22,12 +21,13 @@
 //! parallel run's.
 
 use std::fs;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
+use stq_core::reportjson::decimals;
 use stq_qualspec::{QualifierDef, Registry};
 use stq_soundness::{
     check_defs_pipeline_cancellable, Budget, CancelToken, ProofCache, RetryPolicy, SoundnessReport,
 };
+use stq_util::json::Json;
 
 const JOBS: usize = 4;
 
@@ -109,12 +109,15 @@ fn obl_per_sec(obligations: usize, runs: u32, elapsed: Duration) -> f64 {
     (obligations as f64 * f64::from(runs)) / elapsed.as_secs_f64().max(1e-9)
 }
 
-fn mode_json(label: &str, obligations: usize, runs: u32, elapsed: Duration) -> String {
-    format!(
-        "\"{label}\":{{\"runs\":{runs},\"total_ms\":{:.3},\"obligations_per_sec\":{:.1}}}",
-        elapsed.as_secs_f64() * 1000.0,
-        obl_per_sec(obligations, runs, elapsed),
-    )
+fn mode_json(obligations: usize, runs: u32, elapsed: Duration) -> Json {
+    Json::obj([
+        ("runs", u64::from(runs).into()),
+        ("total_ms", decimals(elapsed.as_secs_f64() * 1000.0, 3)),
+        (
+            "obligations_per_sec",
+            decimals(obl_per_sec(obligations, runs, elapsed), 1),
+        ),
+    ])
 }
 
 fn main() {
@@ -274,34 +277,43 @@ fn main() {
         warm_hit_rate * 100.0
     );
 
-    let out = std::env::var("STQ_BENCH_OUT").map_or_else(
-        |_| {
-            PathBuf::from(concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../BENCH_soundness.json"
-            ))
-        },
-        PathBuf::from,
-    );
-    let json = format!(
-        "{{\"bench\":\"soundness_pipeline\",\"qualifiers\":{},\"obligations\":{obligations},\
-         \"jobs\":{JOBS},{},{},{},{},\
-         \"cache\":{{\"cold_misses\":{cold_misses},\"cold_hits\":{cold_hits},\
-         \"warm_hits\":{},\"warm_misses\":{},\"reproved_warm\":{reproved_warm},\
-         \"warm_hit_rate\":{warm_hit_rate:.3}}},\
-         \"deadline_overhead\":{deadline_overhead:.4},\
-         \"speedup_parallel_vs_sequential\":{:.2},\
-         \"speedup_parallel_cold_vs_sequential\":{:.2}}}\n",
-        seq_report.reports.len(),
-        mode_json("sequential", obligations, seq_runs, seq_elapsed),
-        mode_json("parallel_cold", obligations, cold_runs, cold_elapsed),
-        mode_json("parallel", obligations, warm_runs, warm_elapsed),
-        mode_json("parallel_warm_deadline", obligations, timed_runs, timed_elapsed),
-        warm_report.totals.cache_hits,
-        warm_report.totals.cache_misses,
-        warm_ops / seq_ops.max(1e-9),
-        cold_speedup,
-    );
-    fs::write(&out, &json).expect("write BENCH_soundness.json");
-    println!("  wrote {}", out.display());
+    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_soundness.json");
+    let doc = Json::obj([
+        ("bench", "soundness_pipeline".into()),
+        ("qualifiers", seq_report.reports.len().into()),
+        ("obligations", obligations.into()),
+        ("jobs", JOBS.into()),
+        ("sequential", mode_json(obligations, seq_runs, seq_elapsed)),
+        (
+            "parallel_cold",
+            mode_json(obligations, cold_runs, cold_elapsed),
+        ),
+        ("parallel", mode_json(obligations, warm_runs, warm_elapsed)),
+        (
+            "parallel_warm_deadline",
+            mode_json(obligations, timed_runs, timed_elapsed),
+        ),
+        (
+            "cache",
+            Json::obj([
+                ("cold_misses", cold_misses.into()),
+                ("cold_hits", cold_hits.into()),
+                ("warm_hits", warm_report.totals.cache_hits.into()),
+                ("warm_misses", warm_report.totals.cache_misses.into()),
+                ("reproved_warm", reproved_warm.into()),
+                ("warm_hit_rate", decimals(warm_hit_rate, 3)),
+            ]),
+        ),
+        ("deadline_overhead", decimals(deadline_overhead, 4)),
+        (
+            "speedup_parallel_vs_sequential",
+            decimals(warm_ops / seq_ops.max(1e-9), 2),
+        ),
+        (
+            "speedup_parallel_cold_vs_sequential",
+            decimals(cold_speedup, 2),
+        ),
+    ]);
+    fs::write(out, format!("{doc}\n")).expect("write BENCH_soundness.json");
+    println!("  wrote {out}");
 }

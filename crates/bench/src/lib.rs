@@ -1,12 +1,10 @@
 //! Benchmark support crate. The benchmarks themselves live in
-//! `benches/`; each regenerates one table, figure, or timing claim from
-//! the paper's evaluation:
+//! `benches/`, and each writes one JSON record at the repository root
+//! (`scripts/bench.sh` runs both):
 //!
-//! * `prove_qualifiers` — §4's soundness-checking times (value
-//!   qualifiers under 1 s, reference qualifiers under 30 s in the paper);
-//! * `typecheck_corpus` — §6's "extra compile time … under one second"
-//!   claim, plus a program-size scaling sweep;
-//! * `tables` — end-to-end regeneration cost of Tables 1 and 2;
-//! * `prover_ablation` — design-choice ablations for the prover
-//!   (instantiation round budget) and the inference engine (deep
-//!   recursive qualifier queries).
+//! * `paper` — `BENCH_paper.json`: every count and timing bound of the
+//!   paper's evaluation (Tables 1 and 2, §4, §6, §6.2, §8), one entry
+//!   per row of EXPERIMENTS.md, plus the E-matching round-budget table;
+//! * `soundness_pipeline` — `BENCH_soundness.json`: sequential, parallel
+//!   and warm-cache proving throughput, with the cold path's exact work
+//!   ledgers and the deadline-enforcement overhead gate.

@@ -11,6 +11,7 @@ use stq_cir::parse::parse_program;
 use stq_cir::pretty::count_lines;
 use stq_qualspec::Registry;
 use stq_typecheck::check_program;
+use stq_util::json::Json;
 
 /// A registry containing only the named builtin qualifiers (the paper
 /// runs one qualifier discipline per experiment).
@@ -49,6 +50,22 @@ pub struct Row {
     pub check_time: Duration,
     /// The full checker telemetry behind the row's headline numbers.
     pub stats: stq_typecheck::CheckStats,
+}
+
+/// The row's table columns, in order: `program`, `lines`,
+/// `dereferences`, `printf_calls`, `annotations`, `casts`, `errors`.
+/// `stqc tables --json` and the paper record (`BENCH_paper.json`) both
+/// build their rows from these.
+pub fn row_columns(row: &Row) -> [(&'static str, Json); 7] {
+    [
+        ("program", row.program.as_str().into()),
+        ("lines", row.lines.into()),
+        ("dereferences", row.dereferences.into()),
+        ("printf_calls", row.printf_calls.into()),
+        ("annotations", row.annotations.into()),
+        ("casts", row.casts.into()),
+        ("errors", row.errors.into()),
+    ]
 }
 
 /// Runs the checker over a program source under a qualifier subset and

@@ -28,7 +28,7 @@ use stq_util::Symbol;
 /// the on-disk cache header: bump the `-r` suffix whenever a change to
 /// the solver, preprocessor, theories, or obligation encoding could
 /// alter any proof outcome, and every stale cached proof dies with it.
-pub const PROVER_VERSION: &str = concat!("stq-prover-", env!("CARGO_PKG_VERSION"), "-r2");
+pub const PROVER_VERSION: &str = concat!("stq-prover-", env!("CARGO_PKG_VERSION"), "-r3");
 
 /// A 128-bit stable structural hash of a proof obligation.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]

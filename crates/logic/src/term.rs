@@ -5,6 +5,7 @@
 //! are ordinary [`Term::App`] applications, while the interpreted symbols
 //! `+`, `-`, `*`, and `neg` are recognized by the arithmetic solver.
 
+use std::cmp::Ordering;
 use std::fmt;
 use stq_util::Symbol;
 
@@ -14,7 +15,7 @@ use stq_util::Symbol;
 /// and C values are integers (`NULL` is the integer 0), so arithmetic is
 /// available over all value-sorted terms. The remaining sorts keep the
 /// structural vocabulary (states, stores, program syntax) apart.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Sort {
     /// Booleans; only predicates have this sort.
     Bool,
@@ -41,8 +42,36 @@ impl fmt::Display for Sort {
     }
 }
 
+/// `Bool < Int < Other`, uninterpreted sorts by name.
+impl Ord for Sort {
+    fn cmp(&self, other: &Sort) -> Ordering {
+        match (self, other) {
+            (Sort::Other(a), Sort::Other(b)) => a.as_str().cmp(b.as_str()),
+            _ => self.rank().cmp(&other.rank()),
+        }
+    }
+}
+
+impl PartialOrd for Sort {
+    fn partial_cmp(&self, other: &Sort) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Sort {
+    fn rank(self) -> u8 {
+        match self {
+            Sort::Bool => 0,
+            Sort::Int => 1,
+            Sort::Other(_) => 2,
+        }
+    }
+}
+
 /// A first-order term.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
+///
+/// Terms order by content (see the [`Ord`] impl), never by interner id.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Term {
     /// A (possibly quantified) variable with its sort.
     Var(Symbol, Sort),
@@ -189,6 +218,40 @@ impl fmt::Display for Term {
                 }
                 f.write_str(")")
             }
+        }
+    }
+}
+
+/// Content order: variables, then integers, then applications; symbols
+/// compare by their strings, then sorts and arguments in turn. Interner
+/// ids depend on which thread of a process first interned a string, so
+/// an id order would orient equality atoms (`pre::literal_of`), and
+/// with them countermodels, differently under different `--jobs`.
+impl Ord for Term {
+    fn cmp(&self, other: &Term) -> Ordering {
+        match (self, other) {
+            (Term::Var(x, s), Term::Var(y, t)) => x.as_str().cmp(y.as_str()).then_with(|| s.cmp(t)),
+            (Term::Int(a), Term::Int(b)) => a.cmp(b),
+            (Term::App(f, xs), Term::App(g, ys)) => {
+                f.as_str().cmp(g.as_str()).then_with(|| xs.cmp(ys))
+            }
+            _ => self.rank().cmp(&other.rank()),
+        }
+    }
+}
+
+impl PartialOrd for Term {
+    fn partial_cmp(&self, other: &Term) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Term {
+    fn rank(&self) -> u8 {
+        match self {
+            Term::Var(..) => 0,
+            Term::Int(_) => 1,
+            Term::App(..) => 2,
         }
     }
 }

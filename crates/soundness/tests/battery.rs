@@ -3,7 +3,7 @@
 //! well beyond the paper's own library.
 
 use stq_qualspec::Registry;
-use stq_soundness::{check_qualifier, Verdict};
+use stq_soundness::{build_obligation, check_qualifier, obligation_specs, Verdict};
 
 fn verdict_of(defs: &str, name: &str) -> Verdict {
     let mut registry = Registry::builtins();
@@ -256,4 +256,30 @@ fn no_invariant_is_always_vacuously_fine() {
         ),
         Verdict::NoInvariant
     );
+}
+
+#[test]
+fn reference_qualifiers_need_three_ematching_rounds() {
+    // A round searches, then matches. The store axioms' first instances
+    // expose the `select` terms the freshness and invariant quantifiers
+    // match, so a preservation proof's instances arrive in the second
+    // matching pass and only the third round's search uses them.
+    let registry = Registry::builtins();
+    for (name, want) in [("unique", [0, 1, 6, 6, 6]), ("unaliased", [0, 1, 5, 5, 5])] {
+        let def = registry.get_by_name(name).expect("builtin");
+        let proved = [1, 2, 3, 4, 8].map(|rounds| {
+            obligation_specs(def)
+                .iter()
+                .filter(|spec| {
+                    let mut ob = build_obligation(&registry, def, spec);
+                    ob.problem.config.max_rounds = rounds;
+                    ob.problem.prove().is_proved()
+                })
+                .count()
+        });
+        assert_eq!(
+            proved, want,
+            "{name}: obligations proved at 1, 2, 3, 4 and 8 rounds"
+        );
+    }
 }

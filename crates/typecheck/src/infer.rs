@@ -337,6 +337,22 @@ mod tests {
         assert!(inf.has_qual(&ab, q("pos")));
         let ac = Expr::binop(BinOp::Mul, Expr::var("a"), Expr::var("c"));
         assert!(!inf.has_qual(&ac, q("pos")));
+        // Full product trees over `p0: pos` are `pos` at every depth;
+        // the match attempts count each subtree's query once.
+        fn tree(depth: u32) -> Expr {
+            if depth == 0 {
+                Expr::var("p0")
+            } else {
+                Expr::binop(BinOp::Mul, tree(depth - 1), tree(depth - 1))
+            }
+        }
+        let (p, r) = setup("int pos p0;");
+        let env = TypeEnv::new(&p, &r);
+        for (depth, attempts) in [(2, 6), (4, 30), (6, 126), (8, 510)] {
+            let mut inf = Inference::new(&env);
+            assert!(inf.has_qual(&tree(depth), q("pos")), "depth {depth}");
+            assert_eq!(inf.match_attempts, attempts, "depth {depth}");
+        }
     }
 
     #[test]
@@ -354,6 +370,20 @@ mod tests {
         let xn = Expr::binop(BinOp::Mul, Expr::var("x"), Expr::var("n"));
         assert!(inf.has_qual(&xn, q("neg")));
         assert!(!inf.has_qual(&xn, q("pos")));
+        // Nested negations of `x` alternate neg, pos, neg, … down a
+        // 32-deep chain.
+        let mut chain = Expr::var("x");
+        for depth in 1..=32 {
+            chain = Expr::unop(UnOp::Neg, chain);
+            let (is, is_not) = if depth % 2 == 0 {
+                ("pos", "neg")
+            } else {
+                ("neg", "pos")
+            };
+            let mut inf = Inference::new(&env);
+            assert!(inf.has_qual(&chain, q(is)), "depth {depth}");
+            assert!(!inf.has_qual(&chain, q(is_not)), "depth {depth}");
+        }
     }
 
     #[test]

@@ -3,7 +3,10 @@
 
 use stq_cir::parse::parse_program;
 use stq_qualspec::Registry;
-use stq_typecheck::{check_program_with, CheckOptions, CheckResult};
+use stq_typecheck::{
+    check_program, check_program_with, infer_annotations, CheckOptions, CheckResult,
+};
+use stq_util::Symbol;
 
 fn check_fs(src: &str) -> CheckResult {
     let registry = Registry::builtins();
@@ -201,4 +204,22 @@ fn ablation_on_the_grep_corpus() {
         },
     );
     assert_eq!(fs.stats.qualifier_errors, 0, "{}", fs.diags);
+}
+
+#[test]
+fn inference_discharges_the_unannotated_grep_corpus() {
+    // §8's other extension, as `examples/inference.rs` runs it: strip
+    // every hand annotation from the cast-free corpus, and inference
+    // puts back 106 that leave no violation.
+    let registry = Registry::builtins();
+    let src = stq_corpus::grep::grep_dfa_source_direct().replace("* nonnull", "*");
+    let program = parse_program(&src, &registry.names()).expect("parses");
+    assert_eq!(
+        check_program(&registry, &program).stats.qualifier_errors,
+        1072
+    );
+    let inferred = infer_annotations(&registry, &program, Symbol::intern("nonnull"));
+    assert_eq!(inferred.inferred.len(), 106);
+    let after = check_program(&registry, &inferred.annotated);
+    assert_eq!(after.stats.qualifier_errors, 0, "{}", after.diags);
 }

@@ -19,7 +19,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> rustdoc with warnings denied (broken intra-doc links fail)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps \
-    --exclude rand --exclude proptest --exclude criterion
+    --exclude rand --exclude proptest
 
 echo "==> every example runs to completion (cargo test only compiles them)"
 for example in examples/*.rs; do

@@ -121,7 +121,7 @@ prover budget flags (prove, serve; per obligation):
   --max-rounds N            matching rounds before ResourceOut
   --max-instantiations N    quantifier instantiations before ResourceOut
   --max-decisions N         case splits before ResourceOut
-  --max-clauses N           learned clauses before ResourceOut
+  --max-clauses N           clauses (background + instances) before ResourceOut
   --timeout-ms N            per-obligation wall-clock budget (cache-keyed)
 
 performance flags (prove, serve; see docs/performance.md):
@@ -1060,12 +1060,10 @@ fn fuzz_replay(dir: &str, json: bool, cancel: &CancelToken) -> ExitCode {
 }
 
 fn row_json(row: &stq_corpus::tables::Row) -> Json {
-    Json::obj([
-        ("program", row.program.as_str().into()),
-        ("lines", row.lines.into()),
+    Json::obj(stq_corpus::tables::row_columns(row).into_iter().chain([
         ("check_time_ms", millis(row.check_time)),
         ("stats", check_stats_json(&row.stats)),
-    ])
+    ]))
 }
 
 fn tables(args: &[String]) -> ExitCode {

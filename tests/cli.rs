@@ -2,6 +2,7 @@
 
 use std::io::Write as _;
 use std::process::Command;
+use stq_util::json::Json;
 
 fn stqc(args: &[&str]) -> (String, String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_stqc"))
@@ -258,6 +259,26 @@ fn tables_json_carries_checker_telemetry() {
     assert!(stdout.contains("\"table2\":"), "{stdout}");
     assert!(stdout.contains("\"memo_misses\":"), "{stdout}");
     assert!(stdout.contains("bftpd"), "{stdout}");
+    // Table 2's own columns: `printf`'s library prototype is not a user
+    // annotation, so bftpd/mingetty/identd carry 2/1/0 as in the paper.
+    let doc = Json::parse(stdout.trim()).expect("one JSON document");
+    let column = |name: &str| -> Vec<u64> {
+        doc.get("table2")
+            .and_then(Json::as_array)
+            .expect("table2 rows")
+            .iter()
+            .map(|row| row.get(name).and_then(Json::as_u64).expect(name))
+            .collect()
+    };
+    assert_eq!(column("annotations"), [2, 1, 0], "{stdout}");
+    assert_eq!(column("printf_calls"), [134, 23, 21], "{stdout}");
+    assert_eq!(column("errors"), [1, 0, 0], "{stdout}");
+    let table1 = doc.get("table1").expect("table1 row");
+    assert_eq!(
+        table1.get("dereferences").and_then(Json::as_u64),
+        Some(1072)
+    );
+    assert_eq!(table1.get("casts").and_then(Json::as_u64), Some(59));
 }
 
 #[test]
@@ -439,6 +460,62 @@ fn prove_with_jobs_reports_the_same_verdicts_as_sequential() {
             .collect()
     };
     assert_eq!(extract(&seq), extract(&par));
+}
+
+/// `doc` without its `wall_ms` and `jobs` members, at every depth.
+fn without_wall_and_jobs(doc: Json) -> Json {
+    match doc {
+        Json::Obj(members) => Json::obj(
+            members
+                .into_iter()
+                .filter(|(k, _)| k != "wall_ms" && k != "jobs")
+                .map(|(k, v)| (k, without_wall_and_jobs(v))),
+        ),
+        Json::Arr(items) => items.into_iter().map(without_wall_and_jobs).collect(),
+        other => other,
+    }
+}
+
+#[test]
+fn countermodels_do_not_depend_on_jobs_across_fresh_processes() {
+    // The paper's two mutants (§2.1.3's `E1 - E2` and §2.2.3's `unique`
+    // without `disallow L`) both refute with countermodels containing
+    // equality atoms. Each process interns symbols in its own order, so
+    // an id-ordered atom would print differently at --jobs 1 and 4.
+    let quals = temp_file(
+        "mutants.q",
+        "value qualifier pos_sub(int Expr E)
+             case E of
+                 decl int Const C: C, where C > 0
+               | decl int Expr E1, E2: E1 - E2, where pos_sub(E1) && pos_sub(E2)
+               | decl int Expr E1: -E1, where neg(E1)
+             invariant value(E) > 0
+         ref qualifier unique_leak(T* LValue L)
+             assign L NULL | new
+             invariant value(L) == NULL ||
+                 (isHeapLoc(value(L)) &&
+                  forall T** P: *P == value(L) => P == location(L))",
+    );
+    let quals = quals.to_str().unwrap();
+    let docs: Vec<Json> = ["1", "4"]
+        .iter()
+        .map(|jobs| {
+            let (stdout, _, code) = stqc_code(&[
+                "prove",
+                "--quals",
+                quals,
+                "--jobs",
+                jobs,
+                "--json",
+                "pos_sub",
+                "unique_leak",
+            ]);
+            assert_eq!(code, Some(1), "jobs={jobs}: {stdout}");
+            assert!(stdout.contains("\"countermodel\":[\""), "{stdout}");
+            without_wall_and_jobs(Json::parse(stdout.trim()).expect("one JSON document"))
+        })
+        .collect();
+    assert_eq!(docs[0].to_string(), docs[1].to_string());
 }
 
 #[test]

@@ -2,7 +2,12 @@
 //! stale as the workspace grows.
 //!
 //! * every workspace crate (including the vendored stand-ins and the
-//!   root package) is listed in `docs/architecture.md`;
+//!   root package) is listed in `docs/architecture.md`, and every crate
+//!   row there is a workspace member;
+//! * every `paper:KEY` citation in EXPERIMENTS.md, DESIGN.md and
+//!   `docs/*.md` names a value of the committed `BENCH_paper.json`, and
+//!   every count printed before one equals the record's; EXPERIMENTS.md
+//!   writes no measured time by hand;
 //! * every relative link in `docs/*.md` and `README.md` points at a
 //!   file that exists;
 //! * every `stqc` subcommand and `--flag` mentioned anywhere in the
@@ -11,6 +16,7 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use stq_util::json::Json;
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -64,12 +70,133 @@ fn workspace_members() -> Vec<(String, String)> {
 fn every_workspace_crate_is_listed_in_architecture_md() {
     let page = fs::read_to_string(repo_root().join("docs/architecture.md"))
         .expect("docs/architecture.md exists");
-    for (dir, package) in workspace_members() {
+    let members = workspace_members();
+    for (dir, package) in &members {
         assert!(
-            page.contains(&package),
+            page.contains(package.as_str()),
             "docs/architecture.md does not mention workspace crate `{package}` ({dir})"
         );
     }
+    // The other way round: a crate-table row whose directory is not a
+    // workspace member describes a crate that is gone.
+    let rows: Vec<&str> = page
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `"))
+        .filter_map(|cell| cell.split('`').next())
+        .filter(|dir| dir.starts_with("crates/") || dir.starts_with("vendor/"))
+        .collect();
+    assert!(rows.len() >= 10, "expected crate rows, found {rows:?}");
+    for dir in rows {
+        assert!(
+            members.iter().any(|(member, _)| member == dir),
+            "docs/architecture.md has a row for `{dir}`, which is not a workspace member"
+        );
+    }
+}
+
+/// `docs/*.md` plus the named pages at the repository root, sorted.
+fn pages_with(root_pages: &[&str]) -> Vec<PathBuf> {
+    let root = repo_root();
+    let mut pages: Vec<PathBuf> = fs::read_dir(root.join("docs"))
+        .expect("docs/ exists")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "md"))
+        .chain(root_pages.iter().map(|page| root.join(page)))
+        .collect();
+    pages.sort();
+    pages
+}
+
+/// The value at the dotted path `key` of `record`.
+fn record_value<'a>(record: &'a Json, key: &str) -> Option<&'a Json> {
+    key.split('.').try_fold(record, |node, part| node.get(part))
+}
+
+#[test]
+fn paper_record_citations_resolve_and_printed_counts_match() {
+    // A cited value is written `paper:KEY` in backticks; a count (or a
+    // verdict) printed from the record is written `**N** (` followed by
+    // that citation and `)`, and N must be the record's value.
+    let text = fs::read_to_string(repo_root().join("BENCH_paper.json"))
+        .expect("BENCH_paper.json is committed");
+    let record = Json::parse(text.trim()).expect("BENCH_paper.json is one JSON document");
+    let mut cited = 0;
+    let mut printed = 0;
+    let mut wrong = Vec::new();
+    for page in pages_with(&["EXPERIMENTS.md", "DESIGN.md"]) {
+        let text = fs::read_to_string(&page).expect("page is readable");
+        let name = page.file_name().expect("page name").to_string_lossy();
+        for (at, _) in text.match_indices("`paper:") {
+            let rest = &text[at + "`paper:".len()..];
+            let key = &rest[..rest.find('`').expect("citation has a closing backtick")];
+            cited += 1;
+            let Some(value) = record_value(&record, key) else {
+                wrong.push(format!("{name}: `paper:{key}` is not in BENCH_paper.json"));
+                continue;
+            };
+            let Some(before) = text[..at].strip_suffix("** (") else {
+                continue;
+            };
+            let shown = &before[before.rfind("**").map_or(0, |i| i + 2)..];
+            printed += 1;
+            let recorded = value
+                .as_str()
+                .map_or_else(|| value.to_string(), str::to_owned);
+            if shown != recorded {
+                wrong.push(format!(
+                    "{name}: prints **{shown}** for `paper:{key}`, the record has {recorded}"
+                ));
+            }
+        }
+    }
+    assert!(
+        cited >= 50 && printed >= 30,
+        "expected the docs to cite the record: {cited} citation(s), {printed} printed value(s)"
+    );
+    assert!(
+        wrong.is_empty(),
+        "stale record citations:\n{}",
+        wrong.join("\n")
+    );
+}
+
+/// Numbers followed by a time unit that no benchmark wrote: a `ms`/`µs`
+/// figure, or seconds with a fraction. (The paper's bounds are whole
+/// seconds, `< 1 s` and `< 30 s`.)
+fn handwritten_times(text: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut rest = text;
+    while let Some(start) = rest.find(|c: char| c.is_ascii_digit()) {
+        let tail = &rest[start..];
+        let end = tail
+            .find(|c: char| !(c.is_ascii_digit() || c == '.'))
+            .unwrap_or(tail.len());
+        let number = &tail[..end];
+        let after = tail[end..].trim_start_matches([' ', '\u{a0}']);
+        let unit_len = after
+            .find(|c: char| !c.is_alphabetic())
+            .unwrap_or(after.len());
+        let unit = &after[..unit_len];
+        if matches!(unit, "ms" | "µs" | "us") || (unit == "s" && number.contains('.')) {
+            out.push(format!("{number} {unit}"));
+        }
+        rest = &tail[end..];
+    }
+    out
+}
+
+#[test]
+fn experiments_md_writes_no_measured_time_by_hand() {
+    let text = fs::read_to_string(repo_root().join("EXPERIMENTS.md")).expect("EXPERIMENTS.md");
+    assert_eq!(
+        handwritten_times("took ~8 ms, then 0.002 s, < 1 s"),
+        ["8 ms", "0.002 s"]
+    );
+    let found = handwritten_times(&text);
+    assert!(
+        found.is_empty(),
+        "EXPERIMENTS.md quotes measured times; cite `paper:` keys instead: {found:?}"
+    );
 }
 
 /// Extracts `](target)` link targets from markdown.
@@ -92,14 +219,7 @@ fn link_targets(markdown: &str) -> Vec<String> {
 
 #[test]
 fn relative_links_in_docs_resolve() {
-    let root = repo_root();
-    let mut pages: Vec<PathBuf> = fs::read_dir(root.join("docs"))
-        .expect("docs/ exists")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "md"))
-        .collect();
-    pages.push(root.join("README.md"));
-    pages.sort();
+    let pages = pages_with(&["README.md"]);
     assert!(pages.len() >= 5, "expected docs pages, found {pages:?}");
 
     let mut broken = Vec::new();
@@ -203,15 +323,7 @@ fn documented_cli_surface_exists_in_help() {
         "help output looks truncated:\n{help}"
     );
 
-    let root = repo_root();
-    let mut pages: Vec<PathBuf> = fs::read_dir(root.join("docs"))
-        .expect("docs/ exists")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "md"))
-        .collect();
-    pages.push(root.join("README.md"));
-    pages.sort();
-
+    let pages = pages_with(&["README.md"]);
     let mut stale = Vec::new();
     for page in &pages {
         let text = fs::read_to_string(page).expect("page is readable");

@@ -1,7 +1,7 @@
 //! A hash-consed arena of ground terms.
 //!
-//! The prover's hot loops — congruence closure at every DPLL leaf,
-//! E-matching every round — repeatedly walk the same `Box`-based
+//! The prover's hot loops — congruence closure at every propagation
+//! fixpoint, E-matching every round — repeatedly walk the same `Box`-based
 //! [`Term`] trees, re-hashing and re-cloning structure that never
 //! changes within an attempt. The arena interns each distinct ground
 //! term once and hands out a dense [`TermId`]; equal ids mean equal

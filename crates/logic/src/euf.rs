@@ -9,9 +9,9 @@
 //!
 //! Terms enter via [`Egraph::intern_id`]: because arena ids are already
 //! hash-consed, membership is one id lookup instead of a recursive
-//! tree-hash, which is what makes per-leaf theory checks cheap. The
-//! e-graph also maintains a head index and per-class member lists (kept
-//! sorted) so E-matching never scans the whole node table.
+//! tree-hash, which is what makes asserting literals during search
+//! cheap. The e-graph also maintains a head index and per-class member
+//! lists (kept sorted) so E-matching never scans the whole node table.
 
 use crate::arena::{Head, TermArena, TermId};
 use crate::term::Term;
@@ -343,9 +343,10 @@ impl Egraph {
     /// Captures a rollback point covering every union and disequality
     /// asserted from here on, and switches union recording on for the
     /// rest of this e-graph's lifetime. Pair with [`Egraph::rollback`]
-    /// to use one e-graph as a reusable template: assert a leaf's
-    /// equalities, check consistency, then rewind — instead of
-    /// re-interning every term into a fresh e-graph per leaf.
+    /// to use one e-graph as a reusable template. Checkpoints nest: the
+    /// solver's search takes one per decision level, asserts literals as
+    /// it assigns them, and rewinds to a level on backtrack, instead of
+    /// re-interning every term into a fresh e-graph per check.
     pub fn checkpoint(&mut self) -> Checkpoint {
         self.recording = true;
         Checkpoint {
@@ -363,7 +364,7 @@ impl Egraph {
     /// supported: rollback only undoes unions, so a term interned while
     /// unions were active would keep use-list entries attached to merged
     /// representatives. (The solver's template e-graph pre-interns every
-    /// term the leaf checks can touch, so its per-leaf work is pure
+    /// term its search can touch, so its work under a checkpoint is pure
     /// lookups plus unions.)
     pub fn rollback(&mut self, cp: Checkpoint) {
         while self.trail.len() > cp.unions {

@@ -221,11 +221,15 @@ pub struct ProverStats {
     pub decisions: u64,
     /// DPLL unit propagations performed.
     pub propagations: u64,
-    /// DPLL conflicts encountered (propagation and theory conflicts).
+    /// DPLL conflicts: clauses falsified by propagation, EUF conflicts at
+    /// propagation fixpoints and arithmetic conflicts at full leaves.
     pub conflicts: u64,
-    /// Nelson–Oppen theory-consistency checks at search leaves.
+    /// Theory-consistency checks: EUF checks at propagation fixpoints
+    /// plus arithmetic checks at full leaves.
     pub theory_checks: u64,
-    /// Congruence-closure class merges (unions), across all checks.
+    /// Congruence-closure class unions, congruence-induced ones included,
+    /// made by the search's e-graph and the E-matching e-graph. Unions
+    /// undone on backtrack still count.
     pub merges: u64,
     /// Fourier–Motzkin variable eliminations, across all checks.
     pub fm_eliminations: u64,
@@ -237,8 +241,8 @@ pub struct ProverStats {
     /// attempt.
     pub interned_terms: u64,
     /// Interning requests answered by an existing hash-consed node. A
-    /// high hit/created ratio is what makes the leaf checks O(1) per
-    /// atom.
+    /// high hit/created ratio is what makes asserting a literal during
+    /// search O(1) per atom.
     pub intern_hits: u64,
     /// Final clause count.
     pub clauses: usize,

@@ -200,7 +200,7 @@ fn cold_path_work_ledgers_are_exact_at_every_job_count() {
             "jobs={jobs}: every attempt must start from the prepared theory"
         );
         assert_eq!(totals.interned_terms, 198, "jobs={jobs}: interned terms");
-        assert_eq!(totals.intern_hits, 958, "jobs={jobs}: intern hits");
+        assert_eq!(totals.intern_hits, 906, "jobs={jobs}: intern hits");
     }
 }
 

@@ -1,10 +1,12 @@
 //! Differential testing of the congruence closure: the e-graph's verdict
 //! on random equality problems is compared against a naive reference
-//! implementation (fixpoint over all term pairs).
+//! implementation (fixpoint over all term pairs), and random scripts of
+//! nested checkpoints and rollbacks are compared against a fresh replay
+//! of the operations that survive them.
 
 use proptest::prelude::*;
 use stq_logic::arena::TermArena;
-use stq_logic::euf::Egraph;
+use stq_logic::euf::{Checkpoint, Egraph, TermRef};
 use stq_logic::term::Term;
 
 /// The term universe: constants a,b,c,d and one/two levels of f/g
@@ -97,6 +99,124 @@ proptest! {
                     actual, expected,
                     "disagreement on {} ~ {}", terms[i], terms[j]
                 );
+            }
+        }
+    }
+}
+
+// ----- checkpoint and rollback -----
+
+/// The script universe: four constants, a sparse set of `f` and `g`
+/// applications over them, and two integer literals. Sparse, so a merge
+/// gives some application a signature no interned term has; such
+/// signatures enter the table and a rollback must take them out again.
+/// The integers let merges conflict on values as well as on asserted
+/// disequalities.
+fn script_universe() -> Vec<Term> {
+    let [a, b, c, d] = ["a", "b", "c", "d"].map(Term::cnst);
+    let fa = Term::app("f", vec![a.clone()]);
+    vec![
+        Term::app("f", vec![fa.clone()]),
+        fa,
+        Term::app("f", vec![b.clone()]),
+        Term::app("g", vec![c.clone()]),
+        Term::app("g", vec![d.clone()]),
+        a,
+        b,
+        c,
+        d,
+        Term::int(1),
+        Term::int(2),
+    ]
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    Merge(usize, usize),
+    Diseq(usize, usize),
+    Checkpoint,
+    Rollback,
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    let n = script_universe().len();
+    prop_oneof![
+        (0..n, 0..n).prop_map(|(a, b)| Op::Merge(a, b)),
+        (0..n, 0..n).prop_map(|(a, b)| Op::Merge(a, b)),
+        (0..n, 0..n).prop_map(|(a, b)| Op::Diseq(a, b)),
+        (0..1usize).prop_map(|_| Op::Checkpoint),
+        (0..1usize).prop_map(|_| Op::Rollback),
+    ]
+}
+
+/// Applies a merge or disequality, returning whether it conflicted.
+fn apply(eg: &mut Egraph, refs: &[TermRef], op: Op) -> bool {
+    match op {
+        Op::Merge(a, b) => eg.merge(refs[a], refs[b]).is_err(),
+        Op::Diseq(a, b) => eg.assert_diseq(refs[a], refs[b]).is_err(),
+        Op::Checkpoint | Op::Rollback => unreachable!("not a theory operation"),
+    }
+}
+
+/// A graph with the whole universe interned, in a fixed order.
+fn fresh_graph() -> (Egraph, Vec<TermRef>) {
+    let mut arena = TermArena::new();
+    let mut eg = Egraph::new();
+    let refs = script_universe()
+        .iter()
+        .map(|t| eg.intern(&mut arena, t))
+        .collect();
+    (eg, refs)
+}
+
+/// One term's class members and integer value, and for every term
+/// whether merging the two, or asserting them distinct, would conflict.
+type Observed = (Vec<TermRef>, Option<i64>, Vec<(bool, bool)>);
+
+/// Everything observable about each term of the universe.
+fn observe(eg: &Egraph, refs: &[TermRef]) -> Vec<Observed> {
+    refs.iter()
+        .map(|&r| {
+            let probes = refs
+                .iter()
+                .map(|&s| {
+                    let merge = eg.clone().merge(r, s).is_err();
+                    let diseq = eg.clone().assert_diseq(r, s).is_err();
+                    (merge, diseq)
+                })
+                .collect();
+            (eg.class_members(r).to_vec(), eg.class_int_value(r), probes)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn nested_rollbacks_match_a_fresh_replay(ops in prop::collection::vec(op_strategy(), 0..24)) {
+        let (mut eg, refs) = fresh_graph();
+        // The theory operations in effect, with the conflict each met.
+        let mut applied: Vec<(Op, bool)> = Vec::new();
+        // Open checkpoints, innermost last, with `applied`'s length then.
+        let mut open: Vec<(Checkpoint, usize)> = Vec::new();
+        for op in ops.iter().copied() {
+            match op {
+                Op::Checkpoint => open.push((eg.checkpoint(), applied.len())),
+                Op::Rollback => {
+                    let Some((cp, len)) = open.pop() else { continue };
+                    eg.rollback(cp);
+                    applied.truncate(len);
+                    let (mut replay, replay_refs) = fresh_graph();
+                    for &(op, conflicted) in &applied {
+                        prop_assert_eq!(apply(&mut replay, &replay_refs, op), conflicted, "{:?}", ops);
+                    }
+                    prop_assert_eq!(observe(&eg, &refs), observe(&replay, &replay_refs), "{:?}", ops);
+                }
+                _ => {
+                    let conflicted = apply(&mut eg, &refs, op);
+                    applied.push((op, conflicted));
+                }
             }
         }
     }

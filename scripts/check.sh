@@ -11,6 +11,12 @@ cargo build --release
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+# Again in release: overflow checks and debug assertions run only in the
+# debug pass, and a test that races the prover sees release speed only
+# here.
+echo "==> cargo test -q --release --workspace"
+cargo test -q --release --workspace
+
 echo "==> stqbench unit tests and known-answer oracle"
 cargo test -q --manifest-path stqbench/Cargo.toml
 

@@ -746,42 +746,55 @@ fn interrupted_run_does_not_poison_the_cache() {
 fn sigint_yields_partial_report_and_resume_hits_the_cache() {
     use std::process::Stdio;
 
-    let quals = temp_file("heavy-sigint.q", &heavy_quals(64));
-    let dir = temp_dir("sigint-resume");
-    let args = [
-        "prove",
-        "--quals",
-        quals.to_str().unwrap(),
-        "--cache-dir",
-        dir.to_str().unwrap(),
-        "--stats",
-    ];
-
-    let child = Command::new(env!("CARGO_BIN_EXE_stqc"))
-        .args(args)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("stqc spawns");
-    // Long enough for the handler to be installed and a few obligations
-    // to finish, short enough that the ~64-qualifier run (about a second
-    // even on the optimized cold path) is still going.
-    std::thread::sleep(std::time::Duration::from_millis(300));
-    let sent = Command::new("kill")
-        .args(["-INT", &child.id().to_string()])
-        .status()
-        .expect("kill runs")
-        .success();
-    assert!(sent, "SIGINT delivered");
-    let out = child.wait_with_output().expect("stqc exits");
+    // The signal goes out at a fixed time, so a fast prover can finish
+    // the whole library first. The library doubles until a run is still
+    // going when the signal lands: the test does not depend on how fast
+    // the prover is.
+    let mut n = 64;
+    let (args, dir, out) = loop {
+        let quals = temp_file(&format!("heavy-sigint-{n}.q"), &heavy_quals(n));
+        let dir = temp_dir(&format!("sigint-resume-{n}"));
+        let args: Vec<String> = ["prove", "--quals", quals.to_str().unwrap()]
+            .into_iter()
+            .chain(["--cache-dir", dir.to_str().unwrap(), "--stats"])
+            .map(str::to_owned)
+            .collect();
+        let child = Command::new(env!("CARGO_BIN_EXE_stqc"))
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("stqc spawns");
+        // Long enough for the handler to be installed and a few
+        // obligations to finish.
+        std::thread::sleep(std::time::Duration::from_millis(300));
+        let sent = Command::new("kill")
+            .args(["-INT", &child.id().to_string()])
+            .status()
+            .expect("kill runs")
+            .success();
+        assert!(sent, "SIGINT delivered");
+        let out = child.wait_with_output().expect("stqc exits");
+        if out.status.code() != Some(0) || n >= 4096 {
+            break (args, dir, out);
+        }
+        // The run finished before the signal landed.
+        let _ = std::fs::remove_dir_all(&dir);
+        n *= 2;
+    };
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(5), "{stdout}\n{stderr}");
+    assert_eq!(
+        out.status.code(),
+        Some(5),
+        "{n} qualifiers: {stdout}\n{stderr}"
+    );
     assert!(stdout.contains("run interrupted"), "{stdout}");
     assert!(stderr.contains("interrupted"), "{stderr}");
 
     // The conclusive prefix was flushed before exit, so the resumed run
     // starts from the cache instead of from scratch.
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
     let (resumed, stderr, code) = stqc_code(&args);
     assert_eq!(code, Some(0), "{resumed}\n{stderr}");
     assert!(resumed.contains("cache:"), "{resumed}");

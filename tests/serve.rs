@@ -864,41 +864,77 @@ fn stats_and_health_answer_while_a_reload_waits_behind_a_running_prove() {
     // `reload` sent while a long prove runs must not make them wait for
     // that prove: the registry swap it queues for may not block the
     // reactor's own read of the registry. Both must answer promptly,
-    // and well before the prove does.
-    let lib = std::env::temp_dir().join(format!("stqc-heavy-{}.stq", std::process::id()));
-    std::fs::write(&lib, heavy_quals(200)).expect("library written");
-    let daemon =
-        Daemon::spawn("swap-stall", &["--jobs", "2", "--quals", lib.to_str().expect("utf8 path")]);
-    let mut prover = daemon.connect();
-    prover.send("{\"id\":1,\"method\":\"prove\",\"params\":{\"cache\":false}}");
-    let proved = std::thread::spawn(move || {
-        let answer = prover.recv();
-        (Instant::now(), answer)
-    });
-    std::thread::sleep(Duration::from_millis(100));
-    let mut reloader = daemon.connect();
-    reloader.send("{\"id\":2,\"method\":\"reload\"}");
-    std::thread::sleep(Duration::from_millis(50));
-    let probe = |method: &str| {
-        let sent = Instant::now();
-        let answer = daemon.connect().roundtrip(&format!("{{\"id\":3,\"method\":\"{method}\"}}"));
-        assert_eq!(answer.get("ok").and_then(Json::as_bool), Some(true), "{answer}");
-        let waited = sent.elapsed();
-        assert!(waited < Duration::from_millis(500), "{method} waited {waited:?}");
-        Instant::now()
-    };
-    let stats_at = probe("stats");
-    std::thread::sleep(Duration::from_millis(20));
-    let health_at = probe("health");
-    let (proved_at, proof) = proved.join().expect("prove reader");
-    assert_eq!(proof.get("ok").and_then(Json::as_bool), Some(true), "{proof}");
-    assert!(stats_at < proved_at, "stats answered after the prove");
-    assert!(health_at < proved_at, "health answered after the prove");
-    let reloaded = reloader.recv();
-    assert_eq!(reloaded.get("ok").and_then(Json::as_bool), Some(true), "{reloaded}");
-    drop(reloader);
-    daemon.shutdown();
-    let _ = std::fs::remove_file(&lib);
+    // and well before the prove does. The library doubles until its
+    // prove outlasts both probes, so the test does not depend on how
+    // fast the prover is.
+    let mut n = 200;
+    loop {
+        let lib = std::env::temp_dir().join(format!("stqc-heavy-{}-{n}.stq", std::process::id()));
+        std::fs::write(&lib, heavy_quals(n)).expect("library written");
+        let daemon = Daemon::spawn(
+            &format!("swap-stall-{n}"),
+            &["--jobs", "2", "--quals", lib.to_str().expect("utf8 path")],
+        );
+        let mut prover = daemon.connect();
+        prover.send("{\"id\":1,\"method\":\"prove\",\"params\":{\"cache\":false}}");
+        let proved = std::thread::spawn(move || {
+            let answer = prover.recv();
+            (Instant::now(), answer)
+        });
+        std::thread::sleep(Duration::from_millis(100));
+        let mut reloader = daemon.connect();
+        reloader.send("{\"id\":2,\"method\":\"reload\"}");
+        std::thread::sleep(Duration::from_millis(50));
+        let probe = |method: &str| {
+            let sent = Instant::now();
+            let answer = daemon
+                .connect()
+                .roundtrip(&format!("{{\"id\":3,\"method\":\"{method}\"}}"));
+            assert_eq!(
+                answer.get("ok").and_then(Json::as_bool),
+                Some(true),
+                "{answer}"
+            );
+            let waited = sent.elapsed();
+            assert!(
+                waited < Duration::from_millis(500),
+                "{method} waited {waited:?}"
+            );
+            Instant::now()
+        };
+        let stats_at = probe("stats");
+        std::thread::sleep(Duration::from_millis(20));
+        let health_at = probe("health");
+        let (proved_at, proof) = proved.join().expect("prove reader");
+        assert_eq!(
+            proof.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{proof}"
+        );
+        let reloaded = reloader.recv();
+        assert_eq!(
+            reloaded.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{reloaded}"
+        );
+        drop(reloader);
+        daemon.shutdown();
+        let _ = std::fs::remove_file(&lib);
+        if proved_at < health_at && n < 6400 {
+            // The prove finished before the probes went out.
+            n *= 2;
+            continue;
+        }
+        assert!(
+            stats_at < proved_at,
+            "{n} qualifiers: stats answered after the prove"
+        );
+        assert!(
+            health_at < proved_at,
+            "{n} qualifiers: health answered after the prove"
+        );
+        break;
+    }
 }
 
 // ----- high availability: failover, shared journal, hot reload -----

@@ -12,7 +12,9 @@
 //!   file that exists;
 //! * every `stqc` subcommand and `--flag` mentioned anywhere in the
 //!   docs exists in `stqc --help` — documentation for a CLI surface
-//!   that was renamed or removed fails the suite.
+//!   that was renamed or removed fails the suite;
+//! * the `unique` worked example in `docs/telemetry.md` prints the
+//!   counters a fresh `stqc prove unique --stats` prints.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -345,5 +347,37 @@ fn documented_cli_surface_exists_in_help() {
         stale.is_empty(),
         "docs mention CLI surface missing from `stqc --help`:\n{}",
         stale.join("\n")
+    );
+}
+
+/// The first `stats:` line of `text` as its tokens, wall time aside.
+fn stats_counters(text: &str) -> Vec<&str> {
+    let line = text
+        .lines()
+        .find(|l| l.trim_start().starts_with("stats:"))
+        .expect("a `stats:` line");
+    line.split_whitespace()
+        .filter(|token| !token.starts_with("wall="))
+        .collect()
+}
+
+#[test]
+fn telemetry_worked_example_matches_a_fresh_run() {
+    let page = fs::read_to_string(repo_root().join("docs/telemetry.md"))
+        .expect("docs/telemetry.md is readable");
+    let example = page
+        .split("### Worked example: `unique`")
+        .nth(1)
+        .expect("docs/telemetry.md has the `unique` worked example");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_stqc"))
+        .args(["prove", "unique", "--stats"])
+        .output()
+        .expect("stqc prove runs");
+    assert!(out.status.success(), "{out:?}");
+    let fresh = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        stats_counters(example),
+        stats_counters(&fresh),
+        "docs/telemetry.md's worked example is stale; a fresh run prints:\n{fresh}"
     );
 }

@@ -233,7 +233,11 @@ fn main() {
     assert_eq!(warm_report.totals.cache_hits, obligations as u64);
     assert!(timed_report.all_sound(), "{timed_report}");
     assert!(!timed_report.interrupted(), "the deadline must never fire");
-    assert_eq!(timed_report.reproved_count(), 0, "warm timed run re-proves nothing");
+    assert_eq!(
+        timed_report.reproved_count(),
+        0,
+        "warm timed run re-proves nothing"
+    );
     let _ = fs::remove_dir_all(&dir);
     let _ = fs::remove_dir_all(&dir_timed);
     let (warm_runs, warm_elapsed) = (warm_times.len() as u32, warm_times.iter().sum());

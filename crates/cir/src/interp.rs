@@ -1067,8 +1067,14 @@ mod tests {
     #[test]
     fn runaway_recursion_is_a_runtime_error_not_a_host_crash() {
         let p = parse_program("int f(int x) { int r = f(x + 1); return r; }", &[]).unwrap();
-        let e = run_entry(&p, "f", &[Value::Int(0)], &NoChecks, InterpConfig::default())
-            .unwrap_err();
+        let e = run_entry(
+            &p,
+            "f",
+            &[Value::Int(0)],
+            &NoChecks,
+            InterpConfig::default(),
+        )
+        .unwrap_err();
         assert_eq!(e, RuntimeError::StackOverflow);
     }
 

@@ -301,9 +301,11 @@ impl Client {
                             let _ = s.set_nodelay(true);
                         }
                         let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
-                        let reader = BufReader::new(stream.try_clone().map_err(|e| {
-                            CallError::Unreachable(format!("{endpoint}: {e}"))
-                        })?);
+                        let reader = BufReader::new(
+                            stream
+                                .try_clone()
+                                .map_err(|e| CallError::Unreachable(format!("{endpoint}: {e}")))?,
+                        );
                         if self.ever_connected {
                             self.stats.reconnects += 1;
                         }
@@ -601,7 +603,10 @@ mod tests {
         let mut client = Client::new(cfg(&socket));
         let out = client.call("stats", None, None).expect("clean call");
         assert_eq!(out.doc.get("ok").and_then(Json::as_bool), Some(true));
-        let expected = ClientStats { endpoints_tried: 1, ..ClientStats::default() };
+        let expected = ClientStats {
+            endpoints_tried: 1,
+            ..ClientStats::default()
+        };
         assert_eq!(client.stats(), expected);
         daemon.join().expect("daemon thread");
         let _ = std::fs::remove_file(&socket);
@@ -761,7 +766,10 @@ mod tests {
                 .and_then(Json::as_bool),
             Some(true)
         );
-        let expected = ClientStats { endpoints_tried: 1, ..ClientStats::default() };
+        let expected = ClientStats {
+            endpoints_tried: 1,
+            ..ClientStats::default()
+        };
         assert_eq!(client.stats(), expected);
         daemon.join().expect("daemon thread");
     }
@@ -833,7 +841,9 @@ mod tests {
         let daemon_a = scripted_daemon(&a, vec![vec![]]);
         let daemon_b = scripted_daemon(
             &b,
-            vec![vec!["{\"id\":$ID,\"ok\":true,\"result\":{\"survivor\":true}}\n"]],
+            vec![vec![
+                "{\"id\":$ID,\"ok\":true,\"result\":{\"survivor\":true}}\n",
+            ]],
         );
         let mut client = Client::new(cfg_multi(vec![
             Endpoint::Unix(a.clone()),
@@ -871,7 +881,9 @@ mod tests {
         );
         let daemon_b = scripted_daemon(
             &b,
-            vec![vec!["{\"id\":$ID,\"ok\":true,\"result\":{\"next\":true}}\n"]],
+            vec![vec![
+                "{\"id\":$ID,\"ok\":true,\"result\":{\"next\":true}}\n",
+            ]],
         );
         let mut client = Client::new(cfg_multi(vec![
             Endpoint::Unix(a.clone()),

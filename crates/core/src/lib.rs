@@ -62,9 +62,8 @@ pub use stq_cir::parse::ParseError;
 pub use stq_qualspec::{parse::SpecError, Registry};
 pub use stq_soundness::{
     fault, Budget, BudgetOverride, CachedProof, FaultKind, FaultPlan, Fingerprint, IoFaultKind,
-    IoFaultPlan,
-    PersistOutcome, ProofCache, ProverStats, QualReport, Resource, RetryPolicy, SoundnessReport,
-    Verdict, PROVER_VERSION,
+    IoFaultPlan, PersistOutcome, ProofCache, ProverStats, QualReport, Resource, RetryPolicy,
+    SoundnessReport, Verdict, PROVER_VERSION,
 };
 pub use stq_typecheck::{AnnotationInference, CheckOptions, CheckResult, CheckStats};
 pub use stq_util::{CancelReason, CancelToken, Diagnostic, Diagnostics, Severity};

@@ -684,8 +684,12 @@ impl Server {
             if let Err(e) = reactor.poll_events(timeout, &mut events) {
                 break Err(e);
             }
-            self.stats.reactor_polls.store(reactor.polls(), Ordering::Relaxed);
-            self.stats.reactor_wakeups.store(reactor.wakeups(), Ordering::Relaxed);
+            self.stats
+                .reactor_polls
+                .store(reactor.polls(), Ordering::Relaxed);
+            self.stats
+                .reactor_wakeups
+                .store(reactor.wakeups(), Ordering::Relaxed);
             for event in &events {
                 match event.token {
                     UNIX_LISTENER_TOKEN => {
@@ -721,7 +725,9 @@ impl Server {
                         }
                     }
                     token => {
-                        let Some(state) = conns.get_mut(&token) else { continue };
+                        let Some(state) = conns.get_mut(&token) else {
+                            continue;
+                        };
                         match self.drive_conn(state, &mut chunk) {
                             ConnVerdict::Keep => {}
                             ConnVerdict::Stopping => {}
@@ -764,15 +770,31 @@ impl Server {
         if stream.set_nonblocking(true).is_err() {
             return;
         }
-        let Ok(write_half) = stream.try_clone() else { return };
-        let writer = Box::new(PollWriter { inner: write_half, stall: WRITE_STALL });
+        let Ok(write_half) = stream.try_clone() else {
+            return;
+        };
+        let writer = Box::new(PollWriter {
+            inner: write_half,
+            stall: WRITE_STALL,
+        });
         let conn = Arc::new(Conn::new(self.cancel.child(), writer));
         self.stats.connections.fetch_add(1, Ordering::Relaxed);
         self.stats.open_connections.fetch_add(1, Ordering::AcqRel);
         let token = *next_token;
         *next_token += 1;
-        reactor.register(stream.as_raw_fd(), token, stq_util::reactor::Interest::READABLE);
-        conns.insert(token, ConnState { conn, stream, framer: Framer::new() });
+        reactor.register(
+            stream.as_raw_fd(),
+            token,
+            stq_util::reactor::Interest::READABLE,
+        );
+        conns.insert(
+            token,
+            ConnState {
+                conn,
+                stream,
+                framer: Framer::new(),
+            },
+        );
     }
 
     /// Reads everything currently available on one reactor connection.
@@ -873,7 +895,12 @@ impl Server {
             Some(v) => match v.as_u64() {
                 Some(ms) => Some(ms),
                 None => {
-                    self.respond_err(conn, &id, "invalid", "`deadline_ms` must be a non-negative integer");
+                    self.respond_err(
+                        conn,
+                        &id,
+                        "invalid",
+                        "`deadline_ms` must be a non-negative integer",
+                    );
                     return false;
                 }
             },
@@ -1015,7 +1042,10 @@ impl Server {
             "check" => self.do_check(params),
             "reload" => self.do_reload(),
             "prove" => self.do_prove(params, &token),
-            _ => Err(("invalid", format!("method `{method}` is not a worker method"))),
+            _ => Err((
+                "invalid",
+                format!("method `{method}` is not a worker method"),
+            )),
         };
         match outcome {
             Ok(result) => conn.send(&ok_response(id, result)),
@@ -1098,10 +1128,7 @@ impl Server {
         self.stats.check.fetch_add(1, Ordering::Relaxed);
         let session = self.session();
         let (program, syntax_errors) = session.parse_resilient(source);
-        let result = session.check_with(
-            &program,
-            crate::CheckOptions { flow_sensitive },
-        );
+        let result = session.check_with(&program, crate::CheckOptions { flow_sensitive });
         Ok(check_json(&result, &syntax_errors, source))
     }
 
@@ -1120,7 +1147,10 @@ impl Server {
                     .ok_or(("invalid", "`names` must be an array of strings".to_owned()))?,
             ),
         };
-        let budget = self.cfg.budget.overridden(budget_override(params.get("budget"))?);
+        let budget = self
+            .cfg
+            .budget
+            .overridden(budget_override(params.get("budget"))?);
         let retry = retry_override(self.cfg.retry, params.get("retry"))?;
         let jobs = match params.get("jobs") {
             None | Some(Json::Null) => 1,
@@ -1360,7 +1390,10 @@ mod tests {
         assert_eq!(first.get("ok").and_then(Json::as_bool), Some(true));
         let result = first.get("result").expect("result");
         assert_eq!(result.get("all_sound").and_then(Json::as_bool), Some(true));
-        assert_eq!(result.get("interrupted").and_then(Json::as_bool), Some(false));
+        assert_eq!(
+            result.get("interrupted").and_then(Json::as_bool),
+            Some(false)
+        );
 
         // The same obligations again: every proof must come from the
         // resident cache (zero new misses).
@@ -1386,20 +1419,32 @@ mod tests {
         let parse = roundtrip(&mut client, &mut reader, "{not json");
         assert_eq!(parse.get("ok").and_then(Json::as_bool), Some(false));
         assert_eq!(
-            parse.get("error").and_then(|e| e.get("code")).and_then(Json::as_str),
+            parse
+                .get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Json::as_str),
             Some("parse")
         );
 
         let noid = roundtrip(&mut client, &mut reader, r#"{"method":"stats"}"#);
         assert_eq!(
-            noid.get("error").and_then(|e| e.get("code")).and_then(Json::as_str),
+            noid.get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Json::as_str),
             Some("invalid")
         );
 
-        let unknown = roundtrip(&mut client, &mut reader, r#"{"id":7,"method":"frobnicate"}"#);
+        let unknown = roundtrip(
+            &mut client,
+            &mut reader,
+            r#"{"id":7,"method":"frobnicate"}"#,
+        );
         assert_eq!(unknown.get("id").and_then(Json::as_u64), Some(7));
         assert_eq!(
-            unknown.get("error").and_then(|e| e.get("code")).and_then(Json::as_str),
+            unknown
+                .get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Json::as_str),
             Some("unknown-method")
         );
 
@@ -1411,7 +1456,10 @@ mod tests {
             r#"{"id":8,"method":"define_qualifiers","params":{"source":""}}"#,
         );
         let error = define.get("error").expect("an error envelope");
-        assert_eq!(error.get("code").and_then(Json::as_str), Some("unknown-method"));
+        assert_eq!(
+            error.get("code").and_then(Json::as_str),
+            Some("unknown-method")
+        );
         assert_eq!(
             error.get("message").and_then(Json::as_str),
             Some(
@@ -1464,7 +1512,11 @@ mod tests {
         let baseline = quals(&server);
 
         let first = roundtrip(&mut client, &mut reader, r#"{"id":1,"method":"reload"}"#);
-        assert_eq!(first.get("ok").and_then(Json::as_bool), Some(true), "{first}");
+        assert_eq!(
+            first.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{first}"
+        );
         let result = first.get("result").expect("result");
         assert_eq!(result.get("reloaded").and_then(Json::as_bool), Some(true));
         assert_eq!(result.get("epoch").and_then(Json::as_u64), Some(1));
@@ -1485,7 +1537,10 @@ mod tests {
         let second = roundtrip(&mut client, &mut reader, r#"{"id":2,"method":"reload"}"#);
         assert_eq!(second.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(
-            second.get("result").and_then(|r| r.get("epoch")).and_then(Json::as_u64),
+            second
+                .get("result")
+                .and_then(|r| r.get("epoch"))
+                .and_then(Json::as_u64),
             Some(2)
         );
         assert_eq!(quals(&server), baseline + 2);
@@ -1521,7 +1576,9 @@ mod tests {
         let bad = roundtrip(&mut client, &mut reader, r#"{"id":2,"method":"reload"}"#);
         assert_eq!(bad.get("ok").and_then(Json::as_bool), Some(false));
         assert_eq!(
-            bad.get("error").and_then(|e| e.get("code")).and_then(Json::as_str),
+            bad.get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Json::as_str),
             Some("input")
         );
         let message = bad
@@ -1611,7 +1668,10 @@ mod tests {
             for racer in racers {
                 racer.join().expect("racing reload thread");
             }
-            assert!(has(&server, &latest), "round {v}: {latest} was overwritten late");
+            assert!(
+                has(&server, &latest),
+                "round {v}: {latest} was overwritten late"
+            );
         }
         assert!(!has(&server, "gen19") && !has(&server, "pad0"));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1645,7 +1705,10 @@ mod tests {
         );
         let result = calm.get("result").expect("result");
         assert_eq!(result.get("all_sound").and_then(Json::as_bool), Some(true));
-        assert_eq!(result.get("interrupted").and_then(Json::as_bool), Some(false));
+        assert_eq!(
+            result.get("interrupted").and_then(Json::as_bool),
+            Some(false)
+        );
         assert_eq!(server.stats.interrupted.load(Ordering::Relaxed), 1);
 
         daemon.stop();
@@ -1686,7 +1749,9 @@ mod tests {
         let shed = shed.expect("one of the two must be shed");
         assert_eq!(shed.get("id").and_then(Json::as_u64), Some(2));
         assert_eq!(
-            shed.get("error").and_then(|e| e.get("code")).and_then(Json::as_str),
+            shed.get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Json::as_str),
             Some("overloaded")
         );
         assert_eq!(completed, 1);
@@ -1734,7 +1799,9 @@ mod tests {
         let bye = roundtrip(&mut client, &mut reader, r#"{"id":9,"method":"shutdown"}"#);
         assert_eq!(bye.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(
-            bye.get("result").and_then(|r| r.get("stopping")).and_then(Json::as_bool),
+            bye.get("result")
+                .and_then(|r| r.get("stopping"))
+                .and_then(Json::as_bool),
             Some(true)
         );
         assert_eq!(daemon.join(), ShutdownKind::Requested);
@@ -1759,7 +1826,10 @@ mod tests {
         assert!(result.get("cache").is_some());
         // And the probe is counted in `stats`.
         let stats = roundtrip(&mut client, &mut reader, r#"{"id":2,"method":"stats"}"#);
-        let requests = stats.get("result").and_then(|r| r.get("requests")).expect("requests");
+        let requests = stats
+            .get("result")
+            .and_then(|r| r.get("requests"))
+            .expect("requests");
         assert_eq!(requests.get("health").and_then(Json::as_u64), Some(1));
         daemon.stop();
     }
@@ -1776,15 +1846,24 @@ mod tests {
         let err = roundtrip(&mut client, &mut reader, &huge);
         assert_eq!(err.get("ok").and_then(Json::as_bool), Some(false));
         assert_eq!(
-            err.get("error").and_then(|e| e.get("code")).and_then(Json::as_str),
+            err.get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Json::as_str),
             Some("input"),
             "oversized lines draw a structured `input` error: {err}"
         );
         let after = roundtrip(&mut client, &mut reader, r#"{"id":2,"method":"stats"}"#);
         assert_eq!(after.get("ok").and_then(Json::as_bool), Some(true));
-        assert_eq!(after.get("id").and_then(Json::as_u64), Some(2), "connection survives");
         assert_eq!(
-            after.get("result").and_then(|r| r.get("oversized")).and_then(Json::as_u64),
+            after.get("id").and_then(Json::as_u64),
+            Some(2),
+            "connection survives"
+        );
+        assert_eq!(
+            after
+                .get("result")
+                .and_then(|r| r.get("oversized"))
+                .and_then(Json::as_u64),
             Some(1)
         );
         daemon.stop();
@@ -1801,14 +1880,23 @@ mod tests {
         reader.read_line(&mut response).expect("response read");
         let err = Json::parse(response.trim()).expect("response is json");
         assert_eq!(
-            err.get("error").and_then(|e| e.get("code")).and_then(Json::as_str),
+            err.get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Json::as_str),
             Some("input"),
             "invalid UTF-8 draws a structured `input` error: {err}"
         );
         let after = roundtrip(&mut client, &mut reader, r#"{"id":2,"method":"stats"}"#);
-        assert_eq!(after.get("id").and_then(Json::as_u64), Some(2), "connection survives");
         assert_eq!(
-            after.get("result").and_then(|r| r.get("bad_utf8")).and_then(Json::as_u64),
+            after.get("id").and_then(Json::as_u64),
+            Some(2),
+            "connection survives"
+        );
+        assert_eq!(
+            after
+                .get("result")
+                .and_then(|r| r.get("bad_utf8"))
+                .and_then(Json::as_u64),
             Some(1)
         );
         daemon.stop();
@@ -1942,8 +2030,8 @@ mod tests {
 
     #[test]
     fn socket_lock_excludes_concurrent_daemons_on_one_path() {
-        let socket = std::env::temp_dir()
-            .join(format!("stqc-socklock-test-{}.sock", std::process::id()));
+        let socket =
+            std::env::temp_dir().join(format!("stqc-socklock-test-{}.sock", std::process::id()));
         let _ = std::fs::remove_file(&socket);
         let _ = std::fs::remove_file(socket_lock_path(&socket));
         let (server, cancel) = spawn_server(ServeConfig::default());
@@ -1980,8 +2068,8 @@ mod tests {
 
     #[test]
     fn stale_socket_file_is_reclaimed_under_the_lock() {
-        let socket = std::env::temp_dir()
-            .join(format!("stqc-stale-test-{}.sock", std::process::id()));
+        let socket =
+            std::env::temp_dir().join(format!("stqc-stale-test-{}.sock", std::process::id()));
         let _ = std::fs::remove_file(&socket);
         // A dead daemon's leftovers: bind then drop the listener, which
         // leaves the socket file on disk with nothing answering it.
@@ -2001,7 +2089,9 @@ mod tests {
         assert_eq!(health.get("ok").and_then(Json::as_bool), Some(true));
 
         cancel.cancel();
-        run.join().expect("run thread").expect("reclaim then clean shutdown");
+        run.join()
+            .expect("run thread")
+            .expect("reclaim then clean shutdown");
         assert!(!socket.exists(), "socket file is removed on the way out");
         // The lock file deliberately outlives the daemon (unlinking it
         // would reopen the reclaim race one level up).

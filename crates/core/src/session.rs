@@ -465,7 +465,10 @@ mod tests {
             .unwrap();
         assert!(report.interrupted());
         assert_eq!(report.skipped_count(), report.obligation_count());
-        assert!(!report.all_sound(), "a partial report never claims soundness");
+        assert!(
+            !report.all_sound(),
+            "a partial report never claims soundness"
+        );
         // An unfired token proves everything asked for.
         let clean = s.prove(
             Some(&["pos", "unique"]),

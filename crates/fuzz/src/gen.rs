@@ -187,7 +187,10 @@ impl Gen {
             1 if !vars.is_empty() => vars[self.rng.gen_range(0..vars.len())].name.clone(),
             1 => format!("(-{})", self.rng.gen_range(1i64..=9)),
             2 => {
-                let (a, b) = (self.pos_expr(depth - 1, scope), self.neg_expr(depth - 1, scope));
+                let (a, b) = (
+                    self.pos_expr(depth - 1, scope),
+                    self.neg_expr(depth - 1, scope),
+                );
                 if self.rng.gen_bool(0.5) {
                     format!("({a} * {b})")
                 } else {
@@ -260,7 +263,10 @@ impl Gen {
                 )
             }
             5 if !derefable.is_empty() => {
-                format!("(*{})", derefable[self.rng.gen_range(0..derefable.len())].name)
+                format!(
+                    "(*{})",
+                    derefable[self.rng.gen_range(0..derefable.len())].name
+                )
             }
             // The inner expression can be a bare negative literal, so it
             // must be parenthesized or `-` + `-9` fuses into `--`.
@@ -292,7 +298,10 @@ impl Gen {
                 self.rng.gen_bool(0.7)
             };
             if use_addr {
-                format!("(&{})", addressable[self.rng.gen_range(0..addressable.len())].name)
+                format!(
+                    "(&{})",
+                    addressable[self.rng.gen_range(0..addressable.len())].name
+                )
             } else {
                 nonnull_ptrs[self.rng.gen_range(0..nonnull_ptrs.len())]
                     .name
@@ -308,7 +317,10 @@ impl Gen {
                     any_ptrs[self.rng.gen_range(0..any_ptrs.len())].name.clone()
                 }
                 1 if !addressable.is_empty() => {
-                    format!("(&{})", addressable[self.rng.gen_range(0..addressable.len())].name)
+                    format!(
+                        "(&{})",
+                        addressable[self.rng.gen_range(0..addressable.len())].name
+                    )
                 }
                 _ => "NULL".to_owned(),
             }
@@ -499,7 +511,11 @@ impl Gen {
                     // A qualified result target requires the callee's
                     // return type to carry the quals syntactically; use
                     // either exactly those quals or none.
-                    let q = if self.rng.gen_bool(0.5) { f.ret } else { Quals::Plain };
+                    let q = if self.rng.gen_bool(0.5) {
+                        f.ret
+                    } else {
+                        Quals::Plain
+                    };
                     let name = self.fresh("v");
                     self.line(indent, &format!("{} {name} = {call};", q.render()));
                     scope.push(Var {
@@ -655,7 +671,11 @@ mod tests {
         let cfg = GenConfig::default();
         let distinct: std::collections::HashSet<String> =
             (0..50).map(|s| generate_source(s, &cfg)).collect();
-        assert!(distinct.len() > 40, "only {} distinct programs", distinct.len());
+        assert!(
+            distinct.len() > 40,
+            "only {} distinct programs",
+            distinct.len()
+        );
     }
 
     #[test]

@@ -89,30 +89,28 @@ fn cast_insert(p: &mut Program, rng: &mut StdRng) -> Option<String> {
     let target = rng.gen_range(0..count);
     let mut i = 0usize;
     let mut desc = None;
-    for_each_stmt_mut(p, &mut |k, ret| {
-        match k {
-            StmtKind::Decl(d) if d.init.is_some() && flip_qual(&d.ty, 0).is_some() => {
-                if i == target && desc.is_none() {
-                    let q = flip_qual(&d.ty, pick).expect("shape checked");
-                    let ty = d.ty.clone().with_qual(q);
-                    let e = d.init.take().expect("init checked");
-                    d.init = Some(e.cast(ty));
-                    desc = Some(format!("cast-insert {q} on decl {}", d.name));
-                }
-                i += 1;
+    for_each_stmt_mut(p, &mut |k, ret| match k {
+        StmtKind::Decl(d) if d.init.is_some() && flip_qual(&d.ty, 0).is_some() => {
+            if i == target && desc.is_none() {
+                let q = flip_qual(&d.ty, pick).expect("shape checked");
+                let ty = d.ty.clone().with_qual(q);
+                let e = d.init.take().expect("init checked");
+                d.init = Some(e.cast(ty));
+                desc = Some(format!("cast-insert {q} on decl {}", d.name));
             }
-            StmtKind::Return(Some(e)) if flip_qual(ret, 0).is_some() => {
-                if i == target && desc.is_none() {
-                    let q = flip_qual(ret, pick).expect("shape checked");
-                    let ty = ret.clone().with_qual(q);
-                    let inner = mem::replace(e, Expr::int(0));
-                    *e = inner.cast(ty);
-                    desc = Some(format!("cast-insert {q} on return"));
-                }
-                i += 1;
-            }
-            _ => {}
+            i += 1;
         }
+        StmtKind::Return(Some(e)) if flip_qual(ret, 0).is_some() => {
+            if i == target && desc.is_none() {
+                let q = flip_qual(ret, pick).expect("shape checked");
+                let ty = ret.clone().with_qual(q);
+                let inner = mem::replace(e, Expr::int(0));
+                *e = inner.cast(ty);
+                desc = Some(format!("cast-insert {q} on return"));
+            }
+            i += 1;
+        }
+        _ => {}
     });
     desc
 }
@@ -294,8 +292,9 @@ mod tests {
             let applied = mutate(&mut p, &mut rng);
             assert!(!applied.is_empty(), "seed {seed}: no mutation applied");
             let printed = program_to_string(&p);
-            parse_program(&printed, &QUALS)
-                .unwrap_or_else(|e| panic!("seed {seed}: mutated program unparseable: {e}\n{printed}"));
+            parse_program(&printed, &QUALS).unwrap_or_else(|e| {
+                panic!("seed {seed}: mutated program unparseable: {e}\n{printed}")
+            });
         }
     }
 

@@ -353,14 +353,13 @@ mod tests {
     fn passing_and_failing_casts_satisfy_the_instrumentation_oracle() {
         for (src, _fails) in [
             ("int pos f(int a1) { return (int pos) a1; }", true),
-            ("int pos f(int pos a1) { return (int pos) (a1 * 2); }", false),
+            (
+                "int pos f(int pos a1) { return (int pos) (a1 * 2); }",
+                false,
+            ),
         ] {
             let r = case(src);
-            assert!(
-                matches!(r.outcome, Outcome::Pass),
-                "{src}: {:?}",
-                r.outcome
-            );
+            assert!(matches!(r.outcome, Outcome::Pass), "{src}: {:?}", r.outcome);
         }
     }
 

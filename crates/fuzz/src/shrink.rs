@@ -146,18 +146,12 @@ fn stmt_count(p: &Program) -> usize {
     fn count(s: &Stmt) -> usize {
         1 + match &s.kind {
             StmtKind::Block(stmts) => stmts.iter().map(count).sum(),
-            StmtKind::If(_, then, els) => {
-                count(then) + els.as_deref().map_or(0, count)
-            }
+            StmtKind::If(_, then, els) => count(then) + els.as_deref().map_or(0, count),
             StmtKind::While(_, body) => count(body),
             _ => 0,
         }
     }
-    p.funcs
-        .iter()
-        .flat_map(|f| f.body.iter())
-        .map(count)
-        .sum()
+    p.funcs.iter().flat_map(|f| f.body.iter()).map(count).sum()
 }
 
 /// Applies `action` to the `target`-th statement in pre-order. Returns
@@ -298,9 +292,6 @@ mod tests {
         let program = parse_program(src, &QUALS).unwrap();
         // Zero budget: nothing may change.
         let same = shrink_with(&program, &mut |_| true, 0);
-        assert_eq!(
-            program_to_string(&same),
-            program_to_string(&program)
-        );
+        assert_eq!(program_to_string(&same), program_to_string(&program));
     }
 }

@@ -307,9 +307,16 @@ impl P {
 
     /// True at a keyword that begins a clause section.
     fn at_section_start(&self) -> bool {
-        ["case", "restrict", "assign", "disallow", "ondecl", "invariant"]
-            .iter()
-            .any(|k| self.at_kw(k))
+        [
+            "case",
+            "restrict",
+            "assign",
+            "disallow",
+            "ondecl",
+            "invariant",
+        ]
+        .iter()
+        .any(|k| self.at_kw(k))
     }
 
     /// Advances one token if any remain before the `Eof` sentinel (unlike

@@ -258,7 +258,8 @@ impl ProofCache {
             // entry-less stale (or zero-length) file registers as an
             // invalidation.
             let stale = text.lines().skip(1).filter(|l| !l.is_empty()).count() as u64;
-            self.invalidations.fetch_add(stale.max(1), Ordering::Relaxed);
+            self.invalidations
+                .fetch_add(stale.max(1), Ordering::Relaxed);
             return DiskState::Corrupt;
         }
         let mut corrupt = false;
@@ -359,7 +360,10 @@ impl ProofCache {
             // prover version, foreign format). The MAX-offset sentinel
             // keeps the header re-checked on every miss until our own
             // persist compacts the file back to health.
-            *pos = JournalPos { ino: id, offset: u64::MAX };
+            *pos = JournalPos {
+                ino: id,
+                offset: u64::MAX,
+            };
             return false;
         }
         self.fold_tail(&text, &mut pos, id) > 0
@@ -387,7 +391,10 @@ impl ProofCache {
         }
         let tail = &text[start..];
         let Some(last_nl) = tail.rfind('\n') else {
-            *pos = JournalPos { ino: id, offset: start as u64 };
+            *pos = JournalPos {
+                ino: id,
+                offset: start as u64,
+            };
             return 0;
         };
         let mut adopted = 0;
@@ -428,10 +435,7 @@ impl ProofCache {
                 map.insert(fp, proof.clone()) != Some(proof.clone())
             };
             if fresh {
-                self.dirty
-                    .lock()
-                    .expect("dirty lock")
-                    .push((fp, proof));
+                self.dirty.lock().expect("dirty lock").push((fp, proof));
             }
         }
     }
@@ -853,7 +857,10 @@ mod tests {
         let dir = tmpdir("roundtrip");
         let c = ProofCache::at_dir(&dir).unwrap();
         c.record(fp(10), &proved());
-        c.record(fp(11), &refuted(&["x = 1", "weird\tmodel\nline \\ with \u{1f} bytes"]));
+        c.record(
+            fp(11),
+            &refuted(&["x = 1", "weird\tmodel\nline \\ with \u{1f} bytes"]),
+        );
         c.persist().unwrap();
 
         let reloaded = ProofCache::at_dir(&dir).unwrap();
@@ -999,7 +1006,10 @@ mod tests {
         let crc_start = entry.rfind('\t').unwrap() + 1;
         let old = entry.as_bytes()[crc_start];
         let new = if old == b'0' { b'1' } else { b'0' };
-        entry.replace_range(crc_start..crc_start + 1, std::str::from_utf8(&[new]).unwrap());
+        entry.replace_range(
+            crc_start..crc_start + 1,
+            std::str::from_utf8(&[new]).unwrap(),
+        );
         fs::write(&file, lines.join("\n") + "\n").unwrap();
 
         let reloaded = ProofCache::at_dir(&dir).unwrap();
@@ -1180,7 +1190,12 @@ mod tests {
         // b never saw these fingerprints: the in-memory miss re-scans
         // the journal tail and serves them warm.
         assert_eq!(b.lookup(fp(100)), Some(CachedProof::Proved));
-        assert_eq!(b.lookup(fp(101)), Some(CachedProof::Refuted { model: vec!["m = 9".into()] }));
+        assert_eq!(
+            b.lookup(fp(101)),
+            Some(CachedProof::Refuted {
+                model: vec!["m = 9".into()]
+            })
+        );
         assert_eq!(b.misses(), 0, "follow hits are hits, not misses");
         assert_eq!(b.hits(), 2);
         // One follow pass adopted the whole tail; the second lookup was
@@ -1347,7 +1362,13 @@ mod tests {
 
     #[test]
     fn escape_unescape_round_trips() {
-        for s in ["plain", "tab\there", "nl\nthere", "back\\slash", "\u{1f}sep"] {
+        for s in [
+            "plain",
+            "tab\there",
+            "nl\nthere",
+            "back\\slash",
+            "\u{1f}sep",
+        ] {
             assert_eq!(unescape(&escape(s)), s);
         }
     }
@@ -1361,11 +1382,21 @@ mod tests {
 
     #[test]
     fn render_parse_round_trips_and_crc_guards_the_body() {
-        let entry = render_entry(fp(7), &CachedProof::Refuted { model: vec!["m".into()] });
+        let entry = render_entry(
+            fp(7),
+            &CachedProof::Refuted {
+                model: vec!["m".into()],
+            },
+        );
         let line = entry.trim_end();
         let (got_fp, got) = parse_entry(line).expect("round trip");
         assert_eq!(got_fp, fp(7));
-        assert_eq!(got, CachedProof::Refuted { model: vec!["m".into()] });
+        assert_eq!(
+            got,
+            CachedProof::Refuted {
+                model: vec!["m".into()]
+            }
+        );
         // Any body mutation breaks the CRC.
         let tampered = line.replacen('R', "P", 1);
         assert_eq!(parse_entry(&tampered), None);

@@ -51,7 +51,11 @@ fn assert_reports_equivalent(a: &SoundnessReport, b: &SoundnessReport, what: &st
     assert_eq!(a.reports.len(), b.reports.len(), "{what}: report count");
     for (ra, rb) in a.reports.iter().zip(&b.reports) {
         assert_eq!(ra.qualifier, rb.qualifier, "{what}: qualifier order");
-        assert_eq!(ra.verdict, rb.verdict, "{what}: verdict for {}", ra.qualifier);
+        assert_eq!(
+            ra.verdict, rb.verdict,
+            "{what}: verdict for {}",
+            ra.qualifier
+        );
         assert_eq!(
             ra.obligations.len(),
             rb.obligations.len(),
@@ -61,7 +65,11 @@ fn assert_reports_equivalent(a: &SoundnessReport, b: &SoundnessReport, what: &st
         for (oa, ob) in ra.obligations.iter().zip(&rb.obligations) {
             assert_eq!(oa.description, ob.description, "{what}: obligation order");
             assert_eq!(oa.proved, ob.proved, "{what}: {}", oa.description);
-            assert_eq!(oa.countermodel, ob.countermodel, "{what}: {}", oa.description);
+            assert_eq!(
+                oa.countermodel, ob.countermodel,
+                "{what}: {}",
+                oa.description
+            );
             assert_eq!(oa.resource, ob.resource, "{what}: {}", oa.description);
             assert_eq!(oa.crashed, ob.crashed, "{what}: {}", oa.description);
             assert_eq!(oa.attempts, ob.attempts, "{what}: {}", oa.description);

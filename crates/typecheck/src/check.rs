@@ -369,13 +369,7 @@ impl<'a> Checker<'a> {
     /// and declarations with initializers): value-qualifier assignability
     /// plus reference-qualifier assign rules, with cast-asserted
     /// reference qualifiers accepted unchecked like any C cast (§2.2.3).
-    fn check_assignment(
-        &mut self,
-        env: &mut TypeEnv<'a>,
-        target: &QualType,
-        e: &Expr,
-        span: Span,
-    ) {
+    fn check_assignment(&mut self, env: &mut TypeEnv<'a>, target: &QualType, e: &Expr, span: Span) {
         self.check_value_assign(env, target, e, span);
         // Reference qualifiers asserted by a top-level cast are exempt
         // from the assign rules.

@@ -623,12 +623,7 @@ mod tests {
     fn observation_skips_uninitialized_declarations() {
         // `int pos y;` reads as 0 until assigned; the flow-insensitive
         // system claims nothing about it, so no observation fires.
-        let n = run_observed(
-            "int f() { int pos y; return 0; }",
-            "f",
-            &[],
-        )
-        .unwrap();
+        let n = run_observed("int f() { int pos y; return 0; }", "f", &[]).unwrap();
         assert_eq!(n, 0);
     }
 

@@ -607,9 +607,7 @@ fn direct_struct_variables_work_too() {
 
 #[test]
 fn field_annotations_count_in_stats() {
-    let r = check(
-        "struct s { int pos a; int b; int* nonnull c; };",
-    );
+    let r = check("struct s { int pos a; int b; int* nonnull c; };");
     assert_eq!(r.stats.annotations, 2);
 }
 

@@ -100,7 +100,9 @@ impl Inner {
         if self.cancelled.load(Ordering::Acquire) {
             return true;
         }
-        self.parent.as_deref().is_some_and(Inner::cancelled_anywhere)
+        self.parent
+            .as_deref()
+            .is_some_and(Inner::cancelled_anywhere)
     }
 
     /// The earliest deadline along the parent chain, if any.
@@ -131,7 +133,10 @@ impl CancelToken {
     /// A token that fires once the wall clock reaches `deadline`.
     pub fn with_deadline(deadline: Instant) -> CancelToken {
         CancelToken {
-            inner: Arc::new(Inner { deadline: Some(deadline), ..Inner::default() }),
+            inner: Arc::new(Inner {
+                deadline: Some(deadline),
+                ..Inner::default()
+            }),
         }
     }
 
@@ -204,7 +209,9 @@ impl CancelToken {
     /// The caller must keep the descriptor open for as long as cancels
     /// may fire, or clear the registration first.
     pub fn set_wake_fd(&self, fd: i32) {
-        self.inner.wake_fd.store(if fd < 0 { NO_WAKE_FD } else { fd }, Ordering::Release);
+        self.inner
+            .wake_fd
+            .store(if fd < 0 { NO_WAKE_FD } else { fd }, Ordering::Release);
     }
 
     /// True once [`cancel`](CancelToken::cancel) has been called on any
@@ -352,8 +359,12 @@ mod tests {
         // Clearing the registration stops further writes.
         t.set_wake_fd(-1);
         t.cancel();
-        rx.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
-        assert!(rx.read(&mut buf).is_err(), "no byte after the fd is cleared");
+        rx.set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        assert!(
+            rx.read(&mut buf).is_err(),
+            "no byte after the fd is cleared"
+        );
     }
 
     #[test]

@@ -205,7 +205,9 @@ mod tests {
     fn enough_symbols_to_span_multiple_chunks_round_trip() {
         // Force allocation past the first slab chunk so the chunk
         // indexing math is exercised, not just slot 0..1023.
-        let names: Vec<String> = (0..(CHUNK_SIZE + 100)).map(|i| format!("chunky{i}")).collect();
+        let names: Vec<String> = (0..(CHUNK_SIZE + 100))
+            .map(|i| format!("chunky{i}"))
+            .collect();
         let syms: Vec<Symbol> = names.iter().map(|n| Symbol::intern(n)).collect();
         for (n, s) in names.iter().zip(&syms) {
             assert_eq!(s.as_str(), n);

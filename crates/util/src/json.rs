@@ -499,8 +499,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ASCII");
+        let text =
+            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err(format!("invalid number `{text}`")))
@@ -526,7 +526,10 @@ mod tests {
         let v = Json::parse(r#"{"b":[1,{"c":null}],"a":"x"}"#).unwrap();
         assert_eq!(v.to_string(), r#"{"b":[1,{"c":null}],"a":"x"}"#);
         assert_eq!(v.get("a").and_then(Json::as_str), Some("x"));
-        assert_eq!(v.get("b").and_then(Json::as_array).map(<[Json]>::len), Some(2));
+        assert_eq!(
+            v.get("b").and_then(Json::as_array).map(<[Json]>::len),
+            Some(2)
+        );
     }
 
     #[test]
@@ -556,7 +559,16 @@ mod tests {
 
     #[test]
     fn malformed_documents_error_with_offsets() {
-        for bad in ["", "{", "[1,", "{\"a\":}", "tru", "\"unterminated", "1 2", "{'a':1}"] {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "{\"a\":}",
+            "tru",
+            "\"unterminated",
+            "1 2",
+            "{'a':1}",
+        ] {
             let err = Json::parse(bad).expect_err(bad);
             assert!(!err.message.is_empty(), "{bad}: {err}");
         }
@@ -595,7 +607,10 @@ mod tests {
             ("héllo → 世界 😀", "héllo → 世界 😀"),
             ("x", "x"),
             ("", ""),
-            ("int pos f(int pos x) { return x; }", "int pos f(int pos x) { return x; }"),
+            (
+                "int pos f(int pos x) { return x; }",
+                "int pos f(int pos x) { return x; }",
+            ),
             (r"\u001f", "\u{1f}"),
         ];
         let (mut source, mut expected) = (String::from("\""), String::new());
@@ -622,7 +637,10 @@ mod tests {
         assert_eq!(err.offset, 1 + prefix.len());
         assert_eq!(err.message, "raw control character in string");
         let unterminated = format!("\"{prefix}");
-        assert_eq!(Json::parse(&unterminated).unwrap_err().offset, unterminated.len());
+        assert_eq!(
+            Json::parse(&unterminated).unwrap_err().offset,
+            unterminated.len()
+        );
     }
 
     #[test]
@@ -635,9 +653,18 @@ mod tests {
         let start = std::time::Instant::now();
         let v = Json::parse(&doc).unwrap();
         let elapsed = start.elapsed();
-        let source = v.get("params").and_then(|p| p.get("source")).and_then(Json::as_str);
-        assert_eq!(source.map(str::len), Some(body.len() - body.matches("\\n").count()));
-        assert!(elapsed < std::time::Duration::from_secs(1), "8 MiB parse took {elapsed:?}");
+        let source = v
+            .get("params")
+            .and_then(|p| p.get("source"))
+            .and_then(Json::as_str);
+        assert_eq!(
+            source.map(str::len),
+            Some(body.len() - body.matches("\\n").count())
+        );
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "8 MiB parse took {elapsed:?}"
+        );
     }
 
     #[test]

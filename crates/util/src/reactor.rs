@@ -61,9 +61,18 @@ pub struct Interest {
 }
 
 impl Interest {
-    pub const READABLE: Interest = Interest { readable: true, writable: false };
-    pub const WRITABLE: Interest = Interest { readable: false, writable: true };
-    pub const BOTH: Interest = Interest { readable: true, writable: true };
+    pub const READABLE: Interest = Interest {
+        readable: true,
+        writable: false,
+    };
+    pub const WRITABLE: Interest = Interest {
+        readable: false,
+        writable: true,
+    };
+    pub const BOTH: Interest = Interest {
+        readable: true,
+        writable: true,
+    };
 
     fn events(self) -> i16 {
         let mut e = 0;
@@ -159,19 +168,28 @@ impl Reactor {
     }
 
     pub fn waker(&self) -> Waker {
-        Waker { tx: Arc::clone(&self.wake_tx) }
+        Waker {
+            tx: Arc::clone(&self.wake_tx),
+        }
     }
 
     /// Register `fd` under `token`. The caller keeps ownership of the
     /// descriptor and must [`deregister`](Self::deregister) before closing
     /// it. Re-registering a live token replaces its interest and fd.
     pub fn register(&mut self, fd: RawFd, token: usize, interest: Interest) {
-        assert!(token != WAKE_TOKEN, "token {token} is reserved for the reactor");
+        assert!(
+            token != WAKE_TOKEN,
+            "token {token} is reserved for the reactor"
+        );
         if let Some(e) = self.entries.iter_mut().find(|e| e.token == token) {
             e.fd = fd;
             e.interest = interest;
         } else {
-            self.entries.push(Entry { fd, token, interest });
+            self.entries.push(Entry {
+                fd,
+                token,
+                interest,
+            });
         }
     }
 
@@ -218,9 +236,17 @@ impl Reactor {
     ) -> io::Result<usize> {
         events.clear();
         let mut fds = Vec::with_capacity(self.entries.len() + 1);
-        fds.push(PollFd { fd: self.wake_rx.as_raw_fd(), events: POLLIN, revents: 0 });
+        fds.push(PollFd {
+            fd: self.wake_rx.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        });
         for e in &self.entries {
-            fds.push(PollFd { fd: e.fd, events: e.interest.events(), revents: 0 });
+            fds.push(PollFd {
+                fd: e.fd,
+                events: e.interest.events(),
+                revents: 0,
+            });
         }
         let timeout_ms: i32 = match timeout {
             // Round up so a 100µs deadline does not become a busy loop of
@@ -292,7 +318,11 @@ pub fn wait_readable(fd: RawFd, timeout: Duration) -> io::Result<bool> {
 }
 
 fn wait_for(fd: RawFd, want: i16, timeout: Duration) -> io::Result<bool> {
-    let mut pfd = PollFd { fd, events: want, revents: 0 };
+    let mut pfd = PollFd {
+        fd,
+        events: want,
+        revents: 0,
+    };
     let ms = timeout.as_millis().saturating_add(1).min(i32::MAX as u128) as i32;
     let rc = unsafe { poll(&mut pfd, 1, ms) };
     if rc < 0 {
@@ -321,10 +351,14 @@ mod tests {
         r.register(b.as_raw_fd(), 7, Interest::READABLE);
         let mut events = Vec::new();
         // Nothing pending yet: a bounded poll times out with zero events.
-        let n = r.poll_events(Some(Duration::from_millis(10)), &mut events).unwrap();
+        let n = r
+            .poll_events(Some(Duration::from_millis(10)), &mut events)
+            .unwrap();
         assert_eq!(n, 0);
         a.write_all(b"hello\n").unwrap();
-        let n = r.poll_events(Some(Duration::from_millis(1000)), &mut events).unwrap();
+        let n = r
+            .poll_events(Some(Duration::from_millis(1000)), &mut events)
+            .unwrap();
         assert_eq!(n, 1);
         assert_eq!(events[0].token, 7);
         assert!(events[0].readable);
@@ -338,7 +372,9 @@ mod tests {
         r.register(b.as_raw_fd(), 3, Interest::READABLE);
         drop(a);
         let mut events = Vec::new();
-        let n = r.poll_events(Some(Duration::from_millis(1000)), &mut events).unwrap();
+        let n = r
+            .poll_events(Some(Duration::from_millis(1000)), &mut events)
+            .unwrap();
         assert_eq!(n, 1);
         assert!(events[0].hangup || events[0].readable);
     }
@@ -369,10 +405,13 @@ mod tests {
             waker.wake();
         }
         let mut events = Vec::new();
-        r.poll_events(Some(Duration::from_millis(100)), &mut events).unwrap();
+        r.poll_events(Some(Duration::from_millis(100)), &mut events)
+            .unwrap();
         assert_eq!(r.wakeups(), 1);
         // Pipe fully drained: the next bounded poll sees nothing.
-        let n = r.poll_events(Some(Duration::from_millis(5)), &mut events).unwrap();
+        let n = r
+            .poll_events(Some(Duration::from_millis(5)), &mut events)
+            .unwrap();
         assert_eq!(n, 0);
         assert_eq!(r.wakeups(), 1);
     }
@@ -388,7 +427,9 @@ mod tests {
         assert_eq!(r.registered(), 0);
         a.write_all(b"x").unwrap();
         let mut events = Vec::new();
-        let n = r.poll_events(Some(Duration::from_millis(10)), &mut events).unwrap();
+        let n = r
+            .poll_events(Some(Duration::from_millis(10)), &mut events)
+            .unwrap();
         assert_eq!(n, 0);
     }
 
@@ -400,7 +441,9 @@ mod tests {
         r.register(b.as_raw_fd(), 1, Interest::READABLE);
         let mut events = Vec::new();
         let start = Instant::now();
-        let n = r.poll_events(Some(Duration::from_millis(120)), &mut events).unwrap();
+        let n = r
+            .poll_events(Some(Duration::from_millis(120)), &mut events)
+            .unwrap();
         assert_eq!(n, 0);
         // One poll(2) call covered the whole idle window.
         assert!(start.elapsed() >= Duration::from_millis(100));

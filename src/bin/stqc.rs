@@ -398,9 +398,18 @@ fn session_from(
                 cache_dir = Some(path.clone());
                 i += 2;
             }
-            flag @ ("--max-rounds" | "--max-instantiations" | "--max-decisions"
-            | "--max-clauses" | "--timeout-ms" | "--deadline-ms" | "--retry" | "--retry-factor"
-            | "--jobs" | "--fault-panic-at" | "--fault-resource-out-at" | "--fault-theory-at") => {
+            flag @ ("--max-rounds"
+            | "--max-instantiations"
+            | "--max-decisions"
+            | "--max-clauses"
+            | "--timeout-ms"
+            | "--deadline-ms"
+            | "--retry"
+            | "--retry-factor"
+            | "--jobs"
+            | "--fault-panic-at"
+            | "--fault-resource-out-at"
+            | "--fault-theory-at") => {
                 let value = args
                     .get(i + 1)
                     .ok_or_else(|| usage_err(format!("{flag} needs a number")))?;
@@ -459,7 +468,9 @@ fn session_from(
     };
     let wf = session.check_well_formed();
     if wf.has_errors() {
-        return Err(input_err(format!("ill-formed qualifier definitions:\n{wf}")));
+        return Err(input_err(format!(
+            "ill-formed qualifier definitions:\n{wf}"
+        )));
     }
     Ok(Cli {
         session,
@@ -1038,9 +1049,7 @@ fn fuzz_replay(dir: &str, json: bool, cancel: &CancelToken) -> ExitCode {
         ]);
         println!("{doc}");
     } else {
-        println!(
-            "replay: {replayed} case(s), {diverged} divergence(s), {panicked} panic(s)"
-        );
+        println!("replay: {replayed} case(s), {diverged} divergence(s), {panicked} panic(s)");
         if skipped > 0 {
             eprintln!(
                 "stqc: replay interrupted: {skipped} of {} file(s) never ran",
@@ -1240,7 +1249,9 @@ fn serve(args: &[String]) -> ExitCode {
         Err(e) => return fail(e),
     };
     if serve_args.socket.is_none() && serve_args.tcp.is_none() && !serve_args.stdio {
-        return fail(usage_err("serve needs --socket PATH, --tcp HOST:PORT, or --stdio"));
+        return fail(usage_err(
+            "serve needs --socket PATH, --tcp HOST:PORT, or --stdio",
+        ));
     }
     if serve_args.stdio && (serve_args.socket.is_some() || serve_args.tcp.is_some()) {
         return fail(usage_err("--stdio excludes --socket and --tcp"));
@@ -1356,7 +1367,9 @@ fn call(args: &[String]) -> ExitCode {
                 json_out = true;
                 i += 1;
             }
-            flag @ ("--deadline-ms" | "--connect-timeout-ms" | "--call-deadline-ms"
+            flag @ ("--deadline-ms"
+            | "--connect-timeout-ms"
+            | "--call-deadline-ms"
             | "--retries") => {
                 let Some(value) = args.get(i + 1) else {
                     return fail(usage_err(format!("{flag} needs a number")));

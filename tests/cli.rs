@@ -157,7 +157,10 @@ fn bad_usage_is_reported() {
 fn unknown_subcommand_is_named_in_the_diagnostic() {
     let (_, stderr, ok) = stqc(&["frobnicate"]);
     assert!(!ok);
-    assert!(stderr.contains("unknown subcommand `frobnicate`"), "{stderr}");
+    assert!(
+        stderr.contains("unknown subcommand `frobnicate`"),
+        "{stderr}"
+    );
     assert!(stderr.contains("usage"));
 }
 
@@ -206,7 +209,10 @@ fn prove_json_covers_all_eight_builtins() {
     assert!(stdout.contains("\"instantiations\":"), "{stdout}");
     assert!(stdout.contains("\"decisions\":"), "{stdout}");
     assert!(stdout.contains("\"wall_ms\":"), "{stdout}");
-    assert!(stdout.contains("\"instantiations_by_trigger\":"), "{stdout}");
+    assert!(
+        stdout.contains("\"instantiations_by_trigger\":"),
+        "{stdout}"
+    );
     // One JSON document on one line of stdout.
     assert_eq!(stdout.lines().count(), 1, "{stdout}");
 }
@@ -385,10 +391,7 @@ fn retry_ladder_recovers_an_injected_resource_out() {
 
 #[test]
 fn keep_going_check_recovers_past_syntax_errors() {
-    let src = temp_file(
-        "resume.c",
-        "int a = ;\nint pos ok(int pos x) { return x; }",
-    );
+    let src = temp_file("resume.c", "int a = ;\nint pos ok(int pos x) { return x; }");
     let path = src.to_str().unwrap();
     // Strict mode aborts at the syntax error…
     let (_, stderr, code) = stqc_code(&["check", path]);
@@ -547,7 +550,10 @@ fn cache_dir_cold_run_misses_and_warm_run_hits_everything() {
 
     let (warm, stderr, ok) = stqc(&["prove", "--cache-dir", dir_s, "--json"]);
     assert!(ok, "{warm}\n{stderr}");
-    assert!(warm.contains("\"misses\":0"), "warm run re-proves nothing: {warm}");
+    assert!(
+        warm.contains("\"misses\":0"),
+        "warm run re-proves nothing: {warm}"
+    );
     assert!(!warm.contains("\"hits\":0"), "{warm}");
     // Every obligation came from the cache: zero attempts anywhere.
     assert!(!warm.contains("\"attempts\":1"), "{warm}");
@@ -562,7 +568,14 @@ fn cache_dir_cold_run_misses_and_warm_run_hits_everything() {
 fn cache_key_includes_the_retry_ladder_and_interacts_with_keep_going() {
     let dir = temp_dir("retry-key");
     let dir_s = dir.to_str().unwrap();
-    let (_, _, ok) = stqc(&["prove", "--cache-dir", dir_s, "--retry", "3", "--keep-going"]);
+    let (_, _, ok) = stqc(&[
+        "prove",
+        "--cache-dir",
+        dir_s,
+        "--retry",
+        "3",
+        "--keep-going",
+    ]);
     assert!(ok);
     // Same ladder: pure hits.
     let (warm, _, ok) = stqc(&[
@@ -595,7 +608,10 @@ fn stale_cache_from_another_prover_version_is_invalidated() {
     let (stdout, stderr, ok) = stqc(&["prove", "--cache-dir", dir.to_str().unwrap(), "--json"]);
     assert!(ok, "{stdout}\n{stderr}");
     assert!(stdout.contains("\"invalidations\":1"), "{stdout}");
-    assert!(stdout.contains("\"hits\":0"), "stale entries never hit: {stdout}");
+    assert!(
+        stdout.contains("\"hits\":0"),
+        "stale entries never hit: {stdout}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -804,14 +820,7 @@ fn sigint_yields_partial_report_and_resume_hits_the_cache() {
 
 #[test]
 fn fuzz_deadline_exits_interrupted() {
-    let (stdout, _, code) = stqc_code(&[
-        "fuzz",
-        "--count",
-        "10",
-        "--deadline-ms",
-        "0",
-        "--json",
-    ]);
+    let (stdout, _, code) = stqc_code(&["fuzz", "--count", "10", "--deadline-ms", "0", "--json"]);
     assert_eq!(code, Some(5), "{stdout}");
     assert!(stdout.contains("\"interrupted\":true"), "{stdout}");
     assert!(stdout.contains("\"skipped\":10"), "{stdout}");
@@ -819,8 +828,7 @@ fn fuzz_deadline_exits_interrupted() {
 
 #[test]
 fn fuzz_text_mode_reports_case_boundary_interruption() {
-    let (stdout, stderr, code) =
-        stqc_code(&["fuzz", "--count", "4", "--deadline-ms", "0"]);
+    let (stdout, stderr, code) = stqc_code(&["fuzz", "--count", "4", "--deadline-ms", "0"]);
     assert_eq!(code, Some(5), "{stdout}\n{stderr}");
     assert!(stderr.contains("case boundary"), "{stderr}");
 }

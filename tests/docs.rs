@@ -48,7 +48,10 @@ fn package_name(manifest: &Path) -> String {
 /// Directory-relative path + package name of every workspace member.
 fn workspace_members() -> Vec<(String, String)> {
     let root = repo_root();
-    let mut members = vec![("stq-suite".to_owned(), package_name(&root.join("Cargo.toml")))];
+    let mut members = vec![(
+        "stq-suite".to_owned(),
+        package_name(&root.join("Cargo.toml")),
+    )];
     for group in ["crates", "vendor"] {
         let dir = root.join(group);
         let mut entries: Vec<_> = fs::read_dir(&dir)
@@ -248,7 +251,11 @@ fn relative_links_in_docs_resolve() {
             }
         }
     }
-    assert!(broken.is_empty(), "broken relative links:\n{}", broken.join("\n"));
+    assert!(
+        broken.is_empty(),
+        "broken relative links:\n{}",
+        broken.join("\n")
+    );
 }
 
 /// All `--flag`-shaped tokens in `text`, trimmed of trailing
@@ -299,9 +306,11 @@ fn cli_code_text(markdown: &str) -> String {
         if i % 2 == 0 {
             continue;
         }
-        let relevant = segment
-            .lines()
-            .filter(|l| !["cargo ", "rustc ", "clippy", "#!"].iter().any(|t| l.contains(t)));
+        let relevant = segment.lines().filter(|l| {
+            !["cargo ", "rustc ", "clippy", "#!"]
+                .iter()
+                .any(|t| l.contains(t))
+        });
         for line in relevant {
             out.push_str(line);
             out.push('\n');

@@ -5,7 +5,7 @@
 //!
 //! * [`Symbol`] — cheap interned strings for identifiers and qualifier names,
 //!   with lock-free reads so parallel provers never contend on the table,
-//! * [`pool`] — a work-stealing scoped thread pool for embarrassingly
+//! * [`pool`] — a scoped thread pool for embarrassingly
 //!   parallel batches (the soundness checker's proof obligations),
 //! * [`cancel`] — cooperative cancellation tokens (deadline + external
 //!   cancel flag, linkable into parent/child trees) polled by the

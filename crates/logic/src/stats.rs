@@ -228,8 +228,9 @@ pub struct ProverStats {
     /// plus arithmetic checks at full leaves.
     pub theory_checks: u64,
     /// Congruence-closure class unions, congruence-induced ones included,
-    /// made by the search's e-graph and the E-matching e-graph. Unions
-    /// undone on backtrack still count.
+    /// made in the attempt's one e-graph by the search and by E-matching's
+    /// merges of the model's equalities. Unions undone on backtrack or
+    /// after matching still count.
     pub merges: u64,
     /// Fourier–Motzkin variable eliminations, across all checks.
     pub fm_eliminations: u64,

@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
-# Full local gate: release build, test suite, and lint-clean clippy.
+# Full local gate: formatting, release build, test suite, and lint-clean
+# clippy.
 # Run from anywhere inside the repository.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+echo "==> cargo fmt --all --check"
+cargo fmt --all --check
 
 echo "==> cargo build --release"
 cargo build --release

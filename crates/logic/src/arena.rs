@@ -96,10 +96,10 @@ impl TermArena {
     pub fn intern(&mut self, t: &Term) -> TermId {
         match t {
             Term::Var(x, _) => panic!("cannot intern non-ground term (var {x})"),
-            Term::Int(v) => self.intern_node(Head::Int(*v), Vec::new(), || Term::Int(*v)),
+            Term::Int(v) => self.intern_node(Head::Int(*v), Vec::new(), |_, _| Term::Int(*v)),
             Term::App(f, ts) => {
                 let args: Vec<TermId> = ts.iter().map(|a| self.intern(a)).collect();
-                self.intern_node(Head::Sym(*f), args, || t.clone())
+                self.intern_node(Head::Sym(*f), args, |_, _| t.clone())
             }
         }
     }
@@ -107,36 +107,31 @@ impl TermArena {
     /// Interns an application `f(args…)` whose children are already
     /// interned, without materializing the argument terms first.
     pub fn intern_app(&mut self, f: Symbol, args: Vec<TermId>) -> TermId {
-        if let Some(&id) = self.table.get(&(Head::Sym(f), args.clone())) {
-            self.hits += 1;
-            return id;
-        }
-        let term = Term::App(
-            f,
-            args.iter()
-                .map(|&a| self.terms[a as usize].clone())
-                .collect(),
-        );
-        self.intern_node(Head::Sym(f), args, || term)
+        self.intern_node(Head::Sym(f), args, |terms, args| {
+            Term::App(f, args.iter().map(|&a| terms[a as usize].clone()).collect())
+        })
     }
 
+    /// Looks `(head, args)` up, and on a miss appends it with the term
+    /// tree `term` builds from the arena's terms and the child ids.
     fn intern_node(
         &mut self,
         head: Head,
         args: Vec<TermId>,
-        term: impl FnOnce() -> Term,
+        term: impl FnOnce(&[Term], &[TermId]) -> Term,
     ) -> TermId {
-        if let Some(&id) = self.table.get(&(head, args.clone())) {
+        let key = (head, args);
+        if let Some(&id) = self.table.get(&key) {
             self.hits += 1;
             return id;
         }
         let id = u32::try_from(self.nodes.len()).expect("term arena overflow");
-        self.terms.push(term());
+        self.terms.push(term(&self.terms, &key.1));
         self.nodes.push(ANode {
             head,
-            args: args.clone(),
+            args: key.1.clone(),
         });
-        self.table.insert((head, args), id);
+        self.table.insert(key, id);
         self.created += 1;
         id
     }

@@ -4,7 +4,8 @@
 //! arithmetic; this crate uses the older but equally decisive
 //! **Fourier–Motzkin elimination**, which is comfortably fast for the small
 //! constraint systems that qualifier proof obligations generate (a handful
-//! of atoms each).
+//! of atoms each; a leaf check of the soundness workload holds fewer than
+//! two constraints on average).
 //!
 //! The procedure works over *atoms*: opaque identifiers standing for ground
 //! terms whose top symbol is not interpreted (the solver assigns them after
@@ -13,9 +14,22 @@
 //! inequalities are tightened (`e < 0` becomes `e ≤ -1` after clearing
 //! denominators), giving the prover useful integer reasoning on top of the
 //! rational core.
+//!
+//! # Representation
+//!
+//! A [`LinExpr`] keeps its coefficients in one vector sorted by atom, with
+//! no atom twice and no zero coefficient, so every linear expression has
+//! exactly one representation. Sums and scalings are merges of sorted
+//! vectors, and callers add into an expression in place
+//! ([`LinExpr::add_scaled`]) instead of building one per operand. The
+//! elimination consumes the constraints it is given: each Gaussian pivot
+//! and each Fourier–Motzkin bound rewrites its own constraint's vector.
+//! The choices the elimination makes follow the atom order — the pivot of
+//! an equality is its smallest atom, the eliminated variable is the
+//! smallest atom of the first remaining inequality — so answers and
+//! elimination counts do not depend on how an expression was built.
 
 use crate::rat::Rat;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// An opaque arithmetic variable standing for a ground term.
@@ -24,8 +38,9 @@ pub type AtomId = u32;
 /// A linear expression `konst + Σ coeff·atom`.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct LinExpr {
-    /// Coefficients per atom; zero coefficients are never stored.
-    pub terms: BTreeMap<AtomId, Rat>,
+    /// Coefficients sorted by atom, each atom at most once; zero
+    /// coefficients are never stored.
+    terms: Vec<(AtomId, Rat)>,
     /// The constant offset.
     pub konst: Rat,
 }
@@ -34,57 +49,113 @@ impl LinExpr {
     /// The constant expression `v`.
     pub fn constant(v: Rat) -> LinExpr {
         LinExpr {
-            terms: BTreeMap::new(),
+            terms: Vec::new(),
             konst: v,
         }
     }
 
     /// The expression consisting of a single atom with coefficient one.
     pub fn atom(a: AtomId) -> LinExpr {
-        let mut terms = BTreeMap::new();
-        terms.insert(a, Rat::ONE);
         LinExpr {
-            terms,
+            terms: vec![(a, Rat::ONE)],
             konst: Rat::ZERO,
         }
     }
 
+    /// The `(atom, coefficient)` pairs, in ascending atom order.
+    pub fn terms(&self) -> &[(AtomId, Rat)] {
+        &self.terms
+    }
+
+    /// The atoms the expression mentions, in ascending order.
+    pub fn atoms(&self) -> impl Iterator<Item = AtomId> + '_ {
+        self.terms.iter().map(|&(a, _)| a)
+    }
+
+    /// The coefficient of `a`, if the expression mentions it.
+    pub fn coeff(&self, a: AtomId) -> Option<Rat> {
+        self.position(a).ok().map(|i| self.terms[i].1)
+    }
+
+    /// Whether the expression mentions `a`.
+    pub fn mentions(&self, a: AtomId) -> bool {
+        self.position(a).is_ok()
+    }
+
+    fn position(&self, a: AtomId) -> Result<usize, usize> {
+        self.terms.binary_search_by_key(&a, |&(b, _)| b)
+    }
+
+    /// Removes `a` from the expression, returning its coefficient.
+    fn take(&mut self, a: AtomId) -> Option<Rat> {
+        let i = self.position(a).ok()?;
+        Some(self.terms.remove(i).1)
+    }
+
     /// Adds `coeff·atom` into the expression.
     pub fn add_term(&mut self, a: AtomId, coeff: Rat) {
-        let entry = self.terms.entry(a).or_insert(Rat::ZERO);
-        *entry = *entry + coeff;
-        if entry.is_zero() {
-            self.terms.remove(&a);
+        if coeff.is_zero() {
+            return;
         }
+        match self.position(a) {
+            Ok(i) => {
+                let sum = self.terms[i].1 + coeff;
+                if sum.is_zero() {
+                    self.terms.remove(i);
+                } else {
+                    self.terms[i].1 = sum;
+                }
+            }
+            Err(i) => self.terms.insert(i, (a, coeff)),
+        }
+    }
+
+    /// Adds `k·other` into the expression in place.
+    pub fn add_scaled(&mut self, other: &LinExpr, k: Rat) {
+        if k.is_zero() {
+            return;
+        }
+        self.konst = self.konst + other.konst * k;
+        for &(a, c) in &other.terms {
+            self.add_term(a, c * k);
+        }
+    }
+
+    /// Multiplies every coefficient and the constant by `k` in place.
+    fn scale_in_place(&mut self, k: Rat) {
+        if k.is_zero() {
+            self.terms.clear();
+            self.konst = Rat::ZERO;
+            return;
+        }
+        for (_, c) in &mut self.terms {
+            *c = *c * k;
+        }
+        self.konst = self.konst * k;
     }
 
     /// Pointwise sum.
     #[must_use]
     pub fn add(&self, other: &LinExpr) -> LinExpr {
         let mut out = self.clone();
-        out.konst = out.konst + other.konst;
-        for (&a, &c) in &other.terms {
-            out.add_term(a, c);
-        }
+        out.add_scaled(other, Rat::ONE);
         out
     }
 
     /// Pointwise difference.
     #[must_use]
     pub fn sub(&self, other: &LinExpr) -> LinExpr {
-        self.add(&other.scale(-Rat::ONE))
+        let mut out = self.clone();
+        out.add_scaled(other, -Rat::ONE);
+        out
     }
 
     /// Multiplies every coefficient and the constant by `k`.
     #[must_use]
     pub fn scale(&self, k: Rat) -> LinExpr {
-        if k.is_zero() {
-            return LinExpr::constant(Rat::ZERO);
-        }
-        LinExpr {
-            terms: self.terms.iter().map(|(&a, &c)| (a, c * k)).collect(),
-            konst: self.konst * k,
-        }
+        let mut out = self.clone();
+        out.scale_in_place(k);
+        out
     }
 
     /// True if the expression mentions no atoms.
@@ -119,6 +190,17 @@ pub enum Rel {
     Eq,
 }
 
+impl Rel {
+    /// Whether the constant `v` satisfies `v REL 0`.
+    pub fn holds(self, v: Rat) -> bool {
+        match self {
+            Rel::Le => v <= Rat::ZERO,
+            Rel::Lt => v < Rat::ZERO,
+            Rel::Eq => v.is_zero(),
+        }
+    }
+}
+
 /// A single linear constraint `expr REL 0`.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Constraint {
@@ -145,27 +227,21 @@ impl Constraint {
     }
 }
 
-/// Tightens a strict constraint over integer-valued atoms:
+/// Tightens a strict constraint over integer-valued atoms in place:
 /// after scaling to integer coefficients, `e < 0` is equivalent to
 /// `e + 1 ≤ 0`.
-fn tighten(c: &Constraint) -> Constraint {
-    match c.rel {
-        Rel::Lt => {
-            // Scale so every coefficient and the constant are integers.
-            let mut lcm: i128 = 1;
-            let mut dens: Vec<i128> = c.expr.terms.values().map(|r| r.denom()).collect();
-            dens.push(c.expr.konst.denom());
-            for d in dens {
-                let g = gcd(lcm, d);
-                lcm = lcm / g * d;
-            }
-            let scaled = c.expr.scale(Rat::int(lcm));
-            let mut expr = scaled;
-            expr.konst = expr.konst + Rat::ONE;
-            Constraint { expr, rel: Rel::Le }
-        }
-        _ => c.clone(),
+fn tighten(c: &mut Constraint) {
+    if c.rel != Rel::Lt {
+        return;
     }
+    // Scale so every coefficient and the constant are integers.
+    let dens = c.expr.terms.iter().map(|&(_, r)| r.denom());
+    let lcm = dens
+        .chain([c.expr.konst.denom()])
+        .fold(1, |lcm: i128, d| lcm / gcd(lcm, d) * d);
+    c.expr.scale_in_place(Rat::int(lcm));
+    c.expr.konst = c.expr.konst + Rat::ONE;
+    c.rel = Rel::Le;
 }
 
 fn gcd(mut a: i128, mut b: i128) -> i128 {
@@ -209,92 +285,76 @@ pub fn feasible(constraints: &[Constraint]) -> bool {
 /// eliminated (Gaussian pivots on equalities plus Fourier–Motzkin
 /// eliminations) — the prover's `fm_eliminations` telemetry counter.
 pub fn feasible_counted(constraints: &[Constraint]) -> (bool, u64) {
+    eliminate(constraints.iter().cloned())
+}
+
+/// Decides the feasibility of the constraints it is given, consuming
+/// them, and counts the variables it eliminates.
+fn eliminate(constraints: impl Iterator<Item = Constraint>) -> (bool, u64) {
     let mut eliminations: u64 = 0;
     let mut ineqs: Vec<Constraint> = Vec::new();
     let mut eqs: Vec<LinExpr> = Vec::new();
-    for c in constraints {
-        let t = tighten(c);
-        match t.rel {
-            Rel::Eq => eqs.push(t.expr),
-            _ => ineqs.push(t),
+    for mut c in constraints {
+        tighten(&mut c);
+        match c.rel {
+            Rel::Eq => eqs.push(c.expr),
+            _ => ineqs.push(c),
         }
     }
 
-    // Gaussian elimination on equalities: solve each for one atom and
-    // substitute everywhere.
-    while let Some(eq) = eqs.pop() {
-        match eq.terms.iter().next() {
-            None => {
-                if !eq.konst.is_zero() {
-                    return (false, eliminations);
-                }
+    // Gaussian elimination on equalities: solve each for its smallest
+    // atom and substitute everywhere.
+    while let Some(mut eq) = eqs.pop() {
+        let Some(&(pivot, coeff)) = eq.terms.first() else {
+            if !eq.konst.is_zero() {
+                return (false, eliminations);
             }
-            Some((&pivot, &coeff)) => {
-                eliminations += 1;
-                // pivot = -(eq - coeff*pivot) / coeff
-                let mut rest = eq.clone();
-                rest.terms.remove(&pivot);
-                let replacement = rest.scale(-Rat::ONE / coeff);
-                let subst = |e: &LinExpr| -> LinExpr {
-                    match e.terms.get(&pivot) {
-                        None => e.clone(),
-                        Some(&k) => {
-                            let mut out = e.clone();
-                            out.terms.remove(&pivot);
-                            out.add(&replacement.scale(k))
-                        }
-                    }
-                };
-                eqs = eqs.iter().map(&subst).collect();
-                for c in &mut ineqs {
-                    c.expr = subst(&c.expr);
-                }
+            continue;
+        };
+        eliminations += 1;
+        // pivot = -(eq - coeff*pivot) / coeff
+        eq.terms.remove(0);
+        eq.scale_in_place(-Rat::ONE / coeff);
+        let replacement = eq;
+        let exprs = eqs.iter_mut().chain(ineqs.iter_mut().map(|c| &mut c.expr));
+        for e in exprs {
+            if let Some(k) = e.take(pivot) {
+                e.add_scaled(&replacement, k);
             }
         }
     }
 
     // Fourier–Motzkin elimination on the remaining inequalities.
+    let mut lowers: Vec<Constraint> = Vec::new(); // var ≥/> bound
+    let mut uppers: Vec<Constraint> = Vec::new(); // var ≤/< bound
     loop {
         // Trivial constant constraints.
-        let mut remaining = Vec::new();
-        for c in ineqs {
-            if let Some(v) = c.expr.as_constant() {
-                let ok = match c.rel {
-                    Rel::Le => v <= Rat::ZERO,
-                    Rel::Lt => v < Rat::ZERO,
-                    Rel::Eq => v.is_zero(),
-                };
-                if !ok {
-                    return (false, eliminations);
-                }
-            } else {
-                remaining.push(c);
-            }
+        let violated = ineqs
+            .iter()
+            .any(|c| c.expr.as_constant().is_some_and(|v| !c.rel.holds(v)));
+        if violated {
+            return (false, eliminations);
         }
-        ineqs = remaining;
-        let Some(&var) = ineqs.iter().flat_map(|c| c.expr.terms.keys()).next() else {
+        ineqs.retain(|c| !c.expr.is_constant());
+        let Some(var) = ineqs.first().map(|c| c.expr.terms[0].0) else {
             return (true, eliminations);
         };
         eliminations += 1;
 
-        // Partition by the sign of var's coefficient.
-        let mut lowers: Vec<(LinExpr, Rel)> = Vec::new(); // var ≥/> bound
-        let mut uppers: Vec<(LinExpr, Rel)> = Vec::new(); // var ≤/< bound
-        let mut others: Vec<Constraint> = Vec::new();
-        for c in ineqs {
-            match c.expr.terms.get(&var).copied() {
+        // Partition by the sign of var's coefficient. Each bound rewrites
+        // its own constraint: c.expr = coeff*var + rest REL 0  ⇒
+        //   coeff > 0: var ≤(REL) -rest/coeff  (upper bound)
+        //   coeff < 0: var ≥(REL) -rest/coeff  (lower bound)
+        let mut others: Vec<Constraint> = Vec::with_capacity(ineqs.len());
+        for mut c in ineqs {
+            match c.expr.take(var) {
                 None => others.push(c),
                 Some(coeff) => {
-                    // c.expr = coeff*var + rest REL 0  ⇒
-                    //   coeff > 0: var ≤(REL) -rest/coeff  (upper bound)
-                    //   coeff < 0: var ≥(REL) -rest/coeff  (lower bound)
-                    let mut rest = c.expr.clone();
-                    rest.terms.remove(&var);
-                    let bound = rest.scale(-Rat::ONE / coeff);
+                    c.expr.scale_in_place(-Rat::ONE / coeff);
                     if coeff.is_positive() {
-                        uppers.push((bound, c.rel));
+                        uppers.push(c);
                     } else {
-                        lowers.push((bound, c.rel));
+                        lowers.push(c);
                     }
                 }
             }
@@ -302,16 +362,19 @@ pub fn feasible_counted(constraints: &[Constraint]) -> (bool, u64) {
 
         // Combine every lower with every upper: lower ≤/< var ≤/< upper
         // implies lower REL upper, strict iff either side is strict.
-        for (lo, lo_rel) in &lowers {
-            for (hi, hi_rel) in &uppers {
-                let strict = *lo_rel == Rel::Lt || *hi_rel == Rel::Lt;
-                let expr = lo.sub(hi); // lo - hi REL 0
+        for lo in &lowers {
+            for hi in &uppers {
+                let mut expr = lo.expr.clone(); // lo - hi REL 0
+                expr.add_scaled(&hi.expr, -Rat::ONE);
+                let strict = lo.rel == Rel::Lt || hi.rel == Rel::Lt;
                 others.push(Constraint {
                     expr,
                     rel: if strict { Rel::Lt } else { Rel::Le },
                 });
             }
         }
+        lowers.clear();
+        uppers.clear();
         ineqs = others;
     }
 }
@@ -327,17 +390,14 @@ pub fn entails_eq0(constraints: &[Constraint], expr: &LinExpr) -> bool {
 /// [`entails_eq0`], additionally reporting the variable eliminations the
 /// two underlying feasibility checks performed.
 pub fn entails_eq0_counted(constraints: &[Constraint], expr: &LinExpr) -> (bool, u64) {
-    let mut with_lt = constraints.to_vec();
-    with_lt.push(Constraint::lt0(expr.clone()));
-    let mut with_gt = constraints.to_vec();
-    with_gt.push(Constraint::lt0(expr.scale(-Rat::ONE)));
-    let (lt_feasible, lt_elims) = feasible_counted(&with_lt);
+    let with = |extra: LinExpr| constraints.iter().cloned().chain([Constraint::lt0(extra)]);
+    let (lt_feasible, lt_elims) = eliminate(with(expr.clone()));
     // Short-circuit like `&&`: the second system is only solved when the
     // first was infeasible, so the count matches the work actually done.
     if lt_feasible {
         return (false, lt_elims);
     }
-    let (gt_feasible, gt_elims) = feasible_counted(&with_gt);
+    let (gt_feasible, gt_elims) = eliminate(with(expr.scale(-Rat::ONE)));
     (!gt_feasible, lt_elims + gt_elims)
 }
 
@@ -460,7 +520,8 @@ mod tests {
     #[test]
     fn linexpr_algebra() {
         let e = x().scale(Rat::int(2)).add(&k(3));
-        assert_eq!(e.terms.get(&0), Some(&Rat::int(2)));
+        assert_eq!(e.coeff(0), Some(Rat::int(2)));
+        assert!(e.mentions(0) && !e.mentions(1));
         assert_eq!(e.konst, Rat::int(3));
         let z = e.sub(&e);
         assert!(z.is_constant());

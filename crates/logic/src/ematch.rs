@@ -12,93 +12,136 @@
 //! patterns consult the e-graph's `(head, arity)` index instead of
 //! scanning every node, and bindings carry hash-consed [`TermId`]s so
 //! downstream deduplication never formats or clones term trees.
+//!
+//! # Enumeration order
+//!
+//! The matcher walks one work stack of `(pattern, class)` pairs, whose
+//! top is the next pattern to match, and backtracks by truncating it,
+//! so a match allocates nothing but the bindings it reports. The order
+//! in which it reports bindings decides the prover's instantiation
+//! order, and it is fixed: the patterns of a multi-pattern left to
+//! right; an unanchored pattern tries its candidates (the terms with its
+//! head and arity, or every term for a variable or literal) in ascending
+//! id order, visiting each class once, at its first candidate; an
+//! anchored application tries the members of its class in ascending id
+//! order, and matches the member's arguments left to right before the
+//! rest of the work. Every variable is bound to a class representative,
+//! and bound in the same order in every binding of a trigger, so two
+//! bindings equal up to congruence are equal, and only the first is
+//! kept.
 
 use crate::arena::TermId;
 use crate::euf::Egraph;
 use crate::term::Term;
-use std::collections::HashSet;
 use stq_util::Symbol;
 
 /// A substitution produced by matching: variable → hash-consed ground
 /// term id (resolve through the attempt's [`crate::arena::TermArena`]).
 pub type Binding = Vec<(Symbol, TermId)>;
 
-fn match_into(
-    eg: &Egraph,
-    pat: &Term,
-    class: TermId,
-    binding: &mut Binding,
-    out: &mut Vec<Binding>,
-    rest: &[(&Term, Option<TermId>)],
-) {
-    match pat {
-        Term::Var(x, _) => {
-            if let Some(&(_, bound)) = binding.iter().find(|(y, _)| y == x) {
-                if eg.find(bound) == eg.find(class) {
-                    continue_match(eg, binding, out, rest);
-                }
-            } else {
-                binding.push((*x, eg.find(class)));
-                continue_match(eg, binding, out, rest);
-                binding.pop();
-            }
-        }
-        Term::Int(v) => {
-            if eg.class_int_value(class) == Some(*v) {
-                continue_match(eg, binding, out, rest);
-            }
-        }
-        Term::App(f, pargs) => {
-            for &member in eg.class_members(class) {
-                if eg.head_symbol(member) == Some(*f) && eg.args(member).len() == pargs.len() {
-                    // Match each argument pattern in sequence by chaining
-                    // them onto the work list.
-                    let args: Vec<TermId> = eg.args(member).to_vec();
-                    let mut chained: Vec<(&Term, Option<TermId>)> = pargs
-                        .iter()
-                        .zip(args.iter())
-                        .map(|(p, &a)| (p, Some(a)))
-                        .collect();
-                    chained.extend_from_slice(rest);
-                    continue_match(eg, binding, out, &chained);
-                }
-            }
-        }
-    }
+/// One trigger's match in progress.
+struct Matcher<'a> {
+    eg: &'a Egraph,
+    /// Patterns still to match, the next on top; `None` marks an
+    /// unanchored pattern (any class).
+    work: Vec<(&'a Term, Option<TermId>)>,
+    /// The variables bound so far.
+    binding: Binding,
+    /// Classes visited by the unanchored patterns being enumerated, one
+    /// segment per enclosing enumeration.
+    visited: Vec<TermId>,
+    /// Distinct complete bindings, in the order first found.
+    out: Vec<Binding>,
+    /// Complete bindings found, duplicates included.
+    candidates: u64,
 }
 
-fn continue_match(
-    eg: &Egraph,
-    binding: &mut Binding,
-    out: &mut Vec<Binding>,
-    work: &[(&Term, Option<TermId>)],
-) {
-    match work.split_first() {
-        None => out.push(binding.clone()),
-        Some((&(pat, target), rest)) => match target {
-            Some(class) => match_into(eg, pat, class, binding, out, rest),
-            None => {
-                // Unanchored pattern: try every class whose head matches.
-                // Application heads hit the (head, arity) index directly.
-                let candidates: Vec<TermId> = match pat {
-                    Term::App(f, pargs) => eg.terms_with_head(*f, pargs.len()).to_vec(),
-                    Term::Int(v) => eg
-                        .term_refs()
-                        .filter(|&r| eg.int_literal(r) == Some(*v))
-                        .collect(),
-                    Term::Var(..) => eg.term_refs().collect(),
-                };
-                // One attempt per class: match_into enumerates the class's
-                // members itself, so visiting a class twice only duplicates
-                // work (duplicates are also collapsed at the end).
-                let mut seen_classes = HashSet::new();
-                for r in candidates {
-                    if seen_classes.insert(eg.find(r)) {
-                        match_into(eg, pat, r, binding, out, rest);
+impl<'a> Matcher<'a> {
+    /// Matches the rest of the work, restoring the stack afterwards.
+    fn next(&mut self) {
+        let Some((pat, target)) = self.work.pop() else {
+            self.candidates += 1;
+            if !self.out.contains(&self.binding) {
+                self.out.push(self.binding.clone());
+            }
+            return;
+        };
+        match target {
+            Some(class) => self.match_class(pat, class),
+            None => self.match_unanchored(pat),
+        }
+        self.work.push((pat, target));
+    }
+
+    /// Tries an unanchored pattern against each class once, at the
+    /// class's first candidate in id order.
+    fn match_unanchored(&mut self, pat: &'a Term) {
+        let eg = self.eg;
+        let base = self.visited.len();
+        let visit = |m: &mut Matcher<'a>, r: TermId| {
+            let class = eg.find(r);
+            if !m.visited[base..].contains(&class) {
+                m.visited.push(class);
+                m.match_class(pat, r);
+            }
+        };
+        match pat {
+            // Application heads hit the (head, arity) index directly.
+            Term::App(f, pargs) => {
+                for &r in eg.terms_with_head(*f, pargs.len()) {
+                    visit(self, r);
+                }
+            }
+            Term::Int(v) => {
+                for r in eg.term_refs().filter(|&r| eg.int_literal(r) == Some(*v)) {
+                    visit(self, r);
+                }
+            }
+            Term::Var(..) => {
+                for r in eg.term_refs() {
+                    visit(self, r);
+                }
+            }
+        }
+        self.visited.truncate(base);
+    }
+
+    /// Matches `pat` against the class of `class`, then the rest of the
+    /// work.
+    fn match_class(&mut self, pat: &'a Term, class: TermId) {
+        let eg = self.eg;
+        match pat {
+            Term::Var(x, _) => match self.binding.iter().find(|(y, _)| y == x) {
+                Some(&(_, bound)) => {
+                    if bound == eg.find(class) {
+                        self.next();
+                    }
+                }
+                None => {
+                    self.binding.push((*x, eg.find(class)));
+                    self.next();
+                    self.binding.pop();
+                }
+            },
+            Term::Int(v) => {
+                if eg.class_int_value(class) == Some(*v) {
+                    self.next();
+                }
+            }
+            Term::App(f, pargs) => {
+                for &member in eg.class_members(class) {
+                    let args = eg.args(member);
+                    if eg.head_symbol(member) == Some(*f) && args.len() == pargs.len() {
+                        // The first argument pattern goes on top.
+                        let depth = self.work.len();
+                        let anchored = pargs.iter().zip(args).rev();
+                        self.work.extend(anchored.map(|(p, &a)| (p, Some(a))));
+                        self.next();
+                        self.work.truncate(depth);
                     }
                 }
             }
-        },
+        }
     }
 }
 
@@ -134,22 +177,17 @@ pub fn match_trigger(eg: &Egraph, trigger: &[Term]) -> Vec<Binding> {
 /// prover's `ematch_candidates` telemetry counter, a direct measure of
 /// matching effort even when most candidates collapse to known instances.
 pub fn match_trigger_counted(eg: &Egraph, trigger: &[Term]) -> (Vec<Binding>, u64) {
-    let work: Vec<(&Term, Option<TermId>)> = trigger.iter().map(|p| (p, None)).collect();
-    let mut raw = Vec::new();
-    continue_match(eg, &mut Vec::new(), &mut raw, &work);
-    let candidates = raw.len() as u64;
-
-    // Deduplicate by the canonical class of each bound variable.
-    let mut seen: HashSet<Binding> = HashSet::new();
-    let mut out = Vec::new();
-    for binding in raw {
-        let mut key: Binding = binding.iter().map(|&(x, r)| (x, eg.find(r))).collect();
-        key.sort();
-        if seen.insert(key) {
-            out.push(binding);
-        }
-    }
-    (out, candidates)
+    let mut m = Matcher {
+        eg,
+        // The first pattern goes on top.
+        work: trigger.iter().rev().map(|p| (p, None)).collect(),
+        binding: Vec::new(),
+        visited: Vec::new(),
+        out: Vec::new(),
+        candidates: 0,
+    };
+    m.next();
+    (m.out, m.candidates)
 }
 
 #[cfg(test)]

@@ -19,13 +19,17 @@ use crate::term::Term;
 use std::collections::HashMap;
 use stq_util::Symbol;
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Node {
     head: Head,
-    args: Vec<TermId>,
+    /// The children, as a range of [`Egraph::args`]'s flat storage.
+    args_start: u32,
+    args_len: u32,
 }
 
 /// One completed class union, with everything needed to undo it exactly.
+/// Member lists are stored as [`Egraph::members`] held them, so an
+/// empty list stands for a singleton class.
 #[derive(Clone, Debug)]
 struct UnionRecord {
     small: TermId,
@@ -69,6 +73,8 @@ pub struct Checkpoint {
 pub struct Egraph {
     /// Head and children of each term, indexed by arena id.
     nodes: Vec<Node>,
+    /// Every term's children, back to back.
+    child_ids: Vec<TermId>,
     /// Union-find parent pointers.
     parent: Vec<TermId>,
     /// Terms in which each term occurs as a direct child (by original id).
@@ -80,7 +86,9 @@ pub struct Egraph {
     /// Integer literal value of the class representative, if any.
     int_value: Vec<Option<i64>>,
     /// Members of each class, stored (sorted ascending) at the
-    /// representative's slot and empty elsewhere.
+    /// representative's slot and empty elsewhere. A representative with
+    /// an empty list is a singleton class, so a term allocates no list
+    /// until its class first grows.
     members: Vec<Vec<TermId>>,
     /// E-matching head index: (symbol, arity) → ids in ascending order.
     by_head: HashMap<(Symbol, usize), Vec<TermId>>,
@@ -91,6 +99,8 @@ pub struct Egraph {
     /// [`crate::stats::ProverStats::merges`]). Cumulative: rollback does
     /// not subtract the undone unions.
     merges: u64,
+    /// The merge worklist, kept between calls so a merge allocates none.
+    pending: Vec<(TermId, TermId)>,
 }
 
 /// A contradiction discovered during merging (two distinct integers, or a
@@ -136,13 +146,19 @@ impl Egraph {
     /// Grow a graph over one arena only, and never while a checkpoint is
     /// open: [`Egraph::rollback`] undoes unions, not growth.
     pub fn grow(&mut self, arena: &TermArena) {
+        let new = arena.len().saturating_sub(self.nodes.len());
+        self.nodes.reserve(new);
+        self.parent.reserve(new);
+        self.uses.reserve(new);
+        self.members.reserve(new);
+        self.int_value.reserve(new);
         for i in self.nodes.len()..arena.len() {
             let id = TermId::try_from(i).expect("arena ids are TermIds");
             let head = arena.head(id);
-            let args = arena.args(id).to_vec();
+            let args = arena.args(id);
             self.parent.push(id);
             self.uses.push(Vec::new());
-            self.members.push(vec![id]);
+            self.members.push(Vec::new());
             self.int_value.push(match head {
                 Head::Int(v) => Some(v),
                 Head::Sym(_) => None,
@@ -150,12 +166,19 @@ impl Egraph {
             if let Head::Sym(f) = head {
                 self.by_head.entry((f, args.len())).or_default().push(id);
             }
-            for &a in &args {
+            for &a in args {
                 let rep = self.find(a);
                 self.uses[rep as usize].push(id);
             }
             let sig = (head, args.iter().map(|&a| self.find(a)).collect::<Vec<_>>());
-            self.nodes.push(Node { head, args });
+            let args_start = u32::try_from(self.child_ids.len()).expect("e-graph overflow");
+            let args_len = u32::try_from(args.len()).expect("e-graph overflow");
+            self.child_ids.extend_from_slice(args);
+            self.nodes.push(Node {
+                head,
+                args_start,
+                args_len,
+            });
             if let Some(&other) = self.sig_table.get(&sig) {
                 // Cannot conflict: a new term carries no disequalities,
                 // and Int heads are hash-consed so never duplicated.
@@ -181,7 +204,16 @@ impl Egraph {
     /// Returns [`EufConflict`] if the merge equates two distinct integer
     /// literals or violates a previously asserted disequality.
     pub fn merge(&mut self, a: TermId, b: TermId) -> Result<(), EufConflict> {
-        let mut pending = vec![(a, b)];
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.clear();
+        pending.push((a, b));
+        let result = self.merge_pending(&mut pending);
+        self.pending = pending;
+        result
+    }
+
+    /// Unions the pairs on the worklist, and the congruences they imply.
+    fn merge_pending(&mut self, pending: &mut Vec<(TermId, TermId)>) -> Result<(), EufConflict> {
         while let Some((x, y)) = pending.pop() {
             let (rx, ry) = (self.find(x), self.find(y));
             if rx == ry {
@@ -209,15 +241,20 @@ impl Egraph {
             // is stable no matter which side was grafted.
             let moved_members = std::mem::take(&mut self.members[small as usize]);
             let kept_members = std::mem::take(&mut self.members[big as usize]);
-            self.members[big as usize] = merge_sorted(&kept_members, &moved_members);
+            self.members[big as usize] = merge_sorted(
+                or_singleton(&kept_members, &big),
+                or_singleton(&moved_members, &small),
+            );
             // Recompute signatures of the small class's parents.
             let moved_uses = std::mem::take(&mut self.uses[small as usize]);
             let mut inserted_sigs: Vec<(Head, Vec<TermId>)> = Vec::new();
             for &u in &moved_uses {
-                let node = &self.nodes[u as usize];
                 let sig = (
-                    node.head,
-                    node.args.iter().map(|&c| self.find(c)).collect::<Vec<_>>(),
+                    self.nodes[u as usize].head,
+                    self.args(u)
+                        .iter()
+                        .map(|&c| self.find(c))
+                        .collect::<Vec<_>>(),
                 );
                 if let Some(&other) = self.sig_table.get(&sig) {
                     if self.find(other) != self.find(u) {
@@ -291,12 +328,16 @@ impl Egraph {
 
     /// Direct children of `r`.
     pub fn args(&self, r: TermId) -> &[TermId] {
-        &self.nodes[r as usize].args
+        let node = self.nodes[r as usize];
+        let start = node.args_start as usize;
+        &self.child_ids[start..start + node.args_len as usize]
     }
 
     /// All members of `r`'s equivalence class, in ascending id order.
     pub fn class_members(&self, r: TermId) -> &[TermId] {
-        &self.members[self.find(r) as usize]
+        let rep = self.find(r) as usize;
+        // A representative is its own parent.
+        or_singleton(&self.members[rep], &self.parent[rep])
     }
 
     /// Every term headed by `f` at the given arity, in ascending id
@@ -350,6 +391,15 @@ impl Egraph {
             self.parent[u.small as usize] = u.small;
         }
         self.diseqs.truncate(cp.diseqs);
+    }
+}
+
+/// A stored member list, or the singleton `rep` when it is empty.
+fn or_singleton<'a>(members: &'a [TermId], rep: &'a TermId) -> &'a [TermId] {
+    if members.is_empty() {
+        std::slice::from_ref(rep)
+    } else {
+        members
     }
 }
 

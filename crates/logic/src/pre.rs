@@ -17,7 +17,8 @@
 
 use crate::term::{Formula, Sort, Term, Trigger};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 use stq_util::Symbol;
 
 /// An atom after preprocessing.
@@ -69,6 +70,50 @@ pub struct QuantClosure {
     pub triggers: Vec<Trigger>,
     /// Body; NNF, skolem-free of existentials, may contain nested foralls.
     pub body: Formula,
+    /// Each trigger's display name, rendered on first use. A shared
+    /// theory's closures outlive the attempts, so each is rendered once.
+    names: Vec<OnceLock<String>>,
+}
+
+impl QuantClosure {
+    fn new(vars: Vec<(Symbol, Sort)>, triggers: Vec<Trigger>, body: Formula) -> QuantClosure {
+        let names = triggers.iter().map(|_| OnceLock::new()).collect();
+        QuantClosure {
+            vars,
+            triggers,
+            body,
+            names,
+        }
+    }
+
+    /// The display name of trigger `ti`, its patterns joined by `, ` —
+    /// the key of [`crate::stats::ProverStats::instantiations_by_trigger`].
+    pub fn trigger_name(&self, ti: usize) -> &str {
+        self.names[ti].get_or_init(|| {
+            let parts: Vec<String> = self.triggers[ti].iter().map(ToString::to_string).collect();
+            parts.join(", ")
+        })
+    }
+}
+
+/// A quantifier-table key: a shared closure, compared by its variables
+/// and body, so the table holds no second copy of either.
+#[derive(Clone, Debug)]
+struct QuantKey(Arc<QuantClosure>);
+
+impl PartialEq for QuantKey {
+    fn eq(&self, other: &QuantKey) -> bool {
+        self.0.vars == other.0.vars && self.0.body == other.0.body
+    }
+}
+
+impl Eq for QuantKey {}
+
+impl Hash for QuantKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.vars.hash(state);
+        self.0.body.hash(state);
+    }
 }
 
 /// Shared state for turning formulas into clauses.
@@ -78,12 +123,14 @@ pub struct QuantClosure {
 /// and clausification on every obligation.
 #[derive(Clone, Default, Debug)]
 pub struct Clausifier {
-    atoms: Vec<Atom>,
-    atom_ids: HashMap<Atom, usize>,
+    /// The atom table. Each atom is shared with its `atom_ids` key, so
+    /// cloning a clausifier copies no term.
+    atoms: Vec<Arc<Atom>>,
+    atom_ids: HashMap<Arc<Atom>, usize>,
     /// Quantifier proxy table, shared so each E-matching round can hold a
     /// quantifier while clausifying its instances without copying it.
     pub quants: Vec<Arc<QuantClosure>>,
-    quant_ids: HashMap<(Vec<(Symbol, Sort)>, Formula), usize>,
+    quant_ids: HashMap<QuantKey, usize>,
     /// Per-quantifier proxy atom id (the `Atom::Quant(q)` atom), filled
     /// in when the proxy is first clausified.
     quant_atoms: Vec<Option<usize>>,
@@ -107,7 +154,7 @@ impl Clausifier {
     }
 
     /// The atom table built so far.
-    pub fn atoms(&self) -> &[Atom] {
+    pub fn atoms(&self) -> &[Arc<Atom>] {
         &self.atoms
     }
 
@@ -121,18 +168,19 @@ impl Clausifier {
             return id;
         }
         let id = self.atoms.len();
-        self.atoms.push(a.clone());
+        let a = Arc::new(a);
+        self.atoms.push(Arc::clone(&a));
         self.atom_ids.insert(a, id);
         id
     }
 
     fn intern_quant(&mut self, q: QuantClosure) -> usize {
-        let key = (q.vars.clone(), q.body.clone());
+        let key = QuantKey(Arc::new(q));
         if let Some(&id) = self.quant_ids.get(&key) {
             return id;
         }
         let id = self.quants.len();
-        self.quants.push(Arc::new(q));
+        self.quants.push(Arc::clone(&key.0));
         self.quant_atoms.push(None);
         self.quant_ids.insert(key, id);
         id
@@ -161,8 +209,7 @@ impl Clausifier {
             self.atom_ids.remove(&a);
         }
         for q in self.quants.drain(mark.quants..) {
-            let q = Arc::unwrap_or_clone(q);
-            self.quant_ids.remove(&(q.vars, q.body));
+            self.quant_ids.remove(&QuantKey(q));
         }
         self.quant_atoms.truncate(mark.quants);
         // Surviving proxies may point at dropped atoms if the proxy atom
@@ -281,11 +328,8 @@ impl Clausifier {
                 } else {
                     triggers.clone()
                 };
-                let q = self.intern_quant(QuantClosure {
-                    vars: vars.clone(),
-                    triggers,
-                    body: (**body).clone(),
-                });
+                let q =
+                    self.intern_quant(QuantClosure::new(vars.clone(), triggers, (**body).clone()));
                 let atom = self.intern_atom(Atom::Quant(q));
                 self.quant_atoms[q] = Some(atom);
                 vec![vec![Lit { atom, pos: true }]]

@@ -2,7 +2,10 @@
 //!
 //! Fourier–Motzkin elimination multiplies coefficients together, so the
 //! numbers can grow; `i128` components give enormous headroom for the small
-//! constraint systems that qualifier proof obligations produce.
+//! constraint systems that qualifier proof obligations produce. Nearly
+//! every value the prover meets is an integer, so `+`, `*` and the
+//! comparison take a shortcut when both denominators are one; every
+//! path checks for overflow and panics on it.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -121,6 +124,13 @@ impl Rat {
 impl Add for Rat {
     type Output = Rat;
     fn add(self, rhs: Rat) -> Rat {
+        if self.den == 1 && rhs.den == 1 {
+            let num = self
+                .num
+                .checked_add(rhs.num)
+                .expect("rational overflow in add");
+            return Rat { num, den: 1 };
+        }
         let num = self
             .num
             .checked_mul(rhs.den)
@@ -144,6 +154,13 @@ impl Sub for Rat {
 impl Mul for Rat {
     type Output = Rat;
     fn mul(self, rhs: Rat) -> Rat {
+        if self.den == 1 && rhs.den == 1 {
+            let num = self
+                .num
+                .checked_mul(rhs.num)
+                .expect("rational overflow in mul");
+            return Rat { num, den: 1 };
+        }
         let num = self
             .num
             .checked_mul(rhs.num)
@@ -184,6 +201,9 @@ impl PartialOrd for Rat {
 
 impl Ord for Rat {
     fn cmp(&self, other: &Rat) -> Ordering {
+        if self.den == 1 && other.den == 1 {
+            return self.num.cmp(&other.num);
+        }
         let lhs = self
             .num
             .checked_mul(other.den)
@@ -256,6 +276,18 @@ mod tests {
         assert_eq!(Rat::new(-7, 2).ceil(), -3);
         assert_eq!(Rat::int(4).floor(), 4);
         assert_eq!(Rat::int(4).ceil(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "rational overflow in add")]
+    fn integer_add_overflow_panics() {
+        let _ = Rat::int(i128::MAX) + Rat::ONE;
+    }
+
+    #[test]
+    #[should_panic(expected = "rational overflow in mul")]
+    fn integer_mul_overflow_panics() {
+        let _ = Rat::int(i128::MAX) * Rat::int(2);
     }
 
     #[test]

@@ -63,7 +63,7 @@ use crate::stats::{Budget, ProverStats, Resource};
 use crate::term::{Formula, Term};
 use crate::theory::{ground_free_vars, SolveCore, Theory};
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 use stq_util::{CancelToken, Symbol};
@@ -380,31 +380,27 @@ impl Problem {
         deadline: Option<Instant>,
         theory_fault: Option<u64>,
     ) -> Outcome {
-        let goal = self.goal.clone().expect("no goal set on problem");
-        // Free variables act as uninterpreted constants (proving a goal
-        // with free variables proves it for arbitrary values).
-        let goal = ground_free_vars(&goal);
+        let goal = self.goal.as_ref().expect("no goal set on problem");
 
         // Arena counters are monotone; the deltas over this attempt are
         // its interning telemetry.
         let arena_created0 = core.arena.created();
         let arena_hits0 = core.arena.hits();
 
+        // Free variables act as uninterpreted constants (proving a goal
+        // with free variables proves it for arbitrary values).
         for ax in &self.axioms {
             core.assert_formula(&ground_free_vars(ax));
         }
         for h in &self.hyps {
             core.assert_formula(&ground_free_vars(h));
         }
-        core.assert_formula(&goal.negate());
+        core.assert_formula(&ground_free_vars(goal).into_owned().negate());
 
         let mut stats = ProverStats::default();
         // Instantiation dedup keys on hash-consed ids: atom tables only
         // grow within an attempt, so ids are stable across rounds.
         let mut instantiated: HashSet<(usize, Binding)> = HashSet::new();
-        // Trigger display names, rendered once per (quantifier, trigger)
-        // instead of once per instantiation.
-        let mut trigger_names: HashMap<(usize, usize), String> = HashMap::new();
         // The attempt's one e-graph, over the core's arena. Each round
         // grows it by the terms the new atoms brought, the search asserts
         // and rolls back its literals on it, and E-matching merges the
@@ -510,20 +506,25 @@ impl Problem {
                             {
                                 continue;
                             }
-                            if !instantiated.insert((q, binding.clone())) {
+                            let key = (q, binding);
+                            if instantiated.contains(&key) {
                                 continue;
                             }
                             stats.instantiations += 1;
-                            let name = trigger_names
-                                .entry((q, ti))
-                                .or_insert_with(|| render_trigger(trigger))
-                                .clone();
-                            *stats.instantiations_by_trigger.entry(name).or_insert(0) += 1;
-                            let subst: Vec<(Symbol, Term)> = binding
+                            let name = closure.trigger_name(ti);
+                            match stats.instantiations_by_trigger.get_mut(name) {
+                                Some(n) => *n += 1,
+                                None => {
+                                    stats.instantiations_by_trigger.insert(name.to_owned(), 1);
+                                }
+                            }
+                            let subst: Vec<(Symbol, &Term)> = key
+                                .1
                                 .iter()
-                                .map(|&(x, id)| (x, core.arena.term(id).clone()))
+                                .map(|&(x, id)| (x, core.arena.term(id)))
                                 .collect();
                             let inst = closure.body.subst(&subst);
+                            instantiated.insert(key);
                             let mut inst_clauses = core.cl.clausify(&inst);
                             // Guard each clause with the proxy: ¬Q ∨ instance.
                             if let Some(p) = proxy_atom {
@@ -640,13 +641,6 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     } else {
         "non-string panic payload".to_owned()
     }
-}
-
-/// Renders a trigger multi-pattern as the stable string key used in
-/// [`ProverStats::instantiations_by_trigger`].
-fn render_trigger(trigger: &[Term]) -> String {
-    let parts: Vec<String> = trigger.iter().map(ToString::to_string).collect();
-    parts.join(", ")
 }
 
 fn render_model(cl: &Clausifier, model: &[Option<bool>]) -> Vec<String> {
@@ -915,42 +909,27 @@ impl Search<'_> {
                 Atom::Pred(..) | Atom::Quant(_) => continue,
             };
             let ca = core.atom_tids[i];
-            let a = linearize(
-                &core.arena,
-                eg,
-                ca.fst.expect("arithmetic operands are ground"),
-            );
-            let b = linearize(
-                &core.arena,
-                eg,
-                ca.snd.expect("arithmetic operands are ground"),
-            );
-            let c = match (rel, value) {
-                (_, true) => Constraint {
-                    expr: a.sub(&b),
-                    rel,
-                },
-                (Rel::Eq, false) => {
-                    diseqs.push(a.sub(&b));
-                    continue;
-                }
-                // ¬(a ≤ b)  ⇔  b - a < 0
-                (Rel::Le, false) => Constraint::lt0(b.sub(&a)),
-                // ¬(a < b)  ⇔  b - a ≤ 0
-                (Rel::Lt, false) => Constraint::le0(b.sub(&a)),
+            let a = ca.fst.expect("arithmetic operands are ground");
+            let b = ca.snd.expect("arithmetic operands are ground");
+            // A true literal and a disequality constrain a - b; a false
+            // inequality constrains b - a:
+            //   ¬(a ≤ b)  ⇔  b - a < 0,   ¬(a < b)  ⇔  b - a ≤ 0.
+            let (pos, neg, rel) = match (rel, value) {
+                (_, true) | (Rel::Eq, false) => (a, b, rel),
+                (Rel::Le, false) => (b, a, Rel::Lt),
+                (Rel::Lt, false) => (b, a, Rel::Le),
             };
-            match c.expr.as_constant() {
-                None => constraints.push(c),
-                Some(k) => {
-                    let holds = match c.rel {
-                        Rel::Eq => k.is_zero(),
-                        Rel::Le => k <= Rat::ZERO,
-                        Rel::Lt => k < Rat::ZERO,
-                    };
-                    if !holds {
-                        return false;
-                    }
-                }
+            let mut expr = LinExpr::default();
+            linearize_into(&core.arena, eg, pos, Rat::ONE, &mut expr);
+            linearize_into(&core.arena, eg, neg, -Rat::ONE, &mut expr);
+            if !value && rel == Rel::Eq {
+                diseqs.push(expr);
+                continue;
+            }
+            match expr.as_constant() {
+                None => constraints.push(Constraint { expr, rel }),
+                Some(k) if rel.holds(k) => {}
+                Some(_) => return false,
             }
         }
         let (feasible, elims) = feasible_counted(&constraints);
@@ -967,8 +946,8 @@ impl Search<'_> {
                 }
                 continue;
             }
-            let free = |x: &AtomId| !constraints.iter().any(|c| c.expr.terms.contains_key(x));
-            if d.terms.keys().any(free) {
+            let free = |x: AtomId| !constraints.iter().any(|c| c.expr.mentions(x));
+            if d.atoms().any(free) {
                 continue;
             }
             let (entailed, elims) = entails_eq0_counted(&constraints, d);
@@ -981,54 +960,55 @@ impl Search<'_> {
     }
 }
 
-/// Converts an interned ground term into a linear expression over opaque
-/// atoms, canonicalizing uninterpreted subterms by their
-/// congruence-closure representative (this is how equality facts flow
-/// into arithmetic).
-fn linearize(arena: &TermArena, eg: &Egraph, id: TermId) -> LinExpr {
-    match arena.head(id) {
-        Head::Int(v) => LinExpr::constant(Rat::from(v)),
-        Head::Sym(f) => {
-            let args = arena.args(id);
-            match (f.as_str(), args.len()) {
-                ("+", 2) => {
-                    let (x, y) = (args[0], args[1]);
-                    let a = linearize(arena, eg, x);
-                    let b = linearize(arena, eg, y);
-                    a.add(&b)
-                }
-                ("-", 2) => {
-                    let (x, y) = (args[0], args[1]);
-                    let a = linearize(arena, eg, x);
-                    let b = linearize(arena, eg, y);
-                    a.sub(&b)
-                }
-                ("neg", 1) => {
-                    let x = args[0];
-                    linearize(arena, eg, x).scale(-Rat::ONE)
-                }
-                ("*", 2) => {
-                    let (x, y) = (args[0], args[1]);
-                    let a = linearize(arena, eg, x);
-                    let b = linearize(arena, eg, y);
-                    if let Some(k) = a.as_constant() {
-                        b.scale(k)
-                    } else if let Some(k) = b.as_constant() {
-                        a.scale(k)
-                    } else {
-                        opaque(eg, id)
-                    }
-                }
-                _ => opaque(eg, id),
+/// Adds `k` times an interned ground term, as a linear expression over
+/// opaque atoms, into `out`. Uninterpreted subterms are canonicalized by
+/// their congruence-closure representative (this is how equality facts
+/// flow into arithmetic). Linear expressions are canonical, so adding
+/// into one accumulator gives the expression that building one per
+/// subterm and combining them would.
+fn linearize_into(arena: &TermArena, eg: &Egraph, id: TermId, k: Rat, out: &mut LinExpr) {
+    let Head::Sym(f) = arena.head(id) else {
+        let v = arena
+            .int_value(id)
+            .expect("a non-symbol head is an integer");
+        out.konst = out.konst + Rat::from(v) * k;
+        return;
+    };
+    let args = arena.args(id);
+    match (f.as_str(), args.len()) {
+        ("+", 2) => {
+            linearize_into(arena, eg, args[0], k, out);
+            linearize_into(arena, eg, args[1], k, out);
+        }
+        ("-", 2) => {
+            linearize_into(arena, eg, args[0], k, out);
+            linearize_into(arena, eg, args[1], -k, out);
+        }
+        ("neg", 1) => linearize_into(arena, eg, args[0], -k, out),
+        ("*", 2) => {
+            // Linear only when one factor is constant.
+            let factor = |x: TermId| {
+                let mut e = LinExpr::default();
+                linearize_into(arena, eg, x, Rat::ONE, &mut e);
+                e
+            };
+            let (a, b) = (factor(args[0]), factor(args[1]));
+            match (a.as_constant(), b.as_constant()) {
+                (Some(c), _) => out.add_scaled(&b, c * k),
+                (None, Some(c)) => out.add_scaled(&a, c * k),
+                (None, None) => opaque_into(eg, id, k, out),
             }
         }
+        _ => opaque_into(eg, id, k, out),
     }
 }
 
-fn opaque(eg: &Egraph, id: TermId) -> LinExpr {
+/// Adds `k` times an uninterpreted term into `out`: its class's integer
+/// value when the class has one, else its representative as an atom.
+fn opaque_into(eg: &Egraph, id: TermId, k: Rat, out: &mut LinExpr) {
     match eg.class_int_value(id) {
-        Some(v) => LinExpr::constant(Rat::from(v)),
-        None => LinExpr::atom(eg.find(id)),
+        Some(v) => out.konst = out.konst + Rat::from(v) * k,
+        None => out.add_term(eg.find(id), k),
     }
 }
 

@@ -5,6 +5,7 @@
 //! are ordinary [`Term::App`] applications, while the interpreted symbols
 //! `+`, `-`, `*`, and `neg` are recognized by the arithmetic solver.
 
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
 use stq_util::Symbol;
@@ -163,12 +164,12 @@ impl Term {
     /// this prover (quantifier instantiation and skolemization), so no
     /// renaming is required.
     #[must_use]
-    pub fn subst(&self, map: &[(Symbol, Term)]) -> Term {
+    pub fn subst<T: Borrow<Term>>(&self, map: &[(Symbol, T)]) -> Term {
         match self {
             Term::Var(x, _) => map
                 .iter()
                 .find(|(y, _)| y == x)
-                .map_or_else(|| self.clone(), |(_, t)| t.clone()),
+                .map_or_else(|| self.clone(), |(_, t)| t.borrow().clone()),
             Term::Int(_) => self.clone(),
             Term::App(f, args) => Term::App(*f, args.iter().map(|a| a.subst(map)).collect()),
         }
@@ -254,6 +255,17 @@ impl Term {
             Term::App(..) => 2,
         }
     }
+}
+
+/// The entries of a substitution whose variable `vars` does not rebind.
+fn unshadowed<'m, T: Borrow<Term>>(
+    map: &'m [(Symbol, T)],
+    vars: &[(Symbol, Sort)],
+) -> Vec<(Symbol, &'m Term)> {
+    map.iter()
+        .filter(|(x, _)| !vars.iter().any(|(v, _)| v == x))
+        .map(|(x, t)| (*x, t.borrow()))
+        .collect()
 }
 
 /// A trigger for E-matching: a multi-pattern, i.e. a set of terms that must
@@ -373,8 +385,9 @@ impl Formula {
     }
 
     /// Capture-avoiding substitution of free variables by ground terms.
+    /// The map may hold the terms or references to them.
     #[must_use]
-    pub fn subst(&self, map: &[(Symbol, Term)]) -> Formula {
+    pub fn subst<T: Borrow<Term>>(&self, map: &[(Symbol, T)]) -> Formula {
         match self {
             Formula::True | Formula::False => self.clone(),
             Formula::Pred(p, args) => {
@@ -387,26 +400,17 @@ impl Formula {
             Formula::And(fs) => Formula::And(fs.iter().map(|f| f.subst(map)).collect()),
             Formula::Or(fs) => Formula::Or(fs.iter().map(|f| f.subst(map)).collect()),
             Formula::Forall(vars, trs, body) => {
-                let filtered: Vec<(Symbol, Term)> = map
-                    .iter()
-                    .filter(|(x, _)| !vars.iter().any(|(v, _)| v == x))
-                    .cloned()
-                    .collect();
+                let map = unshadowed(map, vars);
                 Formula::Forall(
                     vars.clone(),
                     trs.iter()
-                        .map(|tr| tr.iter().map(|t| t.subst(&filtered)).collect())
+                        .map(|tr| tr.iter().map(|t| t.subst(&map)).collect())
                         .collect(),
-                    Box::new(body.subst(&filtered)),
+                    Box::new(body.subst(&map)),
                 )
             }
             Formula::Exists(vars, body) => {
-                let filtered: Vec<(Symbol, Term)> = map
-                    .iter()
-                    .filter(|(x, _)| !vars.iter().any(|(v, _)| v == x))
-                    .cloned()
-                    .collect();
-                Formula::Exists(vars.clone(), Box::new(body.subst(&filtered)))
+                Formula::Exists(vars.clone(), Box::new(body.subst(&unshadowed(map, vars))))
             }
         }
     }

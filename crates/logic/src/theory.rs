@@ -16,6 +16,7 @@ use crate::arena::{TermArena, TermId};
 use crate::fingerprint::{axioms_prefix, StableHasher};
 use crate::pre::{Atom, Clause, Clausifier, ClausifierMark, Lit};
 use crate::term::{Formula, Term};
+use std::borrow::Cow;
 use std::collections::HashSet;
 
 /// A background axiom set preprocessed once for reuse across many
@@ -217,17 +218,17 @@ fn cache_atom(arena: &mut TermArena, atom: &Atom) -> CachedAtom {
 /// Replaces free variables with nullary applications so formulas can be
 /// treated as ground (proving a goal with free variables proves it for
 /// arbitrary values).
-pub(crate) fn ground_free_vars(f: &Formula) -> Formula {
+pub(crate) fn ground_free_vars(f: &Formula) -> Cow<'_, Formula> {
     let mut fv = Vec::new();
     f.free_vars(&mut fv);
     if fv.is_empty() {
-        return f.clone();
+        return Cow::Borrowed(f);
     }
     let map: Vec<(stq_util::Symbol, Term)> = fv
         .into_iter()
         .map(|(v, _)| (v, Term::App(v, Vec::new())))
         .collect();
-    f.subst(&map)
+    Cow::Owned(f.subst(&map))
 }
 
 #[cfg(test)]

@@ -10,12 +10,25 @@
 //! * **Arithmetic soundness**: if Fourier–Motzkin declares a constraint
 //!   system infeasible, no integer point satisfies it; and any integer
 //!   point found by brute force forces feasibility.
+//! * **Arithmetic kernel, differentially**: `feasible_counted` and
+//!   `entails_eq0_counted` return the same answer and the same
+//!   elimination count as a reference copy of the `BTreeMap`-based
+//!   Fourier–Motzkin kept in this file, and `Rat`'s operators agree
+//!   with cross-multiplication.
+//! * **E-matching, differentially**: `match_trigger_counted` finds,
+//!   up to congruence, exactly the bindings of a brute-force matcher
+//!   that tries every assignment of pattern variables to classes.
 
 use proptest::prelude::*;
-use stq_logic::arith::{feasible, Constraint, LinExpr};
+use std::cmp::Ordering;
+use std::collections::BTreeSet;
+use stq_logic::arena::{Head, TermArena, TermId};
+use stq_logic::arith::{entails_eq0_counted, feasible, feasible_counted, Constraint, LinExpr};
+use stq_logic::ematch::match_trigger_counted;
+use stq_logic::euf::Egraph;
 use stq_logic::rat::Rat;
 use stq_logic::solver::Problem;
-use stq_logic::term::{Formula, Term};
+use stq_logic::term::{Formula, Sort, Term};
 
 // ----- propositional -----
 
@@ -356,5 +369,484 @@ proptest! {
         problem.hypothesis(x.le(&Term::int(b)));
         problem.goal(x.le(&Term::int(c)));
         prop_assert_eq!(problem.prove().is_proved(), expected);
+    }
+}
+
+// ----- the arithmetic kernel against a reference -----
+
+/// Fourier–Motzkin over `BTreeMap`-keyed expressions, as `arith.rs`
+/// implemented it before its expressions became sorted vectors. It
+/// shares no code with `arith`, so the kernel can be checked against it
+/// for the same answers and the same elimination counts.
+mod reference_fm {
+    use std::collections::BTreeMap;
+    use stq_logic::rat::Rat;
+
+    #[derive(Clone, Debug, Default)]
+    pub struct Expr {
+        pub terms: BTreeMap<u32, Rat>,
+        pub konst: Rat,
+    }
+
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    pub enum Rel {
+        Le,
+        Lt,
+        Eq,
+    }
+
+    impl Expr {
+        pub fn add_term(&mut self, a: u32, coeff: Rat) {
+            let entry = self.terms.entry(a).or_insert(Rat::ZERO);
+            *entry = *entry + coeff;
+            if entry.is_zero() {
+                self.terms.remove(&a);
+            }
+        }
+
+        fn add(&self, other: &Expr) -> Expr {
+            let mut out = self.clone();
+            out.konst = out.konst + other.konst;
+            for (&a, &c) in &other.terms {
+                out.add_term(a, c);
+            }
+            out
+        }
+
+        fn sub(&self, other: &Expr) -> Expr {
+            self.add(&other.scale(-Rat::ONE))
+        }
+
+        pub fn scale(&self, k: Rat) -> Expr {
+            if k.is_zero() {
+                return Expr::default();
+            }
+            Expr {
+                terms: self.terms.iter().map(|(&a, &c)| (a, c * k)).collect(),
+                konst: self.konst * k,
+            }
+        }
+    }
+
+    fn gcd(mut a: i128, mut b: i128) -> i128 {
+        a = a.abs();
+        b = b.abs();
+        while b != 0 {
+            let r = a % b;
+            a = b;
+            b = r;
+        }
+        if a == 0 {
+            1
+        } else {
+            a
+        }
+    }
+
+    fn tighten(expr: &Expr, rel: Rel) -> (Expr, Rel) {
+        if rel != Rel::Lt {
+            return (expr.clone(), rel);
+        }
+        let mut lcm: i128 = 1;
+        let dens = expr.terms.values().map(|r| r.denom());
+        for d in dens.chain([expr.konst.denom()]) {
+            lcm = lcm / gcd(lcm, d) * d;
+        }
+        let mut out = expr.scale(Rat::int(lcm));
+        out.konst = out.konst + Rat::ONE;
+        (out, Rel::Le)
+    }
+
+    pub fn feasible_counted(constraints: &[(Expr, Rel)]) -> (bool, u64) {
+        let mut eliminations = 0;
+        let mut ineqs: Vec<(Expr, Rel)> = Vec::new();
+        let mut eqs: Vec<Expr> = Vec::new();
+        for (e, rel) in constraints {
+            let (e, rel) = tighten(e, *rel);
+            match rel {
+                Rel::Eq => eqs.push(e),
+                _ => ineqs.push((e, rel)),
+            }
+        }
+        while let Some(eq) = eqs.pop() {
+            let Some((&pivot, &coeff)) = eq.terms.iter().next() else {
+                if !eq.konst.is_zero() {
+                    return (false, eliminations);
+                }
+                continue;
+            };
+            eliminations += 1;
+            let mut rest = eq.clone();
+            rest.terms.remove(&pivot);
+            let replacement = rest.scale(-Rat::ONE / coeff);
+            let subst = |e: &Expr| match e.terms.get(&pivot) {
+                None => e.clone(),
+                Some(&k) => {
+                    let mut out = e.clone();
+                    out.terms.remove(&pivot);
+                    out.add(&replacement.scale(k))
+                }
+            };
+            eqs = eqs.iter().map(subst).collect();
+            for (e, _) in &mut ineqs {
+                *e = subst(e);
+            }
+        }
+        loop {
+            let mut remaining = Vec::new();
+            for (e, rel) in ineqs {
+                if !e.terms.is_empty() {
+                    remaining.push((e, rel));
+                    continue;
+                }
+                let ok = match rel {
+                    Rel::Le => e.konst <= Rat::ZERO,
+                    Rel::Lt => e.konst < Rat::ZERO,
+                    Rel::Eq => e.konst.is_zero(),
+                };
+                if !ok {
+                    return (false, eliminations);
+                }
+            }
+            ineqs = remaining;
+            let Some(&var) = ineqs.iter().flat_map(|(e, _)| e.terms.keys()).next() else {
+                return (true, eliminations);
+            };
+            eliminations += 1;
+            let mut lowers = Vec::new();
+            let mut uppers = Vec::new();
+            let mut others = Vec::new();
+            for (e, rel) in ineqs {
+                match e.terms.get(&var).copied() {
+                    None => others.push((e, rel)),
+                    Some(coeff) => {
+                        let mut rest = e.clone();
+                        rest.terms.remove(&var);
+                        let bound = rest.scale(-Rat::ONE / coeff);
+                        if coeff.is_positive() {
+                            uppers.push((bound, rel));
+                        } else {
+                            lowers.push((bound, rel));
+                        }
+                    }
+                }
+            }
+            for (lo, lo_rel) in &lowers {
+                for (hi, hi_rel) in &uppers {
+                    let strict = *lo_rel == Rel::Lt || *hi_rel == Rel::Lt;
+                    others.push((lo.sub(hi), if strict { Rel::Lt } else { Rel::Le }));
+                }
+            }
+            ineqs = others;
+        }
+    }
+
+    pub fn entails_eq0_counted(constraints: &[(Expr, Rel)], expr: &Expr) -> (bool, u64) {
+        let mut with_lt = constraints.to_vec();
+        with_lt.push((expr.clone(), Rel::Lt));
+        let (lt_feasible, lt_elims) = feasible_counted(&with_lt);
+        if lt_feasible {
+            return (false, lt_elims);
+        }
+        let mut with_gt = constraints.to_vec();
+        with_gt.push((expr.scale(-Rat::ONE), Rel::Lt));
+        let (gt_feasible, gt_elims) = feasible_counted(&with_gt);
+        (!gt_feasible, lt_elims + gt_elims)
+    }
+}
+
+/// `Σ (num/den)·atom + k_num/k_den`, as generated.
+#[derive(Clone, Debug)]
+struct RawExpr {
+    terms: Vec<(u32, i8, u8)>,
+    konst: (i8, u8),
+}
+
+fn raw_expr_strategy() -> impl Strategy<Value = RawExpr> {
+    (
+        prop::collection::vec((0u32..4, -4i8..=4, 1u8..=3), 0..5),
+        (-6i8..=6, 1u8..=3),
+    )
+        .prop_map(|(terms, konst)| RawExpr { terms, konst })
+}
+
+fn rat(num: i8, den: u8) -> Rat {
+    Rat::new(i128::from(num), i128::from(den))
+}
+
+/// The expression for the kernel and for the reference, built term by
+/// term through each one's own `add_term`.
+fn both_exprs(raw: &RawExpr) -> (LinExpr, reference_fm::Expr) {
+    let konst = rat(raw.konst.0, raw.konst.1);
+    let mut kernel = LinExpr::constant(konst);
+    let mut reference = reference_fm::Expr {
+        konst,
+        ..reference_fm::Expr::default()
+    };
+    for &(atom, num, den) in &raw.terms {
+        kernel.add_term(atom, rat(num, den));
+        reference.add_term(atom, rat(num, den));
+    }
+    (kernel, reference)
+}
+
+/// Equalities, strict and non-strict inequalities, in both encodings.
+fn both_systems(
+    raw: &[(RawExpr, u8)],
+) -> (
+    Vec<Constraint>,
+    Vec<(reference_fm::Expr, reference_fm::Rel)>,
+) {
+    raw.iter()
+        .map(|(e, rel)| {
+            let (kernel, reference) = both_exprs(e);
+            match rel {
+                0 => (Constraint::eq0(kernel), (reference, reference_fm::Rel::Eq)),
+                1 => (Constraint::lt0(kernel), (reference, reference_fm::Rel::Lt)),
+                _ => (Constraint::le0(kernel), (reference, reference_fm::Rel::Le)),
+            }
+        })
+        .unzip()
+}
+
+fn rat_strategy() -> impl Strategy<Value = Rat> {
+    // Half integers, to take `Rat`'s integer paths often.
+    (-60i64..=60, 1i64..=6, any::<bool>()).prop_map(|(num, den, integer)| {
+        Rat::new(i128::from(num), if integer { 1 } else { i128::from(den) })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn feasibility_matches_the_reference_fourier_motzkin(
+        raw in prop::collection::vec((raw_expr_strategy(), 0u8..3), 1..7)
+    ) {
+        let (kernel, reference) = both_systems(&raw);
+        prop_assert_eq!(
+            feasible_counted(&kernel),
+            reference_fm::feasible_counted(&reference),
+            "system {:?}", raw
+        );
+    }
+
+    #[test]
+    fn entailment_matches_the_reference_fourier_motzkin(
+        raw in prop::collection::vec((raw_expr_strategy(), 0u8..3), 1..7),
+        goal in raw_expr_strategy()
+    ) {
+        let (kernel, reference) = both_systems(&raw);
+        let (kernel_goal, reference_goal) = both_exprs(&goal);
+        prop_assert_eq!(
+            entails_eq0_counted(&kernel, &kernel_goal),
+            reference_fm::entails_eq0_counted(&reference, &reference_goal),
+            "system {:?}, goal {:?}", raw, goal
+        );
+    }
+
+    #[test]
+    fn rat_operators_agree_with_cross_multiplication(a in rat_strategy(), b in rat_strategy()) {
+        let (an, ad, bn, bd) = (a.numer(), a.denom(), b.numer(), b.denom());
+        prop_assert_eq!(a + b, Rat::new(an * bd + bn * ad, ad * bd));
+        prop_assert_eq!(a - b, Rat::new(an * bd - bn * ad, ad * bd));
+        prop_assert_eq!(a * b, Rat::new(an * bn, ad * bd));
+        prop_assert_eq!(a.cmp(&b), (an * bd).cmp(&(bn * ad)));
+        prop_assert_eq!(a == b, (an * bd).cmp(&(bn * ad)) == Ordering::Equal);
+    }
+}
+
+// ----- E-matching against brute force -----
+
+/// The ground terms of the random e-graphs; `f` is unary, `g` binary.
+fn ground(i: usize) -> Term {
+    let a = || Term::cnst("a");
+    let b = || Term::cnst("b");
+    let c = || Term::cnst("c");
+    let f = |t: Term| Term::app("f", vec![t]);
+    let g = |s: Term, t: Term| Term::app("g", vec![s, t]);
+    match i {
+        0 => a(),
+        1 => b(),
+        2 => c(),
+        3 => Term::int(0),
+        4 => f(a()),
+        5 => f(b()),
+        6 => f(Term::int(0)),
+        7 => g(a(), b()),
+        8 => g(b(), b()),
+        9 => f(f(a())),
+        10 => g(f(a()), c()),
+        11 => f(g(a(), b())),
+        _ => g(c(), Term::int(0)),
+    }
+}
+
+const GROUND_TERMS: usize = 13;
+
+/// A pattern over variables `X` and `Y`, the literal `0`, `f` and `g`.
+#[derive(Clone, Debug)]
+enum Pat {
+    Var(u8),
+    Zero,
+    F(Box<Pat>),
+    G(Box<Pat>, Box<Pat>),
+}
+
+fn pat_strategy() -> impl Strategy<Value = Pat> {
+    let leaf = (0u8..3).prop_map(|v| if v < 2 { Pat::Var(v) } else { Pat::Zero });
+    leaf.prop_recursive(2, 8, 2, |inner| {
+        (0u8..2, inner.clone(), inner).prop_map(|(k, p, q)| {
+            if k == 0 {
+                Pat::F(Box::new(p))
+            } else {
+                Pat::G(Box::new(p), Box::new(q))
+            }
+        })
+    })
+}
+
+/// A trigger pattern: an application, as trigger inference produces.
+fn trigger_pat_strategy() -> impl Strategy<Value = Pat> {
+    (0u8..2, pat_strategy(), pat_strategy()).prop_map(|(k, p, q)| {
+        if k == 0 {
+            Pat::F(Box::new(p))
+        } else {
+            Pat::G(Box::new(p), Box::new(q))
+        }
+    })
+}
+
+const PAT_VARS: [&str; 2] = ["X", "Y"];
+
+fn pat_term(p: &Pat) -> Term {
+    match p {
+        Pat::Var(v) => Term::var(PAT_VARS[usize::from(*v)], Sort::Int),
+        Pat::Zero => Term::int(0),
+        Pat::F(p) => Term::app("f", vec![pat_term(p)]),
+        Pat::G(p, q) => Term::app("g", vec![pat_term(p), pat_term(q)]),
+    }
+}
+
+fn pat_vars(p: &Pat, out: &mut BTreeSet<u8>) {
+    match p {
+        Pat::Var(v) => {
+            out.insert(*v);
+        }
+        Pat::Zero => {}
+        Pat::F(p) => pat_vars(p, out),
+        Pat::G(p, q) => {
+            pat_vars(p, out);
+            pat_vars(q, out);
+        }
+    }
+}
+
+/// Whether some member of `class` matches `p` with its arguments taken
+/// modulo the classes, under the variable assignment `sigma` (indexed
+/// by variable, each a class representative). Reads only the arena's
+/// term structure and the e-graph's `find`.
+fn class_matches(arena: &TermArena, eg: &Egraph, p: &Pat, class: TermId, sigma: &[TermId]) -> bool {
+    let ids = 0..TermId::try_from(arena.len()).expect("small arena");
+    let members = || ids.clone().filter(|&t| eg.find(t) == class);
+    let app = |name: &str, pats: &[&Pat]| {
+        members().any(|t| {
+            arena.head(t) == Head::Sym(stq_util::Symbol::intern(name))
+                && arena.args(t).len() == pats.len()
+                && arena
+                    .args(t)
+                    .iter()
+                    .zip(pats)
+                    .all(|(&arg, q)| class_matches(arena, eg, q, eg.find(arg), sigma))
+        })
+    };
+    match p {
+        Pat::Var(v) => sigma[usize::from(*v)] == class,
+        Pat::Zero => members().any(|t| arena.head(t) == Head::Int(0)),
+        Pat::F(q) => app("f", &[q]),
+        Pat::G(q, r) => app("g", &[q, r]),
+    }
+}
+
+/// Every assignment of the trigger's variables to classes under which
+/// each pattern matches some class, as sorted `(variable, class)` lists.
+fn brute_force_bindings(
+    arena: &TermArena,
+    eg: &Egraph,
+    trigger: &[Pat],
+) -> BTreeSet<Vec<(String, TermId)>> {
+    let classes: BTreeSet<TermId> = (0..arena.len())
+        .map(|i| eg.find(TermId::try_from(i).expect("small arena")))
+        .collect();
+    let classes: Vec<TermId> = classes.into_iter().collect();
+    let mut vars = BTreeSet::new();
+    for p in trigger {
+        pat_vars(p, &mut vars);
+    }
+    let vars: Vec<u8> = vars.into_iter().collect();
+    let mut found = BTreeSet::new();
+    let assignments = classes
+        .len()
+        .pow(u32::try_from(vars.len()).expect("two variables"));
+    for mut n in 0..assignments {
+        let mut sigma = vec![TermId::MAX; PAT_VARS.len()];
+        for &v in &vars {
+            sigma[usize::from(v)] = classes[n % classes.len()];
+            n /= classes.len();
+        }
+        let all_match = trigger.iter().all(|p| {
+            classes
+                .iter()
+                .any(|&c| class_matches(arena, eg, p, c, &sigma))
+        });
+        if all_match {
+            let mut binding: Vec<(String, TermId)> = vars
+                .iter()
+                .map(|&v| (PAT_VARS[usize::from(v)].to_owned(), sigma[usize::from(v)]))
+                .collect();
+            binding.sort();
+            found.insert(binding);
+        }
+    }
+    found
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn ematching_finds_exactly_the_brute_force_bindings(
+        terms in prop::collection::vec(0..GROUND_TERMS, 1..8),
+        merges in prop::collection::vec((0usize..8, 0usize..8), 0..4),
+        trigger in prop::collection::vec(trigger_pat_strategy(), 1..3)
+    ) {
+        let mut arena = TermArena::new();
+        let mut eg = Egraph::new();
+        let ids: Vec<TermId> = terms.iter().map(|&i| eg.intern(&mut arena, &ground(i))).collect();
+        for (i, j) in merges {
+            // `0` is the only literal and no disequality is asserted, so
+            // no merge can conflict.
+            eg.merge(ids[i % ids.len()], ids[j % ids.len()]).expect("no conflict");
+        }
+        let patterns: Vec<Term> = trigger.iter().map(pat_term).collect();
+        let (bindings, candidates) = match_trigger_counted(&eg, &patterns);
+        let found: BTreeSet<Vec<(String, TermId)>> = bindings
+            .iter()
+            .map(|b| {
+                let mut key: Vec<(String, TermId)> = b
+                    .iter()
+                    .map(|&(x, id)| (x.as_str().to_owned(), eg.find(id)))
+                    .collect();
+                key.sort();
+                key
+            })
+            .collect();
+        prop_assert_eq!(found.len(), bindings.len(), "duplicate bindings for {:?}", patterns);
+        prop_assert!(candidates >= bindings.len() as u64);
+        prop_assert_eq!(
+            found,
+            brute_force_bindings(&arena, &eg, &trigger),
+            "trigger {:?} over terms {:?}", patterns, terms
+        );
     }
 }

@@ -327,6 +327,7 @@ fn eliminate(constraints: impl Iterator<Item = Constraint>) -> (bool, u64) {
     // Fourier–Motzkin elimination on the remaining inequalities.
     let mut lowers: Vec<Constraint> = Vec::new(); // var ≥/> bound
     let mut uppers: Vec<Constraint> = Vec::new(); // var ≤/< bound
+    let mut others: Vec<Constraint> = Vec::new();
     loop {
         // Trivial constant constraints.
         let violated = ineqs
@@ -345,8 +346,7 @@ fn eliminate(constraints: impl Iterator<Item = Constraint>) -> (bool, u64) {
         // its own constraint: c.expr = coeff*var + rest REL 0  ⇒
         //   coeff > 0: var ≤(REL) -rest/coeff  (upper bound)
         //   coeff < 0: var ≥(REL) -rest/coeff  (lower bound)
-        let mut others: Vec<Constraint> = Vec::with_capacity(ineqs.len());
-        for mut c in ineqs {
+        for mut c in ineqs.drain(..) {
             match c.expr.take(var) {
                 None => others.push(c),
                 Some(coeff) => {
@@ -375,7 +375,7 @@ fn eliminate(constraints: impl Iterator<Item = Constraint>) -> (bool, u64) {
         }
         lowers.clear();
         uppers.clear();
-        ineqs = others;
+        std::mem::swap(&mut ineqs, &mut others);
     }
 }
 

@@ -177,10 +177,20 @@ pub fn match_trigger(eg: &Egraph, trigger: &[Term]) -> Vec<Binding> {
 /// prover's `ematch_candidates` telemetry counter, a direct measure of
 /// matching effort even when most candidates collapse to known instances.
 pub fn match_trigger_counted(eg: &Egraph, trigger: &[Term]) -> (Vec<Binding>, u64) {
+    // Every pattern must match some term: an application pattern whose
+    // head no term has matches nothing.
+    let absent =
+        |p: &Term| matches!(p, Term::App(f, args) if eg.terms_with_head(*f, args.len()).is_empty());
+    if trigger.iter().any(absent) {
+        return (Vec::new(), 0);
+    }
+    // The stack never holds more patterns than the trigger has nodes.
+    let mut work = Vec::with_capacity(trigger.iter().map(pattern_nodes).sum());
+    // The first pattern goes on top.
+    work.extend(trigger.iter().rev().map(|p| (p, None)));
     let mut m = Matcher {
         eg,
-        // The first pattern goes on top.
-        work: trigger.iter().rev().map(|p| (p, None)).collect(),
+        work,
         binding: Vec::new(),
         visited: Vec::new(),
         out: Vec::new(),
@@ -188,6 +198,13 @@ pub fn match_trigger_counted(eg: &Egraph, trigger: &[Term]) -> (Vec<Binding>, u6
     };
     m.next();
     (m.out, m.candidates)
+}
+
+fn pattern_nodes(p: &Term) -> usize {
+    match p {
+        Term::App(_, args) => 1 + args.iter().map(pattern_nodes).sum::<usize>(),
+        Term::Var(..) | Term::Int(_) => 1,
+    }
 }
 
 #[cfg(test)]

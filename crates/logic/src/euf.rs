@@ -152,6 +152,7 @@ impl Egraph {
         self.uses.reserve(new);
         self.members.reserve(new);
         self.int_value.reserve(new);
+        self.sig_table.reserve(new);
         for i in self.nodes.len()..arena.len() {
             let id = TermId::try_from(i).expect("arena ids are TermIds");
             let head = arena.head(id);

@@ -285,25 +285,54 @@ impl Clausifier {
     /// proxy atoms asserted in a unit clause (at top level) or embedded in
     /// the clause structure. An equality between two identical terms is
     /// true, never an atom: E-matching instances such as `a = b ∨ …`
-    /// with `a` and `b` bound to one term reach here directly.
-    pub fn clausify(&mut self, f: &Formula) -> Vec<Clause> {
+    /// with `a` and `b` bound to one term reach here directly. The
+    /// formula is consumed, so its terms move into the atoms it interns.
+    pub fn clausify(&mut self, f: Formula) -> Vec<Clause> {
+        let mut out = Vec::new();
+        self.clausify_into(f, &mut out);
+        out
+    }
+
+    fn clausify_into(&mut self, f: Formula, out: &mut Vec<Clause>) {
         match f {
-            Formula::True => Vec::new(),
-            Formula::False => vec![Vec::new()],
-            Formula::Eq(a, b) if a == b => Vec::new(),
-            Formula::Not(inner) if matches!(&**inner, Formula::Eq(a, b) if a == b) => {
-                vec![Vec::new()]
+            Formula::True => {}
+            Formula::False => out.push(Vec::new()),
+            Formula::Eq(a, b) if a == b => {}
+            Formula::Not(inner) if matches!(&*inner, Formula::Eq(a, b) if a == b) => {
+                out.push(Vec::new());
             }
-            Formula::And(gs) => gs.iter().flat_map(|g| self.clausify(g)).collect(),
+            Formula::And(gs) => {
+                for g in gs {
+                    self.clausify_into(g, out);
+                }
+            }
             // A true disjunct makes the disjunction true: no clause, and
             // no atom interned for the other disjuncts.
-            Formula::Or(gs) if gs.iter().any(is_trivially_true) => Vec::new(),
+            Formula::Or(gs) if gs.iter().any(is_trivially_true) => {}
             Formula::Or(gs) => {
                 // Distribute: CNF(g1 ∨ g2) = { c1 ∪ c2 | ci ∈ CNF(gi) }.
+                // A disjunct with one clause (a literal, say) extends
+                // every clause so far in place.
                 let mut acc: Vec<Clause> = vec![Vec::new()];
                 for g in gs {
+                    if is_literal(&g) {
+                        let lit = match g {
+                            Formula::Not(atom) => self.literal_of(*atom, false),
+                            atom => self.literal_of(atom, true),
+                        };
+                        for base in &mut acc {
+                            base.push(lit);
+                        }
+                        continue;
+                    }
                     let cs = self.clausify(g);
-                    let mut next = Vec::new();
+                    if let [c] = cs.as_slice() {
+                        for base in &mut acc {
+                            base.extend_from_slice(c);
+                        }
+                        continue;
+                    }
+                    let mut next = Vec::with_capacity(acc.len() * cs.len());
                     for base in &acc {
                         for c in &cs {
                             let mut merged = base.clone();
@@ -313,26 +342,26 @@ impl Clausifier {
                     }
                     acc = next;
                 }
-                acc
+                out.extend(acc);
             }
             Formula::Not(inner) => {
-                let lit = self.literal_of(inner, false);
-                vec![vec![lit]]
+                let lit = self.literal_of(*inner, false);
+                out.push(vec![lit]);
             }
-            Formula::Pred(..) | Formula::Eq(..) | Formula::Le(..) | Formula::Lt(..) => {
-                vec![vec![self.literal_of(f, true)]]
+            atom @ (Formula::Pred(..) | Formula::Eq(..) | Formula::Le(..) | Formula::Lt(..)) => {
+                let lit = self.literal_of(atom, true);
+                out.push(vec![lit]);
             }
             Formula::Forall(vars, triggers, body) => {
                 let triggers = if triggers.is_empty() {
-                    infer_triggers(vars, body)
+                    infer_triggers(&vars, &body)
                 } else {
-                    triggers.clone()
+                    triggers
                 };
-                let q =
-                    self.intern_quant(QuantClosure::new(vars.clone(), triggers, (**body).clone()));
+                let q = self.intern_quant(QuantClosure::new(vars, triggers, *body));
                 let atom = self.intern_atom(Atom::Quant(q));
                 self.quant_atoms[q] = Some(atom);
-                vec![vec![Lit { atom, pos: true }]]
+                out.push(vec![Lit { atom, pos: true }]);
             }
             Formula::Exists(..) => {
                 unreachable!("existentials are removed by nnf before clausification")
@@ -340,18 +369,18 @@ impl Clausifier {
         }
     }
 
-    fn literal_of(&mut self, f: &Formula, pos: bool) -> Lit {
+    fn literal_of(&mut self, f: Formula, pos: bool) -> Lit {
         let atom = match f {
-            Formula::Pred(p, args) => Atom::Pred(*p, args.clone()),
+            Formula::Pred(p, args) => Atom::Pred(p, args),
             Formula::Eq(a, b) => {
                 if a <= b {
-                    Atom::Eq(a.clone(), b.clone())
+                    Atom::Eq(a, b)
                 } else {
-                    Atom::Eq(b.clone(), a.clone())
+                    Atom::Eq(b, a)
                 }
             }
-            Formula::Le(a, b) => Atom::Le(a.clone(), b.clone()),
-            Formula::Lt(a, b) => Atom::Lt(a.clone(), b.clone()),
+            Formula::Le(a, b) => Atom::Le(a, b),
+            Formula::Lt(a, b) => Atom::Lt(a, b),
             other => unreachable!("not an atom in NNF: {other}"),
         };
         let atom = self.intern_atom(atom);
@@ -361,7 +390,22 @@ impl Clausifier {
     /// Full pipeline: NNF, skolemize, clausify.
     pub fn assert_formula(&mut self, f: &Formula) -> Vec<Clause> {
         let nnf = self.nnf(f, true, &mut Vec::new());
-        self.clausify(&nnf)
+        self.clausify(nnf)
+    }
+}
+
+/// An atom or a negated atom, other than an equality whose two sides
+/// are the same term: exactly the formulas that clausify to one unit
+/// clause with an atom in it.
+fn is_literal(f: &Formula) -> bool {
+    let atom = match f {
+        Formula::Not(inner) => inner,
+        _ => f,
+    };
+    match atom {
+        Formula::Pred(..) | Formula::Le(..) | Formula::Lt(..) => true,
+        Formula::Eq(a, b) => a != b,
+        _ => false,
     }
 }
 
@@ -582,13 +626,16 @@ mod tests {
         let t = Term::app("f", vec![Term::cnst("a")]);
         let refl = t.eq(&t);
         let mut cl = Clausifier::new();
-        assert!(cl.clausify(&refl).is_empty(), "t = t is true: no clause");
-        assert_eq!(cl.clausify(&refl.clone().negate()), vec![Vec::<Lit>::new()]);
+        assert!(
+            cl.clausify(refl.clone()).is_empty(),
+            "t = t is true: no clause"
+        );
+        assert_eq!(cl.clausify(refl.clone().negate()), vec![Vec::<Lit>::new()]);
         assert!(cl.atoms().is_empty());
         // The true disjunct makes the disjunction true before any
         // disjunct is clausified, so `p` is not interned either.
         let p = Formula::pred("p", vec![]);
-        assert!(cl.clausify(&Formula::or(vec![p, refl])).is_empty());
+        assert!(cl.clausify(Formula::or(vec![p, refl])).is_empty());
         assert!(cl.atoms().is_empty());
     }
 

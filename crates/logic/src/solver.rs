@@ -525,7 +525,7 @@ impl Problem {
                                 .collect();
                             let inst = closure.body.subst(&subst);
                             instantiated.insert(key);
-                            let mut inst_clauses = core.cl.clausify(&inst);
+                            let mut inst_clauses = core.cl.clausify(inst);
                             // Guard each clause with the proxy: ¬Q ∨ instance.
                             if let Some(p) = proxy_atom {
                                 for c in &mut inst_clauses {
@@ -733,7 +733,7 @@ impl Search<'_> {
     /// same order as a search that checks theories at leaves only.
     fn search(&mut self) -> Result<Option<Vec<Option<bool>>>, Resource> {
         let mut assign = vec![None; self.core.cl.atoms().len()];
-        let mut trail: Vec<usize> = Vec::new();
+        let mut trail: Vec<usize> = Vec::with_capacity(assign.len());
         let mut levels: Vec<Level> = Vec::new();
         loop {
             // Entries below the newest level are already in the e-graph.

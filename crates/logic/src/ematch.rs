@@ -47,9 +47,6 @@ struct Matcher<'a> {
     work: Vec<(&'a Term, Option<TermId>)>,
     /// The variables bound so far.
     binding: Binding,
-    /// Classes visited by the unanchored patterns being enumerated, one
-    /// segment per enclosing enumeration.
-    visited: Vec<TermId>,
     /// Distinct complete bindings, in the order first found.
     out: Vec<Binding>,
     /// Complete bindings found, duplicates included.
@@ -73,37 +70,38 @@ impl<'a> Matcher<'a> {
         self.work.push((pat, target));
     }
 
-    /// Tries an unanchored pattern against each class once, at the
-    /// class's first candidate in id order.
+    /// Tries an unanchored pattern against every class that holds a
+    /// candidate — a term with the pattern's head and arity, the literal
+    /// itself, or any term for a variable — once, at its first candidate
+    /// in ascending id order, which is its smallest.
     fn match_unanchored(&mut self, pat: &'a Term) {
         let eg = self.eg;
-        let base = self.visited.len();
-        let visit = |m: &mut Matcher<'a>, r: TermId| {
-            let class = eg.find(r);
-            if !m.visited[base..].contains(&class) {
-                m.visited.push(class);
-                m.match_class(pat, r);
-            }
+        let candidate = |r: TermId| match pat {
+            Term::App(f, pargs) => eg.head_symbol(r) == Some(*f) && eg.args(r).len() == pargs.len(),
+            Term::Int(v) => eg.int_literal(r) == Some(*v),
+            Term::Var(..) => true,
         };
+        // Class members are sorted, so the class's first candidate
+        // member is its smallest.
+        let first_in_class =
+            |r: TermId| eg.class_members(r).iter().find(|&&m| candidate(m)) == Some(&r);
         match pat {
             // Application heads hit the (head, arity) index directly.
             Term::App(f, pargs) => {
                 for &r in eg.terms_with_head(*f, pargs.len()) {
-                    visit(self, r);
+                    if first_in_class(r) {
+                        self.match_class(pat, r);
+                    }
                 }
             }
-            Term::Int(v) => {
-                for r in eg.term_refs().filter(|&r| eg.int_literal(r) == Some(*v)) {
-                    visit(self, r);
-                }
-            }
-            Term::Var(..) => {
-                for r in eg.term_refs() {
-                    visit(self, r);
+            Term::Int(_) | Term::Var(..) => {
+                for r in eg.term_refs().filter(|&r| candidate(r)) {
+                    if first_in_class(r) {
+                        self.match_class(pat, r);
+                    }
                 }
             }
         }
-        self.visited.truncate(base);
     }
 
     /// Matches `pat` against the class of `class`, then the rest of the
@@ -192,7 +190,6 @@ pub fn match_trigger_counted(eg: &Egraph, trigger: &[Term]) -> (Vec<Binding>, u6
         eg,
         work,
         binding: Vec::new(),
-        visited: Vec::new(),
         out: Vec::new(),
         candidates: 0,
     };

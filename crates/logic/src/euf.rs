@@ -190,6 +190,37 @@ impl Egraph {
         }
     }
 
+    /// Empties the graph, as [`Egraph::new`] would, but keeps its tables'
+    /// allocations for the terms grown next.
+    pub fn clear(&mut self) {
+        let Egraph {
+            nodes,
+            child_ids,
+            parent,
+            uses,
+            sig_table,
+            diseqs,
+            int_value,
+            members,
+            by_head,
+            trail,
+            merges,
+            pending,
+        } = self;
+        nodes.clear();
+        child_ids.clear();
+        parent.clear();
+        uses.clear();
+        sig_table.clear();
+        diseqs.clear();
+        int_value.clear();
+        members.clear();
+        by_head.clear();
+        trail.clear();
+        *merges = 0;
+        pending.clear();
+    }
+
     /// Finds the canonical representative of `a`'s class.
     pub fn find(&self, mut a: TermId) -> TermId {
         while self.parent[a as usize] != a {

@@ -404,8 +404,11 @@ impl Problem {
         // The attempt's one e-graph, over the core's arena. Each round
         // grows it by the terms the new atoms brought, the search asserts
         // and rolls back its literals on it, and E-matching merges the
-        // model's equalities on it under a checkpoint of its own.
-        let mut eg = Egraph::new();
+        // model's equalities on it under a checkpoint of its own. It is
+        // taken out of the core while `Search` borrows the core, and put
+        // back at the end; an attempt that panics leaves an empty one.
+        let mut eg = std::mem::take(&mut core.eg);
+        eg.clear();
 
         let mut outcome = 'solve: {
             for round in 0..self.config.max_rounds {
@@ -573,6 +576,7 @@ impl Problem {
             }
         };
 
+        core.eg = eg;
         // Interning telemetry, stamped once at the single exit.
         let s = outcome.stats_mut();
         s.interned_terms = core.arena.created() - arena_created0;
@@ -900,6 +904,7 @@ impl Search<'_> {
         let eg = &*self.eg;
         let mut constraints: Vec<Constraint> = Vec::new();
         let mut diseqs: Vec<LinExpr> = Vec::new();
+        let mut expr = LinExpr::default();
         for (i, v) in assign.iter().enumerate() {
             let Some(value) = *v else { continue };
             let rel = match core.cl.atom(i) {
@@ -919,16 +924,20 @@ impl Search<'_> {
                 (Rel::Le, false) => (b, a, Rel::Lt),
                 (Rel::Lt, false) => (b, a, Rel::Le),
             };
-            let mut expr = LinExpr::default();
             linearize_into(&core.arena, eg, pos, Rat::ONE, &mut expr);
             linearize_into(&core.arena, eg, neg, -Rat::ONE, &mut expr);
             if !value && rel == Rel::Eq {
-                diseqs.push(expr);
+                diseqs.push(std::mem::take(&mut expr));
                 continue;
             }
             match expr.as_constant() {
-                None => constraints.push(Constraint { expr, rel }),
-                Some(k) if rel.holds(k) => {}
+                None => constraints.push(Constraint {
+                    expr: std::mem::take(&mut expr),
+                    rel,
+                }),
+                // The zero expression again, its allocation kept for the
+                // next literal.
+                Some(k) if rel.holds(k) => expr.konst = Rat::ZERO,
                 Some(_) => return false,
             }
         }

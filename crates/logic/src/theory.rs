@@ -1,7 +1,7 @@
 //! Shared preprocessed background axiomatization.
 //!
 //! The soundness checker discharges dozens of obligations against the
-//! *same* ~20 background axioms. Re-running NNF, clausification,
+//! *same* 23 background axioms. Re-running NNF, clausification,
 //! quantifier interning, and trigger inference on all of them for every
 //! single obligation would dominate a cold attempt. A [`Theory`] does
 //! that preprocessing exactly once and holds
@@ -13,6 +13,7 @@
 //! each attempt's e-graph ([`crate::euf`]).
 
 use crate::arena::{TermArena, TermId};
+use crate::euf::Egraph;
 use crate::fingerprint::{axioms_prefix, StableHasher};
 use crate::pre::{Atom, Clause, Clausifier, ClausifierMark, Lit};
 use crate::term::{Formula, Term};
@@ -90,14 +91,18 @@ struct CoreMark {
 }
 
 /// The mutable state of one proving attempt: clausifier tables, the
-/// clause store with its dedup set, the hash-consing term arena, and the
-/// per-atom interned-term cache.
+/// clause store with its dedup set, the hash-consing term arena, the
+/// per-atom interned-term cache, and the e-graph's tables.
 #[derive(Clone, Debug)]
 pub(crate) struct SolveCore {
     pub cl: Clausifier,
     pub clauses: Vec<Clause>,
     pub seen: HashSet<Vec<Lit>>,
     pub arena: TermArena,
+    /// The e-graph an attempt grows over the arena. Each attempt clears
+    /// it, so a worker's core hands the next attempt its tables already
+    /// allocated.
+    pub eg: Egraph,
     /// Cached ground term ids per atom id (kept in lockstep with
     /// `cl.atoms()` by [`extend_atom_tids`](Self::extend_atom_tids)).
     pub atom_tids: Vec<CachedAtom>,
@@ -120,6 +125,7 @@ impl SolveCore {
             clauses: Vec::new(),
             seen: HashSet::new(),
             arena,
+            eg: Egraph::new(),
             atom_tids: Vec::new(),
             tid_zero,
             tid_one,

@@ -1,6 +1,8 @@
 //! Integration tests for the `stqc` command-line tool.
 
-use std::io::Write as _;
+mod scratch;
+
+use scratch::Scratch;
 use std::process::Command;
 use stq_util::json::Json;
 
@@ -30,11 +32,32 @@ fn stqc_code(args: &[&str]) -> (String, String, Option<i32>) {
     )
 }
 
-fn temp_file(name: &str, contents: &str) -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!("stqc-test-{}-{name}", std::process::id()));
-    let mut f = std::fs::File::create(&path).expect("create temp file");
-    f.write_all(contents.as_bytes()).expect("write temp file");
-    path
+/// A path inside a scratch directory of its own, which goes when the
+/// test drops the path.
+struct TempPath {
+    path: std::path::PathBuf,
+    _dir: Scratch,
+}
+
+impl std::ops::Deref for TempPath {
+    type Target = std::path::Path;
+    fn deref(&self) -> &std::path::Path {
+        &self.path
+    }
+}
+
+impl AsRef<std::path::Path> for TempPath {
+    fn as_ref(&self) -> &std::path::Path {
+        &self.path
+    }
+}
+
+/// A file named `name` holding `contents`.
+fn temp_file(name: &str, contents: &str) -> TempPath {
+    let dir = Scratch::new(&format!("test-{name}"));
+    let path = dir.join(name);
+    std::fs::write(&path, contents).expect("write temp file");
+    TempPath { path, _dir: dir }
 }
 
 #[test]
@@ -429,10 +452,13 @@ fn shipped_extra_qualifiers_prove_sound() {
 
 // ----- parallel + incremental pipeline (docs/performance.md) -----
 
-fn temp_dir(name: &str) -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!("stqc-test-dir-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&path);
-    path
+/// A directory path that does not exist yet, for a cache to create.
+fn temp_dir(name: &str) -> TempPath {
+    let dir = Scratch::new(&format!("test-dir-{name}"));
+    TempPath {
+        path: dir.join("cache"),
+        _dir: dir,
+    }
 }
 
 #[test]
@@ -561,7 +587,6 @@ fn cache_dir_cold_run_misses_and_warm_run_hits_everything() {
     assert!(ok);
     assert!(stats.contains("cache:"), "{stats}");
     assert!(stats.contains(" 0 miss(es)"), "{stats}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -593,7 +618,6 @@ fn cache_key_includes_the_retry_ladder_and_interacts_with_keep_going() {
     let (other, _, ok) = stqc(&["prove", "--cache-dir", dir_s, "--retry", "4", "--stats"]);
     assert!(ok);
     assert!(other.contains(" 0 hit(s)"), "{other}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -612,7 +636,6 @@ fn stale_cache_from_another_prover_version_is_invalidated() {
         stdout.contains("\"hits\":0"),
         "stale entries never hit: {stdout}"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -642,7 +665,6 @@ fn cached_refutation_still_exits_unsound() {
     assert_eq!(code, Some(1), "{warm}");
     assert!(warm.contains("countermodel"), "{warm}");
     assert!(warm.contains("(cached)"), "{warm}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -754,7 +776,6 @@ fn interrupted_run_does_not_poison_the_cache() {
     let (warm, _, code) = stqc_code(&["prove", "--cache-dir", dir_s, "--stats"]);
     assert_eq!(code, Some(0), "{warm}");
     assert!(warm.contains(" 0 miss(es)"), "{warm}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[cfg(unix)]
@@ -767,7 +788,7 @@ fn sigint_yields_partial_report_and_resume_hits_the_cache() {
     // going when the signal lands: the test does not depend on how fast
     // the prover is.
     let mut n = 64;
-    let (args, dir, out) = loop {
+    let (args, _quals, _dir, out) = loop {
         let quals = temp_file(&format!("heavy-sigint-{n}.q"), &heavy_quals(n));
         let dir = temp_dir(&format!("sigint-resume-{n}"));
         let args: Vec<String> = ["prove", "--quals", quals.to_str().unwrap()]
@@ -792,10 +813,9 @@ fn sigint_yields_partial_report_and_resume_hits_the_cache() {
         assert!(sent, "SIGINT delivered");
         let out = child.wait_with_output().expect("stqc exits");
         if out.status.code() != Some(0) || n >= 4096 {
-            break (args, dir, out);
+            break (args, quals, dir, out);
         }
         // The run finished before the signal landed.
-        let _ = std::fs::remove_dir_all(&dir);
         n *= 2;
     };
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -815,7 +835,6 @@ fn sigint_yields_partial_report_and_resume_hits_the_cache() {
     assert_eq!(code, Some(0), "{resumed}\n{stderr}");
     assert!(resumed.contains("cache:"), "{resumed}");
     assert!(!resumed.contains(" 0 hit(s)"), "resume must hit: {resumed}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

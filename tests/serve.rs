@@ -2,6 +2,9 @@
 //! real child process over `--stdio` and over a Unix socket, exactly as
 //! clients use it (wire protocol: `docs/serving.md`).
 
+mod scratch;
+
+use scratch::Scratch;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -182,15 +185,19 @@ impl Drop for KillOnDrop {
 struct Daemon {
     child: KillOnDrop,
     socket: std::path::PathBuf,
+    /// The scratch directory holding the socket, when the daemon chose
+    /// it; dropped after the child is killed.
+    scratch: Option<Scratch>,
 }
 
 impl Daemon {
-    /// Spawns `stqc serve --socket` on a fresh temp path and waits for
-    /// it to accept connections.
+    /// Spawns `stqc serve --socket` on a socket in a fresh scratch
+    /// directory and waits for it to accept connections.
     fn spawn(name: &str, extra: &[&str]) -> Daemon {
-        let socket =
-            std::env::temp_dir().join(format!("stqc-serve-{name}-{}.sock", std::process::id()));
-        Daemon::spawn_at(name, socket, extra)
+        let scratch = Scratch::new(&format!("serve-{name}"));
+        let mut daemon = Daemon::spawn_at(name, scratch.join("d.sock"), extra);
+        daemon.scratch = Some(scratch);
+        daemon
     }
 
     /// Like [`Daemon::spawn`], but on a caller-chosen socket path.
@@ -209,6 +216,7 @@ impl Daemon {
         let daemon = Daemon {
             child: KillOnDrop(child),
             socket,
+            scratch: None,
         };
         let deadline = Instant::now() + Duration::from_secs(20);
         while std::os::unix::net::UnixStream::connect(&daemon.socket).is_err() {
@@ -229,11 +237,9 @@ impl Daemon {
     /// `--tcp 127.0.0.1:0`), returning it and the kernel-assigned TCP
     /// address read back through `--addr-file`.
     fn spawn_dual(name: &str, extra: &[&str]) -> (Daemon, String) {
-        let pid = std::process::id();
-        let socket = std::env::temp_dir().join(format!("stqc-serve-{name}-{pid}.sock"));
-        let addr_file = std::env::temp_dir().join(format!("stqc-serve-{name}-{pid}.addr"));
-        let _ = std::fs::remove_file(&socket);
-        let _ = std::fs::remove_file(&addr_file);
+        let scratch = Scratch::new(&format!("serve-{name}"));
+        let socket = scratch.join("d.sock");
+        let addr_file = scratch.join("d.addr");
         let child = Command::new(env!("CARGO_BIN_EXE_stqc"))
             .arg("serve")
             .arg("--socket")
@@ -251,6 +257,7 @@ impl Daemon {
         let daemon = Daemon {
             child: KillOnDrop(child),
             socket,
+            scratch: Some(scratch),
         };
         let deadline = Instant::now() + Duration::from_secs(20);
         let addr = loop {
@@ -407,8 +414,8 @@ fn socket_client_disconnect_cancels_its_pending_work() {
 
 #[test]
 fn call_to_absent_daemon_exits_6_with_an_actionable_message() {
-    let socket = std::env::temp_dir().join(format!("stqc-no-daemon-{}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&socket);
+    let scratch = Scratch::new("no-daemon");
+    let socket = scratch.join("d.sock");
     let out = Command::new(env!("CARGO_BIN_EXE_stqc"))
         .args([
             "call",
@@ -438,8 +445,8 @@ fn call_to_absent_daemon_exits_6_with_an_actionable_message() {
 fn call_connect_timeout_waits_out_a_slow_daemon_start() {
     // The client dials before the daemon exists; --connect-timeout-ms
     // keeps redialing until the late-bound socket appears.
-    let socket = std::env::temp_dir().join(format!("stqc-late-{}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&socket);
+    let scratch = Scratch::new("late");
+    let socket = scratch.join("d.sock");
     let call = {
         let socket = socket.clone();
         std::thread::spawn(move || {
@@ -935,7 +942,8 @@ fn stats_and_health_answer_while_a_reload_waits_behind_a_running_prove() {
     // fast the prover is.
     let mut n = 200;
     loop {
-        let lib = std::env::temp_dir().join(format!("stqc-heavy-{}-{n}.stq", std::process::id()));
+        let scratch = Scratch::new(&format!("heavy-{n}"));
+        let lib = scratch.join("heavy.stq");
         std::fs::write(&lib, heavy_quals(n)).expect("library written");
         let daemon = Daemon::spawn(
             &format!("swap-stall-{n}"),
@@ -1005,12 +1013,9 @@ fn stats_and_health_answer_while_a_reload_waits_behind_a_running_prove() {
 
 // ----- high availability: failover, shared journal, hot reload -----
 
-/// Scratch directory for one HA test, removed on success.
-fn ha_scratch(tag: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("stqc-ha-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).expect("scratch dir");
-    d
+/// Scratch directory for one HA test.
+fn ha_scratch(tag: &str) -> Scratch {
+    Scratch::new(&format!("ha-{tag}"))
 }
 
 #[test]
@@ -1070,8 +1075,8 @@ fn call_fails_over_from_a_dead_endpoint_to_a_live_one() {
     // First endpoint: nobody home. Second: a live daemon. The call must
     // succeed by failing over, and `--json` must show it happened.
     let daemon = Daemon::spawn("failover", &[]);
-    let dead = std::env::temp_dir().join(format!("stqc-dead-{}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&dead);
+    let scratch = Scratch::new("dead");
+    let dead = scratch.join("d.sock");
     let out = Command::new(env!("CARGO_BIN_EXE_stqc"))
         .args([
             "call",
@@ -1109,11 +1114,9 @@ fn call_fails_over_from_a_dead_endpoint_to_a_live_one() {
 
 #[test]
 fn call_exhausting_every_endpoint_exits_6_and_names_them_all() {
-    let pid = std::process::id();
-    let dead_a = std::env::temp_dir().join(format!("stqc-dead-a-{pid}.sock"));
-    let dead_b = std::env::temp_dir().join(format!("stqc-dead-b-{pid}.sock"));
-    let _ = std::fs::remove_file(&dead_a);
-    let _ = std::fs::remove_file(&dead_b);
+    let scratch = Scratch::new("dead-ab");
+    let dead_a = scratch.join("a.sock");
+    let dead_b = scratch.join("b.sock");
     let out = Command::new(env!("CARGO_BIN_EXE_stqc"))
         .args([
             "call",
@@ -1201,7 +1204,6 @@ fn addr_and_pid_files_appear_atomically_for_startup_pollers() {
     let bye = client.roundtrip("{\"id\":0,\"method\":\"shutdown\"}");
     assert_eq!(bye.get("ok").and_then(Json::as_bool), Some(true));
     assert_eq!(child.0.wait().expect("daemon exits").code(), Some(0));
-    let _ = std::fs::remove_dir_all(&scratch);
 }
 
 #[test]
@@ -1263,7 +1265,6 @@ fn a_daemon_that_cannot_bind_publishes_neither_pid_nor_addr_file() {
         "a daemon that never bound claimed to serve: {unbindable:?}"
     );
     first.shutdown();
-    let _ = std::fs::remove_dir_all(&scratch);
 }
 
 #[test]
@@ -1316,7 +1317,6 @@ fn two_daemon_processes_share_one_journal_without_losing_entries() {
     );
     drop(cc);
     c.shutdown();
-    let _ = std::fs::remove_dir_all(&scratch);
 }
 
 #[test]
@@ -1361,7 +1361,6 @@ fn peer_daemon_serves_follow_hits_from_a_journal_it_never_wrote() {
     drop(cb);
     a.shutdown();
     b.shutdown();
-    let _ = std::fs::remove_dir_all(&scratch);
 }
 
 #[test]
@@ -1445,7 +1444,6 @@ fn reload_of_a_broken_library_rolls_back_in_a_real_daemon() {
     assert_eq!(stat_u64(&stats, "reload_failures"), 1, "{stats}");
     drop(client);
     daemon.shutdown();
-    let _ = std::fs::remove_dir_all(&scratch);
 }
 
 #[test]
@@ -1516,7 +1514,8 @@ fn stqc_json(args: &[&str]) -> Json {
 #[test]
 fn check_json_is_the_daemon_check_result_plus_command_and_file() {
     let source = "int pos f(int a) { int pos y = (int pos)(a * 2); return a; }\nint g(int *p) { return *p; }\n";
-    let path = std::env::temp_dir().join(format!("stqc-schema-{}.c", std::process::id()));
+    let scratch = Scratch::new("schema");
+    let path = scratch.join("schema.c");
     std::fs::write(&path, source).expect("source written");
     let cli = stqc_json(&["check", "--json", path.to_str().unwrap()]);
     let request = Json::obj([

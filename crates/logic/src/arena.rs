@@ -13,7 +13,7 @@
 //! attempts.
 
 use crate::term::Term;
-use std::collections::HashMap;
+use crate::fasthash::FastMap;
 use stq_util::Symbol;
 
 /// Index of an interned ground term in a [`TermArena`].
@@ -52,7 +52,7 @@ struct ANode {
 pub struct TermArena {
     nodes: Vec<ANode>,
     /// Hash-consing table: (head, child ids) → id.
-    table: HashMap<(Head, Vec<TermId>), TermId>,
+    table: FastMap<(Head, Vec<TermId>), TermId>,
     /// The materialized term tree per id, built once at interning time
     /// so instantiation substitutions never re-walk the arena.
     terms: Vec<Term>,

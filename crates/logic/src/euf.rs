@@ -16,7 +16,7 @@
 
 use crate::arena::{Head, TermArena, TermId};
 use crate::term::Term;
-use std::collections::HashMap;
+use crate::fasthash::FastMap;
 use stq_util::Symbol;
 
 #[derive(Clone, Copy, Debug)]
@@ -80,7 +80,7 @@ pub struct Egraph {
     /// Terms in which each term occurs as a direct child (by original id).
     uses: Vec<Vec<TermId>>,
     /// Congruence signature table: (head, canonical child reps) → term.
-    sig_table: HashMap<(Head, Vec<TermId>), TermId>,
+    sig_table: FastMap<(Head, Vec<TermId>), TermId>,
     /// Asserted disequalities.
     diseqs: Vec<(TermId, TermId)>,
     /// Integer literal value of the class representative, if any.
@@ -91,7 +91,7 @@ pub struct Egraph {
     /// until its class first grows.
     members: Vec<Vec<TermId>>,
     /// E-matching head index: (symbol, arity) → ids in ascending order.
-    by_head: HashMap<(Symbol, usize), Vec<TermId>>,
+    by_head: FastMap<(Symbol, usize), Vec<TermId>>,
     /// Undo log of completed unions, in completion order, for
     /// [`Egraph::rollback`].
     trail: Vec<UnionRecord>,

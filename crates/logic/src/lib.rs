@@ -65,6 +65,7 @@ pub mod arith;
 pub mod ematch;
 pub mod euf;
 pub mod fault;
+mod fasthash;
 pub mod fingerprint;
 pub mod pre;
 pub mod rat;

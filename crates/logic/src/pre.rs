@@ -16,7 +16,7 @@
 //!    subterms covering all bound variables.
 
 use crate::term::{Formula, Sort, Term, Trigger};
-use std::collections::HashMap;
+use crate::fasthash::FastMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 use stq_util::Symbol;
@@ -126,11 +126,11 @@ pub struct Clausifier {
     /// The atom table. Each atom is shared with its `atom_ids` key, so
     /// cloning a clausifier copies no term.
     atoms: Vec<Arc<Atom>>,
-    atom_ids: HashMap<Arc<Atom>, usize>,
+    atom_ids: FastMap<Arc<Atom>, usize>,
     /// Quantifier proxy table, shared so each E-matching round can hold a
     /// quantifier while clausifying its instances without copying it.
     pub quants: Vec<Arc<QuantClosure>>,
-    quant_ids: HashMap<QuantKey, usize>,
+    quant_ids: FastMap<QuantKey, usize>,
     /// Per-quantifier proxy atom id (the `Atom::Quant(q)` atom), filled
     /// in when the proxy is first clausified.
     quant_atoms: Vec<Option<usize>>,

@@ -63,7 +63,7 @@ use crate::stats::{Budget, ProverStats, Resource};
 use crate::term::{Formula, Term};
 use crate::theory::{ground_free_vars, SolveCore, Theory};
 use std::any::Any;
-use std::collections::HashSet;
+use crate::fasthash::FastSet;
 use std::sync::Arc;
 use std::time::Instant;
 use stq_util::{CancelToken, Symbol};
@@ -400,7 +400,7 @@ impl Problem {
         let mut stats = ProverStats::default();
         // Instantiation dedup keys on hash-consed ids: atom tables only
         // grow within an attempt, so ids are stable across rounds.
-        let mut instantiated: HashSet<(usize, Binding)> = HashSet::new();
+        let mut instantiated: FastSet<(usize, Binding)> = FastSet::default();
         // The attempt's one e-graph, over the core's arena. Each round
         // grows it by the terms the new atoms brought, the search asserts
         // and rolls back its literals on it, and E-matching merges the

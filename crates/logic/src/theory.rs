@@ -18,7 +18,7 @@ use crate::fingerprint::{axioms_prefix, StableHasher};
 use crate::pre::{Atom, Clause, Clausifier, ClausifierMark, Lit};
 use crate::term::{Formula, Term};
 use std::borrow::Cow;
-use std::collections::HashSet;
+use crate::fasthash::FastSet;
 
 /// A background axiom set preprocessed once for reuse across many
 /// proving attempts.
@@ -97,7 +97,7 @@ struct CoreMark {
 pub(crate) struct SolveCore {
     pub cl: Clausifier,
     pub clauses: Vec<Clause>,
-    pub seen: HashSet<Vec<Lit>>,
+    pub seen: FastSet<Vec<Lit>>,
     pub arena: TermArena,
     /// The e-graph an attempt grows over the arena. Each attempt clears
     /// it, so a worker's core hands the next attempt its tables already
@@ -123,7 +123,7 @@ impl SolveCore {
         SolveCore {
             cl: Clausifier::new(),
             clauses: Vec::new(),
-            seen: HashSet::new(),
+            seen: FastSet::default(),
             arena,
             eg: Egraph::new(),
             atom_tids: Vec::new(),

@@ -12,8 +12,9 @@
 //! and truncates it back to the shared-theory watermark between
 //! attempts.
 
-use crate::term::Term;
 use crate::fasthash::FastMap;
+use crate::term::Term;
+use std::sync::OnceLock;
 use stq_util::Symbol;
 
 /// Index of an interned ground term in a [`TermArena`].
@@ -53,9 +54,10 @@ pub struct TermArena {
     nodes: Vec<ANode>,
     /// Hash-consing table: (head, child ids) → id.
     table: FastMap<(Head, Vec<TermId>), TermId>,
-    /// The materialized term tree per id, built once at interning time
-    /// so instantiation substitutions never re-walk the arena.
-    terms: Vec<Term>,
+    /// The term tree per id, built from its children's on first request
+    /// ([`TermArena::term`]): instantiation needs the trees of the terms
+    /// it binds, and only those.
+    terms: Vec<OnceLock<Term>>,
     created: u64,
     hits: u64,
 }
@@ -96,10 +98,10 @@ impl TermArena {
     pub fn intern(&mut self, t: &Term) -> TermId {
         match t {
             Term::Var(x, _) => panic!("cannot intern non-ground term (var {x})"),
-            Term::Int(v) => self.intern_node(Head::Int(*v), Vec::new(), |_, _| Term::Int(*v)),
+            Term::Int(v) => self.intern_node(Head::Int(*v), Vec::new()),
             Term::App(f, ts) => {
                 let args: Vec<TermId> = ts.iter().map(|a| self.intern(a)).collect();
-                self.intern_node(Head::Sym(*f), args, |_, _| t.clone())
+                self.intern_node(Head::Sym(*f), args)
             }
         }
     }
@@ -107,26 +109,17 @@ impl TermArena {
     /// Interns an application `f(args…)` whose children are already
     /// interned, without materializing the argument terms first.
     pub fn intern_app(&mut self, f: Symbol, args: Vec<TermId>) -> TermId {
-        self.intern_node(Head::Sym(f), args, |terms, args| {
-            Term::App(f, args.iter().map(|&a| terms[a as usize].clone()).collect())
-        })
+        self.intern_node(Head::Sym(f), args)
     }
 
-    /// Looks `(head, args)` up, and on a miss appends it with the term
-    /// tree `term` builds from the arena's terms and the child ids.
-    fn intern_node(
-        &mut self,
-        head: Head,
-        args: Vec<TermId>,
-        term: impl FnOnce(&[Term], &[TermId]) -> Term,
-    ) -> TermId {
+    fn intern_node(&mut self, head: Head, args: Vec<TermId>) -> TermId {
         let key = (head, args);
         if let Some(&id) = self.table.get(&key) {
             self.hits += 1;
             return id;
         }
         let id = u32::try_from(self.nodes.len()).expect("term arena overflow");
-        self.terms.push(term(&self.terms, &key.1));
+        self.terms.push(OnceLock::new());
         self.nodes.push(ANode {
             head,
             args: key.1.clone(),
@@ -154,9 +147,18 @@ impl TermArena {
         }
     }
 
-    /// The materialized term tree for an id.
+    /// The term tree for an id.
     pub fn term(&self, id: TermId) -> &Term {
-        &self.terms[id as usize]
+        self.terms[id as usize].get_or_init(|| match self.head(id) {
+            Head::Int(v) => Term::Int(v),
+            Head::Sym(f) => Term::App(
+                f,
+                self.args(id)
+                    .iter()
+                    .map(|&a| self.term(a).clone())
+                    .collect(),
+            ),
+        })
     }
 
     /// Drops every node interned at or after position `len`, removing

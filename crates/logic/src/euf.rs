@@ -15,8 +15,8 @@
 //! (kept sorted) so E-matching never scans the whole node table.
 
 use crate::arena::{Head, TermArena, TermId};
-use crate::term::Term;
 use crate::fasthash::FastMap;
+use crate::term::Term;
 use stq_util::Symbol;
 
 #[derive(Clone, Copy, Debug)]

@@ -64,8 +64,8 @@ pub mod arena;
 pub mod arith;
 pub mod ematch;
 pub mod euf;
-pub mod fault;
 mod fasthash;
+pub mod fault;
 pub mod fingerprint;
 pub mod pre;
 pub mod rat;

@@ -15,8 +15,8 @@
 //!    them inferred: the smallest set of uninterpreted application
 //!    subterms covering all bound variables.
 
-use crate::term::{Formula, Sort, Term, Trigger};
 use crate::fasthash::FastMap;
+use crate::term::{Formula, Sort, Term, Trigger};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 use stq_util::Symbol;

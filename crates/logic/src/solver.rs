@@ -56,6 +56,7 @@ use crate::arena::{Head, TermArena, TermId};
 use crate::arith::{entails_eq0_counted, feasible_counted, AtomId, Constraint, LinExpr, Rel};
 use crate::ematch::{match_trigger_counted, Binding};
 use crate::euf::{Checkpoint, Egraph};
+use crate::fasthash::FastSet;
 use crate::fault::{self, FaultKind};
 use crate::pre::{Atom, Clausifier, Lit};
 use crate::rat::Rat;
@@ -63,7 +64,6 @@ use crate::stats::{Budget, ProverStats, Resource};
 use crate::term::{Formula, Term};
 use crate::theory::{ground_free_vars, SolveCore, Theory};
 use std::any::Any;
-use crate::fasthash::FastSet;
 use std::sync::Arc;
 use std::time::Instant;
 use stq_util::{CancelToken, Symbol};

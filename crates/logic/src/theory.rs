@@ -14,11 +14,11 @@
 
 use crate::arena::{TermArena, TermId};
 use crate::euf::Egraph;
+use crate::fasthash::FastSet;
 use crate::fingerprint::{axioms_prefix, StableHasher};
 use crate::pre::{Atom, Clause, Clausifier, ClausifierMark, Lit};
 use crate::term::{Formula, Term};
 use std::borrow::Cow;
-use crate::fasthash::FastSet;
 
 /// A background axiom set preprocessed once for reuse across many
 /// proving attempts.

@@ -4,8 +4,7 @@
 //! arithmetic; this crate uses the older but equally decisive
 //! **Fourier–Motzkin elimination**, which is comfortably fast for the small
 //! constraint systems that qualifier proof obligations generate (a handful
-//! of atoms each; a leaf check of the soundness workload holds fewer than
-//! two constraints on average).
+//! of atoms each, and a few constraints per leaf check).
 //!
 //! The procedure works over *atoms*: opaque identifiers standing for ground
 //! terms whose top symbol is not interpreted (the solver assigns them after
@@ -19,9 +18,8 @@
 //!
 //! A [`LinExpr`] keeps its coefficients in one vector sorted by atom, with
 //! no atom twice and no zero coefficient, so every linear expression has
-//! exactly one representation. Sums and scalings are merges of sorted
-//! vectors, and callers add into an expression in place
-//! ([`LinExpr::add_scaled`]) instead of building one per operand. The
+//! exactly one representation, and callers add into an expression in
+//! place ([`LinExpr::add_scaled`]) instead of building one per operand. The
 //! elimination consumes the constraints it is given: each Gaussian pivot
 //! and each Fourier–Motzkin bound rewrites its own constraint's vector.
 //! The choices the elimination makes follow the atom order — the pivot of
@@ -60,11 +58,6 @@ impl LinExpr {
             terms: vec![(a, Rat::ONE)],
             konst: Rat::ZERO,
         }
-    }
-
-    /// The `(atom, coefficient)` pairs, in ascending atom order.
-    pub fn terms(&self) -> &[(AtomId, Rat)] {
-        &self.terms
     }
 
     /// The atoms the expression mentions, in ascending order.

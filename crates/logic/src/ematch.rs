@@ -17,7 +17,9 @@
 //!
 //! The matcher walks one work stack of `(pattern, class)` pairs, whose
 //! top is the next pattern to match, and backtracks by truncating it,
-//! so a match allocates nothing but the bindings it reports. The order
+//! so a match allocates only that stack, once, and the bindings it
+//! reports; a trigger with an application pattern whose head no term
+//! has returns before allocating anything. The order
 //! in which it reports bindings decides the prover's instantiation
 //! order, and it is fixed: the patterns of a multi-pattern left to
 //! right; an unanchored pattern tries its candidates (the terms with its

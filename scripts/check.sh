@@ -81,7 +81,7 @@ echo "==> stqc serve smoke (daemon round-trip + clean shutdown)"
 serve_sock="/tmp/stqc-smoke-serve-$$.sock"
 ./target/release/stqc serve --socket "$serve_sock" &
 serve_pid=$!
-trap 'rm -f "$smoke_src" "$serve_sock"; rm -rf "$cache_dir"; kill "$serve_pid" 2>/dev/null || true' EXIT
+trap 'rm -f "$smoke_src" "$serve_sock" "$serve_sock.lock"; rm -rf "$cache_dir"; kill "$serve_pid" 2>/dev/null || true' EXIT
 for _ in $(seq 1 100); do
     [ -S "$serve_sock" ] && break
     sleep 0.1
@@ -104,7 +104,7 @@ echo "==> stqc TCP serve smoke (kernel-assigned port, call --tcp round-trip)"
 addr_file="/tmp/stqc-smoke-tcp-$$.addr"
 ./target/release/stqc serve --tcp 127.0.0.1:0 --addr-file "$addr_file" --jobs 1 &
 tcp_pid=$!
-trap 'rm -f "$smoke_src" "$serve_sock" "$addr_file"; rm -rf "$cache_dir"; kill "$serve_pid" "$tcp_pid" 2>/dev/null || true' EXIT
+trap 'rm -f "$smoke_src" "$serve_sock" "$serve_sock.lock" "$addr_file"; rm -rf "$cache_dir"; kill "$serve_pid" "$tcp_pid" 2>/dev/null || true' EXIT
 for _ in $(seq 1 100); do
     [ -s "$addr_file" ] && break
     sleep 0.1
@@ -123,7 +123,7 @@ fi
 
 echo "==> stqc HA failover smoke (two daemons, one journal; dead primary rescued warm)"
 ha_dir="$(mktemp -d /tmp/stqc-smoke-ha-XXXXXX)"
-trap 'rm -f "$smoke_src" "$serve_sock" "$addr_file"; rm -rf "$cache_dir" "$ha_dir"; kill "$serve_pid" "$tcp_pid" "$ha_a_pid" "$ha_b_pid" "$ha_r_pid" 2>/dev/null || true' EXIT
+trap 'rm -f "$smoke_src" "$serve_sock" "$serve_sock.lock" "$addr_file"; rm -rf "$cache_dir" "$ha_dir"; kill "$serve_pid" "$tcp_pid" "$ha_a_pid" "$ha_b_pid" "$ha_r_pid" 2>/dev/null || true' EXIT
 ./target/release/stqc serve --socket "$ha_dir/a.sock" --cache-dir "$ha_dir/cache" &
 ha_a_pid=$!
 ./target/release/stqc serve --socket "$ha_dir/b.sock" --cache-dir "$ha_dir/cache" &

@@ -174,13 +174,15 @@ pub enum Resource {
     /// A wall-clock deadline passed — either this attempt's
     /// [`Budget::timeout`] or the run-wide deadline carried by the
     /// obligation's `CancelToken`. Distinguishes *time* exhaustion from
-    /// the step-counted limits above.
+    /// the step-counted limits above. The soundness checker files a
+    /// time-out the run-wide deadline caused as [`Resource::Cancelled`].
     Time,
     /// The attempt was cancelled externally (SIGINT, caller abort) via
     /// its `CancelToken` before reaching any conclusion. Unlike the
     /// other variants this is not a budget limit: the obligation was
     /// interrupted, not exhausted, and the run that produced it is
-    /// reported as interrupted.
+    /// reported as interrupted. The soundness checker also files an
+    /// attempt its run's lapsed deadline cut under this variant.
     Cancelled,
     /// A [`crate::fault::FaultPlan`] forced this exhaustion (testing
     /// only; never produced by a real budget limit).

@@ -285,7 +285,9 @@ fn discharge(
     let (countermodel, resource, crashed) = match outcome {
         Outcome::Proved { .. } => (Vec::new(), None, None),
         Outcome::Refuted { model, .. } => (model, None, None),
-        Outcome::ResourceOut { resource, .. } => (Vec::new(), Some(resource), None),
+        Outcome::ResourceOut { resource, .. } => {
+            (Vec::new(), Some(filed_resource(resource, cancel)), None)
+        }
         Outcome::Crashed { message, .. } => (Vec::new(), None, Some(message)),
     };
     ObligationResult {
@@ -298,6 +300,21 @@ fn discharge(
         attempts,
         stats: total,
         duration: t0.elapsed(),
+    }
+}
+
+/// The resource an obligation's final `ResourceOut` is filed under. The
+/// prover reports a lapsed run deadline as [`Resource::Time`], the same
+/// as the attempt's own timeout; once the run has stopped, though, the
+/// run cut the attempt, not its budget. Such a time-out is filed as
+/// [`Resource::Cancelled`], so the run reads as interrupted wherever its
+/// deadline lands, even inside the last attempt with nothing left to
+/// skip.
+fn filed_resource(resource: Resource, cancel: &CancelToken) -> Resource {
+    if resource == Resource::Time && cancel.should_stop() {
+        Resource::Cancelled
+    } else {
+        resource
     }
 }
 
@@ -425,8 +442,8 @@ impl SoundnessReport {
         self.obligation_results().filter(|o| o.skipped).count()
     }
 
-    /// Obligations an external cancellation stopped mid-search
-    /// ([`Resource::Cancelled`]).
+    /// Obligations the run's stop (a cancel, or its lapsed deadline)
+    /// cut mid-search ([`Resource::Cancelled`]).
     pub fn cancelled_count(&self) -> usize {
         self.obligation_results()
             .filter(|o| o.resource == Some(Resource::Cancelled))
@@ -434,8 +451,9 @@ impl SoundnessReport {
     }
 
     /// Obligations that exhausted their *wall-clock* budget
-    /// ([`Resource::Time`]): a deadline fired, regardless of how much
-    /// step budget remained.
+    /// ([`Resource::Time`]): their own timeout fired, regardless of how
+    /// much step budget remained. A time-out the run's lapsed deadline
+    /// caused counts as [`SoundnessReport::cancelled_count`] instead.
     pub fn timed_out_count(&self) -> usize {
         self.obligation_results()
             .filter(|o| o.resource == Some(Resource::Time))
@@ -514,7 +532,9 @@ impl fmt::Display for SoundnessReport {
 /// polls it at its decision points, so a fired token ends the run at the
 /// next safepoint. Obligations the pool never reached come back as
 /// skipped results (zero attempts, no stats), an obligation interrupted
-/// mid-search records [`Resource::Cancelled`], and any of either makes
+/// mid-search records [`Resource::Cancelled`] (also when the run's
+/// deadline, which the prover reports as [`Resource::Time`], cut it), and
+/// any of either makes
 /// the report [`SoundnessReport::interrupted`]. Conclusive outcomes
 /// reached before the cancellation are still recorded in the cache, so
 /// an interrupted run resumes from where it stopped.
@@ -1200,6 +1220,18 @@ mod tests {
         assert_eq!(verdict_for(&[refuted, skipped]), Verdict::Unsound);
         assert_eq!(verdict_for(&[proved.clone(), out]), Verdict::ResourceOut);
         assert_eq!(verdict_for(&[proved]), Verdict::Sound);
+    }
+
+    #[test]
+    fn a_time_out_once_the_run_stopped_is_filed_as_interrupted() {
+        let lapsed = CancelToken::deadline_in(Duration::ZERO);
+        let running = CancelToken::default();
+        assert_eq!(filed_resource(Resource::Time, &lapsed), Resource::Cancelled);
+        assert_eq!(filed_resource(Resource::Time, &running), Resource::Time);
+        assert_eq!(
+            filed_resource(Resource::Decisions, &lapsed),
+            Resource::Decisions
+        );
     }
 
     #[test]

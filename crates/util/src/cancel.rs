@@ -59,7 +59,9 @@ const NO_WAKE_FD: i32 = -1;
 /// a *timed-out* prover outcome (`Resource::Time` — wall-clock
 /// exhaustion, same as a per-obligation `timeout`), while an external
 /// cancel becomes a *cancelled* outcome (`Resource::Cancelled`) and marks
-/// the whole run as interrupted.
+/// the whole run as interrupted. The soundness checker marks the run
+/// interrupted for an expired deadline too: once the token has stopped,
+/// it files a timed-out obligation as cancelled.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CancelReason {
     /// [`CancelToken::cancel`] was called (SIGINT, caller abort, ...).

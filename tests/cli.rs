@@ -762,10 +762,8 @@ fn deadline_never_hangs_on_adversarial_input() {
             start.elapsed() < std::time::Duration::from_secs(30),
             "deadline must bound the run"
         );
-        // The deadline lapsed only after the last obligation had
-        // started (exit 4, that attempt out of time) or not at all
-        // (exit 0): no work was left to skip.
-        if matches!(code, Some(0 | 4)) && n < 4096 {
+        // Exit 0: the whole library was proved inside the deadline.
+        if code == Some(0) && n < 4096 {
             n *= 2;
             continue;
         }

@@ -65,11 +65,6 @@ impl LinExpr {
         self.terms.iter().map(|&(a, _)| a)
     }
 
-    /// The coefficient of `a`, if the expression mentions it.
-    pub fn coeff(&self, a: AtomId) -> Option<Rat> {
-        self.position(a).ok().map(|i| self.terms[i].1)
-    }
-
     /// Whether the expression mentions `a`.
     pub fn mentions(&self, a: AtomId) -> bool {
         self.position(a).is_ok()
@@ -513,7 +508,7 @@ mod tests {
     #[test]
     fn linexpr_algebra() {
         let e = x().scale(Rat::int(2)).add(&k(3));
-        assert_eq!(e.coeff(0), Some(Rat::int(2)));
+        assert_eq!(e.terms, [(0, Rat::int(2))]);
         assert!(e.mentions(0) && !e.mentions(1));
         assert_eq!(e.konst, Rat::int(3));
         let z = e.sub(&e);

@@ -315,16 +315,6 @@ impl Clausifier {
                 // every clause so far in place.
                 let mut acc: Vec<Clause> = vec![Vec::new()];
                 for g in gs {
-                    if is_literal(&g) {
-                        let lit = match g {
-                            Formula::Not(atom) => self.literal_of(*atom, false),
-                            atom => self.literal_of(atom, true),
-                        };
-                        for base in &mut acc {
-                            base.push(lit);
-                        }
-                        continue;
-                    }
                     let cs = self.clausify(g);
                     if let [c] = cs.as_slice() {
                         for base in &mut acc {
@@ -391,21 +381,6 @@ impl Clausifier {
     pub fn assert_formula(&mut self, f: &Formula) -> Vec<Clause> {
         let nnf = self.nnf(f, true, &mut Vec::new());
         self.clausify(nnf)
-    }
-}
-
-/// An atom or a negated atom, other than an equality whose two sides
-/// are the same term: exactly the formulas that clausify to one unit
-/// clause with an atom in it.
-fn is_literal(f: &Formula) -> bool {
-    let atom = match f {
-        Formula::Not(inner) => inner,
-        _ => f,
-    };
-    match atom {
-        Formula::Pred(..) | Formula::Le(..) | Formula::Lt(..) => true,
-        Formula::Eq(a, b) => a != b,
-        _ => false,
     }
 }
 

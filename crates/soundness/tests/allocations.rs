@@ -19,7 +19,7 @@ use stq_qualspec::{QualifierDef, Registry};
 use stq_soundness::{check_defs_pipeline_cancellable, Budget, CancelToken, RetryPolicy};
 
 /// Allocations of one golden-registry run may not exceed this: about
-/// 10% above the 10,536 the run makes with allocation-free prover
+/// 5% above the 10,994 the run makes with allocation-free prover
 /// kernels, and far below the 25,954 it made when linear expressions
 /// were `BTreeMap`s and matching, interning and clausifying copied their
 /// inputs at every step.

@@ -312,7 +312,7 @@ pub fn background_axioms() -> Vec<Formula> {
 /// [`Theory`]. Every obligation the checker builds attaches this one
 /// instance, so solver workers recognise it by pointer identity and
 /// reuse their resident theory-loaded core across obligations instead of
-/// re-clausifying ~20 axioms per proof attempt.
+/// re-clausifying the 23 axioms per proof attempt.
 pub fn background_theory() -> Arc<Theory> {
     static THEORY: OnceLock<Arc<Theory>> = OnceLock::new();
     Arc::clone(THEORY.get_or_init(|| Arc::new(Theory::new(background_axioms()))))

@@ -534,10 +534,10 @@ impl fmt::Display for SoundnessReport {
 /// skipped results (zero attempts, no stats), an obligation interrupted
 /// mid-search records [`Resource::Cancelled`] (also when the run's
 /// deadline, which the prover reports as [`Resource::Time`], cut it), and
-/// any of either makes
-/// the report [`SoundnessReport::interrupted`]. Conclusive outcomes
-/// reached before the cancellation are still recorded in the cache, so
-/// an interrupted run resumes from where it stopped.
+/// any of either makes the report [`SoundnessReport::interrupted`].
+/// Conclusive outcomes reached before the cancellation are still
+/// recorded in the cache, so an interrupted run resumes from where it
+/// stopped.
 ///
 /// Determinism: obligation-level results are index-addressed, so
 /// verdicts, obligation order, countermodels, attempts, and work

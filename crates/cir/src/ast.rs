@@ -112,34 +112,9 @@ impl QualType {
         self
     }
 
-    /// Adds a qualifier symbol at the top level.
-    #[must_use]
-    pub fn with_qual_sym(mut self, q: Symbol) -> QualType {
-        self.quals.insert(q);
-        self
-    }
-
     /// Whether the top level carries qualifier `q`.
     pub fn has_qual(&self, q: Symbol) -> bool {
         self.quals.contains(&q)
-    }
-
-    /// The same type with all top-level qualifiers removed.
-    #[must_use]
-    pub fn stripped(&self) -> QualType {
-        QualType {
-            ty: self.ty.clone(),
-            quals: BTreeSet::new(),
-        }
-    }
-
-    /// The same type with the given qualifiers removed from the top level.
-    #[must_use]
-    pub fn without_quals(&self, remove: &BTreeSet<Symbol>) -> QualType {
-        QualType {
-            ty: self.ty.clone(),
-            quals: self.quals.difference(remove).copied().collect(),
-        }
     }
 
     /// The pointee type, if this is a pointer.
@@ -147,15 +122,6 @@ impl QualType {
         match &self.ty {
             Ty::Ptr(inner) => Some(inner),
             Ty::Base(_) => None,
-        }
-    }
-
-    /// Whether the shape (ignoring all qualifiers, recursively) matches.
-    pub fn same_shape(&self, other: &QualType) -> bool {
-        match (&self.ty, &other.ty) {
-            (Ty::Base(a), Ty::Base(b)) => a == b,
-            (Ty::Ptr(a), Ty::Ptr(b)) => a.same_shape(b),
-            _ => false,
         }
     }
 
@@ -355,6 +321,17 @@ impl Expr {
     pub fn as_lval(&self) -> Option<&Lvalue> {
         match &self.strip_casts().kind {
             ExprKind::Lval(lv) => Some(lv),
+            _ => None,
+        }
+    }
+
+    /// [`Expr::as_lval`] by value: the l-value moves out of the
+    /// expression, so the parser builds `&e`, `e.f` and assignment
+    /// targets without copying it.
+    pub(crate) fn into_lval(self) -> Option<Lvalue> {
+        match self.kind {
+            ExprKind::Cast(_, inner) => inner.into_lval(),
+            ExprKind::Lval(lv) => Some(*lv),
             _ => None,
         }
     }
@@ -627,24 +604,6 @@ mod tests {
     }
 
     #[test]
-    fn stripped_removes_only_top_level() {
-        let inner = QualType::int().with_qual("pos");
-        let p = inner.clone().ptr_to().with_qual("unique");
-        let s = p.stripped();
-        assert!(s.quals.is_empty());
-        assert_eq!(s.pointee(), Some(&inner));
-    }
-
-    #[test]
-    fn same_shape_ignores_quals() {
-        let a = QualType::int().with_qual("pos").ptr_to();
-        let b = QualType::int().ptr_to().with_qual("unique");
-        assert!(a.same_shape(&b));
-        assert!(!a.same_shape(&QualType::int()));
-        assert!(!QualType::char_ty().same_shape(&QualType::int()));
-    }
-
-    #[test]
     fn strip_casts_reaches_core() {
         let e = Expr::int(3)
             .cast(QualType::int().with_qual("pos"))
@@ -680,16 +639,6 @@ mod tests {
         assert!(p.signature(Symbol::intern("gcd")).is_some());
         assert!(p.func(Symbol::intern("gcd")).is_none());
         assert!(p.global(Symbol::intern("gcd")).is_none());
-    }
-
-    #[test]
-    fn without_quals_subtracts() {
-        let t = QualType::int().with_qual("pos").with_qual("nonzero");
-        let mut remove = BTreeSet::new();
-        remove.insert(Symbol::intern("pos"));
-        let r = t.without_quals(&remove);
-        assert!(!r.has_qual(Symbol::intern("pos")));
-        assert!(r.has_qual(Symbol::intern("nonzero")));
     }
 
     #[test]

@@ -685,12 +685,9 @@ impl Parser {
         }
         // Assignment target.
         let target = self.parse_unary()?;
-        let Some(lv) = target.as_lval().cloned() else {
+        let target_span = target.span;
+        let Some(lv) = target.into_lval() else {
             return self.err("expected assignable l-value");
-        };
-        let lv_expr = Expr {
-            kind: ExprKind::Lval(Box::new(lv.clone())),
-            span: target.span,
         };
         match self.peek().clone() {
             Tok::Assign => {
@@ -729,7 +726,11 @@ impl Parser {
                     Tok::MinusEq => (BinOp::Sub, self.parse_expr()?),
                     _ => unreachable!("matched above"),
                 };
-                let value = Expr::binop(op, lv_expr, rhs);
+                let read = Expr {
+                    kind: ExprKind::Lval(Box::new(lv.clone())),
+                    span: target_span,
+                };
+                let value = Expr::binop(op, read, rhs);
                 out.push(Stmt {
                     kind: StmtKind::Instr(Instr {
                         kind: InstrKind::Set(lv, value),
@@ -767,7 +768,6 @@ impl Parser {
         // allocation results are ignored for pattern matching (paper
         // §2.2.1), and CIL's normalization drops them from the instruction.
         if self.peek() == &Tok::LParen && self.type_starts_at(1) {
-            let save = self.pos;
             self.bump();
             let ty = self.parse_type()?;
             self.expect(&Tok::RParen)?;
@@ -779,10 +779,7 @@ impl Parser {
                         span,
                     }));
                 }
-                other => {
-                    let _ = save;
-                    return Ok(other);
-                }
+                other => return Ok(other),
             }
         }
         if let Tok::Ident(f) = self.peek().clone() {
@@ -941,9 +938,9 @@ impl Parser {
                 self.bump();
                 let e = self.parse_unary()?;
                 let span = start.to(e.span);
-                match e.as_lval() {
+                match e.into_lval() {
                     Some(lv) => Ok(Expr {
-                        kind: ExprKind::AddrOf(Box::new(lv.clone())),
+                        kind: ExprKind::AddrOf(Box::new(lv)),
                         span,
                     }),
                     None => self.err("`&` requires an l-value operand"),
@@ -991,7 +988,7 @@ impl Parser {
                     self.bump();
                     let f = self.ident()?;
                     let span = e.span.to(self.prev_span());
-                    let Some(lv) = e.as_lval().cloned() else {
+                    let Some(lv) = e.into_lval() else {
                         return self.err("`.` requires an l-value operand");
                     };
                     e = Expr {

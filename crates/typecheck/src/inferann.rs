@@ -20,6 +20,7 @@
 use crate::env::StaticTy;
 use crate::env::TypeEnv;
 use crate::infer::{type_pat_accepts, Inference};
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use stq_cir::ast::*;
@@ -99,7 +100,8 @@ pub fn infer_annotations(
     // Candidate sites: declared type's shape fits the subject.
     let mut candidates: BTreeSet<Site> = BTreeSet::new();
     let mut site_types: HashMap<Site, QualType> = HashMap::new();
-    let fits = |ty: &QualType| type_pat_accepts(&def.subject.ty, &StaticTy::Known(ty.clone()));
+    let fits =
+        |ty: &QualType| type_pat_accepts(&def.subject.ty, &StaticTy::Known(Cow::Borrowed(ty)));
     for g in &program.globals {
         if fits(&g.ty) {
             candidates.insert(Site::Global(g.name));
@@ -346,7 +348,7 @@ fn env_for<'a>(program: &'a Program, registry: &'a Registry, func: Option<Symbol
         if let Some(f) = program.func(fname) {
             env.push_scope();
             for (p, ty) in &f.sig.params {
-                env.declare(*p, ty.clone());
+                env.declare(*p, Cow::Borrowed(ty));
             }
             declare_all_locals(&mut env, &f.body);
         }
@@ -354,10 +356,10 @@ fn env_for<'a>(program: &'a Program, registry: &'a Registry, func: Option<Symbol
     env
 }
 
-fn declare_all_locals(env: &mut TypeEnv<'_>, stmts: &[Stmt]) {
+fn declare_all_locals<'a>(env: &mut TypeEnv<'a>, stmts: &'a [Stmt]) {
     for s in stmts {
         match &s.kind {
-            StmtKind::Decl(d) => env.declare(d.name, d.ty.clone()),
+            StmtKind::Decl(d) => env.declare(d.name, Cow::Borrowed(&d.ty)),
             StmtKind::Block(inner) => declare_all_locals(env, inner),
             StmtKind::If(_, t, e) => {
                 declare_all_locals(env, std::slice::from_ref(t));

@@ -193,13 +193,6 @@ impl Reactor {
         }
     }
 
-    /// Change what `token` waits for; no-op if it is not registered.
-    pub fn set_interest(&mut self, token: usize, interest: Interest) {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.token == token) {
-            e.interest = interest;
-        }
-    }
-
     pub fn deregister(&mut self, token: usize) {
         self.entries.retain(|e| e.token != token);
     }

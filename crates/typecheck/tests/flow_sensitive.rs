@@ -6,7 +6,7 @@ use stq_qualspec::Registry;
 use stq_typecheck::{
     check_program, check_program_with, infer_annotations, CheckOptions, CheckResult,
 };
-use stq_util::Symbol;
+use stq_util::{Severity, Symbol};
 
 fn check_fs(src: &str) -> CheckResult {
     let registry = Registry::builtins();
@@ -106,6 +106,65 @@ fn address_taken_in_branch_invalidates_the_refinement() {
                    return 0;
                }";
     assert_eq!(check_fs(src).stats.qualifier_errors, 1);
+}
+
+/// Asserts that `src`, checked flow-sensitively, gets exactly one
+/// qualifier violation: `nonnull`'s restrict warning at the dereference
+/// `*{var}` in the statement `int y = *{var};`.
+fn assert_unrefined_dereference(src: &str, var: &str) {
+    let result = check_fs(src);
+    assert_eq!(result.stats.qualifier_errors, 1, "{}", result.diags);
+    assert!(!result.is_clean());
+    let d = result.diags.iter().next().expect("one diagnostic");
+    assert_eq!(d.severity, Severity::Warning);
+    assert!(
+        d.message.starts_with(&format!(
+            "`*{var}` violates the restrict rule of qualifier `nonnull`"
+        )),
+        "{}",
+        d.message
+    );
+    let deref = format!("*{var}");
+    let at = src
+        .find(&format!("int y = {deref};"))
+        .expect("the dereference")
+        + "int y = ".len();
+    let (start, end) = (d.span.start as usize, d.span.end as usize);
+    assert_eq!((start, &src[start..end]), (at, deref.as_str()));
+}
+
+#[test]
+fn a_call_in_the_branch_can_change_a_global() {
+    // `reset` nulls `g` after the test: a global is never refined.
+    let src = "int x;
+               int* g;
+               void reset() { g = NULL; }
+               int f() {
+                   g = &x;
+                   if (g != NULL) {
+                       reset();
+                       int y = *g;
+                   }
+                   return 0;
+               }";
+    assert_unrefined_dereference(src, "g");
+}
+
+#[test]
+fn an_alias_made_before_the_branch_can_change_a_local() {
+    // `pp` points at `p` before the test and nulls it inside the branch:
+    // a local whose address the function takes is never refined.
+    let src = "int x;
+               int f() {
+                   int* p = &x;
+                   int** nonnull pp = &p;
+                   if (p != NULL) {
+                       *pp = NULL;
+                       int y = *p;
+                   }
+                   return 0;
+               }";
+    assert_unrefined_dereference(src, "p");
 }
 
 #[test]

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full local gate: formatting, release build, test suite, and lint-clean
-# clippy.
+# clippy, for the workspace and for the benchmark crate.
 # Run from anywhere inside the repository.
 set -euo pipefail
 
@@ -8,6 +8,10 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
+
+# stqbench is a workspace of its own, so `--all` and `--workspace` skip it.
+echo "==> cargo fmt --check (stqbench)"
+cargo fmt --check --manifest-path stqbench/Cargo.toml
 
 echo "==> cargo build --release"
 cargo build --release
@@ -26,6 +30,9 @@ cargo test -q --manifest-path stqbench/Cargo.toml
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo clippy (stqbench) --all-targets -- -D warnings"
+cargo clippy --manifest-path stqbench/Cargo.toml --all-targets -- -D warnings
 
 echo "==> rustdoc with warnings denied (broken intra-doc links fail)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps \

@@ -3,8 +3,8 @@
 //! The resilient entry point must be *total*: for any input — raw byte
 //! soup, random token streams, or a valid program with a corrupted
 //! region — it returns a (possibly partial) AST plus diagnostics and
-//! never panics. When it reports no errors, the strict parser must
-//! agree that the source is well-formed.
+//! never panics. The strict entry point must agree with it: the same
+//! AST when it reports no errors, its first error otherwise.
 
 use proptest::prelude::*;
 use stq_cir::parse::{parse_program, parse_program_resilient};
@@ -34,18 +34,26 @@ const VALID: &str = "struct pair { int a; int b; };\n\
 
 /// The totality property shared by every generator: parsing never
 /// panics (the harness would report the panic as a test failure), and
-/// a silent parse — no diagnostics — means the input really was
-/// well-formed, which the strict parser must confirm.
+/// the strict parser agrees with the resilient one. A silent resilient
+/// parse means the input really was well-formed, so the strict parser
+/// must build the same AST; otherwise it must stop at the resilient
+/// parse's first error.
 fn assert_total(src: &str) {
     let (program, errors) = parse_program_resilient(src, QUALS);
-    if errors.is_empty() {
-        match parse_program(src, QUALS) {
-            Ok(p) => assert_eq!(
-                program.funcs.len(),
-                p.funcs.len(),
-                "silent resilient parse disagrees with strict parse on:\n{src}"
-            ),
-            Err(e) => panic!("resilient parse was silent but strict parse failed ({e}) on:\n{src}"),
+    match (parse_program(src, QUALS), errors.first()) {
+        (Ok(strict), None) => assert_eq!(
+            strict, program,
+            "silent resilient parse disagrees with strict parse on:\n{src}"
+        ),
+        (Err(e), Some(first)) => assert_eq!(
+            &e, first,
+            "strict error differs from the first resilient error on:\n{src}"
+        ),
+        (Ok(_), Some(first)) => {
+            panic!("strict parse succeeded but resilient parse reported {first} on:\n{src}")
+        }
+        (Err(e), None) => {
+            panic!("resilient parse was silent but strict parse failed ({e}) on:\n{src}")
         }
     }
 }

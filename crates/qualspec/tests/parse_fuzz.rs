@@ -2,9 +2,9 @@
 //!
 //! Mirrors `stq-cir`'s `parse_fuzz`: the resilient entry point must be
 //! total over arbitrary byte soup, token soup drawn from the DSL's
-//! vocabulary, and corrupted-but-plausible definition files. A silent
-//! parse (no diagnostics) must mean the strict parser accepts the
-//! source too.
+//! vocabulary, and corrupted-but-plausible definition files. The strict
+//! entry point must agree with it: the same definitions after a silent
+//! parse (no diagnostics), its first error otherwise.
 
 use proptest::prelude::*;
 use stq_qualspec::parse::{parse_qualifiers, parse_qualifiers_resilient};
@@ -69,18 +69,25 @@ const VALID: &str = "value qualifier pos(int Expr E)
 ref qualifier watched(int Var L)
     disallow &L";
 
-/// Totality: never a panic; a silent resilient parse implies strict
-/// acceptance with the same number of definitions.
+/// Totality: never a panic, and the strict parser agrees with the
+/// resilient one — the same definitions after a silent parse, the first
+/// resilient error otherwise.
 fn assert_total(src: &str) {
     let (defs, errors) = parse_qualifiers_resilient(src);
-    if errors.is_empty() {
-        match parse_qualifiers(src) {
-            Ok(strict) => assert_eq!(
-                defs.len(),
-                strict.len(),
-                "silent resilient parse disagrees with strict parse on:\n{src}"
-            ),
-            Err(e) => panic!("resilient parse was silent but strict parse failed ({e}) on:\n{src}"),
+    match (parse_qualifiers(src), errors.first()) {
+        (Ok(strict), None) => assert_eq!(
+            strict, defs,
+            "silent resilient parse disagrees with strict parse on:\n{src}"
+        ),
+        (Err(e), Some(first)) => assert_eq!(
+            &e, first,
+            "strict error differs from the first resilient error on:\n{src}"
+        ),
+        (Ok(_), Some(first)) => {
+            panic!("strict parse succeeded but resilient parse reported {first} on:\n{src}")
+        }
+        (Err(e), None) => {
+            panic!("resilient parse was silent but strict parse failed ({e}) on:\n{src}")
         }
     }
 }

@@ -1,7 +1,8 @@
 //! The checking ledger: how many heap allocations parsing, checking and
 //! instrumenting grep's `dfa.c` stand-in (Table 1's program, 2,287
 //! lines) make against the builtin qualifiers — the compile path the
-//! paper's §6 times.
+//! paper's §6 times — and how many a flow-sensitive check of its
+//! cast-free variant makes, where the refinement walks run.
 //!
 //! A counting global allocator forwards every call to the system
 //! allocator and counts, per thread, each call that hands out memory
@@ -9,9 +10,10 @@
 //! calling thread and are deterministic, so each count is exact, and
 //! debug and release builds make the same. Each phase has its own
 //! ceiling, so a change that brings back per-query type copies (the
-//! checker), a second copy of every body (instrumentation) or l-value
-//! clones (the parser) fails here, in the phase that regressed, before it
-//! shows up as latency.
+//! checker), a second copy of every body (instrumentation), l-value
+//! clones (the parser) or an allocating tree walk (flow sensitivity)
+//! fails here, in the phase that regressed, before it shows up as
+//! latency.
 //!
 //! The allocator is global to the binary, so this file holds its only
 //! test.
@@ -20,7 +22,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use stq_cir::parse::parse_program_resilient;
 use stq_qualspec::Registry;
-use stq_typecheck::{check_program, instrument_program};
+use stq_typecheck::{check_program, check_program_with, instrument_program, CheckOptions};
 
 /// Parsing may not allocate more than this: about 5% above the 15,920
 /// allocations it makes when `&e`, `e.f` and assignment targets move
@@ -40,6 +42,12 @@ const CHECK_CEILING: u64 = 10;
 /// the 27,928 it made deep-copying the program and then rebuilding every
 /// body.
 const INSTRUMENT_CEILING: u64 = 14_950;
+
+/// A flow-sensitive check of the cast-free dfa may not allocate more
+/// than this: about 5% above the 241 allocations it makes, where its
+/// branch refinements and address-taken sets are built. A walk that
+/// copied the statements it visits would exceed it.
+const FLOW_CEILING: u64 = 253;
 
 struct Counting;
 
@@ -99,6 +107,19 @@ fn compile_counted(registry: &Registry, names: &[&str], src: &str) -> [u64; 3] {
     [parse, check, instrument]
 }
 
+/// Parses `src`, then checks it flow-sensitively, and returns the check's
+/// allocations.
+fn flow_check_counted(registry: &Registry, names: &[&str], src: &str) -> u64 {
+    let (program, errors) = parse_program_resilient(src, names);
+    assert!(errors.is_empty(), "{errors:?}");
+    let options = CheckOptions {
+        flow_sensitive: true,
+    };
+    let (result, flow) = counted(|| check_program_with(registry, &program, options));
+    assert_eq!(result.stats.qualifier_errors, 0, "{}", result.diags);
+    flow
+}
+
 #[test]
 fn compiling_grep_dfa_stays_under_its_allocation_ceilings() {
     let registry = Registry::builtins();
@@ -114,14 +135,23 @@ fn compiling_grep_dfa_stays_under_its_allocation_ceilings() {
         [parse, check, instrument],
         "the counts are deterministic"
     );
+    let direct = stq_corpus::grep::grep_dfa_source_direct();
+    flow_check_counted(&registry, &names, &direct);
+    let flow = flow_check_counted(&registry, &names, &direct);
+    assert_eq!(
+        flow_check_counted(&registry, &names, &direct),
+        flow,
+        "the flow-sensitive count is deterministic"
+    );
     eprintln!(
         "allocations: first run {first:?}; ledger run parse {parse}, check {check}, \
-         instrument {instrument}"
+         instrument {instrument}, flow {flow}"
     );
     for (phase, count, ceiling) in [
         ("parse", parse, PARSE_CEILING),
         ("check", check, CHECK_CEILING),
         ("instrument", instrument, INSTRUMENT_CEILING),
+        ("flow", flow, FLOW_CEILING),
     ] {
         assert!(
             count <= ceiling,

@@ -12,6 +12,10 @@
 //!   postfix qualifier annotations (`int pos x`, `char * untainted fmt`)
 //!   and performs CIL-style normalization (`a[i]` → `*(a+i)`,
 //!   `e->f` → `(*e).f`, calls hoisted out of initializers, `for` → `while`);
+//! * the traversal — [`Stmt::walk`], [`Stmt::exprs`], [`Expr::walk`] and
+//!   [`Lvalue::exprs`], each with a `_mut` twin — the one place that
+//!   says which node holds which children, for the passes that only need
+//!   to reach nodes;
 //! * [`pretty`] — prints the IR back to compilable C-subset text;
 //! * [`interp`] — a concrete interpreter used to execute instrumented
 //!   run-time qualifier checks and to differentially test soundness.
@@ -37,6 +41,7 @@ pub mod interp;
 pub mod lex;
 pub mod parse;
 pub mod pretty;
+mod visit;
 
 pub use ast::{
     BaseTy, BinOp, Expr, ExprKind, FuncDef, FuncProto, FuncSig, GlobalDecl, Instr, InstrKind,

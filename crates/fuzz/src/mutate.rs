@@ -45,31 +45,12 @@ fn flip_qual(ty: &QualType, pick: usize) -> Option<&'static str> {
 
 // ----- statement walking -----
 
-fn for_each_stmt_mut(p: &mut Program, f: &mut impl FnMut(&mut StmtKind, &QualType)) {
+fn for_each_stmt_mut(p: &mut Program, f: &mut impl FnMut(&mut Stmt, &QualType)) {
     for func in &mut p.funcs {
-        let ret = func.sig.ret.clone();
+        let ret = &func.sig.ret;
         for s in &mut func.body {
-            stmt_rec(s, &ret, f);
+            s.walk_mut(&mut |s| f(s, ret));
         }
-    }
-}
-
-fn stmt_rec(s: &mut Stmt, ret: &QualType, f: &mut impl FnMut(&mut StmtKind, &QualType)) {
-    f(&mut s.kind, ret);
-    match &mut s.kind {
-        StmtKind::Block(stmts) => {
-            for s in stmts {
-                stmt_rec(s, ret, f);
-            }
-        }
-        StmtKind::If(_, then, els) => {
-            stmt_rec(then, ret, f);
-            if let Some(e) = els {
-                stmt_rec(e, ret, f);
-            }
-        }
-        StmtKind::While(_, body) => stmt_rec(body, ret, f),
-        StmtKind::Instr(_) | StmtKind::Return(_) | StmtKind::Decl(_) => {}
     }
 }
 
@@ -78,7 +59,7 @@ fn stmt_rec(s: &mut Stmt, ret: &QualType, f: &mut impl FnMut(&mut StmtKind, &Qua
 fn cast_insert(p: &mut Program, rng: &mut StdRng) -> Option<String> {
     let pick = rng.gen_range(0..INT_QUALS.len());
     let mut count = 0usize;
-    for_each_stmt_mut(p, &mut |k, ret| match k {
+    for_each_stmt_mut(p, &mut |s, ret| match &mut s.kind {
         StmtKind::Decl(d) if d.init.is_some() && flip_qual(&d.ty, 0).is_some() => count += 1,
         StmtKind::Return(Some(_)) if flip_qual(ret, 0).is_some() => count += 1,
         _ => {}
@@ -89,7 +70,7 @@ fn cast_insert(p: &mut Program, rng: &mut StdRng) -> Option<String> {
     let target = rng.gen_range(0..count);
     let mut i = 0usize;
     let mut desc = None;
-    for_each_stmt_mut(p, &mut |k, ret| match k {
+    for_each_stmt_mut(p, &mut |s, ret| match &mut s.kind {
         StmtKind::Decl(d) if d.init.is_some() && flip_qual(&d.ty, 0).is_some() => {
             if i == target && desc.is_none() {
                 let q = flip_qual(&d.ty, pick).expect("shape checked");
@@ -122,8 +103,8 @@ fn annotation_flip(p: &mut Program, rng: &mut StdRng) -> Option<String> {
     // Sites: every local declaration, parameter, and return type whose
     // shape supports a value qualifier.
     let mut decl_count = 0usize;
-    for_each_stmt_mut(p, &mut |k, _| {
-        if let StmtKind::Decl(d) = k {
+    for_each_stmt_mut(p, &mut |s, _| {
+        if let StmtKind::Decl(d) = &mut s.kind {
             if flip_qual(&d.ty, 0).is_some() {
                 decl_count += 1;
             }
@@ -148,8 +129,8 @@ fn annotation_flip(p: &mut Program, rng: &mut StdRng) -> Option<String> {
     if target < decl_count {
         let mut i = 0usize;
         let mut desc = None;
-        for_each_stmt_mut(p, &mut |k, _| {
-            if let StmtKind::Decl(d) = k {
+        for_each_stmt_mut(p, &mut |s, _| {
+            if let StmtKind::Decl(d) = &mut s.kind {
                 if flip_qual(&d.ty, 0).is_some() {
                     if i == target && desc.is_none() {
                         desc = Some(toggle(&mut d.ty, pick, &format!("decl {}", d.name)));
@@ -196,52 +177,7 @@ fn toggle(ty: &mut QualType, pick: usize, site: &str) -> String {
 // ----- operand swaps -----
 
 pub(crate) fn for_each_expr_mut(p: &mut Program, f: &mut impl FnMut(&mut Expr)) {
-    for_each_stmt_mut(p, &mut |k, _| match k {
-        StmtKind::Instr(instr) => match &mut instr.kind {
-            InstrKind::Set(lv, e) | InstrKind::Alloc(lv, e) => {
-                lval_exprs(lv, f);
-                expr_rec(e, f);
-            }
-            InstrKind::Call(dst, _, args) => {
-                if let Some(lv) = dst {
-                    lval_exprs(lv, f);
-                }
-                for a in args {
-                    expr_rec(a, f);
-                }
-            }
-            InstrKind::RuntimeCheck(_, e) => expr_rec(e, f),
-        },
-        StmtKind::If(cond, ..) | StmtKind::While(cond, _) => expr_rec(cond, f),
-        StmtKind::Return(Some(e)) => expr_rec(e, f),
-        StmtKind::Decl(d) => {
-            if let Some(e) = &mut d.init {
-                expr_rec(e, f);
-            }
-        }
-        StmtKind::Block(_) | StmtKind::Return(None) => {}
-    });
-}
-
-fn expr_rec(e: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
-    f(e);
-    match &mut e.kind {
-        ExprKind::Unop(_, a) | ExprKind::Cast(_, a) => expr_rec(a, f),
-        ExprKind::Binop(_, a, b) => {
-            expr_rec(a, f);
-            expr_rec(b, f);
-        }
-        ExprKind::Lval(lv) | ExprKind::AddrOf(lv) => lval_exprs(lv, f),
-        ExprKind::IntLit(_) | ExprKind::StrLit(_) | ExprKind::Null | ExprKind::SizeOf(_) => {}
-    }
-}
-
-fn lval_exprs(lv: &mut Lvalue, f: &mut impl FnMut(&mut Expr)) {
-    match &mut lv.kind {
-        LvalKind::Var(_) => {}
-        LvalKind::Deref(e) => expr_rec(e, f),
-        LvalKind::Field(inner, _) => lval_exprs(inner, f),
-    }
+    for_each_stmt_mut(p, &mut |s, _| s.exprs_mut(&mut |e| e.walk_mut(f)));
 }
 
 fn operand_swap(p: &mut Program, rng: &mut StdRng) -> Option<String> {

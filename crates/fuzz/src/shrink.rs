@@ -143,74 +143,37 @@ enum Action {
 }
 
 fn stmt_count(p: &Program) -> usize {
-    fn count(s: &Stmt) -> usize {
-        1 + match &s.kind {
-            StmtKind::Block(stmts) => stmts.iter().map(count).sum(),
-            StmtKind::If(_, then, els) => count(then) + els.as_deref().map_or(0, count),
-            StmtKind::While(_, body) => count(body),
-            _ => 0,
-        }
+    let mut n = 0;
+    for s in p.funcs.iter().flat_map(|f| &f.body) {
+        s.walk(&mut |_| n += 1);
     }
-    p.funcs.iter().flat_map(|f| f.body.iter()).map(count).sum()
+    n
 }
 
 /// Applies `action` to the `target`-th statement in pre-order. Returns
 /// false when the action does not apply to that statement's shape.
 fn apply_edit(p: &mut Program, target: usize, action: Action) -> bool {
     let mut n = 0usize;
-    for func in &mut p.funcs {
-        for s in &mut func.body {
-            if walk(s, &mut n, target, action) {
-                return true;
+    let mut applied = false;
+    for s in p.funcs.iter_mut().flat_map(|f| &mut f.body) {
+        s.walk_mut(&mut |s| {
+            if n == target {
+                applied = match (action, &mut s.kind) {
+                    (Action::Remove, _) => {
+                        s.kind = StmtKind::Block(Vec::new());
+                        true
+                    }
+                    (Action::Unwrap, StmtKind::If(_, body, _) | StmtKind::While(_, body)) => {
+                        *s = (**body).clone();
+                        true
+                    }
+                    (Action::Unwrap, _) => false,
+                };
             }
-        }
+            n += 1;
+        });
     }
-    false
-}
-
-fn walk(s: &mut Stmt, n: &mut usize, target: usize, action: Action) -> bool {
-    if *n == target {
-        *n += 1;
-        return match action {
-            Action::Remove => {
-                s.kind = StmtKind::Block(Vec::new());
-                true
-            }
-            Action::Unwrap => match &mut s.kind {
-                StmtKind::If(_, then, _) => {
-                    let hoisted = (**then).clone();
-                    *s = hoisted;
-                    true
-                }
-                StmtKind::While(_, body) => {
-                    let hoisted = (**body).clone();
-                    *s = hoisted;
-                    true
-                }
-                _ => false,
-            },
-        };
-    }
-    *n += 1;
-    match &mut s.kind {
-        StmtKind::Block(stmts) => {
-            for s in stmts {
-                if walk(s, n, target, action) {
-                    return true;
-                }
-            }
-            false
-        }
-        StmtKind::If(_, then, els) => {
-            if walk(then, n, target, action) {
-                return true;
-            }
-            els.as_deref_mut()
-                .is_some_and(|e| walk(e, n, target, action))
-        }
-        StmtKind::While(_, body) => walk(body, n, target, action),
-        _ => false,
-    }
+    applied
 }
 
 /// Splices out empty blocks left behind by `Action::Remove`.

@@ -230,100 +230,32 @@ fn implied_qualifiers(registry: &Registry, fact: Fact) -> BTreeSet<Symbol> {
 /// assignment, an allocation or a call result. A declaration of the same
 /// name shadows the variable rather than assigning it.
 pub(crate) fn assigns(stmt: &Stmt, var: Symbol) -> bool {
-    match &stmt.kind {
-        StmtKind::Instr(i) => match &i.kind {
-            InstrKind::Set(lv, _) | InstrKind::Alloc(lv, _) => lv.as_var() == Some(var),
-            InstrKind::Call(dst, _, _) => dst.as_ref().and_then(Lvalue::as_var) == Some(var),
-            InstrKind::RuntimeCheck(..) => false,
-        },
-        StmtKind::Block(stmts) => stmts.iter().any(|s| assigns(s, var)),
-        StmtKind::If(_, t, e) => assigns(t, var) || e.as_deref().is_some_and(|s| assigns(s, var)),
-        StmtKind::While(_, body) => assigns(body, var),
-        StmtKind::Return(_) | StmtKind::Decl(_) => false,
-    }
+    let mut found = false;
+    stmt.walk(&mut |s| {
+        if let StmtKind::Instr(i) = &s.kind {
+            found |= match &i.kind {
+                InstrKind::Set(lv, _) | InstrKind::Alloc(lv, _) => lv.as_var() == Some(var),
+                InstrKind::Call(dst, _, _) => dst.as_ref().and_then(Lvalue::as_var) == Some(var),
+                InstrKind::RuntimeCheck(..) => false,
+            };
+        }
+    });
+    found
 }
 
 /// Every variable whose address `body` takes (`&x`, or `&x.f` of a field
 /// inside it), anywhere, in any scope.
 pub(crate) fn address_taken(body: &[Stmt]) -> Vec<Symbol> {
     let mut out = Vec::new();
+    let mut visit = |e: &Expr| {
+        if let ExprKind::AddrOf(lv) = &e.kind {
+            out.extend(root_var(lv));
+        }
+    };
     for s in body {
-        stmt_addrs(s, &mut out);
+        s.walk(&mut |s| s.exprs(&mut |e| e.walk(&mut visit)));
     }
     out
-}
-
-fn stmt_addrs(stmt: &Stmt, out: &mut Vec<Symbol>) {
-    match &stmt.kind {
-        StmtKind::Instr(i) => match &i.kind {
-            InstrKind::Set(lv, e) | InstrKind::Alloc(lv, e) => {
-                lval_addrs(lv, out);
-                expr_addrs(e, out);
-            }
-            InstrKind::Call(dst, _, args) => {
-                if let Some(lv) = dst {
-                    lval_addrs(lv, out);
-                }
-                for a in args {
-                    expr_addrs(a, out);
-                }
-            }
-            InstrKind::RuntimeCheck(_, e) => expr_addrs(e, out),
-        },
-        StmtKind::Block(stmts) => {
-            for s in stmts {
-                stmt_addrs(s, out);
-            }
-        }
-        StmtKind::If(cond, t, e) => {
-            expr_addrs(cond, out);
-            stmt_addrs(t, out);
-            if let Some(e) = e {
-                stmt_addrs(e, out);
-            }
-        }
-        StmtKind::While(cond, body) => {
-            expr_addrs(cond, out);
-            stmt_addrs(body, out);
-        }
-        StmtKind::Return(e) => {
-            if let Some(e) = e {
-                expr_addrs(e, out);
-            }
-        }
-        StmtKind::Decl(d) => {
-            if let Some(e) = &d.init {
-                expr_addrs(e, out);
-            }
-        }
-    }
-}
-
-fn expr_addrs(e: &Expr, out: &mut Vec<Symbol>) {
-    match &e.kind {
-        ExprKind::AddrOf(lv) => {
-            if let Some(var) = root_var(lv) {
-                out.push(var);
-            }
-            lval_addrs(lv, out);
-        }
-        ExprKind::Lval(lv) => lval_addrs(lv, out),
-        ExprKind::Unop(_, a) | ExprKind::Cast(_, a) => expr_addrs(a, out),
-        ExprKind::Binop(_, a, b) => {
-            expr_addrs(a, out);
-            expr_addrs(b, out);
-        }
-        ExprKind::IntLit(_) | ExprKind::StrLit(_) | ExprKind::Null | ExprKind::SizeOf(_) => {}
-    }
-}
-
-/// The addresses taken inside an l-value's subexpressions.
-fn lval_addrs(lv: &Lvalue, out: &mut Vec<Symbol>) {
-    match &lv.kind {
-        LvalKind::Var(_) => {}
-        LvalKind::Deref(e) => expr_addrs(e, out),
-        LvalKind::Field(inner, _) => lval_addrs(inner, out),
-    }
 }
 
 /// The variable an l-value's storage lies in: `x` for `x` and `x.f.g`;

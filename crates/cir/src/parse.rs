@@ -75,15 +75,11 @@ type PResult<T> = Result<T, ParseError>;
 /// assert_eq!(program.protos.len(), 1);
 /// ```
 pub fn parse_program(src: &str, qualifiers: &[&str]) -> PResult<Program> {
-    let toks = lex(src)?;
-    let mut p = Parser {
-        toks,
-        pos: 0,
-        quals: qualifiers.iter().map(|q| Symbol::intern(q)).collect(),
-        resilient: false,
-        errors: Vec::new(),
-    };
-    p.program()
+    let (program, errors) = parse_program_resilient(src, qualifiers);
+    match errors.into_iter().next() {
+        Some(first) => Err(first),
+        None => Ok(program),
+    }
 }
 
 /// Error-resilient variant of [`parse_program`]: instead of stopping at
@@ -92,9 +88,10 @@ pub fn parse_program(src: &str, qualifiers: &[&str]) -> PResult<Program> {
 /// balanced `}` — and keeps parsing. Returns the partial [`Program`] (so
 /// later declarations still typecheck) together with every diagnostic.
 ///
-/// An empty error vector means exactly the program [`parse_program`]
-/// would have produced. A lex error is not recoverable (there is no
-/// token stream to sync on) and yields an empty program.
+/// [`parse_program`] is this parse with only its first error: the same
+/// program when the error vector is empty. A lex error is not
+/// recoverable (there is no token stream to sync on) and yields an empty
+/// program.
 pub fn parse_program_resilient(src: &str, qualifiers: &[&str]) -> (Program, Vec<ParseError>) {
     let toks = match lex(src) {
         Ok(toks) => toks,
@@ -104,10 +101,9 @@ pub fn parse_program_resilient(src: &str, qualifiers: &[&str]) -> (Program, Vec<
         toks,
         pos: 0,
         quals: qualifiers.iter().map(|q| Symbol::intern(q)).collect(),
-        resilient: true,
         errors: Vec::new(),
     };
-    let prog = p.program_resilient();
+    let prog = p.program();
     (prog, p.errors)
 }
 
@@ -115,9 +111,7 @@ struct Parser {
     toks: Vec<Token>,
     pos: usize,
     quals: HashSet<Symbol>,
-    /// In resilient mode statement-level errors are recorded in
-    /// `errors` and the parser resynchronizes instead of failing.
-    resilient: bool,
+    /// Every syntax error so far; the parser resynchronizes after each.
     errors: Vec<ParseError>,
 }
 
@@ -245,15 +239,7 @@ impl Parser {
 
     // ----- top level -----
 
-    fn program(&mut self) -> PResult<Program> {
-        let mut prog = Program::new();
-        while self.peek() != &Tok::Eof {
-            self.top_item(&mut prog)?;
-        }
-        Ok(prog)
-    }
-
-    fn program_resilient(&mut self) -> Program {
+    fn program(&mut self) -> Program {
         let mut prog = Program::new();
         while self.peek() != &Tok::Eof {
             let before = self.pos;
@@ -450,16 +436,12 @@ impl Parser {
                 return self.err("unexpected end of input inside block");
             }
             let before = self.pos;
-            match self.stmt_into(&mut out) {
-                Ok(()) => {}
-                Err(e) if self.resilient => {
-                    self.errors.push(e);
-                    self.recover_in_block();
-                    if self.pos == before && self.peek() != &Tok::RBrace {
-                        self.force_bump();
-                    }
+            if let Err(e) = self.stmt_into(&mut out) {
+                self.errors.push(e);
+                self.recover_in_block();
+                if self.pos == before && self.peek() != &Tok::RBrace {
+                    self.force_bump();
                 }
-                Err(e) => return Err(e),
             }
         }
         self.expect(&Tok::RBrace)?;

@@ -65,16 +65,11 @@ type SResult<T> = Result<T, SpecError>;
 /// assert_eq!(defs[0].cases.len(), 1);
 /// ```
 pub fn parse_qualifiers(src: &str) -> SResult<Vec<QualifierDef>> {
-    let toks = lex(src).map_err(|e| SpecError {
-        message: e.message,
-        span: e.span,
-    })?;
-    let mut p = P { toks, pos: 0 };
-    let mut out = Vec::new();
-    while p.peek() != &Tok::Eof {
-        out.push(p.qualifier()?);
+    let (defs, errors) = parse_qualifiers_resilient(src);
+    match errors.into_iter().next() {
+        Some(first) => Err(first),
+        None => Ok(defs),
     }
-    Ok(out)
 }
 
 /// Error-resilient variant of [`parse_qualifiers`]: instead of stopping
@@ -85,8 +80,8 @@ pub fn parse_qualifiers(src: &str) -> SResult<Vec<QualifierDef>> {
 /// section dropped — alongside every diagnostic, so one typo in a
 /// qualifier file no longer hides the rest of the file.
 ///
-/// An empty error vector means exactly the definitions
-/// [`parse_qualifiers`] would have produced.
+/// [`parse_qualifiers`] is this parse with only its first error: the
+/// same definitions when the error vector is empty.
 pub fn parse_qualifiers_resilient(src: &str) -> (Vec<QualifierDef>, Vec<SpecError>) {
     let toks = match lex(src) {
         Ok(toks) => toks,
@@ -106,7 +101,7 @@ pub fn parse_qualifiers_resilient(src: &str) -> (Vec<QualifierDef>, Vec<SpecErro
     let mut defs = Vec::new();
     let mut errors = Vec::new();
     while p.peek() != &Tok::Eof {
-        if let Some(def) = p.qualifier_resilient(&mut errors) {
+        if let Some(def) = p.qualifier(&mut errors) {
             defs.push(def);
         }
     }
@@ -188,12 +183,38 @@ impl P {
 
     // ----- top level -----
 
-    fn qualifier(&mut self) -> SResult<QualifierDef> {
+    /// Parses one definition, recording errors in `errors` and
+    /// resynchronizing instead of failing. Returns `None` when the
+    /// header itself was unusable; otherwise the (possibly partial)
+    /// definition.
+    fn qualifier(&mut self, errors: &mut Vec<SpecError>) -> Option<QualifierDef> {
         let start = self.span();
-        let mut def = self.qualifier_header(start)?;
-        while self.qualifier_section(&mut def)? {}
+        let mut def = match self.qualifier_header(start) {
+            Ok(def) => def,
+            Err(e) => {
+                errors.push(e);
+                self.sync_to_def();
+                return None;
+            }
+        };
+        loop {
+            match self.qualifier_section(&mut def) {
+                Ok(true) => {}
+                Ok(false) => break,
+                Err(e) => {
+                    errors.push(e);
+                    // Drop the broken section, keep what already parsed,
+                    // and continue at the next section of this definition
+                    // (or hand back to the top level at a new one).
+                    self.sync_to_section();
+                    if !self.at_section_start() {
+                        break;
+                    }
+                }
+            }
+        }
         def.span = start.to(self.prev_span());
-        Ok(def)
+        Some(def)
     }
 
     /// `value|ref qualifier name(subject)` — everything before the
@@ -343,40 +364,6 @@ impl P {
         while self.peek() != &Tok::Eof && !self.at_section_start() && !self.at_def_start() {
             self.force_bump();
         }
-    }
-
-    /// Parses one definition, recording errors in `errors` and
-    /// resynchronizing instead of failing. Returns `None` when the
-    /// header itself was unusable; otherwise the (possibly partial)
-    /// definition.
-    fn qualifier_resilient(&mut self, errors: &mut Vec<SpecError>) -> Option<QualifierDef> {
-        let start = self.span();
-        let mut def = match self.qualifier_header(start) {
-            Ok(def) => def,
-            Err(e) => {
-                errors.push(e);
-                self.sync_to_def();
-                return None;
-            }
-        };
-        loop {
-            match self.qualifier_section(&mut def) {
-                Ok(true) => {}
-                Ok(false) => break,
-                Err(e) => {
-                    errors.push(e);
-                    // Drop the broken section, keep what already parsed,
-                    // and continue at the next section of this definition
-                    // (or hand back to the top level at a new one).
-                    self.sync_to_section();
-                    if !self.at_section_start() {
-                        break;
-                    }
-                }
-            }
-        }
-        def.span = start.to(self.prev_span());
-        Some(def)
     }
 
     // ----- declarations -----

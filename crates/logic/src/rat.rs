@@ -89,11 +89,6 @@ impl Rat {
         self.num > 0
     }
 
-    /// True if the value is strictly negative.
-    pub fn is_negative(self) -> bool {
-        self.num < 0
-    }
-
     /// True if the value is an integer.
     pub fn is_integer(self) -> bool {
         self.den == 1
@@ -306,7 +301,6 @@ mod tests {
     fn predicates() {
         assert!(Rat::ZERO.is_zero());
         assert!(Rat::ONE.is_positive());
-        assert!((-Rat::ONE).is_negative());
         assert!(Rat::int(3).is_integer());
         assert!(!Rat::new(1, 2).is_integer());
     }

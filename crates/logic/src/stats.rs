@@ -47,14 +47,6 @@ impl Default for Budget {
 }
 
 impl Budget {
-    /// A budget with a wall-clock deadline on top of the default limits.
-    pub fn with_timeout(timeout: Duration) -> Budget {
-        Budget {
-            timeout: Some(timeout),
-            ..Budget::default()
-        }
-    }
-
     /// This budget with the given per-request overrides applied: each
     /// `Some` field of `over` replaces the corresponding base limit.
     /// This is the serve daemon's budget wiring — a resident server
@@ -349,13 +341,6 @@ mod tests {
     #[test]
     fn default_budget_has_no_deadline() {
         assert!(Budget::default().timeout.is_none());
-    }
-
-    #[test]
-    fn with_timeout_sets_only_the_deadline() {
-        let b = Budget::with_timeout(Duration::from_millis(5));
-        assert_eq!(b.timeout, Some(Duration::from_millis(5)));
-        assert_eq!(b.max_rounds, Budget::default().max_rounds);
     }
 
     #[test]

@@ -41,7 +41,6 @@ pub mod axioms;
 pub mod cache;
 pub mod checker;
 pub mod obligations;
-pub mod paper_encoding;
 
 pub use axioms::background_theory;
 pub use cache::{CachedProof, PersistOutcome, ProofCache};

@@ -4,6 +4,9 @@
 //! * every workspace crate (including the vendored stand-ins and the
 //!   root package) is listed in `docs/architecture.md`, and every crate
 //!   row there is a workspace member;
+//! * every module the crate map in `docs/architecture.md` names exists
+//!   in that crate, as `src/<m>.rs`, `src/<m>/mod.rs` or a path under
+//!   the crate;
 //! * every `paper:KEY` citation in EXPERIMENTS.md, DESIGN.md and
 //!   `docs/*.md` names a value of the committed `BENCH_paper.json`, and
 //!   every count printed before one equals the record's; EXPERIMENTS.md
@@ -96,6 +99,65 @@ fn every_workspace_crate_is_listed_in_architecture_md() {
             members.iter().any(|(member, _)| member == dir),
             "docs/architecture.md has a row for `{dir}`, which is not a workspace member"
         );
+    }
+}
+
+/// The crate map's rows in `docs/architecture.md`: each crate's
+/// directory (empty for the repository root) and the modules its "Key
+/// modules" cell names.
+fn crate_map_modules(page: &str) -> Vec<(String, Vec<String>)> {
+    let map = page
+        .split("\n## Crate map")
+        .nth(1)
+        .expect("docs/architecture.md has a crate map");
+    let map = map.split("\n## ").next().unwrap_or(map);
+    let ticked = |cell: &str| -> Option<String> {
+        Some(cell.trim().strip_prefix('`')?.strip_suffix('`')?.to_owned())
+    };
+    map.lines()
+        .filter_map(|line| {
+            // `| dir | package | modules | role |` splits into six cells.
+            let cells: Vec<&str> = line.split('|').collect();
+            if cells.len() < 6 {
+                return None;
+            }
+            let dir = match cells[1].trim() {
+                "repository root" => String::new(),
+                cell => ticked(cell)?,
+            };
+            let modules = cells[3].split(',').filter_map(ticked).collect();
+            Some((dir, modules))
+        })
+        .collect()
+}
+
+#[test]
+fn every_module_in_the_crate_map_exists() {
+    let page = fs::read_to_string(repo_root().join("docs/architecture.md"))
+        .expect("docs/architecture.md exists");
+    let rows = crate_map_modules(&page);
+    assert!(rows.len() >= 10, "expected crate rows, found {rows:?}");
+    for (dir, modules) in rows {
+        let krate = repo_root().join(&dir);
+        assert!(
+            !modules.is_empty(),
+            "the crate map names no module of `{dir}`"
+        );
+        for m in modules {
+            let exists = [
+                format!("src/{m}.rs"),
+                format!("src/{m}/mod.rs"),
+                m.clone(),
+                format!("{m}.rs"),
+            ]
+            .iter()
+            .any(|path| krate.join(path).exists());
+            assert!(
+                exists,
+                "docs/architecture.md names module `{m}` of `{dir}`, which has no \
+                 src/{m}.rs, src/{m}/mod.rs or path {m}"
+            );
+        }
     }
 }
 

@@ -149,6 +149,73 @@ fn stdio_deadline_interrupts_without_poisoning_the_shared_cache() {
     );
 }
 
+/// The first verdict of a `prove` response.
+fn first_verdict(prove: &Json) -> Option<&str> {
+    prove
+        .get("result")?
+        .get("qualifiers")?
+        .as_array()?
+        .first()?
+        .get("verdict")?
+        .as_str()
+}
+
+#[test]
+fn stdio_budget_and_retry_objects_override_the_daemon_defaults() {
+    let starved = "\"names\":[\"unique\"],\"cache\":false,\
+                   \"budget\":{\"max_rounds\":1,\"max_instantiations\":1}";
+    let (responses, code) = serve_stdio(
+        &[],
+        &format!(
+            "{{\"id\":1,\"method\":\"prove\",\"params\":{{{starved}}}}}\n\
+             {{\"id\":2,\"method\":\"prove\",\"params\":{{{starved},\
+             \"retry\":{{\"max_attempts\":8,\"factor\":4}}}}}}\n"
+        ),
+    );
+    assert_eq!(code, Some(0));
+    let starved = response_with_id(&responses, 1);
+    assert_eq!(first_verdict(starved), Some("resource-out"), "{starved}");
+    let retried = response_with_id(&responses, 2);
+    assert_eq!(first_verdict(retried), Some("sound"), "{retried}");
+}
+
+#[test]
+fn stdio_malformed_budget_and_retry_objects_are_invalid() {
+    let cases = [
+        (r#"{"budget":{"bogus":1}}"#, "unknown budget field `bogus`"),
+        (
+            r#"{"budget":{"max_rounds":-1}}"#,
+            "budget field `max_rounds` must be a non-negative integer",
+        ),
+        (
+            r#"{"retry":{"factor":"x"}}"#,
+            "retry field `factor` must be a non-negative integer",
+        ),
+        (r#"{"retry":{"bogus":1}}"#, "unknown retry field `bogus`"),
+        (r#"{"budget":[1]}"#, "`budget` must be an object"),
+    ];
+    let input: String = cases
+        .iter()
+        .enumerate()
+        .map(|(id, (params, _))| {
+            format!("{{\"id\":{id},\"method\":\"prove\",\"params\":{params}}}\n")
+        })
+        .collect();
+    let (responses, code) = serve_stdio(&[], &input);
+    assert_eq!(code, Some(0));
+    for (id, (params, message)) in cases.iter().enumerate() {
+        let error = response_with_id(&responses, id as u64)
+            .get("error")
+            .unwrap_or_else(|| panic!("{params} must fail"));
+        assert_eq!(error.get("code").and_then(Json::as_str), Some("invalid"));
+        assert_eq!(
+            error.get("message").and_then(Json::as_str),
+            Some(*message),
+            "{params}"
+        );
+    }
+}
+
 #[test]
 fn stdio_shutdown_request_drains_and_exits_zero() {
     let (responses, code) = serve_stdio(

@@ -271,6 +271,13 @@ impl Parser {
             let span = start.to(self.prev_span());
             match body {
                 None => prog.protos.push(FuncProto { name, sig, span }),
+                // The definition is whole, so the parse goes on at the
+                // next item; the second body is dropped, and every pass
+                // that looks `name` up sees the first.
+                Some(_) if prog.func(name).is_some() => self.errors.push(ParseError {
+                    message: format!("function `{name}` is defined twice"),
+                    span,
+                }),
                 Some(body) => prog.funcs.push(FuncDef {
                     name,
                     sig,
@@ -1324,6 +1331,31 @@ mod tests {
     #[test]
     fn discarded_malloc_is_rejected() {
         assert!(parse_program("void f() { malloc(4); }", &[]).is_err());
+    }
+
+    #[test]
+    fn a_second_definition_of_a_function_is_an_error_naming_it() {
+        let src = "int f(int a) { int b = 1; return b; }
+            int f(int c) { int a = 2; a = c; return a; }
+            int g = 3;";
+        let err = parse_program(src, &[]).expect_err("f is defined twice");
+        assert!(err.message.contains("function `f`"), "{err}");
+        let second = src.find("int f(int c)").unwrap() as u32;
+        assert_eq!(
+            err.span.start, second,
+            "the error points at the second body"
+        );
+        // The parse goes on past the duplicate and keeps the first body.
+        let (prog, errors) = parse_program_resilient(src, &[]);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert_eq!(prog.funcs.len(), 1);
+        assert_eq!(prog.funcs[0].sig.params[0].0.as_str(), "a");
+        assert_eq!(prog.globals.len(), 1);
+        // A prototype plus one definition, and a repeated global (a C
+        // tentative definition), stay legal.
+        let legal = parse("int f(int a); int f(int a) { return a; } int g; int g;");
+        assert_eq!((legal.protos.len(), legal.funcs.len()), (1, 1));
+        assert_eq!(legal.globals.len(), 2);
     }
 
     #[test]

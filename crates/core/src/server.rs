@@ -60,7 +60,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use stq_soundness::{Budget, BudgetOverride, ProofCache, RetryPolicy};
+use stq_soundness::{Budget, ProofCache, RetryPolicy};
 #[cfg(unix)]
 use stq_util::flock::FileLock;
 use stq_util::json::Json;
@@ -1147,11 +1147,10 @@ impl Server {
                     .ok_or(("invalid", "`names` must be an array of strings".to_owned()))?,
             ),
         };
-        let budget = self
-            .cfg
-            .budget
-            .overridden(budget_override(params.get("budget"))?);
-        let retry = retry_override(self.cfg.retry, params.get("retry"))?;
+        let mut budget = self.cfg.budget;
+        set_fields("budget", params.get("budget"), |k, n| budget.set(k, n))?;
+        let mut retry = self.cfg.retry;
+        set_fields("retry", params.get("retry"), |k, n| retry.set(k, n))?;
         let jobs = match params.get("jobs") {
             None | Some(Json::Null) => 1,
             Some(v) => v
@@ -1251,32 +1250,32 @@ impl Server {
     }
 }
 
-fn budget_override(v: Option<&Json>) -> Result<BudgetOverride, ServeError> {
-    let mut over = BudgetOverride::default();
-    let Some(obj) = v else { return Ok(over) };
-    if obj.is_null() {
-        return Ok(over);
-    }
-    let Json::Obj(members) = obj else {
-        return Err(("invalid", "`budget` must be an object".to_owned()));
+/// Applies a request's `budget` or `retry` object (`what`) member by
+/// member through `set`, which takes a field name and a value and
+/// answers whether it knows the name. Absent fields keep the daemon's
+/// setting: a request cannot unset a limit the daemon imposes.
+fn set_fields(
+    what: &str,
+    v: Option<&Json>,
+    mut set: impl FnMut(&str, u64) -> bool,
+) -> Result<(), ServeError> {
+    let members = match v {
+        None | Some(Json::Null) => return Ok(()),
+        Some(Json::Obj(members)) => members,
+        Some(_) => return Err(("invalid", format!("`{what}` must be an object"))),
     };
     for (key, value) in members {
-        let n = value.as_u64().ok_or((
-            "invalid",
-            format!("budget field `{key}` must be a non-negative integer"),
-        ))?;
-        match key.as_str() {
-            "max_rounds" => over.max_rounds = Some(n as usize),
-            "max_instantiations" => over.max_instantiations = Some(n as usize),
-            "max_clauses" => over.max_clauses = Some(n as usize),
-            "max_decisions" => over.max_decisions = Some(n),
-            "timeout_ms" => over.timeout = Some(Duration::from_millis(n)),
-            other => {
-                return Err(("invalid", format!("unknown budget field `{other}`")));
-            }
+        let n = value.as_u64().ok_or_else(|| {
+            (
+                "invalid",
+                format!("{what} field `{key}` must be a non-negative integer"),
+            )
+        })?;
+        if !set(key, n) {
+            return Err(("invalid", format!("unknown {what} field `{key}`")));
         }
     }
-    Ok(over)
+    Ok(())
 }
 
 #[cfg(all(test, unix))]
@@ -2098,27 +2097,4 @@ mod tests {
         assert!(socket_lock_path(&socket).exists());
         let _ = std::fs::remove_file(socket_lock_path(&socket));
     }
-}
-
-fn retry_override(base: RetryPolicy, v: Option<&Json>) -> Result<RetryPolicy, ServeError> {
-    let mut retry = base;
-    let Some(obj) = v else { return Ok(retry) };
-    if obj.is_null() {
-        return Ok(retry);
-    }
-    let Json::Obj(members) = obj else {
-        return Err(("invalid", "`retry` must be an object".to_owned()));
-    };
-    for (key, value) in members {
-        let n = value.as_u64().ok_or((
-            "invalid",
-            format!("retry field `{key}` must be a non-negative integer"),
-        ))?;
-        match key.as_str() {
-            "max_attempts" => retry.max_attempts = n.min(u64::from(u32::MAX)) as u32,
-            "factor" => retry.factor = n.min(u64::from(u32::MAX)) as u32,
-            other => return Err(("invalid", format!("unknown retry field `{other}`"))),
-        }
-    }
-    Ok(retry)
 }

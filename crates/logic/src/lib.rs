@@ -77,6 +77,6 @@ pub mod theory;
 pub use fault::{FaultKind, FaultPlan, IoFaultKind, IoFaultPlan};
 pub use fingerprint::{Fingerprint, PROVER_VERSION};
 pub use solver::{Outcome, Problem, SolverWorker};
-pub use stats::{Budget, BudgetOverride, ProverStats, Resource, RetryPolicy};
+pub use stats::{Budget, ProverStats, Resource, RetryPolicy};
 pub use term::{Formula, Sort, Term};
 pub use theory::Theory;

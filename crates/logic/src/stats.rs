@@ -47,22 +47,23 @@ impl Default for Budget {
 }
 
 impl Budget {
-    /// This budget with the given per-request overrides applied: each
-    /// `Some` field of `over` replaces the corresponding base limit.
-    /// This is the serve daemon's budget wiring — a resident server
-    /// holds one default [`Budget`] and derives a per-request one from
-    /// whatever limits the request carries, without the request being
-    /// able to *unset* a limit the server imposes (absent fields
-    /// inherit, they do not reset to unbounded).
-    #[must_use]
-    pub fn overridden(self, over: BudgetOverride) -> Budget {
-        Budget {
-            max_rounds: over.max_rounds.unwrap_or(self.max_rounds),
-            max_instantiations: over.max_instantiations.unwrap_or(self.max_instantiations),
-            max_clauses: over.max_clauses.unwrap_or(self.max_clauses),
-            max_decisions: over.max_decisions.unwrap_or(self.max_decisions),
-            timeout: over.timeout.or(self.timeout),
+    /// Sets the limit named `field` to `n`: `max_rounds`,
+    /// `max_instantiations`, `max_clauses`, `max_decisions` or
+    /// `timeout_ms` (milliseconds), the names of the budget's JSON
+    /// objects. Returns `false`, changing nothing, for any other name.
+    /// The budget flags of `stqc prove` and `stqc serve` and the serve
+    /// daemon's per-request `budget` objects all set limits here, so a
+    /// request overrides only the limits it names and inherits the rest.
+    pub fn set(&mut self, field: &str, n: u64) -> bool {
+        match field {
+            "max_rounds" => self.max_rounds = n as usize,
+            "max_instantiations" => self.max_instantiations = n as usize,
+            "max_clauses" => self.max_clauses = n as usize,
+            "max_decisions" => self.max_decisions = n,
+            "timeout_ms" => self.timeout = Some(Duration::from_millis(n)),
+            _ => return false,
         }
+        true
     }
 
     /// This budget with every limit multiplied by `factor` (saturating),
@@ -77,25 +78,6 @@ impl Budget {
             max_decisions: self.max_decisions.saturating_mul(u64::from(factor)),
             timeout: self.timeout.map(|t| t.saturating_mul(factor)),
         }
-    }
-}
-
-/// Per-request [`Budget`] overrides (see [`Budget::overridden`]): the
-/// shape of the optional `budget` object a serve-protocol request may
-/// carry. `None` fields inherit the server's base budget.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BudgetOverride {
-    pub max_rounds: Option<usize>,
-    pub max_instantiations: Option<usize>,
-    pub max_clauses: Option<usize>,
-    pub max_decisions: Option<u64>,
-    pub timeout: Option<Duration>,
-}
-
-impl BudgetOverride {
-    /// True when no field is set (the request carried no overrides).
-    pub fn is_empty(&self) -> bool {
-        *self == BudgetOverride::default()
     }
 }
 
@@ -135,6 +117,19 @@ impl RetryPolicy {
             max_attempts,
             ..RetryPolicy::default()
         }
+    }
+
+    /// Sets the field named `field` to `n` (saturating at `u32::MAX`):
+    /// `max_attempts` or `factor`, the names of the retry ladder's JSON
+    /// objects. Returns `false`, changing nothing, for any other name.
+    pub fn set(&mut self, field: &str, n: u64) -> bool {
+        let n = n.min(u64::from(u32::MAX)) as u32;
+        match field {
+            "max_attempts" => self.max_attempts = n,
+            "factor" => self.factor = n,
+            _ => return false,
+        }
+        true
     }
 
     /// Total attempts, normalised so a zero configuration still runs once.
@@ -397,6 +392,42 @@ mod tests {
         assert_eq!(doubled.max_clauses, 200);
         assert_eq!(doubled.max_decisions, 2000);
         assert_eq!(doubled.timeout, Some(Duration::from_millis(16)));
+    }
+
+    #[test]
+    fn setters_take_the_json_field_names_and_reject_others() {
+        let mut budget = Budget::default();
+        for (field, n) in [
+            ("max_rounds", 2),
+            ("max_instantiations", 10),
+            ("max_clauses", 100),
+            ("max_decisions", 1000),
+            ("timeout_ms", 8),
+        ] {
+            assert!(budget.set(field, n), "{field}");
+        }
+        assert_eq!(
+            budget,
+            Budget {
+                max_rounds: 2,
+                max_instantiations: 10,
+                max_clauses: 100,
+                max_decisions: 1000,
+                timeout: Some(Duration::from_millis(8)),
+            }
+        );
+        assert!(!budget.set("rounds", 1) && budget.max_rounds == 2);
+
+        let mut retry = RetryPolicy::none();
+        assert!(retry.set("max_attempts", 3) && retry.set("factor", u64::MAX));
+        assert_eq!(
+            retry,
+            RetryPolicy {
+                max_attempts: 3,
+                factor: u32::MAX
+            }
+        );
+        assert!(!retry.set("retry", 1) && retry.max_attempts == 3);
     }
 
     #[test]

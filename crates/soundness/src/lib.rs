@@ -52,7 +52,7 @@ pub use obligations::{
     build_obligation, obligation_specs, Obligation, ObligationKind, ObligationSpec,
 };
 pub use stq_logic::{
-    fault, Budget, BudgetOverride, FaultKind, FaultPlan, Fingerprint, IoFaultKind, IoFaultPlan,
-    ProverStats, Resource, RetryPolicy, SolverWorker, PROVER_VERSION,
+    fault, Budget, FaultKind, FaultPlan, Fingerprint, IoFaultKind, IoFaultPlan, ProverStats,
+    Resource, RetryPolicy, SolverWorker, PROVER_VERSION,
 };
 pub use stq_util::{CancelReason, CancelToken};

@@ -1,89 +1,31 @@
 //! `stqc` — the semantic-type-qualifiers command-line tool.
 //!
-//! ```text
-//! stqc prove [--quals FILE] [--stats] [--json] [BUDGET..] [NAME..]
-//!                                        prove qualifier soundness
-//! stqc check [--quals FILE] [--flow-sensitive] [--stats] [--json] FILE.c
-//!                                        qualifier-check a program
-//! stqc run [--entry NAME] FILE.c [INT..] instrument and execute
-//! stqc infer --qual NAME FILE.c          infer annotations
-//! stqc tables [--stats] [--json]         regenerate Tables 1 and 2
-//! stqc show [--quals FILE] [NAME]        print qualifier definitions
-//! stqc fuzz [--seed N] [--count N] [--jobs N] [--max-depth N] [--json]
-//!           [--deadline-ms N] [--replay DIR]
-//!                                        differential fuzzing
-//! stqc serve (--socket PATH | --tcp HOST:PORT | --stdio) [--jobs N]
-//!           [--cache-dir DIR] [--addr-file PATH]
-//!           [--quals FILE] [--max-inflight N] [--max-queue N]
-//!           [--pid-file PATH] [--max-line-bytes N] [BUDGET..]
-//!                                        checking-as-a-service daemon
-//! stqc call (--socket PATH | --tcp HOST:PORT)..
-//!           [--deadline-ms N] [--connect-timeout-ms N]
-//!           [--call-deadline-ms N] [--retries N] [--json] METHOD [PARAMS]
-//!                                        one request to a serve daemon
-//! ```
+//! `stqc --help` prints the command and flag reference ([`HELP`]);
+//! `docs/robustness.md` explains the exit codes and the run deadline,
+//! `docs/performance.md` the `--jobs` and `--cache-dir` flags, and
+//! `docs/serving.md` the `serve` daemon and its `call` client.
 //!
-//! Budget flags (`prove` and `serve`) bound the prover so a
-//! pathological obligation terminates with a `ResourceOut` verdict
-//! instead of diverging: `--max-rounds N`, `--max-instantiations N`,
-//! `--max-decisions N`, `--max-clauses N`, `--timeout-ms N`. A flag the
-//! subcommand does not use is a usage error, never silently ignored.
-//!
-//! Performance flags (see `docs/performance.md`):
-//!
-//! * `--jobs N` proves obligations on up to `N` worker threads
-//!   (`0` or omitted = available parallelism; verdicts and report order
-//!   are independent of `N`). When a fault-injection flag is present and
-//!   `--jobs` is not, the run is single-threaded so the faulted solver
-//!   entry is deterministic.
-//! * `--cache-dir DIR` keeps a fingerprinted proof cache in `DIR`:
-//!   unchanged obligations (same rules, invariant, budget, retry ladder,
-//!   and prover version) are replayed from the cache instead of
-//!   re-proved.
-//!
-//! Robustness flags (see `docs/robustness.md`):
-//!
-//! * `--retry N` re-runs `ResourceOut` obligations up to `N` attempts
-//!   under geometrically escalated budgets (`--retry-factor F`,
-//!   default 2);
-//! * `--deadline-ms N` bounds the *whole run* (`prove` and `fuzz`):
-//!   when the deadline lapses, in-flight work stops at the next
-//!   safepoint, unreached obligations/cases are marked skipped, and the
-//!   partial report is emitted with exit code 5. `--timeout-ms` by
-//!   contrast is a per-obligation prover budget (and part of the proof-
-//!   cache key; the run deadline is not, so an interrupted run resumes
-//!   from the same cache).
-//! * Ctrl-C (SIGINT) requests the same cooperative stop: conclusive
-//!   verdicts reached so far are reported, the proof cache is persisted,
-//!   and the exit code is 5. A second Ctrl-C exits immediately (130).
-//! * `--keep-going` continues past crashed qualifiers (`prove`) and
-//!   past syntax errors (`check`, via the error-resilient parser);
-//! * `--fault-panic-at N` / `--fault-resource-out-at N` /
-//!   `--fault-theory-at N` (`prove` only) inject a deterministic fault
-//!   at the `N`th solver entry — testing hooks for the fault-injection
-//!   harness.
-//!
-//! Exit codes are structured: 0 success, 1 unsound/refuted (or
-//! qualifier errors from `check`), 2 usage errors, 3 input errors
-//! (unreadable or unparseable files), 4 a proof attempt crashed or ran
-//! out of budget even after retries, 5 the run was interrupted
-//! (deadline or Ctrl-C) and the report is partial.
-//!
-//! `--stats` prints prover/checker telemetry; `--json` switches the
-//! report to a machine-readable JSON document on stdout (the schema is
-//! documented in `docs/telemetry.md`). Qualifier definitions from
-//! `--quals` are added on top of the paper's builtin library.
+//! Every subcommand reads its command line the same way: [`scan`]
+//! checks it against the one flag table, [`FLAGS`], before any file is
+//! read or any daemon is dialed. A flag the subcommand does not take, a
+//! flag's missing or non-numeric value, or a positional argument past
+//! the subcommand's limit is a usage error (exit 2) naming it. A flag
+//! given twice takes its last value, except `--quals`, the `--fault-*`
+//! flags, and `call`'s `--socket` and `--tcp`, which keep every value
+//! in order.
 
 use std::fs;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
+use stq_cir::Program;
 use stq_core::reportjson::{
     budget_json, cache_json, check_json, check_stats_json, millis, prove_json, retry_json,
-    with_lead,
+    verdict_slug, with_lead,
 };
 use stq_core::{
     fault, Budget, CancelToken, CheckOptions, FaultKind, FaultPlan, PersistOutcome, ProofCache,
-    RetryPolicy, Session, SoundnessReport, Value, Verdict,
+    RetryPolicy, Session, SoundnessReport, Verdict,
 };
 use stq_util::json::Json;
 
@@ -174,30 +116,41 @@ exit codes: 0 success/sound, 1 unsound or qualifier errors, 2 usage,
 `stqc --help` (or `-h`) prints this reference.
 ";
 
+/// The subcommands: each one's name, the most positional arguments it
+/// takes, and its body, which runs on the scanned command line.
+type Body = fn(Args) -> Result<ExitCode, CliError>;
+const COMMANDS: [(&str, usize, Body); 9] = [
+    ("prove", usize::MAX, prove),
+    ("check", 1, check),
+    ("run", usize::MAX, run),
+    ("infer", 1, infer),
+    ("tables", 0, tables),
+    ("show", 1, show),
+    ("fuzz", 0, fuzz),
+    ("serve", 0, serve),
+    ("call", 2, call),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("prove") => prove(&args[1..]),
-        Some("check") => check(&args[1..]),
-        Some("run") => run(&args[1..]),
-        Some("infer") => infer(&args[1..]),
-        Some("tables") => tables(&args[1..]),
-        Some("show") => show(&args[1..]),
-        Some("fuzz") => fuzz(&args[1..]),
-        Some("serve") => serve(&args[1..]),
-        Some("call") => call(&args[1..]),
-        Some("--help") | Some("-h") => {
-            println!("{HELP}");
-            ExitCode::SUCCESS
-        }
-        Some(other) => {
-            eprintln!("stqc: unknown subcommand `{other}`");
-            eprintln!("{USAGE}");
-            ExitCode::from(EXIT_USAGE)
-        }
-        None => {
-            eprintln!("{USAGE}");
-            ExitCode::from(EXIT_USAGE)
+    let Some(first) = args.first() else {
+        eprintln!("{USAGE}");
+        return ExitCode::from(EXIT_USAGE);
+    };
+    if first == "--help" || first == "-h" {
+        println!("{HELP}");
+        return ExitCode::SUCCESS;
+    }
+    let Some((cmd, max_positional, body)) = COMMANDS.iter().find(|(cmd, ..)| cmd == first) else {
+        eprintln!("stqc: unknown subcommand `{first}`");
+        eprintln!("{USAGE}");
+        return ExitCode::from(EXIT_USAGE);
+    };
+    match scan(cmd, *max_positional, &args[1..]).and_then(body) {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("stqc: {}", e.msg);
+            ExitCode::from(e.code)
         }
     }
 }
@@ -290,207 +243,253 @@ fn input_err(msg: impl Into<String>) -> CliError {
     }
 }
 
-fn fail(e: CliError) -> ExitCode {
-    eprintln!("stqc: {}", e.msg);
-    ExitCode::from(e.code)
+// ----- the command line -----
+
+/// What a flag takes after it.
+#[derive(Clone, Copy)]
+enum Takes {
+    /// Nothing: the flag is a switch.
+    Nothing,
+    /// A non-negative integer.
+    Number,
+    /// A number that sets the named [`Budget`] field.
+    Limit(&'static str),
+    /// A number that sets the named [`RetryPolicy`] field.
+    Retry(&'static str),
+    /// A solver entry number at which to inject a fault of this kind.
+    Fault(FaultKind),
+    /// Text, described in the error a missing value gets
+    /// (`--quals needs a file`).
+    Text(&'static str),
 }
 
-/// Everything the option scan produces: the session (builtins plus any
-/// `--quals` definitions), positional arguments, bare `--flag`s, the
-/// prover budget, and the retry ladder.
-struct Cli {
-    session: Session,
-    rest: Vec<String>,
-    flags: Vec<String>,
-    /// The NAME of the subcommand's `--entry` (`run`) or `--qual`
-    /// (`infer`) flag.
-    name: Option<String>,
-    /// `--keep-going`: continue past crashed qualifiers (`prove`) and
-    /// syntax errors (`check`, and `--quals` files everywhere).
-    keep_going: bool,
-    budget: Budget,
-    retry: RetryPolicy,
-    jobs: usize,
-    cache_dir: Option<String>,
-    deadline_ms: Option<u64>,
-    /// The `--quals` files, in order — what `stqc serve` hands the
-    /// server as its reloadable library list.
-    qual_files: Vec<std::path::PathBuf>,
+/// One row of [`FLAGS`]: a flag, what it takes, and the names of the
+/// subcommands that take it, separated by spaces.
+struct Flag {
+    name: &'static str,
+    takes: Takes,
+    commands: &'static str,
 }
 
-/// A `--flag` the subcommand does not take: a usage error naming it, so
-/// a misspelled flag fails instead of being silently ignored.
-fn unknown_flag(flag: &str) -> CliError {
-    usage_err(format!(
-        "unknown flag `{flag}` (run `stqc --help` for the flag reference)"
-    ))
+const fn flag(name: &'static str, takes: Takes, commands: &'static str) -> Flag {
+    Flag {
+        name,
+        takes,
+        commands,
+    }
 }
 
-/// The valued flags `prove` and `serve` share: the proof cache, the
-/// five budget flags, the run deadline, the retry ladder and workers.
-const PROVER_FLAGS: [&str; 10] = [
-    "--cache-dir",
-    "--max-rounds",
-    "--max-instantiations",
-    "--max-decisions",
-    "--max-clauses",
-    "--timeout-ms",
-    "--deadline-ms",
-    "--retry",
-    "--retry-factor",
-    "--jobs",
+/// The subcommands that load qualifier definitions.
+const SESSION: &str = "prove check run infer show serve";
+/// The subcommands that run the prover.
+const PROVER: &str = "prove serve";
+
+use FaultKind::{Panic, ResourceOut, TheoryError};
+use Takes::{Fault, Limit, Nothing, Number, Retry, Text};
+
+/// Every flag of every subcommand, each listed once; [`HELP`] documents
+/// the same set.
+#[rustfmt::skip]
+const FLAGS: [Flag; 35] = [
+    flag("--quals",                 Text("a file"),              SESSION),
+    flag("--keep-going",            Nothing,                     SESSION),
+    flag("--stats",                 Nothing,                     "prove check tables"),
+    flag("--json",                  Nothing,                     "prove check tables fuzz call"),
+    flag("--flow-sensitive",        Nothing,                     "check"),
+    flag("--entry",                 Text("a name"),              "run"),
+    flag("--qual",                  Text("a name"),              "infer"),
+    flag("--max-rounds",            Limit("max_rounds"),         PROVER),
+    flag("--max-instantiations",    Limit("max_instantiations"), PROVER),
+    flag("--max-decisions",         Limit("max_decisions"),      PROVER),
+    flag("--max-clauses",           Limit("max_clauses"),        PROVER),
+    flag("--timeout-ms",            Limit("timeout_ms"),         PROVER),
+    flag("--jobs",                  Number,                      "prove serve fuzz"),
+    flag("--cache-dir",             Text("a directory"),         PROVER),
+    flag("--retry",                 Retry("max_attempts"),       PROVER),
+    flag("--retry-factor",          Retry("factor"),             PROVER),
+    flag("--deadline-ms",           Number,                      "prove fuzz serve call"),
+    flag("--fault-panic-at",        Fault(Panic),                "prove"),
+    flag("--fault-resource-out-at", Fault(ResourceOut),          "prove"),
+    flag("--fault-theory-at",       Fault(TheoryError),          "prove"),
+    flag("--seed",                  Number,                      "fuzz"),
+    flag("--count",                 Number,                      "fuzz"),
+    flag("--max-depth",             Number,                      "fuzz"),
+    flag("--replay",                Text("a directory"),         "fuzz"),
+    flag("--socket",                Text("a path"),              "serve call"),
+    flag("--tcp",                   Text("HOST:PORT"),           "serve call"),
+    flag("--addr-file",             Text("a path"),              "serve"),
+    flag("--stdio",                 Nothing,                     "serve"),
+    flag("--max-inflight",          Number,                      "serve"),
+    flag("--max-queue",             Number,                      "serve"),
+    flag("--pid-file",              Text("a path"),              "serve"),
+    flag("--max-line-bytes",        Number,                      "serve"),
+    flag("--connect-timeout-ms",    Number,                      "call"),
+    flag("--call-deadline-ms",      Number,                      "call"),
+    flag("--retries",               Number,                      "call"),
 ];
 
-/// Builds a session from builtins plus any `--quals FILE` definitions
-/// and scans the common option set. `own` lists every other flag the
-/// subcommand takes: bare ones, the valued ones it uses, `--entry NAME`
-/// and `--qual NAME`. Any other `--flag` is a usage error, as is a
-/// positional argument past the first `max_args`. Fault-injection flags
-/// install their [`FaultPlan`] for this thread as a side effect.
-fn session_from(
-    cmd: &str,
-    args: &[String],
-    own: &[&str],
-    max_args: usize,
-) -> Result<Cli, CliError> {
-    let keep_going = args.iter().any(|a| a == "--keep-going");
-    let mut session = Session::with_builtins();
-    let mut rest = Vec::new();
-    let mut flags = Vec::new();
-    let mut name: Option<String> = None;
-    let mut budget = Budget::default();
-    let mut retry = RetryPolicy::none();
-    let mut plan = FaultPlan::new();
-    let mut jobs: Option<u64> = None;
-    let mut cache_dir: Option<String> = None;
-    let mut deadline_ms: Option<u64> = None;
-    let mut qual_files: Vec<std::path::PathBuf> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quals" => {
-                let path = args
-                    .get(i + 1)
-                    .ok_or_else(|| usage_err("--quals needs a file"))?;
-                qual_files.push(std::path::PathBuf::from(path));
-                let src = fs::read_to_string(path)
-                    .map_err(|e| input_err(format!("cannot read {path}: {e}")))?;
-                if keep_going {
-                    let (_, errors) = session.define_qualifiers_resilient(&src);
-                    for e in &errors {
-                        eprintln!("stqc: {path}: {e}");
-                    }
-                } else {
-                    session
-                        .define_qualifiers(&src)
-                        .map_err(|e| input_err(format!("{path}: {e}")))?;
-                }
-                i += 2;
-            }
-            "--keep-going" => i += 1,
-            flag if !own.contains(&flag) && flag.starts_with("--") => {
-                return Err(unknown_flag(flag));
-            }
-            "--cache-dir" => {
-                let path = args
-                    .get(i + 1)
-                    .ok_or_else(|| usage_err("--cache-dir needs a directory"))?;
-                cache_dir = Some(path.clone());
-                i += 2;
-            }
-            flag @ ("--max-rounds"
-            | "--max-instantiations"
-            | "--max-decisions"
-            | "--max-clauses"
-            | "--timeout-ms"
-            | "--deadline-ms"
-            | "--retry"
-            | "--retry-factor"
-            | "--jobs"
-            | "--fault-panic-at"
-            | "--fault-resource-out-at"
-            | "--fault-theory-at") => {
-                let value = args
-                    .get(i + 1)
-                    .ok_or_else(|| usage_err(format!("{flag} needs a number")))?;
-                let n: u64 = value
-                    .parse()
-                    .map_err(|_| usage_err(format!("{flag}: `{value}` is not a number")))?;
-                match flag {
-                    "--max-rounds" => budget.max_rounds = n as usize,
-                    "--max-instantiations" => budget.max_instantiations = n as usize,
-                    "--max-clauses" => budget.max_clauses = n as usize,
-                    "--max-decisions" => budget.max_decisions = n,
-                    "--timeout-ms" => budget.timeout = Some(Duration::from_millis(n)),
-                    "--deadline-ms" => deadline_ms = Some(n),
-                    "--retry" => retry.max_attempts = n.min(u64::from(u32::MAX)) as u32,
-                    "--retry-factor" => retry.factor = n.min(u64::from(u32::MAX)) as u32,
-                    "--jobs" => jobs = Some(n),
-                    "--fault-panic-at" => plan = plan.inject(n, FaultKind::Panic),
-                    "--fault-resource-out-at" => plan = plan.inject(n, FaultKind::ResourceOut),
-                    _ => plan = plan.inject(n, FaultKind::TheoryError),
-                }
-                i += 2;
-            }
-            flag @ ("--entry" | "--qual") => {
-                let value = args
-                    .get(i + 1)
-                    .ok_or_else(|| usage_err(format!("{flag} needs a name")))?;
-                name.get_or_insert_with(|| value.clone());
-                i += 2;
-            }
-            flag if flag.starts_with("--") => {
-                flags.push(flag.to_owned());
-                i += 1;
-            }
-            other => {
-                rest.push(other.to_owned());
-                i += 1;
-            }
-        }
+/// A flag's value as [`scan`] checked it.
+enum Value {
+    Switch,
+    Num(u64),
+    Text(String),
+}
+
+/// A scanned command line.
+struct Args {
+    /// Every flag given, with its value, in command-line order.
+    flags: Vec<(&'static Flag, Value)>,
+    positional: Vec<String>,
+}
+
+impl Args {
+    fn has(&self, name: &str) -> bool {
+        self.flags.iter().any(|(f, _)| f.name == name)
     }
-    if let Some(extra) = rest.get(max_args) {
+
+    /// Every text value of the `name` flag, in command-line order.
+    fn texts<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> {
+        self.flags.iter().filter_map(move |(f, v)| match v {
+            Value::Text(s) if f.name == name => Some(s.as_str()),
+            _ => None,
+        })
+    }
+
+    /// The last text value of the `name` flag.
+    fn text<'a>(&'a self, name: &'a str) -> Option<&'a str> {
+        self.texts(name).last()
+    }
+
+    /// The last numeric value of the `name` flag.
+    fn num(&self, name: &str) -> Option<u64> {
+        self.flags.iter().rev().find_map(|(f, v)| match v {
+            Value::Num(n) if f.name == name => Some(*n),
+            _ => None,
+        })
+    }
+}
+
+/// Scans the arguments of subcommand `cmd`, which takes at most
+/// `max_positional` positional arguments. Every word that starts with
+/// `--` is a flag, and the word after a valued flag is its value
+/// whatever it looks like. Errors, all usage errors, come in
+/// command-line order, a positional argument past the limit last.
+fn scan(cmd: &str, max_positional: usize, args: &[String]) -> Result<Args, CliError> {
+    let mut scanned = Args {
+        flags: Vec::new(),
+        positional: Vec::new(),
+    };
+    let mut words = args.iter();
+    while let Some(word) = words.next() {
+        if !word.starts_with("--") {
+            scanned.positional.push(word.clone());
+            continue;
+        }
+        let Some(flag) = FLAGS
+            .iter()
+            .find(|f| f.name == word && f.commands.split(' ').any(|c| c == cmd))
+        else {
+            return Err(usage_err(format!(
+                "unknown flag `{word}` (run `stqc --help` for the flag reference)"
+            )));
+        };
+        let needs = match flag.takes {
+            Nothing => {
+                scanned.flags.push((flag, Value::Switch));
+                continue;
+            }
+            Text(what) => what,
+            _ => "a number",
+        };
+        let Some(value) = words.next() else {
+            return Err(usage_err(format!("{word} needs {needs}")));
+        };
+        let value = match flag.takes {
+            Text(_) => Value::Text(value.clone()),
+            _ => Value::Num(
+                value
+                    .parse()
+                    .map_err(|_| usage_err(format!("{word}: `{value}` is not a number")))?,
+            ),
+        };
+        scanned.flags.push((flag, value));
+    }
+    if let Some(extra) = scanned.positional.get(max_positional) {
         return Err(usage_err(format!("{cmd}: unexpected argument `{extra}`")));
     }
-    let fault_injected = !plan.is_empty();
-    if fault_injected {
-        fault::install(plan);
+    Ok(scanned)
+}
+
+/// The builtins plus the definitions of every `--quals` file, in order,
+/// checked for well-formedness. Under `--keep-going` a file's
+/// definitions that do not parse are reported and skipped.
+fn session(args: &Args) -> Result<Session, CliError> {
+    let mut session = Session::with_builtins();
+    for path in args.texts("--quals") {
+        let src = read(path)?;
+        if args.has("--keep-going") {
+            let (_, errors) = session.define_qualifiers_resilient(&src);
+            for e in &errors {
+                eprintln!("stqc: {path}: {e}");
+            }
+        } else {
+            session
+                .define_qualifiers(&src)
+                .map_err(|e| input_err(format!("{path}: {e}")))?;
+        }
     }
-    // `--jobs 0` (or no flag) means "auto": the machine's available
-    // parallelism — except under fault injection, where an unforced run
-    // stays single-threaded so the faulted solver entry is the Nth
-    // obligation deterministically, not whichever a worker reaches.
-    let jobs = match jobs {
-        Some(n) if n >= 1 => n.min(256) as usize,
-        Some(_) => stq_util::pool::default_jobs(),
-        None if fault_injected => 1,
-        None => stq_util::pool::default_jobs(),
-    };
     let wf = session.check_well_formed();
     if wf.has_errors() {
         return Err(input_err(format!(
             "ill-formed qualifier definitions:\n{wf}"
         )));
     }
-    Ok(Cli {
-        session,
-        rest,
-        flags,
-        name,
-        keep_going,
-        budget,
-        retry,
-        jobs,
-        cache_dir,
-        deadline_ms,
-        qual_files,
-    })
+    Ok(session)
+}
+
+/// Installs the `--fault-*` flags' [`FaultPlan`] for this thread and
+/// returns the worker count: `--jobs N`, where `0` or no flag means the
+/// machine's available parallelism, except that a fault-injected run
+/// without `--jobs` stays single-threaded, so the faulted solver entry
+/// is the Nth obligation deterministically, not whichever a worker
+/// reaches.
+fn jobs(args: &Args) -> usize {
+    let mut plan = FaultPlan::new();
+    for (flag, value) in &args.flags {
+        if let (Fault(kind), Value::Num(n)) = (flag.takes, value) {
+            plan = plan.inject(*n, kind);
+        }
+    }
+    let fault_injected = !plan.is_empty();
+    if fault_injected {
+        fault::install(plan);
+    }
+    match args.num("--jobs") {
+        Some(n) if n >= 1 => n.min(256) as usize,
+        None if fault_injected => 1,
+        _ => stq_util::pool::default_jobs(),
+    }
+}
+
+/// The prover budget and retry ladder, from their defaults and the
+/// budget and retry flags in command-line order.
+fn budget(args: &Args) -> (Budget, RetryPolicy) {
+    let mut budget = Budget::default();
+    let mut retry = RetryPolicy::none();
+    for (flag, value) in &args.flags {
+        match (flag.takes, value) {
+            (Limit(field), Value::Num(n)) => budget.set(field, *n),
+            (Retry(field), Value::Num(n)) => retry.set(field, *n),
+            _ => continue,
+        };
+    }
+    (budget, retry)
 }
 
 /// The run's cancellation token: carries the `--deadline-ms` deadline
 /// when one was given, and is wired to SIGINT either way.
-fn run_token(deadline_ms: Option<u64>) -> CancelToken {
-    let token = match deadline_ms {
+fn run_token(args: &Args) -> CancelToken {
+    let token = match args.num("--deadline-ms") {
         Some(ms) => CancelToken::deadline_in(Duration::from_millis(ms)),
         None => CancelToken::new(),
     };
@@ -498,55 +497,71 @@ fn run_token(deadline_ms: Option<u64>) -> CancelToken {
     token
 }
 
-fn has_flag(flags: &[String], name: &str) -> bool {
-    flags.iter().any(|f| f == name)
+fn read(path: impl AsRef<Path>) -> Result<String, CliError> {
+    let path = path.as_ref();
+    fs::read_to_string(path).map_err(|e| input_err(format!("cannot read {}: {e}", path.display())))
+}
+
+/// The path in the first positional argument and the source it holds;
+/// the error names `cmd` when there is none.
+fn source<'a>(cmd: &str, args: &'a Args) -> Result<(&'a str, String), CliError> {
+    let Some(path) = args.positional.first() else {
+        return Err(usage_err(format!("{cmd} needs a source file")));
+    };
+    Ok((path, read(path)?))
+}
+
+fn parse(session: &Session, path: &str, source: &str) -> Result<Program, CliError> {
+    session
+        .parse(source)
+        .map_err(|e| input_err(format!("{path}: {e}")))
+}
+
+/// The exit code of a prove run, given whether any qualifier has a
+/// verdict and whether the run was interrupted: `stqc prove` and
+/// `stqc call … prove` both exit with it. A refutation always wins; an
+/// interruption outranks a crash or resource-out because those may be
+/// artifacts of the truncated run.
+fn prove_exit(has: impl Fn(Verdict) -> bool, interrupted: bool) -> ExitCode {
+    if has(Verdict::Unsound) {
+        ExitCode::from(EXIT_UNSOUND)
+    } else if interrupted {
+        ExitCode::from(EXIT_INTERRUPTED)
+    } else if has(Verdict::Crashed) || has(Verdict::ResourceOut) {
+        ExitCode::from(EXIT_CRASH)
+    } else {
+        ExitCode::SUCCESS
+    }
 }
 
 // ----- subcommands -----
 
-fn prove(args: &[String]) -> ExitCode {
-    let faults = [
-        "--fault-panic-at",
-        "--fault-resource-out-at",
-        "--fault-theory-at",
-    ];
-    let own = [&PROVER_FLAGS[..], &faults, &["--stats", "--json"]].concat();
-    let Cli {
-        session,
-        rest,
-        flags,
-        keep_going,
-        budget,
-        retry,
-        jobs,
-        cache_dir,
-        deadline_ms,
-        ..
-    } = match session_from("prove", args, &own, usize::MAX) {
-        Ok(x) => x,
-        Err(e) => return fail(e),
-    };
-    let cancel = run_token(deadline_ms);
-    let cache = match &cache_dir {
-        Some(dir) => match ProofCache::at_dir(dir) {
-            Ok(c) => Some(c),
-            Err(e) => return fail(input_err(format!("cannot open cache dir {dir}: {e}"))),
-        },
+fn prove(args: Args) -> Result<ExitCode, CliError> {
+    let session = session(&args)?;
+    let jobs = jobs(&args);
+    let (budget, retry) = budget(&args);
+    let cache_dir = args.text("--cache-dir");
+    let deadline_ms = args.num("--deadline-ms");
+    let cancel = run_token(&args);
+    let cache = match cache_dir {
+        Some(dir) => Some(
+            ProofCache::at_dir(dir)
+                .map_err(|e| input_err(format!("cannot open cache dir {dir}: {e}")))?,
+        ),
         None => None,
     };
-    let names: Vec<&str> = rest.iter().map(String::as_str).collect();
+    let names: Vec<&str> = args.positional.iter().map(String::as_str).collect();
     let names = (!names.is_empty()).then_some(names.as_slice());
-    let mut report = match session.prove(names, budget, retry, jobs, cache.as_ref(), &cancel) {
-        Ok(report) => report,
-        Err(e) => return fail(input_err(e)),
-    };
+    let mut report = session
+        .prove(names, budget, retry, jobs, cache.as_ref(), &cancel)
+        .map_err(input_err)?;
     // Without --keep-going the report stops at the first crashed
     // qualifier; its totals then cover exactly the qualifiers reported.
     let first_crash = report
         .reports
         .iter()
         .position(|r| r.verdict == Verdict::Crashed)
-        .filter(|_| !keep_going);
+        .filter(|_| !args.has("--keep-going"));
     if let Some(pos) = first_crash {
         eprintln!(
             "stqc: qualifier `{}` crashed; stopping (pass --keep-going to check the rest)",
@@ -570,7 +585,7 @@ fn prove(args: &[String]) -> ExitCode {
     }
     let interrupted = report.interrupted();
     let skipped = report.skipped_count();
-    if has_flag(&flags, "--json") {
+    if args.has("--json") {
         let cache_doc = match &cache {
             Some(c) => {
                 let (persist, persisted_entries) = match persisted {
@@ -604,7 +619,7 @@ fn prove(args: &[String]) -> ExitCode {
     } else {
         for r in &report.reports {
             print!("{r}");
-            if has_flag(&flags, "--stats") {
+            if args.has("--stats") {
                 println!("  stats: {}", r.totals());
             }
         }
@@ -621,7 +636,7 @@ fn prove(args: &[String]) -> ExitCode {
                 }
             );
         }
-        if has_flag(&flags, "--stats") {
+        if args.has("--stats") {
             println!("totals: {} (jobs={jobs})", report.totals);
             println!(
                 "outcomes: {} timed out (wall clock), {} out of steps, {skipped} skipped",
@@ -641,57 +656,28 @@ fn prove(args: &[String]) -> ExitCode {
             }
         }
     }
-    // Precedence: a definite refutation always wins; an interruption
-    // outranks crash/resource-out because those may simply be artifacts
-    // of the truncated run.
-    let verdict = |v: Verdict| report.reports.iter().any(|r| r.verdict == v);
-    if verdict(Verdict::Unsound) {
-        ExitCode::from(EXIT_UNSOUND)
-    } else if interrupted {
-        ExitCode::from(EXIT_INTERRUPTED)
-    } else if verdict(Verdict::Crashed) || verdict(Verdict::ResourceOut) {
-        ExitCode::from(EXIT_CRASH)
-    } else {
-        ExitCode::SUCCESS
-    }
+    let has = |v: Verdict| report.reports.iter().any(|r| r.verdict == v);
+    Ok(prove_exit(has, interrupted))
 }
 
-fn check(args: &[String]) -> ExitCode {
-    let Cli {
-        session,
-        rest,
-        flags,
-        keep_going,
-        ..
-    } = match session_from("check", args, &["--stats", "--json", "--flow-sensitive"], 1) {
-        Ok(x) => x,
-        Err(e) => return fail(e),
-    };
-    let Some(path) = rest.first() else {
-        return fail(usage_err("check needs a source file"));
-    };
-    let source = match fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => return fail(input_err(format!("cannot read {path}: {e}"))),
-    };
-    let (program, syntax_errors) = if keep_going {
+fn check(args: Args) -> Result<ExitCode, CliError> {
+    let session = session(&args)?;
+    let (path, source) = source("check", &args)?;
+    let (program, syntax_errors) = if args.has("--keep-going") {
         session.parse_resilient(&source)
     } else {
-        match session.parse(&source) {
-            Ok(p) => (p, Vec::new()),
-            Err(e) => return fail(input_err(format!("{path}: {e}"))),
-        }
+        (parse(&session, path, &source)?, Vec::new())
     };
     for e in &syntax_errors {
         eprintln!("{path}: {e}");
     }
     let options = CheckOptions {
-        flow_sensitive: has_flag(&flags, "--flow-sensitive"),
+        flow_sensitive: args.has("--flow-sensitive"),
     };
     let result = session.check_with(&program, options);
-    if has_flag(&flags, "--json") {
+    if args.has("--json") {
         let doc = with_lead(
-            [("command", "check".into()), ("file", path.as_str().into())],
+            [("command", "check".into()), ("file", path.into())],
             check_json(&result, &syntax_errors, &source),
         );
         println!("{doc}");
@@ -706,7 +692,7 @@ fn check(args: &[String]) -> ExitCode {
             result.stats.casts,
             result.stats.qualifier_errors
         );
-        if has_flag(&flags, "--stats") {
+        if args.has("--stats") {
             println!(
                 "{path}: {} expr(s) visited, {} case application(s), \
                  {} memo hit(s)/{} miss(es), {} restrict check(s), \
@@ -720,78 +706,53 @@ fn check(args: &[String]) -> ExitCode {
             );
         }
     }
-    if !syntax_errors.is_empty() {
+    Ok(if !syntax_errors.is_empty() {
         ExitCode::from(EXIT_INPUT)
     } else if result.is_clean() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(EXIT_UNSOUND)
-    }
+    })
 }
 
-fn run(args: &[String]) -> ExitCode {
-    let cli = match session_from("run", args, &["--entry"], usize::MAX) {
-        Ok(x) => x,
-        Err(e) => return fail(e),
-    };
-    let Some((path, ints)) = cli.rest.split_first() else {
-        return fail(usage_err("run needs a source file"));
-    };
-    let mut call_args = Vec::with_capacity(ints.len());
-    for arg in ints {
-        match arg.parse::<i64>() {
-            Ok(n) => call_args.push(Value::Int(n)),
-            Err(_) => return fail(usage_err(format!("run: unexpected argument `{arg}`"))),
-        }
-    }
-    let source = match fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => return fail(input_err(format!("cannot read {path}: {e}"))),
-    };
-    let program = match cli.session.parse(&source) {
-        Ok(p) => p,
-        Err(e) => return fail(input_err(format!("{path}: {e}"))),
-    };
-    let entry = cli.name.as_deref().unwrap_or("main");
-    match cli.session.run_instrumented(&program, entry, &call_args) {
-        Ok(out) => {
-            print!("{}", out.stdout);
-            if let Some(v) = out.ret {
-                println!("=> {v}");
-            }
-            println!("({} run-time qualifier check(s) passed)", out.checks_passed);
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail(CliError {
+fn run(args: Args) -> Result<ExitCode, CliError> {
+    let session = session(&args)?;
+    let ints = args.positional.get(1..).unwrap_or_default();
+    let call_args = ints
+        .iter()
+        .map(|arg| {
+            arg.parse()
+                .map(stq_core::Value::Int)
+                .map_err(|_| usage_err(format!("run: unexpected argument `{arg}`")))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let (path, source) = source("run", &args)?;
+    let program = parse(&session, path, &source)?;
+    let entry = args.text("--entry").unwrap_or("main");
+    let out = session
+        .run_instrumented(&program, entry, &call_args)
+        .map_err(|e| CliError {
             code: EXIT_UNSOUND,
             msg: format!("runtime error: {e}"),
-        }),
+        })?;
+    print!("{}", out.stdout);
+    if let Some(v) = out.ret {
+        println!("=> {v}");
     }
+    println!("({} run-time qualifier check(s) passed)", out.checks_passed);
+    Ok(ExitCode::SUCCESS)
 }
 
-fn infer(args: &[String]) -> ExitCode {
-    let cli = match session_from("infer", args, &["--qual"], 1) {
-        Ok(x) => x,
-        Err(e) => return fail(e),
-    };
-    let Some(qual) = &cli.name else {
-        return fail(usage_err("infer needs --qual NAME"));
-    };
-    let Some(path) = cli.rest.first() else {
-        return fail(usage_err("infer needs a source file"));
-    };
-    let source = match fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => return fail(input_err(format!("cannot read {path}: {e}"))),
-    };
-    let program = match cli.session.parse(&source) {
-        Ok(p) => p,
-        Err(e) => return fail(input_err(format!("{path}: {e}"))),
-    };
-    let result = match cli.session.try_infer_annotations(&program, qual) {
-        Ok(r) => r,
-        Err(e) => return fail(input_err(e)),
-    };
+fn infer(args: Args) -> Result<ExitCode, CliError> {
+    let session = session(&args)?;
+    let qual = args
+        .text("--qual")
+        .ok_or_else(|| usage_err("infer needs --qual NAME"))?;
+    let (path, source) = source("infer", &args)?;
+    let program = parse(&session, path, &source)?;
+    let result = session
+        .try_infer_annotations(&program, qual)
+        .map_err(input_err)?;
     println!(
         "{} site(s) can carry `{qual}` ({} iteration(s)):",
         result.inferred.len(),
@@ -803,30 +764,27 @@ fn infer(args: &[String]) -> ExitCode {
     for site in &result.rejected {
         println!("  - {site}");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn show(args: &[String]) -> ExitCode {
-    let Cli { session, rest, .. } = match session_from("show", args, &[], 1) {
-        Ok(x) => x,
-        Err(e) => return fail(e),
-    };
-    match rest.first() {
-        Some(name) => match session.registry().get_by_name(name) {
-            Some(def) => {
-                print!("{}", stq_qualspec::def_to_source(def));
-                ExitCode::SUCCESS
-            }
-            None => fail(input_err(format!("unknown qualifier `{name}`"))),
-        },
+fn show(args: Args) -> Result<ExitCode, CliError> {
+    let session = session(&args)?;
+    match args.positional.first() {
+        Some(name) => {
+            let def = session
+                .registry()
+                .get_by_name(name)
+                .ok_or_else(|| input_err(format!("unknown qualifier `{name}`")))?;
+            print!("{}", stq_qualspec::def_to_source(def));
+        }
         None => {
             for def in session.registry().iter() {
                 print!("{}", stq_qualspec::def_to_source(def));
                 println!();
             }
-            ExitCode::SUCCESS
         }
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 // ----- fuzz -----
@@ -836,62 +794,28 @@ fn show(args: &[String]) -> ExitCode {
 /// in a corpus directory through the oracle battery. Exit codes: 0 all
 /// oracles agreed, 1 a divergence was found, 2 usage, 4 a host panic
 /// escaped the pipeline.
-fn fuzz(args: &[String]) -> ExitCode {
+fn fuzz(args: Args) -> Result<ExitCode, CliError> {
     use stq_fuzz::{run_fuzz_cancellable, FuzzConfig, Outcome};
 
     let mut config = FuzzConfig {
         count: 200,
-        jobs: stq_util::pool::default_jobs(),
+        jobs: jobs(&args),
         ..FuzzConfig::default()
     };
-    let mut json = false;
-    let mut replay_dir: Option<String> = None;
-    let mut deadline_ms: Option<u64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            "--replay" => {
-                let Some(dir) = args.get(i + 1) else {
-                    return fail(usage_err("--replay needs a directory"));
-                };
-                replay_dir = Some(dir.clone());
-                i += 2;
-            }
-            flag @ ("--seed" | "--count" | "--jobs" | "--max-depth" | "--deadline-ms") => {
-                let Some(value) = args.get(i + 1) else {
-                    return fail(usage_err(format!("{flag} needs a number")));
-                };
-                let Ok(n) = value.parse::<u64>() else {
-                    return fail(usage_err(format!("{flag}: `{value}` is not a number")));
-                };
-                match flag {
-                    "--seed" => config.seed = n,
-                    "--count" => config.count = n as usize,
-                    "--jobs" => {
-                        config.jobs = if n == 0 {
-                            stq_util::pool::default_jobs()
-                        } else {
-                            n.min(256) as usize
-                        }
-                    }
-                    "--deadline-ms" => deadline_ms = Some(n),
-                    _ => config.gen.max_depth = n.min(8) as u32,
-                }
-                i += 2;
-            }
-            other => {
-                return fail(usage_err(format!("fuzz: unknown argument `{other}`")));
-            }
-        }
+    if let Some(n) = args.num("--seed") {
+        config.seed = n;
     }
-    let cancel = run_token(deadline_ms);
+    if let Some(n) = args.num("--count") {
+        config.count = n as usize;
+    }
+    if let Some(n) = args.num("--max-depth") {
+        config.gen.max_depth = n.min(8) as u32;
+    }
+    let json = args.has("--json");
+    let cancel = run_token(&args);
 
-    if let Some(dir) = replay_dir {
-        return fuzz_replay(&dir, json, &cancel);
+    if let Some(dir) = args.text("--replay") {
+        return fuzz_replay(dir, json, &cancel);
     }
 
     let report = run_fuzz_cancellable(&config, &cancel);
@@ -963,7 +887,7 @@ fn fuzz(args: &[String]) -> ExitCode {
             Outcome::Pass => {}
         }
     }
-    if panicked {
+    Ok(if panicked {
         ExitCode::from(EXIT_CRASH)
     } else if !report.failures.is_empty() {
         ExitCode::from(EXIT_UNSOUND)
@@ -971,27 +895,27 @@ fn fuzz(args: &[String]) -> ExitCode {
         ExitCode::from(EXIT_INTERRUPTED)
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
 /// Replays every `*.c` file under `dir` (sorted by name, so output order
 /// is stable) through the oracle battery. The [`CancelToken`] is polled
 /// between files: a fired token (Ctrl-C or `--deadline-ms`) ends the
 /// replay at a case boundary with a partial summary and exit code 5.
-fn fuzz_replay(dir: &str, json: bool, cancel: &CancelToken) -> ExitCode {
+fn fuzz_replay(dir: &str, json: bool, cancel: &CancelToken) -> Result<ExitCode, CliError> {
     use stq_fuzz::{replay_source, Outcome};
 
-    let mut files: Vec<std::path::PathBuf> = match fs::read_dir(dir) {
+    let mut files: Vec<PathBuf> = match fs::read_dir(dir) {
         Ok(entries) => entries
             .filter_map(Result::ok)
             .map(|e| e.path())
             .filter(|p| p.extension().is_some_and(|x| x == "c"))
             .collect(),
-        Err(e) => return fail(input_err(format!("cannot read {dir}: {e}"))),
+        Err(e) => return Err(input_err(format!("cannot read {dir}: {e}"))),
     };
     files.sort();
     if files.is_empty() {
-        return fail(input_err(format!("no .c files under {dir}")));
+        return Err(input_err(format!("no .c files under {dir}")));
     }
     let mut diverged = 0usize;
     let mut panicked = 0usize;
@@ -1006,11 +930,7 @@ fn fuzz_replay(dir: &str, json: bool, cancel: &CancelToken) -> ExitCode {
             || path.display().to_string(),
             |n| n.to_string_lossy().into_owned(),
         );
-        let source = match fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => return fail(input_err(format!("cannot read {}: {e}", path.display()))),
-        };
-        let result = replay_source(&source);
+        let result = replay_source(&read(path)?);
         let verdict = match &result.outcome {
             Outcome::Pass => "pass".to_owned(),
             Outcome::Diverged(d) => {
@@ -1057,7 +977,7 @@ fn fuzz_replay(dir: &str, json: bool, cancel: &CancelToken) -> ExitCode {
             );
         }
     }
-    if panicked > 0 {
+    Ok(if panicked > 0 {
         ExitCode::from(EXIT_CRASH)
     } else if diverged > 0 {
         ExitCode::from(EXIT_UNSOUND)
@@ -1065,7 +985,7 @@ fn fuzz_replay(dir: &str, json: bool, cancel: &CancelToken) -> ExitCode {
         ExitCode::from(EXIT_INTERRUPTED)
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
 fn row_json(row: &stq_corpus::tables::Row) -> Json {
@@ -1075,35 +995,21 @@ fn row_json(row: &stq_corpus::tables::Row) -> Json {
     ]))
 }
 
-fn tables(args: &[String]) -> ExitCode {
-    let flags: Vec<String> = args
-        .iter()
-        .filter(|a| a.starts_with("--"))
-        .cloned()
-        .collect();
-    if let Some(flag) = flags
-        .iter()
-        .find(|f| !matches!(f.as_str(), "--json" | "--stats"))
-    {
-        return fail(unknown_flag(flag));
-    }
-    if let Some(extra) = args.iter().find(|a| !a.starts_with("--")) {
-        return fail(usage_err(format!("tables: unexpected argument `{extra}`")));
-    }
+fn tables(args: Args) -> Result<ExitCode, CliError> {
     let row = stq_corpus::tables::table1();
     let rows = stq_corpus::tables::table2();
-    if has_flag(&flags, "--json") {
+    if args.has("--json") {
         let doc = Json::obj([
             ("command", "tables".into()),
             ("table1", row_json(&row)),
             ("table2", rows.iter().map(row_json).collect()),
         ]);
         println!("{doc}");
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     println!("{}", stq_corpus::tables::render_table1(&row));
     println!("{}", stq_corpus::tables::render_table2(&rows));
-    if has_flag(&flags, "--stats") {
+    if args.has("--stats") {
         for r in std::iter::once(&row).chain(rows.iter()) {
             println!(
                 "{}: {} expr(s) visited, {} case application(s), \
@@ -1117,96 +1023,10 @@ fn tables(args: &[String]) -> ExitCode {
             );
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 // ----- checking as a service -----
-
-/// Strips serve-specific flags (`--socket PATH`, `--tcp HOST:PORT`,
-/// `--addr-file PATH`, `--stdio`, `--max-inflight N`, `--max-queue N`,
-/// `--pid-file PATH`, …) out of `args` so the remainder can go through
-/// the common [`session_from`] scan.
-struct ServeArgs {
-    socket: Option<String>,
-    tcp: Option<String>,
-    addr_file: Option<String>,
-    stdio: bool,
-    max_inflight: usize,
-    max_queue: usize,
-    pid_file: Option<String>,
-    max_line_bytes: usize,
-    rest: Vec<String>,
-}
-
-fn split_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
-    let mut out = ServeArgs {
-        socket: None,
-        tcp: None,
-        addr_file: None,
-        stdio: false,
-        max_inflight: 32,
-        max_queue: 1024,
-        pid_file: None,
-        max_line_bytes: 1 << 20,
-        rest: Vec::new(),
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--socket" => {
-                let path = args
-                    .get(i + 1)
-                    .ok_or_else(|| usage_err("--socket needs a path"))?;
-                out.socket = Some(path.clone());
-                i += 2;
-            }
-            "--tcp" => {
-                let addr = args
-                    .get(i + 1)
-                    .ok_or_else(|| usage_err("--tcp needs HOST:PORT"))?;
-                out.tcp = Some(addr.clone());
-                i += 2;
-            }
-            "--addr-file" => {
-                let path = args
-                    .get(i + 1)
-                    .ok_or_else(|| usage_err("--addr-file needs a path"))?;
-                out.addr_file = Some(path.clone());
-                i += 2;
-            }
-            "--stdio" => {
-                out.stdio = true;
-                i += 1;
-            }
-            "--pid-file" => {
-                let path = args
-                    .get(i + 1)
-                    .ok_or_else(|| usage_err("--pid-file needs a path"))?;
-                out.pid_file = Some(path.clone());
-                i += 2;
-            }
-            flag @ ("--max-inflight" | "--max-queue" | "--max-line-bytes") => {
-                let value = args
-                    .get(i + 1)
-                    .ok_or_else(|| usage_err(format!("{flag} needs a number")))?;
-                let n: u64 = value
-                    .parse()
-                    .map_err(|_| usage_err(format!("{flag}: `{value}` is not a number")))?;
-                match flag {
-                    "--max-inflight" => out.max_inflight = n as usize,
-                    "--max-queue" => out.max_queue = n as usize,
-                    _ => out.max_line_bytes = n as usize,
-                }
-                i += 2;
-            }
-            other => {
-                out.rest.push(other.to_owned());
-                i += 1;
-            }
-        }
-    }
-    Ok(out)
-}
 
 /// Writes a small coordination file (`--pid-file`, `--addr-file`) via a
 /// same-directory temp file plus `rename`, so a reader polling for it
@@ -1230,170 +1050,112 @@ fn write_atomic(path: &str, contents: &str) -> std::io::Result<()> {
 /// `--deadline-ms` bounds the daemon's whole lifetime; SIGINT (or the
 /// lapsed deadline) drains in-flight work cooperatively, persists the
 /// cache, and exits 5. A client `shutdown` request exits 0.
-fn serve(args: &[String]) -> ExitCode {
-    let serve_args = match split_serve_args(args) {
-        Ok(x) => x,
-        Err(e) => return fail(e),
-    };
-    let Cli {
-        session,
-        budget,
-        retry,
-        jobs,
-        cache_dir,
-        deadline_ms,
-        qual_files,
-        ..
-    } = match session_from("serve", &serve_args.rest, &PROVER_FLAGS, 0) {
-        Ok(x) => x,
-        Err(e) => return fail(e),
-    };
-    if serve_args.socket.is_none() && serve_args.tcp.is_none() && !serve_args.stdio {
-        return fail(usage_err(
+fn serve(args: Args) -> Result<ExitCode, CliError> {
+    let session = session(&args)?;
+    let (socket, tcp) = (args.text("--socket"), args.text("--tcp"));
+    let stdio = args.has("--stdio");
+    if socket.is_none() && tcp.is_none() && !stdio {
+        return Err(usage_err(
             "serve needs --socket PATH, --tcp HOST:PORT, or --stdio",
         ));
     }
-    if serve_args.stdio && (serve_args.socket.is_some() || serve_args.tcp.is_some()) {
-        return fail(usage_err("--stdio excludes --socket and --tcp"));
+    if stdio && (socket.is_some() || tcp.is_some()) {
+        return Err(usage_err("--stdio excludes --socket and --tcp"));
     }
-    let cancel = run_token(deadline_ms);
+    let (budget, retry) = budget(&args);
+    let defaults = stq_core::ServeConfig::default();
+    let limit = |name, default| args.num(name).map_or(default, |n| n as usize);
     let cfg = stq_core::ServeConfig {
-        jobs,
-        max_inflight: serve_args.max_inflight,
-        max_queue: serve_args.max_queue,
-        cache_dir: cache_dir.map(std::path::PathBuf::from),
+        jobs: jobs(&args),
+        max_inflight: limit("--max-inflight", defaults.max_inflight),
+        max_queue: limit("--max-queue", defaults.max_queue),
+        cache_dir: args.text("--cache-dir").map(PathBuf::from),
         budget,
         retry,
-        max_line_bytes: serve_args.max_line_bytes,
-        qual_files,
+        max_line_bytes: limit("--max-line-bytes", defaults.max_line_bytes),
+        qual_files: args.texts("--quals").map(PathBuf::from).collect(),
     };
+    let cancel = run_token(&args);
     let server = match stq_core::Server::new(session, cfg, cancel) {
         Ok(s) => std::sync::Arc::new(s),
-        Err(e) => return fail(input_err(format!("cannot start server: {e}"))),
+        Err(e) => return Err(input_err(format!("cannot start server: {e}"))),
     };
     // Bind every listener before publishing anything, so a daemon that
     // cannot start never overwrites a running daemon's `--pid-file`.
     // `--tcp 127.0.0.1:0` learns its kernel-assigned port here; it goes
     // to stderr and, for scripts, to `--addr-file`.
     #[cfg(unix)]
-    let listeners = if serve_args.stdio {
+    let listeners = if stdio {
         None
     } else {
-        let socket = serve_args.socket.as_deref().map(std::path::Path::new);
-        match stq_core::server::Listeners::bind(socket, serve_args.tcp.as_deref()) {
-            Ok(l) => Some(l),
-            Err(e) => return fail(input_err(format!("serve: {e}"))),
-        }
+        Some(
+            stq_core::server::Listeners::bind(socket.map(Path::new), tcp)
+                .map_err(|e| input_err(format!("serve: {e}")))?,
+        )
     };
     #[cfg(not(unix))]
-    if !serve_args.stdio {
-        return fail(usage_err("--socket/--tcp require unix; use --stdio"));
+    if !stdio {
+        return Err(usage_err("--socket/--tcp require unix; use --stdio"));
     }
-    if let Some(pid_file) = &serve_args.pid_file {
-        if let Err(e) = write_atomic(pid_file, &format!("{}\n", std::process::id())) {
-            return fail(input_err(format!("cannot write {pid_file}: {e}")));
-        }
+    if let Some(pid_file) = args.text("--pid-file") {
+        write_atomic(pid_file, &format!("{}\n", std::process::id()))
+            .map_err(|e| input_err(format!("cannot write {pid_file}: {e}")))?;
     }
     #[cfg(unix)]
     let kind = match listeners {
         None => server.run_stdio(),
         Some(listeners) => {
             let tcp = listeners.tcp_addr();
-            if let Some(addr_file) = &serve_args.addr_file {
+            if let Some(addr_file) = args.text("--addr-file") {
                 let bound = tcp
                     .map(|a| a.to_string())
-                    .or_else(|| serve_args.socket.clone())
+                    .or_else(|| socket.map(str::to_owned))
                     .unwrap_or_default();
-                if let Err(e) = write_atomic(addr_file, &format!("{bound}\n")) {
-                    return fail(input_err(format!("cannot write {addr_file}: {e}")));
-                }
+                write_atomic(addr_file, &format!("{bound}\n"))
+                    .map_err(|e| input_err(format!("cannot write {addr_file}: {e}")))?;
             }
-            let endpoints: Vec<String> = serve_args
-                .socket
-                .iter()
-                .cloned()
+            let endpoints: Vec<String> = socket
+                .map(str::to_owned)
+                .into_iter()
                 .chain(tcp.map(|a| format!("tcp:{a}")))
                 .collect();
             eprintln!("stqc: serving on {}", endpoints.join(" and "));
-            match server.run_multi(listeners) {
-                Ok(kind) => kind,
-                Err(e) => return fail(input_err(format!("serve: {e}"))),
-            }
+            server
+                .run_multi(listeners)
+                .map_err(|e| input_err(format!("serve: {e}")))?
         }
     };
     #[cfg(not(unix))]
     let kind = server.run_stdio();
-    match kind {
+    Ok(match kind {
         stq_core::ShutdownKind::Requested => ExitCode::SUCCESS,
         stq_core::ShutdownKind::Interrupted => ExitCode::from(EXIT_INTERRUPTED),
-    }
+    })
 }
 
 /// `stqc call`: one request to a serve daemon over the self-healing
 /// [`stq_core::Client`]. The raw attributed response line is printed to
 /// stdout; the exit code mirrors the one-shot commands (see
-/// `docs/serving.md` for the mapping). By default the historical thin
-/// behavior is preserved — one connect attempt, no retries, no
-/// client-side deadline; `--connect-timeout-ms`, `--retries`, and
-/// `--call-deadline-ms` opt into healing. An unreachable daemon (or an
-/// exhausted budget with no attributed answer) exits 6.
+/// `docs/serving.md` for the mapping). Every `--socket` and `--tcp`
+/// joins the endpoint list in command-line order. By default the
+/// historical thin behavior is preserved — one connect attempt, no
+/// retries, no client-side deadline; `--connect-timeout-ms`,
+/// `--retries`, and `--call-deadline-ms` opt into healing. An
+/// unreachable daemon (or an exhausted budget with no attributed
+/// answer) exits 6.
 #[cfg(unix)]
-fn call(args: &[String]) -> ExitCode {
-    let mut endpoints: Vec<stq_core::Endpoint> = Vec::new();
-    let mut deadline_ms: Option<u64> = None;
-    let mut connect_timeout_ms = 0u64;
-    let mut call_deadline_ms: Option<u64> = None;
-    let mut retries = 0u32;
-    let mut json_out = false;
-    let mut positional: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--socket" => {
-                let Some(path) = args.get(i + 1) else {
-                    return fail(usage_err("--socket needs a path"));
-                };
-                endpoints.push(stq_core::Endpoint::Unix(path.into()));
-                i += 2;
-            }
-            "--tcp" => {
-                let Some(addr) = args.get(i + 1) else {
-                    return fail(usage_err("--tcp needs HOST:PORT"));
-                };
-                endpoints.push(stq_core::Endpoint::Tcp(addr.clone()));
-                i += 2;
-            }
-            "--json" => {
-                json_out = true;
-                i += 1;
-            }
-            flag @ ("--deadline-ms"
-            | "--connect-timeout-ms"
-            | "--call-deadline-ms"
-            | "--retries") => {
-                let Some(value) = args.get(i + 1) else {
-                    return fail(usage_err(format!("{flag} needs a number")));
-                };
-                let Ok(n) = value.parse::<u64>() else {
-                    return fail(usage_err(format!("{flag}: `{value}` is not a number")));
-                };
-                match flag {
-                    "--deadline-ms" => deadline_ms = Some(n),
-                    "--connect-timeout-ms" => connect_timeout_ms = n,
-                    "--call-deadline-ms" => call_deadline_ms = Some(n),
-                    _ => retries = n.min(u64::from(u32::MAX)) as u32,
-                }
-                i += 2;
-            }
-            flag if flag.starts_with("--") => return fail(unknown_flag(flag)),
-            other => {
-                positional.push(other.to_owned());
-                i += 1;
-            }
-        }
-    }
+fn call(args: Args) -> Result<ExitCode, CliError> {
+    let endpoints: Vec<stq_core::Endpoint> = args
+        .flags
+        .iter()
+        .filter_map(|(flag, value)| match (flag.name, value) {
+            ("--socket", Value::Text(path)) => Some(stq_core::Endpoint::Unix(path.into())),
+            ("--tcp", Value::Text(addr)) => Some(stq_core::Endpoint::Tcp(addr.clone())),
+            _ => None,
+        })
+        .collect();
     if endpoints.is_empty() {
-        return fail(usage_err(
+        return Err(usage_err(
             "call needs at least one of --socket PATH or --tcp HOST:PORT",
         ));
     }
@@ -1402,45 +1164,29 @@ fn call(args: &[String]) -> ExitCode {
         .map(|e| e.to_string())
         .collect::<Vec<_>>()
         .join(", ");
-    let Some(method) = positional.first() else {
-        return fail(usage_err(
+    let Some(method) = args.positional.first() else {
+        return Err(usage_err(
             "call needs a METHOD (check, prove, reload, stats, health, shutdown)",
         ));
     };
-    let params = match positional.get(1) {
+    let params = match args.positional.get(1) {
         Some(raw) => match Json::parse(raw) {
             Ok(p @ Json::Obj(_)) => Some(p),
-            Ok(_) => return fail(usage_err("PARAMS must be a JSON object")),
-            Err(e) => return fail(usage_err(format!("PARAMS is not valid JSON: {e}"))),
+            Ok(_) => return Err(usage_err("PARAMS must be a JSON object")),
+            Err(e) => return Err(usage_err(format!("PARAMS is not valid JSON: {e}"))),
         },
         None => None,
     };
     let mut client = stq_core::Client::new(stq_core::ClientConfig {
         endpoints,
-        connect_timeout: Duration::from_millis(connect_timeout_ms),
-        call_deadline: call_deadline_ms.map(Duration::from_millis),
-        max_retries: retries,
+        connect_timeout: Duration::from_millis(args.num("--connect-timeout-ms").unwrap_or(0)),
+        call_deadline: args.num("--call-deadline-ms").map(Duration::from_millis),
+        max_retries: args
+            .num("--retries")
+            .map_or(0, |n| n.min(u64::from(u32::MAX)) as u32),
         ..stq_core::ClientConfig::default()
     });
-    let emit = |outcome: &stq_core::CallOutcome, client: &stq_core::Client| {
-        if json_out {
-            let s = client.stats();
-            let counters = Json::obj([
-                ("retries", s.retries.into()),
-                ("reconnects", s.reconnects.into()),
-                ("resends", s.resends.into()),
-                ("failovers", s.failovers.into()),
-                ("endpoints_tried", s.endpoints_tried.into()),
-                ("alien_dropped", s.alien_dropped.into()),
-                ("corrupt_lines", s.corrupt_lines.into()),
-            ]);
-            let doc = Json::obj([("response", outcome.doc.clone()), ("client", counters)]);
-            println!("{doc}");
-        } else {
-            println!("{}", outcome.raw);
-        }
-    };
-    let outcome = match client.call(method, params.as_ref(), deadline_ms) {
+    let outcome = match client.call(method, params.as_ref(), args.num("--deadline-ms")) {
         Ok(outcome) => outcome,
         Err(e) => {
             eprintln!("stqc: call: {e}");
@@ -1448,10 +1194,25 @@ fn call(args: &[String]) -> ExitCode {
                 "stqc: is the daemon running? endpoint(s) tried: {tried}; start one with \
                  `stqc serve --socket PATH` (or `stqc serve --tcp HOST:PORT`)"
             );
-            return ExitCode::from(EXIT_UNREACHABLE);
+            return Ok(ExitCode::from(EXIT_UNREACHABLE));
         }
     };
-    emit(&outcome, &client);
+    if args.has("--json") {
+        let s = client.stats();
+        let counters = Json::obj([
+            ("retries", s.retries.into()),
+            ("reconnects", s.reconnects.into()),
+            ("resends", s.resends.into()),
+            ("failovers", s.failovers.into()),
+            ("endpoints_tried", s.endpoints_tried.into()),
+            ("alien_dropped", s.alien_dropped.into()),
+            ("corrupt_lines", s.corrupt_lines.into()),
+        ]);
+        let doc = Json::obj([("response", outcome.doc.clone()), ("client", counters)]);
+        println!("{doc}");
+    } else {
+        println!("{}", outcome.raw);
+    }
     let doc = outcome.doc;
     if doc.get("ok").and_then(Json::as_bool) != Some(true) {
         let code = doc
@@ -1459,7 +1220,7 @@ fn call(args: &[String]) -> ExitCode {
             .and_then(|e| e.get("code"))
             .and_then(Json::as_str)
             .unwrap_or("invalid");
-        return ExitCode::from(match code {
+        return Ok(ExitCode::from(match code {
             "input" => EXIT_INPUT,
             "overloaded" => EXIT_CRASH,
             "shutting-down" => {
@@ -1472,19 +1233,117 @@ fn call(args: &[String]) -> ExitCode {
                 EXIT_UNREACHABLE
             }
             _ => EXIT_USAGE,
-        });
+        }));
     }
     let result = doc.get("result");
-    let field = |name: &str| result.and_then(|r| r.get(name)).and_then(Json::as_bool);
-    match method.as_str() {
-        "prove" if field("interrupted") == Some(true) => ExitCode::from(EXIT_INTERRUPTED),
-        "prove" if field("all_sound") == Some(false) => ExitCode::from(EXIT_UNSOUND),
-        "check" if field("clean") == Some(false) => ExitCode::from(EXIT_UNSOUND),
+    let field = |name: &str| result.and_then(|r| r.get(name));
+    Ok(match method.as_str() {
+        "prove" => {
+            let qualifiers = field("qualifiers")
+                .and_then(Json::as_array)
+                .unwrap_or_default();
+            let has = |v: Verdict| {
+                qualifiers
+                    .iter()
+                    .any(|q| q.get("verdict").and_then(Json::as_str) == Some(verdict_slug(v)))
+            };
+            prove_exit(
+                has,
+                field("interrupted").and_then(Json::as_bool) == Some(true),
+            )
+        }
+        "check" if field("clean").and_then(Json::as_bool) == Some(false) => {
+            ExitCode::from(EXIT_UNSOUND)
+        }
         _ => ExitCode::SUCCESS,
-    }
+    })
 }
 
 #[cfg(not(unix))]
-fn call(_args: &[String]) -> ExitCode {
-    fail(usage_err("call requires unix sockets"))
+fn call(_args: Args) -> Result<ExitCode, CliError> {
+    Err(usage_err("call requires unix sockets"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `--flag` words of `text`, trimmed of trailing punctuation.
+    fn flag_words(text: &str) -> std::collections::BTreeSet<&str> {
+        text.split_whitespace()
+            .map(|w| w.trim_matches(|c: char| !(c.is_ascii_alphanumeric() || c == '-')))
+            .filter(|w| w.starts_with("--") && w.len() > 2)
+            .collect()
+    }
+
+    #[test]
+    fn help_documents_exactly_the_flag_table() {
+        let mut documented = flag_words(HELP);
+        assert!(documented.remove("--help"), "HELP names `--help`");
+        let table: std::collections::BTreeSet<&str> = FLAGS.iter().map(|f| f.name).collect();
+        assert_eq!(table.len(), FLAGS.len(), "a flag is listed twice");
+        assert_eq!(documented, table);
+    }
+
+    #[test]
+    fn every_flag_belongs_to_a_subcommand_and_sets_a_known_field() {
+        for flag in &FLAGS {
+            assert!(
+                flag.commands
+                    .split(' ')
+                    .all(|cmd| COMMANDS.iter().any(|(name, ..)| *name == cmd)),
+                "{}",
+                flag.name
+            );
+            match flag.takes {
+                Limit(field) => assert!(Budget::default().set(field, 1), "{field}"),
+                Retry(field) => assert!(RetryPolicy::none().set(field, 1), "{field}"),
+                _ => {}
+            }
+        }
+    }
+
+    fn words(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_owned).collect()
+    }
+
+    #[test]
+    fn scan_keeps_every_value_in_order_and_checks_each() {
+        let args = scan(
+            "call",
+            2,
+            &words("--tcp A --socket B --retries 1 --retries 2 prove {}"),
+        )
+        .ok()
+        .expect("a valid call line");
+        let endpoints: Vec<&str> = args
+            .flags
+            .iter()
+            .filter_map(|(_, v)| match v {
+                Value::Text(s) => Some(s.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(endpoints, ["A", "B"]);
+        assert_eq!(args.num("--retries"), Some(2));
+        assert_eq!(args.positional, ["prove", "{}"]);
+        for (cmd, line, msg) in [
+            ("check", "--jobs 1 f.c", "unknown flag `--jobs`"),
+            ("prove", "--max-rounds", "--max-rounds needs a number"),
+            ("prove", "--retry lots", "--retry: `lots` is not a number"),
+            ("serve", "--socket", "--socket needs a path"),
+            (
+                "call",
+                "--socket s m {} junk",
+                "call: unexpected argument `junk`",
+            ),
+            ("fuzz", "x --bogus", "unknown flag `--bogus`"),
+        ] {
+            let err = scan(cmd, usize::from(cmd == "call") * 2, &words(line))
+                .err()
+                .expect("a usage error");
+            assert_eq!(err.code, EXIT_USAGE);
+            assert!(err.msg.starts_with(msg), "{cmd} {line}: {}", err.msg);
+        }
+    }
 }

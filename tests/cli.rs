@@ -373,6 +373,21 @@ fn exit_3_on_input_errors() {
     let garbled = temp_file("exit3.c", "int a = ;");
     let (_, _, code) = stqc_code(&["check", garbled.to_str().unwrap()]);
     assert_eq!(code, Some(3));
+    // A second body for one function is a parse error naming it.
+    let twice = temp_file(
+        "twice.c",
+        "int f(int a) { int b = 1; return b; } int f(int c) { int a = 2; a = c; return a; }",
+    );
+    let twice = twice.to_str().unwrap();
+    for args in [
+        vec!["check", twice],
+        vec!["run", "--entry", "f", twice, "1"],
+        vec!["infer", "--qual", "pos", twice],
+    ] {
+        let (stdout, stderr, code) = stqc_code(&args);
+        assert_eq!(code, Some(3), "{args:?}: {stdout}{stderr}");
+        assert!(stderr.contains("function `f` is defined twice"), "{stderr}");
+    }
 }
 
 #[test]
@@ -880,6 +895,24 @@ fn misspelled_flags_are_usage_errors_naming_the_flag() {
         vec!["run", "--timeout-ms", "1", "--entry", "one", path],
         vec!["infer", "--retry", "9", "--qual", "pos", path],
         vec!["serve", "--fault-panic-at", "0", "--stdio"],
+        vec!["fuzz", "--bogus"],
+        vec!["fuzz", "--quals", path],
+        vec!["check", "--seed", "1", path],
+        vec!["tables", "--max-depth", "2"],
+        vec!["prove", "--connect-timeout-ms", "1"],
+        vec!["serve", "--retries", "1", "--stdio"],
+        vec![
+            "call",
+            "--max-queue",
+            "1",
+            "--socket",
+            "/nonexistent.sock",
+            "health",
+        ],
+        vec!["show", "--stdio"],
+        vec!["check", "--pid-file", "p", path],
+        // A usage error wins over a `--quals` file that cannot be read.
+        vec!["check", "--bogus", "--quals", "/nonexistent/q.stq", path],
     ] {
         let flag = args[1];
         let (stdout, stderr, code) = stqc_code(&args);
@@ -897,9 +930,19 @@ fn misspelled_flags_are_usage_errors_naming_the_flag() {
             "{args:?} printed a report anyway: {stdout}"
         );
     }
+    let (_, stderr, code) = stqc_code(&["check", "--quals", "/nonexistent/q.stq", "--bogus", path]);
+    assert_eq!(
+        code,
+        Some(2),
+        "the usage error wins wherever it stands: {stderr}"
+    );
     // The flags each subcommand does take still work.
     let (_, _, code) = stqc_code(&["check", "--json", "--stats", "--keep-going", path]);
     assert_eq!(code, Some(0));
+    // A single-valued flag given twice takes its last value.
+    let (stdout, _, code) = stqc_code(&["run", "--entry", "main", "--entry", "one", path]);
+    assert_eq!(code, Some(0), "{stdout}");
+    assert!(stdout.contains("=> 1"), "{stdout}");
 }
 
 #[test]
@@ -919,6 +962,21 @@ fn extra_positional_arguments_are_usage_errors_naming_them() {
         (vec!["tables", "extra"], "extra"),
         (vec!["run", main, "foo"], "foo"),
         (vec!["run", "--entry", "main", main, "7", "foo"], "foo"),
+        (vec!["fuzz", "x"], "x"),
+        (vec!["serve", "--stdio", "x"], "x"),
+        // Named before any daemon is dialed: this socket does not exist.
+        (
+            vec![
+                "call",
+                "--socket",
+                "/nonexistent/stqc.sock",
+                "check",
+                "{\"source\":\"int x = 1;\"}",
+                "junk",
+                "more",
+            ],
+            "junk",
+        ),
     ] {
         let (stdout, stderr, code) = stqc_code(&args);
         assert_eq!(

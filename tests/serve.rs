@@ -1539,6 +1539,31 @@ fn socket_call_subcommand_round_trips() {
     daemon.shutdown();
 }
 
+#[test]
+fn call_prove_exits_like_a_one_shot_prove() {
+    let daemon = Daemon::spawn("call-exit", &[]);
+    let call = |params: &str| {
+        Command::new(env!("CARGO_BIN_EXE_stqc"))
+            .args([
+                "call",
+                "--socket",
+                daemon.socket.to_str().expect("utf8 path"),
+            ])
+            .args(["prove", params])
+            .output()
+            .expect("stqc call runs")
+    };
+    // A starved budget leaves `unique` undetermined: exit 4, as
+    // `stqc prove unique --max-rounds 1 --max-instantiations 1` exits.
+    let out = call(
+        "{\"names\":[\"unique\"],\"cache\":false,         \"budget\":{\"max_rounds\":1,\"max_instantiations\":1}}",
+    );
+    assert_eq!(out.status.code(), Some(4), "{out:?}");
+    let out = call("{\"names\":[\"pos\"]}");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    daemon.shutdown();
+}
+
 /// `v` without its `*_ms` members, at any depth: the only fields two
 /// runs of the same work may disagree on.
 fn without_timings(v: &Json) -> Json {

@@ -6,6 +6,27 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# The temporary paths and daemon pids of the smokes below, each empty
+# until its smoke starts. One EXIT trap stops every daemon and removes
+# every path that is set, however the gate ends.
+smoke_src="" cache_dir="" serve_sock="" addr_file="" ha_dir=""
+serve_pid="" tcp_pid="" ha_a_pid="" ha_b_pid="" ha_r_pid=""
+cleanup() {
+    local pid path
+    for pid in "$serve_pid" "$tcp_pid" "$ha_a_pid" "$ha_b_pid" "$ha_r_pid"; do
+        if [ -n "$pid" ]; then
+            kill "$pid" 2>/dev/null || true
+        fi
+    done
+    for path in "$smoke_src" "$cache_dir" "$serve_sock" "${serve_sock:+$serve_sock.lock}" \
+        "$addr_file" "$ha_dir"; do
+        if [ -n "$path" ]; then
+            rm -rf "$path"
+        fi
+    done
+}
+trap cleanup EXIT
+
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
 
@@ -47,7 +68,6 @@ done
 
 echo "==> stqc single-threaded smoke (--jobs 1)"
 smoke_src="$(mktemp /tmp/stqc-smoke-XXXXXX.c)"
-trap 'rm -f "$smoke_src"' EXIT
 printf 'int pos one() { return (int pos) 1; }\n' > "$smoke_src"
 ./target/release/stqc check "$smoke_src"
 ./target/release/stqc prove --jobs 1 pos
@@ -68,7 +88,6 @@ fi
 
 echo "==> stqc interrupted-then-resumed cache smoke"
 cache_dir="$(mktemp -d /tmp/stqc-smoke-cache-XXXXXX)"
-trap 'rm -f "$smoke_src"; rm -rf "$cache_dir"' EXIT
 interrupted_rc=0
 ./target/release/stqc prove --cache-dir "$cache_dir" --deadline-ms 0 >/dev/null \
     || interrupted_rc=$?
@@ -88,7 +107,6 @@ echo "==> stqc serve smoke (daemon round-trip + clean shutdown)"
 serve_sock="/tmp/stqc-smoke-serve-$$.sock"
 ./target/release/stqc serve --socket "$serve_sock" &
 serve_pid=$!
-trap 'rm -f "$smoke_src" "$serve_sock" "$serve_sock.lock"; rm -rf "$cache_dir"; kill "$serve_pid" 2>/dev/null || true' EXIT
 for _ in $(seq 1 100); do
     [ -S "$serve_sock" ] && break
     sleep 0.1
@@ -111,7 +129,6 @@ echo "==> stqc TCP serve smoke (kernel-assigned port, call --tcp round-trip)"
 addr_file="/tmp/stqc-smoke-tcp-$$.addr"
 ./target/release/stqc serve --tcp 127.0.0.1:0 --addr-file "$addr_file" --jobs 1 &
 tcp_pid=$!
-trap 'rm -f "$smoke_src" "$serve_sock" "$serve_sock.lock" "$addr_file"; rm -rf "$cache_dir"; kill "$serve_pid" "$tcp_pid" 2>/dev/null || true' EXIT
 for _ in $(seq 1 100); do
     [ -s "$addr_file" ] && break
     sleep 0.1
@@ -130,7 +147,6 @@ fi
 
 echo "==> stqc HA failover smoke (two daemons, one journal; dead primary rescued warm)"
 ha_dir="$(mktemp -d /tmp/stqc-smoke-ha-XXXXXX)"
-trap 'rm -f "$smoke_src" "$serve_sock" "$serve_sock.lock" "$addr_file"; rm -rf "$cache_dir" "$ha_dir"; kill "$serve_pid" "$tcp_pid" "$ha_a_pid" "$ha_b_pid" "$ha_r_pid" 2>/dev/null || true' EXIT
 ./target/release/stqc serve --socket "$ha_dir/a.sock" --cache-dir "$ha_dir/cache" &
 ha_a_pid=$!
 ./target/release/stqc serve --socket "$ha_dir/b.sock" --cache-dir "$ha_dir/cache" &

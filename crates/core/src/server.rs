@@ -1713,10 +1713,28 @@ mod tests {
         daemon.stop();
     }
 
+    /// Occupies the worker of a one-worker `server` with a job that
+    /// waits until the returned sender is dropped, so requests routed
+    /// meanwhile stay queued however fast the machine proves.
+    fn occupy_worker(server: &Server) -> std::sync::mpsc::Sender<()> {
+        let (release, wait) = std::sync::mpsc::channel::<()>();
+        let (started, running) = std::sync::mpsc::channel();
+        server
+            .sched
+            .submit(Box::new(move || {
+                let _ = started.send(());
+                let _ = wait.recv();
+            }))
+            .expect("the queue takes the blocker");
+        running.recv().expect("the worker runs the blocker");
+        release
+    }
+
     #[test]
     fn per_connection_inflight_cap_sheds_excess_requests() {
         // One worker and a cap of 1 in-flight request per connection:
-        // submitting two slow proves back-to-back must shed the second.
+        // while the first prove waits behind the blocker, the second
+        // finds the connection's one slot taken and is shed.
         let daemon = Daemon::start(ServeConfig {
             jobs: 1,
             max_inflight: 1,
@@ -1724,36 +1742,30 @@ mod tests {
         });
         let server = Arc::clone(&daemon.server);
         let (mut client, mut reader) = daemon.connect();
-
-        // `cache:false` keeps the first prove slow enough to still be
-        // running (or queued) when the second arrives.
+        let release = occupy_worker(&server);
         client
             .write_all(
-                b"{\"id\":1,\"method\":\"prove\",\"params\":{\"cache\":false}}\n\
-                  {\"id\":2,\"method\":\"prove\",\"params\":{\"cache\":false}}\n",
+                b"{\"id\":1,\"method\":\"prove\",\"params\":{\"names\":[\"pos\"]}}\n\
+                  {\"id\":2,\"method\":\"prove\",\"params\":{\"names\":[\"pos\"]}}\n",
             )
             .expect("requests written");
-        let mut shed = None;
-        let mut completed = 0;
-        for _ in 0..2 {
+        let mut next = || {
             let mut line = String::new();
             reader.read_line(&mut line).expect("response");
-            let response = Json::parse(line.trim()).expect("json");
-            if response.get("ok").and_then(Json::as_bool) == Some(false) {
-                shed = Some(response);
-            } else {
-                completed += 1;
-            }
-        }
-        let shed = shed.expect("one of the two must be shed");
-        assert_eq!(shed.get("id").and_then(Json::as_u64), Some(2));
+            Json::parse(line.trim()).expect("json")
+        };
+        let shed = next();
+        assert_eq!(shed.get("id").and_then(Json::as_u64), Some(2), "{shed}");
         assert_eq!(
             shed.get("error")
                 .and_then(|e| e.get("code"))
                 .and_then(Json::as_str),
             Some("overloaded")
         );
-        assert_eq!(completed, 1);
+        drop(release);
+        let done = next();
+        assert_eq!(done.get("id").and_then(Json::as_u64), Some(1), "{done}");
+        assert_eq!(done.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(server.stats.shed.load(Ordering::Relaxed), 1);
 
         daemon.stop();
@@ -1761,14 +1773,15 @@ mod tests {
 
     #[test]
     fn disconnect_cancels_queued_work() {
-        // A single worker pinned by a slow request, plus queued work
-        // from a client that vanishes: the queued jobs are skipped.
+        // The single worker is pinned by the blocker while a client
+        // queues three proves and vanishes: every queued job is skipped.
         let daemon = Daemon::start(ServeConfig {
             jobs: 1,
             ..ServeConfig::default()
         });
         let server = Arc::clone(&daemon.server);
         let mut client = daemon.connect().0;
+        let release = occupy_worker(&server);
         client
             .write_all(
                 b"{\"id\":1,\"method\":\"prove\",\"params\":{\"cache\":false}}\n\
@@ -1781,10 +1794,12 @@ mod tests {
         daemon.await_until("the hangup is seen", |s| {
             s.stats.disconnects.load(Ordering::Relaxed) == 1
         });
+        drop(release);
         server.sched.close_and_drain();
-        assert!(
-            server.stats.cancelled.load(Ordering::Relaxed) > 0,
-            "no queued job noticed the disconnect"
+        assert_eq!(
+            server.stats.cancelled.load(Ordering::Relaxed),
+            3,
+            "every queued job notices the disconnect"
         );
         assert_eq!(server.stats.disconnects.load(Ordering::Relaxed), 1);
         daemon.stop();

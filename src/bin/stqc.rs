@@ -10,9 +10,9 @@
 //! read or any daemon is dialed. A flag the subcommand does not take, a
 //! flag's missing or non-numeric value, or a positional argument past
 //! the subcommand's limit is a usage error (exit 2) naming it. A flag
-//! given twice takes its last value, except `--quals`, the `--fault-*`
-//! flags, and `call`'s `--socket` and `--tcp`, which keep every value
-//! in order.
+//! given twice takes its last value, except `--quals`, the
+//! fault-injection flags, and `call`'s `--socket` and `--tcp`, which
+//! keep every value in order.
 
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -1,18 +1,21 @@
 //! Lexer for the C subset (shared vocabulary with the qualifier-definition
 //! language, which has its own parser in `stq-qualspec`).
 
+use std::collections::HashMap;
 use std::fmt;
 use stq_util::{Span, Symbol};
 
-/// A lexical token.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// A lexical token. Tokens are `Copy`: a string literal's contents live
+/// in [`Lexed::strs`], and the token holds their index.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Tok {
     /// Identifier or keyword.
     Ident(Symbol),
     /// Integer literal.
     Int(i64),
-    /// String literal (contents, unescaped).
-    Str(String),
+    /// String literal: the index of its contents (unescaped) in
+    /// [`Lexed::strs`].
+    Str(u32),
     /// `(`.
     LParen,
     /// `)`.
@@ -87,12 +90,18 @@ pub enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+/// A token as a diagnostic quotes it; see [`show`].
+pub struct Shown<'a> {
+    tok: Tok,
+    strs: &'a [String],
+}
+
+impl fmt::Display for Shown<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
+        match self.tok {
             Tok::Ident(s) => write!(f, "{s}"),
             Tok::Int(v) => write!(f, "{v}"),
-            Tok::Str(s) => write!(f, "{s:?}"),
+            Tok::Str(i) => write!(f, "{:?}", self.strs[i as usize]),
             Tok::LParen => f.write_str("("),
             Tok::RParen => f.write_str(")"),
             Tok::LBrace => f.write_str("{"),
@@ -134,12 +143,27 @@ impl fmt::Display for Tok {
 }
 
 /// A token with its source span.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Token {
     /// The token.
     pub tok: Tok,
     /// Source location.
     pub span: Span,
+}
+
+/// A lexed source: its tokens and its string literals' contents.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+pub struct Lexed {
+    /// The tokens, in source order; the last is always [`Tok::Eof`].
+    pub toks: Vec<Token>,
+    /// The contents of each string literal, indexed by [`Tok::Str`].
+    pub strs: Vec<String>,
+}
+
+/// `tok` as a diagnostic quotes it: a string literal shows its contents
+/// from `strs` (its [`Lexed::strs`]), quoted and escaped.
+pub fn show(tok: Tok, strs: &[String]) -> Shown<'_> {
+    Shown { tok, strs }
 }
 
 /// A lexing failure.
@@ -162,6 +186,12 @@ impl std::error::Error for LexError {}
 /// Tokenizes `src`, skipping whitespace, `//` line comments, and `/* */`
 /// block comments. The final token is always [`Tok::Eof`].
 ///
+/// Each distinct identifier is interned once per call: a table local to
+/// this lexing sits in front of the process-wide interner. The table
+/// hashes with std's randomly keyed hasher, because the daemon lexes
+/// sources its clients send, and a fixed hash would let one request make
+/// every identifier collide.
+///
 /// # Errors
 ///
 /// Returns a [`LexError`] on unterminated strings or comments, integer
@@ -172,15 +202,19 @@ impl std::error::Error for LexError {}
 /// ```
 /// use stq_cir::lex::{lex, Tok};
 ///
-/// let toks = lex("int pos x = 3; // comment").unwrap();
+/// let lexed = lex("int pos x = 3; // comment").unwrap();
+/// let toks = &lexed.toks;
 /// assert!(matches!(toks[0].tok, Tok::Ident(_)));
 /// assert_eq!(toks[3].tok, Tok::Assign);
 /// assert_eq!(toks[4].tok, Tok::Int(3));
 /// assert_eq!(toks.last().unwrap().tok, Tok::Eof);
 /// ```
-pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
+pub fn lex(src: &str) -> Result<Lexed, LexError> {
     let bytes = src.as_bytes();
-    let mut toks = Vec::new();
+    // About one token per four bytes of C; the vector grows if needed.
+    let mut toks = Vec::with_capacity(src.len() / 4 + 1);
+    let mut strs = Vec::new();
+    let mut symbols: HashMap<&str, Symbol> = HashMap::new();
     let mut i = 0usize;
     let err = |msg: &str, at: usize| LexError {
         message: msg.to_owned(),
@@ -224,8 +258,9 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                 i += 1;
             }
             let text = &src[start..i];
+            let sym = *symbols.entry(text).or_insert_with(|| Symbol::intern(text));
             toks.push(Token {
-                tok: Tok::Ident(Symbol::intern(text)),
+                tok: Tok::Ident(sym),
                 span: Span::new(start as u32, i as u32),
             });
             continue;
@@ -283,9 +318,10 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                 }
             }
             toks.push(Token {
-                tok: Tok::Str(out),
+                tok: Tok::Str(strs.len() as u32),
                 span: Span::new(start as u32, i as u32),
             });
+            strs.push(out);
             continue;
         }
         // Character literals become integer literals.
@@ -376,7 +412,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
         tok: Tok::Eof,
         span: Span::new(src.len() as u32, src.len() as u32),
     });
-    Ok(toks)
+    Ok(Lexed { toks, strs })
 }
 
 #[cfg(test)]
@@ -384,7 +420,7 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<Tok> {
-        lex(src).unwrap().into_iter().map(|t| t.tok).collect()
+        lex(src).unwrap().toks.into_iter().map(|t| t.tok).collect()
     }
 
     #[test]
@@ -425,14 +461,22 @@ mod tests {
 
     #[test]
     fn strings_with_escapes() {
+        let lexed = lex(r#""a\nb" "%s""#).unwrap();
         assert_eq!(
-            kinds(r#""a\nb" "%s""#),
-            vec![
-                Tok::Str("a\nb".to_owned()),
-                Tok::Str("%s".to_owned()),
-                Tok::Eof,
-            ]
+            lexed.toks.iter().map(|t| t.tok).collect::<Vec<_>>(),
+            vec![Tok::Str(0), Tok::Str(1), Tok::Eof]
         );
+        assert_eq!(lexed.strs, ["a\nb", "%s"]);
+        assert_eq!(show(Tok::Str(0), &lexed.strs).to_string(), r#""a\nb""#);
+        assert_eq!(show(Tok::Arrow, &lexed.strs).to_string(), "->");
+    }
+
+    #[test]
+    fn an_identifier_interns_to_the_global_symbol() {
+        let lexed = lex("foo bar foo").unwrap();
+        assert_eq!(lexed.toks[0].tok, Tok::Ident(Symbol::intern("foo")));
+        assert_eq!(lexed.toks[0].tok, lexed.toks[2].tok);
+        assert_eq!(lexed.toks[1].tok, Tok::Ident(Symbol::intern("bar")));
     }
 
     #[test]
@@ -484,7 +528,7 @@ mod tests {
 
     #[test]
     fn spans_track_offsets() {
-        let toks = lex("ab cd").unwrap();
+        let toks = lex("ab cd").unwrap().toks;
         assert_eq!(toks[0].span, Span::new(0, 2));
         assert_eq!(toks[1].span, Span::new(3, 5));
     }

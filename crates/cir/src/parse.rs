@@ -15,9 +15,10 @@
 //! gcc-attribute macros): `int pos x`, `char * untainted fmt`.
 
 use crate::ast::*;
-use crate::lex::{lex, Tok, Token};
+use crate::lex::{lex, show, Shown, Tok, Token};
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::OnceLock;
 use stq_util::{Span, Symbol};
 
 /// A parse failure.
@@ -93,12 +94,14 @@ pub fn parse_program(src: &str, qualifiers: &[&str]) -> PResult<Program> {
 /// recoverable (there is no token stream to sync on) and yields an empty
 /// program.
 pub fn parse_program_resilient(src: &str, qualifiers: &[&str]) -> (Program, Vec<ParseError>) {
-    let toks = match lex(src) {
-        Ok(toks) => toks,
+    let lexed = match lex(src) {
+        Ok(lexed) => lexed,
         Err(e) => return (Program::new(), vec![e.into()]),
     };
     let mut p = Parser {
-        toks,
+        toks: lexed.toks,
+        strs: lexed.strs,
+        kw: keywords(),
         pos: 0,
         quals: qualifiers.iter().map(|q| Symbol::intern(q)).collect(),
         errors: Vec::new(),
@@ -109,22 +112,93 @@ pub fn parse_program_resilient(src: &str, qualifiers: &[&str]) -> (Program, Vec<
 
 struct Parser {
     toks: Vec<Token>,
+    /// String literals' contents, indexed by [`Tok::Str`]; each moves
+    /// into the literal expression that consumes its token.
+    strs: Vec<String>,
+    kw: &'static Keywords,
     pos: usize,
     quals: HashSet<Symbol>,
     /// Every syntax error so far; the parser resynchronizes after each.
     errors: Vec<ParseError>,
 }
 
-const TYPE_KEYWORDS: [&str; 4] = ["int", "char", "void", "struct"];
+/// The words the parser tests identifiers against, each interned once
+/// per process, so a test is one comparison of symbols.
+struct Keywords {
+    int: Symbol,
+    char: Symbol,
+    void: Symbol,
+    struct_: Symbol,
+    if_: Symbol,
+    else_: Symbol,
+    while_: Symbol,
+    for_: Symbol,
+    return_: Symbol,
+    null: Symbol,
+    sizeof: Symbol,
+    malloc: Symbol,
+}
+
+fn keywords() -> &'static Keywords {
+    static KEYWORDS: OnceLock<Keywords> = OnceLock::new();
+    KEYWORDS.get_or_init(|| Keywords {
+        int: Symbol::intern("int"),
+        char: Symbol::intern("char"),
+        void: Symbol::intern("void"),
+        struct_: Symbol::intern("struct"),
+        if_: Symbol::intern("if"),
+        else_: Symbol::intern("else"),
+        while_: Symbol::intern("while"),
+        for_: Symbol::intern("for"),
+        return_: Symbol::intern("return"),
+        null: Symbol::intern("NULL"),
+        sizeof: Symbol::intern("sizeof"),
+        malloc: Symbol::intern("malloc"),
+    })
+}
+
+impl Keywords {
+    /// Whether `s` starts a type: `int`, `char`, `void` or `struct`.
+    fn starts_type(&self, s: Symbol) -> bool {
+        s == self.int || s == self.char || s == self.void || s == self.struct_
+    }
+}
+
+/// The binary operator `tok` spells and its precedence: `||` binds
+/// loosest, then `&&`, the comparisons, `+` and `-`, and `*`, `/` and
+/// `%` tightest.
+fn binop_of(tok: Tok) -> Option<(BinOp, u8)> {
+    Some(match tok {
+        Tok::OrOr => (BinOp::Or, 1),
+        Tok::AndAnd => (BinOp::And, 2),
+        Tok::EqEq => (BinOp::Eq, 3),
+        Tok::Ne => (BinOp::Ne, 3),
+        Tok::Lt => (BinOp::Lt, 3),
+        Tok::Le => (BinOp::Le, 3),
+        Tok::Gt => (BinOp::Gt, 3),
+        Tok::Ge => (BinOp::Ge, 3),
+        Tok::Plus => (BinOp::Add, 4),
+        Tok::Minus => (BinOp::Sub, 4),
+        Tok::Star => (BinOp::Mul, 5),
+        Tok::Slash => (BinOp::Div, 5),
+        Tok::Percent => (BinOp::Mod, 5),
+        _ => return None,
+    })
+}
 
 impl Parser {
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].tok
+    fn peek(&self) -> Tok {
+        self.toks[self.pos].tok
     }
 
-    fn peek_at(&self, n: usize) -> &Tok {
+    fn peek_at(&self, n: usize) -> Tok {
         let i = (self.pos + n).min(self.toks.len() - 1);
-        &self.toks[i].tok
+        self.toks[i].tok
+    }
+
+    /// `tok` as a diagnostic quotes it.
+    fn show(&self, tok: Tok) -> Shown<'_> {
+        show(tok, &self.strs)
     }
 
     fn span(&self) -> Span {
@@ -136,7 +210,7 @@ impl Parser {
     }
 
     fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].tok.clone();
+        let t = self.toks[self.pos].tok;
         if self.pos < self.toks.len() - 1 {
             self.pos += 1;
         }
@@ -150,31 +224,35 @@ impl Parser {
         })
     }
 
-    fn expect(&mut self, tok: &Tok) -> PResult<()> {
+    fn expect(&mut self, tok: Tok) -> PResult<()> {
         if self.peek() == tok {
             self.bump();
             Ok(())
         } else {
-            self.err(format!("expected `{tok}`, found `{}`", self.peek()))
+            self.err(format!(
+                "expected `{}`, found `{}`",
+                self.show(tok),
+                self.show(self.peek())
+            ))
         }
     }
 
     fn ident(&mut self) -> PResult<Symbol> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Ident(s) => {
                 self.bump();
                 Ok(s)
             }
-            other => self.err(format!("expected identifier, found `{other}`")),
+            other => self.err(format!("expected identifier, found `{}`", self.show(other))),
         }
     }
 
-    fn at_ident(&self, name: &str) -> bool {
-        matches!(self.peek(), Tok::Ident(s) if s.as_str() == name)
+    fn at_kw(&self, kw: Symbol) -> bool {
+        self.peek() == Tok::Ident(kw)
     }
 
-    fn eat_ident(&mut self, name: &str) -> bool {
-        if self.at_ident(name) {
+    fn eat_kw(&mut self, kw: Symbol) -> bool {
+        if self.at_kw(kw) {
             self.bump();
             true
         } else {
@@ -182,20 +260,16 @@ impl Parser {
         }
     }
 
-    fn at_type_start(&self) -> bool {
-        matches!(self.peek(), Tok::Ident(s) if TYPE_KEYWORDS.contains(&s.as_str()))
-    }
-
     fn type_starts_at(&self, n: usize) -> bool {
-        matches!(self.peek_at(n), Tok::Ident(s) if TYPE_KEYWORDS.contains(&s.as_str()))
+        matches!(self.peek_at(n), Tok::Ident(s) if self.kw.starts_type(s))
     }
 
     // ----- types -----
 
     fn qual_list(&mut self, ty: &mut QualType) {
         while let Tok::Ident(s) = self.peek() {
-            if self.quals.contains(s) {
-                ty.quals.insert(*s);
+            if self.quals.contains(&s) {
+                ty.quals.insert(s);
                 self.bump();
             } else {
                 break;
@@ -204,32 +278,27 @@ impl Parser {
     }
 
     fn parse_type(&mut self) -> PResult<QualType> {
-        let base = match self.peek().clone() {
-            Tok::Ident(s) => match s.as_str() {
-                "int" => {
-                    self.bump();
+        let kw = self.kw;
+        let base = match self.peek() {
+            Tok::Ident(s) if s == kw.struct_ => {
+                self.bump();
+                BaseTy::Struct(self.ident()?)
+            }
+            Tok::Ident(s) if kw.starts_type(s) => {
+                self.bump();
+                if s == kw.int {
                     BaseTy::Int
-                }
-                "char" => {
-                    self.bump();
+                } else if s == kw.char {
                     BaseTy::Char
-                }
-                "void" => {
-                    self.bump();
+                } else {
                     BaseTy::Void
                 }
-                "struct" => {
-                    self.bump();
-                    let tag = self.ident()?;
-                    BaseTy::Struct(tag)
-                }
-                other => return self.err(format!("expected type, found `{other}`")),
-            },
-            other => return self.err(format!("expected type, found `{other}`")),
+            }
+            other => return self.err(format!("expected type, found `{}`", self.show(other))),
         };
         let mut ty = QualType::base(base);
         self.qual_list(&mut ty);
-        while self.peek() == &Tok::Star {
+        while self.peek() == Tok::Star {
             self.bump();
             ty = ty.ptr_to();
             self.qual_list(&mut ty);
@@ -241,7 +310,7 @@ impl Parser {
 
     fn program(&mut self) -> Program {
         let mut prog = Program::new();
-        while self.peek() != &Tok::Eof {
+        while self.peek() != Tok::Eof {
             let before = self.pos;
             if let Err(e) = self.top_item(&mut prog) {
                 self.errors.push(e);
@@ -259,14 +328,14 @@ impl Parser {
     /// One top-level item: a struct definition, a global, a prototype,
     /// or a function definition.
     fn top_item(&mut self, prog: &mut Program) -> PResult<()> {
-        if self.at_ident("struct") && matches!(self.peek_at(2), Tok::LBrace) {
+        if self.at_kw(self.kw.struct_) && self.peek_at(2) == Tok::LBrace {
             prog.structs.push(self.struct_def()?);
             return Ok(());
         }
         let start = self.span();
         let ty = self.parse_type()?;
         let name = self.ident()?;
-        if self.peek() == &Tok::LParen {
+        if self.peek() == Tok::LParen {
             let (sig, body) = self.func_rest(ty)?;
             let span = start.to(self.prev_span());
             match body {
@@ -286,13 +355,13 @@ impl Parser {
                 }),
             }
         } else {
-            let init = if self.peek() == &Tok::Assign {
+            let init = if self.peek() == Tok::Assign {
                 self.bump();
                 Some(self.parse_expr()?)
             } else {
                 None
             };
-            self.expect(&Tok::Semi)?;
+            self.expect(Tok::Semi)?;
             prog.globals.push(GlobalDecl {
                 name,
                 ty,
@@ -373,18 +442,18 @@ impl Parser {
 
     fn struct_def(&mut self) -> PResult<StructDef> {
         let start = self.span();
-        self.expect(&Tok::Ident(Symbol::intern("struct")))?;
+        self.expect(Tok::Ident(self.kw.struct_))?;
         let name = self.ident()?;
-        self.expect(&Tok::LBrace)?;
+        self.expect(Tok::LBrace)?;
         let mut fields = Vec::new();
-        while self.peek() != &Tok::RBrace {
+        while self.peek() != Tok::RBrace {
             let fty = self.parse_type()?;
             let fname = self.ident()?;
-            self.expect(&Tok::Semi)?;
+            self.expect(Tok::Semi)?;
             fields.push((fname, fty));
         }
-        self.expect(&Tok::RBrace)?;
-        self.expect(&Tok::Semi)?;
+        self.expect(Tok::RBrace)?;
+        self.expect(Tok::Semi)?;
         Ok(StructDef {
             name,
             fields,
@@ -393,16 +462,16 @@ impl Parser {
     }
 
     fn func_rest(&mut self, ret: QualType) -> PResult<(FuncSig, Option<Vec<Stmt>>)> {
-        self.expect(&Tok::LParen)?;
+        self.expect(Tok::LParen)?;
         let mut params = Vec::new();
         let mut varargs = false;
-        if self.peek() != &Tok::RParen {
+        if self.peek() != Tok::RParen {
             // `(void)` means no parameters.
-            if self.at_ident("void") && self.peek_at(1) == &Tok::RParen {
+            if self.at_kw(self.kw.void) && self.peek_at(1) == Tok::RParen {
                 self.bump();
             } else {
                 loop {
-                    if self.peek() == &Tok::Ellipsis {
+                    if self.peek() == Tok::Ellipsis {
                         self.bump();
                         varargs = true;
                         break;
@@ -410,7 +479,7 @@ impl Parser {
                     let pty = self.parse_type()?;
                     let pname = self.ident()?;
                     params.push((pname, pty));
-                    if self.peek() == &Tok::Comma {
+                    if self.peek() == Tok::Comma {
                         self.bump();
                     } else {
                         break;
@@ -418,13 +487,13 @@ impl Parser {
                 }
             }
         }
-        self.expect(&Tok::RParen)?;
+        self.expect(Tok::RParen)?;
         let sig = FuncSig {
             params,
             ret,
             varargs,
         };
-        if self.peek() == &Tok::Semi {
+        if self.peek() == Tok::Semi {
             self.bump();
             Ok((sig, None))
         } else {
@@ -436,22 +505,22 @@ impl Parser {
     // ----- statements -----
 
     fn block_stmts(&mut self) -> PResult<Vec<Stmt>> {
-        self.expect(&Tok::LBrace)?;
+        self.expect(Tok::LBrace)?;
         let mut out = Vec::new();
-        while self.peek() != &Tok::RBrace {
-            if self.peek() == &Tok::Eof {
+        while self.peek() != Tok::RBrace {
+            if self.peek() == Tok::Eof {
                 return self.err("unexpected end of input inside block");
             }
             let before = self.pos;
             if let Err(e) = self.stmt_into(&mut out) {
                 self.errors.push(e);
                 self.recover_in_block();
-                if self.pos == before && self.peek() != &Tok::RBrace {
+                if self.pos == before && self.peek() != Tok::RBrace {
                     self.force_bump();
                 }
             }
         }
-        self.expect(&Tok::RBrace)?;
+        self.expect(Tok::RBrace)?;
         Ok(out)
     }
 
@@ -468,7 +537,8 @@ impl Parser {
     /// statements (e.g. `int* p = malloc(n);`).
     fn stmt_into(&mut self, out: &mut Vec<Stmt>) -> PResult<()> {
         let start = self.span();
-        match self.peek().clone() {
+        let kw = self.kw;
+        match self.peek() {
             Tok::LBrace => {
                 let b = self.block_as_stmt()?;
                 out.push(b);
@@ -478,13 +548,13 @@ impl Parser {
                 self.bump();
                 Ok(())
             }
-            Tok::Ident(s) if s.as_str() == "if" => {
+            Tok::Ident(s) if s == kw.if_ => {
                 self.bump();
-                self.expect(&Tok::LParen)?;
+                self.expect(Tok::LParen)?;
                 let cond = self.parse_expr()?;
-                self.expect(&Tok::RParen)?;
+                self.expect(Tok::RParen)?;
                 let then = self.sub_stmt()?;
-                let els = if self.eat_ident("else") {
+                let els = if self.eat_kw(kw.else_) {
                     Some(Box::new(self.sub_stmt()?))
                 } else {
                     None
@@ -495,11 +565,11 @@ impl Parser {
                 });
                 Ok(())
             }
-            Tok::Ident(s) if s.as_str() == "while" => {
+            Tok::Ident(s) if s == kw.while_ => {
                 self.bump();
-                self.expect(&Tok::LParen)?;
+                self.expect(Tok::LParen)?;
                 let cond = self.parse_expr()?;
-                self.expect(&Tok::RParen)?;
+                self.expect(Tok::RParen)?;
                 let body = self.sub_stmt()?;
                 out.push(Stmt {
                     kind: StmtKind::While(cond, Box::new(body)),
@@ -507,29 +577,29 @@ impl Parser {
                 });
                 Ok(())
             }
-            Tok::Ident(s) if s.as_str() == "for" => self.for_stmt(out, start),
-            Tok::Ident(s) if s.as_str() == "return" => {
+            Tok::Ident(s) if s == kw.for_ => self.for_stmt(out, start),
+            Tok::Ident(s) if s == kw.return_ => {
                 self.bump();
-                let value = if self.peek() == &Tok::Semi {
+                let value = if self.peek() == Tok::Semi {
                     None
                 } else {
                     Some(self.parse_expr()?)
                 };
-                self.expect(&Tok::Semi)?;
+                self.expect(Tok::Semi)?;
                 out.push(Stmt {
                     kind: StmtKind::Return(value),
                     span: start.to(self.prev_span()),
                 });
                 Ok(())
             }
-            _ if self.at_type_start() => {
+            Tok::Ident(s) if kw.starts_type(s) => {
                 self.local_decl(out)?;
-                self.expect(&Tok::Semi)?;
+                self.expect(Tok::Semi)?;
                 Ok(())
             }
             _ => {
                 self.expr_stmt(out)?;
-                self.expect(&Tok::Semi)?;
+                self.expect(Tok::Semi)?;
                 Ok(())
             }
         }
@@ -550,27 +620,27 @@ impl Parser {
 
     fn for_stmt(&mut self, out: &mut Vec<Stmt>, start: Span) -> PResult<()> {
         self.bump(); // for
-        self.expect(&Tok::LParen)?;
+        self.expect(Tok::LParen)?;
         let mut init = Vec::new();
-        if self.peek() != &Tok::Semi {
-            if self.at_type_start() {
+        if self.peek() != Tok::Semi {
+            if self.type_starts_at(0) {
                 self.local_decl(&mut init)?;
             } else {
                 self.expr_stmt(&mut init)?;
             }
         }
-        self.expect(&Tok::Semi)?;
-        let cond = if self.peek() == &Tok::Semi {
+        self.expect(Tok::Semi)?;
+        let cond = if self.peek() == Tok::Semi {
             Expr::int(1)
         } else {
             self.parse_expr()?
         };
-        self.expect(&Tok::Semi)?;
+        self.expect(Tok::Semi)?;
         let mut step = Vec::new();
-        if self.peek() != &Tok::RParen {
+        if self.peek() != Tok::RParen {
             self.expr_stmt(&mut step)?;
         }
-        self.expect(&Tok::RParen)?;
+        self.expect(Tok::RParen)?;
         let body = self.sub_stmt()?;
         let mut loop_body = vec![body];
         loop_body.extend(step);
@@ -596,7 +666,7 @@ impl Parser {
             init: None,
             span: start.to(self.prev_span()),
         };
-        if self.peek() == &Tok::Assign {
+        if self.peek() == Tok::Assign {
             self.bump();
             let lv = Lvalue {
                 kind: LvalKind::Var(name),
@@ -654,12 +724,12 @@ impl Parser {
     fn expr_stmt(&mut self, out: &mut Vec<Stmt>) -> PResult<()> {
         let start = self.span();
         // Bare call: `f(args);`
-        if let Tok::Ident(f) = self.peek().clone() {
-            if self.peek_at(1) == &Tok::LParen && !TYPE_KEYWORDS.contains(&f.as_str()) {
+        if let Tok::Ident(f) = self.peek() {
+            if self.peek_at(1) == Tok::LParen && !self.kw.starts_type(f) {
                 self.bump();
                 let args = self.call_args()?;
                 let span = start.to(self.prev_span());
-                if f.as_str() == "malloc" {
+                if f == self.kw.malloc {
                     return self.err("discarded malloc result");
                 }
                 out.push(Stmt {
@@ -678,7 +748,7 @@ impl Parser {
         let Some(lv) = target.into_lval() else {
             return self.err("expected assignable l-value");
         };
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Assign => {
                 self.bump();
                 match self.parse_rhs()? {
@@ -729,24 +799,27 @@ impl Parser {
                 });
                 Ok(())
             }
-            other => self.err(format!("expected assignment operator, found `{other}`")),
+            other => self.err(format!(
+                "expected assignment operator, found `{}`",
+                self.show(other)
+            )),
         }
     }
 
     fn call_args(&mut self) -> PResult<Vec<Expr>> {
-        self.expect(&Tok::LParen)?;
+        self.expect(Tok::LParen)?;
         let mut args = Vec::new();
-        if self.peek() != &Tok::RParen {
+        if self.peek() != Tok::RParen {
             loop {
                 args.push(self.parse_expr()?);
-                if self.peek() == &Tok::Comma {
+                if self.peek() == Tok::Comma {
                     self.bump();
                 } else {
                     break;
                 }
             }
         }
-        self.expect(&Tok::RParen)?;
+        self.expect(Tok::RParen)?;
         Ok(args)
     }
 
@@ -756,10 +829,10 @@ impl Parser {
         // A cast followed by a call/malloc: `(int*) malloc(n)`. Casts on
         // allocation results are ignored for pattern matching (paper
         // §2.2.1), and CIL's normalization drops them from the instruction.
-        if self.peek() == &Tok::LParen && self.type_starts_at(1) {
+        if self.peek() == Tok::LParen && self.type_starts_at(1) {
             self.bump();
             let ty = self.parse_type()?;
-            self.expect(&Tok::RParen)?;
+            self.expect(Tok::RParen)?;
             match self.parse_rhs()? {
                 Rhs::Expr(e) => {
                     let span = e.span;
@@ -771,14 +844,11 @@ impl Parser {
                 other => return Ok(other),
             }
         }
-        if let Tok::Ident(f) = self.peek().clone() {
-            if self.peek_at(1) == &Tok::LParen
-                && !TYPE_KEYWORDS.contains(&f.as_str())
-                && f.as_str() != "sizeof"
-            {
+        if let Tok::Ident(f) = self.peek() {
+            if self.peek_at(1) == Tok::LParen && !self.kw.starts_type(f) && f != self.kw.sizeof {
                 self.bump();
                 let args = self.call_args()?;
-                if f.as_str() == "malloc" {
+                if f == self.kw.malloc {
                     let size = args.into_iter().next().unwrap_or_else(|| Expr::int(1));
                     return Ok(Rhs::Alloc(size));
                 }
@@ -791,123 +861,49 @@ impl Parser {
     // ----- expressions -----
 
     fn parse_expr(&mut self) -> PResult<Expr> {
-        self.parse_or()
+        self.parse_binary(1)
     }
 
-    fn parse_or(&mut self) -> PResult<Expr> {
-        let mut lhs = self.parse_and()?;
-        while self.peek() == &Tok::OrOr {
-            self.bump();
-            let rhs = self.parse_and()?;
-            let span = lhs.span.to(rhs.span);
-            lhs = Expr {
-                kind: ExprKind::Binop(BinOp::Or, Box::new(lhs), Box::new(rhs)),
-                span,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn parse_and(&mut self) -> PResult<Expr> {
-        let mut lhs = self.parse_cmp()?;
-        while self.peek() == &Tok::AndAnd {
-            self.bump();
-            let rhs = self.parse_cmp()?;
-            let span = lhs.span.to(rhs.span);
-            lhs = Expr {
-                kind: ExprKind::Binop(BinOp::And, Box::new(lhs), Box::new(rhs)),
-                span,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn parse_cmp(&mut self) -> PResult<Expr> {
-        let lhs = self.parse_add()?;
-        let op = match self.peek() {
-            Tok::EqEq => BinOp::Eq,
-            Tok::Ne => BinOp::Ne,
-            Tok::Lt => BinOp::Lt,
-            Tok::Le => BinOp::Le,
-            Tok::Gt => BinOp::Gt,
-            Tok::Ge => BinOp::Ge,
-            _ => return Ok(lhs),
-        };
-        self.bump();
-        let rhs = self.parse_add()?;
-        let span = lhs.span.to(rhs.span);
-        Ok(Expr {
-            kind: ExprKind::Binop(op, Box::new(lhs), Box::new(rhs)),
-            span,
-        })
-    }
-
-    fn parse_add(&mut self) -> PResult<Expr> {
-        let mut lhs = self.parse_mul()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinOp::Add,
-                Tok::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.parse_mul()?;
-            let span = lhs.span.to(rhs.span);
-            lhs = Expr {
-                kind: ExprKind::Binop(op, Box::new(lhs), Box::new(rhs)),
-                span,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn parse_mul(&mut self) -> PResult<Expr> {
+    /// Precedence climbing over the operators of [`binop_of`] that bind
+    /// at least as tightly as `min`. Every level is left-associative but
+    /// the comparisons', which does not chain: `a < b < c` stops before
+    /// the second `<`, where the caller reports it.
+    fn parse_binary(&mut self, min: u8) -> PResult<Expr> {
         let mut lhs = self.parse_unary()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => BinOp::Mul,
-                Tok::Slash => BinOp::Div,
-                Tok::Percent => BinOp::Mod,
-                _ => break,
-            };
+        // The loosest operator that may follow `lhs`: the right operand
+        // took every operator binding tighter than the one just applied,
+        // so one binding tighter still is a chained comparison.
+        let mut max = u8::MAX;
+        while let Some((op, prec)) = binop_of(self.peek()) {
+            if prec < min || prec > max {
+                break;
+            }
             self.bump();
-            let rhs = self.parse_unary()?;
+            let rhs = self.parse_binary(prec + 1)?;
             let span = lhs.span.to(rhs.span);
             lhs = Expr {
                 kind: ExprKind::Binop(op, Box::new(lhs), Box::new(rhs)),
                 span,
             };
+            max = if op.is_comparison() { prec - 1 } else { prec };
         }
         Ok(lhs)
     }
 
     fn parse_unary(&mut self) -> PResult<Expr> {
         let start = self.span();
-        match self.peek().clone() {
-            Tok::Minus => {
+        match self.peek() {
+            tok @ (Tok::Minus | Tok::Not | Tok::Tilde) => {
+                let op = match tok {
+                    Tok::Minus => UnOp::Neg,
+                    Tok::Not => UnOp::Not,
+                    _ => UnOp::BitNot,
+                };
                 self.bump();
                 let e = self.parse_unary()?;
                 let span = start.to(e.span);
                 Ok(Expr {
-                    kind: ExprKind::Unop(UnOp::Neg, Box::new(e)),
-                    span,
-                })
-            }
-            Tok::Not => {
-                self.bump();
-                let e = self.parse_unary()?;
-                let span = start.to(e.span);
-                Ok(Expr {
-                    kind: ExprKind::Unop(UnOp::Not, Box::new(e)),
-                    span,
-                })
-            }
-            Tok::Tilde => {
-                self.bump();
-                let e = self.parse_unary()?;
-                let span = start.to(e.span);
-                Ok(Expr {
-                    kind: ExprKind::Unop(UnOp::BitNot, Box::new(e)),
+                    kind: ExprKind::Unop(op, Box::new(e)),
                     span,
                 })
             }
@@ -939,7 +935,7 @@ impl Parser {
                 // Cast.
                 self.bump();
                 let ty = self.parse_type()?;
-                self.expect(&Tok::RParen)?;
+                self.expect(Tok::RParen)?;
                 let e = self.parse_unary()?;
                 let span = start.to(e.span);
                 Ok(Expr {
@@ -954,11 +950,11 @@ impl Parser {
     fn parse_postfix(&mut self) -> PResult<Expr> {
         let mut e = self.parse_primary()?;
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 Tok::LBracket => {
                     self.bump();
                     let idx = self.parse_expr()?;
-                    self.expect(&Tok::RBracket)?;
+                    self.expect(Tok::RBracket)?;
                     let span = e.span.to(self.prev_span());
                     // a[i] ≡ *(a + i)
                     let sum = Expr {
@@ -1013,7 +1009,8 @@ impl Parser {
 
     fn parse_primary(&mut self) -> PResult<Expr> {
         let start = self.span();
-        match self.peek().clone() {
+        let kw = self.kw;
+        match self.peek() {
             Tok::Int(v) => {
                 self.bump();
                 Ok(Expr {
@@ -1021,38 +1018,38 @@ impl Parser {
                     span: start,
                 })
             }
-            Tok::Str(s) => {
+            Tok::Str(i) => {
                 self.bump();
                 Ok(Expr {
-                    kind: ExprKind::StrLit(s),
+                    kind: ExprKind::StrLit(std::mem::take(&mut self.strs[i as usize])),
                     span: start,
                 })
             }
             Tok::LParen => {
                 self.bump();
                 let e = self.parse_expr()?;
-                self.expect(&Tok::RParen)?;
+                self.expect(Tok::RParen)?;
                 Ok(e)
             }
-            Tok::Ident(s) if s.as_str() == "NULL" => {
+            Tok::Ident(s) if s == kw.null => {
                 self.bump();
                 Ok(Expr {
                     kind: ExprKind::Null,
                     span: start,
                 })
             }
-            Tok::Ident(s) if s.as_str() == "sizeof" => {
+            Tok::Ident(s) if s == kw.sizeof => {
                 self.bump();
-                self.expect(&Tok::LParen)?;
+                self.expect(Tok::LParen)?;
                 let ty = self.parse_type()?;
-                self.expect(&Tok::RParen)?;
+                self.expect(Tok::RParen)?;
                 Ok(Expr {
                     kind: ExprKind::SizeOf(ty),
                     span: start.to(self.prev_span()),
                 })
             }
             Tok::Ident(s) => {
-                if self.peek_at(1) == &Tok::LParen {
+                if self.peek_at(1) == Tok::LParen {
                     return self.err(format!(
                         "call to `{s}` in expression position; calls are instructions in CIR"
                     ));
@@ -1066,7 +1063,7 @@ impl Parser {
                     span: start,
                 })
             }
-            other => self.err(format!("expected expression, found `{other}`")),
+            other => self.err(format!("expected expression, found `{}`", self.show(other))),
         }
     }
 }

@@ -17,7 +17,7 @@
 use crate::ast::*;
 use std::fmt;
 use stq_cir::ast::{BinOp, UnOp};
-use stq_cir::lex::{lex, Tok, Token};
+use stq_cir::lex::{lex, show, Shown, Tok, Token};
 use stq_util::{Span, Symbol};
 
 /// A parse failure in a qualifier definition.
@@ -83,8 +83,8 @@ pub fn parse_qualifiers(src: &str) -> SResult<Vec<QualifierDef>> {
 /// [`parse_qualifiers`] is this parse with only its first error: the
 /// same definitions when the error vector is empty.
 pub fn parse_qualifiers_resilient(src: &str) -> (Vec<QualifierDef>, Vec<SpecError>) {
-    let toks = match lex(src) {
-        Ok(toks) => toks,
+    let lexed = match lex(src) {
+        Ok(lexed) => lexed,
         // Lexing is not recoverable (there is no token stream to sync
         // on); report the one error.
         Err(e) => {
@@ -97,10 +97,14 @@ pub fn parse_qualifiers_resilient(src: &str) -> (Vec<QualifierDef>, Vec<SpecErro
             );
         }
     };
-    let mut p = P { toks, pos: 0 };
+    let mut p = P {
+        toks: lexed.toks,
+        strs: lexed.strs,
+        pos: 0,
+    };
     let mut defs = Vec::new();
     let mut errors = Vec::new();
-    while p.peek() != &Tok::Eof {
+    while p.peek() != Tok::Eof {
         if let Some(def) = p.qualifier(&mut errors) {
             defs.push(def);
         }
@@ -110,12 +114,19 @@ pub fn parse_qualifiers_resilient(src: &str) -> (Vec<QualifierDef>, Vec<SpecErro
 
 struct P {
     toks: Vec<Token>,
+    /// String literals' contents, for diagnostics that quote a token.
+    strs: Vec<String>,
     pos: usize,
 }
 
 impl P {
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].tok
+    fn peek(&self) -> Tok {
+        self.toks[self.pos].tok
+    }
+
+    /// `tok` as a diagnostic quotes it.
+    fn show(&self, tok: Tok) -> Shown<'_> {
+        show(tok, &self.strs)
     }
 
     fn span(&self) -> Span {
@@ -127,7 +138,7 @@ impl P {
     }
 
     fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].tok.clone();
+        let t = self.toks[self.pos].tok;
         if self.pos < self.toks.len() - 1 {
             self.pos += 1;
         }
@@ -141,22 +152,26 @@ impl P {
         })
     }
 
-    fn expect(&mut self, tok: &Tok) -> SResult<()> {
+    fn expect(&mut self, tok: Tok) -> SResult<()> {
         if self.peek() == tok {
             self.bump();
             Ok(())
         } else {
-            self.err(format!("expected `{tok}`, found `{}`", self.peek()))
+            self.err(format!(
+                "expected `{}`, found `{}`",
+                self.show(tok),
+                self.show(self.peek())
+            ))
         }
     }
 
     fn ident(&mut self) -> SResult<Symbol> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Ident(s) => {
                 self.bump();
                 Ok(s)
             }
-            other => self.err(format!("expected identifier, found `{other}`")),
+            other => self.err(format!("expected identifier, found `{}`", self.show(other))),
         }
     }
 
@@ -177,7 +192,10 @@ impl P {
         if self.eat_kw(kw) {
             Ok(())
         } else {
-            self.err(format!("expected `{kw}`, found `{}`", self.peek()))
+            self.err(format!(
+                "expected `{kw}`, found `{}`",
+                self.show(self.peek())
+            ))
         }
     }
 
@@ -229,9 +247,9 @@ impl P {
         };
         self.expect_kw("qualifier")?;
         let name = self.ident()?;
-        self.expect(&Tok::LParen)?;
+        self.expect(Tok::LParen)?;
         let subject = self.var_decl_single()?;
-        self.expect(&Tok::RParen)?;
+        self.expect(Tok::RParen)?;
 
         Ok(QualifierDef {
             name,
@@ -273,7 +291,7 @@ impl P {
                 }
                 loop {
                     def.assigns.push(self.assign_rhs()?);
-                    if self.peek() == &Tok::Pipe {
+                    if self.peek() == Tok::Pipe {
                         self.bump();
                     } else {
                         break;
@@ -281,7 +299,7 @@ impl P {
                 }
             } else if self.eat_kw("disallow") {
                 loop {
-                    if self.peek() == &Tok::Amp {
+                    if self.peek() == Tok::Amp {
                         self.bump();
                         let x = self.ident()?;
                         if x != def.subject.name {
@@ -295,7 +313,7 @@ impl P {
                         }
                         def.disallow.ref_use = true;
                     }
-                    if self.peek() == &Tok::Pipe {
+                    if self.peek() == Tok::Pipe {
                         self.bump();
                     } else {
                         break;
@@ -352,7 +370,7 @@ impl P {
     /// Skips past the current token to the next definition start or Eof.
     fn sync_to_def(&mut self) {
         self.force_bump();
-        while self.peek() != &Tok::Eof && !self.at_def_start() {
+        while self.peek() != Tok::Eof && !self.at_def_start() {
             self.force_bump();
         }
     }
@@ -361,7 +379,7 @@ impl P {
     /// definition start, or Eof.
     fn sync_to_section(&mut self) {
         self.force_bump();
-        while self.peek() != &Tok::Eof && !self.at_section_start() && !self.at_def_start() {
+        while self.peek() != Tok::Eof && !self.at_section_start() && !self.at_def_start() {
             self.force_bump();
         }
     }
@@ -369,7 +387,7 @@ impl P {
     // ----- declarations -----
 
     fn type_pat(&mut self) -> SResult<TypePat> {
-        let base = match self.peek().clone() {
+        let base = match self.peek() {
             Tok::Ident(s) => match s.as_str() {
                 "int" => {
                     self.bump();
@@ -384,10 +402,15 @@ impl P {
                     TypePat::Any(s)
                 }
             },
-            other => return self.err(format!("expected type pattern, found `{other}`")),
+            other => {
+                return self.err(format!(
+                    "expected type pattern, found `{}`",
+                    self.show(other)
+                ))
+            }
         };
         let mut ty = base;
-        while self.peek() == &Tok::Star {
+        while self.peek() == Tok::Star {
             self.bump();
             ty = ty.ptr_to();
         }
@@ -431,7 +454,7 @@ impl P {
                 ty: ty.clone(),
                 classifier,
             });
-            if self.peek() == &Tok::Comma {
+            if self.peek() == Tok::Comma {
                 self.bump();
             } else {
                 break;
@@ -444,7 +467,7 @@ impl P {
 
     fn clause_list(&mut self) -> SResult<Vec<Clause>> {
         let mut out = vec![self.clause()?];
-        while self.peek() == &Tok::Pipe {
+        while self.peek() == Tok::Pipe {
             self.bump();
             out.push(self.clause()?);
         }
@@ -456,10 +479,10 @@ impl P {
         let mut decls = Vec::new();
         if self.eat_kw("decl") {
             decls = self.decl_group()?;
-            self.expect(&Tok::Colon)?;
+            self.expect(Tok::Colon)?;
         }
         let pattern = self.pattern()?;
-        let guard = if self.peek() == &Tok::Comma {
+        let guard = if self.peek() == Tok::Comma {
             self.bump();
             self.expect_kw("where")?;
             self.pred()?
@@ -475,7 +498,7 @@ impl P {
     }
 
     fn pattern(&mut self) -> SResult<Pattern> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Minus => {
                 self.bump();
                 Ok(Pattern::Unop(UnOp::Neg, self.ident()?))
@@ -527,7 +550,7 @@ impl P {
                     }
                 }
             }
-            other => self.err(format!("expected pattern, found `{other}`")),
+            other => self.err(format!("expected pattern, found `{}`", self.show(other))),
         }
     }
 
@@ -535,7 +558,7 @@ impl P {
 
     fn pred(&mut self) -> SResult<Pred> {
         let mut lhs = self.pred_and()?;
-        while self.peek() == &Tok::OrOr {
+        while self.peek() == Tok::OrOr {
             self.bump();
             let rhs = self.pred_and()?;
             lhs = Pred::Or(Box::new(lhs), Box::new(rhs));
@@ -545,7 +568,7 @@ impl P {
 
     fn pred_and(&mut self) -> SResult<Pred> {
         let mut lhs = self.pred_atom()?;
-        while self.peek() == &Tok::AndAnd {
+        while self.peek() == Tok::AndAnd {
             self.bump();
             let rhs = self.pred_atom()?;
             lhs = Pred::And(Box::new(lhs), Box::new(rhs));
@@ -554,19 +577,19 @@ impl P {
     }
 
     fn pred_atom(&mut self) -> SResult<Pred> {
-        if self.peek() == &Tok::LParen {
+        if self.peek() == Tok::LParen {
             self.bump();
             let inner = self.pred()?;
-            self.expect(&Tok::RParen)?;
+            self.expect(Tok::RParen)?;
             return Ok(inner);
         }
         // Qualifier check: ident(ident).
-        if let Tok::Ident(q) = self.peek().clone() {
+        if let Tok::Ident(q) = self.peek() {
             if self.toks[self.pos + 1].tok == Tok::LParen && q.as_str() != "value" {
                 self.bump();
-                self.expect(&Tok::LParen)?;
+                self.expect(Tok::LParen)?;
                 let x = self.ident()?;
-                self.expect(&Tok::RParen)?;
+                self.expect(Tok::RParen)?;
                 return Ok(Pred::QualCheck(q, x));
             }
         }
@@ -577,7 +600,7 @@ impl P {
     }
 
     fn pterm(&mut self) -> SResult<PTerm> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Int(v) => {
                 self.bump();
                 Ok(PTerm::Int(v))
@@ -586,7 +609,10 @@ impl P {
                 self.bump();
                 match self.bump() {
                     Tok::Int(v) => Ok(PTerm::Int(-v)),
-                    other => self.err(format!("expected integer after `-`, found `{other}`")),
+                    other => self.err(format!(
+                        "expected integer after `-`, found `{}`",
+                        self.show(other)
+                    )),
                 }
             }
             Tok::Ident(s) if s.as_str() == "NULL" => {
@@ -597,7 +623,10 @@ impl P {
                 self.bump();
                 Ok(PTerm::Var(s))
             }
-            other => self.err(format!("expected predicate term, found `{other}`")),
+            other => self.err(format!(
+                "expected predicate term, found `{}`",
+                self.show(other)
+            )),
         }
     }
 
@@ -609,7 +638,12 @@ impl P {
             Tok::Le => CmpOp::Le,
             Tok::Gt => CmpOp::Gt,
             Tok::Ge => CmpOp::Ge,
-            other => return self.err(format!("expected comparison operator, found `{other}`")),
+            other => {
+                return self.err(format!(
+                    "expected comparison operator, found `{}`",
+                    self.show(other)
+                ))
+            }
         };
         self.bump();
         Ok(op)
@@ -618,7 +652,7 @@ impl P {
     // ----- assign -----
 
     fn assign_rhs(&mut self) -> SResult<AssignRhs> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Ident(s) if s.as_str() == "NULL" => {
                 self.bump();
                 Ok(AssignRhs::Null)
@@ -632,7 +666,8 @@ impl P {
                 Ok(AssignRhs::Const)
             }
             other => self.err(format!(
-                "expected assign form (NULL, new, or const), found `{other}`"
+                "expected assign form (NULL, new, or const), found `{}`",
+                self.show(other)
             )),
         }
     }
@@ -641,7 +676,7 @@ impl P {
 
     fn inv_pred(&mut self) -> SResult<InvPred> {
         let lhs = self.inv_or()?;
-        if self.peek() == &Tok::FatArrow {
+        if self.peek() == Tok::FatArrow {
             self.bump();
             let rhs = self.inv_pred()?; // right associative
             return Ok(InvPred::Implies(Box::new(lhs), Box::new(rhs)));
@@ -651,7 +686,7 @@ impl P {
 
     fn inv_or(&mut self) -> SResult<InvPred> {
         let mut lhs = self.inv_and()?;
-        while self.peek() == &Tok::OrOr {
+        while self.peek() == Tok::OrOr {
             self.bump();
             let rhs = self.inv_and()?;
             lhs = InvPred::Or(Box::new(lhs), Box::new(rhs));
@@ -661,7 +696,7 @@ impl P {
 
     fn inv_and(&mut self) -> SResult<InvPred> {
         let mut lhs = self.inv_atom()?;
-        while self.peek() == &Tok::AndAnd {
+        while self.peek() == Tok::AndAnd {
             self.bump();
             let rhs = self.inv_atom()?;
             lhs = InvPred::And(Box::new(lhs), Box::new(rhs));
@@ -670,30 +705,30 @@ impl P {
     }
 
     fn inv_atom(&mut self) -> SResult<InvPred> {
-        if self.peek() == &Tok::Not {
+        if self.peek() == Tok::Not {
             self.bump();
             let inner = self.inv_atom()?;
             return Ok(InvPred::Not(Box::new(inner)));
         }
-        if self.peek() == &Tok::LParen {
+        if self.peek() == Tok::LParen {
             self.bump();
             let inner = self.inv_pred()?;
-            self.expect(&Tok::RParen)?;
+            self.expect(Tok::RParen)?;
             return Ok(inner);
         }
         if self.at_kw("forall") {
             self.bump();
             let ty = self.type_pat()?;
             let var = self.ident()?;
-            self.expect(&Tok::Colon)?;
+            self.expect(Tok::Colon)?;
             let body = self.inv_pred()?;
             return Ok(InvPred::Forall(var, ty, Box::new(body)));
         }
         if self.at_kw("isHeapLoc") {
             self.bump();
-            self.expect(&Tok::LParen)?;
+            self.expect(Tok::LParen)?;
             let t = self.inv_term()?;
-            self.expect(&Tok::RParen)?;
+            self.expect(Tok::RParen)?;
             return Ok(InvPred::IsHeapLoc(t));
         }
         let a = self.inv_term()?;
@@ -703,7 +738,7 @@ impl P {
     }
 
     fn inv_term(&mut self) -> SResult<InvTerm> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Int(v) => {
                 self.bump();
                 Ok(InvTerm::Int(v))
@@ -712,7 +747,10 @@ impl P {
                 self.bump();
                 match self.bump() {
                     Tok::Int(v) => Ok(InvTerm::Int(-v)),
-                    other => self.err(format!("expected integer after `-`, found `{other}`")),
+                    other => self.err(format!(
+                        "expected integer after `-`, found `{}`",
+                        self.show(other)
+                    )),
                 }
             }
             Tok::Star => {
@@ -725,23 +763,26 @@ impl P {
             }
             Tok::Ident(s) if s.as_str() == "value" => {
                 self.bump();
-                self.expect(&Tok::LParen)?;
+                self.expect(Tok::LParen)?;
                 let x = self.ident()?;
-                self.expect(&Tok::RParen)?;
+                self.expect(Tok::RParen)?;
                 Ok(InvTerm::Value(x))
             }
             Tok::Ident(s) if s.as_str() == "location" => {
                 self.bump();
-                self.expect(&Tok::LParen)?;
+                self.expect(Tok::LParen)?;
                 let x = self.ident()?;
-                self.expect(&Tok::RParen)?;
+                self.expect(Tok::RParen)?;
                 Ok(InvTerm::Location(x))
             }
             Tok::Ident(s) => {
                 self.bump();
                 Ok(InvTerm::Var(s))
             }
-            other => self.err(format!("expected invariant term, found `{other}`")),
+            other => self.err(format!(
+                "expected invariant term, found `{}`",
+                self.show(other)
+            )),
         }
     }
 }

@@ -7,12 +7,17 @@
 //! this split — `case` patterns match expressions, `assign` rules govern
 //! instructions.
 //!
+//! Expressions and l-values live in the program's [`Arena`] and refer
+//! to each other by id ([`ExprId`], [`LvalId`]); statements, types and
+//! declarations hold ids where they hold an expression or an l-value.
+//!
 //! Qualifiers are stored directly on types ([`QualType`]), mirroring the
 //! paper's use of gcc attributes; the parser attaches postfix qualifier
 //! identifiers (e.g. `int pos x`) to the type to their left.
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::{Index, IndexMut};
 use stq_util::{Span, Symbol};
 
 /// A base (unqualified, non-pointer) type.
@@ -226,6 +231,14 @@ impl fmt::Display for BinOp {
     }
 }
 
+/// The id of an expression in its program's [`Arena`].
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
+pub struct ExprId(u32);
+
+/// The id of an l-value in its program's [`Arena`].
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
+pub struct LvalId(u32);
+
 /// A side-effect-free expression with its source span.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Expr {
@@ -235,7 +248,8 @@ pub struct Expr {
     pub span: Span,
 }
 
-/// The shapes of side-effect-free expressions.
+/// The shapes of side-effect-free expressions. Subexpressions and
+/// l-values are ids into the program's [`Arena`].
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum ExprKind {
     /// Integer literal.
@@ -245,96 +259,17 @@ pub enum ExprKind {
     /// The `NULL` constant.
     Null,
     /// Reading an l-value.
-    Lval(Box<Lvalue>),
+    Lval(LvalId),
     /// `&lv`.
-    AddrOf(Box<Lvalue>),
+    AddrOf(LvalId),
     /// Unary operation.
-    Unop(UnOp, Box<Expr>),
+    Unop(UnOp, ExprId),
     /// Binary operation.
-    Binop(BinOp, Box<Expr>, Box<Expr>),
+    Binop(BinOp, ExprId, ExprId),
     /// `(type) e`.
-    Cast(QualType, Box<Expr>),
+    Cast(QualType, ExprId),
     /// `sizeof(type)` — one word per scalar under the logical memory model.
     SizeOf(QualType),
-}
-
-impl Expr {
-    /// Builds an expression with a dummy span (for synthesized code).
-    pub fn new(kind: ExprKind) -> Expr {
-        Expr {
-            kind,
-            span: Span::DUMMY,
-        }
-    }
-
-    /// Integer literal.
-    pub fn int(v: i64) -> Expr {
-        Expr::new(ExprKind::IntLit(v))
-    }
-
-    /// The `NULL` constant.
-    pub fn null() -> Expr {
-        Expr::new(ExprKind::Null)
-    }
-
-    /// Reads a variable.
-    pub fn var(name: &str) -> Expr {
-        Expr::new(ExprKind::Lval(Box::new(Lvalue::var(name))))
-    }
-
-    /// Reads an l-value.
-    pub fn lval(lv: Lvalue) -> Expr {
-        Expr::new(ExprKind::Lval(Box::new(lv)))
-    }
-
-    /// `&lv`.
-    pub fn addr_of(lv: Lvalue) -> Expr {
-        Expr::new(ExprKind::AddrOf(Box::new(lv)))
-    }
-
-    /// Binary operation.
-    pub fn binop(op: BinOp, a: Expr, b: Expr) -> Expr {
-        Expr::new(ExprKind::Binop(op, Box::new(a), Box::new(b)))
-    }
-
-    /// Unary operation.
-    pub fn unop(op: UnOp, a: Expr) -> Expr {
-        Expr::new(ExprKind::Unop(op, Box::new(a)))
-    }
-
-    /// `(ty) self`.
-    #[must_use]
-    pub fn cast(self, ty: QualType) -> Expr {
-        Expr::new(ExprKind::Cast(ty, Box::new(self)))
-    }
-
-    /// The expression with top-level casts removed (pattern matching in
-    /// qualifier rules looks through casts, paper §2.2.1).
-    pub fn strip_casts(&self) -> &Expr {
-        match &self.kind {
-            ExprKind::Cast(_, inner) => inner.strip_casts(),
-            _ => self,
-        }
-    }
-
-    /// If the expression is (a cast around) an l-value read, that l-value.
-    pub fn as_lval(&self) -> Option<&Lvalue> {
-        match &self.strip_casts().kind {
-            ExprKind::Lval(lv) => Some(lv),
-            _ => None,
-        }
-    }
-
-    /// [`Expr::as_lval`] by value: the l-value moves out of the
-    /// expression, so the parser builds `&e`, `e.f` and assignment
-    /// targets without copying it.
-    pub(crate) fn into_lval(self) -> Option<Lvalue> {
-        match self.kind {
-            ExprKind::Cast(_, inner) => inner.into_lval(),
-            ExprKind::Lval(lv) => Some(*lv),
-            _ => None,
-        }
-    }
 }
 
 /// An l-value (assignable location) with its source span.
@@ -353,41 +288,198 @@ pub enum LvalKind {
     /// A named variable (local, parameter, or global).
     Var(Symbol),
     /// `*e`.
-    Deref(Expr),
+    Deref(ExprId),
     /// `lv.f`.
-    Field(Box<Lvalue>, Symbol),
+    Field(LvalId, Symbol),
 }
 
-impl Lvalue {
-    /// Builds an l-value with a dummy span.
-    pub fn new(kind: LvalKind) -> Lvalue {
-        Lvalue {
-            kind,
-            span: Span::DUMMY,
+/// A program's expressions and l-values, each stored once in a flat
+/// vector and named by its id.
+///
+/// In a parsed program each node has exactly one parent: a statement, a
+/// declaration or another node. Dropping the arena frees two vectors,
+/// however deep the expressions are.
+///
+/// # Examples
+///
+/// ```
+/// use stq_cir::ast::{Arena, BinOp, ExprKind};
+///
+/// let mut arena = Arena::default();
+/// let x = arena.var("x");
+/// let one = arena.int(1);
+/// let sum = arena.binop(BinOp::Add, x, one);
+/// assert!(matches!(arena[sum].kind, ExprKind::Binop(BinOp::Add, a, b) if (a, b) == (x, one)));
+/// assert_eq!(arena.as_var(arena.as_lval(x).unwrap()).unwrap().as_str(), "x");
+/// ```
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+pub struct Arena {
+    exprs: Vec<Expr>,
+    lvals: Vec<Lvalue>,
+}
+
+impl Arena {
+    /// An empty arena with room for `exprs` expressions and `lvals`
+    /// l-values.
+    pub fn with_capacity(exprs: usize, lvals: usize) -> Arena {
+        Arena {
+            exprs: Vec::with_capacity(exprs),
+            lvals: Vec::with_capacity(lvals),
         }
     }
 
-    /// A named variable.
-    pub fn var(name: &str) -> Lvalue {
-        Lvalue::new(LvalKind::Var(Symbol::intern(name)))
+    /// Adds an expression node.
+    pub fn add_expr(&mut self, kind: ExprKind, span: Span) -> ExprId {
+        let id = u32::try_from(self.exprs.len()).expect("fewer than 2^32 expressions");
+        self.exprs.push(Expr { kind, span });
+        ExprId(id)
+    }
+
+    /// Adds an l-value node.
+    pub fn add_lval(&mut self, kind: LvalKind, span: Span) -> LvalId {
+        let id = u32::try_from(self.lvals.len()).expect("fewer than 2^32 l-values");
+        self.lvals.push(Lvalue { kind, span });
+        LvalId(id)
+    }
+
+    /// Integer literal, with a dummy span (for synthesized code).
+    pub fn int(&mut self, v: i64) -> ExprId {
+        self.add_expr(ExprKind::IntLit(v), Span::DUMMY)
+    }
+
+    /// The `NULL` constant.
+    pub fn null(&mut self) -> ExprId {
+        self.add_expr(ExprKind::Null, Span::DUMMY)
+    }
+
+    /// Reads a variable.
+    pub fn var(&mut self, name: &str) -> ExprId {
+        let lv = self.lvar(name);
+        self.read(lv)
+    }
+
+    /// Reads an l-value.
+    pub fn read(&mut self, lv: LvalId) -> ExprId {
+        self.add_expr(ExprKind::Lval(lv), Span::DUMMY)
+    }
+
+    /// `&lv`.
+    pub fn addr_of(&mut self, lv: LvalId) -> ExprId {
+        self.add_expr(ExprKind::AddrOf(lv), Span::DUMMY)
+    }
+
+    /// Binary operation.
+    pub fn binop(&mut self, op: BinOp, a: ExprId, b: ExprId) -> ExprId {
+        self.add_expr(ExprKind::Binop(op, a, b), Span::DUMMY)
+    }
+
+    /// Unary operation.
+    pub fn unop(&mut self, op: UnOp, a: ExprId) -> ExprId {
+        self.add_expr(ExprKind::Unop(op, a), Span::DUMMY)
+    }
+
+    /// `(ty) e`.
+    pub fn cast(&mut self, e: ExprId, ty: QualType) -> ExprId {
+        self.add_expr(ExprKind::Cast(ty, e), Span::DUMMY)
+    }
+
+    /// A named variable as an l-value.
+    pub fn lvar(&mut self, name: &str) -> LvalId {
+        self.add_lval(LvalKind::Var(Symbol::intern(name)), Span::DUMMY)
     }
 
     /// `*e`.
-    pub fn deref(e: Expr) -> Lvalue {
-        Lvalue::new(LvalKind::Deref(e))
+    pub fn deref(&mut self, e: ExprId) -> LvalId {
+        self.add_lval(LvalKind::Deref(e), Span::DUMMY)
     }
 
     /// `lv.f`.
-    pub fn field(lv: Lvalue, f: &str) -> Lvalue {
-        Lvalue::new(LvalKind::Field(Box::new(lv), Symbol::intern(f)))
+    pub fn field(&mut self, lv: LvalId, f: &str) -> LvalId {
+        self.add_lval(LvalKind::Field(lv, Symbol::intern(f)), Span::DUMMY)
+    }
+
+    /// The expression with top-level casts removed (pattern matching in
+    /// qualifier rules looks through casts, paper §2.2.1).
+    pub fn strip_casts(&self, mut e: ExprId) -> ExprId {
+        while let ExprKind::Cast(_, inner) = self[e].kind {
+            e = inner;
+        }
+        e
+    }
+
+    /// If the expression is (a cast around) an l-value read, that l-value.
+    pub fn as_lval(&self, e: ExprId) -> Option<LvalId> {
+        match self[self.strip_casts(e)].kind {
+            ExprKind::Lval(lv) => Some(lv),
+            _ => None,
+        }
     }
 
     /// The variable name, if this l-value is a plain variable.
-    pub fn as_var(&self) -> Option<Symbol> {
-        match self.kind {
+    pub fn as_var(&self, lv: LvalId) -> Option<Symbol> {
+        match self[lv].kind {
             LvalKind::Var(v) => Some(v),
             _ => None,
         }
+    }
+
+    /// A copy of the expression `e` as new nodes, sharing none with `e`.
+    pub fn copy_expr(&mut self, e: ExprId) -> ExprId {
+        let Expr { kind, span } = self[e].clone();
+        let kind = match kind {
+            ExprKind::Lval(lv) => ExprKind::Lval(self.copy_lval(lv)),
+            ExprKind::AddrOf(lv) => ExprKind::AddrOf(self.copy_lval(lv)),
+            ExprKind::Unop(op, a) => ExprKind::Unop(op, self.copy_expr(a)),
+            ExprKind::Binop(op, a, b) => {
+                let a = self.copy_expr(a);
+                ExprKind::Binop(op, a, self.copy_expr(b))
+            }
+            ExprKind::Cast(ty, a) => ExprKind::Cast(ty, self.copy_expr(a)),
+            leaf @ (ExprKind::IntLit(_)
+            | ExprKind::StrLit(_)
+            | ExprKind::Null
+            | ExprKind::SizeOf(_)) => leaf,
+        };
+        self.add_expr(kind, span)
+    }
+
+    /// A copy of the l-value `lv` as new nodes, sharing none with `lv`.
+    pub fn copy_lval(&mut self, lv: LvalId) -> LvalId {
+        let Lvalue { kind, span } = self[lv].clone();
+        let kind = match kind {
+            LvalKind::Var(v) => LvalKind::Var(v),
+            LvalKind::Deref(e) => LvalKind::Deref(self.copy_expr(e)),
+            LvalKind::Field(inner, f) => LvalKind::Field(self.copy_lval(inner), f),
+        };
+        self.add_lval(kind, span)
+    }
+}
+
+impl Index<ExprId> for Arena {
+    type Output = Expr;
+
+    fn index(&self, id: ExprId) -> &Expr {
+        &self.exprs[id.0 as usize]
+    }
+}
+
+impl IndexMut<ExprId> for Arena {
+    fn index_mut(&mut self, id: ExprId) -> &mut Expr {
+        &mut self.exprs[id.0 as usize]
+    }
+}
+
+impl Index<LvalId> for Arena {
+    type Output = Lvalue;
+
+    fn index(&self, id: LvalId) -> &Lvalue {
+        &self.lvals[id.0 as usize]
+    }
+}
+
+impl IndexMut<LvalId> for Arena {
+    fn index_mut(&mut self, id: LvalId) -> &mut Lvalue {
+        &mut self.lvals[id.0 as usize]
     }
 }
 
@@ -404,16 +496,16 @@ pub struct Instr {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum InstrKind {
     /// `lv = e;`
-    Set(Lvalue, Expr),
+    Set(LvalId, ExprId),
     /// `lv = f(args);` or `f(args);`
-    Call(Option<Lvalue>, Symbol, Vec<Expr>),
+    Call(Option<LvalId>, Symbol, Vec<ExprId>),
     /// `lv = malloc(size);` — matched by the `new` pattern in qualifier
     /// definitions. An optional cast type records `(T*)malloc(...)`.
-    Alloc(Lvalue, Expr),
+    Alloc(LvalId, ExprId),
     /// A run-time qualifier check inserted by cast instrumentation
     /// (paper §2.1.3): verifies the value of the expression satisfies the
     /// qualifier's invariant, aborting the program otherwise.
-    RuntimeCheck(Symbol, Expr),
+    RuntimeCheck(Symbol, ExprId),
 }
 
 impl Instr {
@@ -435,7 +527,7 @@ pub struct LocalDecl {
     pub ty: QualType,
     /// Optional initializer. Allocation initializers (`malloc`) appear as
     /// a separate [`InstrKind::Alloc`] emitted by the parser instead.
-    pub init: Option<Expr>,
+    pub init: Option<ExprId>,
     /// Source location.
     pub span: Span,
 }
@@ -457,11 +549,11 @@ pub enum StmtKind {
     /// A braced block.
     Block(Vec<Stmt>),
     /// `if (cond) then else?`
-    If(Expr, Box<Stmt>, Option<Box<Stmt>>),
+    If(ExprId, Box<Stmt>, Option<Box<Stmt>>),
     /// `while (cond) body`
-    While(Expr, Box<Stmt>),
+    While(ExprId, Box<Stmt>),
     /// `return e?;`
-    Return(Option<Expr>),
+    Return(Option<ExprId>),
     /// A local declaration.
     Decl(LocalDecl),
 }
@@ -535,7 +627,7 @@ pub struct GlobalDecl {
     /// Declared type.
     pub ty: QualType,
     /// Optional constant initializer.
-    pub init: Option<Expr>,
+    pub init: Option<ExprId>,
     /// Source location.
     pub span: Span,
 }
@@ -551,6 +643,8 @@ pub struct Program {
     pub protos: Vec<FuncProto>,
     /// Function definitions.
     pub funcs: Vec<FuncDef>,
+    /// Every expression and l-value the program holds.
+    pub arena: Arena,
 }
 
 impl Program {
@@ -605,17 +699,39 @@ mod tests {
 
     #[test]
     fn strip_casts_reaches_core() {
-        let e = Expr::int(3)
-            .cast(QualType::int().with_qual("pos"))
-            .cast(QualType::int());
-        assert_eq!(e.strip_casts(), &Expr::int(3));
+        let mut a = Arena::default();
+        let three = a.int(3);
+        let pos = a.cast(three, QualType::int().with_qual("pos"));
+        let e = a.cast(pos, QualType::int());
+        assert_eq!(a.strip_casts(e), three);
+        assert_eq!(a.strip_casts(three), three);
     }
 
     #[test]
     fn as_lval_sees_through_casts() {
-        let e = Expr::var("x").cast(QualType::int().ptr_to());
-        assert_eq!(e.as_lval(), Some(&Lvalue::var("x")));
-        assert_eq!(Expr::int(1).as_lval(), None);
+        let mut a = Arena::default();
+        let x = a.var("x");
+        let e = a.cast(x, QualType::int().ptr_to());
+        let lv = a.as_lval(e).expect("a read under a cast");
+        assert_eq!(a.as_var(lv), Some(Symbol::intern("x")));
+        let one = a.int(1);
+        assert_eq!(a.as_lval(one), None);
+    }
+
+    #[test]
+    fn a_copy_shares_no_node_with_its_original() {
+        let mut a = Arena::default();
+        let p = a.var("p");
+        let k = a.int(2);
+        let sum = a.binop(BinOp::Add, p, k);
+        let target = a.deref(sum);
+        let copy = a.copy_lval(target);
+        assert_ne!(copy, target);
+        let LvalKind::Deref(e) = a[copy].kind else {
+            panic!("a copy keeps its shape")
+        };
+        assert_ne!(e, sum);
+        assert_eq!(a[e].kind, ExprKind::Binop(BinOp::Add, ExprId(3), ExprId(4)));
     }
 
     #[test]

@@ -231,7 +231,7 @@ pub fn run_entry(
         let addr = interp.alloc(interp.size_of(&g.ty));
         interp.globals.insert(g.name, addr);
         interp.global_types.insert(g.name, g.ty.clone());
-        if let Some(init) = &g.init {
+        if let Some(init) = g.init {
             let mut frame = Frame::new();
             let v = interp.eval(&mut frame, init)?;
             interp.mem.insert(addr, v);
@@ -289,7 +289,13 @@ struct Interp<'a> {
     outcome: ExecOutcome,
 }
 
-impl Interp<'_> {
+impl<'a> Interp<'a> {
+    /// The program's arena, borrowed for as long as the program is.
+    fn arena(&self) -> &'a Arena {
+        let program: &'a Program = self.program;
+        &program.arena
+    }
+
     fn tick(&mut self) -> Result<(), RuntimeError> {
         self.steps += 1;
         if self.steps > self.config.max_steps {
@@ -401,7 +407,7 @@ impl Interp<'_> {
             }
             StmtKind::Block(stmts) => self.exec_block(frame, stmts),
             StmtKind::If(cond, then, els) => {
-                let c = self.eval(frame, cond)?;
+                let c = self.eval(frame, *cond)?;
                 if c.is_truthy() {
                     self.exec_stmt(frame, then)
                 } else if let Some(e) = els {
@@ -413,7 +419,7 @@ impl Interp<'_> {
             StmtKind::While(cond, body) => {
                 loop {
                     self.tick()?;
-                    let c = self.eval(frame, cond)?;
+                    let c = self.eval(frame, *cond)?;
                     if !c.is_truthy() {
                         break;
                     }
@@ -425,7 +431,7 @@ impl Interp<'_> {
             }
             StmtKind::Return(e) => {
                 let v = match e {
-                    Some(e) => Some(self.eval(frame, e)?),
+                    Some(e) => Some(self.eval(frame, *e)?),
                     None => None,
                 };
                 Ok(Flow::Return(v))
@@ -434,7 +440,7 @@ impl Interp<'_> {
                 let size = self.size_of(&d.ty);
                 let addr = self.alloc(size);
                 frame.declare(d.name, addr, d.ty.clone());
-                if let Some(init) = &d.init {
+                if let Some(init) = d.init {
                     let v = self.eval(frame, init)?;
                     self.mem.insert(addr, v);
                 }
@@ -447,35 +453,35 @@ impl Interp<'_> {
         self.tick()?;
         match &instr.kind {
             InstrKind::Set(lv, e) => {
-                let v = self.eval(frame, e)?;
-                let addr = self.lval_addr(frame, lv)?;
+                let v = self.eval(frame, *e)?;
+                let addr = self.lval_addr(frame, *lv)?;
                 self.mem.insert(addr, v);
                 Ok(())
             }
             InstrKind::Alloc(lv, size) => {
-                let n = match self.eval(frame, size)? {
+                let n = match self.eval(frame, *size)? {
                     Value::Int(n) if n >= 0 => n as u64,
                     _ => 1,
                 };
                 let addr = self.alloc(n.max(1));
-                let dst = self.lval_addr(frame, lv)?;
+                let dst = self.lval_addr(frame, *lv)?;
                 self.mem.insert(dst, Value::Ptr(addr));
                 Ok(())
             }
             InstrKind::Call(dst, fname, args) => {
                 let mut argv = Vec::with_capacity(args.len());
-                for a in args {
+                for &a in args {
                     argv.push(self.eval(frame, a)?);
                 }
                 let ret = self.dispatch_call(*fname, argv, instr.span)?;
-                if let Some(lv) = dst {
+                if let Some(lv) = *dst {
                     let addr = self.lval_addr(frame, lv)?;
                     self.mem.insert(addr, ret.unwrap_or(Value::Int(0)));
                 }
                 Ok(())
             }
             InstrKind::RuntimeCheck(qual, e) => {
-                let v = self.eval(frame, e)?;
+                let v = self.eval(frame, *e)?;
                 if self.checker.holds(*qual, v) {
                     self.outcome.checks_passed += 1;
                     Ok(())
@@ -510,11 +516,9 @@ impl Interp<'_> {
                 span,
             )),
             _ => {
-                if let Some(func) = self.program.func(fname) {
-                    // Clone body once per call; bodies are shared references
-                    // into the program otherwise.
-                    let func = func.clone();
-                    self.call(&func, args, span)
+                let program: &'a Program = self.program;
+                if let Some(func) = program.func(fname) {
+                    self.call(func, args, span)
                 } else {
                     Err(RuntimeError::UnknownFunction(fname, span))
                 }
@@ -620,30 +624,34 @@ impl Interp<'_> {
         Ok(len)
     }
 
-    fn lval_addr(&mut self, frame: &mut Frame, lv: &Lvalue) -> Result<u64, RuntimeError> {
-        match &lv.kind {
+    fn lval_addr(&mut self, frame: &mut Frame, lv: LvalId) -> Result<u64, RuntimeError> {
+        let lval = &self.arena()[lv];
+        match lval.kind {
             LvalKind::Var(name) => {
-                if let Some(&(addr, _)) = frame.lookup(*name) {
+                if let Some(&(addr, _)) = frame.lookup(name) {
                     Ok(addr)
-                } else if let Some(&addr) = self.globals.get(name) {
+                } else if let Some(&addr) = self.globals.get(&name) {
                     Ok(addr)
                 } else {
-                    Err(RuntimeError::Unbound(*name, lv.span))
+                    Err(RuntimeError::Unbound(name, lval.span))
                 }
             }
             LvalKind::Deref(e) => match self.eval(frame, e)? {
-                Value::Ptr(0) => Err(RuntimeError::NullDeref(lv.span)),
+                Value::Ptr(0) => Err(RuntimeError::NullDeref(lval.span)),
                 Value::Ptr(a) => Ok(a),
-                Value::Int(0) => Err(RuntimeError::NullDeref(lv.span)),
+                Value::Int(0) => Err(RuntimeError::NullDeref(lval.span)),
                 Value::Int(v) => Ok(v as u64),
             },
             LvalKind::Field(inner, f) => {
                 let base = self.lval_addr(frame, inner)?;
                 let tag = self.lval_struct_tag(frame, inner).ok_or_else(|| {
-                    RuntimeError::Unsupported("field access on non-struct".to_owned(), lv.span)
+                    RuntimeError::Unsupported("field access on non-struct".to_owned(), lval.span)
                 })?;
-                let (off, _) = self.field_offset(tag, *f).ok_or_else(|| {
-                    RuntimeError::Unsupported(format!("unknown field {f} of struct {tag}"), lv.span)
+                let (off, _) = self.field_offset(tag, f).ok_or_else(|| {
+                    RuntimeError::Unsupported(
+                        format!("unknown field {f} of struct {tag}"),
+                        lval.span,
+                    )
                 })?;
                 Ok(base.wrapping_add(off))
             }
@@ -651,7 +659,7 @@ impl Interp<'_> {
     }
 
     /// The struct tag of an l-value's static type, for field layout.
-    fn lval_struct_tag(&self, frame: &Frame, lv: &Lvalue) -> Option<Symbol> {
+    fn lval_struct_tag(&self, frame: &Frame, lv: LvalId) -> Option<Symbol> {
         let ty = self.lval_type(frame, lv)?;
         match ty.ty {
             Ty::Base(BaseTy::Struct(tag)) => Some(tag),
@@ -659,41 +667,42 @@ impl Interp<'_> {
         }
     }
 
-    fn lval_type(&self, frame: &Frame, lv: &Lvalue) -> Option<QualType> {
-        match &lv.kind {
+    fn lval_type(&self, frame: &Frame, lv: LvalId) -> Option<QualType> {
+        match self.arena()[lv].kind {
             LvalKind::Var(name) => frame
-                .lookup(*name)
+                .lookup(name)
                 .map(|(_, t)| t.clone())
-                .or_else(|| self.global_types.get(name).cloned()),
+                .or_else(|| self.global_types.get(&name).cloned()),
             LvalKind::Deref(e) => self.expr_type(frame, e)?.pointee().cloned(),
             LvalKind::Field(inner, f) => {
                 let tag = self.lval_struct_tag(frame, inner)?;
-                self.field_offset(tag, *f).map(|(_, t)| t)
+                self.field_offset(tag, f).map(|(_, t)| t)
             }
         }
     }
 
-    fn expr_type(&self, frame: &Frame, e: &Expr) -> Option<QualType> {
-        match &e.kind {
+    fn expr_type(&self, frame: &Frame, e: ExprId) -> Option<QualType> {
+        match &self.arena()[e].kind {
             ExprKind::IntLit(_) | ExprKind::SizeOf(_) => Some(QualType::int()),
             ExprKind::StrLit(_) => Some(QualType::char_ty().ptr_to()),
             ExprKind::Null => Some(QualType::void().ptr_to()),
-            ExprKind::Lval(lv) => self.lval_type(frame, lv),
-            ExprKind::AddrOf(lv) => Some(self.lval_type(frame, lv)?.ptr_to()),
+            ExprKind::Lval(lv) => self.lval_type(frame, *lv),
+            ExprKind::AddrOf(lv) => Some(self.lval_type(frame, *lv)?.ptr_to()),
             ExprKind::Unop(..) => Some(QualType::int()),
             ExprKind::Binop(BinOp::Add | BinOp::Sub, a, _) => {
                 // Pointer arithmetic keeps the pointer's type (the logical
                 // memory model).
-                self.expr_type(frame, a)
+                self.expr_type(frame, *a)
             }
             ExprKind::Binop(..) => Some(QualType::int()),
             ExprKind::Cast(ty, _) => Some(ty.clone()),
         }
     }
 
-    fn eval(&mut self, frame: &mut Frame, e: &Expr) -> Result<Value, RuntimeError> {
+    fn eval(&mut self, frame: &mut Frame, e: ExprId) -> Result<Value, RuntimeError> {
         self.tick()?;
-        match &e.kind {
+        let expr = &self.arena()[e];
+        match &expr.kind {
             ExprKind::IntLit(v) => Ok(Value::Int(*v)),
             ExprKind::Null => Ok(Value::NULL),
             ExprKind::StrLit(s) => {
@@ -708,32 +717,33 @@ impl Interp<'_> {
             }
             ExprKind::SizeOf(ty) => Ok(Value::Int(self.size_of(ty) as i64)),
             ExprKind::Lval(lv) => {
-                let addr = self.lval_addr(frame, lv)?;
+                let addr = self.lval_addr(frame, *lv)?;
                 Ok(self.load(addr))
             }
             ExprKind::AddrOf(lv) => {
-                let addr = self.lval_addr(frame, lv)?;
+                let addr = self.lval_addr(frame, *lv)?;
                 Ok(Value::Ptr(addr))
             }
-            ExprKind::Cast(_, inner) => self.eval(frame, inner),
+            ExprKind::Cast(_, inner) => self.eval(frame, *inner),
             ExprKind::Unop(op, a) => {
-                let v = self.eval(frame, a)?;
+                let v = self.eval(frame, *a)?;
                 match (op, v) {
                     (UnOp::Neg, Value::Int(x)) => x
                         .checked_neg()
                         .map(Value::Int)
-                        .ok_or(RuntimeError::ArithOverflow(e.span)),
+                        .ok_or(RuntimeError::ArithOverflow(expr.span)),
                     (UnOp::Not, v) => Ok(Value::Int(i64::from(!v.is_truthy()))),
                     (UnOp::BitNot, Value::Int(x)) => Ok(Value::Int(!x)),
                     _ => Err(RuntimeError::Unsupported(
                         format!("unary {op} on pointer"),
-                        e.span,
+                        expr.span,
                     )),
                 }
             }
             ExprKind::Binop(op, a, b) => {
+                let (op, a, b) = (*op, *a, *b);
                 // Short-circuit logical operators.
-                if *op == BinOp::And {
+                if op == BinOp::And {
                     let va = self.eval(frame, a)?;
                     if !va.is_truthy() {
                         return Ok(Value::Int(0));
@@ -741,7 +751,7 @@ impl Interp<'_> {
                     let vb = self.eval(frame, b)?;
                     return Ok(Value::Int(i64::from(vb.is_truthy())));
                 }
-                if *op == BinOp::Or {
+                if op == BinOp::Or {
                     let va = self.eval(frame, a)?;
                     if va.is_truthy() {
                         return Ok(Value::Int(1));
@@ -751,7 +761,7 @@ impl Interp<'_> {
                 }
                 let va = self.eval(frame, a)?;
                 let vb = self.eval(frame, b)?;
-                self.binop(*op, va, vb, e.span)
+                self.binop(op, va, vb, expr.span)
             }
         }
     }
@@ -991,6 +1001,7 @@ mod tests {
         use crate::ast::{InstrKind, StmtKind};
         // Build f() { __check_pos(0); } directly.
         let mut p = Program::new();
+        let zero = p.arena.int(0);
         p.funcs.push(FuncDef {
             name: Symbol::intern("f"),
             sig: FuncSig {
@@ -999,7 +1010,7 @@ mod tests {
                 varargs: false,
             },
             body: vec![Stmt::new(StmtKind::Instr(Instr::new(
-                InstrKind::RuntimeCheck(Symbol::intern("pos"), Expr::int(0)),
+                InstrKind::RuntimeCheck(Symbol::intern("pos"), zero),
             )))],
             span: Span::DUMMY,
         });
@@ -1016,6 +1027,7 @@ mod tests {
     #[test]
     fn runtime_check_pass_is_counted() {
         let mut p = Program::new();
+        let three = p.arena.int(3);
         p.funcs.push(FuncDef {
             name: Symbol::intern("f"),
             sig: FuncSig {
@@ -1024,7 +1036,7 @@ mod tests {
                 varargs: false,
             },
             body: vec![Stmt::new(StmtKind::Instr(Instr::new(
-                InstrKind::RuntimeCheck(Symbol::intern("pos"), Expr::int(3)),
+                InstrKind::RuntimeCheck(Symbol::intern("pos"), three),
             )))],
             span: Span::DUMMY,
         });

@@ -211,8 +211,9 @@ impl std::error::Error for LexError {}
 /// ```
 pub fn lex(src: &str) -> Result<Lexed, LexError> {
     let bytes = src.as_bytes();
-    // About one token per four bytes of C; the vector grows if needed.
-    let mut toks = Vec::with_capacity(src.len() / 4 + 1);
+    // The corpus has a token per 2.6 to 3.2 bytes; the vector grows if
+    // a source is denser.
+    let mut toks = Vec::with_capacity(src.len() / 2 + 1);
     let mut strs = Vec::new();
     let mut symbols: HashMap<&str, Symbol> = HashMap::new();
     let mut i = 0usize;

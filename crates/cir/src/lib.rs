@@ -8,14 +8,16 @@
 //! * [`ast`] — the intermediate representation, with CIL's defining
 //!   property that **expressions are side-effect-free** and calls,
 //!   assignments, and allocation are separate *instructions*;
+//!   expressions and l-values live in one flat [`Arena`] per program and
+//!   refer to each other by id;
 //! * [`lex`] / [`parse`] — a front end that reads C-subset source with
 //!   postfix qualifier annotations (`int pos x`, `char * untainted fmt`)
 //!   and performs CIL-style normalization (`a[i]` → `*(a+i)`,
 //!   `e->f` → `(*e).f`, calls hoisted out of initializers, `for` → `while`);
-//! * the traversal — [`Stmt::walk`], [`Stmt::exprs`], [`Expr::walk`] and
-//!   [`Lvalue::exprs`], each with a `_mut` twin — the one place that
-//!   says which node holds which children, for the passes that only need
-//!   to reach nodes;
+//! * the traversal — [`Stmt::walk`] (with its `_mut` twin),
+//!   [`Stmt::exprs`], [`Arena::walk_expr`] and [`Arena::lval_exprs`] —
+//!   the one place that says which node holds which children, for the
+//!   passes that only need to reach nodes;
 //! * [`pretty`] — prints the IR back to compilable C-subset text;
 //! * [`interp`] — a concrete interpreter used to execute instrumented
 //!   run-time qualifier checks and to differentially test soundness.
@@ -44,7 +46,8 @@ pub mod pretty;
 mod visit;
 
 pub use ast::{
-    BaseTy, BinOp, Expr, ExprKind, FuncDef, FuncProto, FuncSig, GlobalDecl, Instr, InstrKind,
-    LocalDecl, LvalKind, Lvalue, Program, QualType, Stmt, StmtKind, StructDef, Ty, UnOp,
+    Arena, BaseTy, BinOp, Expr, ExprId, ExprKind, FuncDef, FuncProto, FuncSig, GlobalDecl, Instr,
+    InstrKind, LocalDecl, LvalId, LvalKind, Lvalue, Program, QualType, Stmt, StmtKind, StructDef,
+    Ty, UnOp,
 };
 pub use parse::{parse_program, parse_program_resilient, ParseError};

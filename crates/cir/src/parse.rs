@@ -98,7 +98,12 @@ pub fn parse_program_resilient(src: &str, qualifiers: &[&str]) -> (Program, Vec<
         Ok(lexed) => lexed,
         Err(e) => return (Program::new(), vec![e.into()]),
     };
+    // Sized from the token count, so a parse rarely grows them: the
+    // corpus makes up to 0.68 expressions and 0.37 l-values per token.
+    let n = lexed.toks.len();
+    let arena = Arena::with_capacity(n * 3 / 4, n * 2 / 5);
     let mut p = Parser {
+        arena,
         toks: lexed.toks,
         strs: lexed.strs,
         kw: keywords(),
@@ -106,11 +111,14 @@ pub fn parse_program_resilient(src: &str, qualifiers: &[&str]) -> (Program, Vec<
         quals: qualifiers.iter().map(|q| Symbol::intern(q)).collect(),
         errors: Vec::new(),
     };
-    let prog = p.program();
+    let mut prog = p.program();
+    prog.arena = p.arena;
     (prog, p.errors)
 }
 
 struct Parser {
+    /// The nodes of the program being parsed.
+    arena: Arena,
     toks: Vec<Token>,
     /// String literals' contents, indexed by [`Tok::Str`]; each moves
     /// into the literal expression that consumes its token.
@@ -631,7 +639,7 @@ impl Parser {
         }
         self.expect(Tok::Semi)?;
         let cond = if self.peek() == Tok::Semi {
-            Expr::int(1)
+            self.arena.int(1)
         } else {
             self.parse_expr()?
         };
@@ -668,10 +676,7 @@ impl Parser {
         };
         if self.peek() == Tok::Assign {
             self.bump();
-            let lv = Lvalue {
-                kind: LvalKind::Var(name),
-                span: decl.span,
-            };
+            let lv = self.arena.add_lval(LvalKind::Var(name), decl.span);
             match self.parse_rhs()? {
                 Rhs::Expr(e) => {
                     decl.init = Some(e);
@@ -744,8 +749,8 @@ impl Parser {
         }
         // Assignment target.
         let target = self.parse_unary()?;
-        let target_span = target.span;
-        let Some(lv) = target.into_lval() else {
+        let target_span = self.arena[target].span;
+        let Some(lv) = self.arena.as_lval(target) else {
             return self.err("expected assignable l-value");
         };
         match self.peek() {
@@ -779,17 +784,17 @@ impl Parser {
             Tok::PlusPlus | Tok::PlusEq | Tok::MinusMinus | Tok::MinusEq => {
                 let op_tok = self.bump();
                 let (op, rhs) = match op_tok {
-                    Tok::PlusPlus => (BinOp::Add, Expr::int(1)),
-                    Tok::MinusMinus => (BinOp::Sub, Expr::int(1)),
+                    Tok::PlusPlus => (BinOp::Add, self.arena.int(1)),
+                    Tok::MinusMinus => (BinOp::Sub, self.arena.int(1)),
                     Tok::PlusEq => (BinOp::Add, self.parse_expr()?),
                     Tok::MinusEq => (BinOp::Sub, self.parse_expr()?),
                     _ => unreachable!("matched above"),
                 };
-                let read = Expr {
-                    kind: ExprKind::Lval(Box::new(lv.clone())),
-                    span: target_span,
-                };
-                let value = Expr::binop(op, read, rhs);
+                // The read half copies the target, so each node keeps one
+                // parent.
+                let read_lv = self.arena.copy_lval(lv);
+                let read = self.arena.add_expr(ExprKind::Lval(read_lv), target_span);
+                let value = self.arena.binop(op, read, rhs);
                 out.push(Stmt {
                     kind: StmtKind::Instr(Instr {
                         kind: InstrKind::Set(lv, value),
@@ -806,7 +811,7 @@ impl Parser {
         }
     }
 
-    fn call_args(&mut self) -> PResult<Vec<Expr>> {
+    fn call_args(&mut self) -> PResult<Vec<ExprId>> {
         self.expect(Tok::LParen)?;
         let mut args = Vec::new();
         if self.peek() != Tok::RParen {
@@ -835,11 +840,8 @@ impl Parser {
             self.expect(Tok::RParen)?;
             match self.parse_rhs()? {
                 Rhs::Expr(e) => {
-                    let span = e.span;
-                    return Ok(Rhs::Expr(Expr {
-                        kind: ExprKind::Cast(ty, Box::new(e)),
-                        span,
-                    }));
+                    let span = self.arena[e].span;
+                    return Ok(Rhs::Expr(self.arena.add_expr(ExprKind::Cast(ty, e), span)));
                 }
                 other => return Ok(other),
             }
@@ -849,7 +851,10 @@ impl Parser {
                 self.bump();
                 let args = self.call_args()?;
                 if f == self.kw.malloc {
-                    let size = args.into_iter().next().unwrap_or_else(|| Expr::int(1));
+                    let size = match args.first() {
+                        Some(&size) => size,
+                        None => self.arena.int(1),
+                    };
                     return Ok(Rhs::Alloc(size));
                 }
                 return Ok(Rhs::Call(f, args));
@@ -860,7 +865,7 @@ impl Parser {
 
     // ----- expressions -----
 
-    fn parse_expr(&mut self) -> PResult<Expr> {
+    fn parse_expr(&mut self) -> PResult<ExprId> {
         self.parse_binary(1)
     }
 
@@ -868,7 +873,7 @@ impl Parser {
     /// at least as tightly as `min`. Every level is left-associative but
     /// the comparisons', which does not chain: `a < b < c` stops before
     /// the second `<`, where the caller reports it.
-    fn parse_binary(&mut self, min: u8) -> PResult<Expr> {
+    fn parse_binary(&mut self, min: u8) -> PResult<ExprId> {
         let mut lhs = self.parse_unary()?;
         // The loosest operator that may follow `lhs`: the right operand
         // took every operator binding tighter than the one just applied,
@@ -880,17 +885,14 @@ impl Parser {
             }
             self.bump();
             let rhs = self.parse_binary(prec + 1)?;
-            let span = lhs.span.to(rhs.span);
-            lhs = Expr {
-                kind: ExprKind::Binop(op, Box::new(lhs), Box::new(rhs)),
-                span,
-            };
+            let span = self.arena[lhs].span.to(self.arena[rhs].span);
+            lhs = self.arena.add_expr(ExprKind::Binop(op, lhs, rhs), span);
             max = if op.is_comparison() { prec - 1 } else { prec };
         }
         Ok(lhs)
     }
 
-    fn parse_unary(&mut self) -> PResult<Expr> {
+    fn parse_unary(&mut self) -> PResult<ExprId> {
         let start = self.span();
         match self.peek() {
             tok @ (Tok::Minus | Tok::Not | Tok::Tilde) => {
@@ -901,33 +903,22 @@ impl Parser {
                 };
                 self.bump();
                 let e = self.parse_unary()?;
-                let span = start.to(e.span);
-                Ok(Expr {
-                    kind: ExprKind::Unop(op, Box::new(e)),
-                    span,
-                })
+                let span = start.to(self.arena[e].span);
+                Ok(self.arena.add_expr(ExprKind::Unop(op, e), span))
             }
             Tok::Star => {
                 self.bump();
                 let e = self.parse_unary()?;
-                let span = start.to(e.span);
-                Ok(Expr {
-                    kind: ExprKind::Lval(Box::new(Lvalue {
-                        kind: LvalKind::Deref(e),
-                        span,
-                    })),
-                    span,
-                })
+                let span = start.to(self.arena[e].span);
+                let lv = self.arena.add_lval(LvalKind::Deref(e), span);
+                Ok(self.arena.add_expr(ExprKind::Lval(lv), span))
             }
             Tok::Amp => {
                 self.bump();
                 let e = self.parse_unary()?;
-                let span = start.to(e.span);
-                match e.into_lval() {
-                    Some(lv) => Ok(Expr {
-                        kind: ExprKind::AddrOf(Box::new(lv)),
-                        span,
-                    }),
+                let span = start.to(self.arena[e].span);
+                match self.arena.as_lval(e) {
+                    Some(lv) => Ok(self.arena.add_expr(ExprKind::AddrOf(lv), span)),
                     None => self.err("`&` requires an l-value operand"),
                 }
             }
@@ -937,116 +928,82 @@ impl Parser {
                 let ty = self.parse_type()?;
                 self.expect(Tok::RParen)?;
                 let e = self.parse_unary()?;
-                let span = start.to(e.span);
-                Ok(Expr {
-                    kind: ExprKind::Cast(ty, Box::new(e)),
-                    span,
-                })
+                let span = start.to(self.arena[e].span);
+                Ok(self.arena.add_expr(ExprKind::Cast(ty, e), span))
             }
             _ => self.parse_postfix(),
         }
     }
 
-    fn parse_postfix(&mut self) -> PResult<Expr> {
+    fn parse_postfix(&mut self) -> PResult<ExprId> {
         let mut e = self.parse_primary()?;
         loop {
-            match self.peek() {
+            let lv = match self.peek() {
                 Tok::LBracket => {
                     self.bump();
                     let idx = self.parse_expr()?;
                     self.expect(Tok::RBracket)?;
-                    let span = e.span.to(self.prev_span());
+                    let span = self.arena[e].span.to(self.prev_span());
                     // a[i] ≡ *(a + i)
-                    let sum = Expr {
-                        kind: ExprKind::Binop(BinOp::Add, Box::new(e), Box::new(idx)),
-                        span,
-                    };
-                    e = Expr {
-                        kind: ExprKind::Lval(Box::new(Lvalue {
-                            kind: LvalKind::Deref(sum),
-                            span,
-                        })),
-                        span,
-                    };
+                    let sum = self
+                        .arena
+                        .add_expr(ExprKind::Binop(BinOp::Add, e, idx), span);
+                    self.arena.add_lval(LvalKind::Deref(sum), span)
                 }
                 Tok::Dot => {
                     self.bump();
                     let f = self.ident()?;
-                    let span = e.span.to(self.prev_span());
-                    let Some(lv) = e.into_lval() else {
+                    let span = self.arena[e].span.to(self.prev_span());
+                    let Some(lv) = self.arena.as_lval(e) else {
                         return self.err("`.` requires an l-value operand");
                     };
-                    e = Expr {
-                        kind: ExprKind::Lval(Box::new(Lvalue {
-                            kind: LvalKind::Field(Box::new(lv), f),
-                            span,
-                        })),
-                        span,
-                    };
+                    self.arena.add_lval(LvalKind::Field(lv, f), span)
                 }
                 Tok::Arrow => {
                     self.bump();
                     let f = self.ident()?;
-                    let span = e.span.to(self.prev_span());
+                    let span = self.arena[e].span.to(self.prev_span());
                     // e->f ≡ (*e).f
-                    let deref = Lvalue {
-                        kind: LvalKind::Deref(e),
-                        span,
-                    };
-                    e = Expr {
-                        kind: ExprKind::Lval(Box::new(Lvalue {
-                            kind: LvalKind::Field(Box::new(deref), f),
-                            span,
-                        })),
-                        span,
-                    };
+                    let deref = self.arena.add_lval(LvalKind::Deref(e), span);
+                    self.arena.add_lval(LvalKind::Field(deref, f), span)
                 }
                 _ => break,
-            }
+            };
+            let span = self.arena[lv].span;
+            e = self.arena.add_expr(ExprKind::Lval(lv), span);
         }
         Ok(e)
     }
 
-    fn parse_primary(&mut self) -> PResult<Expr> {
+    fn parse_primary(&mut self) -> PResult<ExprId> {
         let start = self.span();
         let kw = self.kw;
-        match self.peek() {
+        let kind = match self.peek() {
             Tok::Int(v) => {
                 self.bump();
-                Ok(Expr {
-                    kind: ExprKind::IntLit(v),
-                    span: start,
-                })
+                ExprKind::IntLit(v)
             }
             Tok::Str(i) => {
                 self.bump();
-                Ok(Expr {
-                    kind: ExprKind::StrLit(std::mem::take(&mut self.strs[i as usize])),
-                    span: start,
-                })
+                ExprKind::StrLit(std::mem::take(&mut self.strs[i as usize]))
             }
             Tok::LParen => {
                 self.bump();
                 let e = self.parse_expr()?;
                 self.expect(Tok::RParen)?;
-                Ok(e)
+                return Ok(e);
             }
             Tok::Ident(s) if s == kw.null => {
                 self.bump();
-                Ok(Expr {
-                    kind: ExprKind::Null,
-                    span: start,
-                })
+                ExprKind::Null
             }
             Tok::Ident(s) if s == kw.sizeof => {
                 self.bump();
                 self.expect(Tok::LParen)?;
                 let ty = self.parse_type()?;
                 self.expect(Tok::RParen)?;
-                Ok(Expr {
-                    kind: ExprKind::SizeOf(ty),
-                    span: start.to(self.prev_span()),
-                })
+                let span = start.to(self.prev_span());
+                return Ok(self.arena.add_expr(ExprKind::SizeOf(ty), span));
             }
             Tok::Ident(s) => {
                 if self.peek_at(1) == Tok::LParen {
@@ -1055,23 +1012,18 @@ impl Parser {
                     ));
                 }
                 self.bump();
-                Ok(Expr {
-                    kind: ExprKind::Lval(Box::new(Lvalue {
-                        kind: LvalKind::Var(s),
-                        span: start,
-                    })),
-                    span: start,
-                })
+                ExprKind::Lval(self.arena.add_lval(LvalKind::Var(s), start))
             }
-            other => self.err(format!("expected expression, found `{}`", self.show(other))),
-        }
+            other => return self.err(format!("expected expression, found `{}`", self.show(other))),
+        };
+        Ok(self.arena.add_expr(kind, start))
     }
 }
 
 enum Rhs {
-    Expr(Expr),
-    Call(Symbol, Vec<Expr>),
-    Alloc(Expr),
+    Expr(ExprId),
+    Call(Symbol, Vec<ExprId>),
+    Alloc(ExprId),
 }
 
 #[cfg(test)]
@@ -1115,7 +1067,7 @@ mod tests {
         ));
         match &lcm.body[3].kind {
             StmtKind::Return(Some(e)) => {
-                assert!(matches!(e.kind, ExprKind::Cast(_, _)));
+                assert!(matches!(p.arena[*e].kind, ExprKind::Cast(_, _)));
             }
             other => panic!("expected return, got {other:?}"),
         }
@@ -1161,9 +1113,12 @@ mod tests {
             StmtKind::Instr(Instr {
                 kind: InstrKind::Set(lv, _),
                 ..
-            }) => match &lv.kind {
+            }) => match &p.arena[*lv].kind {
                 LvalKind::Deref(e) => {
-                    assert!(matches!(e.kind, ExprKind::Binop(BinOp::Add, _, _)));
+                    assert!(matches!(
+                        p.arena[*e].kind,
+                        ExprKind::Binop(BinOp::Add, _, _)
+                    ));
                 }
                 other => panic!("expected deref, got {other:?}"),
             },
@@ -1185,11 +1140,11 @@ mod tests {
             StmtKind::Instr(Instr {
                 kind: InstrKind::Set(_, e),
                 ..
-            }) => match &e.kind {
-                ExprKind::Lval(lv) => match &lv.kind {
+            }) => match &p.arena[*e].kind {
+                ExprKind::Lval(lv) => match &p.arena[*lv].kind {
                     LvalKind::Field(inner, f) => {
                         assert_eq!(f.as_str(), "d_name");
-                        assert!(matches!(inner.kind, LvalKind::Deref(_)));
+                        assert!(matches!(p.arena[*inner].kind, LvalKind::Deref(_)));
                     }
                     other => panic!("expected field, got {other:?}"),
                 },
@@ -1233,7 +1188,10 @@ mod tests {
         let p = parse("void f(int* t) { while (t != NULL) { t = NULL; } }");
         match &p.funcs[0].body[0].kind {
             StmtKind::While(cond, _) => {
-                assert!(matches!(cond.kind, ExprKind::Binop(BinOp::Ne, _, _)));
+                assert!(matches!(
+                    p.arena[*cond].kind,
+                    ExprKind::Binop(BinOp::Ne, _, _)
+                ));
             }
             other => panic!("expected while, got {other:?}"),
         }
@@ -1248,9 +1206,9 @@ mod tests {
                     kind: InstrKind::Set(lv, e),
                     ..
                 }) => {
-                    assert_eq!(lv.as_var(), Some(Symbol::intern("i")));
+                    assert_eq!(p.arena.as_var(*lv), Some(Symbol::intern("i")));
                     assert!(matches!(
-                        e.kind,
+                        p.arena[*e].kind,
                         ExprKind::Binop(BinOp::Add | BinOp::Sub, _, _)
                     ));
                 }
@@ -1294,8 +1252,8 @@ mod tests {
         );
         match &p.funcs[0].body[0].kind {
             StmtKind::Decl(d) => {
-                let init = d.init.as_ref().unwrap();
-                assert!(matches!(init.kind, ExprKind::Cast(_, _)));
+                let init = d.init.unwrap();
+                assert!(matches!(p.arena[init].kind, ExprKind::Cast(_, _)));
             }
             other => panic!("expected decl, got {other:?}"),
         }
@@ -1304,13 +1262,8 @@ mod tests {
     #[test]
     fn global_with_initializer() {
         let p = parse("int pos limit = 100;");
-        assert_eq!(
-            p.globals[0].init,
-            Some(Expr {
-                kind: ExprKind::IntLit(100),
-                span: p.globals[0].init.as_ref().unwrap().span,
-            })
-        );
+        let init = p.globals[0].init.expect("an initializer");
+        assert_eq!(p.arena[init].kind, ExprKind::IntLit(100));
     }
 
     #[test]

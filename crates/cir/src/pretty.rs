@@ -13,6 +13,7 @@ use std::fmt::Write as _;
 /// the same qualifier set is supplied (run-time check instructions print
 /// as `__stq_check_<qual>(e)` calls and do not round-trip).
 pub fn program_to_string(p: &Program) -> String {
+    let a = &p.arena;
     let mut out = String::new();
     for s in &p.structs {
         let _ = writeln!(out, "struct {} {{", s.name);
@@ -22,9 +23,9 @@ pub fn program_to_string(p: &Program) -> String {
         let _ = writeln!(out, "}};");
     }
     for g in &p.globals {
-        match &g.init {
+        match g.init {
             Some(e) => {
-                let _ = writeln!(out, "{} {} = {};", g.ty, g.name, expr_to_string(e));
+                let _ = writeln!(out, "{} {} = {};", g.ty, g.name, expr_to_string(a, e));
             }
             None => {
                 let _ = writeln!(out, "{} {};", g.ty, g.name);
@@ -49,7 +50,7 @@ pub fn program_to_string(p: &Program) -> String {
             params_to_string(&f.sig)
         );
         for stmt in &f.body {
-            write_stmt(&mut out, stmt, 1);
+            write_stmt(&mut out, a, stmt, 1);
         }
         let _ = writeln!(out, "}}");
     }
@@ -78,25 +79,25 @@ fn indent(out: &mut String, level: usize) {
     }
 }
 
-fn write_stmt(out: &mut String, stmt: &Stmt, level: usize) {
+fn write_stmt(out: &mut String, a: &Arena, stmt: &Stmt, level: usize) {
     match &stmt.kind {
         StmtKind::Instr(i) => {
             indent(out, level);
-            let _ = writeln!(out, "{}", instr_to_string(i));
+            let _ = writeln!(out, "{}", instr_to_string(a, i));
         }
         StmtKind::Block(stmts) => {
             indent(out, level);
             out.push_str("{\n");
             for s in stmts {
-                write_stmt(out, s, level + 1);
+                write_stmt(out, a, s, level + 1);
             }
             indent(out, level);
             out.push_str("}\n");
         }
         StmtKind::If(cond, then, els) => {
             indent(out, level);
-            let _ = writeln!(out, "if ({}) {{", expr_to_string(cond));
-            write_body(out, then, level);
+            let _ = writeln!(out, "if ({}) {{", expr_to_string(a, *cond));
+            write_body(out, a, then, level);
             match els {
                 None => {
                     indent(out, level);
@@ -105,7 +106,7 @@ fn write_stmt(out: &mut String, stmt: &Stmt, level: usize) {
                 Some(e) => {
                     indent(out, level);
                     out.push_str("} else {\n");
-                    write_body(out, e, level);
+                    write_body(out, a, e, level);
                     indent(out, level);
                     out.push_str("}\n");
                 }
@@ -113,8 +114,8 @@ fn write_stmt(out: &mut String, stmt: &Stmt, level: usize) {
         }
         StmtKind::While(cond, body) => {
             indent(out, level);
-            let _ = writeln!(out, "while ({}) {{", expr_to_string(cond));
-            write_body(out, body, level);
+            let _ = writeln!(out, "while ({}) {{", expr_to_string(a, *cond));
+            write_body(out, a, body, level);
             indent(out, level);
             out.push_str("}\n");
         }
@@ -124,13 +125,13 @@ fn write_stmt(out: &mut String, stmt: &Stmt, level: usize) {
         }
         StmtKind::Return(Some(e)) => {
             indent(out, level);
-            let _ = writeln!(out, "return {};", expr_to_string(e));
+            let _ = writeln!(out, "return {};", expr_to_string(a, *e));
         }
         StmtKind::Decl(d) => {
             indent(out, level);
-            match &d.init {
+            match d.init {
                 Some(e) => {
-                    let _ = writeln!(out, "{} {} = {};", d.ty, d.name, expr_to_string(e));
+                    let _ = writeln!(out, "{} {} = {};", d.ty, d.name, expr_to_string(a, e));
                 }
                 None => {
                     let _ = writeln!(out, "{} {};", d.ty, d.name);
@@ -141,90 +142,98 @@ fn write_stmt(out: &mut String, stmt: &Stmt, level: usize) {
 }
 
 /// Writes the inside of an `if`/`while` body (flattening a block).
-fn write_body(out: &mut String, stmt: &Stmt, level: usize) {
+fn write_body(out: &mut String, a: &Arena, stmt: &Stmt, level: usize) {
     match &stmt.kind {
         StmtKind::Block(stmts) => {
             for s in stmts {
-                write_stmt(out, s, level + 1);
+                write_stmt(out, a, s, level + 1);
             }
         }
-        _ => write_stmt(out, stmt, level + 1),
+        _ => write_stmt(out, a, stmt, level + 1),
     }
 }
 
-/// Renders a single instruction.
-pub fn instr_to_string(i: &Instr) -> String {
+/// Renders a single instruction; `a` is its program's arena.
+pub fn instr_to_string(a: &Arena, i: &Instr) -> String {
     match &i.kind {
         InstrKind::Set(lv, e) => {
-            format!("{} = {};", lval_to_string(lv), expr_to_string(e))
+            format!("{} = {};", lval_to_string(a, *lv), expr_to_string(a, *e))
         }
-        InstrKind::Call(None, f, args) => format!("{f}({});", args_to_string(args)),
+        InstrKind::Call(None, f, args) => format!("{f}({});", args_to_string(a, args)),
         InstrKind::Call(Some(lv), f, args) => {
-            format!("{} = {f}({});", lval_to_string(lv), args_to_string(args))
+            format!(
+                "{} = {f}({});",
+                lval_to_string(a, *lv),
+                args_to_string(a, args)
+            )
         }
         InstrKind::Alloc(lv, size) => {
-            format!("{} = malloc({});", lval_to_string(lv), expr_to_string(size))
+            format!(
+                "{} = malloc({});",
+                lval_to_string(a, *lv),
+                expr_to_string(a, *size)
+            )
         }
         InstrKind::RuntimeCheck(q, e) => {
-            format!("__stq_check_{q}({});", expr_to_string(e))
+            format!("__stq_check_{q}({});", expr_to_string(a, *e))
         }
     }
 }
 
-fn args_to_string(args: &[Expr]) -> String {
+fn args_to_string(a: &Arena, args: &[ExprId]) -> String {
     args.iter()
-        .map(expr_to_string)
+        .map(|&e| expr_to_string(a, e))
         .collect::<Vec<_>>()
         .join(", ")
 }
 
 /// Renders an expression (fully parenthesized where precedence matters).
-pub fn expr_to_string(e: &Expr) -> String {
-    match &e.kind {
+pub fn expr_to_string(a: &Arena, e: ExprId) -> String {
+    match &a[e].kind {
         ExprKind::IntLit(v) => v.to_string(),
         ExprKind::StrLit(s) => format!("{:?}", s),
         ExprKind::Null => "NULL".to_owned(),
-        ExprKind::Lval(lv) => lval_to_string(lv),
-        ExprKind::AddrOf(lv) => format!("&{}", lval_to_string(lv)),
-        ExprKind::Unop(op, a) => {
+        ExprKind::Lval(lv) => lval_to_string(a, *lv),
+        ExprKind::AddrOf(lv) => format!("&{}", lval_to_string(a, *lv)),
+        ExprKind::Unop(op, x) => {
             // A negative-literal operand renders starting with `-`; left
             // bare it would fuse with a `-` operator into an unparseable
             // `--` token (found by `stqc fuzz`'s round-trip oracle).
-            let inner = atom(a);
+            let inner = atom(a, *x);
             if inner.starts_with('-') {
                 format!("{op}({inner})")
             } else {
                 format!("{op}{inner}")
             }
         }
-        ExprKind::Binop(op, a, b) => format!("{} {op} {}", atom(a), atom(b)),
-        ExprKind::Cast(ty, a) => format!("({ty}) {}", atom(a)),
+        ExprKind::Binop(op, x, y) => format!("{} {op} {}", atom(a, *x), atom(a, *y)),
+        ExprKind::Cast(ty, x) => format!("({ty}) {}", atom(a, *x)),
         ExprKind::SizeOf(ty) => format!("sizeof({ty})"),
     }
 }
 
 /// Renders an expression, parenthesizing anything compound.
-fn atom(e: &Expr) -> String {
-    match &e.kind {
+fn atom(a: &Arena, e: ExprId) -> String {
+    match &a[e].kind {
         ExprKind::IntLit(_)
         | ExprKind::StrLit(_)
         | ExprKind::Null
         | ExprKind::Lval(_)
         | ExprKind::SizeOf(_)
-        | ExprKind::AddrOf(_) => expr_to_string(e),
-        _ => format!("({})", expr_to_string(e)),
+        | ExprKind::AddrOf(_) => expr_to_string(a, e),
+        _ => format!("({})", expr_to_string(a, e)),
     }
 }
 
 /// Renders an l-value.
-pub fn lval_to_string(lv: &Lvalue) -> String {
-    match &lv.kind {
+pub fn lval_to_string(a: &Arena, lv: LvalId) -> String {
+    match &a[lv].kind {
         LvalKind::Var(v) => v.to_string(),
-        LvalKind::Deref(e) => format!("*{}", atom(e)),
-        LvalKind::Field(inner, f) => match &inner.kind {
+        LvalKind::Deref(e) => format!("*{}", atom(a, *e)),
+        LvalKind::Field(inner, f) => match &a[*inner].kind {
             // Print (*e).f back as e->f for readability.
-            LvalKind::Deref(e) => format!("{}->{f}", atom(e)),
-            _ => format!("{}.{f}", lval_to_string(inner)),
+            LvalKind::Deref(e) => format!("{}->{f}", atom(a, *e)),
+            _ => format!("{}.{f}", lval_to_string(a, *inner)),
         },
     }
 }
@@ -300,27 +309,28 @@ mod tests {
 
     #[test]
     fn runtime_check_prints() {
-        let i = Instr::new(InstrKind::RuntimeCheck(
-            stq_util::Symbol::intern("pos"),
-            Expr::var("x"),
-        ));
-        assert_eq!(instr_to_string(&i), "__stq_check_pos(x);");
+        let mut a = Arena::default();
+        let x = a.var("x");
+        let i = Instr::new(InstrKind::RuntimeCheck(stq_util::Symbol::intern("pos"), x));
+        assert_eq!(instr_to_string(&a, &i), "__stq_check_pos(x);");
     }
 
     #[test]
     fn expr_precedence_is_parenthesized() {
-        let e = Expr::binop(
-            BinOp::Mul,
-            Expr::binop(BinOp::Add, Expr::var("a"), Expr::var("b")),
-            Expr::var("c"),
-        );
-        assert_eq!(expr_to_string(&e), "(a + b) * c");
+        let mut a = Arena::default();
+        let (x, y, z) = (a.var("a"), a.var("b"), a.var("c"));
+        let sum = a.binop(BinOp::Add, x, y);
+        let e = a.binop(BinOp::Mul, sum, z);
+        assert_eq!(expr_to_string(&a, e), "(a + b) * c");
     }
 
     #[test]
     fn arrow_field_prints_back() {
-        let lv = Lvalue::field(Lvalue::deref(Expr::var("e")), "d_name");
-        assert_eq!(lval_to_string(&lv), "e->d_name");
+        let mut a = Arena::default();
+        let e = a.var("e");
+        let deref = a.deref(e);
+        let lv = a.field(deref, "d_name");
+        assert_eq!(lval_to_string(&a, lv), "e->d_name");
     }
 
     #[test]

@@ -9,7 +9,6 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::mem;
 use stq_cir::ast::*;
 use stq_util::Symbol;
 
@@ -45,8 +44,8 @@ fn flip_qual(ty: &QualType, pick: usize) -> Option<&'static str> {
 
 // ----- statement walking -----
 
-fn for_each_stmt_mut(p: &mut Program, f: &mut impl FnMut(&mut Stmt, &QualType)) {
-    for func in &mut p.funcs {
+fn for_each_stmt_mut(funcs: &mut [FuncDef], f: &mut impl FnMut(&mut Stmt, &QualType)) {
+    for func in funcs {
         let ret = &func.sig.ret;
         for s in &mut func.body {
             s.walk_mut(&mut |s| f(s, ret));
@@ -59,7 +58,7 @@ fn for_each_stmt_mut(p: &mut Program, f: &mut impl FnMut(&mut Stmt, &QualType)) 
 fn cast_insert(p: &mut Program, rng: &mut StdRng) -> Option<String> {
     let pick = rng.gen_range(0..INT_QUALS.len());
     let mut count = 0usize;
-    for_each_stmt_mut(p, &mut |s, ret| match &mut s.kind {
+    for_each_stmt_mut(&mut p.funcs, &mut |s, ret| match &mut s.kind {
         StmtKind::Decl(d) if d.init.is_some() && flip_qual(&d.ty, 0).is_some() => count += 1,
         StmtKind::Return(Some(_)) if flip_qual(ret, 0).is_some() => count += 1,
         _ => {}
@@ -70,13 +69,14 @@ fn cast_insert(p: &mut Program, rng: &mut StdRng) -> Option<String> {
     let target = rng.gen_range(0..count);
     let mut i = 0usize;
     let mut desc = None;
-    for_each_stmt_mut(p, &mut |s, ret| match &mut s.kind {
+    let arena = &mut p.arena;
+    for_each_stmt_mut(&mut p.funcs, &mut |s, ret| match &mut s.kind {
         StmtKind::Decl(d) if d.init.is_some() && flip_qual(&d.ty, 0).is_some() => {
             if i == target && desc.is_none() {
                 let q = flip_qual(&d.ty, pick).expect("shape checked");
                 let ty = d.ty.clone().with_qual(q);
-                let e = d.init.take().expect("init checked");
-                d.init = Some(e.cast(ty));
+                let e = d.init.expect("init checked");
+                d.init = Some(arena.cast(e, ty));
                 desc = Some(format!("cast-insert {q} on decl {}", d.name));
             }
             i += 1;
@@ -85,8 +85,7 @@ fn cast_insert(p: &mut Program, rng: &mut StdRng) -> Option<String> {
             if i == target && desc.is_none() {
                 let q = flip_qual(ret, pick).expect("shape checked");
                 let ty = ret.clone().with_qual(q);
-                let inner = mem::replace(e, Expr::int(0));
-                *e = inner.cast(ty);
+                *e = arena.cast(*e, ty);
                 desc = Some(format!("cast-insert {q} on return"));
             }
             i += 1;
@@ -103,7 +102,7 @@ fn annotation_flip(p: &mut Program, rng: &mut StdRng) -> Option<String> {
     // Sites: every local declaration, parameter, and return type whose
     // shape supports a value qualifier.
     let mut decl_count = 0usize;
-    for_each_stmt_mut(p, &mut |s, _| {
+    for_each_stmt_mut(&mut p.funcs, &mut |s, _| {
         if let StmtKind::Decl(d) = &mut s.kind {
             if flip_qual(&d.ty, 0).is_some() {
                 decl_count += 1;
@@ -129,7 +128,7 @@ fn annotation_flip(p: &mut Program, rng: &mut StdRng) -> Option<String> {
     if target < decl_count {
         let mut i = 0usize;
         let mut desc = None;
-        for_each_stmt_mut(p, &mut |s, _| {
+        for_each_stmt_mut(&mut p.funcs, &mut |s, _| {
             if let StmtKind::Decl(d) = &mut s.kind {
                 if flip_qual(&d.ty, 0).is_some() {
                     if i == target && desc.is_none() {
@@ -176,33 +175,33 @@ fn toggle(ty: &mut QualType, pick: usize, site: &str) -> String {
 
 // ----- operand swaps -----
 
-pub(crate) fn for_each_expr_mut(p: &mut Program, f: &mut impl FnMut(&mut Expr)) {
-    for_each_stmt_mut(p, &mut |s, _| s.exprs_mut(&mut |e| e.walk_mut(f)));
+/// Calls `f` on every expression of every function body, pre-order, in
+/// source order.
+pub(crate) fn for_each_expr(p: &Program, f: &mut impl FnMut(ExprId)) {
+    let a = &p.arena;
+    for func in &p.funcs {
+        for s in &func.body {
+            s.walk(&mut |s| s.exprs(a, &mut |e| a.walk_expr(e, f)));
+        }
+    }
 }
 
 fn operand_swap(p: &mut Program, rng: &mut StdRng) -> Option<String> {
-    let mut count = 0usize;
-    for_each_expr_mut(p, &mut |e| {
-        if matches!(e.kind, ExprKind::Binop(..)) {
-            count += 1;
+    let mut binops = Vec::new();
+    for_each_expr(p, &mut |e| {
+        if matches!(p.arena[e].kind, ExprKind::Binop(..)) {
+            binops.push(e);
         }
     });
-    if count == 0 {
+    if binops.is_empty() {
         return None;
     }
-    let target = rng.gen_range(0..count);
-    let mut i = 0usize;
-    let mut desc = None;
-    for_each_expr_mut(p, &mut |e| {
-        if let ExprKind::Binop(op, a, b) = &mut e.kind {
-            if i == target && desc.is_none() {
-                mem::swap(a, b);
-                desc = Some(format!("operand-swap around {op}"));
-            }
-            i += 1;
-        }
-    });
-    desc
+    let target = binops[rng.gen_range(0..binops.len())];
+    let ExprKind::Binop(op, a, b) = &mut p.arena[target].kind else {
+        unreachable!("collected as a binary operation")
+    };
+    std::mem::swap(a, b);
+    Some(format!("operand-swap around {op}"))
 }
 
 #[cfg(test)]

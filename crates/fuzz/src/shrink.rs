@@ -216,9 +216,11 @@ mod tests {
 
     fn has_division(p: &Program) -> bool {
         let mut found = false;
-        let mut p = p.clone();
-        crate::mutate::for_each_expr_mut(&mut p, &mut |e| {
-            if matches!(&e.kind, ExprKind::Binop(stq_cir::ast::BinOp::Div, ..)) {
+        crate::mutate::for_each_expr(p, &mut |e| {
+            if matches!(
+                p.arena[e].kind,
+                ExprKind::Binop(stq_cir::ast::BinOp::Div, ..)
+            ) {
                 found = true;
             }
         });

@@ -19,7 +19,7 @@
 //! allowed to continue"); base-type problems (unbound variables, shape
 //! mismatches) are errors.
 
-use crate::env::{StaticTy, TypeEnv};
+use crate::env::{StaticTy, Subject, TypeEnv};
 use crate::infer::Inference;
 use crate::instrument::runtime_invariant;
 use std::borrow::Cow;
@@ -127,6 +127,7 @@ pub fn check_program_with(
     let mut checker = Checker {
         registry,
         program,
+        arena: &program.arena,
         options,
         diags: Diagnostics::new(),
         stats: CheckStats::default(),
@@ -159,17 +160,18 @@ pub fn check_program_with(
 
     // Globals: initializers behave like assignments.
     for g in &program.globals {
-        if let Some(init) = &g.init {
+        if let Some(init) = g.init {
             checker.walk_expr(&env, init, Ctx::rhs());
             checker.check_value_assign(&env, &g.ty, init, g.span);
-            checker.check_ref_assign(&env, &g.ty, rhs_form_of_expr(init), g.span);
+            let form = rhs_form_of_expr(&program.arena, init);
+            checker.check_ref_assign(&env, &g.ty, form, g.span);
         }
     }
 
     // Functions.
     for f in &program.funcs {
         if options.flow_sensitive {
-            checker.address_taken = crate::flow::address_taken(&f.body);
+            checker.address_taken = crate::flow::address_taken(&program.arena, &f.body);
         }
         env.push_scope();
         for (name, ty) in &f.sig.params {
@@ -233,8 +235,8 @@ enum RhsForm {
     Other,
 }
 
-fn rhs_form_of_expr(e: &Expr) -> RhsForm {
-    match &e.kind {
+fn rhs_form_of_expr(arena: &Arena, e: ExprId) -> RhsForm {
+    match arena[e].kind {
         ExprKind::Null => RhsForm::Null,
         ExprKind::IntLit(_) | ExprKind::StrLit(_) => RhsForm::Const,
         _ => RhsForm::Other,
@@ -244,6 +246,8 @@ fn rhs_form_of_expr(e: &Expr) -> RhsForm {
 struct Checker<'a> {
     registry: &'a Registry,
     program: &'a Program,
+    /// The program's arena.
+    arena: &'a Arena,
     options: CheckOptions,
     diags: Diagnostics,
     stats: CheckStats,
@@ -294,11 +298,11 @@ impl<'a> Checker<'a> {
             StmtKind::Instr(i) => self.walk_instr(env, i),
             StmtKind::Block(stmts) => self.walk_stmts(env, stmts, ret),
             StmtKind::If(cond, then, els) => {
-                self.walk_expr(env, cond, Ctx::condition());
+                self.walk_expr(env, *cond, Ctx::condition());
                 let refinements = self
                     .options
                     .flow_sensitive
-                    .then(|| crate::flow::refinements(self.registry, cond));
+                    .then(|| crate::flow::refinements(self.registry, self.arena, *cond));
                 self.walk_refined(
                     env,
                     then,
@@ -315,11 +319,11 @@ impl<'a> Checker<'a> {
                 }
             }
             StmtKind::While(cond, body) => {
-                self.walk_expr(env, cond, Ctx::condition());
+                self.walk_expr(env, *cond, Ctx::condition());
                 let refinements = self
                     .options
                     .flow_sensitive
-                    .then(|| crate::flow::refinements(self.registry, cond));
+                    .then(|| crate::flow::refinements(self.registry, self.arena, *cond));
                 self.walk_refined(
                     env,
                     body,
@@ -328,7 +332,7 @@ impl<'a> Checker<'a> {
                 );
             }
             StmtKind::Return(value) => {
-                if let Some(e) = value {
+                if let Some(e) = *value {
                     self.walk_expr(env, e, Ctx::rhs());
                     self.check_value_assign(env, ret, e, stmt.span);
                 }
@@ -336,7 +340,7 @@ impl<'a> Checker<'a> {
             StmtKind::Decl(d) => {
                 self.count_annotation(&d.ty);
                 env.declare(d.name, Cow::Borrowed(&d.ty));
-                if let Some(init) = &d.init {
+                if let Some(init) = d.init {
                     self.walk_expr(env, init, Ctx::rhs());
                     self.check_assignment(env, &d.ty, init, d.span);
                 }
@@ -362,7 +366,9 @@ impl<'a> Checker<'a> {
             Some(refs) => {
                 env.push_scope();
                 for (var, quals) in refs {
-                    if self.address_taken.contains(var) || crate::flow::assigns(branch, *var) {
+                    if self.address_taken.contains(var)
+                        || crate::flow::assigns(self.arena, branch, *var)
+                    {
                         continue;
                     }
                     // A global is never refined: a call can change it.
@@ -392,12 +398,12 @@ impl<'a> Checker<'a> {
     /// and declarations with initializers): value-qualifier assignability
     /// plus reference-qualifier assign rules, with cast-asserted
     /// reference qualifiers accepted unchecked like any C cast (§2.2.3).
-    fn check_assignment(&mut self, env: &TypeEnv<'a>, target: &QualType, e: &Expr, span: Span) {
+    fn check_assignment(&mut self, env: &TypeEnv<'a>, target: &QualType, e: ExprId, span: Span) {
         self.check_value_assign(env, target, e, span);
         // Reference qualifiers asserted by a top-level cast are exempt
         // from the assign rules.
         let mut exempt: Vec<Symbol> = Vec::new();
-        if let ExprKind::Cast(ty, _) = &e.kind {
+        if let ExprKind::Cast(ty, _) = &self.arena[e].kind {
             exempt.extend(ty.quals.iter().copied().filter(|q| {
                 self.registry
                     .get(*q)
@@ -405,11 +411,12 @@ impl<'a> Checker<'a> {
                     && target.has_qual(*q)
             }));
         }
-        self.check_ref_assign_exempt(env, target, rhs_form_of_expr(e), &exempt, span);
+        let form = rhs_form_of_expr(self.arena, e);
+        self.check_ref_assign_exempt(env, target, form, &exempt, span);
     }
 
     fn walk_instr(&mut self, env: &TypeEnv<'a>, instr: &Instr) {
-        match &instr.kind {
+        match instr.kind {
             InstrKind::Set(lv, e) => {
                 self.walk_lvalue(env, lv, instr.span);
                 self.walk_expr(env, e, Ctx::rhs());
@@ -437,14 +444,14 @@ impl<'a> Checker<'a> {
                     self.check_ref_assign(env, &target, RhsForm::New, instr.span);
                 }
             }
-            InstrKind::Call(dst, fname, args) => {
+            InstrKind::Call(dst, fname, ref args) => {
                 if PRINTF_FAMILY.contains(&fname.as_str()) {
                     self.stats.printf_calls += 1;
                 }
-                for a in args {
+                for &a in args {
                     self.walk_expr(env, a, Ctx::rhs());
                 }
-                match self.program.signature(*fname) {
+                match self.program.signature(fname) {
                     None => {
                         if !matches!(fname.as_str(), "free" | "abort" | "exit") {
                             self.diags.note(
@@ -473,9 +480,10 @@ impl<'a> Checker<'a> {
                             );
                         }
                         // Arguments are implicit assignments to parameters.
-                        for ((_, pty), arg) in sig.params.iter().zip(args) {
+                        for ((_, pty), &arg) in sig.params.iter().zip(args) {
                             self.check_value_assign(env, pty, arg, instr.span);
-                            self.check_ref_assign(env, pty, rhs_form_of_expr(arg), instr.span);
+                            let form = rhs_form_of_expr(self.arena, arg);
+                            self.check_ref_assign(env, pty, form, instr.span);
                         }
                         // The destination is an implicit assignment from
                         // the return type.
@@ -483,7 +491,7 @@ impl<'a> Checker<'a> {
                             self.walk_lvalue(env, lv, instr.span);
                             if let Some(target) = self.lval_target_type(env, lv, instr.span) {
                                 self.check_call_result_assign(
-                                    env, &target, &sig.ret, *fname, instr.span,
+                                    env, &target, &sig.ret, fname, instr.span,
                                 );
                             }
                         }
@@ -499,14 +507,14 @@ impl<'a> Checker<'a> {
     fn lval_target_type<'s>(
         &mut self,
         env: &'s TypeEnv<'a>,
-        lv: &'s Lvalue,
+        lv: LvalId,
         span: Span,
     ) -> Option<Cow<'s, QualType>> {
         match env.lval_decl_type(lv) {
             StaticTy::Known(t) => Some(t),
             _ => {
-                if let LvalKind::Var(name) = &lv.kind {
-                    if env.lookup(*name).is_none() {
+                if let LvalKind::Var(name) = self.arena[lv].kind {
+                    if env.lookup(name).is_none() {
                         self.diags.error(span, format!("unbound variable `{name}`"));
                     }
                 }
@@ -518,14 +526,14 @@ impl<'a> Checker<'a> {
     // ----- assignment checking -----
 
     /// Value-qualifier and nested-type checking for `target = e`.
-    fn check_value_assign(&mut self, env: &TypeEnv<'a>, target: &QualType, e: &Expr, span: Span) {
+    fn check_value_assign(&mut self, env: &TypeEnv<'a>, target: &QualType, e: ExprId, span: Span) {
         let src_ty = env.expr_type(e);
         if !env.shapes_compatible(target, &src_ty) {
             self.diags.error(
                 span,
                 format!(
                     "type mismatch: cannot assign `{}` to `{target}`",
-                    expr_to_string(e)
+                    expr_to_string(self.arena, e)
                 ),
             );
             return;
@@ -540,14 +548,14 @@ impl<'a> Checker<'a> {
                     span,
                     format!(
                         "expression `{}` may not satisfy qualifier `{q}` required here",
-                        expr_to_string(e)
+                        expr_to_string(self.arena, e)
                     ),
                 );
             }
         }
         // Nested qualifiers are invariant.
         if let StaticTy::Known(src) = &src_ty {
-            if !matches!(e.kind, ExprKind::Null) {
+            if !matches!(self.arena[e].kind, ExprKind::Null) {
                 self.check_nested_invariance(target, src, span);
             }
         }
@@ -672,16 +680,16 @@ impl<'a> Checker<'a> {
 
     // ----- expression walking: restrict, disallow, counting -----
 
-    fn walk_lvalue(&mut self, env: &TypeEnv<'a>, lv: &Lvalue, span: Span) {
-        match &lv.kind {
+    fn walk_lvalue(&mut self, env: &TypeEnv<'a>, lv: LvalId, span: Span) {
+        match self.arena[lv].kind {
             LvalKind::Var(name) => {
-                if env.lookup(*name).is_none() {
+                if env.lookup(name).is_none() {
                     self.diags.error(span, format!("unbound variable `{name}`"));
                 }
             }
             LvalKind::Deref(e) => {
                 self.stats.dereferences += 1;
-                self.apply_restricts(env, &Expr::lval(lv.clone()), span);
+                self.apply_restricts(env, Subject::Read(lv), span);
                 self.walk_expr(
                     env,
                     e,
@@ -695,37 +703,38 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn walk_expr(&mut self, env: &TypeEnv<'a>, e: &Expr, ctx: Ctx) {
+    fn walk_expr(&mut self, env: &TypeEnv<'a>, e: ExprId, ctx: Ctx) {
         self.stats.exprs_visited += 1;
-        self.apply_restricts(env, e, e.span);
-        match &e.kind {
+        let expr = &self.arena[e];
+        self.apply_restricts(env, Subject::Expr(e), expr.span);
+        match &expr.kind {
             ExprKind::IntLit(_) | ExprKind::StrLit(_) | ExprKind::Null | ExprKind::SizeOf(_) => {}
             ExprKind::Lval(lv) => {
                 // disallow: reading a reference-qualified l-value on a
                 // right-hand side (outside a dereference).
                 if ctx.rhs && !ctx.under_deref {
-                    self.check_disallow_read(env, lv, e.span);
+                    self.check_disallow_read(env, *lv, expr.span);
                 }
-                self.walk_lvalue_in_expr(env, lv, ctx, e.span);
+                self.walk_lvalue_in_expr(env, *lv, ctx, expr.span);
             }
             ExprKind::AddrOf(lv) => {
                 if ctx.rhs {
-                    self.check_disallow_addr(env, lv, e.span);
+                    self.check_disallow_addr(env, *lv, expr.span);
                 }
                 self.walk_lvalue_in_expr(
                     env,
-                    lv,
+                    *lv,
                     Ctx {
                         rhs: ctx.rhs,
                         under_deref: false,
                     },
-                    e.span,
+                    expr.span,
                 );
             }
-            ExprKind::Unop(_, a) => self.walk_expr(env, a, ctx),
+            ExprKind::Unop(_, a) => self.walk_expr(env, *a, ctx),
             ExprKind::Binop(_, a, b) => {
-                self.walk_expr(env, a, ctx);
-                self.walk_expr(env, b, ctx);
+                self.walk_expr(env, *a, ctx);
+                self.walk_expr(env, *b, ctx);
             }
             ExprKind::Cast(ty, inner) => {
                 if self.mentions_registered_qual(ty) {
@@ -738,15 +747,15 @@ impl<'a> Checker<'a> {
                     .iter()
                     .filter(|&&q| runtime_invariant(self.registry, q).is_some())
                     .count();
-                self.walk_expr(env, inner, ctx);
+                self.walk_expr(env, *inner, ctx);
             }
         }
     }
 
-    fn walk_lvalue_in_expr(&mut self, env: &TypeEnv<'a>, lv: &Lvalue, ctx: Ctx, span: Span) {
-        match &lv.kind {
+    fn walk_lvalue_in_expr(&mut self, env: &TypeEnv<'a>, lv: LvalId, ctx: Ctx, span: Span) {
+        match self.arena[lv].kind {
             LvalKind::Var(name) => {
-                if env.lookup(*name).is_none() {
+                if env.lookup(name).is_none() {
                     self.diags.error(span, format!("unbound variable `{name}`"));
                 }
             }
@@ -765,7 +774,7 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn check_disallow_read(&mut self, env: &TypeEnv<'a>, lv: &Lvalue, span: Span) {
+    fn check_disallow_read(&mut self, env: &TypeEnv<'a>, lv: LvalId, span: Span) {
         if let StaticTy::Known(t) = env.lval_decl_type(lv) {
             for &q in &t.quals {
                 if let Some(def) = self.registry.get(q) {
@@ -775,7 +784,7 @@ impl<'a> Checker<'a> {
                             format!(
                                 "`{}` has qualifier `{q}`, which disallows referring \
                                  to it on a right-hand side",
-                                lval_to_string(lv)
+                                lval_to_string(self.arena, lv)
                             ),
                         );
                     }
@@ -784,7 +793,7 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn check_disallow_addr(&mut self, env: &TypeEnv<'a>, lv: &Lvalue, span: Span) {
+    fn check_disallow_addr(&mut self, env: &TypeEnv<'a>, lv: LvalId, span: Span) {
         if let StaticTy::Known(t) = env.lval_decl_type(lv) {
             for &q in &t.quals {
                 if let Some(def) = self.registry.get(q) {
@@ -794,7 +803,7 @@ impl<'a> Checker<'a> {
                             format!(
                                 "`&{}` takes the address of a `{q}`-qualified \
                                  l-value, which its disallow rule forbids",
-                                lval_to_string(lv)
+                                lval_to_string(self.arena, lv)
                             ),
                         );
                     }
@@ -804,12 +813,12 @@ impl<'a> Checker<'a> {
     }
 
     /// Applies every registered `restrict` clause whose pattern matches.
-    fn apply_restricts(&mut self, env: &TypeEnv<'a>, e: &Expr, span: Span) {
+    fn apply_restricts(&mut self, env: &TypeEnv<'a>, s: Subject, span: Span) {
         let registry = self.registry;
         for def in registry.iter() {
             for clause in &def.restricts {
                 let mut inf = Inference::new(env);
-                if let Some(bindings) = inf.match_clause(clause, e) {
+                if let Some(bindings) = inf.match_clause(clause, s) {
                     self.stats.restrict_checks += 1;
                     let ok = inf.eval_guard(&clause.guard, &bindings);
                     self.absorb_inference(&inf);
@@ -819,7 +828,7 @@ impl<'a> Checker<'a> {
                             format!(
                                 "`{}` violates the restrict rule of qualifier \
                                  `{}` (pattern `{}` requires `{}`)",
-                                expr_to_string(e),
+                                s.to_source(self.arena),
                                 def.name,
                                 clause.pattern,
                                 clause.guard

@@ -39,6 +39,49 @@ impl StaticTy<'_> {
     }
 }
 
+/// An expression the checker asks about: a node of the program's arena,
+/// or the read of an l-value the program holds only as a store target or
+/// under `&` — the `*p` of `*p = e`, which restrict rules match, and the
+/// `L` of an `&L` pattern, which guards query. A read is typed and
+/// matched as the expression `L` would be.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Subject {
+    /// An expression node.
+    Expr(ExprId),
+    /// The read of an l-value node.
+    Read(LvalId),
+}
+
+impl Subject {
+    /// The l-value the subject reads, if it is a read (a read node, or
+    /// the read of an l-value).
+    pub fn read_of(self, arena: &Arena) -> Option<LvalId> {
+        match self {
+            Subject::Expr(e) => match arena[e].kind {
+                ExprKind::Lval(lv) => Some(lv),
+                _ => None,
+            },
+            Subject::Read(lv) => Some(lv),
+        }
+    }
+
+    /// The subject with top-level casts removed.
+    pub fn strip_casts(self, arena: &Arena) -> Subject {
+        match self {
+            Subject::Expr(e) => Subject::Expr(arena.strip_casts(e)),
+            read => read,
+        }
+    }
+
+    /// The subject as source text.
+    pub fn to_source(self, arena: &Arena) -> String {
+        match self {
+            Subject::Expr(e) => stq_cir::pretty::expr_to_string(arena, e),
+            Subject::Read(lv) => stq_cir::pretty::lval_to_string(arena, lv),
+        }
+    }
+}
+
 /// Lexically scoped variable environment over a program.
 pub struct TypeEnv<'a> {
     /// The program being checked (signatures, structs, globals).
@@ -121,7 +164,7 @@ impl<'a> TypeEnv<'a> {
     /// The *r-type* of an l-value: its declared type with top-level
     /// reference qualifiers stripped (paper §2.2.1). Returns the full
     /// declared type via `lval_decl_type` when the distinction matters.
-    pub fn lval_rtype<'s>(&'s self, lv: &'s Lvalue) -> StaticTy<'s> {
+    pub fn lval_rtype(&self, lv: LvalId) -> StaticTy<'_> {
         match self.lval_decl_type(lv) {
             StaticTy::Known(ty) if self.ref_quals(&ty).next().is_some() => {
                 let mut ty = ty.into_owned();
@@ -133,13 +176,14 @@ impl<'a> TypeEnv<'a> {
     }
 
     /// The declared type of an l-value, reference qualifiers included.
-    pub fn lval_decl_type<'s>(&'s self, lv: &'s Lvalue) -> StaticTy<'s> {
-        match &lv.kind {
+    pub fn lval_decl_type(&self, lv: LvalId) -> StaticTy<'_> {
+        let program: &'a Program = self.program;
+        match &program.arena[lv].kind {
             LvalKind::Var(name) => match self.lookup(*name) {
                 Some(t) => StaticTy::Known(Cow::Borrowed(t)),
                 None => StaticTy::Unknown,
             },
-            LvalKind::Deref(e) => match self.expr_type(e) {
+            LvalKind::Deref(e) => match self.expr_type(*e) {
                 StaticTy::Known(Cow::Borrowed(t)) => match t.pointee() {
                     Some(inner) => StaticTy::Known(Cow::Borrowed(inner)),
                     None => StaticTy::Unknown,
@@ -150,7 +194,7 @@ impl<'a> TypeEnv<'a> {
                 },
                 _ => StaticTy::Unknown,
             },
-            LvalKind::Field(inner, f) => match self.lval_decl_type(inner) {
+            LvalKind::Field(inner, f) => match self.lval_decl_type(*inner) {
                 StaticTy::Known(t) => match &t.ty {
                     Ty::Base(BaseTy::Struct(tag)) => self
                         .program
@@ -166,19 +210,28 @@ impl<'a> TypeEnv<'a> {
         }
     }
 
+    /// The static type of a subject: of the expression, or of the read.
+    pub fn subject_type(&self, s: Subject) -> StaticTy<'_> {
+        match s {
+            Subject::Expr(e) => self.expr_type(e),
+            Subject::Read(lv) => self.lval_rtype(lv),
+        }
+    }
+
     /// The static type of an expression.
-    pub fn expr_type<'s>(&'s self, e: &'s Expr) -> StaticTy<'s> {
-        match &e.kind {
+    pub fn expr_type(&self, e: ExprId) -> StaticTy<'_> {
+        let program: &'a Program = self.program;
+        match &program.arena[e].kind {
             ExprKind::IntLit(_) | ExprKind::SizeOf(_) => {
                 StaticTy::Known(Cow::Owned(QualType::int()))
             }
             ExprKind::StrLit(_) => StaticTy::Known(Cow::Owned(QualType::char_ty().ptr_to())),
             ExprKind::Null => StaticTy::Null,
-            ExprKind::Lval(lv) => self.lval_rtype(lv),
+            ExprKind::Lval(lv) => self.lval_rtype(*lv),
             // The pointee of `&lv` is lv's r-type: reference qualifiers
             // pertain to the l-value itself, not to what a pointer to it
             // carries (their protection is the disallow rule instead).
-            ExprKind::AddrOf(lv) => match self.lval_rtype(lv) {
+            ExprKind::AddrOf(lv) => match self.lval_rtype(*lv) {
                 StaticTy::Known(t) => StaticTy::Known(Cow::Owned(t.into_owned().ptr_to())),
                 _ => StaticTy::Unknown,
             },
@@ -188,7 +241,7 @@ impl<'a> TypeEnv<'a> {
                 // pointer's type (`p + i : typeof(p)`, §3.3). Integer
                 // arithmetic yields plain int — qualifiers do not flow
                 // through `+`/`-` unless a case rule derives them.
-                match self.expr_type(a) {
+                match self.expr_type(*a) {
                     StaticTy::Known(t) if t.is_ptr() => StaticTy::Known(t),
                     _ => StaticTy::Known(Cow::Owned(QualType::int())),
                 }
@@ -261,18 +314,18 @@ mod tests {
 
     #[test]
     fn rtype_strips_reference_qualifiers_only() {
-        let (p, r) = setup("int * unique u; int pos v;");
+        let (mut p, r) = setup("int * unique u; int pos v;");
+        let u = p.arena.lvar("u");
+        let v = p.arena.lvar("v");
         let env = TypeEnv::new(&p, &r);
-        let u = Lvalue::var("u");
-        match env.lval_rtype(&u) {
+        match env.lval_rtype(u) {
             StaticTy::Known(t) => {
                 assert!(!t.has_qual(Symbol::intern("unique")));
                 assert!(t.is_ptr());
             }
             other => panic!("expected known, got {other:?}"),
         }
-        let v = Lvalue::var("v");
-        match env.lval_rtype(&v) {
+        match env.lval_rtype(v) {
             StaticTy::Known(t) => assert!(t.has_qual(Symbol::intern("pos"))),
             other => panic!("expected known, got {other:?}"),
         }
@@ -280,10 +333,11 @@ mod tests {
 
     #[test]
     fn deref_types_through_pointers() {
-        let (p, r) = setup("int pos * q;");
+        let (mut p, r) = setup("int pos * q;");
+        let q = p.arena.var("q");
+        let star_q = p.arena.deref(q);
         let env = TypeEnv::new(&p, &r);
-        let star_q = Lvalue::deref(Expr::var("q"));
-        match env.lval_decl_type(&star_q) {
+        match env.lval_decl_type(star_q) {
             StaticTy::Known(t) => assert!(t.has_qual(Symbol::intern("pos"))),
             other => panic!("expected known, got {other:?}"),
         }
@@ -291,13 +345,15 @@ mod tests {
 
     #[test]
     fn field_types_resolve() {
-        let (p, r) = setup(
+        let (mut p, r) = setup(
             "struct dfa { int* nonnull trans; int works; };
              struct dfa* d;",
         );
+        let d = p.arena.var("d");
+        let star_d = p.arena.deref(d);
+        let trans = p.arena.field(star_d, "trans");
         let env = TypeEnv::new(&p, &r);
-        let trans = Lvalue::field(Lvalue::deref(Expr::var("d")), "trans");
-        match env.lval_decl_type(&trans) {
+        match env.lval_decl_type(trans) {
             StaticTy::Known(t) => assert!(t.has_qual(Symbol::intern("nonnull"))),
             other => panic!("expected known, got {other:?}"),
         }
@@ -305,10 +361,11 @@ mod tests {
 
     #[test]
     fn pointer_arithmetic_keeps_type() {
-        let (p, r) = setup("int pos * a;");
+        let (mut p, r) = setup("int pos * a;");
+        let (a, three) = (p.arena.var("a"), p.arena.int(3));
+        let e = p.arena.binop(BinOp::Add, a, three);
         let env = TypeEnv::new(&p, &r);
-        let e = Expr::binop(BinOp::Add, Expr::var("a"), Expr::int(3));
-        match env.expr_type(&e) {
+        match env.expr_type(e) {
             StaticTy::Known(t) => {
                 assert!(t.is_ptr());
                 assert!(t.pointee().unwrap().has_qual(Symbol::intern("pos")));
@@ -346,10 +403,11 @@ mod tests {
 
     #[test]
     fn addr_of_keeps_declared_quals_in_pointee() {
-        let (p, r) = setup("int pos x;");
+        let (mut p, r) = setup("int pos x;");
+        let x = p.arena.lvar("x");
+        let e = p.arena.addr_of(x);
         let env = TypeEnv::new(&p, &r);
-        let e = Expr::addr_of(Lvalue::var("x"));
-        match env.expr_type(&e) {
+        match env.expr_type(e) {
             StaticTy::Known(t) => {
                 assert!(t.pointee().unwrap().has_qual(Symbol::intern("pos")));
             }

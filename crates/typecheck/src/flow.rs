@@ -95,29 +95,41 @@ pub struct Refinements {
     pub else_branch: Vec<(Symbol, BTreeSet<Symbol>)>,
 }
 
-/// Extracts refinements from a branch condition.
-pub fn refinements(registry: &Registry, cond: &Expr) -> Refinements {
+/// Extracts refinements from a branch condition; `arena` is its
+/// program's.
+pub fn refinements(registry: &Registry, arena: &Arena, cond: ExprId) -> Refinements {
     let mut out = Refinements::default();
-    collect(registry, cond, true, &mut out);
+    collect(registry, arena, cond, true, &mut out);
     out
 }
 
-fn collect(registry: &Registry, cond: &Expr, positive: bool, out: &mut Refinements) {
-    match &cond.kind {
+fn collect(
+    registry: &Registry,
+    arena: &Arena,
+    cond: ExprId,
+    positive: bool,
+    out: &mut Refinements,
+) {
+    match arena[cond].kind {
         // Conjunctions refine the then branch; by De Morgan a negated
         // conjunction would only refine the else branch disjunctively,
         // which we do not track.
         ExprKind::Binop(BinOp::And, a, b) if positive => {
-            collect(registry, a, true, out);
-            collect(registry, b, true, out);
+            collect(registry, arena, a, true, out);
+            collect(registry, arena, b, true, out);
         }
-        ExprKind::Unop(UnOp::Not, inner) => collect(registry, inner, !positive, out),
+        ExprKind::Unop(UnOp::Not, inner) => collect(registry, arena, inner, !positive, out),
         ExprKind::Binop(op, a, b) if op.is_comparison() => {
             // Normalize to `var OP constant`, mirroring the operator when
             // the variable is on the right (`0 < x` is `x > 0`).
-            let (var, constant, op) = match (var_of(a), const_of(b), var_of(b), const_of(a)) {
-                (Some(v), Some(c), _, _) => (v, c, *op),
-                (_, _, Some(v), Some(c)) => (v, c, mirror(*op)),
+            let (var, constant, op) = match (
+                var_of(arena, a),
+                const_of(arena, b),
+                var_of(arena, b),
+                const_of(arena, a),
+            ) {
+                (Some(v), Some(c), _, _) => (v, c, op),
+                (_, _, Some(v), Some(c)) => (v, c, mirror(op)),
                 _ => return,
             };
             let (then_fact, else_fact) = if positive {
@@ -140,7 +152,7 @@ fn collect(registry: &Registry, cond: &Expr, positive: bool, out: &mut Refinemen
         }
         // A bare variable as condition: `if (p)` means p ≠ 0.
         ExprKind::Lval(lv) => {
-            if let Some(var) = lv.as_var() {
+            if let Some(var) = arena.as_var(lv) {
                 let (then_fact, else_fact) = if positive {
                     (
                         Fact {
@@ -191,13 +203,13 @@ fn mirror(op: BinOp) -> BinOp {
     }
 }
 
-fn var_of(e: &Expr) -> Option<Symbol> {
-    e.as_lval().and_then(Lvalue::as_var)
+fn var_of(arena: &Arena, e: ExprId) -> Option<Symbol> {
+    arena.as_var(arena.as_lval(e)?)
 }
 
-fn const_of(e: &Expr) -> Option<i64> {
-    match &e.strip_casts().kind {
-        ExprKind::IntLit(v) => Some(*v),
+fn const_of(arena: &Arena, e: ExprId) -> Option<i64> {
+    match arena[arena.strip_casts(e)].kind {
+        ExprKind::IntLit(v) => Some(v),
         ExprKind::Null => Some(0),
         _ => None,
     }
@@ -229,15 +241,16 @@ fn implied_qualifiers(registry: &Registry, fact: Fact) -> BTreeSet<Symbol> {
 /// Whether `stmt` assigns `var` anywhere inside it: as the target of an
 /// assignment, an allocation or a call result. A declaration of the same
 /// name shadows the variable rather than assigning it.
-pub(crate) fn assigns(stmt: &Stmt, var: Symbol) -> bool {
+pub(crate) fn assigns(arena: &Arena, stmt: &Stmt, var: Symbol) -> bool {
     let mut found = false;
     stmt.walk(&mut |s| {
         if let StmtKind::Instr(i) = &s.kind {
-            found |= match &i.kind {
-                InstrKind::Set(lv, _) | InstrKind::Alloc(lv, _) => lv.as_var() == Some(var),
-                InstrKind::Call(dst, _, _) => dst.as_ref().and_then(Lvalue::as_var) == Some(var),
-                InstrKind::RuntimeCheck(..) => false,
+            let target = match i.kind {
+                InstrKind::Set(lv, _) | InstrKind::Alloc(lv, _) => Some(lv),
+                InstrKind::Call(dst, _, _) => dst,
+                InstrKind::RuntimeCheck(..) => None,
             };
+            found |= target.and_then(|lv| arena.as_var(lv)) == Some(var);
         }
     });
     found
@@ -245,32 +258,35 @@ pub(crate) fn assigns(stmt: &Stmt, var: Symbol) -> bool {
 
 /// Every variable whose address `body` takes (`&x`, or `&x.f` of a field
 /// inside it), anywhere, in any scope.
-pub(crate) fn address_taken(body: &[Stmt]) -> Vec<Symbol> {
+pub(crate) fn address_taken(arena: &Arena, body: &[Stmt]) -> Vec<Symbol> {
     let mut out = Vec::new();
-    let mut visit = |e: &Expr| {
-        if let ExprKind::AddrOf(lv) = &e.kind {
-            out.extend(root_var(lv));
+    let mut visit = |e: ExprId| {
+        if let ExprKind::AddrOf(lv) = arena[e].kind {
+            out.extend(root_var(arena, lv));
         }
     };
     for s in body {
-        s.walk(&mut |s| s.exprs(&mut |e| e.walk(&mut visit)));
+        s.walk(&mut |s| s.exprs(arena, &mut |e| arena.walk_expr(e, &mut visit)));
     }
     out
 }
 
 /// The variable an l-value's storage lies in: `x` for `x` and `x.f.g`;
 /// none behind a dereference.
-fn root_var(lv: &Lvalue) -> Option<Symbol> {
-    match &lv.kind {
-        LvalKind::Var(v) => Some(*v),
-        LvalKind::Field(inner, _) => root_var(inner),
-        LvalKind::Deref(_) => None,
+fn root_var(arena: &Arena, mut lv: LvalId) -> Option<Symbol> {
+    loop {
+        match arena[lv].kind {
+            LvalKind::Var(v) => return Some(v),
+            LvalKind::Field(inner, _) => lv = inner,
+            LvalKind::Deref(_) => return None,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stq_cir::parse::parse_program;
     use stq_qualspec::Registry;
 
     fn reg() -> Registry {
@@ -281,10 +297,23 @@ mod tests {
         Symbol::intern(n)
     }
 
+    /// The refinements of the condition `cond` under `registry`.
+    fn refine(registry: &Registry, cond: &str) -> Refinements {
+        let p = parse_program(&format!("void f() {{ if ({cond}) {{ }} }}"), &[]).expect("parses");
+        let StmtKind::If(c, ..) = p.funcs[0].body[0].kind else {
+            panic!("an if")
+        };
+        refinements(registry, &p.arena, c)
+    }
+
+    /// Parses `src`, which declares nothing, so its names stay unbound.
+    fn body(src: &str) -> Program {
+        parse_program(src, &[]).expect("parses")
+    }
+
     #[test]
     fn null_test_refines_nonnull() {
-        let cond = Expr::binop(BinOp::Ne, Expr::var("t"), Expr::null());
-        let r = refinements(&reg(), &cond);
+        let r = refine(&reg(), "t != NULL");
         assert_eq!(r.then_branch.len(), 1);
         let (var, quals) = &r.then_branch[0];
         assert_eq!(*var, q("t"));
@@ -297,8 +326,7 @@ mod tests {
 
     #[test]
     fn positive_test_refines_pos_and_nonzero() {
-        let cond = Expr::binop(BinOp::Gt, Expr::var("x"), Expr::int(0));
-        let r = refinements(&reg(), &cond);
+        let r = refine(&reg(), "x > 0");
         let (_, quals) = &r.then_branch[0];
         assert!(quals.contains(&q("pos")));
         assert!(quals.contains(&q("nonzero")));
@@ -308,8 +336,7 @@ mod tests {
     #[test]
     fn reversed_operands_work() {
         // 0 < x is the same as x > 0.
-        let cond = Expr::binop(BinOp::Lt, Expr::int(0), Expr::var("x"));
-        let r = refinements(&reg(), &cond);
+        let r = refine(&reg(), "0 < x");
         let (_, quals) = &r.then_branch[0];
         assert!(quals.contains(&q("pos")));
     }
@@ -317,8 +344,7 @@ mod tests {
     #[test]
     fn equality_refines_else_branch() {
         // if (x == 0) {} else { x is nonzero }
-        let cond = Expr::binop(BinOp::Eq, Expr::var("x"), Expr::int(0));
-        let r = refinements(&reg(), &cond);
+        let r = refine(&reg(), "x == 0");
         assert!(r.then_branch.is_empty());
         let (_, quals) = &r.else_branch[0];
         assert!(quals.contains(&q("nonzero")));
@@ -327,11 +353,7 @@ mod tests {
     #[test]
     fn negated_condition_swaps_branches() {
         // if (!(x != 0)) {} else { x nonzero }
-        let cond = Expr::unop(
-            UnOp::Not,
-            Expr::binop(BinOp::Ne, Expr::var("x"), Expr::int(0)),
-        );
-        let r = refinements(&reg(), &cond);
+        let r = refine(&reg(), "!(x != 0)");
         assert!(r.then_branch.is_empty());
         assert!(r
             .else_branch
@@ -341,19 +363,13 @@ mod tests {
 
     #[test]
     fn conjunction_refines_both_variables() {
-        let cond = Expr::binop(
-            BinOp::And,
-            Expr::binop(BinOp::Ne, Expr::var("a"), Expr::null()),
-            Expr::binop(BinOp::Gt, Expr::var("b"), Expr::int(5)),
-        );
-        let r = refinements(&reg(), &cond);
+        let r = refine(&reg(), "a != NULL && b > 5");
         assert_eq!(r.then_branch.len(), 2);
     }
 
     #[test]
     fn bare_variable_condition() {
-        let cond = Expr::var("p");
-        let r = refinements(&reg(), &cond);
+        let r = refine(&reg(), "p");
         assert!(r.then_branch[0].1.contains(&q("nonnull")));
     }
 
@@ -371,43 +387,39 @@ mod tests {
 
     #[test]
     fn assignment_detection() {
-        let set_t = Stmt::instr(InstrKind::Set(Lvalue::var("t"), Expr::int(0)));
-        assert!(assigns(&set_t, q("t")));
-        assert!(!assigns(&set_t, q("u")));
-
-        let call_into_t = Stmt::instr(InstrKind::Call(Some(Lvalue::var("t")), q("g"), vec![]));
-        assert!(assigns(&call_into_t, q("t")));
-
-        let reads_only = Stmt::instr(InstrKind::Set(Lvalue::var("y"), Expr::var("t")));
-        assert!(!assigns(&reads_only, q("t")));
-
-        let nested = Stmt::new(StmtKind::Block(vec![Stmt::new(StmtKind::If(
-            Expr::int(1),
-            Box::new(set_t),
-            None,
-        ))]));
-        assert!(assigns(&nested, q("t")));
+        let p = body(
+            "void f() {
+                 t = 0;
+                 t = g();
+                 y = t;
+                 { if (1) t = 0; }
+             }",
+        );
+        let [set_t, call_into_t, reads_only, nested] = &p.funcs[0].body[..] else {
+            panic!("four statements")
+        };
+        assert!(assigns(&p.arena, set_t, q("t")));
+        assert!(!assigns(&p.arena, set_t, q("u")));
+        assert!(assigns(&p.arena, call_into_t, q("t")));
+        assert!(!assigns(&p.arena, reads_only, q("t")));
+        assert!(assigns(&p.arena, nested, q("t")));
     }
 
     #[test]
     fn address_taking_detection() {
-        let body = [
-            Stmt::instr(InstrKind::Set(
-                Lvalue::var("p"),
-                Expr::addr_of(Lvalue::var("t")),
-            )),
-            Stmt::instr(InstrKind::Set(
-                Lvalue::var("q"),
-                Expr::addr_of(Lvalue::field(Lvalue::var("s"), "f")),
-            )),
-            // `&(*u).f` points into what u points to, not at u.
-            Stmt::instr(InstrKind::Set(
-                Lvalue::var("r"),
-                Expr::addr_of(Lvalue::field(Lvalue::deref(Expr::var("u")), "f")),
-            )),
-            Stmt::instr(InstrKind::Set(Lvalue::var("y"), Expr::var("v"))),
-        ];
-        assert_eq!(address_taken(&body), vec![q("t"), q("s")]);
+        let p = body(
+            "void f() {
+                 p = &t;
+                 q = &s.f;
+                 r = &u->f;
+                 y = v;
+             }",
+        );
+        // `&(*u).f` points into what u points to, not at u.
+        assert_eq!(
+            address_taken(&p.arena, &p.funcs[0].body),
+            vec![q("t"), q("s")]
+        );
     }
 
     #[test]
@@ -421,11 +433,9 @@ mod tests {
                     invariant value(E) > 100",
             )
             .unwrap();
-        let cond = Expr::binop(BinOp::Gt, Expr::var("x"), Expr::int(200));
-        let r = refinements(&registry, &cond);
+        let r = refine(&registry, "x > 200");
         assert!(r.then_branch[0].1.contains(&q("big")));
-        let weak = Expr::binop(BinOp::Gt, Expr::var("x"), Expr::int(50));
-        let r2 = refinements(&registry, &weak);
+        let r2 = refine(&registry, "x > 50");
         assert!(r2.then_branch.is_empty());
     }
 }

@@ -12,38 +12,30 @@
 //!
 //! Qualifier definitions may be mutually recursive (`pos`/`neg`), so
 //! inference computes a least fixed point: a cyclic re-query of the same
-//! (expression node, qualifier) pair yields `false`. A query descends to
-//! a strictly smaller expression except through `Var` patterns, which
-//! re-query the node itself; pattern bindings borrow their fragments
-//! from the queried expression, so such a re-query sees the same node,
-//! and the cycle guard recognises it by identity. Nothing is memoized:
-//! every query is computed.
+//! (subject, qualifier) pair yields `false`. A query descends to a
+//! strictly smaller expression except through `Var` patterns, which
+//! re-query the subject itself; pattern bindings are the ids of the
+//! queried nodes, so such a re-query names the same node, and the cycle
+//! guard recognises it by its id. Nothing is memoized: every query is
+//! computed.
 
-use crate::env::{StaticTy, TypeEnv};
+use crate::env::{StaticTy, Subject, TypeEnv};
 use std::borrow::Cow;
 use stq_cir::ast::*;
 use stq_qualspec::{Classifier, Clause, CmpOp, PTerm, Pattern, Pred, TypePat};
 use stq_util::Symbol;
 
-/// A program fragment bound to a pattern variable, borrowed from the
-/// queried expression.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Bound<'e> {
-    /// An expression fragment.
-    Expr(&'e Expr),
-    /// An l-value fragment (`&L` patterns).
-    Lval(&'e Lvalue),
-}
-
-/// Pattern-variable bindings produced by a successful match. A pattern
-/// binds at most two variables (`X bop Y`), so they are held inline.
+/// Pattern-variable bindings produced by a successful match: the
+/// subject each variable binds. An `&L` pattern binds `L` as the read
+/// of the l-value. A pattern binds at most two variables (`X bop Y`), so
+/// they are held inline.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct Bindings<'e> {
-    slots: [Option<(Symbol, Bound<'e>)>; 2],
+pub struct Bindings {
+    slots: [Option<(Symbol, Subject)>; 2],
 }
 
-impl<'e> Bindings<'e> {
-    fn push(&mut self, var: Symbol, bound: Bound<'e>) {
+impl Bindings {
+    fn push(&mut self, var: Symbol, bound: Subject) {
         let slot = self
             .slots
             .iter_mut()
@@ -52,8 +44,8 @@ impl<'e> Bindings<'e> {
         *slot = Some((var, bound));
     }
 
-    /// The fragment bound to `var`, if the pattern binds it.
-    pub fn get(&self, var: Symbol) -> Option<Bound<'e>> {
+    /// The subject bound to `var`, if the pattern binds it.
+    pub fn get(&self, var: Symbol) -> Option<Subject> {
         self.slots
             .iter()
             .flatten()
@@ -67,10 +59,8 @@ impl<'e> Bindings<'e> {
 /// itself between root queries).
 pub struct Inference<'a> {
     env: &'a TypeEnv<'a>,
-    /// The (expression node, qualifier) queries on the derivation stack.
-    /// A node is borrowed, so alive at a fixed address, while it is on
-    /// the stack; its address identifies it.
-    in_progress: Vec<(*const Expr, Symbol)>,
+    /// The (subject, qualifier) queries on the derivation stack.
+    in_progress: Vec<(Subject, Symbol)>,
     /// Number of case-clause match attempts (for benchmarks).
     pub match_attempts: u64,
     /// Case clauses that actually fired (pattern matched and the
@@ -93,15 +83,25 @@ impl<'a> Inference<'a> {
         }
     }
 
-    /// Whether `e` can be given qualifier `qual`.
-    pub fn has_qual(&mut self, e: &Expr, qual: Symbol) -> bool {
-        let key = (e as *const Expr, qual);
+    fn arena(&self) -> &'a Arena {
+        let env: &'a TypeEnv<'a> = self.env;
+        &env.program.arena
+    }
+
+    /// Whether the expression `e` can be given qualifier `qual`.
+    pub fn has_qual(&mut self, e: ExprId, qual: Symbol) -> bool {
+        self.query(Subject::Expr(e), qual)
+    }
+
+    /// Whether `s` can be given qualifier `qual`.
+    fn query(&mut self, s: Subject, qual: Symbol) -> bool {
+        let key = (s, qual);
         if self.in_progress.contains(&key) {
             // Cyclic dependency: least fixed point says no.
             return false;
         }
         self.memo_misses += 1;
-        let ty = self.env.expr_type(e);
+        let ty = self.env.subject_type(s);
         // 1. The static type already carries the qualifier (declared
         //    variables and fields; cast assertions). This answer makes
         //    no sub-query, so the query need not go on the stack.
@@ -109,19 +109,21 @@ impl<'a> Inference<'a> {
             return true;
         }
         self.in_progress.push(key);
-        let result = self.derive(e, &ty, qual);
+        let result = self.derive(s, &ty, qual);
         self.in_progress.pop();
         result
     }
 
-    /// Whether `e`, whose static type `ty` does not carry `qual`, gets
+    /// Whether `s`, whose static type `ty` does not carry `qual`, gets
     /// it anyway: through a cast, or by one of `qual`'s `case` rules.
-    fn derive(&mut self, e: &Expr, ty: &StaticTy<'_>, qual: Symbol) -> bool {
+    fn derive(&mut self, s: Subject, ty: &StaticTy<'_>, qual: Symbol) -> bool {
         let env = self.env;
         // 2. Casts do not erase qualifier knowledge of the inner
         //    expression for checking purposes.
-        if let ExprKind::Cast(_, inner) = &e.kind {
-            return self.has_qual(inner, qual);
+        if let Subject::Expr(e) = s {
+            if let ExprKind::Cast(_, inner) = self.arena()[e].kind {
+                return self.has_qual(inner, qual);
+            }
         }
         // 3. Case rules.
         let Some(def) = env.registry.get(qual) else {
@@ -133,7 +135,7 @@ impl<'a> Inference<'a> {
             return false;
         }
         for clause in &def.cases {
-            if let Some(bindings) = self.match_clause(clause, e) {
+            if let Some(bindings) = self.match_clause(clause, s) {
                 if self.eval_guard(&clause.guard, &bindings) {
                     self.case_applications += 1;
                     return true;
@@ -143,84 +145,92 @@ impl<'a> Inference<'a> {
         false
     }
 
-    /// Matches one clause's pattern against an expression; `Some` with
+    /// Matches one clause's pattern against a subject; `Some` with
     /// bindings if the shape, classifiers, and type patterns all accept.
-    pub fn match_clause<'e>(&mut self, clause: &Clause, e: &'e Expr) -> Option<Bindings<'e>> {
+    pub fn match_clause(&mut self, clause: &Clause, s: Subject) -> Option<Bindings> {
         self.match_attempts += 1;
+        let arena = self.arena();
         let mut bindings = Bindings::default();
-        match (&clause.pattern, &e.kind) {
+        match (&clause.pattern, s) {
             (Pattern::Var(x), _) => {
-                self.bind_expr(clause, *x, e, &mut bindings)?;
+                self.bind_expr(clause, *x, s, &mut bindings)?;
             }
-            (Pattern::Deref(x), ExprKind::Lval(lv)) => match &lv.kind {
+            (Pattern::Deref(x), _) => match arena[s.read_of(arena)?].kind {
                 LvalKind::Deref(inner) => {
-                    self.bind_expr(clause, *x, inner, &mut bindings)?;
+                    self.bind_expr(clause, *x, Subject::Expr(inner), &mut bindings)?;
                 }
                 _ => return None,
             },
-            (Pattern::AddrOf(x), ExprKind::AddrOf(lv)) => {
-                self.bind_lval(clause, *x, lv, &mut bindings)?;
-            }
-            (Pattern::Unop(op, x), ExprKind::Unop(eop, inner)) if op == eop => {
-                self.bind_expr(clause, *x, inner, &mut bindings)?;
-            }
-            (Pattern::Binop(op, x, y), ExprKind::Binop(eop, a, b)) if op == eop => {
-                self.bind_expr(clause, *x, a, &mut bindings)?;
-                self.bind_expr(clause, *y, b, &mut bindings)?;
-            }
+            (Pattern::AddrOf(x), Subject::Expr(e)) => match arena[e].kind {
+                ExprKind::AddrOf(lv) => self.bind_lval(clause, *x, lv, &mut bindings)?,
+                _ => return None,
+            },
+            (Pattern::Unop(op, x), Subject::Expr(e)) => match arena[e].kind {
+                ExprKind::Unop(eop, inner) if *op == eop => {
+                    self.bind_expr(clause, *x, Subject::Expr(inner), &mut bindings)?;
+                }
+                _ => return None,
+            },
+            (Pattern::Binop(op, x, y), Subject::Expr(e)) => match arena[e].kind {
+                ExprKind::Binop(eop, a, b) if *op == eop => {
+                    self.bind_expr(clause, *x, Subject::Expr(a), &mut bindings)?;
+                    self.bind_expr(clause, *y, Subject::Expr(b), &mut bindings)?;
+                }
+                _ => return None,
+            },
             // `new` only matches allocation instructions, which are not
-            // expressions.
+            // expressions; a read matches only `X` and `*X`.
             _ => return None,
         }
         Some(bindings)
     }
 
-    fn bind_expr<'e>(
+    fn bind_expr(
         &self,
         clause: &Clause,
         var: Symbol,
-        e: &'e Expr,
-        bindings: &mut Bindings<'e>,
+        s: Subject,
+        bindings: &mut Bindings,
     ) -> Option<()> {
         let decl = clause.decl(var)?;
-        let stripped = e.strip_casts();
+        let arena = self.arena();
+        let stripped = s.strip_casts(arena);
         match decl.classifier {
             Classifier::Expr => {}
             Classifier::Const => {
-                if !matches!(
-                    stripped.kind,
+                if !matches!(stripped, Subject::Expr(e) if matches!(
+                    arena[e].kind,
                     ExprKind::IntLit(_) | ExprKind::StrLit(_) | ExprKind::Null
-                ) {
+                )) {
                     return None;
                 }
             }
             Classifier::LValue => {
-                e.as_lval()?;
+                stripped.read_of(arena)?;
             }
-            Classifier::Var => match e.as_lval() {
-                Some(lv) if lv.as_var().is_some() => {}
-                _ => return None,
-            },
+            Classifier::Var => {
+                arena.as_var(stripped.read_of(arena)?)?;
+            }
         }
-        if !type_pat_accepts(&decl.ty, &self.env.expr_type(e)) {
+        if !type_pat_accepts(&decl.ty, &self.env.subject_type(s)) {
             return None;
         }
-        bindings.push(var, Bound::Expr(e));
+        bindings.push(var, s);
         Some(())
     }
 
-    fn bind_lval<'e>(
+    fn bind_lval(
         &self,
         clause: &Clause,
         var: Symbol,
-        lv: &'e Lvalue,
-        bindings: &mut Bindings<'e>,
+        lv: LvalId,
+        bindings: &mut Bindings,
     ) -> Option<()> {
         let decl = clause.decl(var)?;
         match decl.classifier {
             Classifier::LValue => {}
             Classifier::Var => {
-                lv.as_var()?;
+                self.arena().as_var(lv)?;
             }
             // Expression and constant classifiers never bind l-values.
             Classifier::Expr | Classifier::Const => return None,
@@ -228,28 +238,28 @@ impl<'a> Inference<'a> {
         if !type_pat_accepts(&decl.ty, &self.env.lval_decl_type(lv)) {
             return None;
         }
-        bindings.push(var, Bound::Lval(lv));
+        bindings.push(var, Subject::Read(lv));
         Some(())
     }
 
     /// Evaluates a clause guard under bindings.
-    pub fn eval_guard(&mut self, guard: &Pred, bindings: &Bindings<'_>) -> bool {
+    pub fn eval_guard(&mut self, guard: &Pred, bindings: &Bindings) -> bool {
         match guard {
             Pred::True => true,
             Pred::And(a, b) => self.eval_guard(a, bindings) && self.eval_guard(b, bindings),
             Pred::Or(a, b) => self.eval_guard(a, bindings) || self.eval_guard(b, bindings),
             Pred::Cmp(op, a, b) => {
-                let (Some(va), Some(vb)) = (const_value(a, bindings), const_value(b, bindings))
-                else {
+                let arena = self.arena();
+                let (Some(va), Some(vb)) = (
+                    const_value(arena, a, bindings),
+                    const_value(arena, b, bindings),
+                ) else {
                     return false;
                 };
                 compare(*op, va, vb)
             }
             Pred::QualCheck(q, x) => match bindings.get(*x) {
-                Some(Bound::Expr(e)) => self.has_qual(e, *q),
-                // An `&L` pattern's L is strictly smaller than the
-                // queried node, so its expression form is a fresh node.
-                Some(Bound::Lval(lv)) => self.has_qual(&Expr::lval(lv.clone()), *q),
+                Some(s) => self.query(s, *q),
                 None => false,
             },
         }
@@ -281,18 +291,18 @@ enum ConstVal {
     Str,
 }
 
-fn const_value(t: &PTerm, bindings: &Bindings<'_>) -> Option<ConstVal> {
+fn const_value(arena: &Arena, t: &PTerm, bindings: &Bindings) -> Option<ConstVal> {
     match t {
         PTerm::Int(v) => Some(ConstVal::Int(*v)),
         PTerm::Null => Some(ConstVal::Int(0)),
-        PTerm::Var(x) => match bindings.get(*x)? {
-            Bound::Expr(e) => match &e.strip_casts().kind {
-                ExprKind::IntLit(v) => Some(ConstVal::Int(*v)),
+        PTerm::Var(x) => match bindings.get(*x)?.strip_casts(arena) {
+            Subject::Expr(e) => match arena[e].kind {
+                ExprKind::IntLit(v) => Some(ConstVal::Int(v)),
                 ExprKind::Null => Some(ConstVal::Int(0)),
                 ExprKind::StrLit(_) => Some(ConstVal::Str),
                 _ => None,
             },
-            Bound::Lval(_) => None,
+            Subject::Read(_) => None,
         },
     }
 }
@@ -321,6 +331,7 @@ mod tests {
     use super::*;
     use stq_cir::parse::parse_program;
     use stq_qualspec::Registry;
+    use stq_util::Span;
 
     fn setup(src: &str) -> (Program, Registry) {
         let registry = Registry::builtins();
@@ -334,78 +345,88 @@ mod tests {
 
     #[test]
     fn positive_constant_is_pos() {
-        let (p, r) = setup("");
+        let (mut p, r) = setup("");
+        let (three, zero, minus_two) = (p.arena.int(3), p.arena.int(0), p.arena.int(-2));
         let env = TypeEnv::new(&p, &r);
         let mut inf = Inference::new(&env);
-        assert!(inf.has_qual(&Expr::int(3), q("pos")));
-        assert!(!inf.has_qual(&Expr::int(0), q("pos")));
-        assert!(!inf.has_qual(&Expr::int(-2), q("pos")));
+        assert!(inf.has_qual(three, q("pos")));
+        assert!(!inf.has_qual(zero, q("pos")));
+        assert!(!inf.has_qual(minus_two, q("pos")));
     }
 
     #[test]
     fn declared_variable_has_its_qualifier() {
-        let (p, r) = setup("int pos x;");
+        let (mut p, r) = setup("int pos x;");
+        let x = p.arena.var("x");
         let env = TypeEnv::new(&p, &r);
         let mut inf = Inference::new(&env);
-        assert!(inf.has_qual(&Expr::var("x"), q("pos")));
-        assert!(!inf.has_qual(&Expr::var("x"), q("neg")));
+        assert!(inf.has_qual(x, q("pos")));
+        assert!(!inf.has_qual(x, q("neg")));
     }
 
     #[test]
     fn product_of_pos_is_pos() {
-        let (p, r) = setup("int pos a; int pos b; int c;");
+        let (mut p, r) = setup("int pos a; int pos b; int c;");
+        let (a, b, c) = (p.arena.var("a"), p.arena.var("b"), p.arena.var("c"));
+        let ab = p.arena.binop(BinOp::Mul, a, b);
+        let ac = p.arena.binop(BinOp::Mul, a, c);
         let env = TypeEnv::new(&p, &r);
         let mut inf = Inference::new(&env);
-        let ab = Expr::binop(BinOp::Mul, Expr::var("a"), Expr::var("b"));
-        assert!(inf.has_qual(&ab, q("pos")));
-        let ac = Expr::binop(BinOp::Mul, Expr::var("a"), Expr::var("c"));
-        assert!(!inf.has_qual(&ac, q("pos")));
+        assert!(inf.has_qual(ab, q("pos")));
+        assert!(!inf.has_qual(ac, q("pos")));
         // Full product trees over `p0: pos` are `pos` at every depth;
         // the match attempts count each subtree's query once.
-        fn tree(depth: u32) -> Expr {
+        fn tree(a: &mut Arena, depth: u32) -> ExprId {
             if depth == 0 {
-                Expr::var("p0")
+                a.var("p0")
             } else {
-                Expr::binop(BinOp::Mul, tree(depth - 1), tree(depth - 1))
+                let (l, r) = (tree(a, depth - 1), tree(a, depth - 1));
+                a.binop(BinOp::Mul, l, r)
             }
         }
-        let (p, r) = setup("int pos p0;");
+        let (mut p, r) = setup("int pos p0;");
+        let trees = [2, 4, 6, 8].map(|depth| (depth, tree(&mut p.arena, depth)));
         let env = TypeEnv::new(&p, &r);
-        for (depth, attempts) in [(2, 6), (4, 30), (6, 126), (8, 510)] {
+        for ((depth, e), attempts) in trees.into_iter().zip([6, 30, 126, 510]) {
             let mut inf = Inference::new(&env);
-            assert!(inf.has_qual(&tree(depth), q("pos")), "depth {depth}");
+            assert!(inf.has_qual(e, q("pos")), "depth {depth}");
             assert_eq!(inf.match_attempts, attempts, "depth {depth}");
         }
     }
 
     #[test]
     fn mutual_recursion_pos_neg() {
-        let (p, r) = setup("int neg n; int pos x;");
+        let (mut p, r) = setup("int neg n; int pos x;");
+        let a = &mut p.arena;
+        let (n, x) = (a.var("n"), a.var("x"));
+        let neg_n = a.unop(UnOp::Neg, n);
+        let neg_x = a.unop(UnOp::Neg, x);
+        let xn = a.binop(BinOp::Mul, x, n);
+        // Nested negations of `x` alternate neg, pos, neg, … down a
+        // 32-deep chain.
+        let mut chain = vec![a.var("x")];
+        for _ in 1..=32 {
+            let last = *chain.last().expect("starts non-empty");
+            chain.push(a.unop(UnOp::Neg, last));
+        }
         let env = TypeEnv::new(&p, &r);
         let mut inf = Inference::new(&env);
         // -n where n:neg is pos (third case of pos).
-        let neg_n = Expr::unop(UnOp::Neg, Expr::var("n"));
-        assert!(inf.has_qual(&neg_n, q("pos")));
+        assert!(inf.has_qual(neg_n, q("pos")));
         // -x where x:pos is neg.
-        let neg_x = Expr::unop(UnOp::Neg, Expr::var("x"));
-        assert!(inf.has_qual(&neg_x, q("neg")));
+        assert!(inf.has_qual(neg_x, q("neg")));
         // pos * neg is neg.
-        let xn = Expr::binop(BinOp::Mul, Expr::var("x"), Expr::var("n"));
-        assert!(inf.has_qual(&xn, q("neg")));
-        assert!(!inf.has_qual(&xn, q("pos")));
-        // Nested negations of `x` alternate neg, pos, neg, … down a
-        // 32-deep chain.
-        let mut chain = Expr::var("x");
-        for depth in 1..=32 {
-            chain = Expr::unop(UnOp::Neg, chain);
+        assert!(inf.has_qual(xn, q("neg")));
+        assert!(!inf.has_qual(xn, q("pos")));
+        for (depth, &e) in chain.iter().enumerate().skip(1) {
             let (is, is_not) = if depth % 2 == 0 {
                 ("pos", "neg")
             } else {
                 ("neg", "pos")
             };
             let mut inf = Inference::new(&env);
-            assert!(inf.has_qual(&chain, q(is)), "depth {depth}");
-            assert!(!inf.has_qual(&chain, q(is_not)), "depth {depth}");
+            assert!(inf.has_qual(e, q(is)), "depth {depth}");
+            assert!(!inf.has_qual(e, q(is_not)), "depth {depth}");
         }
     }
 
@@ -420,100 +441,113 @@ mod tests {
                     decl int Expr E1: -E1, where selfq(E1)",
         )
         .unwrap();
-        let p = parse_program("int x;", &r.names()).unwrap();
+        let mut p = parse_program("int x;", &r.names()).unwrap();
+        let x = p.arena.var("x");
+        let neg = p.arena.unop(UnOp::Neg, x);
+        let e = p.arena.unop(UnOp::Neg, neg);
         let env = TypeEnv::new(&p, &r);
         let mut inf = Inference::new(&env);
-        let e = Expr::unop(UnOp::Neg, Expr::unop(UnOp::Neg, Expr::var("x")));
-        assert!(!inf.has_qual(&e, q("selfq")));
+        assert!(!inf.has_qual(e, q("selfq")));
     }
 
     #[test]
     fn pos_implies_nonzero_via_case() {
-        let (p, r) = setup("int pos d;");
+        let (mut p, r) = setup("int pos d;");
+        let d = p.arena.var("d");
         let env = TypeEnv::new(&p, &r);
         let mut inf = Inference::new(&env);
-        assert!(inf.has_qual(&Expr::var("d"), q("nonzero")));
+        assert!(inf.has_qual(d, q("nonzero")));
     }
 
     #[test]
     fn address_of_is_nonnull() {
-        let (p, r) = setup("int x;");
+        let (mut p, r) = setup("int x;");
+        let x = p.arena.lvar("x");
+        let e = p.arena.addr_of(x);
         let env = TypeEnv::new(&p, &r);
         let mut inf = Inference::new(&env);
-        let e = Expr::addr_of(Lvalue::var("x"));
-        assert!(inf.has_qual(&e, q("nonnull")));
+        assert!(inf.has_qual(e, q("nonnull")));
     }
 
     #[test]
     fn null_is_not_nonnull() {
-        let (p, r) = setup("");
+        let (mut p, r) = setup("");
+        let null = p.arena.null();
         let env = TypeEnv::new(&p, &r);
         let mut inf = Inference::new(&env);
-        assert!(!inf.has_qual(&Expr::null(), q("nonnull")));
+        assert!(!inf.has_qual(null, q("nonnull")));
     }
 
     #[test]
     fn subject_type_gates_applicability() {
         // pos applies to int expressions only; a pointer variable cannot
         // be pos even via a bogus case clause.
-        let (p, r) = setup("int* ptr;");
+        let (mut p, r) = setup("int* ptr;");
+        let ptr = p.arena.var("ptr");
         let env = TypeEnv::new(&p, &r);
         let mut inf = Inference::new(&env);
-        assert!(!inf.has_qual(&Expr::var("ptr"), q("pos")));
+        assert!(!inf.has_qual(ptr, q("pos")));
         // nonnull applies to pointers only.
-        let (p2, r2) = setup("int i;");
+        let (mut p2, r2) = setup("int i;");
+        let i = p2.arena.var("i");
         let env2 = TypeEnv::new(&p2, &r2);
         let mut inf2 = Inference::new(&env2);
-        assert!(!inf2.has_qual(&Expr::var("i"), q("nonnull")));
+        assert!(!inf2.has_qual(i, q("nonnull")));
     }
 
     #[test]
     fn cast_asserts_qualifier() {
-        let (p, r) = setup("int y;");
+        let (mut p, r) = setup("int y;");
+        let y = p.arena.var("y");
+        let e = p.arena.cast(y, QualType::int().with_qual("pos"));
         let env = TypeEnv::new(&p, &r);
         let mut inf = Inference::new(&env);
-        let e = Expr::var("y").cast(QualType::int().with_qual("pos"));
-        assert!(inf.has_qual(&e, q("pos")));
+        assert!(inf.has_qual(e, q("pos")));
     }
 
     #[test]
     fn cast_does_not_erase_inner_knowledge() {
-        let (p, r) = setup("int pos x;");
+        let (mut p, r) = setup("int pos x;");
+        let x = p.arena.var("x");
+        let e = p.arena.cast(x, QualType::int());
         let env = TypeEnv::new(&p, &r);
         let mut inf = Inference::new(&env);
-        let e = Expr::var("x").cast(QualType::int());
-        assert!(inf.has_qual(&e, q("pos")));
+        assert!(inf.has_qual(e, q("pos")));
     }
 
     #[test]
     fn constants_are_untainted() {
-        let (p, r) = setup("");
+        let (mut p, r) = setup("");
+        let s = p.arena.add_expr(ExprKind::StrLit("%s".into()), Span::DUMMY);
+        let seven = p.arena.int(7);
+        let unknown = p.arena.var("unknown");
         let env = TypeEnv::new(&p, &r);
         let mut inf = Inference::new(&env);
-        let s = Expr::new(ExprKind::StrLit("%s".into()));
-        assert!(inf.has_qual(&s, q("untainted")));
-        assert!(inf.has_qual(&Expr::int(7), q("untainted")));
-        assert!(!inf.has_qual(&Expr::var("unknown"), q("untainted")));
+        assert!(inf.has_qual(s, q("untainted")));
+        assert!(inf.has_qual(seven, q("untainted")));
+        assert!(!inf.has_qual(unknown, q("untainted")));
     }
 
     #[test]
     fn everything_is_tainted() {
-        let (p, r) = setup("char* buf;");
+        let (mut p, r) = setup("char* buf;");
+        let buf = p.arena.var("buf");
         let env = TypeEnv::new(&p, &r);
         let mut inf = Inference::new(&env);
-        assert!(inf.has_qual(&Expr::var("buf"), q("tainted")));
+        assert!(inf.has_qual(buf, q("tainted")));
     }
 
     #[test]
     fn guard_disjunction() {
-        let (p, r) = setup("int pos a; int neg b;");
+        let (mut p, r) = setup("int pos a; int neg b;");
+        let (a, b) = (p.arena.var("a"), p.arena.var("b"));
+        // neg's product rule: (pos && neg) || (neg && pos).
+        let ab = p.arena.binop(BinOp::Mul, a, b);
+        let ba = p.arena.binop(BinOp::Mul, b, a);
         let env = TypeEnv::new(&p, &r);
         let mut inf = Inference::new(&env);
-        // neg's product rule: (pos && neg) || (neg && pos).
-        let ab = Expr::binop(BinOp::Mul, Expr::var("a"), Expr::var("b"));
-        let ba = Expr::binop(BinOp::Mul, Expr::var("b"), Expr::var("a"));
-        assert!(inf.has_qual(&ab, q("neg")));
-        assert!(inf.has_qual(&ba, q("neg")));
+        assert!(inf.has_qual(ab, q("neg")));
+        assert!(inf.has_qual(ba, q("neg")));
     }
 
     #[test]
@@ -527,27 +561,33 @@ mod tests {
                     decl T Const C: C, where C != NULL",
         )
         .unwrap();
-        let p = parse_program("", &r.names()).unwrap();
+        let mut p = parse_program("", &r.names()).unwrap();
+        let s = p
+            .arena
+            .add_expr(ExprKind::StrLit("hello".into()), Span::DUMMY);
+        let null = p.arena.null();
         let env = TypeEnv::new(&p, &r);
         let mut inf = Inference::new(&env);
-        let s = Expr::new(ExprKind::StrLit("hello".into()));
-        assert!(inf.has_qual(&s, Symbol::intern("strq")));
-        assert!(!inf.has_qual(&Expr::null(), Symbol::intern("strq")));
+        assert!(inf.has_qual(s, Symbol::intern("strq")));
+        assert!(!inf.has_qual(null, Symbol::intern("strq")));
     }
 
     #[test]
     fn deref_pattern_matches() {
         // nonnull's restrict pattern is *F; exercise clause matching
-        // directly.
-        let (p, r) = setup("int* nonnull np;");
+        // directly, on an expression node and on a store target's read.
+        let (mut p, r) = setup("int* nonnull np;");
+        let np = p.arena.var("np");
+        let star_np = p.arena.deref(np);
+        let deref = p.arena.read(star_np);
         let env = TypeEnv::new(&p, &r);
         let mut inf = Inference::new(&env);
         let def = r.get_by_name("nonnull").unwrap();
         let restrict = &def.restricts[0];
-        let np = Expr::var("np");
-        let deref = Expr::lval(Lvalue::deref(np.clone()));
-        let bindings = inf.match_clause(restrict, &deref).expect("must match");
-        assert_eq!(bindings.get(q("F")), Some(Bound::Expr(&np)));
-        assert!(inf.eval_guard(&restrict.guard, &bindings));
+        for subject in [Subject::Expr(deref), Subject::Read(star_np)] {
+            let bindings = inf.match_clause(restrict, subject).expect("must match");
+            assert_eq!(bindings.get(q("F")), Some(Subject::Expr(np)));
+            assert!(inf.eval_guard(&restrict.guard, &bindings));
+        }
     }
 }

@@ -59,9 +59,9 @@ impl fmt::Display for Site {
 /// What flows into a site.
 #[derive(Clone, Debug)]
 enum Incoming {
-    /// An expression, evaluated in the given function's environment
-    /// (`None` = global initializer context).
-    Expr(Expr, Option<Symbol>),
+    /// An expression of the program, evaluated in the given function's
+    /// environment (`None` = global initializer context).
+    Expr(ExprId, Option<Symbol>),
     /// The return site of a called function.
     FromRet(Symbol),
     /// An allocation result.
@@ -158,7 +158,7 @@ pub fn infer_annotations(
                 Incoming::Expr(e, ctx) => {
                     let env = env_for(&annotated, registry, *ctx);
                     let mut inf = Inference::new(&env);
-                    inf.has_qual(e, qual)
+                    inf.has_qual(*e, qual)
                 }
             });
             if !justified {
@@ -207,12 +207,13 @@ fn for_each_decl<'a>(body: &'a [Stmt], mut f: impl FnMut(&'a LocalDecl)) {
 }
 
 fn collect_constraints(program: &Program) -> HashMap<Site, Vec<Incoming>> {
+    let arena = &program.arena;
     let mut out: HashMap<Site, Vec<Incoming>> = HashMap::new();
     let mut push = |site: Site, inc: Incoming| out.entry(site).or_default().push(inc);
 
     for g in &program.globals {
-        if let Some(init) = &g.init {
-            push(Site::Global(g.name), Incoming::Expr(init.clone(), None));
+        if let Some(init) = g.init {
+            push(Site::Global(g.name), Incoming::Expr(init, None));
         }
     }
     for f in &program.funcs {
@@ -234,41 +235,38 @@ fn collect_constraints(program: &Program) -> HashMap<Site, Vec<Incoming>> {
         for s in &f.body {
             s.walk(&mut |s| match &s.kind {
                 StmtKind::Decl(d) => {
-                    if let Some(init) = &d.init {
-                        push(
-                            Site::Local(func, d.name),
-                            Incoming::Expr(init.clone(), Some(func)),
-                        );
+                    if let Some(init) = d.init {
+                        push(Site::Local(func, d.name), Incoming::Expr(init, Some(func)));
                     }
                 }
-                StmtKind::Instr(i) => match &i.kind {
+                StmtKind::Instr(i) => match i.kind {
                     InstrKind::Set(lv, e) => {
-                        if let Some(name) = lv.as_var() {
-                            push(site_of(name), Incoming::Expr(e.clone(), Some(func)));
+                        if let Some(name) = arena.as_var(lv) {
+                            push(site_of(name), Incoming::Expr(e, Some(func)));
                         }
                     }
                     InstrKind::Alloc(lv, _) => {
-                        if let Some(name) = lv.as_var() {
+                        if let Some(name) = arena.as_var(lv) {
                             push(site_of(name), Incoming::New);
                         }
                     }
                     InstrKind::RuntimeCheck(..) => {}
-                    InstrKind::Call(dst, g, args) => {
+                    InstrKind::Call(dst, g, ref args) => {
                         // A prototype's return type decides as a
                         // definition's does; a callee with neither is
                         // unchecked, like the checker leaves it.
-                        if let Some(sig) = program.signature(*g) {
-                            for ((p, _), arg) in sig.params.iter().zip(args) {
-                                push(Site::Param(*g, *p), Incoming::Expr(arg.clone(), Some(func)));
+                        if let Some(sig) = program.signature(g) {
+                            for ((p, _), &arg) in sig.params.iter().zip(args) {
+                                push(Site::Param(g, *p), Incoming::Expr(arg, Some(func)));
                             }
-                            if let Some(name) = dst.as_ref().and_then(Lvalue::as_var) {
-                                push(site_of(name), Incoming::FromRet(*g));
+                            if let Some(name) = dst.and_then(|lv| arena.as_var(lv)) {
+                                push(site_of(name), Incoming::FromRet(g));
                             }
                         }
                     }
                 },
                 StmtKind::Return(Some(e)) => {
-                    push(Site::Ret(func), Incoming::Expr(e.clone(), Some(func)));
+                    push(Site::Ret(func), Incoming::Expr(*e, Some(func)));
                 }
                 _ => {}
             });

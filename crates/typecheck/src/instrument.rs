@@ -20,6 +20,11 @@ use stq_util::Symbol;
 /// invariant). `while` conditions are additionally re-checked at the end
 /// of each iteration, since the condition re-evaluates.
 ///
+/// The copy's arena is the program's, copied once: its statements name
+/// the same expression nodes, and each check names the operand of the
+/// cast it checks. So a node of the copy can have several parents, which
+/// nothing that runs or prints a program minds.
+///
 /// # Examples
 ///
 /// ```
@@ -37,6 +42,10 @@ use stq_util::Symbol;
 /// assert_eq!(instrumented.funcs[0].body.len(), 3);
 /// ```
 pub fn instrument_program(registry: &Registry, program: &Program) -> Program {
+    let ins = Instrumenter {
+        registry,
+        arena: &program.arena,
+    };
     Program {
         structs: program.structs.clone(),
         globals: program.globals.clone(),
@@ -47,88 +56,92 @@ pub fn instrument_program(registry: &Registry, program: &Program) -> Program {
             .map(|f| FuncDef {
                 name: f.name,
                 sig: f.sig.clone(),
-                body: instrument_stmts(registry, &f.body),
+                body: ins.stmts(&f.body),
                 span: f.span,
             })
             .collect(),
+        arena: program.arena.clone(),
     }
 }
 
-fn instrument_stmts(registry: &Registry, stmts: &[Stmt]) -> Vec<Stmt> {
-    let mut out = Vec::with_capacity(stmts.len());
-    for s in stmts {
-        instrument_stmt(registry, s, &mut out);
-    }
-    out
+/// The cast instrumentation of one program.
+struct Instrumenter<'a> {
+    registry: &'a Registry,
+    arena: &'a Arena,
 }
 
-fn instrument_stmt(registry: &Registry, stmt: &Stmt, out: &mut Vec<Stmt>) {
-    // The casts a statement holds itself are checked before it runs. A
-    // run-time check already in the program is not checked again.
-    let mut checks = Vec::new();
-    if !matches!(&stmt.kind, StmtKind::Instr(i) if matches!(i.kind, InstrKind::RuntimeCheck(..))) {
-        stmt.exprs(&mut |e| collect(registry, e, &mut checks));
-    }
-    push_checks(&checks, stmt.span, out);
-    let kind = match &stmt.kind {
-        StmtKind::Block(inner) => StmtKind::Block(instrument_stmts(registry, inner)),
-        StmtKind::If(cond, then, els) => StmtKind::If(
-            cond.clone(),
-            Box::new(instrument_one(registry, then)),
-            els.as_ref().map(|e| Box::new(instrument_one(registry, e))),
-        ),
-        StmtKind::While(cond, body) => {
-            // Checked once before entry (above), and again after each
-            // iteration, before the condition re-evaluates.
-            let mut new_body = vec![instrument_one(registry, body)];
-            push_checks(&checks, stmt.span, &mut new_body);
-            StmtKind::While(cond.clone(), Box::new(Stmt::new(StmtKind::Block(new_body))))
+impl Instrumenter<'_> {
+    fn stmts(&self, stmts: &[Stmt]) -> Vec<Stmt> {
+        let mut out = Vec::with_capacity(stmts.len());
+        for s in stmts {
+            self.stmt(s, &mut out);
         }
-        StmtKind::Instr(_) | StmtKind::Return(_) | StmtKind::Decl(_) => stmt.kind.clone(),
-    };
-    out.push(Stmt {
-        kind,
-        span: stmt.span,
-    });
-}
-
-fn instrument_one(registry: &Registry, stmt: &Stmt) -> Stmt {
-    let mut tmp = Vec::new();
-    instrument_stmt(registry, stmt, &mut tmp);
-    match tmp.len() {
-        1 => tmp.pop().expect("len checked"),
-        _ => Stmt {
-            kind: StmtKind::Block(tmp),
-            span: stmt.span,
-        },
+        out
     }
-}
 
-fn push_checks(checks: &[(Symbol, Expr)], span: stq_util::Span, out: &mut Vec<Stmt>) {
-    for (q, e) in checks {
+    fn stmt(&self, stmt: &Stmt, out: &mut Vec<Stmt>) {
+        // The casts a statement holds itself are checked before it runs.
+        // A run-time check already in the program is not checked again.
+        let mut checks = Vec::new();
+        if !matches!(&stmt.kind, StmtKind::Instr(i) if matches!(i.kind, InstrKind::RuntimeCheck(..)))
+        {
+            stmt.exprs(self.arena, &mut |e| self.collect(e, &mut checks));
+        }
+        push_checks(&checks, stmt.span, out);
+        let kind = match &stmt.kind {
+            StmtKind::Block(inner) => StmtKind::Block(self.stmts(inner)),
+            StmtKind::If(cond, then, els) => StmtKind::If(
+                *cond,
+                Box::new(self.one(then)),
+                els.as_ref().map(|e| Box::new(self.one(e))),
+            ),
+            StmtKind::While(cond, body) => {
+                // Checked once before entry (above), and again after each
+                // iteration, before the condition re-evaluates.
+                let mut new_body = vec![self.one(body)];
+                push_checks(&checks, stmt.span, &mut new_body);
+                StmtKind::While(*cond, Box::new(Stmt::new(StmtKind::Block(new_body))))
+            }
+            StmtKind::Instr(_) | StmtKind::Return(_) | StmtKind::Decl(_) => stmt.kind.clone(),
+        };
         out.push(Stmt {
-            kind: StmtKind::Instr(Instr {
-                kind: InstrKind::RuntimeCheck(*q, e.clone()),
-                span,
-            }),
-            span,
+            kind,
+            span: stmt.span,
+        });
+    }
+
+    fn one(&self, stmt: &Stmt) -> Stmt {
+        let mut tmp = Vec::new();
+        self.stmt(stmt, &mut tmp);
+        match tmp.len() {
+            1 => tmp.pop().expect("len checked"),
+            _ => Stmt {
+                kind: StmtKind::Block(tmp),
+                span: stmt.span,
+            },
+        }
+    }
+
+    /// Collects (qualifier, operand) pairs for every cast inside `e` to
+    /// a value-qualified type with a declared invariant, outer casts
+    /// first.
+    fn collect(&self, e: ExprId, out: &mut Vec<(Symbol, ExprId)>) {
+        self.arena.walk_expr(e, &mut |e| {
+            if let ExprKind::Cast(ty, inner) = &self.arena[e].kind {
+                for &q in &ty.quals {
+                    if runtime_invariant(self.registry, q).is_some() {
+                        out.push((q, *inner));
+                    }
+                }
+            }
         });
     }
 }
 
-/// Collects (qualifier, inner-expression) pairs for every cast inside
-/// `e` to a value-qualified type with a declared invariant, outer casts
-/// first.
-fn collect(registry: &Registry, e: &Expr, out: &mut Vec<(Symbol, Expr)>) {
-    e.walk(&mut |e| {
-        if let ExprKind::Cast(ty, inner) = &e.kind {
-            for &q in &ty.quals {
-                if runtime_invariant(registry, q).is_some() {
-                    out.push((q, (**inner).clone()));
-                }
-            }
-        }
-    });
+fn push_checks(checks: &[(Symbol, ExprId)], span: stq_util::Span, out: &mut Vec<Stmt>) {
+    for &(q, e) in checks {
+        out.push(check_stmt(q, e, span));
+    }
 }
 
 /// The invariant a run-time check of `q` evaluates: `q`'s declared
@@ -182,6 +195,7 @@ pub fn observe_program(registry: &Registry, program: &Program) -> Program {
     for f in &mut out.funcs {
         let mut obs = Observer {
             registry,
+            arena: &mut out.arena,
             ret: f.sig.ret.clone(),
             scopes: vec![globals.clone()],
         };
@@ -190,7 +204,8 @@ pub fn observe_program(registry: &Registry, program: &Program) -> Program {
         let mut body = Vec::with_capacity(f.body.len() + f.sig.params.len());
         for (name, ty) in &f.sig.params {
             for q in observed_quals(registry, ty) {
-                body.push(check_stmt(q, var_expr(*name), f.span));
+                let read = obs.read_var(*name);
+                body.push(check_stmt(q, read, f.span));
             }
         }
         for s in &f.body {
@@ -211,11 +226,7 @@ fn observed_quals(registry: &Registry, ty: &QualType) -> Vec<Symbol> {
         .collect()
 }
 
-fn var_expr(name: Symbol) -> Expr {
-    Expr::lval(Lvalue::new(LvalKind::Var(name)))
-}
-
-fn check_stmt(qual: Symbol, e: Expr, span: stq_util::Span) -> Stmt {
+fn check_stmt(qual: Symbol, e: ExprId, span: stq_util::Span) -> Stmt {
     Stmt {
         kind: StmtKind::Instr(Instr {
             kind: InstrKind::RuntimeCheck(qual, e),
@@ -227,6 +238,8 @@ fn check_stmt(qual: Symbol, e: Expr, span: stq_util::Span) -> Stmt {
 
 struct Observer<'a> {
     registry: &'a Registry,
+    /// The observed copy's arena, which gains the reads the checks make.
+    arena: &'a mut Arena,
     ret: QualType,
     /// Innermost scope last: variable → declared type.
     scopes: Vec<HashMap<Symbol, QualType>>,
@@ -237,14 +250,26 @@ impl Observer<'_> {
         self.scopes.iter().rev().find_map(|s| s.get(&name))
     }
 
+    /// A new node reading the variable `name`.
+    fn read_var(&mut self, name: Symbol) -> ExprId {
+        let lv = self
+            .arena
+            .add_lval(LvalKind::Var(name), stq_util::Span::DUMMY);
+        self.arena.read(lv)
+    }
+
     /// Observation checks for a store into `lv`, if it names a variable.
-    fn store_checks(&self, lv: &Lvalue, out: &mut Vec<Stmt>, span: stq_util::Span) {
-        if let LvalKind::Var(name) = &lv.kind {
-            if let Some(ty) = self.lookup(*name) {
-                for q in observed_quals(self.registry, ty) {
-                    out.push(check_stmt(q, var_expr(*name), span));
-                }
-            }
+    fn store_checks(&mut self, lv: LvalId, out: &mut Vec<Stmt>, span: stq_util::Span) {
+        let Some(name) = self.arena.as_var(lv) else {
+            return;
+        };
+        let quals = self
+            .lookup(name)
+            .map(|ty| observed_quals(self.registry, ty))
+            .unwrap_or_default();
+        for q in quals {
+            let read = self.read_var(name);
+            out.push(check_stmt(q, read, span));
         }
     }
 
@@ -252,7 +277,7 @@ impl Observer<'_> {
         match &stmt.kind {
             StmtKind::Instr(i) => {
                 out.push(stmt.clone());
-                match &i.kind {
+                match i.kind {
                     InstrKind::Set(lv, _) | InstrKind::Alloc(lv, _) => {
                         self.store_checks(lv, out, stmt.span);
                     }
@@ -264,7 +289,8 @@ impl Observer<'_> {
                 out.push(stmt.clone());
                 if d.init.is_some() {
                     for q in observed_quals(self.registry, &d.ty) {
-                        out.push(check_stmt(q, var_expr(d.name), stmt.span));
+                        let read = self.read_var(d.name);
+                        out.push(check_stmt(q, read, stmt.span));
                     }
                 }
                 self.scopes
@@ -274,7 +300,7 @@ impl Observer<'_> {
             }
             StmtKind::Return(Some(e)) => {
                 for q in observed_quals(self.registry, &self.ret) {
-                    out.push(check_stmt(q, e.clone(), stmt.span));
+                    out.push(check_stmt(q, *e, stmt.span));
                 }
                 out.push(stmt.clone());
             }
@@ -295,14 +321,14 @@ impl Observer<'_> {
                 let then = Box::new(self.one(then));
                 let els = els.as_ref().map(|e| Box::new(self.one(e)));
                 out.push(Stmt {
-                    kind: StmtKind::If(cond.clone(), then, els),
+                    kind: StmtKind::If(*cond, then, els),
                     span: stmt.span,
                 });
             }
             StmtKind::While(cond, body) => {
                 let body = Box::new(self.one(body));
                 out.push(Stmt {
-                    kind: StmtKind::While(cond.clone(), body),
+                    kind: StmtKind::While(*cond, body),
                     span: stmt.span,
                 });
             }

@@ -39,7 +39,7 @@ pub mod inferann;
 pub mod instrument;
 
 pub use check::{check_program, check_program_with, CheckOptions, CheckResult, CheckStats};
-pub use env::{StaticTy, TypeEnv};
-pub use infer::{Bindings, Bound, Inference};
+pub use env::{StaticTy, Subject, TypeEnv};
+pub use infer::{Bindings, Inference};
 pub use inferann::{infer_annotations, AnnotationInference, Site};
 pub use instrument::{instrument_program, observe_program, InvariantChecker};

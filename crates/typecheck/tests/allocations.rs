@@ -1,18 +1,22 @@
 //! The checking ledger: how many heap allocations parsing, checking and
 //! instrumenting grep's `dfa.c` stand-in (Table 1's program, 2,287
 //! lines) make against the builtin qualifiers — the compile path the
-//! paper's §6 times — and how many a flow-sensitive check of its
-//! cast-free variant makes, where the refinement walks run.
+//! paper's §6 times — how many frees dropping the parsed program makes,
+//! how many allocations a flow-sensitive check of its cast-free variant
+//! makes, where the refinement walks run, and how many a check of
+//! stores through pointers makes, where restrict rules run on store
+//! targets.
 //!
 //! A counting global allocator forwards every call to the system
 //! allocator and counts, per thread, each call that hands out memory
-//! (`alloc`, `alloc_zeroed`, `realloc`). All three phases run on the
-//! calling thread and are deterministic, so each count is exact, and
-//! debug and release builds make the same. Each phase has its own
-//! ceiling, so a change that brings back per-query type copies (the
-//! checker), a second copy of every body (instrumentation), l-value
-//! clones (the parser) or an allocating tree walk (flow sensitivity)
-//! fails here, in the phase that regressed, before it shows up as
+//! (`alloc`, `alloc_zeroed`, `realloc`) and each `dealloc`. Every phase
+//! runs on the calling thread and is deterministic, so each count is
+//! exact, and debug and release builds make the same. Each phase has its
+//! own ceiling, so a change that brings back per-query type copies (the
+//! checker), a copy of every expression (instrumentation), a boxed node
+//! per expression (the parser and the drop), an allocating tree walk
+//! (flow sensitivity) or a copy of each store target (the restrict
+//! rules) fails here, in the phase that regressed, before it shows up as
 //! latency.
 //!
 //! The allocator is global to the binary, so this file holds its only
@@ -24,24 +28,31 @@ use stq_cir::parse::parse_program_resilient;
 use stq_qualspec::Registry;
 use stq_typecheck::{check_program, check_program_with, instrument_program, CheckOptions};
 
-/// Parsing may not allocate more than this: about 5% above the 15,920
-/// allocations it makes when `&e`, `e.f` and assignment targets move
-/// their l-values, and below the 17,632 it made when it cloned them.
-const PARSE_CEILING: u64 = 16_700;
+/// Parsing may not allocate more than this: about 5% above the 1,050
+/// allocations it makes filling the program's arena, against the 15,920
+/// it made boxing every expression and l-value.
+const PARSE_CEILING: u64 = 1_100;
 
 /// Checking may not allocate more than this. It makes 5 allocations,
 /// however many expressions it visits: its type queries borrow the
 /// program's types, pattern bindings live inline, and a query answered
 /// by a declared type never reaches the derivation stack. 5% of so few
 /// is less than one, so the ceiling leaves room for five more; the same
-/// check made 25,112 when every type query returned an owned copy.
+/// check made 25,112 when every type query returned an owned copy. The
+/// stores row is held to the same ceiling: restrict rules run on a store
+/// target in place, where copying each target made 403.
 const CHECK_CEILING: u64 = 10;
 
 /// Instrumenting may not allocate more than this: about 5% above the
-/// 14,264 allocations it makes building its output once, and about half
-/// the 27,928 it made deep-copying the program and then rebuilding every
-/// body.
-const INSTRUMENT_CEILING: u64 = 14_950;
+/// 1,019 allocations it makes copying the arena once and rebuilding the
+/// statements, against the 14,264 it made copying each statement's
+/// expressions.
+const INSTRUMENT_CEILING: u64 = 1_070;
+
+/// Dropping the parsed program may not free more than this: about 5%
+/// above the 794 frees it makes, where dropping a boxed node per
+/// expression and l-value made 13,921.
+const DROP_CEILING: u64 = 834;
 
 /// A flow-sensitive check of the cast-free dfa may not allocate more
 /// than this: about 5% above the 241 allocations it makes, where its
@@ -53,12 +64,17 @@ struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static FREES: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count_one() {
     // `try_with`: the counter is gone while a thread's locals are torn
     // down, and the allocator must not panic then.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn count_free() {
+    let _ = FREES.try_with(|n| n.set(n.get() + 1));
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
@@ -81,6 +97,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_free();
         System.dealloc(ptr, layout);
     }
 }
@@ -95,29 +112,49 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, ALLOCATIONS.with(Cell::get) - before)
 }
 
-/// Parses, checks and instruments `src`, and returns each phase's
-/// allocations.
-fn compile_counted(registry: &Registry, names: &[&str], src: &str) -> [u64; 3] {
+/// Drops `value` and returns the frees that made.
+fn frees_dropping<T>(value: T) -> u64 {
+    let before = FREES.with(Cell::get);
+    drop(value);
+    FREES.with(Cell::get) - before
+}
+
+/// Parses, checks and instruments `src`, then drops the parsed program,
+/// and returns each phase's allocations and the drop's frees.
+fn compile_counted(registry: &Registry, names: &[&str], src: &str) -> [u64; 4] {
     let ((program, errors), parse) = counted(|| parse_program_resilient(src, names));
     assert!(errors.is_empty(), "{errors:?}");
     let (result, check) = counted(|| check_program(registry, &program));
     assert_eq!(result.stats.qualifier_errors, 0, "{}", result.diags);
     let (instrumented, instrument) = counted(|| instrument_program(registry, &program));
     assert_eq!(instrumented.funcs.len(), program.funcs.len());
-    [parse, check, instrument]
+    drop(instrumented);
+    [parse, check, instrument, frees_dropping(program)]
 }
 
-/// Parses `src`, then checks it flow-sensitively, and returns the check's
+/// Parses `src`, then checks it with `options`, and returns the check's
 /// allocations.
-fn flow_check_counted(registry: &Registry, names: &[&str], src: &str) -> u64 {
+fn check_counted(registry: &Registry, names: &[&str], src: &str, options: CheckOptions) -> u64 {
     let (program, errors) = parse_program_resilient(src, names);
     assert!(errors.is_empty(), "{errors:?}");
-    let options = CheckOptions {
-        flow_sensitive: true,
-    };
-    let (result, flow) = counted(|| check_program_with(registry, &program, options));
+    let (result, check) = counted(|| check_program_with(registry, &program, options));
     assert_eq!(result.stats.qualifier_errors, 0, "{}", result.diags);
-    flow
+    check
+}
+
+/// A function of 100 stores through a pointer and 100 through a field
+/// of a pointed-to struct, each target checked by `nonnull`'s restrict
+/// rule on `*E`.
+fn stores_source() -> String {
+    let mut src = String::from(
+        "struct s { int f; };
+         void stores(int* nonnull p, struct s* nonnull q, int i) {\n",
+    );
+    for _ in 0..100 {
+        src.push_str("    *p = i;\n    q->f = i;\n");
+    }
+    src.push_str("}\n");
+    src
 }
 
 #[test]
@@ -129,33 +166,41 @@ fn compiling_grep_dfa_stays_under_its_allocation_ceilings() {
     // table; the ledger counts the second, as a warm process checking a
     // file it has seen before would.
     let first = compile_counted(&registry, &names, &src);
-    let [parse, check, instrument] = compile_counted(&registry, &names, &src);
+    let [parse, check, instrument, drop] = compile_counted(&registry, &names, &src);
     assert_eq!(
         compile_counted(&registry, &names, &src),
-        [parse, check, instrument],
+        [parse, check, instrument, drop],
         "the counts are deterministic"
     );
     let direct = stq_corpus::grep::grep_dfa_source_direct();
-    flow_check_counted(&registry, &names, &direct);
-    let flow = flow_check_counted(&registry, &names, &direct);
+    let flow_sensitive = CheckOptions {
+        flow_sensitive: true,
+    };
+    check_counted(&registry, &names, &direct, flow_sensitive);
+    let flow = check_counted(&registry, &names, &direct, flow_sensitive);
     assert_eq!(
-        flow_check_counted(&registry, &names, &direct),
+        check_counted(&registry, &names, &direct, flow_sensitive),
         flow,
         "the flow-sensitive count is deterministic"
     );
+    let stores_src = stores_source();
+    check_counted(&registry, &names, &stores_src, CheckOptions::default());
+    let stores = check_counted(&registry, &names, &stores_src, CheckOptions::default());
     eprintln!(
         "allocations: first run {first:?}; ledger run parse {parse}, check {check}, \
-         instrument {instrument}, flow {flow}"
+         instrument {instrument}, drop {drop} frees, flow {flow}, stores {stores}"
     );
     for (phase, count, ceiling) in [
         ("parse", parse, PARSE_CEILING),
         ("check", check, CHECK_CEILING),
         ("instrument", instrument, INSTRUMENT_CEILING),
+        ("drop", drop, DROP_CEILING),
         ("flow", flow, FLOW_CEILING),
+        ("stores", stores, CHECK_CEILING),
     ] {
         assert!(
             count <= ceiling,
-            "{phase}: {count} allocations, above the ceiling of {ceiling}"
+            "{phase}: {count} allocations (frees for the drop), above the ceiling of {ceiling}"
         );
     }
 }

@@ -239,6 +239,20 @@ pub struct ExprId(u32);
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct LvalId(u32);
 
+impl ExprId {
+    /// The node's position in its arena: ids are handed out in order.
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+impl LvalId {
+    /// The node's position in its arena: ids are handed out in order.
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// A side-effect-free expression with its source span.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Expr {
@@ -422,50 +436,19 @@ impl Arena {
             _ => None,
         }
     }
-
-    /// A copy of the expression `e` as new nodes, sharing none with `e`.
-    pub fn copy_expr(&mut self, e: ExprId) -> ExprId {
-        let Expr { kind, span } = self[e].clone();
-        let kind = match kind {
-            ExprKind::Lval(lv) => ExprKind::Lval(self.copy_lval(lv)),
-            ExprKind::AddrOf(lv) => ExprKind::AddrOf(self.copy_lval(lv)),
-            ExprKind::Unop(op, a) => ExprKind::Unop(op, self.copy_expr(a)),
-            ExprKind::Binop(op, a, b) => {
-                let a = self.copy_expr(a);
-                ExprKind::Binop(op, a, self.copy_expr(b))
-            }
-            ExprKind::Cast(ty, a) => ExprKind::Cast(ty, self.copy_expr(a)),
-            leaf @ (ExprKind::IntLit(_)
-            | ExprKind::StrLit(_)
-            | ExprKind::Null
-            | ExprKind::SizeOf(_)) => leaf,
-        };
-        self.add_expr(kind, span)
-    }
-
-    /// A copy of the l-value `lv` as new nodes, sharing none with `lv`.
-    pub fn copy_lval(&mut self, lv: LvalId) -> LvalId {
-        let Lvalue { kind, span } = self[lv].clone();
-        let kind = match kind {
-            LvalKind::Var(v) => LvalKind::Var(v),
-            LvalKind::Deref(e) => LvalKind::Deref(self.copy_expr(e)),
-            LvalKind::Field(inner, f) => LvalKind::Field(self.copy_lval(inner), f),
-        };
-        self.add_lval(kind, span)
-    }
 }
 
 impl Index<ExprId> for Arena {
     type Output = Expr;
 
     fn index(&self, id: ExprId) -> &Expr {
-        &self.exprs[id.0 as usize]
+        &self.exprs[id.index()]
     }
 }
 
 impl IndexMut<ExprId> for Arena {
     fn index_mut(&mut self, id: ExprId) -> &mut Expr {
-        &mut self.exprs[id.0 as usize]
+        &mut self.exprs[id.index()]
     }
 }
 
@@ -473,13 +456,13 @@ impl Index<LvalId> for Arena {
     type Output = Lvalue;
 
     fn index(&self, id: LvalId) -> &Lvalue {
-        &self.lvals[id.0 as usize]
+        &self.lvals[id.index()]
     }
 }
 
 impl IndexMut<LvalId> for Arena {
     fn index_mut(&mut self, id: LvalId) -> &mut Lvalue {
-        &mut self.lvals[id.0 as usize]
+        &mut self.lvals[id.index()]
     }
 }
 
@@ -716,22 +699,6 @@ mod tests {
         assert_eq!(a.as_var(lv), Some(Symbol::intern("x")));
         let one = a.int(1);
         assert_eq!(a.as_lval(one), None);
-    }
-
-    #[test]
-    fn a_copy_shares_no_node_with_its_original() {
-        let mut a = Arena::default();
-        let p = a.var("p");
-        let k = a.int(2);
-        let sum = a.binop(BinOp::Add, p, k);
-        let target = a.deref(sum);
-        let copy = a.copy_lval(target);
-        assert_ne!(copy, target);
-        let LvalKind::Deref(e) = a[copy].kind else {
-            panic!("a copy keeps its shape")
-        };
-        assert_ne!(e, sum);
-        assert_eq!(a[e].kind, ExprKind::Binop(BinOp::Add, ExprId(3), ExprId(4)));
     }
 
     #[test]

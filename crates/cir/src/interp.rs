@@ -104,8 +104,29 @@ pub enum RuntimeError {
     StackOverflow,
     /// A construct the interpreter does not model.
     Unsupported(String, Span),
-    /// The program has no entry point.
+    /// The program has no function of the entry's name.
     NoEntry(Symbol),
+    /// The entry was given a number of arguments it cannot take: other
+    /// than its parameter count, or fewer if it is variadic.
+    EntryArity {
+        /// The entry function.
+        entry: Symbol,
+        /// Its parameter count.
+        params: usize,
+        /// The number of arguments given.
+        given: usize,
+    },
+}
+
+impl RuntimeError {
+    /// Whether the entry could not be called at all: the error is in the
+    /// request to run, not in the run.
+    pub fn is_entry_error(&self) -> bool {
+        matches!(
+            self,
+            RuntimeError::NoEntry(_) | RuntimeError::EntryArity { .. }
+        )
+    }
 }
 
 impl fmt::Display for RuntimeError {
@@ -129,6 +150,14 @@ impl fmt::Display for RuntimeError {
             RuntimeError::StackOverflow => f.write_str("call-depth budget exhausted"),
             RuntimeError::Unsupported(what, s) => write!(f, "unsupported: {what} at {s}"),
             RuntimeError::NoEntry(n) => write!(f, "no entry function `{n}`"),
+            RuntimeError::EntryArity {
+                entry,
+                params,
+                given,
+            } => write!(
+                f,
+                "entry function `{entry}` takes {params} argument(s), {given} given"
+            ),
         }
     }
 }
@@ -191,7 +220,10 @@ impl Default for InterpConfig {
 ///
 /// # Errors
 ///
-/// Returns the first [`RuntimeError`] encountered.
+/// Before anything runs, [`RuntimeError::NoEntry`] if `program` defines
+/// no function `entry`, and [`RuntimeError::EntryArity`] if `args` does
+/// not fit its parameters (a variadic entry takes extra arguments).
+/// Otherwise the first [`RuntimeError`] the run meets.
 ///
 /// # Examples
 ///
@@ -214,6 +246,18 @@ pub fn run_entry(
     checker: &dyn QualChecker,
     config: InterpConfig,
 ) -> Result<ExecOutcome, RuntimeError> {
+    let entry_sym = Symbol::intern(entry);
+    let func = program
+        .func(entry_sym)
+        .ok_or(RuntimeError::NoEntry(entry_sym))?;
+    let params = func.sig.params.len();
+    if args.len() < params || (args.len() > params && !func.sig.varargs) {
+        return Err(RuntimeError::EntryArity {
+            entry: entry_sym,
+            params,
+            given: args.len(),
+        });
+    }
     let mut interp = Interp {
         program,
         checker,
@@ -237,10 +281,6 @@ pub fn run_entry(
             interp.mem.insert(addr, v);
         }
     }
-    let entry_sym = Symbol::intern(entry);
-    let func = program
-        .func(entry_sym)
-        .ok_or(RuntimeError::NoEntry(entry_sym))?;
     let ret = interp.call(func, args.to_vec(), Span::DUMMY)?;
     let mut outcome = interp.outcome;
     outcome.ret = ret;
@@ -1206,6 +1246,28 @@ mod tests {
     fn missing_entry_errors() {
         let e = run("void f() { }", "g", &[]).unwrap_err();
         assert!(matches!(e, RuntimeError::NoEntry(_)));
+    }
+
+    #[test]
+    fn an_entry_given_the_wrong_argument_count_runs_nothing() {
+        // The global initializer would divide by zero if anything ran.
+        let src = "int z = 0; int g = 1 / z; int f(int a) { return a; }";
+        for given in [0, 2] {
+            let e = run(src, "f", &vec![Value::Int(1); given]).unwrap_err();
+            assert_eq!(
+                e.to_string(),
+                format!("entry function `f` takes 1 argument(s), {given} given")
+            );
+            assert!(e.is_entry_error());
+        }
+        assert!(matches!(
+            run(src, "f", &[Value::Int(1)]).unwrap_err(),
+            RuntimeError::DivByZero(_)
+        ));
+        // A variadic entry takes extra arguments, but not fewer.
+        let varargs = "int f(int a, ...) { return a; }";
+        assert!(run(varargs, "f", &[Value::Int(1), Value::Int(2)]).is_ok());
+        assert!(run(varargs, "f", &[]).unwrap_err().is_entry_error());
     }
 
     #[test]

@@ -13,6 +13,10 @@
 //! Qualifier annotations are postfix identifiers drawn from a caller-
 //! provided set of known qualifier names (standing in for the paper's
 //! gcc-attribute macros): `int pos x`, `char * untainted fmt`.
+//!
+//! Nesting is bounded by [`MAX_NESTING`], so that no pass over a parsed
+//! program, each of which recurses once per level, can exhaust its
+//! thread's stack.
 
 use crate::ast::*;
 use crate::lex::{lex, show, Shown, Tok, Token};
@@ -48,6 +52,17 @@ impl From<crate::lex::LexError> for ParseError {
 }
 
 type PResult<T> = Result<T, ParseError>;
+
+/// The deepest nesting a program may have. Each block, `if`/`else`/
+/// `while`/`for` body (a `for` counts three, for the block and loop it
+/// becomes), parenthesis, bracket, unary operator, cast and pointer
+/// level being parsed opens a level, and each expression node sits as
+/// many levels deeper as its height: a left-deep chain `a + b + …` or
+/// `a.f.g…` is as deep as it is long. Past the limit is a parse error.
+///
+/// C's minimum translation limits are 63 levels of parentheses and 127
+/// of blocks (C11 §5.2.4.1).
+pub const MAX_NESTING: u32 = 256;
 
 /// Parses a translation unit.
 ///
@@ -101,9 +116,12 @@ pub fn parse_program_resilient(src: &str, qualifiers: &[&str]) -> (Program, Vec<
     // Sized from the token count, so a parse rarely grows them: the
     // corpus makes up to 0.68 expressions and 0.37 l-values per token.
     let n = lexed.toks.len();
-    let arena = Arena::with_capacity(n * 3 / 4, n * 2 / 5);
+    let (exprs, lvals) = (n * 3 / 4, n * 2 / 5);
     let mut p = Parser {
-        arena,
+        arena: Arena::with_capacity(exprs, lvals),
+        expr_heights: Vec::with_capacity(exprs),
+        lval_heights: Vec::with_capacity(lvals),
+        depth: 0,
         toks: lexed.toks,
         strs: lexed.strs,
         kw: keywords(),
@@ -119,6 +137,12 @@ pub fn parse_program_resilient(src: &str, qualifiers: &[&str]) -> (Program, Vec<
 struct Parser {
     /// The nodes of the program being parsed.
     arena: Arena,
+    /// The height of each expression node, by id: 1 for a leaf.
+    expr_heights: Vec<u32>,
+    /// The height of each l-value node, by id: 1 for a variable.
+    lval_heights: Vec<u32>,
+    /// The nesting levels open where the parser is (see [`MAX_NESTING`]).
+    depth: u32,
     toks: Vec<Token>,
     /// String literals' contents, indexed by [`Tok::Str`]; each moves
     /// into the literal expression that consumes its token.
@@ -225,6 +249,83 @@ impl Parser {
         t
     }
 
+    /// Opens `levels` nesting levels, or fails past [`MAX_NESTING`].
+    fn enter(&mut self, levels: u32) -> PResult<()> {
+        self.depth += levels;
+        self.within_limit(0)
+    }
+
+    fn leave(&mut self, levels: u32) {
+        self.depth -= levels;
+    }
+
+    /// Whether a node of height `height` fits at the current depth.
+    fn within_limit(&self, height: u32) -> PResult<()> {
+        if self.depth + height > MAX_NESTING {
+            self.err(format!("nesting deeper than {MAX_NESTING} levels"))
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Adds an expression node, if its height fits.
+    fn expr(&mut self, kind: ExprKind, span: Span) -> PResult<ExprId> {
+        let below = match kind {
+            ExprKind::Lval(lv) | ExprKind::AddrOf(lv) => self.lval_heights[lv.index()],
+            ExprKind::Unop(_, a) | ExprKind::Cast(_, a) => self.expr_heights[a.index()],
+            ExprKind::Binop(_, a, b) => {
+                self.expr_heights[a.index()].max(self.expr_heights[b.index()])
+            }
+            ExprKind::IntLit(_) | ExprKind::StrLit(_) | ExprKind::Null | ExprKind::SizeOf(_) => 0,
+        };
+        self.within_limit(below + 1)?;
+        self.expr_heights.push(below + 1);
+        Ok(self.arena.add_expr(kind, span))
+    }
+
+    /// Adds an l-value node, if its height fits.
+    fn lval(&mut self, kind: LvalKind, span: Span) -> PResult<LvalId> {
+        let below = match kind {
+            LvalKind::Var(_) => 0,
+            LvalKind::Deref(e) => self.expr_heights[e.index()],
+            LvalKind::Field(lv, _) => self.lval_heights[lv.index()],
+        };
+        self.within_limit(below + 1)?;
+        self.lval_heights.push(below + 1);
+        Ok(self.arena.add_lval(kind, span))
+    }
+
+    /// A copy of the expression `e` as new nodes, sharing none with it.
+    fn copy_expr(&mut self, e: ExprId) -> PResult<ExprId> {
+        let Expr { kind, span } = self.arena[e].clone();
+        let kind = match kind {
+            ExprKind::Lval(lv) => ExprKind::Lval(self.copy_lval(lv)?),
+            ExprKind::AddrOf(lv) => ExprKind::AddrOf(self.copy_lval(lv)?),
+            ExprKind::Unop(op, a) => ExprKind::Unop(op, self.copy_expr(a)?),
+            ExprKind::Binop(op, a, b) => {
+                let a = self.copy_expr(a)?;
+                ExprKind::Binop(op, a, self.copy_expr(b)?)
+            }
+            ExprKind::Cast(ty, a) => ExprKind::Cast(ty, self.copy_expr(a)?),
+            leaf @ (ExprKind::IntLit(_)
+            | ExprKind::StrLit(_)
+            | ExprKind::Null
+            | ExprKind::SizeOf(_)) => leaf,
+        };
+        self.expr(kind, span)
+    }
+
+    /// A copy of the l-value `lv` as new nodes, sharing none with it.
+    fn copy_lval(&mut self, lv: LvalId) -> PResult<LvalId> {
+        let Lvalue { kind, span } = self.arena[lv].clone();
+        let kind = match kind {
+            LvalKind::Var(v) => LvalKind::Var(v),
+            LvalKind::Deref(e) => LvalKind::Deref(self.copy_expr(e)?),
+            LvalKind::Field(inner, f) => LvalKind::Field(self.copy_lval(inner)?, f),
+        };
+        self.lval(kind, span)
+    }
+
     fn err<T>(&self, message: impl Into<String>) -> PResult<T> {
         Err(ParseError {
             message: message.into(),
@@ -306,8 +407,11 @@ impl Parser {
         };
         let mut ty = QualType::base(base);
         self.qual_list(&mut ty);
+        let mut levels = 0;
         while self.peek() == Tok::Star {
             self.bump();
+            levels += 1;
+            self.within_limit(levels)?;
             ty = ty.ptr_to();
             self.qual_list(&mut ty);
         }
@@ -322,6 +426,7 @@ impl Parser {
             let before = self.pos;
             if let Err(e) = self.top_item(&mut prog) {
                 self.errors.push(e);
+                self.depth = 0;
                 self.recover_top_level();
             }
             // Progress guarantee: a failure that consumed nothing (and a
@@ -513,7 +618,9 @@ impl Parser {
     // ----- statements -----
 
     fn block_stmts(&mut self) -> PResult<Vec<Stmt>> {
+        self.enter(1)?;
         self.expect(Tok::LBrace)?;
+        let depth = self.depth;
         let mut out = Vec::new();
         while self.peek() != Tok::RBrace {
             if self.peek() == Tok::Eof {
@@ -522,6 +629,7 @@ impl Parser {
             let before = self.pos;
             if let Err(e) = self.stmt_into(&mut out) {
                 self.errors.push(e);
+                self.depth = depth;
                 self.recover_in_block();
                 if self.pos == before && self.peek() != Tok::RBrace {
                     self.force_bump();
@@ -529,6 +637,7 @@ impl Parser {
             }
         }
         self.expect(Tok::RBrace)?;
+        self.leave(1);
         Ok(out)
     }
 
@@ -616,7 +725,9 @@ impl Parser {
     fn sub_stmt(&mut self) -> PResult<Stmt> {
         let start = self.span();
         let mut tmp = Vec::new();
+        self.enter(1)?;
         self.stmt_into(&mut tmp)?;
+        self.leave(1);
         Ok(match tmp.len() {
             1 => tmp.pop().expect("len checked"),
             _ => Stmt {
@@ -628,6 +739,9 @@ impl Parser {
 
     fn for_stmt(&mut self, out: &mut Vec<Stmt>, start: Span) -> PResult<()> {
         self.bump(); // for
+                     // The block and the loop the `for` becomes; its body opens one
+                     // more.
+        self.enter(2)?;
         self.expect(Tok::LParen)?;
         let mut init = Vec::new();
         if self.peek() != Tok::Semi {
@@ -639,7 +753,7 @@ impl Parser {
         }
         self.expect(Tok::Semi)?;
         let cond = if self.peek() == Tok::Semi {
-            self.arena.int(1)
+            self.expr(ExprKind::IntLit(1), Span::DUMMY)?
         } else {
             self.parse_expr()?
         };
@@ -657,6 +771,7 @@ impl Parser {
             span: start.to(self.prev_span()),
         };
         init.push(whole);
+        self.leave(2);
         out.push(Stmt {
             kind: StmtKind::Block(init),
             span: start.to(self.prev_span()),
@@ -676,7 +791,7 @@ impl Parser {
         };
         if self.peek() == Tok::Assign {
             self.bump();
-            let lv = self.arena.add_lval(LvalKind::Var(name), decl.span);
+            let lv = self.lval(LvalKind::Var(name), decl.span)?;
             match self.parse_rhs()? {
                 Rhs::Expr(e) => {
                     decl.init = Some(e);
@@ -784,17 +899,17 @@ impl Parser {
             Tok::PlusPlus | Tok::PlusEq | Tok::MinusMinus | Tok::MinusEq => {
                 let op_tok = self.bump();
                 let (op, rhs) = match op_tok {
-                    Tok::PlusPlus => (BinOp::Add, self.arena.int(1)),
-                    Tok::MinusMinus => (BinOp::Sub, self.arena.int(1)),
+                    Tok::PlusPlus => (BinOp::Add, self.expr(ExprKind::IntLit(1), Span::DUMMY)?),
+                    Tok::MinusMinus => (BinOp::Sub, self.expr(ExprKind::IntLit(1), Span::DUMMY)?),
                     Tok::PlusEq => (BinOp::Add, self.parse_expr()?),
                     Tok::MinusEq => (BinOp::Sub, self.parse_expr()?),
                     _ => unreachable!("matched above"),
                 };
                 // The read half copies the target, so each node keeps one
                 // parent.
-                let read_lv = self.arena.copy_lval(lv);
-                let read = self.arena.add_expr(ExprKind::Lval(read_lv), target_span);
-                let value = self.arena.binop(op, read, rhs);
+                let read_lv = self.copy_lval(lv)?;
+                let read = self.expr(ExprKind::Lval(read_lv), target_span)?;
+                let value = self.expr(ExprKind::Binop(op, read, rhs), Span::DUMMY)?;
                 out.push(Stmt {
                     kind: StmtKind::Instr(Instr {
                         kind: InstrKind::Set(lv, value),
@@ -838,10 +953,13 @@ impl Parser {
             self.bump();
             let ty = self.parse_type()?;
             self.expect(Tok::RParen)?;
-            match self.parse_rhs()? {
+            self.enter(1)?;
+            let rhs = self.parse_rhs()?;
+            self.leave(1);
+            match rhs {
                 Rhs::Expr(e) => {
                     let span = self.arena[e].span;
-                    return Ok(Rhs::Expr(self.arena.add_expr(ExprKind::Cast(ty, e), span)));
+                    return Ok(Rhs::Expr(self.expr(ExprKind::Cast(ty, e), span)?));
                 }
                 other => return Ok(other),
             }
@@ -853,7 +971,7 @@ impl Parser {
                 if f == self.kw.malloc {
                     let size = match args.first() {
                         Some(&size) => size,
-                        None => self.arena.int(1),
+                        None => self.expr(ExprKind::IntLit(1), Span::DUMMY)?,
                     };
                     return Ok(Rhs::Alloc(size));
                 }
@@ -886,7 +1004,7 @@ impl Parser {
             self.bump();
             let rhs = self.parse_binary(prec + 1)?;
             let span = self.arena[lhs].span.to(self.arena[rhs].span);
-            lhs = self.arena.add_expr(ExprKind::Binop(op, lhs, rhs), span);
+            lhs = self.expr(ExprKind::Binop(op, lhs, rhs), span)?;
             max = if op.is_comparison() { prec - 1 } else { prec };
         }
         Ok(lhs)
@@ -902,23 +1020,23 @@ impl Parser {
                     _ => UnOp::BitNot,
                 };
                 self.bump();
-                let e = self.parse_unary()?;
+                let e = self.operand()?;
                 let span = start.to(self.arena[e].span);
-                Ok(self.arena.add_expr(ExprKind::Unop(op, e), span))
+                self.expr(ExprKind::Unop(op, e), span)
             }
             Tok::Star => {
                 self.bump();
-                let e = self.parse_unary()?;
+                let e = self.operand()?;
                 let span = start.to(self.arena[e].span);
-                let lv = self.arena.add_lval(LvalKind::Deref(e), span);
-                Ok(self.arena.add_expr(ExprKind::Lval(lv), span))
+                let lv = self.lval(LvalKind::Deref(e), span)?;
+                self.expr(ExprKind::Lval(lv), span)
             }
             Tok::Amp => {
                 self.bump();
-                let e = self.parse_unary()?;
+                let e = self.operand()?;
                 let span = start.to(self.arena[e].span);
                 match self.arena.as_lval(e) {
-                    Some(lv) => Ok(self.arena.add_expr(ExprKind::AddrOf(lv), span)),
+                    Some(lv) => self.expr(ExprKind::AddrOf(lv), span),
                     None => self.err("`&` requires an l-value operand"),
                 }
             }
@@ -927,12 +1045,28 @@ impl Parser {
                 self.bump();
                 let ty = self.parse_type()?;
                 self.expect(Tok::RParen)?;
-                let e = self.parse_unary()?;
+                let e = self.operand()?;
                 let span = start.to(self.arena[e].span);
-                Ok(self.arena.add_expr(ExprKind::Cast(ty, e), span))
+                self.expr(ExprKind::Cast(ty, e), span)
             }
             _ => self.parse_postfix(),
         }
+    }
+
+    /// The operand of a unary operator or cast, one level deeper.
+    fn operand(&mut self) -> PResult<ExprId> {
+        self.enter(1)?;
+        let e = self.parse_unary()?;
+        self.leave(1);
+        Ok(e)
+    }
+
+    /// A parenthesized or bracketed expression, one level deeper.
+    fn nested_expr(&mut self) -> PResult<ExprId> {
+        self.enter(1)?;
+        let e = self.parse_expr()?;
+        self.leave(1);
+        Ok(e)
     }
 
     fn parse_postfix(&mut self) -> PResult<ExprId> {
@@ -941,14 +1075,12 @@ impl Parser {
             let lv = match self.peek() {
                 Tok::LBracket => {
                     self.bump();
-                    let idx = self.parse_expr()?;
+                    let idx = self.nested_expr()?;
                     self.expect(Tok::RBracket)?;
                     let span = self.arena[e].span.to(self.prev_span());
                     // a[i] ≡ *(a + i)
-                    let sum = self
-                        .arena
-                        .add_expr(ExprKind::Binop(BinOp::Add, e, idx), span);
-                    self.arena.add_lval(LvalKind::Deref(sum), span)
+                    let sum = self.expr(ExprKind::Binop(BinOp::Add, e, idx), span)?;
+                    self.lval(LvalKind::Deref(sum), span)?
                 }
                 Tok::Dot => {
                     self.bump();
@@ -957,20 +1089,20 @@ impl Parser {
                     let Some(lv) = self.arena.as_lval(e) else {
                         return self.err("`.` requires an l-value operand");
                     };
-                    self.arena.add_lval(LvalKind::Field(lv, f), span)
+                    self.lval(LvalKind::Field(lv, f), span)?
                 }
                 Tok::Arrow => {
                     self.bump();
                     let f = self.ident()?;
                     let span = self.arena[e].span.to(self.prev_span());
                     // e->f ≡ (*e).f
-                    let deref = self.arena.add_lval(LvalKind::Deref(e), span);
-                    self.arena.add_lval(LvalKind::Field(deref, f), span)
+                    let deref = self.lval(LvalKind::Deref(e), span)?;
+                    self.lval(LvalKind::Field(deref, f), span)?
                 }
                 _ => break,
             };
             let span = self.arena[lv].span;
-            e = self.arena.add_expr(ExprKind::Lval(lv), span);
+            e = self.expr(ExprKind::Lval(lv), span)?;
         }
         Ok(e)
     }
@@ -989,7 +1121,7 @@ impl Parser {
             }
             Tok::LParen => {
                 self.bump();
-                let e = self.parse_expr()?;
+                let e = self.nested_expr()?;
                 self.expect(Tok::RParen)?;
                 return Ok(e);
             }
@@ -1003,7 +1135,7 @@ impl Parser {
                 let ty = self.parse_type()?;
                 self.expect(Tok::RParen)?;
                 let span = start.to(self.prev_span());
-                return Ok(self.arena.add_expr(ExprKind::SizeOf(ty), span));
+                return self.expr(ExprKind::SizeOf(ty), span);
             }
             Tok::Ident(s) => {
                 if self.peek_at(1) == Tok::LParen {
@@ -1012,11 +1144,11 @@ impl Parser {
                     ));
                 }
                 self.bump();
-                ExprKind::Lval(self.arena.add_lval(LvalKind::Var(s), start))
+                ExprKind::Lval(self.lval(LvalKind::Var(s), start)?)
             }
             other => return self.err(format!("expected expression, found `{}`", self.show(other))),
         };
-        Ok(self.arena.add_expr(kind, start))
+        self.expr(kind, start)
     }
 }
 

@@ -160,6 +160,11 @@ done
 # and answered warm purely by following the shared journal.
 ./target/release/stqc call --socket "$ha_dir/a.sock" prove >/dev/null
 kill -KILL "$ha_a_pid" 2>/dev/null
+# SIGKILL lands asynchronously, and until A has exited its listening
+# socket still accepts: the call could connect to A and then read EOF.
+# Reaping A first makes the call meet a refused connection and fail over
+# within its one attempt.
+wait "$ha_a_pid" 2>/dev/null || true
 failover_json="$(./target/release/stqc call --json \
     --socket "$ha_dir/a.sock" --socket "$ha_dir/b.sock" prove)"
 if ! grep -q '"endpoints_tried":2' <<< "$failover_json"; then

@@ -731,9 +731,15 @@ fn run(args: Args) -> Result<ExitCode, CliError> {
     let entry = args.text("--entry").unwrap_or("main");
     let out = session
         .run_instrumented(&program, entry, &call_args)
-        .map_err(|e| CliError {
-            code: EXIT_UNSOUND,
-            msg: format!("runtime error: {e}"),
+        .map_err(|e| {
+            if e.is_entry_error() {
+                input_err(format!("run: {e}"))
+            } else {
+                CliError {
+                    code: EXIT_UNSOUND,
+                    msg: format!("runtime error: {e}"),
+                }
+            }
         })?;
     print!("{}", out.stdout);
     if let Some(v) = out.ret {

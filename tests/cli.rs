@@ -388,6 +388,51 @@ fn exit_3_on_input_errors() {
         assert_eq!(code, Some(3), "{args:?}: {stdout}{stderr}");
         assert!(stderr.contains("function `f` is defined twice"), "{stderr}");
     }
+    // Nesting past the parser's limit is a parse error, not a crash.
+    let deep = temp_file(
+        "deep.c",
+        &format!(
+            "int f(int x) {{ return {}x{}; }}",
+            "(".repeat(20_000),
+            ")".repeat(20_000)
+        ),
+    );
+    let deep = deep.to_str().unwrap();
+    for args in [
+        vec!["check", deep],
+        vec!["run", "--entry", "f", deep, "1"],
+        vec!["infer", "--qual", "pos", deep],
+    ] {
+        let (stdout, stderr, code) = stqc_code(&args);
+        assert_eq!(code, Some(3), "{args:?}: {stdout}{stderr}");
+        assert!(
+            stderr.contains("nesting deeper than 256 levels"),
+            "{stderr}"
+        );
+    }
+    // `run` calls its entry only with the arguments it takes, and
+    // runs nothing otherwise.
+    let entry = temp_file("entry.c", "int main(int a) { return a; }");
+    let entry = entry.to_str().unwrap();
+    for (args, want) in [
+        (
+            vec!["run", entry],
+            "entry function `main` takes 1 argument(s), 0 given",
+        ),
+        (
+            vec!["run", entry, "1", "2"],
+            "entry function `main` takes 1 argument(s), 2 given",
+        ),
+        (
+            vec!["run", "--entry", "nosuch", entry],
+            "no entry function `nosuch`",
+        ),
+    ] {
+        let (stdout, stderr, code) = stqc_code(&args);
+        assert_eq!(code, Some(3), "{args:?}: {stdout}{stderr}");
+        assert!(stderr.contains(want), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+    }
 }
 
 #[test]

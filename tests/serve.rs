@@ -423,6 +423,44 @@ fn socket_serves_two_clients_concurrently() {
 }
 
 #[test]
+fn deeply_nested_sources_are_syntax_errors_and_the_connection_goes_on() {
+    let daemon = Daemon::spawn("deep-nesting", &[]);
+    let mut client = daemon.connect();
+    let parens = format!(
+        "int f(int x) {{ return {}x{}; }}",
+        "(".repeat(1_000),
+        ")".repeat(1_000)
+    );
+    let blocks = format!(
+        "int f(int x) {{ {} x = 1; {} return x; }}",
+        "{".repeat(3_000),
+        "}".repeat(3_000)
+    );
+    for (id, source) in [(1, parens), (2, blocks)] {
+        let check = client.roundtrip(&format!(
+            "{{\"id\":{id},\"method\":\"check\",\"params\":{{\"source\":\"{source}\"}}}}"
+        ));
+        let result = check.get("result").unwrap_or_else(|| panic!("{check}"));
+        let errors = result
+            .get("syntax_errors")
+            .and_then(Json::as_array)
+            .unwrap_or_else(|| panic!("{check}"));
+        assert_eq!(errors.len(), 1, "{check}");
+        let error = errors[0].as_str().expect("a rendered error");
+        assert!(error.contains("nesting deeper than 256 levels"), "{check}");
+    }
+    let plain = client
+        .roundtrip("{\"id\":3,\"method\":\"check\",\"params\":{\"source\":\"int pos x = 3;\"}}");
+    assert_eq!(
+        plain.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{plain}"
+    );
+    drop(client);
+    daemon.shutdown();
+}
+
+#[test]
 fn socket_client_disconnect_cancels_its_pending_work() {
     // One worker; a client floods it with slow (cache-off) proves and
     // vanishes without reading anything. The daemon must cancel that

@@ -82,7 +82,11 @@ fn whiles(n: usize) -> String {
     )
 }
 
-const SHAPES: [(&str, Shape); 8] = [
+fn pointers(n: usize) -> String {
+    format!("int f(int x) {{ int {}p; return x; }}", "* ".repeat(n))
+}
+
+const SHAPES: [(&str, Shape); 9] = [
     ("parentheses", parens),
     ("sum", sum),
     ("product", product),
@@ -91,6 +95,7 @@ const SHAPES: [(&str, Shape); 8] = [
     ("blocks", blocks),
     ("ifs", ifs),
     ("whiles", whiles),
+    ("pointer levels", pointers),
 ];
 
 /// Runs `f` on a thread with a stack of `stack` bytes. A pass that

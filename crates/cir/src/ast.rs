@@ -626,7 +626,9 @@ pub struct Program {
     pub protos: Vec<FuncProto>,
     /// Function definitions.
     pub funcs: Vec<FuncDef>,
-    /// Every expression and l-value the program holds.
+    /// Every expression and l-value the program holds. The functions'
+    /// statements name nodes here, so a function taken from one program
+    /// means nothing in another: parse the sources together instead.
     pub arena: Arena,
 }
 

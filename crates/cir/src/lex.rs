@@ -152,7 +152,7 @@ pub struct Token {
 }
 
 /// A lexed source: its tokens and its string literals' contents.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Lexed {
     /// The tokens, in source order; the last is always [`Tok::Eof`].
     pub toks: Vec<Token>,

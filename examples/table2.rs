@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --example table2`
 
-use stq_core::{RuntimeError, Session, Value};
+use stq_core::{RuntimeError, Session};
 use stq_corpus::tables::{render_table2, table2};
 use stq_corpus::taint::bftpd_source;
 
@@ -29,36 +29,20 @@ fn main() {
     // malicious "directory entry" whose name contains conversion
     // specifiers and watch printf walk off the argument list.
     let session = Session::with_builtins();
-    let mut program = session.parse(&bftpd_source()).expect("corpus parses");
-    let driver = session
-        .parse(
-            "struct dirent2 { int dummy; };
-             int sendstrf(int s, char* untainted format, int arg);
-             struct dirent { char* d_name; int d_ino; };
-             int list_directory(int s, struct dirent* entry);
-             int exploit() {
-                 struct dirent* e = malloc(sizeof(struct dirent));
-                 e->d_name = \"%d%s%s\";
-                 int r;
-                 r = list_directory(1, e);
-                 return r;
-             }",
-        )
-        .expect("driver parses");
-    program.funcs.extend(
-        driver
-            .funcs
-            .into_iter()
-            .filter(|f| f.name.as_str() == "exploit"),
+    let source = format!(
+        "{}
+         int exploit() {{
+             struct dirent* e = malloc(sizeof(struct dirent));
+             e->d_name = \"%d%s%s\";
+             int r;
+             r = list_directory(1, e);
+             return r;
+         }}",
+        bftpd_source()
     );
-    program.structs.extend(
-        driver
-            .structs
-            .into_iter()
-            .filter(|s| s.name.as_str() == "dirent2"),
-    );
+    let program = session.parse(&source).expect("corpus and driver parse");
 
-    match session.run_instrumented(&program, "exploit", &[Value::Int(0)]) {
+    match session.run_instrumented(&program, "exploit", &[]) {
         Err(RuntimeError::FormatString { detail, .. }) => {
             println!("dynamic confirmation of the bftpd bug: {detail}");
         }

@@ -23,7 +23,7 @@ const WORKER_STACK: usize = 2 << 20;
 /// The CLI's main thread stack.
 const MAIN_STACK: usize = 8 << 20;
 
-/// A function `f(x)` whose body nests `n` levels of one shape.
+/// A function `f(x)` whose body nests `n` steps of one shape.
 type Shape = fn(usize) -> String;
 
 fn parens(n: usize) -> String {
@@ -82,20 +82,31 @@ fn whiles(n: usize) -> String {
     )
 }
 
+/// Each `for` is three levels: the block and the loop it becomes, and
+/// its body.
+fn fors(n: usize) -> String {
+    format!(
+        "int f(int x) {{ {} x = 0; return x; }}",
+        "for (; x; x = x) ".repeat(n)
+    )
+}
+
 fn pointers(n: usize) -> String {
     format!("int f(int x) {{ int {}p; return x; }}", "* ".repeat(n))
 }
 
-const SHAPES: [(&str, Shape); 9] = [
-    ("parentheses", parens),
-    ("sum", sum),
-    ("product", product),
-    ("negations", negations),
-    ("casts", casts),
-    ("blocks", blocks),
-    ("ifs", ifs),
-    ("whiles", whiles),
-    ("pointer levels", pointers),
+/// Each shape with the levels one step of it opens.
+const SHAPES: [(&str, Shape, usize); 10] = [
+    ("parentheses", parens, 1),
+    ("sum", sum, 1),
+    ("product", product, 1),
+    ("negations", negations, 1),
+    ("casts", casts, 1),
+    ("blocks", blocks, 1),
+    ("ifs", ifs, 1),
+    ("whiles", whiles, 1),
+    ("fors", fors, 3),
+    ("pointer levels", pointers, 1),
 ];
 
 /// Runs `f` on a thread with a stack of `stack` bytes. A pass that
@@ -136,19 +147,20 @@ fn deepest(shape: Shape) -> usize {
 
 #[test]
 fn every_pass_fits_its_stack_at_the_nesting_limit() {
-    for (name, shape) in SHAPES {
+    for (name, shape, levels) in SHAPES {
         let n = deepest(shape);
         // The limit counts the function body, and a read of `x` is two
         // nodes deep, so a shape reaches a few levels short of it.
         assert!(
-            n + 8 >= MAX_NESTING as usize,
-            "{name}: only {n} levels parse"
+            n * levels + 8 >= MAX_NESTING as usize,
+            "{name}: only {n} steps parse"
         );
         let past = errors(shape(n + 1));
-        assert_eq!(past.len(), 1, "{name} at {}: {past:?}", n + 1);
         assert!(
-            past[0].contains(&format!("nesting deeper than {MAX_NESTING} levels")),
-            "{name}: {past:?}"
+            past.first()
+                .is_some_and(|e| e.contains(&format!("nesting deeper than {MAX_NESTING} levels"))),
+            "{name} at {}: {past:?}",
+            n + 1
         );
 
         let src = shape(n);

@@ -12,6 +12,7 @@ use std::fmt::Write as _;
 use stq_cir::interp::{run_entry, InterpConfig, NoChecks, Value};
 use stq_cir::parse::parse_program;
 use stq_cir::pretty::program_to_string;
+use stq_util::Symbol;
 
 const QUALS: &[&str] = &["pos", "neg", "nonzero", "nonnull", "untainted"];
 
@@ -143,12 +144,16 @@ proptest! {
         let src = random_source(seed);
         let program = parse_program(&src, QUALS).expect("generated source parses");
         let config = InterpConfig { max_steps: 50_000, ..InterpConfig::default() };
-        let run = || {
-            run_entry(&program, "f0", &[Value::Int(1), Value::Int(2), Value::Int(3)],
-                      &NoChecks, config)
-        };
+        let f0 = program.func(Symbol::intern("f0")).expect("the generator defines f0");
+        let args = &[Value::Int(1), Value::Int(2), Value::Int(3)][..f0.sig.params.len()];
+        let run = || run_entry(&program, "f0", args, &NoChecks, config);
         let a = run();
         let b = run();
+        for outcome in [&a, &b] {
+            if let Err(e) = outcome {
+                prop_assert!(!e.is_entry_error(), "f0 was not run: {e}");
+            }
+        }
         match (&a, &b) {
             (Ok(x), Ok(y)) => {
                 prop_assert_eq!(x.ret, y.ret);

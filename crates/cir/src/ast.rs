@@ -310,9 +310,10 @@ pub enum LvalKind {
 /// A program's expressions and l-values, each stored once in a flat
 /// vector and named by its id.
 ///
-/// In a parsed program each node has exactly one parent: a statement, a
-/// declaration or another node. Dropping the arena frees two vectors,
-/// however deep the expressions are.
+/// In a program parsed without syntax errors each node has exactly one
+/// parent: a statement, a declaration or another node. (A statement the
+/// resilient parse gives up on can leave nodes with none.) Dropping the
+/// arena frees two vectors, however deep the expressions are.
 ///
 /// # Examples
 ///
@@ -354,6 +355,12 @@ impl Arena {
         let id = u32::try_from(self.lvals.len()).expect("fewer than 2^32 l-values");
         self.lvals.push(Lvalue { kind, span });
         LvalId(id)
+    }
+
+    /// Removes the expression `first` and every expression added after
+    /// it.
+    pub(crate) fn truncate_exprs(&mut self, first: ExprId) {
+        self.exprs.truncate(first.index());
     }
 
     /// Integer literal, with a dummy span (for synthesized code).
@@ -724,6 +731,84 @@ mod tests {
         assert!(p.signature(Symbol::intern("gcd")).is_some());
         assert!(p.func(Symbol::intern("gcd")).is_none());
         assert!(p.global(Symbol::intern("gcd")).is_none());
+    }
+
+    #[test]
+    fn a_clean_parse_gives_each_node_one_parent() {
+        let p = crate::parse::parse_program(
+            "struct s { int f; };
+             int g = 1;
+             int h(int* p, struct s* q) {
+                 int x = 2;
+                 int* m = malloc(4);
+                 int c = h(p, q);
+                 (int pos) x = *p + (int) x;
+                 q->f += x;
+                 p[1]++;
+                 int* a = &(*p);
+                 int b = (*q).f;
+                 for (int i = 0; i < 3; i++) { if (i) { x = -x; } }
+                 return &x == p;
+             }",
+            &["pos"],
+        )
+        .unwrap();
+        let a = &p.arena;
+        let mut exprs = vec![0; a.exprs.len()];
+        let mut lvals = vec![0; a.lvals.len()];
+        for e in &a.exprs {
+            match e.kind {
+                ExprKind::Lval(lv) | ExprKind::AddrOf(lv) => lvals[lv.index()] += 1,
+                ExprKind::Unop(_, x) | ExprKind::Cast(_, x) => exprs[x.index()] += 1,
+                ExprKind::Binop(_, x, y) => {
+                    exprs[x.index()] += 1;
+                    exprs[y.index()] += 1;
+                }
+                ExprKind::IntLit(_)
+                | ExprKind::StrLit(_)
+                | ExprKind::Null
+                | ExprKind::SizeOf(_) => {}
+            }
+        }
+        for lv in &a.lvals {
+            match lv.kind {
+                LvalKind::Var(_) => {}
+                LvalKind::Deref(e) => exprs[e.index()] += 1,
+                LvalKind::Field(inner, _) => lvals[inner.index()] += 1,
+            }
+        }
+        for e in p.globals.iter().filter_map(|g| g.init) {
+            exprs[e.index()] += 1;
+        }
+        for s in &p.funcs[0].body {
+            s.walk(&mut |s| match &s.kind {
+                StmtKind::Instr(i) => match &i.kind {
+                    InstrKind::Set(lv, e) | InstrKind::Alloc(lv, e) => {
+                        lvals[lv.index()] += 1;
+                        exprs[e.index()] += 1;
+                    }
+                    InstrKind::Call(dst, _, args) => {
+                        if let Some(lv) = dst {
+                            lvals[lv.index()] += 1;
+                        }
+                        for e in args {
+                            exprs[e.index()] += 1;
+                        }
+                    }
+                    InstrKind::RuntimeCheck(_, e) => exprs[e.index()] += 1,
+                },
+                StmtKind::If(e, ..) | StmtKind::While(e, _) | StmtKind::Return(Some(e)) => {
+                    exprs[e.index()] += 1;
+                }
+                StmtKind::Decl(LocalDecl { init: Some(e), .. }) => exprs[e.index()] += 1,
+                StmtKind::Decl(_) | StmtKind::Block(_) | StmtKind::Return(None) => {}
+            });
+        }
+        assert!(
+            exprs.iter().all(|&n| n == 1),
+            "expression parents: {exprs:?}"
+        );
+        assert!(lvals.iter().all(|&n| n == 1), "l-value parents: {lvals:?}");
     }
 
     #[test]

@@ -8,6 +8,7 @@
 use crate::axioms::background_theory;
 use crate::cache::{CachedProof, ProofCache};
 use crate::obligations::{build_obligation, obligation_specs, Obligation, ObligationSpec};
+use std::cell::RefCell;
 use std::fmt;
 use std::time::{Duration, Instant};
 use stq_logic::solver::{Outcome, SolverWorker};
@@ -545,7 +546,12 @@ impl fmt::Display for SoundnessReport {
 /// fault injection, *which* solver entry draws a scheduled index) depend
 /// on scheduling. An installed [`fault`] plan is shared with the workers
 /// via [`fault::handle`]/[`fault::adopt`], so entry numbering stays
-/// global and an injected fault fires exactly once.
+/// global and an injected fault fires exactly once; each worker restores
+/// its own installation when the run ends.
+///
+/// Each worker thread, the calling thread among them, proves on its own
+/// resident theory-loaded [`SolverWorker`], built on the thread's first
+/// run and kept for its later ones.
 pub fn check_defs_pipeline_cancellable(
     registry: &Registry,
     defs: &[&QualifierDef],
@@ -583,16 +589,10 @@ pub fn check_defs_pipeline_cancellable(
         jobs,
         tasks,
         cancel,
-        || {
-            fault::adopt(fault_handle.clone());
-            // Each worker keeps one theory-loaded solver resident for its
-            // whole batch; obligations that carry the shared background
-            // theory reuse it instead of re-preprocessing the axioms.
-            SolverWorker::new(background_theory())
-        },
-        |worker, _, (qi, spec)| {
+        || Lease::take(fault_handle.clone()),
+        |lease, _, (qi, spec)| {
             let ob = build_obligation(registry, defs[qi], &spec);
-            discharge(worker, ob, budget, retry, cache, cancel)
+            discharge(lease.worker(), ob, budget, retry, cache, cancel)
         },
     );
     let mut per_qual: Vec<Vec<ObligationResult>> = defs.iter().map(|_| Vec::new()).collect();
@@ -628,6 +628,54 @@ pub fn check_defs_pipeline_cancellable(
         })
         .collect();
     SoundnessReport::new(reports, budget, retry, jobs, cache, start.elapsed())
+}
+
+thread_local! {
+    /// This thread's theory-loaded solver, kept between runs while no
+    /// [`Lease`] holds it.
+    static RESIDENT: RefCell<Option<SolverWorker>> = const { RefCell::new(None) };
+}
+
+/// A pool worker's state for one run: the thread's resident solver,
+/// created on the thread's first run, under the run's fault
+/// installation. Obligations that carry the shared background theory
+/// reuse the solver's core instead of re-preprocessing the axioms, and
+/// its rollback at the start of each attempt heals a core that a
+/// contained panic left dirty. Dropping the lease puts the solver back
+/// and restores the installation the thread had before, so a pool
+/// helper carries no run's fault plan into the next run it serves.
+struct Lease {
+    /// `Some` until the lease drops.
+    worker: Option<SolverWorker>,
+    previous_fault: Option<fault::Handle>,
+}
+
+impl Lease {
+    fn take(fault_handle: Option<fault::Handle>) -> Lease {
+        let previous_fault = fault::handle();
+        fault::adopt(fault_handle);
+        let worker = RESIDENT
+            .with(|resident| resident.borrow_mut().take())
+            .unwrap_or_else(|| SolverWorker::new(background_theory()));
+        Lease {
+            worker: Some(worker),
+            previous_fault,
+        }
+    }
+
+    fn worker(&mut self) -> &mut SolverWorker {
+        self.worker
+            .as_mut()
+            .expect("a lease holds its solver until it drops")
+    }
+}
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        fault::adopt(self.previous_fault.take());
+        // `try_with`: the thread's locals may already be torn down.
+        let _ = RESIDENT.try_with(|resident| *resident.borrow_mut() = self.worker.take());
+    }
 }
 
 #[cfg(test)]

@@ -307,3 +307,36 @@ fn fault_panic_under_parallel_jobs_crashes_exactly_one_obligation() {
         1
     );
 }
+
+#[test]
+fn a_faulted_parallel_run_leaves_no_fault_behind_for_the_next_run() {
+    let registry = Registry::builtins();
+    fault::install(FaultPlan::new().inject(3, FaultKind::Panic));
+    let faulted = check_registry(&registry, Budget::default(), RetryPolicy::none(), 4, None);
+    fault::clear();
+    assert_eq!(crashed_count(&faulted), 1, "the planned panic fires once");
+    // The pool's helpers that served the faulted run serve the next runs.
+    // None of them may still hold its plan, not even in a run whose
+    // `init` installs nothing, as a fuzz campaign's does ...
+    let installed = stq_util::pool::run_indexed_stateful_cancellable(
+        8,
+        (0..64usize).collect(),
+        &CancelToken::default(),
+        || fault::handle().is_some(),
+        |installed, _, _| *installed,
+    );
+    assert!(installed.iter().all(|i| *i == Some(false)));
+    // ... and an unfaulted proving run crashes nothing.
+    let clean = check_registry(&registry, Budget::default(), RetryPolicy::none(), 4, None);
+    assert_eq!(crashed_count(&clean), 0, "{clean}");
+    assert!(clean.all_sound(), "{clean}");
+}
+
+fn crashed_count(report: &SoundnessReport) -> usize {
+    report
+        .reports
+        .iter()
+        .flat_map(|r| &r.obligations)
+        .filter(|o| o.crashed.is_some())
+        .count()
+}

@@ -5,8 +5,9 @@
 //!
 //! * [`Symbol`] — cheap interned strings for identifiers and qualifier names,
 //!   with lock-free reads so parallel provers never contend on the table,
-//! * [`pool`] — a scoped thread pool for embarrassingly
-//!   parallel batches (the soundness checker's proof obligations),
+//! * [`pool`] — a thread pool for embarrassingly parallel batches (the
+//!   soundness checker's proof obligations): the caller works too, and
+//!   its helper threads stay resident from one batch to the next,
 //! * [`cancel`] — cooperative cancellation tokens (deadline + external
 //!   cancel flag, linkable into parent/child trees) polled by the
 //!   prover, the pool, fuzz campaigns, and the serve daemon,

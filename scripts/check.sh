@@ -46,6 +46,18 @@ cargo test -q --workspace
 echo "==> cargo test -q --release --workspace"
 cargo test -q --release --workspace
 
+# The pool lends borrowed work to resident threads and is sound only
+# because every run waits for its helpers; one passing run cannot show
+# that wait holds under every interleaving, so its tests run repeatedly.
+echo "==> the pool's tests, 20 times in release"
+for run in $(seq 1 20); do
+    if ! pool_out="$(cargo test -q --release -p stq-util pool 2>&1)"; then
+        echo "$pool_out" >&2
+        echo "the pool's tests failed on repetition $run of 20" >&2
+        exit 1
+    fi
+done
+
 echo "==> stqbench unit tests and known-answer oracle"
 cargo test -q --manifest-path stqbench/Cargo.toml
 

@@ -474,7 +474,11 @@ impl Problem {
                     })
                     .collect();
 
-                let mut fresh = Vec::new();
+                // This round's instances, each a substituted body with
+                // its quantifier's proxy atom, clausified in order once
+                // matching is done, so matching borrows each closure in
+                // place.
+                let mut instances: Vec<(Formula, Option<usize>)> = Vec::new();
                 let mut instantiation_cap_hit = false;
                 for q in active {
                     // E-matching safepoint: one poll per active quantifier
@@ -491,7 +495,7 @@ impl Problem {
                             stats,
                         };
                     }
-                    let closure = Arc::clone(&core.cl.quants[q]);
+                    let closure = &core.cl.quants[q];
                     let proxy_atom = core.cl.quant_atom(q);
                     for (ti, trigger) in closure.triggers.iter().enumerate() {
                         let (bindings, candidates) = match_trigger_counted(&eg, trigger);
@@ -526,21 +530,24 @@ impl Problem {
                                 .iter()
                                 .map(|&(x, id)| (x, core.arena.term(id)))
                                 .collect();
-                            let inst = closure.body.subst(&subst);
+                            instances.push((closure.body.subst(&subst), proxy_atom));
                             instantiated.insert(key);
-                            let mut inst_clauses = core.cl.clausify(inst);
-                            // Guard each clause with the proxy: ¬Q ∨ instance.
-                            if let Some(p) = proxy_atom {
-                                for c in &mut inst_clauses {
-                                    c.push(Lit {
-                                        atom: p,
-                                        pos: false,
-                                    });
-                                }
-                            }
-                            fresh.extend(inst_clauses);
                         }
                     }
+                }
+                let mut fresh = Vec::new();
+                for (inst, proxy_atom) in instances {
+                    let mut inst_clauses = core.cl.clausify(inst);
+                    // Guard each clause with the proxy: ¬Q ∨ instance.
+                    if let Some(p) = proxy_atom {
+                        for c in &mut inst_clauses {
+                            c.push(Lit {
+                                atom: p,
+                                pos: false,
+                            });
+                        }
+                    }
+                    fresh.extend(inst_clauses);
                 }
                 eg.rollback(rewind);
                 let added = core.add_clauses(fresh);

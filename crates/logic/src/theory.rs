@@ -14,11 +14,12 @@
 
 use crate::arena::{TermArena, TermId};
 use crate::euf::Egraph;
-use crate::fasthash::FastSet;
+use crate::fasthash::{FastHasher, FastMap};
 use crate::fingerprint::{axioms_prefix, StableHasher};
 use crate::pre::{Atom, Clause, Clausifier, ClausifierMark, Lit};
 use crate::term::{Formula, Term};
 use std::borrow::Cow;
+use std::hash::{BuildHasher, BuildHasherDefault};
 
 /// A background axiom set preprocessed once for reuse across many
 /// proving attempts.
@@ -90,14 +91,22 @@ struct CoreMark {
     natoms: usize,
 }
 
+/// Marks a clause with no earlier clause of the same content hash.
+const NO_CLAUSE: usize = usize::MAX;
+
 /// The mutable state of one proving attempt: clausifier tables, the
-/// clause store with its dedup set, the hash-consing term arena, the
+/// clause store with its dedup index, the hash-consing term arena, the
 /// per-atom interned-term cache, and the e-graph's tables.
 #[derive(Clone, Debug)]
 pub(crate) struct SolveCore {
     pub cl: Clausifier,
     pub clauses: Vec<Clause>,
-    pub seen: FastSet<Vec<Lit>>,
+    /// Clause dedup without a second copy of any clause: each content
+    /// hash maps to the index of the newest stored clause with it ...
+    newest_with_hash: FastMap<u64, usize>,
+    /// ... and each clause keeps its hash and the index of the previous
+    /// clause with it (`NO_CLAUSE` for none), in step with `clauses`.
+    hash_links: Vec<(u64, usize)>,
     pub arena: TermArena,
     /// The e-graph an attempt grows over the arena. Each attempt clears
     /// it, so a worker's core hands the next attempt its tables already
@@ -123,7 +132,8 @@ impl SolveCore {
         SolveCore {
             cl: Clausifier::new(),
             clauses: Vec::new(),
-            seen: FastSet::default(),
+            newest_with_hash: FastMap::default(),
+            hash_links: Vec::new(),
             arena,
             eg: Egraph::new(),
             atom_tids: Vec::new(),
@@ -154,12 +164,28 @@ impl SolveCore {
             if tautology {
                 continue;
             }
-            if self.seen.insert(key.clone()) {
-                self.clauses.push(key);
+            if self.insert_clause(clause_hash(&key), key) {
                 added += 1;
             }
         }
         added
+    }
+
+    /// Stores a normalized `clause` whose content hash is `hash`, unless
+    /// an equal clause is stored already; returns whether it was new.
+    fn insert_clause(&mut self, hash: u64, clause: Clause) -> bool {
+        let newest = self.newest_with_hash.entry(hash).or_insert(NO_CLAUSE);
+        let mut at = *newest;
+        while at != NO_CLAUSE {
+            if self.clauses[at] == clause {
+                return false;
+            }
+            at = self.hash_links[at].1;
+        }
+        self.hash_links.push((hash, *newest));
+        *newest = self.clauses.len();
+        self.clauses.push(clause);
+        true
     }
 
     /// Hash-conses the ground sides of every atom interned since the
@@ -193,12 +219,24 @@ impl SolveCore {
         if let Some(clmark) = &self.mark.cl {
             self.cl.truncate_to(clmark);
         }
-        for c in self.clauses.drain(self.mark.nclauses..) {
-            self.seen.remove(&c);
+        // Newest first, so each clause dropped is the newest with its
+        // hash and hands that place back to the one it links to.
+        for &(hash, older) in self.hash_links[self.mark.nclauses..].iter().rev() {
+            match older {
+                NO_CLAUSE => self.newest_with_hash.remove(&hash),
+                older => self.newest_with_hash.insert(hash, older),
+            };
         }
+        self.clauses.truncate(self.mark.nclauses);
+        self.hash_links.truncate(self.mark.nclauses);
         self.arena.truncate(self.mark.arena_len);
         self.atom_tids.truncate(self.mark.natoms);
     }
+}
+
+/// A normalized clause's content hash, for [`SolveCore`]'s dedup index.
+fn clause_hash(clause: &[Lit]) -> u64 {
+    BuildHasherDefault::<FastHasher>::default().hash_one(clause)
 }
 
 fn cache_atom(arena: &mut TermArena, atom: &Atom) -> CachedAtom {
@@ -302,6 +340,25 @@ mod tests {
         let core = SolveCore::empty();
         assert_eq!(core.arena.term(core.tid_zero), &Term::int(0));
         assert_eq!(core.arena.term(core.tid_one), &Term::int(1));
+    }
+
+    #[test]
+    fn clauses_sharing_a_hash_are_told_apart_and_reset_unlinks_them() {
+        let lit = |atom| Lit { atom, pos: true };
+        let mut core = SolveCore::empty();
+        assert!(core.insert_clause(7, vec![lit(0)]));
+        core.set_mark();
+        // A second clause with the same hash is new; equal ones are not.
+        assert!(core.insert_clause(7, vec![lit(1)]));
+        assert!(core.insert_clause(7, vec![lit(2)]));
+        assert!(!core.insert_clause(7, vec![lit(0)]));
+        assert!(!core.insert_clause(7, vec![lit(1)]));
+        core.reset();
+        assert_eq!(core.clauses, vec![vec![lit(0)]]);
+        // The clauses above the mark left the index; the one below stays.
+        assert!(!core.insert_clause(7, vec![lit(0)]));
+        assert!(core.insert_clause(7, vec![lit(2)]));
+        assert!(core.insert_clause(7, vec![lit(1)]));
     }
 
     #[test]
